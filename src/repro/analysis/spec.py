@@ -177,6 +177,13 @@ class ClusterSpec:
         """Whether this section selects the fleet path over a solo engine."""
         return self.replicas > 1 or self.autoscale is not None
 
+    @property
+    def max_replicas(self) -> int:
+        """Most replicas the fleet can ever run (the autoscaler's ceiling)."""
+        if self.autoscale is None:
+            return self.replicas
+        return int(dict(self.autoscale)["max_replicas"])
+
     def to_dict(self) -> dict:
         return {
             "replicas": self.replicas,
@@ -236,6 +243,18 @@ class ExperimentSpec:
     #: :meth:`to_dict` — and therefore from the cache key — by design:
     #: observation is passive, so it cannot fork results.
     obs: ObsSpec = field(default_factory=ObsSpec)
+
+    def __post_init__(self) -> None:
+        # A fault aimed at a replica the fleet can never run would be a
+        # silent no-op, so it is rejected here rather than skipped mid-run.
+        ceiling = self.cluster.max_replicas
+        for spec in self.chaos.faults:
+            replica = getattr(FAULTS.create(spec), "replica", None)
+            if replica is not None and replica >= ceiling:
+                raise SpecError(
+                    f"fault {spec!r} targets replica {replica}, but the fleet "
+                    f"only has replicas 0..{ceiling - 1}"
+                )
 
     # -- construction ---------------------------------------------------
     @classmethod

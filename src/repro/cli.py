@@ -1155,6 +1155,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except InvariantViolation as exc:
         # Structured violation report: one line per context field, so CI
         # logs name the invariant, replica, request, and block directly.

@@ -4,10 +4,9 @@ The scalar generators in :mod:`repro.model.stochastic_lm` /
 :mod:`repro.model.draft` produce one distribution per call from ~18
 splitmix64 chains plus a handful of float operations.  When a caller
 knows *many* contexts it is about to query — a beam-search level across
-a whole batch, a decode batch's next-token samples — those chains can be
-evaluated for every context at once with ``numpy`` uint64/float64
-matrices (contexts x draws), collapsing thousands of interpreter
-operations into a few dozen array dispatches.
+a whole batch — those chains can be evaluated for every context at once
+with ``numpy`` uint64/float64 matrices (contexts x draws), collapsing
+thousands of interpreter operations into a few dozen array dispatches.
 
 **Bit-identity is the contract.**  Every vector statement here maps 1:1
 onto a scalar statement of the reference implementation:
@@ -47,12 +46,6 @@ from repro.model.stochastic_lm import (
 
 #: Whether the vectorized path can run at all.
 AVAILABLE = _np is not None
-
-#: Below this many pending generations the numpy fixed dispatch overhead
-#: loses to the scalar loop (measured on small arrays).  Shared with the
-#: call sites via repro.model.stochastic_lm.PREFETCH_MIN_BATCH so they
-#: can skip building the items list entirely.
-MIN_BATCH = PREFETCH_MIN_BATCH
 
 if AVAILABLE:
     _U64 = _np.uint64
@@ -199,78 +192,61 @@ def _select_missing(cache, keys_list):
     return [i for i, key in enumerate(keys_list) if key not in cache]
 
 
-def prefetch_target(lm, items) -> None:
-    """Warm ``lm``'s memo for many ``(ctx, center)`` queries (exact)."""
-    if _np is None or len(items) < MIN_BATCH:
-        return
-    cache = lm._cache
+def warm_target(lm, items, memo):
+    """Generate and memoize ``lm``'s rows for items whose keys miss ``memo``.
+
+    ``memo`` is ``lm``'s own memo for a target prefetch and the draft's
+    for a draft prefetch (which needs the target rows as its base).
+    Returns ``(keys_list, missing, C[missing], P, ids_mat, dists)`` with
+    ``dists`` the memoized target rows, or ``None`` when numpy is
+    unavailable or fewer than ``PREFETCH_MIN_BATCH`` items miss.
+    """
+    if _np is None or len(items) < PREFETCH_MIN_BATCH:
+        return None
     C = _np.array([ctx for ctx, _ in items], dtype=_np.uint64)
     keys_list = _keys(C, items).tolist()
-    missing = _select_missing(cache, keys_list)
-    if len(missing) < MIN_BATCH:
-        return
-    idx = _np.array(missing, dtype=_np.intp)
-    sub_items = [items[i] for i in missing]
-    P, ids_mat, dup = _generate_rows(lm, C[idx], _effective_centers(lm, sub_items))
-    if dup.any():
-        for row in _np.nonzero(dup)[0]:
-            ids_mat[row] = lm._draw_token_ids(sub_items[int(row)][0])
-    ids_rows = ids_mat.tolist()
-    probs_rows = P.tolist()
-    cap = lm._cache_cap
-    new = TokenDistribution.__new__
-    for j, i in enumerate(missing):
-        key = keys_list[i]
-        if key in cache:
-            continue  # duplicate ctx within the batch
-        if len(cache) >= cap:
-            cache.clear()
-        dist = new(TokenDistribution)
-        dist.token_ids = tuple(ids_rows[j])
-        dist.probs = tuple(probs_rows[j])
-        cache[key] = dist
-
-
-def prefetch_draft(draft, items) -> None:
-    """Warm the draft's (and target's) memos for many queries (exact)."""
-    if _np is None or len(items) < MIN_BATCH:
-        return
-    lm = draft.target
-    a = draft.alignment
-    k = lm.branching
-    dcache = draft._cache
-    dcap = draft._cache_cap
-    tcache = lm._cache
-    tcap = lm._cache_cap
-    C = _np.array([ctx for ctx, _ in items], dtype=_np.uint64)
-    keys_list = _keys(C, items).tolist()
-    missing = _select_missing(dcache, keys_list)
-    if len(missing) < MIN_BATCH:
-        return
-    idx = _np.array(missing, dtype=_np.intp)
-    sub = C[idx]
+    missing = _select_missing(memo, keys_list)
+    if len(missing) < PREFETCH_MIN_BATCH:
+        return None
+    sub = C[_np.array(missing, dtype=_np.intp)]
     sub_items = [items[i] for i in missing]
     P, ids_mat, dup = _generate_rows(lm, sub, _effective_centers(lm, sub_items))
     if dup.any():
         for row in _np.nonzero(dup)[0]:
             ids_mat[row] = lm._draw_token_ids(sub_items[int(row)][0])
-    tgt_ids_rows = ids_mat.tolist()
-    tgt_probs_rows = P.tolist()
-    # Materialize (and memoize) the target rows too: verification samples
-    # the target at exactly these contexts later.
+    ids_rows = ids_mat.tolist()
+    probs_rows = P.tolist()
+    cache = lm._cache
+    cap = lm._cache_cap
     new = TokenDistribution.__new__
-    tgt_dists = []
+    dists = []
     for j, i in enumerate(missing):
         key = keys_list[i]
-        dist = tcache.get(key)
+        dist = cache.get(key)  # present for a duplicate ctx within the batch
         if dist is None:
-            if len(tcache) >= tcap:
-                tcache.clear()
+            if len(cache) >= cap:
+                cache.clear()
             dist = new(TokenDistribution)
-            dist.token_ids = tuple(tgt_ids_rows[j])
-            dist.probs = tuple(tgt_probs_rows[j])
-            tcache[key] = dist
-        tgt_dists.append(dist)
+            dist.token_ids = tuple(ids_rows[j])
+            dist.probs = tuple(probs_rows[j])
+            cache[key] = dist
+        dists.append(dist)
+    return keys_list, missing, sub, P, ids_mat, dists
+
+
+def prefetch_draft(draft, items) -> None:
+    """Warm the draft's (and target's) memos for many queries (exact)."""
+    dcache = draft._cache
+    # Materialize (and memoize) the target rows too: verification samples
+    # the target at exactly these contexts later.
+    rows = warm_target(draft.target, items, dcache)
+    if rows is None:
+        return
+    keys_list, missing, sub, P, ids_mat, tgt_dists = rows
+    a = draft.alignment
+    k = draft.target.branching
+    dcap = draft._cache_cap
+    new = TokenDistribution.__new__
     if a >= 1.0:
         for j, i in enumerate(missing):
             key = keys_list[i]

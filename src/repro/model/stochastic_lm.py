@@ -295,9 +295,9 @@ class StochasticLM:
 
     def sample(self, ctx: int, center: float | None = None) -> int:
         """The token the target emits at this context (deterministic)."""
-        # Inline the memo probe: decode loops sample right after a batch
-        # prefetch, so the hit path should not pay the distribution()
-        # frame + key recomputation.
+        # Inline the memo probe: verification samples right after a draft
+        # prefetch warmed the target memo, so the hit path should not pay
+        # the distribution() frame + key recomputation.
         if center is None:
             key = ctx
         else:
@@ -328,7 +328,7 @@ class StochasticLM:
         """
         from repro.model import batchgen
 
-        batchgen.prefetch_target(self, items)
+        batchgen.warm_target(self, items, self._cache)
 
     def greedy(self, ctx: int, center: float | None = None) -> int:
         """The argmax continuation at this context."""

@@ -60,7 +60,11 @@ class Request:
     # -- runtime state (managed via helpers) --
     state: RequestState = RequestState.QUEUED
     prefilled: int = 0
-    ctx: int = 0  # model context hash, valid once prefill completes
+    #: Model context hash after the committed tokens, valid once prefill
+    #: completes.  Kept current only by schedulers that read token
+    #: identity (speculative ones); plain-decode schedulers leave it at
+    #: the root (prompt) context.
+    ctx: int = 0
     n_generated: int = 0
     decode_start: float | None = None
     first_token_time: float | None = None

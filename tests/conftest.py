@@ -68,6 +68,19 @@ def make_request(
     )
 
 
+def autoregressive_ctx(
+    pair: ModelPair, ctx: int, n: int, center: float | None = None
+) -> int:
+    """Context after decoding ``n`` target tokens one at a time from ``ctx``.
+
+    The losslessness oracle: a speculative system's final context must
+    equal plain autoregressive decoding's from the same root context.
+    """
+    for _ in range(n):
+        ctx = pair.extend(ctx, pair.target_sample(ctx, center))
+    return ctx
+
+
 def tiny_generator(roofline: RooflineModel, seed: int = 5) -> WorkloadGenerator:
     """Workload generator with every category mapped to the tiny dataset."""
     gen = WorkloadGenerator(roofline, seed=seed)

@@ -72,6 +72,14 @@ class TestDraftPrefetch:
         for c in ctxs:
             assert pair.draft.distribution(c) is pair.target.distribution(c)
 
+    def test_small_batches_are_no_ops(self):
+        pair = ModelPair.build(seed=2)
+        pair.clear_caches()
+        ctxs = _ctxs(pair.target, 3, 4)
+        pair.draft.prefetch([(c, None) for c in ctxs])
+        assert all(c not in pair.draft._cache for c in ctxs)
+        assert all(c not in pair.target._cache for c in ctxs)
+
     def test_mixed_centers_in_one_batch(self):
         pair = ModelPair.build(seed=5)
         ctxs = _ctxs(pair.target, 29, 48)
@@ -97,6 +105,22 @@ class TestDuplicateRepair:
             ref = lm.distribution(c)
             _assert_identical(v, ref)
             assert len(set(v.token_ids)) == len(v.token_ids)
+
+
+    def test_collided_draft_rows_match_scalar(self):
+        # The draft prefetch repairs the target rows it mixes from; both
+        # memos must match the scalar path.
+        pair = ModelPair.build(vocab_size=40, seed=6)
+        pair.clear_caches()
+        ctxs = [pair.target.context_of([31, i]) for i in range(64)]
+        pair.draft.prefetch([(c, None) for c in ctxs])
+        vec_draft = [pair.draft.distribution(c) for c in ctxs]
+        vec_tgt = [pair.target.distribution(c) for c in ctxs]
+        pair.clear_caches()
+        for c, vd, vt in zip(ctxs, vec_draft, vec_tgt):
+            _assert_identical(vd, pair.draft.distribution(c))
+            _assert_identical(vt, pair.target.distribution(c))
+            assert len(set(vt.token_ids)) == len(vt.token_ids)
 
 
 class TestTokenDistribution:

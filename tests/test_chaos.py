@@ -122,7 +122,7 @@ class TestChaosSpec:
         assert self.base(faults=("crash",)).to_dict()["chaos"] == {"faults": ["crash"]}
 
     def test_round_trip(self):
-        spec = self.base(faults=("crash:at=120.0,replica=1", "straggler"))
+        spec = self.base(replicas=2, faults=("crash:at=120.0,replica=1", "straggler"))
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     def test_cache_key_canonicalizes_defaulted_knobs(self):
@@ -132,6 +132,29 @@ class TestChaosSpec:
             self.base(faults=("crash",))
         )
         assert config_key(self.base(faults=("crash",))) != config_key(self.base())
+
+    @pytest.mark.parametrize(
+        "fault", ["crash:at=1,replica=2", "straggler:at=1,replica=5,slow=2.0"]
+    )
+    def test_replica_outside_fleet_rejected(self, fault):
+        with pytest.raises(SpecError, match=r"replicas 0\.\.1"):
+            self.base(replicas=2, faults=(fault,))
+
+    def test_autoscale_ceiling_bounds_replica(self):
+        # The autoscaler's ceiling (2x the initial fleet by default), not
+        # the initial fleet, bounds which replicas can ever be hit.
+        spec = self.base(replicas=2, autoscale={}, faults=("straggler:replica=3",))
+        assert spec.cluster.max_replicas == 4
+        with pytest.raises(SpecError, match=r"replicas 0\.\.3"):
+            self.base(replicas=2, autoscale={}, faults=("crash:replica=4",))
+
+    def test_cli_exits_nonzero_on_unreachable_fault(self, capsys):
+        from repro.cli import main
+
+        argv = ["cluster", "--replicas", "2", "--no-cache",
+                "--faults", "crash:at=1,replica=5"]
+        assert main(argv) == 2
+        assert "replicas 0..1" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

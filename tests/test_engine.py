@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.runner import run_spec
+from repro.analysis.spec import ExperimentSpec
+from repro.model import stochastic_lm
 from repro.serving.request import RequestState
 from tests.conftest import make_request
 
@@ -56,12 +59,16 @@ class TestDecode:
             assert r.n_generated == 1
             assert r.last_token_time == pytest.approx(2.0 + latency)
 
-    def test_decode_deterministic_tokens(self, engine):
+    def test_plain_decode_leaves_ctx_unchanged(self, engine):
+        # Plain decode advances timing and token counts only: nothing
+        # downstream reads the identity of a plainly decoded token.
         r1 = running(engine, rid=7)
-        ctx_before = r1.ctx
+        r2 = running(engine, rid=8)
+        root = engine.root_ctx(r1)
         engine.decode([r1], 0.0)
-        expected = engine.pair.target_sample(ctx_before, r1.predictability)
-        assert r1.ctx == engine.pair.extend(ctx_before, expected)
+        engine.mixed_step([r1, r2], [(queued(9, prompt=40), 16)], 1.0)
+        assert r1.ctx == root and r1.n_generated == 2
+        assert r2.ctx == engine.root_ctx(r2) and r2.n_generated == 1
 
     def test_empty_decode_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -162,3 +169,27 @@ class TestLifecycle:
         engine.preempt(req, drop_kv=True)
         assert not engine.kv.holds(req.rid)
         assert req.prefilled == 0
+
+
+class TestPlainDecodeComputesNoTokens:
+    """Plain-decode runs never generate a next-token distribution."""
+
+    @pytest.mark.parametrize(
+        "system, replicas, trace, prefix_cache",
+        [
+            ("vllm", 2, "sessions:turns=3,think_time=1.0", True),
+            ("sarathi", 1, "bursty", False),
+        ],
+    )
+    def test_run_adds_no_memo_entries(self, system, replicas, trace, prefix_cache):
+        memos = stochastic_lm._SHARED_CACHES
+        for memo in memos.values():
+            memo.clear()  # pure memos: clearing only costs refills
+        report = run_spec(
+            ExperimentSpec.create(
+                model="llama70b", system=system, rps=6.0, duration_s=4.0, seed=3,
+                trace=trace, prefix_cache=prefix_cache, replicas=replicas,
+            )
+        )
+        assert report.metrics.num_finished > 0
+        assert sum(len(memo) for memo in memos.values()) == 0

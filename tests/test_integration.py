@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.harness import build_setup, run_once
 from repro.workloads.categories import urgent_mix
 from repro.workloads.generator import WorkloadGenerator
-from tests.conftest import tiny_generator
+from tests.conftest import autoregressive_ctx, tiny_generator
 
 
 @pytest.fixture(scope="module")
@@ -28,34 +28,37 @@ def workload(setup):
 
 
 class TestLossless:
+    """Speculative systems emit exactly the tokens plain decoding would.
+
+    Speculative decoding is lossless: with the same model pair, the final
+    context hash of every finished request equals the one token-by-token
+    autoregressive decoding reaches from its root context.
+    """
+
+    @staticmethod
+    def assert_lossless(setup, system: str, seed: int) -> None:
+        reqs = tiny_generator(setup.target_roofline, seed=seed).steady(duration_s=4.0, rps=2.0)
+        report = run_once(setup, system, reqs)
+        engine = setup.build_engine()  # same seed: same pair and root contexts
+        finished = [r for r in report.requests if r.is_finished]
+        assert finished
+        for req in finished:
+            # A recompute preemption re-installs the root context, so the
+            # oracle only holds for requests that never lost their KV.
+            assert req.preempt_count == req.failover_count == 0
+            expected = autoregressive_ctx(
+                engine.pair, engine.root_ctx(req), req.n_generated, req.predictability
+            )
+            assert req.ctx == expected, f"{system}: request {req.rid} diverged"
+
     def test_speculation_is_lossless(self, setup):
-        """AdaServe must emit exactly the tokens plain decoding would.
-
-        Speculative decoding is lossless: with the same model pair, the
-        final context hash of every request equals the one produced by
-        token-by-token autoregressive decoding.
-        """
-        gen = tiny_generator(setup.target_roofline, seed=13)
-        reqs = gen.steady(duration_s=4.0, rps=2.0)
-
-        ada = run_once(setup, "adaserve", reqs)
-        base = run_once(setup, "vllm", reqs)
-        ada_ctx = {r.rid: r.ctx for r in ada.requests if r.is_finished}
-        base_ctx = {r.rid: r.ctx for r in base.requests if r.is_finished}
-        shared = set(ada_ctx) & set(base_ctx)
-        assert shared
-        for rid in shared:
-            assert ada_ctx[rid] == base_ctx[rid], f"request {rid} diverged"
+        self.assert_lossless(setup, "adaserve", seed=13)
 
     def test_vllm_spec_is_lossless(self, setup):
-        gen = tiny_generator(setup.target_roofline, seed=17)
-        reqs = gen.steady(duration_s=4.0, rps=2.0)
-        spec = run_once(setup, "vllm-spec-6", reqs)
-        base = run_once(setup, "vllm", reqs)
-        spec_ctx = {r.rid: r.ctx for r in spec.requests if r.is_finished}
-        base_ctx = {r.rid: r.ctx for r in base.requests if r.is_finished}
-        for rid in set(spec_ctx) & set(base_ctx):
-            assert spec_ctx[rid] == base_ctx[rid]
+        self.assert_lossless(setup, "vllm-spec:k=6", seed=17)
+
+    def test_smartspec_is_lossless(self, setup):
+        self.assert_lossless(setup, "smartspec", seed=17)
 
 
 class TestQualitativeOrdering:
