@@ -5,10 +5,11 @@ traffic repeat long prompt prefixes; serving them from cached KV instead
 of recomputing prefill is the mechanism behind vLLM's automatic prefix
 caching and SGLang-style radix reuse.  This package provides
 
-- :mod:`repro.prefixcache.tokens` — deterministic token identity: prompt
-  streams, segment composition, hash-chained block keys;
+- :mod:`repro.prefixcache.tokens` — prefix identity: block keys derived
+  from a request's ``(namespace, length)`` prompt segments;
 - :mod:`repro.prefixcache.manager` — :class:`PrefixCacheManager`, the
-  refcounted, LRU-evicted shared-block extension of the KV manager.
+  refcounted, LRU-evicted shared-block extension of the KV manager,
+  matched and committed over those keys (``lock_keys``/``commit_keys``).
 
 Enable it per experiment with ``ExperimentSpec.create(...,
 prefix_cache=True)`` or ``repro run/sweep/cluster --prefix-cache``; pair
@@ -18,12 +19,6 @@ it with the ``sessions``/``agentic`` traces
 """
 
 from repro.prefixcache.manager import PrefixCacheManager, PrefixStats
-from repro.prefixcache.tokens import block_keys, request_segments, token_ids
+from repro.prefixcache.tokens import request_block_keys
 
-__all__ = [
-    "PrefixCacheManager",
-    "PrefixStats",
-    "block_keys",
-    "request_segments",
-    "token_ids",
-]
+__all__ = ["PrefixCacheManager", "PrefixStats", "request_block_keys"]

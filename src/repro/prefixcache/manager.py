@@ -1,27 +1,28 @@
 """Prefix-sharing KV-cache manager (vLLM automatic-prefix-caching style).
 
 Extends the block-granular :class:`~repro.serving.kv_cache.KVCacheManager`
-with a content-addressed table of **shared blocks**.  Physical capacity is
-one pool: every resident block is either *private* to a request (partial
-tail block, in-flight generation) or *shared* (a full block whose key
-hash-chains its entire token prefix).  Shared blocks are refcounted by
-the live requests matching them and stay resident after their last
-reference drops, forming a reuse cache evicted LRU, leaf-first, only
-under allocation pressure — so enabling prefix caching never makes an
-allocation fail that would have succeeded without it.
+with a table of **shared blocks** addressed by prefix identity.  Physical
+capacity is one pool: every resident block is either *private* to a
+request (partial tail block, in-flight generation) or *shared* (a full
+block whose key identifies its entire token prefix — see
+:func:`~repro.prefixcache.tokens.request_block_keys`).  Shared blocks are
+refcounted by the live requests matching them and stay resident after
+their last reference drops, forming a reuse cache evicted LRU,
+leaf-first, only under allocation pressure — so enabling prefix caching
+never makes an allocation fail that would have succeeded without it.
 
-Lifecycle (driven by the engine/scheduler hooks):
+Lifecycle (driven by the engine/scheduler hooks, all over block keys):
 
-- :meth:`lock_prefix` at admission — match the prompt against the shared
-  table and take references; the hit length counts as already prefilled.
-- :meth:`commit_prefix` when prefill completes (prompt blocks) and again
+- :meth:`lock_keys` at prefill-batch entry — match the prompt's keys
+  against the shared table and take references; the hit length counts as
+  already prefilled.  :meth:`release_prefix` rolls an unused hit back.
+- :meth:`commit_keys` when prefill completes (prompt blocks) and again
   when the request finishes (prompt + generated tokens) — full private
   blocks are reclassified as shared, deduplicating against any identical
   chain already resident.
 - :meth:`free` — private blocks return to the pool; shared references
   drop, leaving reusable blocks behind.
 
-:meth:`match_prefix` is the read-only query (``tokens -> cached_len``);
 :meth:`prefix_stats` reports hit/evict counters.
 """
 
@@ -31,7 +32,6 @@ import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.prefixcache.tokens import block_keys
 from repro.serving.kv_cache import (
     DEFAULT_BLOCK_SIZE,
     KVCacheManager,
@@ -42,7 +42,7 @@ from repro.serving.kv_cache import (
 
 @dataclass
 class _Block:
-    """One shared (content-addressed) KV block."""
+    """One shared (prefix-addressed) KV block."""
 
     parent: int | None  # key of the previous block in the chain
     refcount: int = 0  # live requests referencing this block
@@ -137,32 +137,14 @@ class PrefixCacheManager(KVCacheManager):
     # ------------------------------------------------------------------
     # Matching and reference lifecycle
     # ------------------------------------------------------------------
-    def match_prefix(self, tokens: Sequence[int]) -> int:
-        """Longest cached prefix of ``tokens``, in tokens (block-rounded).
-
-        Read-only: takes no references and updates no stamps.
-        """
-        matched = 0
-        for key in block_keys(tokens, self.block_size):
-            if key not in self._shared:
-                break
-            matched += 1
-        return matched * self.block_size
-
-    def lock_prefix(self, rid: int, tokens: Sequence[int]) -> int:
-        """Match ``tokens`` and reference the hit chain for ``rid``.
+    def lock_keys(self, rid: int, keys: Sequence[int]) -> int:
+        """Match block ``keys`` and reference the hit chain for ``rid``.
 
         Returns the cached length in tokens.  References pin blocks
         against eviction until :meth:`free`.  A request that already
         holds references keeps them (a retry returns the locked length);
         a request whose earlier attempts matched nothing retries the
         match, so a prefix committed after its arrival is still found.
-        """
-        return self.lock_keys(rid, block_keys(tokens, self.block_size))
-
-    def lock_keys(self, rid: int, keys: Sequence[int]) -> int:
-        """:meth:`lock_prefix` over precomputed block keys.
-
         Stats are per (request, prefill pass): a queued request retrying
         its match every iteration counts one lookup, not one per retry;
         a hit is counted on the attempt that matches.
@@ -206,18 +188,14 @@ class PrefixCacheManager(KVCacheManager):
             self._lookups -= 1
         return len(chain)
 
-    def commit_prefix(self, rid: int, tokens: Sequence[int]) -> int:
-        """Publish the full blocks of ``tokens`` as shared, owned by ``rid``.
+    def commit_keys(self, rid: int, keys: Sequence[int]) -> int:
+        """Publish the blocks keyed by ``keys`` as shared, owned by ``rid``.
 
         Blocks the request already references are skipped; the rest are
         reclassified from its private allocation (or deduplicated against
         an identical resident chain).  Returns the number of blocks newly
         attributed to the shared table for this request.
         """
-        return self.commit_keys(rid, block_keys(tokens, self.block_size))
-
-    def commit_keys(self, rid: int, keys: Sequence[int]) -> int:
-        """:meth:`commit_prefix` over precomputed block keys."""
         keys = list(keys)
         chain = self._refs.setdefault(rid, [])
         if keys[: len(chain)] != chain:

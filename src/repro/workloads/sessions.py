@@ -18,11 +18,12 @@ recomputation (see :mod:`repro.prefixcache`).
   (output length x the deployment's baseline decode latency) plus an
   exponential think-time gap — an open-loop approximation of a user
   reading the answer before replying;
-- prompts are composed of token-stream **segments**
-  (:mod:`repro.prefixcache.tokens`): one global system-prompt stream
-  shared by *every* session, plus a per-session conversation stream
-  covering user turns and model answers, so turn ``k+1``'s prompt is a
-  strict prefix extension of turn ``k``'s prompt + output.
+- prompts are composed of ``(namespace, length)`` **segments**, from
+  which :mod:`repro.prefixcache.tokens` derives prefix block keys: one
+  global system-prompt namespace shared by *every* session, plus a
+  per-session conversation namespace covering user turns and model
+  answers, so turn ``k+1``'s prompt is a strict prefix extension of turn
+  ``k``'s prompt + output and its leading block keys equal turn ``k``'s.
 
 Two trace kinds are registered: ``sessions`` (chat-shaped: a few turns,
 human think time) and ``agentic`` (agent-loop-shaped: many short turns

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro._rng import mix
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
@@ -79,6 +80,30 @@ def autoregressive_ctx(
     for _ in range(n):
         ctx = pair.extend(ctx, pair.target_sample(ctx, center))
     return ctx
+
+
+def content_block_keys(
+    segments: tuple[tuple[int, int], ...], n_tokens: int, block_size: int
+) -> list[int]:
+    """Block keys hashed from per-token content: the equivalence oracle.
+
+    Token ``j`` of a segment is ``mix(namespace, j)``, generated tokens
+    extend the final segment, and key ``b`` hash-chains every token of
+    ``[0, (b+1) * block_size)``.  Equal keys here mean equal token
+    content, so :func:`repro.prefixcache.tokens.request_block_keys` must
+    produce equal keys exactly when this does.
+    """
+    keys: list[int] = []
+    h = 0
+    pos = 0
+    for i, (namespace, length) in enumerate(segments):
+        span = n_tokens - pos if i == len(segments) - 1 else min(length, n_tokens - pos)
+        for j in range(span):
+            h = mix(h, mix(namespace, j))
+            pos += 1
+            if pos % block_size == 0:
+                keys.append(h)
+    return keys
 
 
 def tiny_generator(roofline: RooflineModel, seed: int = 5) -> WorkloadGenerator:

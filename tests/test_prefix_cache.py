@@ -1,18 +1,22 @@
 """Tests for the prefix-cache subsystem (repro.prefixcache).
 
-Covers the token-identity streams, the refcounted shared-block manager
-(including the KV edge cases: block rounding at boundaries, exactly-full
-``can_fit``, double-``free`` idempotence, and the refcounted eviction
-paths), and the engine/scheduler integration hooks.
+Covers the structural block keys (including their equivalence with
+per-token content hashing and their cost), the refcounted shared-block
+manager (including the KV edge cases: block rounding at boundaries,
+exactly-full ``can_fit``, double-``free`` idempotence, and the
+refcounted eviction paths), and the engine/scheduler integration hooks.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.prefixcache import PrefixCacheManager, block_keys, token_ids
+from repro.prefixcache import PrefixCacheManager, request_block_keys, tokens
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
 from repro.serving.request import Request
+from tests.conftest import content_block_keys
 
 
 def session_request(rid, prompt_len, session=0, out=16, sys_ns=901):
@@ -27,45 +31,166 @@ def session_request(rid, prompt_len, session=0, out=16, sys_ns=901):
     )
 
 
-def cold_request(rid, prompt_len=64, out=8):
+def cold_request(rid, prompt_len=64, out=8, private_stream=True):
+    """A one-shot request over its own private namespace (or, without
+    ``private_stream``, with no segments at all)."""
+    segments = ((0xC01D0000 + rid, prompt_len),) if private_stream else None
     return Request(
         rid=rid, category="chatbot", arrival_time=0.0, prompt_len=prompt_len,
-        max_new_tokens=out, tpot_slo=0.05,
+        max_new_tokens=out, tpot_slo=0.05, prompt_segments=segments,
     )
 
 
+def segment_request(segments, rid=0):
+    prompt_len = sum(length for _, length in segments)
+    return Request(
+        rid=rid, category="c", arrival_time=0.0, prompt_len=prompt_len,
+        max_new_tokens=1, tpot_slo=0.05, prompt_segments=tuple(segments),
+    )
+
+
+def keys(req, n_tokens, block_size=16):
+    return request_block_keys(req, n_tokens, block_size)
+
+
+def lock(kv, req, n_tokens):
+    return kv.lock_keys(req.rid, keys(req, n_tokens, kv.block_size))
+
+
+def commit(kv, req, n_tokens):
+    return kv.commit_keys(req.rid, keys(req, n_tokens, kv.block_size))
+
+
+def cached_len(kv, req, n_tokens, probe_rid=-1):
+    """Cached length of the request's first ``n_tokens`` (a throwaway
+    request locks the chain, then frees it)."""
+    cached = kv.lock_keys(probe_rid, keys(req, n_tokens, kv.block_size))
+    kv.free(probe_rid)
+    return cached
+
+
 class TestTokenStreams:
+    """Block keys derived from ``(namespace, length)`` segments."""
+
     def test_cold_requests_have_disjoint_streams(self):
         a, b = cold_request(1), cold_request(2)
-        assert token_ids(a, 32) != token_ids(b, 32)
+        assert len(keys(a, 32)) == 2
+        assert set(keys(a, 32)).isdisjoint(keys(b, 32))
 
     def test_segments_compose_and_extend(self):
-        req = Request(
-            rid=5, category="c", arrival_time=0.0, prompt_len=60,
-            max_new_tokens=10, tpot_slo=0.05,
-            prompt_segments=((11, 40), (22, 20)),
-        )
-        ids = token_ids(req, 70)  # prompt + 10 generated
-        assert len(ids) == 70
-        assert ids[:40] == token_ids(req, 40)
+        req = segment_request(((11, 40), (22, 20)), rid=5)
+        full = keys(req, 70, block_size=1)  # prompt + 10 generated
+        assert len(full) == 70
+        assert full[:40] == keys(req, 40, block_size=1)
         # Generated tokens continue the *final* segment's stream.
-        longer = Request(
-            rid=6, category="c", arrival_time=0.0, prompt_len=70,
-            max_new_tokens=1, tpot_slo=0.05,
-            prompt_segments=((11, 40), (22, 30)),
-        )
-        assert token_ids(longer, 70) == ids
+        longer = segment_request(((11, 40), (22, 30)), rid=6)
+        assert keys(longer, 70, block_size=1) == full
 
     def test_block_keys_chain_full_blocks_only(self):
-        ids = token_ids(cold_request(3), 40)
-        keys = block_keys(ids, 16)
-        assert len(keys) == 2  # 40 tokens -> 2 full blocks, partial tail unkeyed
-        assert block_keys(ids[:32], 16) == keys
-        # A single differing token anywhere in the prefix changes every
-        # later key (keys commit to the whole prefix).
-        mutated = list(ids)
-        mutated[0] ^= 1
-        assert block_keys(mutated, 16)[0] != keys[0]
+        req = segment_request(((11, 40), (22, 20)))
+        base = keys(req, 60)
+        assert len(base) == 3  # 60 tokens -> 3 full blocks, partial tail unkeyed
+        assert keys(req, 48) == base
+        assert keys(req, 47) == base[:2]
+        # A changed namespace or length changes the key of every block
+        # covering the change, and of every later block (keys commit to
+        # the whole prefix); earlier blocks keep theirs.
+        for segments, first_changed in [
+            (((12, 40), (22, 20)), 0),  # first namespace
+            (((11, 39), (22, 21)), 2),  # boundary moves into block 2
+            (((11, 40), (23, 20)), 2),  # final namespace
+        ]:
+            changed = keys(segment_request(segments), 60)
+            assert changed[:first_changed] == base[:first_changed]
+            assert all(
+                x != y for x, y in zip(changed[first_changed:], base[first_changed:])
+            )
+
+
+#: Few namespaces and short segments, so random layouts often share
+#: content (same namespace in several segments or requests) as well as
+#: diverge; zero lengths exercise the skipped empty segments.
+_segments = st.lists(
+    st.tuples(st.sampled_from([11, 12, 13]), st.integers(0, 20)),
+    min_size=1, max_size=4,
+).filter(lambda segments: sum(length for _, length in segments) > 0)
+
+
+class TestKeyEquivalence:
+    """Structural keys are equal exactly when token content is equal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        layouts=st.lists(_segments, min_size=2, max_size=4),
+        block_size=st.sampled_from([1, 7, 16]),
+        extra=st.integers(0, 20),
+    )
+    @example(  # same namespace twice, empty middle segment, block-edge boundary
+        layouts=[[(11, 7), (12, 0), (11, 7)], [(11, 7), (11, 7)], [(11, 14)]],
+        block_size=7, extra=9,
+    )
+    @example(  # shared prefix, then distinct namespaces off a block edge
+        layouts=[[(11, 16), (12, 5)], [(11, 16), (13, 5)], [(11, 16)]],
+        block_size=16, extra=20,
+    )
+    def test_keys_match_content_oracle(self, layouts, block_size, extra):
+        requests = [segment_request(layout) for layout in layouts]
+        n_tokens = max(req.prompt_len for req in requests) + extra
+        structural: dict[int, int] = {}  # oracle key -> structural key
+        for req in requests:
+            ours = keys(req, n_tokens, block_size)
+            oracle = content_block_keys(req.prompt_segments, n_tokens, block_size)
+            assert len(ours) == len(oracle) == n_tokens // block_size
+            for mine, ref in zip(ours, oracle):
+                assert structural.setdefault(ref, mine) == mine
+            # Keys at n are a prefix of the keys at any m > n.
+            for n in range(0, n_tokens, max(1, n_tokens // 5)):
+                assert keys(req, n, block_size) == ours[: n // block_size]
+        # Equal oracle keys map to one structural key (checked above);
+        # distinct oracle keys map to distinct structural keys.  Together:
+        # for every pair of requests and every block, structural keys are
+        # equal exactly when the content-hash keys are.
+        assert len(set(structural.values())) == len(structural)
+
+
+class TestKeyCost:
+    """Keys cost one hash per block, and no memo grows between calls."""
+
+    def test_mix_calls_bounded_by_blocks(self, monkeypatch):
+        calls = 0
+        real_mix = tokens.mix
+
+        def counting_mix(h, v):
+            nonlocal calls
+            calls += 1
+            return real_mix(h, v)
+
+        monkeypatch.setattr(tokens, "mix", counting_mix)
+        req = segment_request(((0x5E55_0001, 50_000), (0x5E55_0002, 50_000)))
+        out = keys(req, 100_000, block_size=16)
+        assert len(out) == 6_250
+        assert calls <= len(out) + 2 * len(req.prompt_segments)
+
+    def test_sessions_run_grows_no_module_state(self):
+        from repro.analysis.runner import run_spec
+        from repro.analysis.spec import ExperimentSpec
+
+        def container_sizes():
+            return {
+                name: len(value)
+                for name, value in vars(tokens).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")
+            }
+
+        before = container_sizes()
+        report = run_spec(
+            ExperimentSpec.create(
+                model="llama70b", system="vllm", rps=6.0, duration_s=4.0, seed=3,
+                trace="sessions:turns=3,think_time=1.0", prefix_cache=True,
+            )
+        )
+        assert report.metrics.prefix_hit_requests > 0
+        assert container_sizes() == before
 
 
 class TestBlockRounding:
@@ -107,27 +232,25 @@ class TestBlockRounding:
     def test_match_rounds_down_to_full_blocks(self):
         kv = PrefixCacheManager(1600, block_size=16)
         req = cold_request(1, prompt_len=70)
-        ids = token_ids(req, 70)
-        kv.lock_prefix(1, ids)
+        lock(kv, req, 70)
         kv.ensure(1, 70)
-        kv.commit_prefix(1, ids)
+        commit(kv, req, 70)
         kv.free(1)
         # 70 tokens -> 4 full blocks cached; matching yields 64, never 70.
-        assert kv.match_prefix(ids) == 64
-        assert kv.match_prefix(ids[:63]) == 48
+        assert cached_len(kv, req, 70) == 64
+        assert cached_len(kv, req, 63) == 48
 
 
 class TestPrefixSharing:
     def test_second_turn_matches_previous_context(self):
         kv = PrefixCacheManager(1600, block_size=16)
         t1 = session_request(1, prompt_len=80, out=20)
-        ids1 = token_ids(t1, 100)  # prompt + generated
-        assert kv.lock_prefix(1, token_ids(t1, 80)) == 0
+        assert lock(kv, t1, 80) == 0
         kv.ensure(1, 100)
-        kv.commit_prefix(1, ids1)
+        commit(kv, t1, 100)  # prompt + generated
         kv.free(1)
         t2 = session_request(2, prompt_len=120)
-        cached = kv.lock_prefix(2, token_ids(t2, 120))
+        cached = lock(kv, t2, 120)
         assert cached == 96  # floor(100 / 16) blocks
         stats = kv.prefix_stats()
         assert stats.hits == 1 and stats.hit_tokens == 96
@@ -135,31 +258,31 @@ class TestPrefixSharing:
     def test_shared_blocks_counted_once(self):
         kv = PrefixCacheManager(1600, block_size=16)
         t1 = session_request(1, prompt_len=80)
-        kv.lock_prefix(1, token_ids(t1, 80))
+        lock(kv, t1, 80)
         kv.ensure(1, 80)
-        kv.commit_prefix(1, token_ids(t1, 80))
+        commit(kv, t1, 80)
         used_before = kv.used_blocks
         # A second request over the identical prompt adds only its
         # private tail, not another copy of the shared blocks.
         t2 = session_request(2, prompt_len=80)
-        assert kv.lock_prefix(2, token_ids(t2, 80)) == 80
+        assert lock(kv, t2, 80) == 80
         kv.ensure(2, 80)
         assert kv.used_blocks == used_before
         kv.free(1)
         # Blocks referenced by request 2 survive request 1's free.
-        assert kv.match_prefix(token_ids(t2, 80)) == 80
+        assert cached_len(kv, t2, 80) == 80
 
     def test_commit_deduplicates_concurrent_identical_chains(self):
         kv = PrefixCacheManager(1600, block_size=16)
         a = session_request(1, prompt_len=64)
         b = session_request(2, prompt_len=64)
         for req in (a, b):  # both allocated before either commits
-            kv.lock_prefix(req.rid, token_ids(req, 64))
+            lock(kv, req, 64)
             kv.ensure(req.rid, 64)
         assert kv.used_blocks == 8
-        kv.commit_prefix(1, token_ids(a, 64))
+        commit(kv, a, 64)
         assert kv.used_blocks == 8  # reclassified, not copied
-        kv.commit_prefix(2, token_ids(b, 64))
+        commit(kv, b, 64)
         assert kv.used_blocks == 4  # b's private copies deduplicated away
         kv.free(1)
         kv.free(2)
@@ -168,17 +291,15 @@ class TestPrefixSharing:
     def test_lock_is_idempotent_per_request(self):
         kv = PrefixCacheManager(1600, block_size=16)
         seeded = cold_request(1, prompt_len=64)
-        ids = token_ids(seeded, 64)
-        kv.lock_prefix(1, ids)
+        lock(kv, seeded, 64)
         kv.ensure(1, 64)
-        kv.commit_prefix(1, ids)
+        commit(kv, seeded, 64)
         kv.free(1)
         again = cold_request(2, prompt_len=64)
         again.prompt_segments = seeded.prompt_segments  # force same stream
-        ids2 = token_ids(seeded, 64)
-        first = kv.lock_prefix(2, ids2)
+        first = lock(kv, again, 64)
         assert first == 64
-        assert kv.lock_prefix(2, ids2) == first
+        assert lock(kv, again, 64) == first
         assert kv.prefix_stats().lookups == 2  # retry not double-counted
 
 
@@ -187,10 +308,9 @@ class TestRefcountedEviction:
         kv = PrefixCacheManager(320, block_size=16)  # 20 blocks
         for rid in range(3):
             req = cold_request(rid, prompt_len=64)
-            ids = token_ids(req, 64)
-            kv.lock_prefix(rid, ids)
+            lock(kv, req, 64)
             kv.ensure(rid, 64)
-            kv.commit_prefix(rid, ids)
+            commit(kv, req, 64)
             kv.free(rid)
         assert kv.prefix_stats().cached_blocks == 12
         # A fresh 16-block allocation forces LRU eviction of cached blocks.
@@ -202,35 +322,32 @@ class TestRefcountedEviction:
     def test_referenced_blocks_are_never_evicted(self):
         kv = PrefixCacheManager(320, block_size=16)
         pinned = cold_request(1, prompt_len=64)
-        ids = token_ids(pinned, 64)
-        kv.lock_prefix(1, ids)
+        lock(kv, pinned, 64)
         kv.ensure(1, 64)
-        kv.commit_prefix(1, ids)  # 4 shared blocks, still referenced by rid 1
+        commit(kv, pinned, 64)  # 4 shared blocks, still referenced by rid 1
         with pytest.raises(OutOfKVCache):
             kv.ensure(2, 320)  # would need the pinned blocks
-        assert kv.match_prefix(ids) == 64
+        assert cached_len(kv, pinned, 64) == 64
 
     def test_eviction_is_lru(self):
         kv = PrefixCacheManager(320, block_size=16)
         old = cold_request(1, prompt_len=64)
         new = cold_request(2, prompt_len=64)
         for req in (old, new):
-            ids = token_ids(req, 64)
-            kv.lock_prefix(req.rid, ids)
+            lock(kv, req, 64)
             kv.ensure(req.rid, 64)
-            kv.commit_prefix(req.rid, ids)
+            commit(kv, req, 64)
             kv.free(req.rid)
         kv.ensure(99, 256)  # 16 blocks; 20 total, 8 cached -> evict 4
-        assert kv.match_prefix(token_ids(old, 64)) == 0  # oldest chain gone
-        assert kv.match_prefix(token_ids(new, 64)) == 64  # newest kept
+        assert cached_len(kv, old, 64) == 0  # oldest chain gone
+        assert cached_len(kv, new, 64) == 64  # newest kept
 
     def test_free_releases_references_not_cache(self):
         kv = PrefixCacheManager(320, block_size=16)
         req = cold_request(1, prompt_len=64)
-        ids = token_ids(req, 64)
-        kv.lock_prefix(1, ids)
+        lock(kv, req, 64)
         kv.ensure(1, 64)
-        kv.commit_prefix(1, ids)
+        commit(kv, req, 64)
         released = kv.free(1)
         assert released == 4  # all four blocks were shared by then
         assert kv.free(1) == 0  # idempotent with references too
@@ -355,13 +472,13 @@ class TestEngineIntegration:
 
         engine = self._engine(pair, target_roofline, draft_roofline)
         scheduler = VLLMScheduler(engine)
-        req = cold_request(0, prompt_len=128, out=4)
+        req = cold_request(0, prompt_len=128, out=4, private_stream=False)
         scheduler.admit(req)
         while scheduler.has_work():
             scheduler.step(0.0)
         scheduler.finalize()
         stats = engine.kv.prefix_stats()
-        # Private streams are unmatchable: no lookups, nothing committed.
+        # Segmentless prompts are unmatchable: no lookups, nothing committed.
         assert stats.lookups == 0
         assert stats.cached_blocks == 0
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.spec import ExperimentSpec, apply_axis
 from repro.cluster.router import PrefixAffinityRouter
-from repro.prefixcache import token_ids
+from repro.prefixcache import request_block_keys
 from repro.registry import TRACES, SpecError
 from repro.workloads.sessions import SessionGenerator
 from tests.conftest import make_request, tiny_generator
@@ -56,7 +56,8 @@ class TestSessionGenerator:
 
     def test_turn_prompt_extends_previous_context(self, session_requests):
         """The prefix-reuse invariant: turn k+1's token stream starts with
-        turn k's full prompt + generated answer."""
+        turn k's full prompt + generated answer, so its block keys over
+        that context equal turn k's."""
         by_session: dict[int, list] = {}
         for r in session_requests:
             by_session.setdefault(r.session_id, []).append(r)
@@ -65,7 +66,10 @@ class TestSessionGenerator:
             turns.sort(key=lambda r: r.turn_index)
             for a, b in zip(turns, turns[1:]):
                 context = a.prompt_len + a.max_new_tokens
-                assert token_ids(b, context) == token_ids(a, context)
+                for block_size in (1, 16):
+                    assert request_block_keys(b, context, block_size) == (
+                        request_block_keys(a, context, block_size)
+                    )
                 checked += 1
         assert checked > 0
 
@@ -73,8 +77,10 @@ class TestSessionGenerator:
         firsts = [r for r in session_requests if r.turn_index == 0]
         assert len({r.session_id for r in firsts}) > 1
         a, b = firsts[0], firsts[1]
-        assert token_ids(a, 64) == token_ids(b, 64)  # the system prompt
-        assert token_ids(a, 80) != token_ids(b, 80)  # then they diverge
+        keys_a = request_block_keys(a, 80, 16)
+        keys_b = request_block_keys(b, 80, 16)
+        assert keys_a[:4] == keys_b[:4]  # the system prompt's 64 tokens
+        assert keys_a[4] != keys_b[4]  # then they diverge
 
     def test_categories_constant_within_session(self, session_requests):
         by_session: dict[int, set] = {}
