@@ -1,10 +1,11 @@
 """Runtime invariant sanitizer (``--check-invariants``).
 
 Deep structural checks the simulator cannot afford on every run: KV and
-prefix-block refcount conservation after every admit/finish/preempt/
-crash, per-replica and global event-time monotonicity, gauge-sampler
-catch-up bounds, and request conservation at merge points.  Violations
-raise :class:`InvariantViolation` immediately, carrying structured
+prefix-block refcount conservation, plus the coverage bound decode
+admission trusts, after every admit/finish/preempt/crash, per-replica
+and global event-time monotonicity, gauge-sampler catch-up bounds, and
+request conservation at merge points.  Violations raise
+:class:`InvariantViolation` immediately, carrying structured
 context (invariant name, replica, request, block, sim time) so a report
 names exactly what broke and where.
 
@@ -143,6 +144,17 @@ class InvariantChecker:
                 "kv-capacity",
                 f"used_blocks={kv.used_blocks} exceeds total_blocks={kv.total_blocks}",
             )
+
+        # The decode-admission skip trusts ``covered`` as a lower bound:
+        # every entry is a live request holding at least that many tokens.
+        refs = getattr(kv, "_refs", {})
+        for owner, tokens in kv.covered.items():
+            held = (kv._allocated.get(owner, 0) + len(refs.get(owner, ()))) * kv.block_size
+            if not kv.holds(owner) or tokens > held:
+                fail(
+                    "kv-covered",
+                    f"request {owner} records {tokens} covered tokens but holds {held}",
+                )
 
         shared = getattr(kv, "_shared", None)
         if shared is None:

@@ -71,11 +71,13 @@ class PrefixStats:
 class PrefixCacheManager(KVCacheManager):
     """Block-level prefix sharing over the base capacity accounting.
 
-    The base-class interface (``ensure``/``can_fit``/``free``) keeps its
+    The base-class interface (``ensure``/``free``/``covered``) keeps its
     meaning — ``ensure(rid, tokens)`` guarantees ``tokens`` resident for
     the request — but a request's shared references satisfy part of the
-    need, and unreferenced shared blocks are evicted on demand before an
-    allocation is refused.
+    need (and count toward ``covered``), and unreferenced shared blocks
+    are evicted on demand before an allocation is refused.  Locking and
+    committing keys only ever add coverage, so they leave ``covered``
+    alone; :meth:`release_prefix` drops it.
     """
 
     prefix_caching = True
@@ -180,6 +182,7 @@ class PrefixCacheManager(KVCacheManager):
         requests still reference them).  Returns the references dropped.
         """
         chain = self._refs.pop(rid, [])
+        self.covered.pop(rid, None)
         for key in reversed(chain):
             self._unref(key)
         if chain:
@@ -241,15 +244,6 @@ class PrefixCacheManager(KVCacheManager):
     # ------------------------------------------------------------------
     # Allocation (base interface, prefix-aware)
     # ------------------------------------------------------------------
-    def _private_need(self, rid: int, tokens: int) -> int:
-        """Private blocks required beyond the request's shared references."""
-        return max(0, self.blocks_for(tokens) - len(self._refs.get(rid, ())))
-
-    def can_fit(self, rid: int, tokens: int) -> bool:
-        """Whether ``ensure(rid, tokens)`` would succeed (eviction included)."""
-        need = self._private_need(rid, tokens) - self.allocation(rid)
-        return need <= self.free_blocks + self._unreferenced
-
     def ensure(self, rid: int, tokens: int) -> None:
         """Grow ``rid``'s allocation to cover ``tokens`` resident tokens.
 
@@ -257,18 +251,20 @@ class PrefixCacheManager(KVCacheManager):
         shared blocks are evicted (LRU, leaf-first) to make room before
         :class:`OutOfKVCache` is raised.
         """
-        target = self._private_need(rid, tokens)
+        refs = len(self._refs.get(rid, ()))
+        target = self.blocks_for(tokens) - refs
         have = self._allocated.get(rid, 0)
-        if target <= have:
-            return
-        need = target - have
-        self._reclaim(need)
-        if need > self.free_blocks:
-            raise OutOfKVCache(
-                f"request {rid} needs {need} blocks, only {self.free_blocks} free"
-            )
-        self._allocated[rid] = target
-        self._used += need
+        if target > have:
+            need = target - have
+            self._reclaim(need)
+            if need > self.free_blocks:
+                raise OutOfKVCache(
+                    f"request {rid} needs {need} blocks, only {self.free_blocks} free"
+                )
+            self._allocated[rid] = have = target
+            self._used += need
+        if have or refs:
+            self.covered[rid] = (have + refs) * self.block_size
 
     def free(self, rid: int) -> int:
         """Release the request's blocks; returns how many it gave up.

@@ -158,10 +158,9 @@ class SimulatedEngine:
         are computed) and again at finish (the generated answer extends
         the cached conversation for a session's next turn).
         """
-        if self.kv.prefix_caching and req.prompt_segments:
-            self.kv.commit_keys(
-                req.rid, request_block_keys(req, tokens, self.kv.block_size)
-            )
+        kv = self.kv
+        if kv.prefix_caching and req.prompt_segments:
+            kv.commit_keys(req.rid, req.block_keys(tokens, kv.block_size, request_block_keys))
 
     # ------------------------------------------------------------------
     # Prefill
@@ -358,6 +357,7 @@ class SimulatedEngine:
         if self.obs is not None:
             self.obs.finish(req)
         self._commit_prefix(req, req.prompt_len + req.n_generated)
+        req.prefix_keys = None
         self.kv.free(req.rid)
         inv = self.inv
         if inv is not None:

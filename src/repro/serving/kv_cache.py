@@ -62,6 +62,12 @@ class KVCacheManager:
         self.total_blocks = capacity_tokens // block_size
         self._allocated: dict[int, int] = {}  # rid -> blocks
         self._used = 0
+        #: rid -> tokens the request's last :meth:`ensure` left resident
+        #: (whole blocks).  Only ``ensure`` raises it and every release
+        #: drops it, so it is a lower bound on the current coverage: a
+        #: caller whose need fits under it may skip ``ensure``, which
+        #: would return without effect.
+        self.covered: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def blocks_for(self, tokens: int) -> int:
@@ -89,11 +95,6 @@ class KVCacheManager:
         return self._allocated.get(rid, 0)
 
     # ------------------------------------------------------------------
-    def can_fit(self, rid: int, tokens: int) -> bool:
-        """Whether ``ensure(rid, tokens)`` would succeed."""
-        need = self.blocks_for(tokens) - self.allocation(rid)
-        return need <= self.free_blocks
-
     def ensure(self, rid: int, tokens: int) -> None:
         """Grow ``rid``'s allocation to cover ``tokens`` resident tokens.
 
@@ -102,20 +103,22 @@ class KVCacheManager:
         """
         target = self.blocks_for(tokens)
         have = self._allocated.get(rid, 0)
-        if target <= have:
-            return
-        need = target - have
-        if need > self.free_blocks:
-            raise OutOfKVCache(
-                f"request {rid} needs {need} blocks, only {self.free_blocks} free"
-            )
-        self._allocated[rid] = target
-        self._used += need
+        if target > have:
+            need = target - have
+            if need > self.free_blocks:
+                raise OutOfKVCache(
+                    f"request {rid} needs {need} blocks, only {self.free_blocks} free"
+                )
+            self._allocated[rid] = have = target
+            self._used += need
+        if have:
+            self.covered[rid] = have * self.block_size
 
     def free(self, rid: int) -> int:
         """Release all blocks held by ``rid``; returns the count freed."""
         blocks = self._allocated.pop(rid, 0)
         self._used -= blocks
+        self.covered.pop(rid, None)
         return blocks
 
     def invalidate_all(self) -> None:
@@ -129,6 +132,7 @@ class KVCacheManager:
         """
         self._allocated.clear()
         self._used = 0
+        self.covered.clear()
 
     def stats(self) -> KVStats:
         """Occupancy snapshot."""

@@ -89,6 +89,13 @@ class Request:
     on_finish: "Callable[[Request], None] | None" = field(
         default=None, repr=False, compare=False
     )
+    #: ``(block_size, keys)``: prefix-cache block keys over the request's
+    #: whole lifetime (``prompt_len + max_new_tokens`` tokens), derived
+    #: once by :meth:`block_keys` and dropped when the request finishes.
+    #: A cache, so excluded from equality like ``on_finish``.
+    prefix_keys: "tuple[int, list[int]] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.prompt_len < 1:
@@ -282,6 +289,29 @@ class Request:
         return (elapsed + iteration_latency) / self.tpot_slo - self.n_generated
 
     # ------------------------------------------------------------------
+    # Prefix identity
+    # ------------------------------------------------------------------
+    def block_keys(
+        self,
+        n_tokens: int,
+        block_size: int,
+        derive: "Callable[[Request, int, int], list[int]]",
+    ) -> list[int]:
+        """Prefix-cache keys of the full blocks covering ``n_tokens``.
+
+        ``derive`` is :func:`repro.prefixcache.tokens.request_block_keys`
+        as the calling module names it.  It runs once per request and
+        block size, over every token the request can ever hold; the keys
+        at ``n`` tokens are a prefix of the keys at any ``m > n``, so
+        each call slices that list.
+        """
+        cached = self.prefix_keys
+        if cached is None or cached[0] != block_size:
+            lifetime = self.prompt_len + self.max_new_tokens
+            cached = self.prefix_keys = (block_size, derive(self, lifetime, block_size))
+        return cached[1][: n_tokens // block_size]
+
+    # ------------------------------------------------------------------
     # Cloning
     # ------------------------------------------------------------------
     def fresh_copy(self) -> "Request":
@@ -321,6 +351,7 @@ class Request:
         clone.token_times = []
         clone.record_token_times = False
         clone.on_finish = None
+        clone.prefix_keys = None
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

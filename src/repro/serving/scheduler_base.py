@@ -109,7 +109,7 @@ class Scheduler(abc.ABC):
         kv = self.engine.kv
         if not kv.prefix_caching or not req.prompt_segments or req.prefilled != 0:
             return 0
-        keys = request_block_keys(req, req.prompt_len, kv.block_size)
+        keys = req.block_keys(req.prompt_len, kv.block_size, request_block_keys)
         cached = min(kv.lock_keys(req.rid, keys), req.prompt_len - 1)
         if cached > 0:
             req.note_prefix_hit(cached)
@@ -269,13 +269,18 @@ class Scheduler(abc.ABC):
         Victims (newest arrivals first) are evicted with KV dropped and
         re-queued for recomputation.  Returns the surviving batch.
 
-        Bookkeeping is identity-based (rids are unique within a run) so
-        the common no-pressure case is one ``kv.ensure`` per request with
-        no quadratic membership scans; the batch's summed KV residency is
-        accumulated along the way into ``_last_decode_context`` so
-        callers can hand it to the engine instead of re-summing.
+        ``kv.ensure`` is called only when a request's need exceeds the
+        tokens its allocation is known to cover (``kv.covered``), so
+        without pressure a request reaches the manager about once per
+        block rather than once per step; a skipped call is one that
+        would have returned without effect.  Bookkeeping is
+        identity-based (rids are unique within a run), with no quadratic
+        membership scans; the batch's summed KV residency is accumulated
+        along the way into ``_last_decode_context`` so callers can hand
+        it to the engine instead of re-summing.
         """
         kv = self.engine.kv
+        covered = kv.covered
         survivors = list(batch)
         evicted: set[int] = set()
         context_tokens = 0
@@ -286,14 +291,14 @@ class Scheduler(abc.ABC):
         # linear max() scan did) and consumed front to back.
         victim_order: list[Request] | None = None
         for req in batch:
-            if req.rid in evicted:
+            rid = req.rid
+            if rid in evicted:
                 continue  # already evicted as somebody's victim
-            while True:
+            tokens = req.kv_tokens
+            need = tokens + extra_tokens
+            while need > covered.get(rid, 0):
                 try:
-                    kv.ensure(req.rid, req.kv_tokens + extra_tokens)
-                    tokens = req.kv_tokens
-                    contributions[req.rid] = tokens
-                    context_tokens += tokens
+                    kv.ensure(rid, need)
                     break
                 except OutOfKVCache:
                     if victim_order is None:
@@ -312,7 +317,7 @@ class Scheduler(abc.ABC):
                             req,
                         )
                     if victim is None:  # pragma: no cover - defensive
-                        evicted.add(req.rid)
+                        evicted.add(rid)
                         self._remove_by_identity(survivors, req)
                         break
                     self.engine.preempt(victim, drop_kv=True)
@@ -323,6 +328,10 @@ class Scheduler(abc.ABC):
                     context_tokens -= contributions.pop(victim.rid, 0)
                     if victim is req:
                         break
+            if rid in evicted:
+                continue
+            contributions[rid] = tokens
+            context_tokens += tokens
         self._last_decode_context = context_tokens
         inv = self.inv
         if inv is not None:

@@ -63,6 +63,22 @@ class TestKVInvariants:
         assert v.invariant == "kv-allocation"
         assert "request 7" in v.message
 
+    @pytest.mark.parametrize("manager", [KVCacheManager, PrefixCacheManager])
+    def test_covered_above_holdings_detected(self, manager):
+        kv = manager(capacity_tokens=1024)
+        kv.ensure(rid=4, tokens=40)  # 3 blocks: 48 tokens covered
+        InvariantChecker().check_kv(kv, "admit", rid=4)
+        kv.covered[4] += 1  # corrupt upward: claims a token no block holds
+        v = violation(InvariantChecker().check_kv, kv, "decode-admission", rid=4)
+        assert v.invariant == "kv-covered"
+        assert "request 4 records 49 covered tokens but holds 48" in v.message
+
+    def test_covered_entry_without_holdings_detected(self):
+        kv = KVCacheManager(capacity_tokens=1024)
+        kv.covered[9] = 16  # a released request left behind
+        v = violation(InvariantChecker().check_kv, kv, "finish", rid=9)
+        assert v.invariant == "kv-covered"
+
 
 class TestPrefixInvariants:
     def _shared_kv(self) -> PrefixCacheManager:

@@ -100,11 +100,14 @@ class TestKVCache:
 
     def test_can_fit(self):
         kv = KVCacheManager(160, block_size=16)
-        assert kv.can_fit(1, 160)
         kv.ensure(1, 80)
-        assert kv.can_fit(1, 160)  # growing own allocation
-        assert not kv.can_fit(2, 160)
-        assert kv.can_fit(2, 80)
+        with pytest.raises(OutOfKVCache):
+            kv.ensure(2, 160)
+        kv.ensure(2, 80)  # exactly the free remainder
+        assert kv.free_blocks == 0
+        kv.free(2)
+        kv.ensure(1, 160)  # growing own allocation into the freed space
+        assert kv.allocation(1) == 10
 
     def test_stats(self):
         kv = KVCacheManager(1600, block_size=16)

@@ -3,7 +3,7 @@
 Covers the structural block keys (including their equivalence with
 per-token content hashing and their cost), the refcounted shared-block
 manager (including the KV edge cases: block rounding at boundaries,
-exactly-full ``can_fit``, double-``free`` idempotence, and the
+an exactly-full pool, double-``free`` idempotence, and the
 refcounted eviction paths), and the engine/scheduler integration hooks.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.prefixcache import PrefixCacheManager, request_block_keys, tokens
-from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
+from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, KVCacheManager, OutOfKVCache
 from repro.serving.request import Request
 from tests.conftest import content_block_keys
 
@@ -153,8 +153,19 @@ class TestKeyEquivalence:
         assert len(set(structural.values())) == len(structural)
 
 
+def _sessions_spec():
+    """A short multi-turn sessions run under prefix caching (vllm, one replica)."""
+    from repro.analysis.spec import ExperimentSpec
+
+    return ExperimentSpec.create(
+        model="llama70b", system="vllm", rps=6.0, duration_s=4.0, seed=3,
+        trace="sessions:turns=3,think_time=1.0", prefix_cache=True,
+    )
+
+
 class TestKeyCost:
-    """Keys cost one hash per block, and no memo grows between calls."""
+    """Keys cost one hash per block, are derived once per request, and no
+    memo grows between calls; decode grows KV once per block."""
 
     def test_mix_calls_bounded_by_blocks(self, monkeypatch):
         calls = 0
@@ -173,7 +184,6 @@ class TestKeyCost:
 
     def test_sessions_run_grows_no_module_state(self):
         from repro.analysis.runner import run_spec
-        from repro.analysis.spec import ExperimentSpec
 
         def container_sizes():
             return {
@@ -183,14 +193,62 @@ class TestKeyCost:
             }
 
         before = container_sizes()
-        report = run_spec(
-            ExperimentSpec.create(
-                model="llama70b", system="vllm", rps=6.0, duration_s=4.0, seed=3,
-                trace="sessions:turns=3,think_time=1.0", prefix_cache=True,
-            )
-        )
+        report = run_spec(_sessions_spec())
         assert report.metrics.prefix_hit_requests > 0
         assert container_sizes() == before
+
+    def test_sessions_run_derives_keys_once_and_grows_kv_per_block(self, monkeypatch):
+        """Keys are derived once per request, not once per prefix hook,
+        and decode reaches ``ensure`` about once per block, not per step."""
+        from repro.analysis.runner import run_spec
+        from repro.serving import engine, scheduler_base
+
+        calls = {"keys": 0, "ensure": 0}
+
+        def counting_keys(*args):
+            calls["keys"] += 1
+            return request_block_keys(*args)
+
+        real_ensure = PrefixCacheManager.ensure
+
+        def counting_ensure(self, rid, tokens):
+            calls["ensure"] += 1
+            return real_ensure(self, rid, tokens)
+
+        for module in (engine, scheduler_base):
+            monkeypatch.setattr(module, "request_block_keys", counting_keys)
+        monkeypatch.setattr(PrefixCacheManager, "ensure", counting_ensure)
+        report = run_spec(_sessions_spec())
+        requests = len(report.requests)
+        decoded = report.metrics.total_tokens
+        assert report.metrics.prefix_hit_requests > 0
+        assert 0 < calls["keys"] <= requests
+        assert calls["ensure"] <= 2 * requests + decoded / DEFAULT_BLOCK_SIZE
+        finished = [r for r in report.requests if r.is_finished]
+        assert finished and all(r.prefix_keys is None for r in finished)
+        assert finished[0].fresh_copy().prefix_keys is None
+
+    def test_cached_keys_are_derived_once_per_block_size(self):
+        req = segment_request(((0x5E55_0001, 40), (0x5E55_0002, 60)))
+        req.max_new_tokens = 30
+        derived = []
+
+        def derive(r, n_tokens, block_size):
+            derived.append((n_tokens, block_size))
+            return request_block_keys(r, n_tokens, block_size)
+
+        for n in (100, 37, 130, 16):
+            assert req.block_keys(n, 16, derive) == keys(req, n, 16)
+        assert derived == [(130, 16)]  # once, over prompt + max_new_tokens
+        assert req.block_keys(100, 8, derive) == keys(req, 100, 8)
+        assert derived[-1] == (130, 8)  # another block size re-derives
+
+    def test_fresh_copy_drops_cached_keys(self):
+        req = segment_request(((0x5E55_0001, 40),))
+        assert req.block_keys(40, 16, request_block_keys) == keys(req, 40)
+        assert req.prefix_keys is not None
+        assert req.fresh_copy().prefix_keys is None
+        assert req.fresh_copy() == req  # the cache is not part of equality
 
 
 class TestBlockRounding:
@@ -210,14 +268,15 @@ class TestBlockRounding:
     @pytest.mark.parametrize("manager", [KVCacheManager, PrefixCacheManager])
     def test_can_fit_exactly_full(self, manager):
         kv = manager(160, block_size=16)
-        assert kv.can_fit(1, 160)
         kv.ensure(1, 160)
+        assert kv.free_blocks == 0
         # Growing the same request to its own footprint still fits; any
         # fresh allocation (even one token) does not.
-        assert kv.can_fit(1, 160)
-        assert not kv.can_fit(2, 1)
+        kv.ensure(1, 160)
+        assert kv.covered[1] == 160
         with pytest.raises(OutOfKVCache):
             kv.ensure(2, 1)
+        assert not kv.holds(2) and 2 not in kv.covered
 
     @pytest.mark.parametrize("manager", [KVCacheManager, PrefixCacheManager])
     def test_double_free_is_idempotent(self, manager):
@@ -503,3 +562,81 @@ class TestEngineIntegration:
         # this step then executed, completing the prompt).
         assert clone.cached_prompt_tokens == 127
         assert clone.prefilled == clone.prompt_len
+
+
+class _NeverCovered(dict):
+    """A coverage record that never keeps an entry."""
+
+    def __setitem__(self, rid, tokens):
+        pass
+
+
+class _EveryStepManager(PrefixCacheManager):
+    """Oracle: its coverage bound never hits, so decode admission calls
+    ``ensure`` for every request on every step, as it did before the
+    bound existed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.covered = _NeverCovered()
+
+
+class TestDecodeAdmissionDifferential:
+    """Skipping covered ``ensure`` calls changes nothing under KV pressure.
+
+    No golden or benchmark workload preempts, so this pits a small
+    prefix cache against session-shaped traffic (a shared system prompt,
+    growing per-session histories) until decode growth forces
+    preemptions, then compares the run against the every-step oracle.
+    """
+
+    @staticmethod
+    def _requests():
+        out = []
+        for turn in range(3):
+            for session in range(4):
+                prompt = 167 + 96 * turn + 16 * session
+                out.append(Request(
+                    rid=len(out), category="coding",
+                    arrival_time=0.4 * turn + 0.05 * session, prompt_len=prompt,
+                    max_new_tokens=96, tpot_slo=0.05, predictability=0.75,
+                    session_id=session, turn_index=turn,
+                    prompt_segments=((0x5157, 64), (0x5E55 + session, prompt - 64)),
+                ))
+        return out
+
+    def _run(self, system, manager, pair, target_roofline, draft_roofline):
+        import hashlib
+
+        from repro.analysis.export import report_to_json
+        from repro.analysis.harness import make_scheduler
+        from repro.serving.engine import SimulatedEngine
+        from repro.serving.server import ServingSimulator
+
+        engine = SimulatedEngine(
+            pair, target_roofline, draft_roofline, manager(2048), seed=42
+        )
+        ensure_calls = 0
+        real_ensure = engine.kv.ensure
+
+        def counting_ensure(rid, tokens):
+            nonlocal ensure_calls
+            ensure_calls += 1
+            real_ensure(rid, tokens)
+
+        engine.kv.ensure = counting_ensure
+        requests = self._requests()
+        report = ServingSimulator(engine, make_scheduler(system, engine), requests).run()
+        digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+        return digest, [r.preempt_count for r in requests], ensure_calls, report
+
+    @pytest.mark.parametrize("system", ["vllm", "sarathi", "vllm-spec:k=4"])
+    def test_matches_every_step_oracle(self, system, pair, target_roofline, draft_roofline):
+        args = (pair, target_roofline, draft_roofline)
+        digest, preempts, calls, report = self._run(system, PrefixCacheManager, *args)
+        want_digest, want_preempts, oracle_calls, _ = self._run(system, _EveryStepManager, *args)
+        assert sum(preempts) >= 1
+        assert report.metrics.prefix_hit_requests > 0
+        assert preempts == want_preempts
+        assert digest == want_digest
+        assert calls < oracle_calls

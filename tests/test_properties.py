@@ -2,7 +2,8 @@
 
 Covers: hashing/uniform ranges, token-tree construction, selection
 (budget/connectivity/greedy dominance), Algorithm 1 consistency, the
-roofline's monotonicity, and the KV cache via a stateful machine.
+roofline's monotonicity, and both KV managers (with the prefix
+manager's key lifecycle) via stateful machines.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro._rng import hash_seed, mix, uniform, uniforms
+from repro.check import InvariantChecker
 from repro.core.selection import select_tokens
 from repro.core.speculation import build_candidate_tree, speculate_batch
 from repro.core.tree import TokenTree
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
+from repro.prefixcache import PrefixCacheManager
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
 
 _PAIR = ModelPair.build(vocab_size=1000, seed=99, alignment=0.85, predictability=0.7)
@@ -136,13 +139,38 @@ class TestRooflineProperties:
         assert _ROOFLINE.forward_latency(8, ctx) >= _ROOFLINE.forward_latency(8, 0)
 
 
+def _chain(rid: int, n_blocks: int) -> list[int]:
+    """Block keys of request ``rid``'s first ``n_blocks`` blocks: two
+    blocks every request shares, then one of three per-stream suffixes."""
+    return [(0 if i < 2 else rid % 3) * 1000 + i for i in range(n_blocks)]
+
+
 class KVCacheMachine(RuleBasedStateMachine):
-    """Stateful test: the KV manager never over-allocates or loses blocks."""
+    """Stateful test: the KV manager never over-allocates or loses blocks,
+    and ``covered`` stays a lower bound that makes ``ensure`` a no-op."""
+
+    manager = KVCacheManager
 
     def __init__(self):
         super().__init__()
-        self.kv = KVCacheManager(capacity_tokens=64 * 16, block_size=16)
+        self.kv = self.manager(capacity_tokens=64 * 16, block_size=16)
+        #: rid -> most tokens ensured since the request's last release.
         self.tokens: dict[int, int] = {}
+
+    def held(self, rid: int) -> int:
+        """Blocks covering ``rid``: private ones plus shared references."""
+        return self.kv.allocation(rid) + len(getattr(self.kv, "_refs", {}).get(rid, ()))
+
+    def snapshot(self):
+        """Every counter, allocation and shared block (not ``covered``)."""
+        kv = self.kv
+        shared = {
+            key: (b.parent, b.refcount, b.children, b.touch)
+            for key, b in getattr(kv, "_shared", {}).items()
+        }
+        refs = {rid: list(chain) for rid, chain in getattr(kv, "_refs", {}).items()}
+        stats = kv.prefix_stats() if kv.prefix_caching else None
+        return dict(kv._allocated), kv._used, shared, refs, stats
 
     @rule(rid=st.integers(0, 9), tokens=st.integers(0, 400))
     def ensure(self, rid, tokens):
@@ -152,21 +180,89 @@ class KVCacheMachine(RuleBasedStateMachine):
         except OutOfKVCache:
             pass  # state must be unchanged; checked by invariants
 
+    @precondition(lambda self: bool(self.kv.covered))
+    @rule(data=st.data())
+    def ensure_within_bound(self, data):
+        rid = data.draw(st.sampled_from(sorted(self.kv.covered)))
+        bound = self.kv.covered[rid]
+        tokens = data.draw(st.integers(0, bound))
+        before = self.snapshot()
+        self.kv.ensure(rid, tokens)
+        assert self.snapshot() == before
+        assert self.kv.covered[rid] >= bound
+
     @precondition(lambda self: bool(self.tokens))
     @rule(data=st.data())
     def free(self, data):
         rid = data.draw(st.sampled_from(sorted(self.tokens)))
+        held = self.held(rid)
         freed = self.kv.free(rid)
-        assert freed == self.kv.blocks_for(self.tokens.pop(rid))
+        assert freed == held
+        if not self.kv.prefix_caching:
+            assert freed == self.kv.blocks_for(self.tokens[rid])
+        del self.tokens[rid]
+        assert rid not in self.kv.covered
+
+    @rule()
+    def invalidate_all(self):
+        self.kv.invalidate_all()
+        self.tokens.clear()
+        assert not self.kv.covered
 
     @invariant()
     def used_matches_model(self):
-        expected = sum(self.kv.blocks_for(t) for t in self.tokens.values())
-        assert self.kv.used_blocks == expected
+        if not self.kv.prefix_caching:
+            expected = sum(self.kv.blocks_for(t) for t in self.tokens.values())
+            assert self.kv.used_blocks == expected
 
     @invariant()
     def never_exceeds_capacity(self):
         assert 0 <= self.kv.used_blocks <= self.kv.total_blocks
 
+    @invariant()
+    def covered_is_a_lower_bound(self):
+        kv = self.kv
+        for rid, tokens in self.tokens.items():
+            assert kv.covered.get(rid, 0) >= tokens
+        for rid, tokens in kv.covered.items():
+            assert kv.holds(rid)
+            assert tokens <= self.held(rid) * kv.block_size
+        InvariantChecker().check_kv(kv, "machine")
+
+
+class PrefixCacheMachine(KVCacheMachine):
+    """The same machine over the prefix manager, plus its key lifecycle."""
+
+    manager = PrefixCacheManager
+
+    @rule(rid=st.integers(0, 9), n_blocks=st.integers(0, 24))
+    def lock_keys(self, rid, n_blocks):
+        self.kv.lock_keys(rid, _chain(rid, n_blocks))
+        if self.kv.holds(rid):
+            self.tokens.setdefault(rid, 0)
+
+    @precondition(lambda self: bool(self.tokens))
+    @rule(data=st.data())
+    def commit_keys(self, data):
+        # Only blocks the request already covers: each new key then
+        # reclassifies one of its private blocks, as in the engine.
+        rid = data.draw(st.sampled_from(sorted(self.tokens)))
+        held = self.held(rid)
+        n_blocks = data.draw(st.integers(len(self.kv._refs.get(rid, ())), held))
+        self.kv.commit_keys(rid, _chain(rid, n_blocks))
+        assert self.held(rid) == held
+
+    @precondition(lambda self: bool(self.tokens))
+    @rule(data=st.data())
+    def release_prefix(self, data):
+        rid = data.draw(st.sampled_from(sorted(self.tokens)))
+        self.kv.release_prefix(rid)
+        assert rid not in self.kv.covered
+        if self.kv.holds(rid):
+            self.tokens[rid] = 0
+        else:
+            del self.tokens[rid]
+
 
 TestKVCacheStateful = KVCacheMachine.TestCase
+TestPrefixCacheStateful = PrefixCacheMachine.TestCase
