@@ -586,6 +586,8 @@ class FleetSimulator:
             (req for rep in replica_reports for req in rep.requests),
             key=lambda r: r.rid,
         )
+        for req in all_requests:
+            req.on_finish = None  # still set on requests left unfinished
         if inv is not None:
             if sampler is not None:
                 inv.check_sampler(sampler, sim_time_s)

@@ -35,6 +35,7 @@ except ImportError:  # pragma: no cover - exercised via AVAILABLE flag
 
 from repro._rng import MASK64, _COMBINE, _GOLDEN, _INV_2_53, _MIX1, _MIX2
 from repro.model.stochastic_lm import (
+    MEMO_CAP,
     _SHAPE_MASK,
     _TOKEN_MASKS,
     _TOP1_CEIL,
@@ -217,14 +218,13 @@ def warm_target(lm, items, memo):
     ids_rows = ids_mat.tolist()
     probs_rows = P.tolist()
     cache = lm._cache
-    cap = lm._cache_cap
     new = TokenDistribution.__new__
     dists = []
     for j, i in enumerate(missing):
         key = keys_list[i]
         dist = cache.get(key)  # present for a duplicate ctx within the batch
         if dist is None:
-            if len(cache) >= cap:
+            if len(cache) >= MEMO_CAP:
                 cache.clear()
             dist = new(TokenDistribution)
             dist.token_ids = tuple(ids_rows[j])
@@ -245,13 +245,12 @@ def prefetch_draft(draft, items) -> None:
     keys_list, missing, sub, P, ids_mat, tgt_dists = rows
     a = draft.alignment
     k = draft.target.branching
-    dcap = draft._cache_cap
     new = TokenDistribution.__new__
     if a >= 1.0:
         for j, i in enumerate(missing):
             key = keys_list[i]
             if key not in dcache:
-                if len(dcache) >= dcap:
+                if len(dcache) >= MEMO_CAP:
                     dcache.clear()
                 dcache[key] = tgt_dists[j]
         return
@@ -270,7 +269,7 @@ def prefetch_draft(draft, items) -> None:
         key = keys_list[i]
         if key in dcache:
             continue
-        if len(dcache) >= dcap:
+        if len(dcache) >= MEMO_CAP:
             dcache.clear()
         dist = new(TokenDistribution)
         dist.token_ids = tuple(ids_rows[j])

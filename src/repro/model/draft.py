@@ -34,6 +34,7 @@ from repro._rng import (
     salted,
 )
 from repro.model.stochastic_lm import (
+    MEMO_CAP,
     StochasticLM,
     TokenDistribution,
     shared_distribution_cache,
@@ -66,7 +67,8 @@ class DraftLM:
         self.target = target
         self.alignment = alignment
         # Same sharing rationale as the target's memo: the draft mapping
-        # is fully determined by the target's parameters + alignment.
+        # is fully determined by the target's parameters + alignment, and
+        # the target's seed decides which contexts occur.
         self._cache: dict[int, TokenDistribution] = shared_distribution_cache(
             (
                 "draft",
@@ -76,9 +78,9 @@ class DraftLM:
                 target.spread,
                 target.decay,
                 alignment,
+                target.seed,
             )
         )
-        self._cache_cap = 200_000
 
     @property
     def vocab(self):
@@ -127,7 +129,7 @@ class DraftLM:
             tgt = target._generate(
                 ctx, target.predictability if center is None else center
             )
-            if len(tgt_cache) >= target._cache_cap:
+            if len(tgt_cache) >= MEMO_CAP:
                 tgt_cache.clear()
             tgt_cache[key] = tgt
         a = self.alignment
@@ -162,7 +164,7 @@ class DraftLM:
             )
             ids, probs = zip(*pairs)
             dist = TokenDistribution(ids, probs)
-        if len(cache) >= self._cache_cap:
+        if len(cache) >= MEMO_CAP:
             cache.clear()
         cache[key] = dist
         return dist

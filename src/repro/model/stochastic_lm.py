@@ -64,32 +64,38 @@ def _token_mask(i: int) -> int:
 #: — callers should not even build the items list.
 PREFETCH_MIN_BATCH = 16
 
-#: Distribution memos shared across model instances, keyed by the
-#: parameter signature that fully determines the ctx -> distribution
-#: mapping.  A model's distributions do not depend on its seed (the seed
-#: only shapes which *contexts* arise), so every engine built with the
-#: same model parameters — sweep points, fleet replicas, repeated runs
-#: in one process — draws from one memo instead of regenerating the
-#: same pure function per instance.
+#: Entries one distribution memo holds before it is emptied (live models
+#: keep working — they refill on demand).  Large enough for a whole
+#: sweep point's working set, so same-seed points sharing a memo never
+#: regenerate.
+MEMO_CAP = 200_000
+
+#: Distribution memos shared across model instances, keyed by the model
+#: signature: the parameters that fix the ctx -> distribution mapping,
+#: plus the seed.  The mapping itself is seed-free, but which contexts
+#: occur is not (root contexts hash the seed), so models with different
+#: seeds never hit each other's entries.  Every engine built at one seed
+#: — the points of a same-seed sweep, repeated runs in one process —
+#: draws from one memo instead of regenerating it per instance.
+#:
+#: Insertion-ordered as an LRU of at most ``_MAX_MEMOS`` memos, the
+#: newest model pair's.  A lookup moves its memo to the newest end; past
+#: the bound the oldest is unregistered, not cleared, so a live model
+#: keeps its dict and the dict is freed with the last model holding it.
 _SHARED_CACHES: dict[tuple, dict] = {}
 
-#: Distinct parameter signatures memoized at once.  A long-lived process
-#: sweeping many model parameterizations (property tests, mixed
-#: benchmark sessions) must not accumulate distributions without bound:
-#: past the cap every memo is emptied (live models keep working — they
-#: simply refill on demand).
-_MAX_SIGNATURES = 64
+#: One target plus one draft memo: a model pair.
+_MAX_MEMOS = 2
 
 
 def shared_distribution_cache(signature: tuple) -> dict:
-    """The process-wide distribution memo for a parameter signature."""
-    cache = _SHARED_CACHES.get(signature)
+    """The process-wide distribution memo for a model signature."""
+    cache = _SHARED_CACHES.pop(signature, None)
     if cache is None:
-        if len(_SHARED_CACHES) >= _MAX_SIGNATURES:
-            for stale in _SHARED_CACHES.values():
-                stale.clear()
-            _SHARED_CACHES.clear()
-        cache = _SHARED_CACHES[signature] = {}
+        cache = {}
+        if len(_SHARED_CACHES) >= _MAX_MEMOS:
+            del _SHARED_CACHES[next(iter(_SHARED_CACHES))]
+    _SHARED_CACHES[signature] = cache
     return cache
 
 #: Default number of candidate continuations carrying mass at each context.
@@ -193,12 +199,11 @@ class StochasticLM:
         weights = [decay**i for i in range(branching - 1)]
         total = sum(weights)
         self._tail_weights = [w / total for w in weights]
-        # ctx -> distribution is a pure function of these parameters
-        # (not the seed), so the memo is shared across instances.
+        # Shared with every model of the same signature (see
+        # _SHARED_CACHES for why the seed is part of it).
         self._cache: dict[int, TokenDistribution] = shared_distribution_cache(
-            ("target", vocab.num_regular, branching, predictability, spread, decay)
+            ("target", vocab.num_regular, branching, predictability, spread, decay, seed)
         )
-        self._cache_cap = 200_000
 
     # ------------------------------------------------------------------
     # Context handling
@@ -235,7 +240,7 @@ class StochasticLM:
         if cached is not None:
             return cached
         dist = self._generate(ctx, self.predictability if center is None else center)
-        if len(self._cache) >= self._cache_cap:
+        if len(self._cache) >= MEMO_CAP:
             self._cache.clear()
         self._cache[key] = dist
         return dist

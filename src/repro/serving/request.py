@@ -86,6 +86,8 @@ class Request:
     #: by the owning scheduler so finished-request bookkeeping stays
     #: incremental (no per-iteration pool rescans); excluded from
     #: equality so instrumented and plain requests compare identically.
+    #: Cleared when it fires, and on unfinished requests when the run
+    #: ends, so a report's requests never keep their engine alive.
     on_finish: "Callable[[Request], None] | None" = field(
         default=None, repr=False, compare=False
     )
@@ -206,8 +208,10 @@ class Request:
         if self.n_generated >= self.max_new_tokens:
             self.state = RequestState.FINISHED
             self.finish_time = now
-            if self.on_finish is not None:
-                self.on_finish(self)
+            hook = self.on_finish
+            if hook is not None:
+                self.on_finish = None
+                hook(self)
 
     def preempt(self, drop_kv: bool) -> None:
         """Pause the request; optionally drop its KV (forces re-prefill)."""

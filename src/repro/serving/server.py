@@ -166,6 +166,8 @@ class ServingSimulator:
             sampler.catch_up(clock.now)
         self.scheduler.finalize()
         all_requests = self.scheduler.all_requests()
+        for req in all_requests:
+            req.on_finish = None  # still set on requests left unfinished
         if inv is not None:
             if sampler is not None:
                 inv.check_sampler(sampler, clock.now)

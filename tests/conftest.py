@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro._rng import mix
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
+from repro.model import batchgen
+from repro.model.draft import DraftLM
 from repro.model.pair import ModelPair
+from repro.model.stochastic_lm import StochasticLM
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
 from repro.serving.request import Request
@@ -25,6 +30,46 @@ def pair() -> ModelPair:
 def perfect_pair() -> ModelPair:
     """Pair whose draft is a perfect surrogate (alignment = 1)."""
     return ModelPair.build(vocab_size=1000, seed=7, alignment=1.0, predictability=0.7)
+
+
+@pytest.fixture
+def generated(monkeypatch) -> Counter:
+    """Distributions the models generate from here on, by kind.
+
+    ``target`` counts scalar ``StochasticLM._generate`` calls plus rows
+    of the vectorized ``batchgen._generate_rows``; ``draft`` counts
+    entries the scalar ``DraftLM.distribution`` adds to its memo plus
+    rows of ``batchgen._noise_rows``.  Memo hits count nothing.
+    """
+    counts: Counter = Counter()
+    generate = StochasticLM._generate
+    generate_rows = batchgen._generate_rows
+    noise_rows = batchgen._noise_rows
+    draft_distribution = DraftLM.distribution
+
+    def counted_generate(self, ctx, center):
+        counts["target"] += 1
+        return generate(self, ctx, center)
+
+    def counted_generate_rows(lm, C, centers):
+        counts["target"] += len(C)
+        return generate_rows(lm, C, centers)
+
+    def counted_noise_rows(C, k):
+        counts["draft"] += len(C)
+        return noise_rows(C, k)
+
+    def counted_draft_distribution(self, ctx, center=None):
+        before = len(self._cache)
+        dist = draft_distribution(self, ctx, center)
+        counts["draft"] += len(self._cache) - before
+        return dist
+
+    monkeypatch.setattr(StochasticLM, "_generate", counted_generate)
+    monkeypatch.setattr(batchgen, "_generate_rows", counted_generate_rows)
+    monkeypatch.setattr(batchgen, "_noise_rows", counted_noise_rows)
+    monkeypatch.setattr(DraftLM, "distribution", counted_draft_distribution)
+    return counts
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.runner import run_spec
 from repro.analysis.spec import ExperimentSpec
-from repro.model import stochastic_lm
 from repro.serving.request import RequestState
 from tests.conftest import make_request
 
@@ -181,10 +180,9 @@ class TestPlainDecodeComputesNoTokens:
             ("sarathi", 1, "bursty", False),
         ],
     )
-    def test_run_adds_no_memo_entries(self, system, replicas, trace, prefix_cache):
-        memos = stochastic_lm._SHARED_CACHES
-        for memo in memos.values():
-            memo.clear()  # pure memos: clearing only costs refills
+    def test_run_adds_no_memo_entries(
+        self, generated, system, replicas, trace, prefix_cache
+    ):
         report = run_spec(
             ExperimentSpec.create(
                 model="llama70b", system=system, rps=6.0, duration_s=4.0, seed=3,
@@ -192,4 +190,5 @@ class TestPlainDecodeComputesNoTokens:
             )
         )
         assert report.metrics.num_finished > 0
-        assert sum(len(memo) for memo in memos.values()) == 0
+        assert generated["target"] == 0
+        assert generated["draft"] == 0

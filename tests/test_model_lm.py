@@ -6,7 +6,11 @@ import math
 
 import pytest
 
+from repro.analysis.runner import run_spec
+from repro.analysis.spec import ExperimentSpec
+from repro.model import stochastic_lm
 from repro.model.draft import DraftLM
+from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import StochasticLM, TokenDistribution
 from repro.model.vocab import Vocabulary
 
@@ -118,9 +122,9 @@ class TestStochasticLM:
     def test_extend_matches_context_of(self, lm):
         assert lm.extend(lm.context_of([1, 2]), 3) == lm.context_of([1, 2, 3])
 
-    def test_cache_bounded(self):
+    def test_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(stochastic_lm, "MEMO_CAP", 100)
         lm = StochasticLM(Vocabulary(2000), seed=1)
-        lm._cache_cap = 100
         for i in range(250):
             lm.distribution(lm.context_of([i]))
         assert len(lm._cache) <= 101
@@ -190,3 +194,86 @@ class TestDraftLM:
         hi = draft.distribution(ctx, center=0.95)
         lo = draft.distribution(ctx, center=0.2)
         assert hi.probs[0] > lo.probs[0]
+
+
+def adaserve_spec(seed: int) -> ExperimentSpec:
+    return ExperimentSpec.create(
+        model="llama70b", system="adaserve", rps=4.0, duration_s=3.0, seed=seed
+    )
+
+
+def registry_entries() -> int:
+    return sum(len(memo) for memo in stochastic_lm._SHARED_CACHES.values())
+
+
+class TestMemoLifetime:
+    """Memos are shared per (parameters, seed); the registry keeps one pair's."""
+
+    @pytest.fixture(autouse=True)
+    def empty_registry(self, monkeypatch):
+        monkeypatch.setattr(stochastic_lm, "_SHARED_CACHES", {})
+
+    def test_same_params_and_seed_share_a_memo(self):
+        a = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
+        b = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
+        assert a.target._cache is b.target._cache
+        assert a.draft._cache is b.draft._cache
+
+    def test_seed_or_alignment_separates_memos(self):
+        base = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
+        other_seed = ModelPair.build(vocab_size=1000, seed=6, alignment=0.8)
+        assert other_seed.target._cache is not base.target._cache
+        assert other_seed.draft._cache is not base.draft._cache
+        other_alignment = DraftLM(base.target, alignment=0.6)
+        assert other_alignment._cache is not base.draft._cache
+
+    def test_registry_holds_at_most_one_pair(self):
+        registry = stochastic_lm._SHARED_CACHES
+        pairs = []
+        for seed in range(4):
+            for alignment in (0.5, 0.9):
+                pairs.append(ModelPair.build(vocab_size=1000, seed=seed, alignment=alignment))
+                assert len(registry) <= 2
+        newest = pairs[-1]
+        assert list(registry.values()) == [newest.target._cache, newest.draft._cache]
+
+    def test_lookup_refreshes_a_memo(self):
+        first = StochasticLM(Vocabulary(1000), seed=1)
+        StochasticLM(Vocabulary(1000), seed=2)
+        again = StochasticLM(Vocabulary(1000), seed=1)  # seed 1 is newest now
+        StochasticLM(Vocabulary(1000), seed=3)  # evicts seed 2, not seed 1
+        assert again._cache is first._cache
+        assert any(memo is first._cache for memo in stochastic_lm._SHARED_CACHES.values())
+
+    def test_evicted_memo_is_kept_by_its_model(self):
+        old = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
+        ctxs = [old.context_of([i]) for i in range(50)]
+        before = [(old.draft.distribution(c), old.target.sample(c)) for c in ctxs]
+        sizes = (len(old.target._cache), len(old.draft._cache))
+        ModelPair.build(vocab_size=1000, seed=6, alignment=0.8)
+        memos = stochastic_lm._SHARED_CACHES.values()
+        assert all(memo is not old.target._cache for memo in memos)
+        assert all(memo is not old.draft._cache for memo in memos)
+        assert (len(old.target._cache), len(old.draft._cache)) == sizes
+        after = [(old.draft.distribution(c), old.target.sample(c)) for c in ctxs]
+        assert after == before
+        fresh = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
+        assert fresh.target._cache is not old.target._cache
+        assert [(fresh.draft.distribution(c), fresh.target.sample(c)) for c in ctxs] == before
+
+    def test_distinct_seeds_do_not_pile_up(self, generated):
+        for seed in (1, 2, 3):
+            run_spec(adaserve_spec(seed))
+        generated.clear()
+        run_spec(adaserve_spec(4))
+        assert generated["target"] > 0
+        assert registry_entries() <= generated["target"] + generated["draft"]
+
+    def test_same_seed_rerun_shares_the_memo(self, generated):
+        first_report = run_spec(adaserve_spec(9))
+        first = generated["target"] + generated["draft"]
+        generated.clear()
+        rerun_report = run_spec(adaserve_spec(9))
+        assert first > 0
+        assert generated["target"] + generated["draft"] <= 0.1 * first
+        assert rerun_report.metrics == first_report.metrics

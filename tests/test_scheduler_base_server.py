@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.analysis import harness
+from repro.analysis.runner import run_spec
+from repro.analysis.spec import ExperimentSpec
 from repro.baselines.vllm import VLLMScheduler
 from repro.serving.kv_cache import KVCacheManager
 from repro.serving.engine import SimulatedEngine
@@ -151,3 +157,36 @@ class TestSimulator:
         a, b = run(), run()
         assert a.sim_time_s == b.sim_time_s
         assert a.metrics.total_tokens == b.metrics.total_tokens
+
+
+class TestReportsReleaseEngines:
+    """A held report must not keep its run's engine, models and memos alive."""
+
+    @pytest.mark.parametrize(
+        "replicas, max_sim_time_s",
+        [(1, 1800.0), (2, 1800.0), (1, 1.0), (2, 1.0)],  # 1 s cuts requests off
+    )
+    def test_held_report_pins_no_engine(self, monkeypatch, replicas, max_sim_time_s):
+        built: list[weakref.ref] = []
+        build_engine = harness.Setup.build_engine
+
+        def tracked_build_engine(setup):
+            engine = build_engine(setup)
+            built.extend(
+                weakref.ref(obj) for obj in (engine, engine.pair.target, engine.pair.draft)
+            )
+            return engine
+
+        monkeypatch.setattr(harness.Setup, "build_engine", tracked_build_engine)
+        report = run_spec(
+            ExperimentSpec.create(
+                model="llama70b", system="adaserve", rps=4.0, duration_s=3.0, seed=2,
+                replicas=replicas, max_sim_time_s=max_sim_time_s,
+            )
+        )
+        gc.collect()
+        assert len(built) == 3 * replicas
+        assert all(ref() is None for ref in built)
+        assert all(req.on_finish is None for req in report.requests)
+        if max_sim_time_s < 1800.0:
+            assert report.metrics.num_finished < len(report.requests)
