@@ -11,6 +11,26 @@ Theorem 4.1 guarantees that a beam of width B and depth D(T_opt) covers
 the optimal tree, so the selection phases that follow never need tokens
 the beam did not propose (given sufficient d and w).
 
+Each beam level runs for the whole batch in arrays.  Every draft
+distribution has the same number of candidates, so every tree's
+frontier has the same size ``f`` at a given level and the level is a
+dense ``[n, f]`` block:
+
+1. :func:`repro.model.batchgen.draft_top` returns the draft's top-w
+   ``(token, prob)`` of every frontier context in one pass;
+2. candidate scores are ``path_prob * prob`` over ``[n, f * w]``, in
+   the per-node scan order (frontier node, then draft rank);
+3. a stable descending argsort per tree keeps the ``w`` best, with the
+   tie order of ``sorted(..., reverse=True)``;
+4. child contexts come from the vectorized ``extend``, and the level's
+   :class:`TreeNode` objects are built in one pass from the listed
+   arrays.
+
+Every token, context and float equals the per-node builder's (each
+comes from the same IEEE operation on the same operands); the oracle in
+``tests/conftest.py`` checks that field by field.  Chain speculation
+(:func:`draft_chains`) is the ``w = 1`` case of the same kernel.
+
 Cost accounting: step 1 processes 1 token per request (the roots), steps
 2..d process ``w`` tokens per request, all batched across requests.  The
 returned :class:`SpeculationResult` carries these per-step token counts so
@@ -20,14 +40,12 @@ the scheduler can price the phase with the draft roofline + CUDA graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+
+import numpy as np
 
 from repro.core.tree import TokenTree, TreeNode
+from repro.model import batchgen
 from repro.model.pair import ModelPair
-from repro.model.stochastic_lm import PREFETCH_MIN_BATCH
-
-#: Sort key over (path_prob, node, token, prob) candidates (hot loop).
-_BY_PATH_PROB = itemgetter(0)
 
 
 def draft_chains(
@@ -38,27 +56,22 @@ def draft_chains(
     """Greedy ``k``-token draft chains from each ``(ctx, center)`` start.
 
     Used by the chain-speculation baselines (vLLM-Spec, SmartSpec).
-    Each chain is an independent pure function of its start context, so
-    drafting all chains step-lockstep yields identical tokens to
-    per-request loops while letting every step's draft distributions be
-    generated in one vectorized pass (``DraftLM.prefetch``).
+    Each chain is a pure function of its start context, so the chains
+    advance step-lockstep: ``k`` vectorized steps, each the draft's
+    top-1 of every chain's current context.
     """
+    if not starts or k <= 0:
+        return [[] for _ in starts]
     draft = pair.draft
-    extend = pair.extend
-    top_w = draft.top_w
-    ctxs = [ctx for ctx, _ in starts]
-    chains: list[list[int]] = [[] for _ in starts]
-    prefetchable = len(starts) >= PREFETCH_MIN_BATCH
+    centers = batchgen.Centers(draft.target, [center for _, center in starts])
+    C = np.array([ctx for ctx, _ in starts], dtype=np.uint64)
+    steps = []
     for _ in range(k):
-        if prefetchable:
-            draft.prefetch(
-                [(ctx, center) for ctx, (_, center) in zip(ctxs, starts)]
-            )
-        for i, (_, center) in enumerate(starts):
-            tok, _prob = top_w(ctxs[i], 1, center)[0]
-            chains[i].append(tok)
-            ctxs[i] = extend(ctxs[i], tok)
-    return chains
+        ids, _probs = batchgen.draft_top(draft, C, centers, 1)
+        tokens = ids[:, 0]
+        steps.append(tokens)
+        C = batchgen.extend(C, tokens)
+    return np.stack(steps, axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -97,53 +110,7 @@ def build_candidate_tree(
     center:
         Optional per-request predictability center forwarded to the model.
     """
-    if depth < 0 or width < 1:
-        raise ValueError(f"invalid beam shape: depth={depth}, width={width}")
-    tree = TokenTree(root_token, root_ctx)
-    frontier: list[TreeNode] = [tree.root]
-    draft_distribution = pair.draft.distribution
-    extend = pair.extend
-    for _ in range(depth):
-        frontier = _advance_level(
-            tree, frontier, draft_distribution, extend, width, center
-        )
-        if not frontier:
-            break
-    return tree
-
-
-def _advance_level(
-    tree: TokenTree,
-    frontier: list[TreeNode],
-    draft_distribution,
-    extend,
-    width: int,
-    center: float | None,
-) -> list[TreeNode]:
-    """Expand one beam level; returns the new frontier.
-
-    Hot loop: reads the draft distribution's (already sorted) tuples
-    directly instead of materializing per-node (token, prob) pair lists.
-    Shared by the per-request builder above and the level-synchronous
-    batch builder below, so both construct identical trees.
-    """
-    candidates: list[tuple[float, TreeNode, int, float]] = []
-    append = candidates.append
-    for node in frontier:
-        dist = draft_distribution(node.ctx_hash, center)
-        path_prob = node.path_prob
-        for token_id, prob in zip(dist.token_ids[:width], dist.probs[:width]):
-            append((path_prob * prob, node, token_id, prob))
-    if not candidates:
-        return []
-    candidates.sort(key=_BY_PATH_PROB, reverse=True)
-    add_child = tree.add_child
-    new_frontier: list[TreeNode] = []
-    for _path_prob, parent, token_id, prob in candidates[:width]:
-        new_frontier.append(
-            add_child(parent, token_id, extend(parent.ctx_hash, token_id), prob)
-        )
-    return new_frontier
+    return speculate_batch(pair, [(root_token, root_ctx)], depth, width, [center]).trees[0]
 
 
 def speculate_batch(
@@ -177,33 +144,48 @@ def speculate_batch(
         raise ValueError("centers length must match roots")
     if depth < 0 or width < 1:
         raise ValueError(f"invalid beam shape: depth={depth}, width={width}")
-    # Level-synchronous construction: all trees advance one beam level at
-    # a time so the whole batch's pending draft queries can be generated
-    # in one vectorized pass (``DraftLM.prefetch``).  Each tree's own
-    # expansion logic is byte-identical to ``build_candidate_tree`` (they
-    # share ``_advance_level``); only the order in which the shared memo
-    # is populated differs, which is unobservable.
     trees = [TokenTree(tok, ctx) for tok, ctx in roots]
-    draft = pair.draft
-    draft_distribution = draft.distribution
-    extend = pair.extend
-    frontiers = [[t.root] for t in trees]
-    for _ in range(depth):
-        if n * width >= PREFETCH_MIN_BATCH:
-            pending = [
-                (node.ctx_hash, centers[i])
-                for i in range(n)
-                for node in frontiers[i]
-            ]
-            if len(pending) >= PREFETCH_MIN_BATCH:
-                draft.prefetch(pending)
-        for i in range(n):
-            if frontiers[i]:
-                frontiers[i] = _advance_level(
-                    trees[i], frontiers[i], draft_distribution, extend, width, centers[i]
-                )
     if depth == 0 or n == 0:
-        step_tokens: tuple[int, ...] = ()
-    else:
-        step_tokens = (n, *(n * width for _ in range(depth - 1)))
+        return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=())
+
+    draft = pair.draft
+    rows = np.arange(n)
+    # The frontier, row-major over [n, f]: f nodes per tree.
+    frontier: list[TreeNode] = [t.root for t in trees]
+    C = np.array([ctx for _, ctx in roots], dtype=np.uint64)
+    path = np.ones(n)
+    f = 1
+    level_centers = batchgen.Centers(draft.target, centers)
+    for level in range(1, depth + 1):
+        ids, probs = batchgen.draft_top(draft, C, level_centers, width)
+        per_node = ids.shape[1]  # min(width, branching)
+        scores = (path[:, None] * probs).reshape(n, f * per_node)
+        keep = min(width, f * per_node)
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
+        picked = (order + (rows * (f * per_node))[:, None]).ravel()  # flat candidate index
+        parents = picked // per_node
+        tokens = ids.ravel()[picked]
+        path = scores.ravel()[picked]
+        C = batchgen.extend(C[parents], tokens)
+        nodes = [
+            TreeNode(tok, ctx, prob, path_prob, level, frontier[parent])
+            for parent, tok, ctx, prob, path_prob in zip(
+                parents.tolist(),
+                tokens.tolist(),
+                C.tolist(),
+                probs.ravel()[picked].tolist(),
+                path.tolist(),
+            )
+        ]
+        for node in nodes:
+            node.parent.children.append(node)
+        for i, tree in enumerate(trees):
+            tree._nodes.extend(nodes[i * keep : (i + 1) * keep])
+        frontier = nodes
+        if keep != f:
+            level_centers = batchgen.Centers(
+                draft.target, [c for c in centers for _ in range(keep)]
+            )
+            f = keep
+    step_tokens = (n, *(n * width for _ in range(depth - 1)))
     return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=step_tokens)

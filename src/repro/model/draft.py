@@ -103,13 +103,13 @@ class DraftLM:
         from the target's when alignment < 1.  ``center`` is forwarded to
         the target (per-request predictability).
         """
-        # Innermost hot path (one call per candidate-tree node): the
-        # cache key is computed once and shared with the target's memo
-        # (same derivation, distinct dicts), the noise stream is the
-        # uniforms() loop inlined, and (ids, probs) come from one
-        # zip(*...) — every float is produced by the same operations in
-        # the same order as the reference implementation above each
-        # block, so cached and regenerated distributions are identical.
+        # The per-context reference for the speculation kernel
+        # (repro.model.batchgen.draft_top): the cache key is computed
+        # once and shared with the target's memo (same derivation,
+        # distinct dicts), the noise stream is the uniforms() loop
+        # inlined, and (ids, probs) come from one zip(*...) — every
+        # float is produced by the same operations in the same order as
+        # the kernel's, so the two agree bit for bit.
         if center is None:
             key = ctx
         else:
@@ -142,21 +142,27 @@ class DraftLM:
             x = ((x ^ (x >> 30)) * _MIX1) & MASK64
             x = ((x ^ (x >> 27)) * _MIX2) & MASK64
             x ^= x >> 31
+            # Sums fold left to right, like batchgen's cumsum; the builtin
+            # sum() compensates its rounding on Python >= 3.12.
             noise = []
             append = noise.append
+            noise_total = 0.0
             for _ in range(k):
                 x = (x + _GOLDEN) & MASK64
                 y = ((x ^ (x >> 30)) * _MIX1) & MASK64
                 y = ((y ^ (y >> 27)) * _MIX2) & MASK64
                 y ^= y >> 31
-                append((y >> 11) * _INV_2_53)
-            noise_total = sum(noise)
+                u = (y >> 11) * _INV_2_53
+                append(u)
+                noise_total += u
             inv_a = 1.0 - a
             mixed = [
                 a * p + inv_a * (n / noise_total)
                 for p, n in zip(tgt.probs, noise)
             ]
-            total = sum(mixed)
+            total = 0.0
+            for m in mixed:
+                total += m
             pairs = sorted(
                 zip(tgt.token_ids, [m / total for m in mixed]),
                 key=_BY_PROB,
@@ -173,8 +179,8 @@ class DraftLM:
         """Warm the draft (and target) memos for many ``(ctx, center)`` queries.
 
         Vectorized batch generation (see :mod:`repro.model.batchgen`);
-        bit-identical to generating on demand, and a no-op when numpy is
-        unavailable or the batch is too small to amortize.
+        bit-identical to generating on demand, and a no-op when too few
+        queries miss the memo to amortize it.
         """
         from repro.model import batchgen
 

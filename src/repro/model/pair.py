@@ -5,7 +5,7 @@
 in this repository is written against:
 
 - ``draft_children(ctx, w)``: the draft's top-w continuations with their
-  conditional probabilities (what speculation consumes);
+  conditional probabilities (what speculation drafts, per context);
 - ``target_sample(ctx)``: the token the target emits at a context (what
   verification consumes).
 
@@ -53,7 +53,7 @@ class ModelPair:
         self.draft = draft
         # Bind the hottest delegations straight to the underlying bound
         # methods (instance attributes shadow the class methods below):
-        # speculation calls these millions of times per run, and the
+        # verification calls these once per sampled token, and the
         # extra delegating frame is pure overhead.
         self.extend = target.extend
         self.draft_children = draft.top_w

@@ -59,11 +59,6 @@ def _token_mask(i: int) -> int:
     return _TOKEN_MASKS[i]
 
 
-#: Below this many pending queries, batch prefetching cannot beat the
-#: scalar generators (numpy dispatch overhead; see repro.model.batchgen)
-#: — callers should not even build the items list.
-PREFETCH_MIN_BATCH = 16
-
 #: Entries one distribution memo holds before it is emptied (live models
 #: keep working — they refill on demand).  Large enough for a whole
 #: sweep point's working set, so same-seed points sharing a memo never
@@ -300,9 +295,9 @@ class StochasticLM:
 
     def sample(self, ctx: int, center: float | None = None) -> int:
         """The token the target emits at this context (deterministic)."""
-        # Inline the memo probe: verification samples right after a draft
-        # prefetch warmed the target memo, so the hit path should not pay
-        # the distribution() frame + key recomputation.
+        # Inline the memo probe: verification samples right after the
+        # speculation kernel memoized the target rows, so the hit path
+        # should not pay the distribution() frame + key recomputation.
         if center is None:
             key = ctx
         else:
@@ -328,12 +323,12 @@ class StochasticLM:
         """Warm the distribution memo for many ``(ctx, center)`` queries.
 
         Vectorized batch generation (see :mod:`repro.model.batchgen`);
-        bit-identical to generating on demand, and a no-op when numpy is
-        unavailable or the batch is too small to amortize.
+        bit-identical to generating on demand, and a no-op when too few
+        queries miss the memo to amortize it.
         """
         from repro.model import batchgen
 
-        batchgen.warm_target(self, items, self._cache)
+        batchgen.warm_target(self, items)
 
     def greedy(self, ctx: int, center: float | None = None) -> int:
         """The argmax continuation at this context."""

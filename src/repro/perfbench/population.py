@@ -33,8 +33,9 @@ chunk-materialized requests instead of holding the full object list
 (see :class:`repro.serving.clock.ChunkedArrivalStream`).  The chunked
 materialization rate is reported alongside as context, not gated.
 
-Environments without numpy (the substrate is gated, never required)
-record a skipped row and enforce nothing.
+Environments without numpy (the substrate is gated) record a skipped
+row, which :func:`gate_failures` reports as a failure: a gate that was
+not run enforces nothing.
 """
 
 from __future__ import annotations
@@ -264,12 +265,16 @@ def run_population() -> dict:
 def gate_failures(row: dict | None) -> list[str]:
     """Error lines for every failed population gate (empty when clean).
 
-    A skipped row (no numpy) enforces nothing; a present row with any
-    ``ok: false`` gate is a hard failure — ``repro bench`` exits
-    non-zero on these exactly like a diverged report digest.
+    A missing or skipped row is itself a failure: its gates were never
+    measured.  A present row with any ``ok: false`` gate is a hard
+    failure too — ``repro bench`` exits non-zero on these exactly like a
+    diverged report digest.
     """
-    if not row or "gates" not in row:
-        return []
+    if not row:
+        return ["error: population row missing; its gates were not run"]
+    if "skipped" in row or "gates" not in row:
+        reason = row.get("skipped", "no gates recorded")
+        return [f"error: population row skipped ({reason}); its gates were not run"]
     failures = []
     for name, gate in row["gates"].items():
         if gate["ok"]:

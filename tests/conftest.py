@@ -7,6 +7,8 @@ from collections import Counter
 import pytest
 
 from repro._rng import mix
+from repro.core.speculation import SpeculationResult
+from repro.core.tree import TokenTree, TreeNode
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model import batchgen
@@ -39,25 +41,22 @@ def generated(monkeypatch) -> Counter:
     ``target`` counts scalar ``StochasticLM._generate`` calls plus rows
     of the vectorized ``batchgen._generate_rows``; ``draft`` counts
     entries the scalar ``DraftLM.distribution`` adds to its memo plus
-    rows of ``batchgen._noise_rows``.  Memo hits count nothing.
+    the noise rows ``batchgen._generate_rows`` draws.  Memo hits count
+    nothing.
     """
     counts: Counter = Counter()
     generate = StochasticLM._generate
     generate_rows = batchgen._generate_rows
-    noise_rows = batchgen._noise_rows
     draft_distribution = DraftLM.distribution
 
     def counted_generate(self, ctx, center):
         counts["target"] += 1
         return generate(self, ctx, center)
 
-    def counted_generate_rows(lm, C, centers):
+    def counted_generate_rows(lm, C, centers, noise=False):
         counts["target"] += len(C)
-        return generate_rows(lm, C, centers)
-
-    def counted_noise_rows(C, k):
-        counts["draft"] += len(C)
-        return noise_rows(C, k)
+        counts["draft"] += len(C) if noise else 0
+        return generate_rows(lm, C, centers, noise)
 
     def counted_draft_distribution(self, ctx, center=None):
         before = len(self._cache)
@@ -67,7 +66,6 @@ def generated(monkeypatch) -> Counter:
 
     monkeypatch.setattr(StochasticLM, "_generate", counted_generate)
     monkeypatch.setattr(batchgen, "_generate_rows", counted_generate_rows)
-    monkeypatch.setattr(batchgen, "_noise_rows", counted_noise_rows)
     monkeypatch.setattr(DraftLM, "distribution", counted_draft_distribution)
     return counts
 
@@ -125,6 +123,58 @@ def autoregressive_ctx(
     for _ in range(n):
         ctx = pair.extend(ctx, pair.target_sample(ctx, center))
     return ctx
+
+
+def reference_speculate(
+    pair: ModelPair,
+    roots: list[tuple[int, int]],
+    depth: int,
+    width: int,
+    centers: list[float | None] | None = None,
+) -> SpeculationResult:
+    """Per-node beam search: the oracle for ``speculate_batch``.
+
+    One ``DraftLM.distribution`` call and one sort per tree and level:
+    every frontier node offers its draft top-``width`` children, scored
+    by ``path_prob * prob``, and the ``width`` best candidates across
+    the frontier (``sorted(..., reverse=True)`` order) join the tree.
+    """
+    if centers is None:
+        centers = [None] * len(roots)
+    trees = []
+    for (root_token, root_ctx), center in zip(roots, centers):
+        tree = TokenTree(root_token, root_ctx)
+        frontier: list[TreeNode] = [tree.root]
+        for _ in range(depth):
+            candidates = []
+            for node in frontier:
+                dist = pair.draft.distribution(node.ctx_hash, center)
+                for token_id, prob in zip(dist.token_ids[:width], dist.probs[:width]):
+                    candidates.append((node.path_prob * prob, node, token_id, prob))
+            candidates.sort(key=lambda c: c[0], reverse=True)
+            frontier = [
+                tree.add_child(parent, tok, pair.extend(parent.ctx_hash, tok), prob)
+                for _score, parent, tok, prob in candidates[:width]
+            ]
+        trees.append(tree)
+    n = len(roots)
+    step_tokens = () if depth == 0 or n == 0 else (n, *(n * width for _ in range(depth - 1)))
+    return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=step_tokens)
+
+
+def reference_draft_chains(
+    pair: ModelPair, starts: list[tuple[int, float | None]], k: int
+) -> list[list[int]]:
+    """Per-request greedy chains: the oracle for ``draft_chains``."""
+    chains = []
+    for ctx, center in starts:
+        chain = []
+        for _ in range(k):
+            tok, _prob = pair.draft.top_w(ctx, 1, center)[0]
+            chain.append(tok)
+            ctx = pair.extend(ctx, tok)
+        chains.append(chain)
+    return chains
 
 
 def content_block_keys(

@@ -12,14 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.model import batchgen
 from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import StochasticLM, TokenDistribution
 from repro.model.vocab import Vocabulary
-
-pytestmark = pytest.mark.skipif(
-    not batchgen.AVAILABLE, reason="numpy unavailable; prefetch is a no-op"
-)
 
 
 def _ctxs(lm, tag: int, n: int) -> list[int]:

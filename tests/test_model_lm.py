@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.runner import run_spec
 from repro.analysis.spec import ExperimentSpec
-from repro.model import stochastic_lm
+from repro.model import batchgen, stochastic_lm
 from repro.model.draft import DraftLM
 from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import StochasticLM, TokenDistribution
@@ -269,11 +269,32 @@ class TestMemoLifetime:
         assert generated["target"] > 0
         assert registry_entries() <= generated["target"] + generated["draft"]
 
-    def test_same_seed_rerun_shares_the_memo(self, generated):
-        first_report = run_spec(adaserve_spec(9))
-        first = generated["target"] + generated["draft"]
-        generated.clear()
-        rerun_report = run_spec(adaserve_spec(9))
-        assert first > 0
-        assert generated["target"] + generated["draft"] <= 0.1 * first
-        assert rerun_report.metrics == first_report.metrics
+    @pytest.mark.parametrize("system", ["adaserve", "vllm-spec:k=4"])
+    def test_speculation_memoizes_target_rows_only(self, monkeypatch, system):
+        # Speculation regenerates draft rows per level instead of
+        # memoizing them; it memoizes the target row of each context it
+        # queries, which verification samples.
+        queried: set[tuple[int, float]] = set()
+        generate_rows = batchgen._generate_rows
+        generate = StochasticLM._generate
+
+        def recording_rows(lm, C, centers, noise=False):
+            queried.update(zip(C.tolist(), centers.tolist()))
+            return generate_rows(lm, C, centers, noise)
+
+        def recording_generate(self, ctx, center):
+            queried.add((ctx, center))
+            return generate(self, ctx, center)
+
+        monkeypatch.setattr(batchgen, "_generate_rows", recording_rows)
+        monkeypatch.setattr(StochasticLM, "_generate", recording_generate)
+        spec = ExperimentSpec.create(
+            model="llama70b", system=system, rps=4.0, duration_s=3.0, seed=9
+        )
+        first = run_spec(spec)
+        rows = dict.fromkeys(("target", "draft"), 0)
+        for signature, memo in stochastic_lm._SHARED_CACHES.items():
+            rows[signature[0]] += len(memo)
+        assert rows["draft"] == 0
+        assert 0 < rows["target"] <= len(queried)
+        assert run_spec(spec).metrics == first.metrics

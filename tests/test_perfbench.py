@@ -8,7 +8,9 @@ logic — perf regressions warn, fixed-seed digest divergence errors.
 
 from __future__ import annotations
 
-from repro.perfbench import build_suite, compare_to_baseline, latest_baseline
+import pytest
+
+from repro.perfbench import build_suite, compare_to_baseline, gate_failures, latest_baseline
 from repro.perfbench.suite import BENCH_SCHEMA_VERSION
 
 
@@ -180,3 +182,45 @@ class TestLatestBaseline:
 
     def test_empty_directory(self, tmp_path):
         assert latest_baseline(tmp_path) is None
+
+
+class TestPopulationGates:
+    """``repro bench`` fails unless every population gate ran and passed."""
+
+    @staticmethod
+    def _row(**gates):
+        return {"name": "population-100k", "gates": gates}
+
+    def test_clean_row_passes(self):
+        row = self._row(
+            speedup={"min": 2.0, "value": 3.1, "ok": True},
+            byte_identity={"value": True, "ok": True},
+        )
+        assert gate_failures(row) == []
+
+    def test_failed_gate_is_an_error(self):
+        row = self._row(
+            peak_memory_mb={"max": 150, "value": 180.5, "ok": False},
+            byte_identity={"value": False, "ok": False},
+        )
+        failures = gate_failures(row)
+        assert len(failures) == 2
+        assert "'peak_memory_mb'" in failures[0] and "<= 150" in failures[0]
+        assert "== scalar" in failures[1]
+
+    @pytest.mark.parametrize("row", [None, {}])
+    def test_missing_row_is_an_error(self, row):
+        (failure,) = gate_failures(row)
+        assert failure.startswith("error:") and "missing" in failure
+
+    def test_skipped_row_is_an_error(self):
+        row = {
+            "name": "population-100k",
+            "skipped": "numpy unavailable; columnar substrate disabled",
+        }
+        (failure,) = gate_failures(row)
+        assert failure.startswith("error:") and "numpy unavailable" in failure
+
+    def test_row_without_gates_is_an_error(self):
+        (failure,) = gate_failures({"name": "population-100k"})
+        assert failure.startswith("error:")

@@ -2,10 +2,77 @@
 
 from __future__ import annotations
 
-import pytest
+from functools import cache
 
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro._rng import mix
 from repro.core.optimal import construct_optimal_trees
-from repro.core.speculation import build_candidate_tree, speculate_batch
+from repro.core.speculation import build_candidate_tree, draft_chains, speculate_batch
+from repro.model import batchgen
+from repro.model.pair import PAIR_PRESETS, ModelPair
+from tests.conftest import reference_draft_chains, reference_speculate
+
+#: Every preset, a perfectly aligned draft (its top-w is the target row's
+#: first w slots, which are not sorted by probability), and a vocabulary
+#: so small that most rows' first token draws collide.
+_ORACLE_PAIRS = (*sorted(PAIR_PRESETS), "perfect", "tiny-vocab")
+
+
+@cache
+def _oracle_pair(name: str) -> ModelPair:
+    if name == "perfect":
+        return ModelPair.build(vocab_size=1000, seed=7, alignment=1.0)
+    if name == "tiny-vocab":
+        return ModelPair.build(vocab_size=24, seed=6)
+    return ModelPair.from_preset(name, seed=11)
+
+
+_centers = st.one_of(st.none(), st.sampled_from([0.3, 0.62, 0.7, 0.8, 0.95]))
+_contexts = st.integers(0, 2**64 - 1)
+
+
+def _memo_key(ctx: int, center: float | None) -> int:
+    return ctx if center is None else mix(ctx, int(center * 1e6))
+
+
+def _assert_memo_holds_exactly(pair: ModelPair, queried: set[tuple[int, float | None]]) -> None:
+    """The draft memo is empty; the target memo is the queried rows, exact."""
+    target = pair.target
+    assert len(pair.draft._cache) == 0
+    assert set(target._cache) == {_memo_key(ctx, c) for ctx, c in queried}
+    for ctx, c in queried:
+        expected = target._generate(ctx, target.predictability if c is None else c)
+        assert target._cache[_memo_key(ctx, c)] == expected
+
+
+def _assert_same_trees(result, expected) -> None:
+    assert (result.depth, result.width, result.step_tokens) == (
+        expected.depth,
+        expected.width,
+        expected.step_tokens,
+    )
+    assert len(result.trees) == len(expected.trees)
+    for tree, ref in zip(result.trees, expected.trees):
+        nodes, ref_nodes = list(tree.nodes()), list(ref.nodes())
+        index = {id(node): i for i, node in enumerate(nodes)}
+        ref_index = {id(node): i for i, node in enumerate(ref_nodes)}
+        assert len(nodes) == len(ref_nodes)
+        for node, want in zip(nodes, ref_nodes):
+            assert node.token_id == want.token_id
+            assert node.ctx_hash == want.ctx_hash
+            assert node.draft_prob == want.draft_prob  # exact float equality
+            assert node.path_prob == want.path_prob
+            assert node.depth == want.depth
+            assert (node.parent is None) == (want.parent is None)
+            if node.parent is not None:
+                assert index[id(node.parent)] == ref_index[id(want.parent)]
+            assert [index[id(c)] for c in node.children] == [
+                ref_index[id(c)] for c in want.children
+            ]
 
 
 class TestBeamShape:
@@ -121,3 +188,65 @@ class TestTheorem41:
         ctx = pair.context_of([4, 5])
         result = construct_optimal_trees(pair, [(0, ctx)], [0.0], budget)
         assert result.trees[0].depth <= budget - 1
+
+
+class TestLevelKernelMatchesOracle:
+    """The array level kernel reproduces the per-node builder exactly."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_trees_match_per_node_builder(self, data):
+        pair = _oracle_pair(data.draw(st.sampled_from(_ORACLE_PAIRS)))
+        n = data.draw(st.integers(0, 20))
+        depth = data.draw(st.integers(0, 8))
+        width = data.draw(st.integers(1, pair.target.branching + 2))
+        roots = data.draw(
+            st.lists(st.tuples(st.integers(0, 999), _contexts), min_size=n, max_size=n)
+        )
+        centers = data.draw(st.lists(_centers, min_size=n, max_size=n))
+        pair.clear_caches()
+        result = speculate_batch(pair, roots, depth, width, centers)
+        _assert_memo_holds_exactly(
+            pair,
+            {
+                (node.ctx_hash, center)
+                for tree, center in zip(result.trees, centers)
+                for node in tree.nodes()
+                if node.depth < depth
+            },
+        )
+        pair.clear_caches()
+        _assert_same_trees(result, reference_speculate(pair, roots, depth, width, centers))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chains_match_per_request_loop(self, data):
+        pair = _oracle_pair(data.draw(st.sampled_from(_ORACLE_PAIRS)))
+        n = data.draw(st.integers(0, 20))
+        k = data.draw(st.integers(0, 8))
+        starts = data.draw(st.lists(st.tuples(_contexts, _centers), min_size=n, max_size=n))
+        pair.clear_caches()
+        chains = draft_chains(pair, starts, k)
+        queried = set()
+        for (ctx, center), chain in zip(starts, chains):
+            for tok in chain:
+                queried.add((ctx, center))
+                ctx = pair.extend(ctx, tok)
+        _assert_memo_holds_exactly(pair, queried)
+        pair.clear_caches()
+        assert chains == reference_draft_chains(pair, starts, k)
+
+    def test_tiny_vocab_collides(self):
+        # The tiny-vocab pair must exercise the collided-row repair.
+        pair = _oracle_pair("tiny-vocab")
+        C = np.array([pair.context_of([i]) for i in range(32)], dtype=np.uint64)
+        centers = batchgen.Centers(pair.target, [None] * 32)
+        _P, _ids, dup, _N = batchgen._generate_rows(pair.target, C, centers.effective)
+        assert dup.any(axis=1).sum() > 16
+
+    def test_perfect_pair_rows_are_unsorted(self):
+        # Some perfectly aligned rows have a tail slot above the top-1
+        # slot, so taking the first w slots differs from sorting.
+        pair = _oracle_pair("perfect")
+        rows = [pair.draft.distribution(pair.context_of([i]), 0.3) for i in range(64)]
+        assert any(list(d.probs) != sorted(d.probs, reverse=True) for d in rows)
