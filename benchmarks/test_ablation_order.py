@@ -39,15 +39,16 @@ def _slo_phase_in_order(trees, requirements, order, budget, depth, n_max):
         tree, req = trees[i], requirements[i]
         cap = min(req, float(depth + 1))
         acc = 1.0
-        heap = [(-c.path_prob, next(counter), c) for c in tree.root.children]
+        path_prob = tree.path_prob
+        heap = [(-path_prob[c], next(counter), c) for c in tree.children(0)]
         heapq.heapify(heap)
         taken = 0
         while acc < cap and heap and remaining > 0 and taken < n_max:
             _, _, node = heapq.heappop(heap)
-            node.selected = True
-            acc += node.path_prob
-            for c in node.children:
-                heapq.heappush(heap, (-c.path_prob, next(counter), c))
+            tree.selected[node] = True
+            acc += path_prob[node]
+            for c in tree.children(node):
+                heapq.heappush(heap, (-path_prob[c], next(counter), c))
             remaining -= 1
             taken += 1
         satisfied[i] = acc >= cap

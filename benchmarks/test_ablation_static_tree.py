@@ -46,14 +46,13 @@ def _compare():
             ctx = pair.context_of([i, 7, i])
             # Static: stamp the precomputed topology.
             static_tree = instantiate_topology(pair, 0, ctx, topo)
-            accepted, _, _ = verify_tree(pair, static_tree.root)
+            accepted, _, _ = verify_tree(pair, static_tree)
             static_total += len(accepted)
             # Context-aware: beam candidates + greedy selection to the
             # same node budget.
             cand = build_candidate_tree(pair, 0, ctx, depth=max(2, budget), width=4)
             select_tokens([cand], [0.0], budget=1 + budget)
-            aware_tree = cand.extract_selected()
-            accepted, _, _ = verify_tree(pair, aware_tree.root)
+            accepted, _, _ = verify_tree(pair, cand, mask=cand.selected)
             aware_total += len(accepted)
         rows.append(
             (budget, static_total / _N_CONTEXTS, aware_total / _N_CONTEXTS)

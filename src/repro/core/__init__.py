@@ -24,7 +24,7 @@ from repro.core.slo import (
     min_accept_requirement,
 )
 from repro.core.speculation import SpeculationResult, build_candidate_tree, speculate_batch
-from repro.core.tree import TokenTree, TreeNode
+from repro.core.tree import TokenTree
 
 __all__ = [
     "AdaServeScheduler",
@@ -41,7 +41,6 @@ __all__ = [
     "SelectionResult",
     "SpeculationResult",
     "TokenTree",
-    "TreeNode",
     "average_tpot",
     "build_candidate_tree",
     "capped_requirement",

@@ -28,7 +28,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from repro.core.tree import TokenTree, TreeNode
+from repro.core.tree import TokenTree
 from repro.model.pair import ModelPair
 
 #: Marker returned when SLOs cannot be met within the budget.
@@ -65,13 +65,14 @@ class _OracleFrontier:
         self._pair = pair
         self._center = center
         self._counter = counter
-        self._heap: list[tuple[float, int, TreeNode, int, float]] = []
-        self._push_children(tree, tree.root)
+        self._heap: list[tuple[float, int, int, int, float]] = []
+        self._push_children(tree, 0)
 
-    def _push_children(self, tree: TokenTree, node: TreeNode) -> None:
-        dist = self._pair.target_distribution(node.ctx_hash, self._center)
+    def _push_children(self, tree: TokenTree, node: int) -> None:
+        dist = self._pair.target_distribution(tree.ctx[node], self._center)
+        path_prob = tree.path_prob[node]
         for token_id, prob in zip(dist.token_ids, dist.probs):
-            f = node.path_prob * prob
+            f = path_prob * prob
             heapq.heappush(
                 self._heap, (-f, next(self._counter), node, token_id, prob)
             )
@@ -80,14 +81,14 @@ class _OracleFrontier:
         """f(v) of the best uninserted node (-inf if exhausted)."""
         return -self._heap[0][0] if self._heap else float("-inf")
 
-    def pop_into(self, tree: TokenTree) -> TreeNode | None:
+    def pop_into(self, tree: TokenTree) -> int | None:
         """Insert the best node into the tree and expand its children."""
         if not self._heap:
             return None
-        neg_f, _, parent, token_id, prob = heapq.heappop(self._heap)
-        ctx = self._pair.extend(parent.ctx_hash, token_id)
+        _neg_f, _, parent, token_id, prob = heapq.heappop(self._heap)
+        ctx = self._pair.extend(tree.ctx[parent], token_id)
         node = tree.add_child(parent, token_id, ctx, prob)
-        node.selected = True
+        tree.selected[node] = True
         self._push_children(tree, node)
         return node
 
@@ -150,7 +151,7 @@ def construct_optimal_trees(
             node = frontiers[i].pop_into(trees[i])
             if node is None:
                 return INVALID
-            n_acc[i] += node.path_prob
+            n_acc[i] += trees[i].path_prob[node]
             remaining -= 1
             decode_steps += 1
             added += 1
@@ -175,7 +176,7 @@ def construct_optimal_trees(
         node = frontiers[i].pop_into(trees[i])
         if node is None:
             continue
-        n_acc[i] += node.path_prob
+        n_acc[i] += trees[i].path_prob[node]
         remaining -= 1
         decode_steps += 1
         heapq.heappush(global_heap, (-frontiers[i].peek_prob(), next(counter), i))

@@ -117,23 +117,22 @@ def run_iteration(
     )
     selection_cpu_s = time.perf_counter() - t0  # repro: allow[RPD002] reason: diagnostic microbenchmark field; reports derive scheduling time from the deterministic cost model
 
-    # Step 4: verification.
+    # Step 4: verification, over each tree's selection mask.
     outcomes: list[RequestOutcome] = []
     verify_tokens = 0
     for item, sel in zip(items, selection.selections):
-        draft_tree = sel.tree.extract_selected()
-        verify_tokens += draft_tree.num_speculated
+        tree = sel.tree
+        selected = sel.num_selected
+        verify_tokens += selected
         accepted_nodes, correction, new_ctx = verify_tree(
-            pair, draft_tree.root, center=item.center
+            pair, tree, center=item.center, mask=tree.selected
         )
-        accepted = [n.token_id for n in accepted_nodes]
+        accepted = [tree.token[node] for node in accepted_nodes]
         # Respect end-of-generation: do not overshoot max_tokens.
         if item.max_tokens is not None and len(accepted) + 1 > item.max_tokens:
             keep = max(0, item.max_tokens - 1)
             accepted = accepted[:keep]
-            ctx = item.root_ctx
-            for tok in accepted:
-                ctx = pair.extend(ctx, tok)
+            ctx = tree.ctx[accepted_nodes[keep - 1]] if keep else item.root_ctx
             correction = pair.target_sample(ctx, item.center)
             new_ctx = pair.extend(ctx, correction)
         outcomes.append(
@@ -141,7 +140,7 @@ def run_iteration(
                 accepted_tokens=accepted,
                 correction_token=correction,
                 new_ctx=new_ctx,
-                selected_tokens=draft_tree.num_speculated,
+                selected_tokens=selected,
                 expected_accepted=sel.expected_accepted,
             )
         )

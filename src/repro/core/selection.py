@@ -14,8 +14,9 @@ budget B:
    on the globally highest approximated-path-probability candidates across
    all requests.
 
-Both phases pick nodes from a *frontier heap* per tree: a node becomes a
-candidate only once its parent is selected.  Because conditional draft
+Both phases pick node indices from a *frontier heap* per tree, keyed on
+``(-path_prob, push counter)``: a node becomes a candidate only once its
+parent is selected.  Because conditional draft
 probabilities are < 1, a node's path probability is strictly below its
 parent's, so frontier-greedy equals unrestricted-greedy while guaranteeing
 the selected set is connected (Appendix B) by construction.
@@ -23,6 +24,10 @@ the selected set is connected (Appendix B) by construction.
 Budget semantics follow Algorithm 2: each request's root consumes one
 budget token up front (the verifier always processes the root position),
 then every selected node consumes one.
+
+The outcome is each tree's selection mask (``tree.selected``), which
+verification walks in place; nothing is copied out.  The object-per-node
+implementation this replaced is the oracle in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from repro.core.tree import TokenTree, TreeNode
+from repro.core.tree import TokenTree
 
 #: Default cap on tokens added per request during the SLO phase (§4.3).
 DEFAULT_N_MAX = 16
@@ -75,39 +80,6 @@ class SelectionResult:
         return all(s.slo_satisfied for s in self.selections)
 
 
-class _Frontier:
-    """Max-heap of selectable nodes for one candidate tree.
-
-    Nodes enter the frontier when their parent is selected; the heap is
-    keyed on -path_prob with an insertion counter as tiebreak.
-    """
-
-    __slots__ = ("_heap", "_counter")
-
-    def __init__(self, root: TreeNode, counter: "itertools.count") -> None:
-        self._heap: list[tuple[float, int, TreeNode]] = []
-        self._counter = counter
-        for child in root.children:
-            heapq.heappush(self._heap, (-child.path_prob, next(counter), child))
-
-    def peek_prob(self) -> float:
-        """Path probability of the best selectable node (-inf if empty)."""
-        return -self._heap[0][0] if self._heap else float("-inf")
-
-    def pop(self) -> TreeNode | None:
-        """Select the best node, exposing its children."""
-        if not self._heap:
-            return None
-        _, _, node = heapq.heappop(self._heap)
-        node.selected = True
-        for child in node.children:
-            heapq.heappush(self._heap, (-child.path_prob, next(self._counter), child))
-        return node
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 def select_tokens(
     trees: list[TokenTree],
     requirements: list[float],
@@ -120,8 +92,9 @@ def select_tokens(
     Parameters
     ----------
     trees:
-        Candidate token trees, one per request.  Selection flags are reset
-        and then set in place; use ``extract_selected`` afterwards.
+        Candidate token trees, one per request.  Each tree's selection
+        mask (``tree.selected``) is reset and then set in place;
+        verification reads it there.
     requirements:
         A(r) per request (may be negative for requests ahead of schedule).
     budget:
@@ -131,9 +104,6 @@ def select_tokens(
     depth:
         Beam depth d used to cap requirements; defaults to each tree's own
         depth.
-
-    Returns the per-request selections; ``tree.extract_selected()`` yields
-    the draft trees for verification.
     """
     n = len(trees)
     if len(requirements) != n:
@@ -143,19 +113,27 @@ def select_tokens(
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
 
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    # Heap entries are (-path_prob, push counter, node): the counter
+    # breaks path-probability ties in push order.
     counter = itertools.count()
     scanned = 0
-    for tree in trees:
+    selections = []
+    frontiers = []
+    child_lists = []
+    for tree, req in zip(trees, requirements):
         tree.clear_selection()
-    frontiers = [_Frontier(t.root, counter) for t in trees]
-    selections = [
-        RequestSelection(
-            tree=t,
-            requirement=req,
-            capped_requirement=min(req, float((depth if depth is not None else t.depth) + 1)),
+        cap = float((depth if depth is not None else tree.depth) + 1)
+        selections.append(
+            RequestSelection(tree=tree, requirement=req, capped_requirement=min(req, cap))
         )
-        for t, req in zip(trees, requirements)
-    ]
+        kids = tree.child_lists()
+        child_lists.append(kids)
+        path_prob = tree.path_prob
+        frontier = [(-path_prob[c], next(counter), c) for c in kids[0]]
+        heapq.heapify(frontier)
+        frontiers.append(frontier)
     remaining = budget - n  # each root consumes one budget token
 
     # ---- Phase 1: SLO-customized selection (descending A(r)). ----
@@ -163,48 +141,50 @@ def select_tokens(
     for i in order:
         sel = selections[i]
         frontier = frontiers[i]
-        while (
-            sel.expected_accepted < sel.capped_requirement
-            and sel.slo_tokens < n_max
-            and remaining > 0
-        ):
-            node = frontier.pop()
+        tree = trees[i]
+        kids = child_lists[i]
+        path_prob = tree.path_prob
+        mask = tree.selected
+        accepted = sel.expected_accepted
+        cap = sel.capped_requirement
+        taken = 0
+        while accepted < cap and taken < n_max and remaining > 0:
             scanned += 1
-            if node is None:
+            if not frontier:
                 break
-            sel.expected_accepted += node.path_prob
-            sel.slo_tokens += 1
+            node = heappop(frontier)[2]
+            mask[node] = True
+            for c in kids[node]:
+                heappush(frontier, (-path_prob[c], next(counter), c))
+            accepted += path_prob[node]
+            taken += 1
             remaining -= 1
-        sel.slo_satisfied = sel.expected_accepted >= sel.capped_requirement
+        sel.expected_accepted = accepted
+        sel.slo_tokens = taken
+        sel.slo_satisfied = accepted >= cap
 
     # ---- Phase 2: throughput-optimized selection (global greedy). ----
-    # A heap over tree indices keyed by each frontier's best node.
-    global_heap: list[tuple[float, int, int]] = [
-        (-frontiers[i].peek_prob(), next(counter), i)
-        for i in range(n)
-        if len(frontiers[i]) > 0
-    ]
+    # A heap over tree indices keyed by each frontier's best node; a
+    # tree's key changes only when its own frontier is popped, and it is
+    # pushed again right then, so no key goes stale.
+    global_heap = [(frontiers[i][0][0], next(counter), i) for i in range(n) if frontiers[i]]
     heapq.heapify(global_heap)
     while remaining > 0 and global_heap:
-        neg_prob, _, i = heapq.heappop(global_heap)
+        i = heappop(global_heap)[2]
         frontier = frontiers[i]
-        # The stored key may be stale; re-check against the live frontier.
-        live = frontier.peek_prob()
-        if live == float("-inf"):
-            continue
-        if -neg_prob > live + 1e-18:
-            heapq.heappush(global_heap, (-live, next(counter), i))
-            continue
-        node = frontier.pop()
+        tree = trees[i]
+        path_prob = tree.path_prob
+        node = heappop(frontier)[2]
         scanned += 1
-        if node is None:
-            continue
+        tree.selected[node] = True
+        for c in child_lists[i][node]:
+            heappush(frontier, (-path_prob[c], next(counter), c))
         sel = selections[i]
-        sel.expected_accepted += node.path_prob
+        sel.expected_accepted += path_prob[node]
         sel.throughput_tokens += 1
         remaining -= 1
-        if len(frontier) > 0:
-            heapq.heappush(global_heap, (-frontier.peek_prob(), next(counter), i))
+        if frontier:
+            heappush(global_heap, (frontier[0][0], next(counter), i))
 
     return SelectionResult(
         selections=selections,

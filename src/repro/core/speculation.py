@@ -17,24 +17,31 @@ frontier has the same size ``f`` at a given level and the level is a
 dense ``[n, f]`` block:
 
 1. :func:`repro.model.batchgen.draft_top` returns the draft's top-w
-   ``(token, prob)`` of every frontier context in one pass;
+   ``(token, prob)`` of every frontier context in one pass, and memoizes
+   the target's emission at each of them for verification;
 2. candidate scores are ``path_prob * prob`` over ``[n, f * w]``, in
    the per-node scan order (frontier node, then draft rank);
 3. a stable descending argsort per tree keeps the ``w`` best, with the
    tie order of ``sorted(..., reverse=True)``;
-4. child contexts come from the vectorized ``extend``, and the level's
-   :class:`TreeNode` objects are built in one pass from the listed
-   arrays.
+4. child contexts come from the vectorized ``extend``, and the level
+   joins each column of the batch as one ``[n, keep]`` block.
+
+After the last level every column is concatenated across levels and
+split into per-tree lists with one ``tolist`` each: the trees are
+struct-of-arrays :class:`~repro.core.tree.TokenTree` s, node indices in
+level order, and no per-node object is ever built.
 
 Every token, context and float equals the per-node builder's (each
 comes from the same IEEE operation on the same operands); the oracle in
 ``tests/conftest.py`` checks that field by field.  Chain speculation
 (:func:`draft_chains`) is the ``w = 1`` case of the same kernel.
 
-Cost accounting: step 1 processes 1 token per request (the roots), steps
-2..d process ``w`` tokens per request, all batched across requests.  The
-returned :class:`SpeculationResult` carries these per-step token counts so
-the scheduler can price the phase with the draft roofline + CUDA graphs.
+Cost accounting: step ``L`` drafts every node of the frontier at level
+``L - 1``: 1 token per request (the roots) at step 1, then ``min(w, f *
+b)`` per request for branching ``b`` — ``w`` whenever ``w <= b``, all
+batched across requests.  The returned :class:`SpeculationResult`
+carries these per-step token counts so the scheduler can price the phase
+with the draft roofline + CUDA graphs.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.tree import TokenTree, TreeNode
+from repro.core.tree import TokenTree
 from repro.model import batchgen
 from repro.model.pair import ModelPair
 
@@ -81,7 +88,7 @@ class SpeculationResult:
     trees: list[TokenTree]
     depth: int
     width: int
-    step_tokens: tuple[int, ...]  # tokens processed by the draft at each step
+    step_tokens: tuple[int, ...]  # tokens the draft processed at each step (the frontier)
 
     @property
     def total_draft_tokens(self) -> int:
@@ -134,8 +141,8 @@ def speculate_batch(
     Returns
     -------
     SpeculationResult with one candidate tree per request and the per-step
-    batched token counts: step 1 processes ``len(roots)`` root tokens;
-    each subsequent step processes ``width`` tokens per request.
+    batched token counts: step ``L`` drafts every frontier node of level
+    ``L - 1`` (the ``len(roots)`` roots first).
     """
     n = len(roots)
     if centers is None:
@@ -144,48 +151,57 @@ def speculate_batch(
         raise ValueError("centers length must match roots")
     if depth < 0 or width < 1:
         raise ValueError(f"invalid beam shape: depth={depth}, width={width}")
-    trees = [TokenTree(tok, ctx) for tok, ctx in roots]
     if depth == 0 or n == 0:
+        trees = [TokenTree(tok, ctx) for tok, ctx in roots]
         return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=())
 
     draft = pair.draft
     rows = np.arange(n)
     # The frontier, row-major over [n, f]: f nodes per tree.
-    frontier: list[TreeNode] = [t.root for t in trees]
     C = np.array([ctx for _, ctx in roots], dtype=np.uint64)
     path = np.ones(n)
     f = 1
-    level_centers = batchgen.Centers(draft.target, centers)
+    start = 0  # tree index of the frontier's first node
+    level_centers = root_centers = batchgen.Centers(draft.target, centers)
+    # Per-level [n, nodes] blocks of each column, the roots first.
+    tokens = [np.array([tok for tok, _ in roots], dtype=np.uint64)[:, None]]
+    ctxs = [C[:, None]]
+    probs = [path[:, None]]
+    paths = [path[:, None]]
+    parents = [np.full((n, 1), -1)]
+    levels = [0]
+    step_tokens = []
     for level in range(1, depth + 1):
-        ids, probs = batchgen.draft_top(draft, C, level_centers, width)
+        step_tokens.append(n * f)
+        ids, level_probs = batchgen.draft_top(draft, C, level_centers, width)
         per_node = ids.shape[1]  # min(width, branching)
-        scores = (path[:, None] * probs).reshape(n, f * per_node)
+        scores = (path[:, None] * level_probs).reshape(n, f * per_node)
         keep = min(width, f * per_node)
         order = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
         picked = (order + (rows * (f * per_node))[:, None]).ravel()  # flat candidate index
-        parents = picked // per_node
-        tokens = ids.ravel()[picked]
         path = scores.ravel()[picked]
-        C = batchgen.extend(C[parents], tokens)
-        nodes = [
-            TreeNode(tok, ctx, prob, path_prob, level, frontier[parent])
-            for parent, tok, ctx, prob, path_prob in zip(
-                parents.tolist(),
-                tokens.tolist(),
-                C.tolist(),
-                probs.ravel()[picked].tolist(),
-                path.tolist(),
-            )
-        ]
-        for node in nodes:
-            node.parent.children.append(node)
-        for i, tree in enumerate(trees):
-            tree._nodes.extend(nodes[i * keep : (i + 1) * keep])
-        frontier = nodes
+        picked_tokens = ids.ravel()[picked]
+        C = batchgen.extend(C[picked // per_node], picked_tokens)
+        tokens.append(picked_tokens.reshape(n, keep))
+        ctxs.append(C.reshape(n, keep))
+        probs.append(level_probs.ravel()[picked].reshape(n, keep))
+        paths.append(path.reshape(n, keep))
+        parents.append(order // per_node + start)
+        levels += [level] * keep
+        start += f
         if keep != f:
-            level_centers = batchgen.Centers(
-                draft.target, [c for c in centers for _ in range(keep)]
-            )
+            level_centers = root_centers.repeat(keep)
             f = keep
-    step_tokens = (n, *(n * width for _ in range(depth - 1)))
-    return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=step_tokens)
+    trees = [
+        TokenTree.from_columns(*columns, levels.copy(), parent)
+        for *columns, parent in zip(
+            np.concatenate(tokens, axis=1).tolist(),
+            np.concatenate(ctxs, axis=1).tolist(),
+            np.concatenate(probs, axis=1).tolist(),
+            np.concatenate(paths, axis=1).tolist(),
+            np.concatenate(parents, axis=1).tolist(),
+        )
+    ]
+    return SpeculationResult(
+        trees=trees, depth=depth, width=width, step_tokens=tuple(step_tokens)
+    )

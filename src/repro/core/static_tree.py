@@ -143,13 +143,13 @@ def instantiate_topology(
     """
     tree = TokenTree(root_token, root_ctx)
 
-    def fill(parent, topo: Topology) -> None:
+    def fill(parent: int, topo: Topology) -> None:
         if not topo.children:
             return
-        ranked = pair.draft_children(parent.ctx_hash, len(topo.children), center)
+        ctx = tree.ctx[parent]
+        ranked = pair.draft_children(ctx, len(topo.children), center)
         for (tok, prob), sub in zip(ranked, topo.children):
-            child = tree.add_child(parent, tok, pair.extend(parent.ctx_hash, tok), prob)
-            fill(child, sub)
+            fill(tree.add_child(parent, tok, pair.extend(ctx, tok), prob), sub)
 
-    fill(tree.root, topology)
+    fill(0, topology)
     return tree

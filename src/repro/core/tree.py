@@ -1,80 +1,31 @@
-"""Draft token trees.
+"""Draft token trees, stored as per-node columns.
 
 The central data structure of the paper: a rooted tree whose root is the
 last committed token of a request and whose nodes are speculated
-continuations.  Each node carries
+continuations.  Nodes are ``int`` indices (the root is 0, and every
+parent precedes its children) into parallel columns:
 
-- ``token_id``: the speculated token;
-- ``ctx_hash``: the model-context hash of the sequence *including* this
+- ``token``: the speculated token;
+- ``ctx``: the model-context hash of the sequence *including* this
   node's token (so verification can query the next-token distribution);
 - ``draft_prob``: the draft model's conditional probability of this token
   given its parent's path (the surrogate for conditional acceptance);
 - ``path_prob``: the product of ``draft_prob`` along the root path — the
-  approximation of f(v) from Equation 7.
+  approximation of f(v) from Equation 7;
+- ``level``: the node's depth (root = 0);
+- ``parent``: the parent's index (-1 for the root);
+- ``selected``: the selection mask, set by
+  :func:`repro.core.selection.select_tokens`.
 
-Trees are built by speculation (:mod:`repro.core.speculation`), pruned by
+Trees are built by speculation (:mod:`repro.core.speculation`, one whole
+beam level at a time, or :meth:`TokenTree.from_columns`), by the static
+and optimal constructions (:meth:`TokenTree.add_child`), pruned by
 selection (:mod:`repro.core.selection`) and walked by verification
-(:func:`repro.model.acceptance.verify_tree`).  ``extract_selected``
-materializes the selected subtree as a standalone tree for verification.
+(:func:`repro.model.acceptance.verify_tree`), which reads the selection
+mask in place.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterator
-
-
-class TreeNode:
-    """One node of a draft token tree."""
-
-    __slots__ = (
-        "token_id",
-        "ctx_hash",
-        "draft_prob",
-        "path_prob",
-        "depth",
-        "parent",
-        "children",
-        "selected",
-    )
-
-    def __init__(
-        self,
-        token_id: int,
-        ctx_hash: int,
-        draft_prob: float,
-        path_prob: float,
-        depth: int,
-        parent: "TreeNode | None",
-    ) -> None:
-        self.token_id = token_id
-        self.ctx_hash = ctx_hash
-        self.draft_prob = draft_prob
-        self.path_prob = path_prob
-        self.depth = depth
-        self.parent = parent
-        self.children: list[TreeNode] = []
-        self.selected = False
-
-    @property
-    def is_root(self) -> bool:
-        """Whether this node is the tree root (the last committed token)."""
-        return self.parent is None
-
-    def path_tokens(self) -> list[int]:
-        """Tokens from (excluding) the root down to this node."""
-        toks: list[int] = []
-        node: TreeNode | None = self
-        while node is not None and not node.is_root:
-            toks.append(node.token_id)
-            node = node.parent
-        toks.reverse()
-        return toks
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TreeNode(token={self.token_id}, depth={self.depth}, "
-            f"path_prob={self.path_prob:.4f}, sel={self.selected})"
-        )
 
 
 class TokenTree:
@@ -89,52 +40,104 @@ class TokenTree:
         Context hash of the sequence up to and including the root token.
     """
 
+    __slots__ = ("token", "ctx", "draft_prob", "path_prob", "level", "parent", "selected", "_kids")
+
     def __init__(self, root_token: int, root_ctx: int) -> None:
-        self.root = TreeNode(root_token, root_ctx, 1.0, 1.0, 0, None)
-        self._nodes: list[TreeNode] = [self.root]
+        self.token = [root_token]
+        self.ctx = [root_ctx]
+        self.draft_prob = [1.0]
+        self.path_prob = [1.0]
+        self.level = [0]
+        self.parent = [-1]
+        self.selected = [False]
+        self._kids: list[list[int]] | None = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        token: list[int],
+        ctx: list[int],
+        draft_prob: list[float],
+        path_prob: list[float],
+        level: list[int],
+        parent: list[int],
+    ) -> "TokenTree":
+        """A tree over ready-made columns (row 0 is the root), taken as is."""
+        tree = cls.__new__(cls)
+        tree.token = token
+        tree.ctx = ctx
+        tree.draft_prob = draft_prob
+        tree.path_prob = path_prob
+        tree.level = level
+        tree.parent = parent
+        tree.selected = [False] * len(token)
+        tree._kids = None
+        return tree
 
     # -- construction ----------------------------------------------------
-    def add_child(self, parent: TreeNode, token_id: int, ctx_hash: int, draft_prob: float) -> TreeNode:
-        """Append a speculated token under ``parent``."""
+    def add_child(self, parent: int, token_id: int, ctx_hash: int, draft_prob: float) -> int:
+        """Append a speculated token under node ``parent``; returns its index."""
         if not 0.0 <= draft_prob <= 1.0:
             raise ValueError(f"draft_prob out of range: {draft_prob}")
-        node = TreeNode(
-            token_id,
-            ctx_hash,
-            draft_prob,
-            parent.path_prob * draft_prob,
-            parent.depth + 1,
-            parent,
-        )
-        parent.children.append(node)
-        self._nodes.append(node)
+        node = len(self.token)
+        self.token.append(token_id)
+        self.ctx.append(ctx_hash)
+        self.draft_prob.append(draft_prob)
+        self.path_prob.append(self.path_prob[parent] * draft_prob)
+        self.level.append(self.level[parent] + 1)
+        self.parent.append(parent)
+        self.selected.append(False)
+        if self._kids is not None:
+            self._kids[parent].append(node)
+            self._kids.append([])
         return node
 
     # -- inspection -------------------------------------------------------
-    def nodes(self, include_root: bool = True) -> Iterator[TreeNode]:
-        """All nodes in insertion order."""
-        if include_root:
-            return iter(self._nodes)
-        return iter(self._nodes[1:])
+    def child_lists(self) -> list[list[int]]:
+        """Each node's children, in insertion order (built once, then kept)."""
+        kids = self._kids
+        if kids is None:
+            parent = self.parent
+            kids = self._kids = [[] for _ in parent]
+            for node in range(1, len(parent)):
+                kids[parent[node]].append(node)
+        return kids
+
+    def children(self, node: int) -> list[int]:
+        """The children of ``node``, in insertion order."""
+        return self.child_lists()[node]
+
+    def path_tokens(self, node: int) -> list[int]:
+        """Tokens from (excluding) the root down to ``node``."""
+        toks: list[int] = []
+        while node > 0:
+            toks.append(self.token[node])
+            node = self.parent[node]
+        toks.reverse()
+        return toks
+
+    def nodes(self, include_root: bool = True) -> range:
+        """All node indices in insertion order."""
+        return range(0 if include_root else 1, len(self.token))
 
     @property
     def size(self) -> int:
         """Number of nodes including the root."""
-        return len(self._nodes)
+        return len(self.token)
 
     @property
     def num_speculated(self) -> int:
         """Number of speculated (non-root) tokens."""
-        return len(self._nodes) - 1
+        return len(self.token) - 1
 
     @property
     def depth(self) -> int:
         """Maximum node depth (root = 0)."""
-        return max(n.depth for n in self._nodes)
+        return max(self.level)
 
     def num_selected(self, include_root: bool = False) -> int:
         """Number of nodes currently marked selected."""
-        count = sum(1 for n in self._nodes[1:] if n.selected)
+        count = self.selected.count(True) - self.selected[0]
         return count + 1 if include_root else count
 
     def selected_path_prob_sum(self) -> float:
@@ -143,47 +146,24 @@ class TokenTree:
         This is the left-hand side of the relaxed TPOT constraint
         (Equation 5), excluding the root's guaranteed 1.
         """
-        return sum(n.path_prob for n in self._nodes[1:] if n.selected)
+        mask = self.selected
+        return sum(p for node, p in enumerate(self.path_prob) if node and mask[node])
 
     def clear_selection(self) -> None:
         """Unselect every node."""
-        for n in self._nodes[1:]:
-            n.selected = False
+        self.selected = [False] * len(self.token)
 
     def is_selection_connected(self) -> bool:
         """Whether every selected node's parent is selected (or the root).
 
         A valid draft tree for verification must be connected (Appendix B).
         """
-        for n in self._nodes[1:]:
-            if n.selected and n.parent is not None and not n.parent.is_root and not n.parent.selected:
-                return False
-        return True
-
-    # -- extraction --------------------------------------------------------
-    def extract_selected(self) -> "TokenTree":
-        """Copy the selected subtree (plus root) into a standalone tree.
-
-        Raises ``ValueError`` if the selection is not connected.
-        """
-        if not self.is_selection_connected():
-            raise ValueError("selection is not connected; cannot extract a valid tree")
-        out = TokenTree(self.root.token_id, self.root.ctx_hash)
-        mapping: dict[int, TreeNode] = {id(self.root): out.root}
-        # insertion order guarantees parents precede children
-        for node in self._nodes[1:]:
-            if not node.selected:
-                continue
-            parent_copy = mapping[id(node.parent)]
-            mapping[id(node)] = out.add_child(
-                parent_copy, node.token_id, node.ctx_hash, node.draft_prob
-            )
-        return out
-
-    def map_nodes(self, fn: Callable[[TreeNode], None]) -> None:
-        """Apply ``fn`` to every node (root included)."""
-        for n in self._nodes:
-            fn(n)
+        mask = self.selected
+        parent = self.parent
+        return all(
+            not mask[node] or parent[node] == 0 or mask[parent[node]]
+            for node in range(1, len(mask))
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TokenTree(size={self.size}, depth={self.depth}, selected={self.num_selected()})"

@@ -12,10 +12,12 @@ Implements the lossless acceptance rules used throughout the paper:
   token and descending into the matching child if present.  The accepted
   path plus the correction token is returned.
 
-Both functions are generic over any node object exposing ``token_id``,
-``ctx_hash`` and ``children`` (an iterable of nodes), so they serve the
-core library's :class:`~repro.core.tree.TokenTree` without a circular
-import.
+Tree verification walks a :class:`~repro.core.tree.TokenTree` by node
+index and reads its selection mask in place, so the selected subtree is
+never copied out.  Both verifications sample the target through
+``StochasticLM.sample``, which answers every drafted context from the
+emission memo the speculation kernel wrote
+(:func:`repro.model.batchgen.draft_top`).
 
 Also provides the Theorem 3.1 quantities: the true path probability
 ``f(v)`` of a node and the expected number of accepted tokens of a tree,
@@ -24,19 +26,12 @@ used by tests and by the optimal-construction ablation.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.model.pair import ModelPair
 
-
-class VerifiableNode(Protocol):
-    """Structural interface for tree verification."""
-
-    token_id: int
-    ctx_hash: int
-
-    @property
-    def children(self) -> Iterable["VerifiableNode"]: ...
+if TYPE_CHECKING:
+    from repro.core.tree import TokenTree
 
 
 def verify_sequence(
@@ -78,34 +73,43 @@ def verify_sequence(
 
 
 def verify_tree(
-    pair: ModelPair, root: VerifiableNode, center: float | None = None
-) -> tuple[list[VerifiableNode], int, int]:
+    pair: ModelPair,
+    tree: "TokenTree",
+    center: float | None = None,
+    mask: Sequence[bool] | None = None,
+) -> tuple[list[int], int, int]:
     """Verify a draft token *tree* against the target.
 
-    The walk starts at ``root`` (the last committed token).  At each node
-    the target emits a token; if a child carries that token the walk
-    descends, otherwise it stops and the emission becomes the correction
-    token.
+    The walk starts at the root (the last committed token).  At each node
+    the target emits a token; if a child submitted for verification
+    carries that token the walk descends, otherwise it stops and the
+    emission becomes the correction token.
+
+    ``mask`` flags the nodes submitted for verification (the selection,
+    ``tree.selected``); ``None`` submits the whole tree.
 
     Returns
     -------
     (accepted_nodes, correction_token, new_ctx):
-        ``accepted_nodes`` is the accepted root-to-leaf path *excluding*
-        the root; ``new_ctx`` includes the correction token.
+        ``accepted_nodes`` is the accepted root-to-leaf path of node
+        indices *excluding* the root; ``new_ctx`` includes the correction
+        token.
     """
-    node = root
-    accepted: list[VerifiableNode] = []
+    sample = pair.target_sample
+    token = tree.token
+    ctx = tree.ctx
+    kids = tree.child_lists()
+    node = 0
+    accepted: list[int] = []
     while True:
-        emitted = pair.target_sample(node.ctx_hash, center)
-        nxt = None
-        for child in node.children:
-            if child.token_id == emitted:
-                nxt = child
+        emitted = sample(ctx[node], center)
+        for child in kids[node]:
+            if token[child] == emitted and (mask is None or mask[child]):
                 break
-        if nxt is None:
-            return accepted, emitted, pair.extend(node.ctx_hash, emitted)
-        accepted.append(nxt)
-        node = nxt
+        else:
+            return accepted, emitted, pair.extend(ctx[node], emitted)
+        accepted.append(child)
+        node = child
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +137,7 @@ def true_path_probability(
 
 
 def expected_accepted_tokens(
-    pair: ModelPair, root: VerifiableNode, center: float | None = None
+    pair: ModelPair, tree: "TokenTree", center: float | None = None
 ) -> float:
     """E[acc(T)] for a tree, via the Theorem 3.1 decomposition.
 
@@ -141,13 +145,15 @@ def expected_accepted_tokens(
     guaranteed correction token is *not* included (add 1 for tokens
     generated per iteration).
     """
+    kids = tree.child_lists()
+    token = tree.token
     total = 0.0
-    stack: list[tuple[VerifiableNode, float, int]] = [(root, 1.0, root.ctx_hash)]
+    stack: list[tuple[int, float, int]] = [(0, 1.0, tree.ctx[0])]
     while stack:
         node, prob, ctx = stack.pop()
-        for child in node.children:
-            p = prob * pair.accept_prob(ctx, child.token_id, center)
+        for child in kids[node]:
+            p = prob * pair.accept_prob(ctx, token[child], center)
             total += p
             if p > 0.0:
-                stack.append((child, p, pair.extend(ctx, child.token_id)))
+                stack.append((child, p, pair.extend(ctx, token[child])))
     return total

@@ -10,12 +10,15 @@ uint64/float64 matrices (contexts x draws).
 
 :func:`draft_top` is the level kernel.  It takes a uint64 context
 column plus per-row centers and returns each row's draft-sorted top-w
-``(token ids, probs)`` matrices.  Along the way it memoizes the
-*target* rows, because verification samples the target at exactly
-these contexts; draft rows are never memoized (regenerating a level
-is cheaper than looking rows up one by one).  ``prefetch_draft`` and
-``warm_target`` warm the memos for arbitrary query lists with the same
-row math.
+``(token ids, probs)`` matrices.  Along the way it computes each row's
+target *emission* — ``StochasticLM.sample`` bit for bit: a cumulative
+sum of the row's probabilities against the sample uniform, drawn in the
+same finalizer pass — and memoizes it as ``key -> token``, because
+verification samples the target at exactly these contexts.  Nothing
+else is memoized: no draft rows (regenerating a level is cheaper than
+looking rows up one by one) and no target distributions.
+``prefetch_draft`` and ``warm_target`` warm the distribution memos for
+arbitrary query lists with the same row math.
 
 **Bit-identity is the contract.**  Every vector statement here maps 1:1
 onto a scalar statement of the reference implementation:
@@ -45,6 +48,7 @@ from repro._rng import MASK64, _COMBINE, _GOLDEN, _INV_2_53, _MIX1, _MIX2
 from repro.model.draft import _NOISE_MASK
 from repro.model.stochastic_lm import (
     MEMO_CAP,
+    _SAMPLE_MASK,
     _SHAPE_MASK,
     _TOKEN_MASKS,
     _TOP1_CEIL,
@@ -85,13 +89,13 @@ def _center_salt(center: float) -> int:
 
 
 def _draw_masks(k: int) -> np.ndarray:
-    """XOR masks of a row's chains: shape, ``k`` token draws, noise base."""
+    """XOR masks of a row's chains: shape, sample, ``k`` token draws, noise base."""
     arr = _MASKS_ARRAYS.get(k)
     if arr is None:
         if k > len(_TOKEN_MASKS):
             _token_mask(k - 1)
         arr = _MASKS_ARRAYS[k] = np.array(
-            [_SHAPE_MASK, *_TOKEN_MASKS[:k], _NOISE_MASK], dtype=np.uint64
+            [_SHAPE_MASK, _SAMPLE_MASK, *_TOKEN_MASKS[:k], _NOISE_MASK], dtype=np.uint64
         )
     return arr
 
@@ -153,53 +157,87 @@ class Centers:
         )
         self.keyed = np.array([c is not None for c in centers], dtype=bool)
 
+    def repeat(self, r: int) -> "Centers":
+        """The centers of each row repeated ``r`` times (a beam frontier)."""
+        out = Centers.__new__(Centers)
+        out.effective = self.effective.repeat(r)
+        out.salts = self.salts.repeat(r)
+        out.keyed = self.keyed.repeat(r)
+        return out
+
     def keys(self, C: np.ndarray) -> np.ndarray:
         """Memo keys of contexts ``C`` (the scalar-path key derivation)."""
         return np.where(self.keyed, _splitmix(C ^ self.salts), C)
 
 
-def _generate_rows(lm, C, centers, noise=False):
+def _generate_rows(lm, C, centers: Centers):
     """Vectorized ``StochasticLM._generate`` over contexts ``C``.
 
-    ``centers`` is a float64 array (per-element predictability).  Returns
-    ``(P, ids_mat, dup, N)``: per-row probabilities and token ids, a
-    ``[len(C), k - 1]`` mask whose true rows' fast-path draws collided
-    (the caller re-draws those ids with the scalar skip-duplicates loop
-    — probabilities are unaffected) and, with ``noise``, the draft's
-    noise rows (else ``None``).
+    Returns ``(P, ids, collided, X, u)``: per-row probabilities and token
+    ids, the rows whose fast-path draws collided (the caller re-draws
+    those ids with the scalar skip-duplicates loop — probabilities are
+    unaffected), the finalized draw matrix and each row's sample uniform.
 
-    Every splitmix64 chain a row needs — the shape uniform, the ``k``
-    token draws and the noise base — is one column of a single
-    ``[len(C), k + 2]`` finalizer pass.  The noise stream
-    ``uniforms(ctx, _SALT_NOISE, k)`` continues from its base as
+    Every splitmix64 chain a row needs is one column of a single
+    ``[len(C), k + 4]`` finalizer pass: column 0 is the shape uniform,
+    1 the target's sample uniform, ``2..k+1`` the token draws, ``k + 2``
+    the draft's noise base and ``k + 3`` the memo key
+    ``mix(ctx, int(center * 1e6))``.
+    """
+    k = lm.branching
+    n = C.shape[0]
+    X = np.empty((n, k + 4), dtype=np.uint64)
+    np.bitwise_xor(C[:, None], _draw_masks(k), out=X[:, : k + 3])
+    np.bitwise_xor(C, centers.salts, out=X[:, k + 3])
+    X += _G
+    _fin3(X)
+    U = (X[:, :2] >> _S11) * _INV_2_53  # the shape and sample uniforms
+    top1 = U[:, 0] * 2.0
+    top1 -= 1.0
+    top1 *= lm.spread
+    top1 += centers.effective
+    np.maximum(top1, _TOP1_FLOOR, out=top1)
+    np.minimum(top1, _TOP1_CEIL, out=top1)
+    P = np.empty((n, k), dtype=np.float64)
+    P[:, 0] = top1
+    np.multiply((1.0 - top1)[:, None], _weights_array(lm._tail_weights), out=P[:, 1:])
+    ids = X[:, 2 : k + 2] % _U64(lm._n_regular)
+    ordered = np.sort(ids, axis=1)
+    equal = ordered[:, 1:] == ordered[:, :-1]
+    collided = np.flatnonzero(equal.any(axis=1)).tolist() if equal.any() else []
+    return P, ids, collided, X, U[:, 1]
+
+
+def _target_rows(lm, C, centers: Centers):
+    """``(P, ids, X, u)`` rows for contexts ``C``, collided ids repaired."""
+    P, ids, collided, X, u = _generate_rows(lm, C, centers)
+    for row in collided:
+        ids[row] = lm._draw_token_ids(int(C[row]))
+    return P, ids, X, u
+
+
+def _noise_rows(X, k):
+    """The draft's noise rows ``uniforms(ctx, _SALT_NOISE, k)``.
+
+    The stream continues from its base column as
     ``x_j = base + (j+1) * GOLDEN`` (mod 2**64), finalized without the
     extra golden add: one outer add.
     """
-    k = lm.branching
-    X = _splitmix(C[:, None] ^ _draw_masks(k))
-    u = (X[:, 0] >> _S11) * _INV_2_53
-    top1 = np.minimum(
-        np.maximum(centers + lm.spread * (2.0 * u - 1.0), _TOP1_FLOOR), _TOP1_CEIL
-    )
-    P = np.empty((C.shape[0], k), dtype=np.float64)
-    P[:, 0] = top1
-    np.multiply((1.0 - top1)[:, None], _weights_array(lm._tail_weights), out=P[:, 1:])
-    ids_mat = X[:, 1 : k + 1] % _U64(lm._n_regular)
-    ordered = np.sort(ids_mat, axis=1)
-    dup = ordered[:, 1:] == ordered[:, :-1]
-    N = None
-    if noise:
-        N = (_fin3(X[:, k + 1, None] + _steps_array(k)) >> _S11) * _INV_2_53
-    return P, ids_mat, dup, N
+    return (_fin3(X[:, k + 2, None] + _steps_array(k)) >> _S11) * _INV_2_53
 
 
-def _target_rows(lm, C, centers: Centers, noise=False):
-    """``(P, ids, N)`` rows for contexts ``C``, collided ids repaired."""
-    P, ids_mat, dup, N = _generate_rows(lm, C, centers.effective, noise)
-    if dup.any():
-        for row in np.flatnonzero(dup.any(axis=1)).tolist():
-            ids_mat[row] = lm._draw_token_ids(int(C[row]))
-    return P, ids_mat, N
+def _emissions(P, ids, u):
+    """``StochasticLM.sample`` of every row: the token the target emits.
+
+    The scalar loop returns the first slot whose running sum exceeds the
+    sample uniform ``u`` (the last slot if none does).  ``cumsum`` is that
+    running sum, and because it never decreases, the first such slot is
+    the count of the first ``k - 1`` sums at or below ``u``.
+    """
+    n, k = P.shape
+    slot = (P.cumsum(axis=1)[:, :-1] <= u[:, None]).sum(axis=1)
+    slot += np.arange(0, n * k, k)
+    return ids.ravel()[slot]
 
 
 def _draft_sorted(draft, P, N):
@@ -243,18 +281,22 @@ def draft_top(draft, C: np.ndarray, centers: Centers, w: int):
     exactly ``draft.distribution(ctx, center).token_ids[:w]`` / ``.probs[:w]``
     row by row.  A perfectly aligned draft *is* the target, whose rows
     are not sorted, so its top-w is the target row's first ``w`` slots.
-    Memoizes the target rows (see the module docstring).
+    Memoizes each row's target emission (see the module docstring).
     """
     target = draft.target
-    aligned = draft.alignment >= 1.0
-    P, ids_mat, N = _target_rows(target, C, centers, noise=not aligned)
-    _memoize(target._cache, centers.keys(C).tolist(), ids_mat, P)
-    if aligned:
-        return ids_mat[:, :w], P[:, :w]
-    order, norm = _draft_sorted(draft, P, N)
+    k = target.branching
+    P, ids, X, u = _target_rows(target, C, centers)
+    keys = np.where(centers.keyed, X[:, k + 3], C)
+    memo = target._emissions
+    if len(memo) + C.shape[0] > MEMO_CAP:
+        memo.clear()
+    memo.update(zip(keys.tolist(), _emissions(P, ids, u).tolist()))
+    if draft.alignment >= 1.0:
+        return ids[:, :w], P[:, :w]
+    order, norm = _draft_sorted(draft, P, _noise_rows(X, k))
     order = order[:, :w]
-    rows = np.arange(len(C))[:, None]
-    return ids_mat[rows, order], norm[rows, order]
+    order += np.arange(0, C.shape[0] * k, k)[:, None]
+    return ids.ravel()[order], norm.ravel()[order]
 
 
 def _missing_rows(lm, items, memo):
@@ -279,7 +321,7 @@ def warm_target(lm, items) -> None:
     if rows is None:
         return
     C, centers, keys_list = rows
-    P, ids_mat, _ = _target_rows(lm, C, centers)
+    P, ids_mat, _, _ = _target_rows(lm, C, centers)
     _memoize(lm._cache, keys_list, ids_mat, P)
 
 
@@ -290,19 +332,18 @@ def prefetch_draft(draft, items) -> None:
     if rows is None:
         return
     C, centers, keys_list = rows
-    aligned = draft.alignment >= 1.0
-    P, ids_mat, N = _target_rows(target, C, centers, noise=not aligned)
+    P, ids_mat, X, _ = _target_rows(target, C, centers)
     # The target rows too: verification samples the target at exactly
     # these contexts later.
     tgt_dists = _memoize(target._cache, keys_list, ids_mat, P)
     dcache = draft._cache
-    if aligned:
+    if draft.alignment >= 1.0:
         for key, dist in zip(keys_list, tgt_dists):
             if key not in dcache:
                 if len(dcache) >= MEMO_CAP:
                     dcache.clear()
                 dcache[key] = dist
         return
-    order, norm = _draft_sorted(draft, P, N)
+    order, norm = _draft_sorted(draft, P, _noise_rows(X, target.branching))
     rows = np.arange(len(C))[:, None]
     _memoize(dcache, keys_list, ids_mat[rows, order], norm[rows, order])

@@ -54,7 +54,7 @@ def measure_acceptance(
     for i in range(n_contexts):
         ctx = pair.context_of([i * a + b, i])
         tree = build_candidate_tree(pair, 0, ctx, depth, width, center=center)
-        accepted, _, _ = verify_tree(pair, tree.root, center=center)
+        accepted, _, _ = verify_tree(pair, tree, center=center)
         total += len(accepted)
     return total / n_contexts
 

@@ -74,13 +74,14 @@ MEMO_CAP = 200_000
 #: draws from one memo instead of regenerating it per instance.
 #:
 #: Insertion-ordered as an LRU of at most ``_MAX_MEMOS`` memos, the
-#: newest model pair's.  A lookup moves its memo to the newest end; past
+#: newest model pair's (its target rows, its target emissions, its draft
+#: rows).  A lookup moves its memo to the newest end; past
 #: the bound the oldest is unregistered, not cleared, so a live model
 #: keeps its dict and the dict is freed with the last model holding it.
 _SHARED_CACHES: dict[tuple, dict] = {}
 
-#: One target plus one draft memo: a model pair.
-_MAX_MEMOS = 2
+#: The target, emission and draft memos of one model pair.
+_MAX_MEMOS = 3
 
 
 def shared_distribution_cache(signature: tuple) -> dict:
@@ -196,9 +197,13 @@ class StochasticLM:
         self._tail_weights = [w / total for w in weights]
         # Shared with every model of the same signature (see
         # _SHARED_CACHES for why the seed is part of it).
+        signature = (vocab.num_regular, branching, predictability, spread, decay, seed)
         self._cache: dict[int, TokenDistribution] = shared_distribution_cache(
-            ("target", vocab.num_regular, branching, predictability, spread, decay, seed)
+            ("target", *signature)
         )
+        #: memo key -> emitted token, written by the speculation kernel
+        #: (repro.model.batchgen.draft_top) for every context it drafts.
+        self._emissions: dict[int, int] = shared_distribution_cache(("emission", *signature))
 
     # ------------------------------------------------------------------
     # Context handling
@@ -295,9 +300,10 @@ class StochasticLM:
 
     def sample(self, ctx: int, center: float | None = None) -> int:
         """The token the target emits at this context (deterministic)."""
-        # Inline the memo probe: verification samples right after the
-        # speculation kernel memoized the target rows, so the hit path
-        # should not pay the distribution() frame + key recomputation.
+        # Inline the memo probes: verification samples right after the
+        # speculation kernel memoized the emissions of every drafted
+        # context, so the hit path should not pay the distribution()
+        # frame + key recomputation.
         if center is None:
             key = ctx
         else:
@@ -305,6 +311,9 @@ class StochasticLM:
             x = ((x ^ (x >> 30)) * _MIX1) & MASK64
             x = ((x ^ (x >> 27)) * _MIX2) & MASK64
             key = x ^ (x >> 31)
+        token = self._emissions.get(key)
+        if token is not None:
+            return token
         dist = self._cache.get(key)
         if dist is None:
             dist = self.distribution(ctx, center)
@@ -335,8 +344,9 @@ class StochasticLM:
         return self.distribution(ctx, center).top_token()
 
     def clear_cache(self) -> None:
-        """Drop memoized distributions (for memory-bounded long runs)."""
+        """Drop memoized distributions and emissions (for memory-bounded long runs)."""
         self._cache.clear()
+        self._emissions.clear()
 
 
 def uniforms_for_noise(ctx: int, salt: int, n: int) -> list[float]:

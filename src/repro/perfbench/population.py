@@ -33,9 +33,8 @@ chunk-materialized requests instead of holding the full object list
 (see :class:`repro.serving.clock.ChunkedArrivalStream`).  The chunked
 materialization rate is reported alongside as context, not gated.
 
-Environments without numpy (the substrate is gated) record a skipped
-row, which :func:`gate_failures` reports as a failure: a gate that was
-not run enforces nothing.
+:func:`gate_failures` reports a missing or skipped row as a failure: a
+gate that was not run enforces nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +42,8 @@ from __future__ import annotations
 import hashlib
 import time
 import tracemalloc
+
+import numpy as np
 
 from repro.workloads import batcharrivals
 
@@ -113,8 +114,6 @@ def peak_concurrent_sessions(
     kept), in which case the conversation is still open at window end
     and counts as occupying the population until ``duration_s``.
     """
-    import numpy as np
-
     sid = np.asarray(work.session_id)
     arrival = np.asarray(work.arrival)
     turn_index = np.asarray(work.turn_index)
@@ -172,10 +171,6 @@ def run_population() -> dict:
     """
     cfg = POPULATION_CONFIG
     row: dict = {"name": "population-100k", "config": dict(cfg)}
-    if not batcharrivals.AVAILABLE:
-        row["skipped"] = "numpy unavailable; columnar substrate disabled"
-        return row
-
     duration_s, rps = cfg["duration_s"], cfg["rps"]
 
     # Timed columnar build (the substrate population-scale consumers use).
@@ -190,8 +185,6 @@ def run_population() -> dict:
     _, peak_bytes = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     del probe
-
-    import numpy as np
 
     peak_sessions = peak_concurrent_sessions(work, duration_s, cfg["turns"])
     sessions = int(np.unique(np.asarray(work.session_id)).size)

@@ -28,10 +28,9 @@ a scalar statement of the reference implementation:
 - stable ``lexsort`` matches ``list.sort`` with the same key tuple.
 
 ``tests/test_batcharrivals.py`` pins vector == scalar byte-identity
-across every trace kind and many seeds.  ``numpy`` is optional: when it
-is unavailable (or ``REPRO_SCALAR_WORKLOADS=1``) callers fall back to
-the scalar loops and results are unchanged — by construction, not by
-luck.
+across every trace kind and many seeds: it flips :data:`DISABLED` to
+run the scalar loops, which stay as the reference and as the faster
+path below :data:`MIN_BATCH` requests.
 
 The columnar form is also the *memory* story: :class:`ColumnarWorkload`
 holds one float64/int64 column per field (~60 B/request instead of a
@@ -42,15 +41,11 @@ so the fleet loop can consume a million-session trace incrementally.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-try:  # gated dependency: the scalar path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via AVAILABLE flag
-    _np = None
+import numpy as np
 
 from repro._rng import MASK64, _COMBINE, _GOLDEN, _INV_2_53, _MIX1, _MIX2, hash_seed, mix, salted
 from repro.serving.request import Request, RequestState
@@ -59,12 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.sessions import SessionGenerator
 
-#: Whether the vectorized path can run at all.
-AVAILABLE = _np is not None
-
-#: Escape hatch: force the scalar reference path everywhere (CI uses it
-#: to prove byte-identity; tests toggle the module flag directly).
-DISABLED = bool(os.environ.get("REPRO_SCALAR_WORKLOADS"))
+#: Force the scalar reference path everywhere (the byte-identity tests
+#: and the population benchmark's scalar run toggle it).
+DISABLED = False
 
 #: Below this many requests the numpy dispatch overhead loses to the
 #: scalar loop (measured on small arrays).
@@ -73,21 +65,20 @@ MIN_BATCH = 64
 
 def enabled(n: int) -> bool:
     """Whether the vector path should serve a batch of ``n`` draws."""
-    return AVAILABLE and not DISABLED and n >= MIN_BATCH
+    return not DISABLED and n >= MIN_BATCH
 
 
-if AVAILABLE:
-    _U64 = _np.uint64
-    _G = _U64(_GOLDEN)
-    _G2 = _U64((2 * _GOLDEN) & MASK64)
-    _M1 = _U64(_MIX1)
-    _M2 = _U64(_MIX2)
-    _CMB = _U64(_COMBINE)
-    _S30 = _U64(30)
-    _S27 = _U64(27)
-    _S31 = _U64(31)
-    _S11 = _U64(11)
-    _S1 = _U64(1)
+_U64 = np.uint64
+_G = _U64(_GOLDEN)
+_G2 = _U64((2 * _GOLDEN) & MASK64)
+_M1 = _U64(_MIX1)
+_M2 = _U64(_MIX2)
+_CMB = _U64(_COMBINE)
+_S30 = _U64(30)
+_S27 = _U64(27)
+_S31 = _U64(31)
+_S11 = _U64(11)
+_S1 = _U64(1)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +139,7 @@ def _derive_prefix(base_seed: int, *parts) -> int:
 # ----------------------------------------------------------------------
 def _exact_unary(fn, a):
     flat = a.ravel()
-    out = _np.fromiter(map(fn, flat.tolist()), dtype=_np.float64, count=flat.size)
+    out = np.fromiter(map(fn, flat.tolist()), dtype=np.float64, count=flat.size)
     return out.reshape(a.shape)
 
 
@@ -185,12 +176,12 @@ def vpow2(a):
 
 def vmaximum(a, b):
     """Elementwise ``max`` (IEEE-exact; exposed for rate-shape closures)."""
-    return _np.maximum(a, b)
+    return np.maximum(a, b)
 
 
 def vfull(like, value: float):
     """A constant rate column shaped like ``like`` (constant-rate traces)."""
-    return _np.full(like.shape, value)
+    return np.full(like.shape, value)
 
 
 # ----------------------------------------------------------------------
@@ -211,18 +202,18 @@ def thin_poisson(rate_vec, duration_s: float, rate_max: float, seed: int) -> lis
     h = hash_seed(seed, 0x5452_4143)  # "TRAC"
     est = rate_max * duration_s
     n = int(est + 10.0 * math.sqrt(est + 1.0)) + 64
-    with _np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
         while True:
-            idx = _np.arange(n, dtype=_np.uint64)
+            idx = np.arange(n, dtype=np.uint64)
             base = _splitmix(_U64(h) ^ (idx * _CMB))
             u1 = (_fin3(base + _G) >> _S11) * _INV_2_53
             u2 = (_fin3(base + _G2) >> _S11) * _INV_2_53
-            u1 = _np.maximum(u1, 1e-12)
-            t = _np.cumsum(-vlog(u1) / rate_max)
+            u1 = np.maximum(u1, 1e-12)
+            t = np.cumsum(-vlog(u1) / rate_max)
             if t[-1] >= duration_s:
                 break
             n *= 2
-    stop = int(_np.argmax(t >= duration_s))  # scalar loop breaks here
+    stop = int(np.argmax(t >= duration_s))  # scalar loop breaks here
     t = t[:stop]
     u2 = u2[:stop]
     accept = (u2 * rate_max) <= rate_vec(t)
@@ -398,11 +389,11 @@ def _dataset_name_tag(name: str) -> int:
 def _sample_lengths(H, salt: int, dist) -> object:
     """Vector ``LengthDistribution.sample`` (clipped lognormal, Box-Muller)."""
     u1, u2 = _uniform2_cols(H, _U64(salted(salt)))
-    u1 = _np.maximum(u1, 1e-12)
-    z = _np.sqrt(-2.0 * vlog(u1)) * vcos((2.0 * math.pi) * u2)
+    u1 = np.maximum(u1, 1e-12)
+    z = np.sqrt(-2.0 * vlog(u1)) * vcos((2.0 * math.pi) * u2)
     mu = math.log(dist.mean) - 0.5 * dist.sigma**2
-    value = _np.rint(vexp(mu + dist.sigma * z)).astype(_np.int64)
-    return _np.clip(value, dist.lo, dist.hi)
+    value = np.rint(vexp(mu + dist.sigma * z)).astype(np.int64)
+    return np.clip(value, dist.lo, dist.hi)
 
 
 def _length_columns(gen: "WorkloadGenerator", cats: tuple[CategoryMeta, ...], cat_idx, indices):
@@ -413,14 +404,14 @@ def _length_columns(gen: "WorkloadGenerator", cats: tuple[CategoryMeta, ...], ca
     sessions), grouped by dataset so each group shares one hash prefix.
     """
     n = indices.shape[0]
-    prompt = _np.empty(n, dtype=_np.int64)
-    output = _np.empty(n, dtype=_np.int64)
+    prompt = np.empty(n, dtype=np.int64)
+    output = np.empty(n, dtype=np.int64)
     # Dataset index per row, via the category -> dataset mapping.
     ds_names = sorted({c.dataset for c in cats})
-    ds_of_cat = _np.array([ds_names.index(c.dataset) for c in cats], dtype=_np.int64)
+    ds_of_cat = np.array([ds_names.index(c.dataset) for c in cats], dtype=np.int64)
     row_ds = ds_of_cat[cat_idx]
     for di, ds_name in enumerate(ds_names):
-        rows = _np.nonzero(row_ds == di)[0]
+        rows = np.nonzero(row_ds == di)[0]
         if rows.size == 0:
             continue
         dataset = gen.datasets[ds_name]
@@ -443,9 +434,9 @@ def _category_column(gen: "WorkloadGenerator", mix: dict[str, float], draws):
     names, cdf = gen._category_cdf(mix)
     prefix = _U64(hash_seed(gen.seed, 0x434154))  # "CAT"
     u = (_splitmix(_vmix(prefix, draws)) >> _S11) * _INV_2_53
-    cdf_arr = _np.array(cdf, dtype=_np.float64)
-    idx = _np.searchsorted(cdf_arr, u, side="right")
-    return names, _np.minimum(idx, len(names) - 1).astype(_np.int64)
+    cdf_arr = np.array(cdf, dtype=np.float64)
+    idx = np.searchsorted(cdf_arr, u, side="right")
+    return names, np.minimum(idx, len(names) - 1).astype(np.int64)
 
 
 def columnar_from_arrivals(
@@ -456,10 +447,10 @@ def columnar_from_arrivals(
     ``arrivals`` must already be ascending (the caller's contract after
     its monotonicity scan).
     """
-    arrival = _np.asarray(arrivals, dtype=_np.float64)
+    arrival = np.asarray(arrivals, dtype=np.float64)
     n = arrival.shape[0]
-    rids = _np.arange(n, dtype=_np.uint64)
-    with _np.errstate(over="ignore"):
+    rids = np.arange(n, dtype=np.uint64)
+    with np.errstate(over="ignore"):
         names, cat_idx = _category_column(gen, mix, rids)
         cats = _category_meta(gen, names)
         prompt, output = _length_columns(gen, cats, cat_idx, rids)
@@ -488,14 +479,14 @@ def columnar_phased(
     names = list(order)
     cats = _category_meta(gen, names)
     pos = {name: i for i, name in enumerate(names)}
-    arrival = _np.fromiter(
-        (t for t, _ in pairs), dtype=_np.float64, count=len(pairs)
+    arrival = np.fromiter(
+        (t for t, _ in pairs), dtype=np.float64, count=len(pairs)
     )
-    cat_idx = _np.fromiter(
-        (pos[cat] for _, cat in pairs), dtype=_np.int64, count=len(pairs)
+    cat_idx = np.fromiter(
+        (pos[cat] for _, cat in pairs), dtype=np.int64, count=len(pairs)
     )
-    rids = _np.arange(len(pairs), dtype=_np.uint64)
-    with _np.errstate(over="ignore"):
+    rids = np.arange(len(pairs), dtype=np.uint64)
+    with np.errstate(over="ignore"):
         prompt, output = _length_columns(gen, cats, cat_idx, rids)
     return ColumnarWorkload(
         arrival=arrival,
@@ -531,11 +522,11 @@ def columnar_sessions(
     turns = sgen.turns
     baseline = gen.roofline.baseline_decode_latency
     S = len(starts)
-    start_col = _np.asarray(starts, dtype=_np.float64)
-    s_arr = _np.arange(S, dtype=_np.uint64)
-    k_arr = _np.arange(turns, dtype=_np.uint64)
+    start_col = np.asarray(starts, dtype=np.float64)
+    s_arr = np.arange(S, dtype=np.uint64)
+    k_arr = np.arange(turns, dtype=np.uint64)
 
-    with _np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
         # Per-session category: _sample_category(mix, derive_seed(seed,
         # "session-category", s)).
         cat_prefix = _U64(_derive_prefix(seed, "session-category"))
@@ -554,24 +545,24 @@ def columnar_sessions(
         prompt_grid, output_grid = _length_columns(
             gen,
             cats,
-            _np.repeat(cat_idx, turns),
+            np.repeat(cat_idx, turns),
             d_turn.ravel(),
         )
         prompt_grid = prompt_grid.reshape(S, turns)
         output_grid = output_grid.reshape(S, turns)
 
         # Follow-up user turns are shorter than the opening prompt.
-        user_grid = _np.where(
+        user_grid = np.where(
             k_arr[None, :] == _U64(0),
             prompt_grid,
-            _np.maximum(_MIN_USER_TOKENS, prompt_grid // _FOLLOWUP_DIVISOR),
+            np.maximum(_MIN_USER_TOKENS, prompt_grid // _FOLLOWUP_DIVISOR),
         )
 
         # Session-stream history before each turn (ints, exact).
         contrib = user_grid + output_grid
-        history = _np.zeros((S, turns), dtype=_np.int64)
+        history = np.zeros((S, turns), dtype=np.int64)
         if turns > 1:
-            history[:, 1:] = _np.cumsum(contrib[:, :-1], axis=1)
+            history[:, 1:] = np.cumsum(contrib[:, :-1], axis=1)
 
         # Think-time gaps: uniform(hash_seed(seed, 0x47415021, s), k).
         gap_h = _vmix(_U64(hash_seed(seed, 0x47415021)), s_arr)  # "GAP!"
@@ -579,19 +570,19 @@ def columnar_sessions(
 
         # Arrival chain per session: arrival_{k+1} = arrival_k +
         # output_k * baseline - log(max(gap_k, 1e-12)) * think_time.
-        inc = output_grid * baseline - vlog(_np.maximum(gap, 1e-12)) * sgen.think_time_s
-        chain = _np.empty((S, turns), dtype=_np.float64)
+        inc = output_grid * baseline - vlog(np.maximum(gap, 1e-12)) * sgen.think_time_s
+        chain = np.empty((S, turns), dtype=np.float64)
         chain[:, 0] = start_col
         if turns > 1:
             chain[:, 1:] = inc[:, :-1]
-        arrival_grid = _np.cumsum(chain, axis=1)
+        arrival_grid = np.cumsum(chain, axis=1)
 
         # The scalar loop breaks at the first arrival >= duration.
-        keep = _np.logical_and.accumulate(arrival_grid < duration_s, axis=1)
+        keep = np.logical_and.accumulate(arrival_grid < duration_s, axis=1)
 
-    row_s, row_k = _np.nonzero(keep)
+    row_s, row_k = np.nonzero(keep)
     arrival = arrival_grid[keep]
-    order = _np.lexsort((row_k, row_s, arrival))
+    order = np.lexsort((row_k, row_s, arrival))
     seg_tokens = (history + user_grid)[keep][order]
     return ColumnarWorkload(
         arrival=arrival[order],
@@ -599,8 +590,8 @@ def columnar_sessions(
         prompt_len=sgen.system_prompt + seg_tokens,
         output_len=output_grid[keep][order],
         categories=cats,
-        session_id=row_s[order].astype(_np.int64),
-        turn_index=row_k[order].astype(_np.int64),
+        session_id=row_s[order].astype(np.int64),
+        turn_index=row_k[order].astype(np.int64),
         seg_namespace=sess_ns[row_s][order],
         seg_tokens=seg_tokens,
         sys_namespace=(

@@ -135,10 +135,7 @@ class WorkloadGenerator:
         ``from_arrivals(...)`` but the column store holds 32 bytes per
         request (64 with session columns) and materializes lazily
         (``iter_chunks``/``iter_requests``).
-        Requires the batch substrate; raises when numpy is unavailable.
         """
-        if not batcharrivals.AVAILABLE:
-            raise RuntimeError("columnar workloads require numpy (unavailable)")
         mix = mix or DEFAULT_MIX
         unknown = set(mix) - set(self.categories)
         if unknown:

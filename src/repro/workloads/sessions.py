@@ -172,11 +172,9 @@ class SessionGenerator:
         Same requests as :meth:`generate` — ``columnar(...).materialize()``
         is bit-identical — but holds ~60 bytes per request instead of a
         ``Request`` object, and supports chunked/lazy materialization via
-        ``iter_chunks`` / ``iter_requests``.  Requires the batch substrate
-        (:mod:`repro.workloads.batcharrivals`); raises otherwise.
+        ``iter_chunks`` / ``iter_requests``; built by the batch substrate
+        (:mod:`repro.workloads.batcharrivals`).
         """
-        if not batcharrivals.AVAILABLE:
-            raise RuntimeError("columnar workloads require numpy (unavailable)")
         if duration_s <= 0 or rps <= 0:
             raise ValueError("duration and rps must be positive")
         mix = mix or DEFAULT_MIX

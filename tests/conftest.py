@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import Counter
+from functools import cache
 
+import hypothesis.strategies as st
 import pytest
 
 from repro._rng import mix
+from repro.core.selection import RequestSelection, SelectionResult
 from repro.core.speculation import SpeculationResult
-from repro.core.tree import TokenTree, TreeNode
+from repro.core.tree import TokenTree
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model import batchgen
 from repro.model.draft import DraftLM
-from repro.model.pair import ModelPair
+from repro.model.pair import PAIR_PRESETS, ModelPair
 from repro.model.stochastic_lm import StochasticLM
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
@@ -41,22 +46,26 @@ def generated(monkeypatch) -> Counter:
     ``target`` counts scalar ``StochasticLM._generate`` calls plus rows
     of the vectorized ``batchgen._generate_rows``; ``draft`` counts
     entries the scalar ``DraftLM.distribution`` adds to its memo plus
-    the noise rows ``batchgen._generate_rows`` draws.  Memo hits count
+    the noise rows ``batchgen._noise_rows`` draws.  Memo hits count
     nothing.
     """
     counts: Counter = Counter()
     generate = StochasticLM._generate
     generate_rows = batchgen._generate_rows
+    noise_rows = batchgen._noise_rows
     draft_distribution = DraftLM.distribution
 
     def counted_generate(self, ctx, center):
         counts["target"] += 1
         return generate(self, ctx, center)
 
-    def counted_generate_rows(lm, C, centers, noise=False):
+    def counted_generate_rows(lm, C, centers):
         counts["target"] += len(C)
-        counts["draft"] += len(C) if noise else 0
-        return generate_rows(lm, C, centers, noise)
+        return generate_rows(lm, C, centers)
+
+    def counted_noise_rows(X, k):
+        counts["draft"] += len(X)
+        return noise_rows(X, k)
 
     def counted_draft_distribution(self, ctx, center=None):
         before = len(self._cache)
@@ -66,8 +75,28 @@ def generated(monkeypatch) -> Counter:
 
     monkeypatch.setattr(StochasticLM, "_generate", counted_generate)
     monkeypatch.setattr(batchgen, "_generate_rows", counted_generate_rows)
+    monkeypatch.setattr(batchgen, "_noise_rows", counted_noise_rows)
     monkeypatch.setattr(DraftLM, "distribution", counted_draft_distribution)
     return counts
+
+
+#: Every preset, a perfectly aligned draft (its top-w is the target row's
+#: first w slots, which are not sorted by probability), and a vocabulary
+#: so small that most rows' first token draws collide.
+ORACLE_PAIRS = (*sorted(PAIR_PRESETS), "perfect", "tiny-vocab")
+
+#: Per-request predictability centers, unset ones included.
+CENTERS = st.one_of(st.none(), st.sampled_from([0.3, 0.62, 0.7, 0.8, 0.95]))
+
+
+@cache
+def oracle_pair(name: str) -> ModelPair:
+    """The model pair an oracle test draws by name (see :data:`ORACLE_PAIRS`)."""
+    if name == "perfect":
+        return ModelPair.build(vocab_size=1000, seed=7, alignment=1.0)
+    if name == "tiny-vocab":
+        return ModelPair.build(vocab_size=24, seed=6)
+    return ModelPair.from_preset(name, seed=11)
 
 
 @pytest.fixture
@@ -125,6 +154,132 @@ def autoregressive_ctx(
     return ctx
 
 
+class TreeNode:
+    """One node of a reference (object-per-node) draft token tree."""
+
+    __slots__ = (
+        "token_id",
+        "ctx_hash",
+        "draft_prob",
+        "path_prob",
+        "depth",
+        "parent",
+        "children",
+        "selected",
+    )
+
+    def __init__(
+        self,
+        token_id: int,
+        ctx_hash: int,
+        draft_prob: float,
+        path_prob: float,
+        depth: int,
+        parent: "TreeNode | None",
+    ) -> None:
+        self.token_id = token_id
+        self.ctx_hash = ctx_hash
+        self.draft_prob = draft_prob
+        self.path_prob = path_prob
+        self.depth = depth
+        self.parent = parent
+        self.children: list[TreeNode] = []
+        self.selected = False
+
+    @property
+    def is_root(self) -> bool:
+        return self.parent is None
+
+
+class ObjectTree:
+    """The object-per-node tree the reference builder and selection use.
+
+    ``repro.core.tree.TokenTree`` stores the same nodes as columns;
+    :func:`object_tree` converts one into the other.
+    """
+
+    def __init__(self, root_token: int, root_ctx: int) -> None:
+        self.root = TreeNode(root_token, root_ctx, 1.0, 1.0, 0, None)
+        self._nodes: list[TreeNode] = [self.root]
+
+    def add_child(self, parent: TreeNode, token_id: int, ctx_hash: int, draft_prob: float) -> TreeNode:
+        if not 0.0 <= draft_prob <= 1.0:
+            raise ValueError(f"draft_prob out of range: {draft_prob}")
+        node = TreeNode(
+            token_id, ctx_hash, draft_prob, parent.path_prob * draft_prob, parent.depth + 1, parent
+        )
+        parent.children.append(node)
+        self._nodes.append(node)
+        return node
+
+    def nodes(self, include_root: bool = True) -> list[TreeNode]:
+        return list(self._nodes if include_root else self._nodes[1:])
+
+    @property
+    def size(self) -> int:
+        return len(self._nodes)
+
+    @property
+    def num_speculated(self) -> int:
+        return len(self._nodes) - 1
+
+    @property
+    def depth(self) -> int:
+        return max(n.depth for n in self._nodes)
+
+    def clear_selection(self) -> None:
+        for n in self._nodes[1:]:
+            n.selected = False
+
+    def is_selection_connected(self) -> bool:
+        return all(
+            not n.selected or n.parent.is_root or n.parent.selected for n in self._nodes[1:]
+        )
+
+    def extract_selected(self) -> "ObjectTree":
+        """Copy the selected subtree (plus root) into a standalone tree.
+
+        Raises ``ValueError`` if the selection is not connected.
+        """
+        if not self.is_selection_connected():
+            raise ValueError("selection is not connected; cannot extract a valid tree")
+        out = ObjectTree(self.root.token_id, self.root.ctx_hash)
+        mapping: dict[int, TreeNode] = {id(self.root): out.root}
+        # insertion order guarantees parents precede children
+        for node in self._nodes[1:]:
+            if node.selected:
+                mapping[id(node)] = out.add_child(
+                    mapping[id(node.parent)], node.token_id, node.ctx_hash, node.draft_prob
+                )
+        return out
+
+
+def object_tree(tree: TokenTree) -> ObjectTree:
+    """The reference-object copy of an index tree (selection flags included)."""
+    out = ObjectTree(tree.token[0], tree.ctx[0])
+    nodes = [out.root]
+    for i in tree.nodes(include_root=False):
+        node = out.add_child(nodes[tree.parent[i]], tree.token[i], tree.ctx[i], tree.draft_prob[i])
+        node.selected = tree.selected[i]
+        nodes.append(node)
+    return out
+
+
+def assert_same_tree(tree: TokenTree, ref: ObjectTree) -> None:
+    """Every column of ``tree`` equals the reference's nodes, exactly."""
+    ref_nodes = ref.nodes()
+    index = {id(node): i for i, node in enumerate(ref_nodes)}
+    assert tree.size == len(ref_nodes)
+    assert tree.token == [n.token_id for n in ref_nodes]
+    assert tree.ctx == [n.ctx_hash for n in ref_nodes]
+    assert tree.draft_prob == [n.draft_prob for n in ref_nodes]  # exact floats
+    assert tree.path_prob == [n.path_prob for n in ref_nodes]
+    assert tree.level == [n.depth for n in ref_nodes]
+    assert tree.parent == [-1 if n.parent is None else index[id(n.parent)] for n in ref_nodes]
+    assert tree.child_lists() == [[index[id(c)] for c in n.children] for n in ref_nodes]
+    assert tree.selected[1:] == [n.selected for n in ref_nodes[1:]]
+
+
 def reference_speculate(
     pair: ModelPair,
     roots: list[tuple[int, int]],
@@ -138,14 +293,17 @@ def reference_speculate(
     every frontier node offers its draft top-``width`` children, scored
     by ``path_prob * prob``, and the ``width`` best candidates across
     the frontier (``sorted(..., reverse=True)`` order) join the tree.
+    Step ``L`` drafts every frontier node of level ``L - 1``.
     """
     if centers is None:
         centers = [None] * len(roots)
     trees = []
+    step_tokens = [0] * depth if roots else []
     for (root_token, root_ctx), center in zip(roots, centers):
-        tree = TokenTree(root_token, root_ctx)
+        tree = ObjectTree(root_token, root_ctx)
         frontier: list[TreeNode] = [tree.root]
-        for _ in range(depth):
+        for level in range(depth):
+            step_tokens[level] += len(frontier)
             candidates = []
             for node in frontier:
                 dist = pair.draft.distribution(node.ctx_hash, center)
@@ -157,9 +315,127 @@ def reference_speculate(
                 for _score, parent, tok, prob in candidates[:width]
             ]
         trees.append(tree)
-    n = len(roots)
-    step_tokens = () if depth == 0 or n == 0 else (n, *(n * width for _ in range(depth - 1)))
-    return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=step_tokens)
+    return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=tuple(step_tokens))
+
+
+class _Frontier:
+    """Max-heap of selectable nodes for one reference tree."""
+
+    __slots__ = ("_heap", "_counter")
+
+    def __init__(self, root: TreeNode, counter: "itertools.count") -> None:
+        self._heap: list[tuple[float, int, TreeNode]] = []
+        self._counter = counter
+        for child in root.children:
+            heapq.heappush(self._heap, (-child.path_prob, next(counter), child))
+
+    def peek_prob(self) -> float:
+        return -self._heap[0][0] if self._heap else float("-inf")
+
+    def pop(self) -> TreeNode | None:
+        if not self._heap:
+            return None
+        _, _, node = heapq.heappop(self._heap)
+        node.selected = True
+        for child in node.children:
+            heapq.heappush(self._heap, (-child.path_prob, next(self._counter), child))
+        return node
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+
+def reference_select_tokens(
+    trees: list[ObjectTree],
+    requirements: list[float],
+    budget: int,
+    n_max: int,
+    depth: int | None = None,
+) -> SelectionResult:
+    """Algorithm 2 over node objects: the oracle for ``select_tokens``."""
+    n = len(trees)
+    counter = itertools.count()
+    scanned = 0
+    for tree in trees:
+        tree.clear_selection()
+    frontiers = [_Frontier(t.root, counter) for t in trees]
+    selections = [
+        RequestSelection(
+            tree=t,
+            requirement=req,
+            capped_requirement=min(req, float((depth if depth is not None else t.depth) + 1)),
+        )
+        for t, req in zip(trees, requirements)
+    ]
+    remaining = budget - n
+
+    order = sorted(range(n), key=lambda i: selections[i].requirement, reverse=True)
+    for i in order:
+        sel = selections[i]
+        frontier = frontiers[i]
+        while (
+            sel.expected_accepted < sel.capped_requirement
+            and sel.slo_tokens < n_max
+            and remaining > 0
+        ):
+            node = frontier.pop()
+            scanned += 1
+            if node is None:
+                break
+            sel.expected_accepted += node.path_prob
+            sel.slo_tokens += 1
+            remaining -= 1
+        sel.slo_satisfied = sel.expected_accepted >= sel.capped_requirement
+
+    global_heap: list[tuple[float, int, int]] = [
+        (-frontiers[i].peek_prob(), next(counter), i) for i in range(n) if len(frontiers[i]) > 0
+    ]
+    heapq.heapify(global_heap)
+    while remaining > 0 and global_heap:
+        neg_prob, _, i = heapq.heappop(global_heap)
+        frontier = frontiers[i]
+        live = frontier.peek_prob()
+        if live == float("-inf"):
+            continue
+        if -neg_prob > live + 1e-18:
+            heapq.heappush(global_heap, (-live, next(counter), i))
+            continue
+        node = frontier.pop()
+        scanned += 1
+        if node is None:
+            continue
+        sel = selections[i]
+        sel.expected_accepted += node.path_prob
+        sel.throughput_tokens += 1
+        remaining -= 1
+        if len(frontier) > 0:
+            heapq.heappush(global_heap, (-frontier.peek_prob(), next(counter), i))
+
+    return SelectionResult(
+        selections=selections,
+        budget=budget,
+        budget_used=budget - remaining,
+        candidates_scanned=scanned,
+    )
+
+
+def reference_verify_tree(
+    pair: ModelPair, root: TreeNode, center: float | None = None
+) -> tuple[list[TreeNode], int, int]:
+    """Tree verification over node objects: the oracle for ``verify_tree``."""
+    node = root
+    accepted: list[TreeNode] = []
+    while True:
+        emitted = pair.target_sample(node.ctx_hash, center)
+        nxt = None
+        for child in node.children:
+            if child.token_id == emitted:
+                nxt = child
+                break
+        if nxt is None:
+            return accepted, emitted, pair.extend(node.ctx_hash, emitted)
+        accepted.append(nxt)
+        node = nxt
 
 
 def reference_draft_chains(

@@ -77,7 +77,7 @@ class TestVerifyTree:
     def test_single_root_tree(self, pair):
         ctx = pair.context_of([1, 1])
         tree = TokenTree(0, ctx)
-        accepted, corr, new_ctx = verify_tree(pair, tree.root)
+        accepted, corr, new_ctx = verify_tree(pair, tree)
         assert accepted == []
         assert corr == pair.target_sample(ctx)
         assert new_ctx == pair.extend(ctx, corr)
@@ -86,18 +86,18 @@ class TestVerifyTree:
         ctx = pair.context_of([3, 1])
         tree = TokenTree(0, ctx)
         emitted = pair.target_sample(ctx)
-        child = tree.add_child(tree.root, emitted, pair.extend(ctx, emitted), 0.9)
-        accepted, corr, _ = verify_tree(pair, tree.root)
-        assert accepted[0] is child
-        assert corr == pair.target_sample(child.ctx_hash)
+        child = tree.add_child(0, emitted, pair.extend(ctx, emitted), 0.9)
+        accepted, corr, _ = verify_tree(pair, tree)
+        assert accepted[0] == child
+        assert corr == pair.target_sample(tree.ctx[child])
 
     def test_rejects_non_matching_children(self, pair):
         ctx = pair.context_of([3, 2])
         emitted = pair.target_sample(ctx)
         tree = TokenTree(0, ctx)
-        tree.add_child(tree.root, emitted + 1, pair.extend(ctx, emitted + 1), 0.5)
-        tree.add_child(tree.root, emitted + 2, pair.extend(ctx, emitted + 2), 0.4)
-        accepted, corr, _ = verify_tree(pair, tree.root)
+        tree.add_child(0, emitted + 1, pair.extend(ctx, emitted + 1), 0.5)
+        tree.add_child(0, emitted + 2, pair.extend(ctx, emitted + 2), 0.4)
+        accepted, corr, _ = verify_tree(pair, tree)
         assert accepted == []
         assert corr == emitted
 
@@ -105,10 +105,10 @@ class TestVerifyTree:
         # Accepted nodes must form a parent chain from the root.
         ctx = pair.context_of([9, 9])
         tree = build_candidate_tree(pair, 0, ctx, depth=4, width=3)
-        accepted, _, _ = verify_tree(pair, tree.root)
-        prev = tree.root
+        accepted, _, _ = verify_tree(pair, tree)
+        prev = 0
         for node in accepted:
-            assert node.parent is prev
+            assert tree.parent[node] == prev
             prev = node
 
     def test_tree_vs_sequence_consistency(self, pair):
@@ -117,14 +117,14 @@ class TestVerifyTree:
         tokens = []
         c = ctx
         tree = TokenTree(0, ctx)
-        node = tree.root
+        node = 0
         for _ in range(3):
             tok, p = pair.draft_children(c, 1)[0]
             tokens.append(tok)
             c = pair.extend(c, tok)
             node = tree.add_child(node, tok, c, p)
         n_seq, corr_seq, ctx_seq = verify_sequence(pair, ctx, tokens)
-        accepted, corr_tree, ctx_tree = verify_tree(pair, tree.root)
+        accepted, corr_tree, ctx_tree = verify_tree(pair, tree)
         assert len(accepted) == n_seq
         assert corr_tree == corr_seq
         assert ctx_tree == ctx_seq
@@ -155,8 +155,8 @@ class TestTheorem31:
         for i in range(n):
             ctx = pair.context_of([i, 13])
             tree = build_candidate_tree(pair, 0, ctx, depth=3, width=2)
-            total_expected += expected_accepted_tokens(pair, tree.root)
-            accepted, _, _ = verify_tree(pair, tree.root)
+            total_expected += expected_accepted_tokens(pair, tree)
+            accepted, _, _ = verify_tree(pair, tree)
             total_actual += len(accepted)
         assert abs(total_expected / n - total_actual / n) < 0.12
 
@@ -164,10 +164,10 @@ class TestTheorem31:
         # Adding a node increases E[acc] by exactly its true path prob.
         ctx = pair.context_of([2, 2])
         tree = TokenTree(0, ctx)
-        before = expected_accepted_tokens(pair, tree.root)
+        before = expected_accepted_tokens(pair, tree)
         tok = pair.target_distribution(ctx).token_ids[0]
-        tree.add_child(tree.root, tok, pair.extend(ctx, tok), 0.5)
-        after = expected_accepted_tokens(pair, tree.root)
+        tree.add_child(0, tok, pair.extend(ctx, tok), 0.5)
+        after = expected_accepted_tokens(pair, tree)
         assert math.isclose(after - before, true_path_probability(pair, ctx, [tok]))
 
     def test_sibling_acceptance_probs_sum_to_one(self, pair):

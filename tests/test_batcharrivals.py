@@ -1,7 +1,7 @@
 """Bit-identity of the columnar workload substrate (repro.workloads.batcharrivals).
 
-Every trace factory gates onto the vectorized path when numpy is
-importable and the batch is large enough; the contract is that the
+Every trace factory switches to the vectorized path when the batch is
+large enough; the contract is that the
 switch is *invisible* — same seeds, byte-for-byte the same requests.
 Each test generates a workload with the vector path enabled, flips
 ``batcharrivals.DISABLED``, regenerates through the scalar path, and
@@ -21,11 +21,6 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.sessions import SessionGenerator
 
 from tests.conftest import tiny_generator
-
-pytestmark = pytest.mark.skipif(
-    not batcharrivals.AVAILABLE, reason="numpy unavailable; substrate disabled"
-)
-
 
 @pytest.fixture
 def scalar_toggle():

@@ -10,11 +10,17 @@ compares bit for bit (including the duplicate-draw repair path).
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro._rng import mix
+from repro.model import batchgen
 from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import StochasticLM, TokenDistribution
 from repro.model.vocab import Vocabulary
+from tests.conftest import CENTERS, ORACLE_PAIRS, oracle_pair
 
 
 def _ctxs(lm, tag: int, n: int) -> list[int]:
@@ -128,3 +134,74 @@ class TestTokenDistribution:
         b = TokenDistribution((1, 2), (0.8, 0.2))
         assert a == b and hash(a) == hash(b)
         assert a != TokenDistribution((1, 3), (0.8, 0.2))
+
+
+class TestEmissions:
+    """The kernel's emission column is ``StochasticLM.sample``, row by row."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_emission_memo_matches_scalar_sample(self, data):
+        pair = oracle_pair(data.draw(st.sampled_from(ORACLE_PAIRS)))
+        n = data.draw(st.integers(1, 40))
+        ctxs = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+        centers = data.draw(st.lists(CENTERS, min_size=n, max_size=n))
+        pair.clear_caches()
+        C = np.array(ctxs, dtype=np.uint64)
+        batchgen.draft_top(pair.draft, C, batchgen.Centers(pair.target, centers), 2)
+        emissions = dict(pair.target._emissions)
+        pair.clear_caches()
+        assert set(emissions) == {
+            ctx if c is None else mix(ctx, int(c * 1e6)) for ctx, c in zip(ctxs, centers)
+        }
+        for ctx, c in zip(ctxs, centers):
+            key = ctx if c is None else mix(ctx, int(c * 1e6))
+            assert emissions[key] == pair.target.sample(ctx, c)
+
+    def test_collided_rows_emit_repaired_ids(self):
+        pair = oracle_pair("tiny-vocab")
+        ctxs = [pair.context_of([i]) for i in range(64)]
+        C = np.array(ctxs, dtype=np.uint64)
+        centers = batchgen.Centers(pair.target, [None] * 64)
+        P, ids, _X, u = batchgen._target_rows(pair.target, C, centers)
+        emitted = batchgen._emissions(P, ids, u).tolist()
+        pair.clear_caches()
+        assert emitted == [pair.target.sample(ctx) for ctx in ctxs]
+
+    def test_slot_edges_match_the_scalar_loop(self):
+        # Uniforms exactly on a running sum, and past a total below 1.
+        P = np.array([[0.25, 0.25, 0.25, 0.125], [0.5, 0.25, 0.125, 0.0625]])
+        ids = np.array([[10, 11, 12, 13], [20, 21, 22, 23]], dtype=np.uint64)
+        for u_bits in (0, 2**51, 2**52, 2**52 + 2**51, 2**53 - 1):
+            u = u_bits * 2.0**-53
+            want = []
+            for row_p, row_ids in zip(P.tolist(), ids.tolist()):
+                acc = 0.0
+                for tid, p in zip(row_ids, row_p):
+                    acc += p
+                    if u < acc:
+                        want.append(tid)
+                        break
+                else:
+                    want.append(row_ids[-1])
+            assert batchgen._emissions(P, ids, np.full(2, u)).tolist() == want
+
+    def test_running_sums_fold_left_to_right(self):
+        # Wide rows whose pairwise sum (np.sum) differs from the
+        # sequential one; a uniform between the two tells them apart.
+        rng = np.random.default_rng(1)
+        checked = 0
+        for _ in range(200):
+            P = rng.random((1, 12))
+            P /= P.cumsum(axis=1)[:, -1:]
+            ids = np.arange(12, dtype=np.uint64)[None, :]
+            sequential = P.cumsum(axis=1)[0]
+            for j in range(11):
+                pairwise = P[0, : j + 1].sum()
+                if pairwise == sequential[j]:
+                    continue
+                u = min(pairwise, sequential[j])
+                want = next((t for t, acc in enumerate(sequential) if u < acc), 11)
+                assert batchgen._emissions(P, ids, np.array([u])).tolist() == [want]
+                checked += 1
+        assert checked > 20

@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.runner import run_spec
 from repro.analysis.spec import ExperimentSpec
+from repro.core.speculation import speculate_batch
 from repro.model import batchgen, stochastic_lm
 from repro.model.draft import DraftLM
 from repro.model.pair import ModelPair
@@ -233,33 +234,72 @@ class TestMemoLifetime:
         for seed in range(4):
             for alignment in (0.5, 0.9):
                 pairs.append(ModelPair.build(vocab_size=1000, seed=seed, alignment=alignment))
-                assert len(registry) <= 2
+                assert len(registry) <= 3
         newest = pairs[-1]
-        assert list(registry.values()) == [newest.target._cache, newest.draft._cache]
+        assert list(registry.values()) == [
+            newest.target._cache,
+            newest.target._emissions,
+            newest.draft._cache,
+        ]
 
     def test_lookup_refreshes_a_memo(self):
         first = StochasticLM(Vocabulary(1000), seed=1)
-        StochasticLM(Vocabulary(1000), seed=2)
-        again = StochasticLM(Vocabulary(1000), seed=1)  # seed 1 is newest now
-        StochasticLM(Vocabulary(1000), seed=3)  # evicts seed 2, not seed 1
+        DraftLM(first, alignment=0.5)
+        again = StochasticLM(Vocabulary(1000), seed=1)  # seed 1's memos are newest now
+        DraftLM(first, alignment=0.6)  # evicts the 0.5 draft memo, not seed 1's
         assert again._cache is first._cache
-        assert any(memo is first._cache for memo in stochastic_lm._SHARED_CACHES.values())
+        assert again._emissions is first._emissions
+        memos = list(stochastic_lm._SHARED_CACHES.values())
+        assert any(memo is first._cache for memo in memos)
+        assert any(memo is first._emissions for memo in memos)
 
     def test_evicted_memo_is_kept_by_its_model(self):
         old = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
         ctxs = [old.context_of([i]) for i in range(50)]
+        speculate_batch(old, [(0, c) for c in ctxs[25:]], depth=2, width=2)
         before = [(old.draft.distribution(c), old.target.sample(c)) for c in ctxs]
-        sizes = (len(old.target._cache), len(old.draft._cache))
+        sizes = (len(old.target._cache), len(old.target._emissions), len(old.draft._cache))
+        assert sizes[1] > 0
         ModelPair.build(vocab_size=1000, seed=6, alignment=0.8)
         memos = stochastic_lm._SHARED_CACHES.values()
         assert all(memo is not old.target._cache for memo in memos)
+        assert all(memo is not old.target._emissions for memo in memos)
         assert all(memo is not old.draft._cache for memo in memos)
-        assert (len(old.target._cache), len(old.draft._cache)) == sizes
+        assert (len(old.target._cache), len(old.target._emissions), len(old.draft._cache)) == sizes
         after = [(old.draft.distribution(c), old.target.sample(c)) for c in ctxs]
         assert after == before
         fresh = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
         assert fresh.target._cache is not old.target._cache
+        assert fresh.target._emissions is not old.target._emissions
         assert [(fresh.draft.distribution(c), fresh.target.sample(c)) for c in ctxs] == before
+
+    def test_emission_memo_is_keyed_by_seed(self):
+        a = ModelPair.build(vocab_size=1000, seed=5)
+        b = ModelPair.build(vocab_size=1000, seed=5)
+        assert a.target._emissions is b.target._emissions
+        assert a.target._emissions is not a.target._cache
+        other = ModelPair.build(vocab_size=1000, seed=6)
+        assert other.target._emissions is not a.target._emissions
+        (signature,) = [
+            sig
+            for sig, memo in stochastic_lm._SHARED_CACHES.items()
+            if memo is other.target._emissions
+        ]
+        assert signature[0] == "emission" and signature[-1] == 6
+
+    def test_emission_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(batchgen, "MEMO_CAP", 40)
+        pair = ModelPair.build(vocab_size=1000, seed=5)
+        memo = pair.target._emissions
+        sizes = []
+        for i in range(6):
+            roots = [(0, pair.context_of([i, j])) for j in range(12)]
+            speculate_batch(pair, roots, depth=1, width=2)
+            sizes.append(len(memo))
+        assert max(sizes) <= 40
+        assert sizes[:3] == [12, 24, 36] and sizes[3] == 12  # emptied, then refilled
+        pair.target.clear_cache()
+        assert len(memo) == 0
 
     def test_distinct_seeds_do_not_pile_up(self, generated):
         for seed in (1, 2, 3):
@@ -270,31 +310,39 @@ class TestMemoLifetime:
         assert registry_entries() <= generated["target"] + generated["draft"]
 
     @pytest.mark.parametrize("system", ["adaserve", "vllm-spec:k=4"])
-    def test_speculation_memoizes_target_rows_only(self, monkeypatch, system):
+    def test_speculation_memoizes_emissions_only(self, monkeypatch, system):
         # Speculation regenerates draft rows per level instead of
-        # memoizing them; it memoizes the target row of each context it
-        # queries, which verification samples.
-        queried: set[tuple[int, float]] = set()
+        # memoizing them, and writes no target rows either: it memoizes
+        # the emission of each context it drafts, which verification
+        # samples.
+        queried: set[tuple[int, float | None]] = set()
+        targets = set()
         generate_rows = batchgen._generate_rows
-        generate = StochasticLM._generate
 
-        def recording_rows(lm, C, centers, noise=False):
-            queried.update(zip(C.tolist(), centers.tolist()))
-            return generate_rows(lm, C, centers, noise)
-
-        def recording_generate(self, ctx, center):
-            queried.add((ctx, center))
-            return generate(self, ctx, center)
+        def recording_rows(lm, C, centers):
+            targets.add(lm)
+            for ctx, center, keyed in zip(
+                C.tolist(), centers.effective.tolist(), centers.keyed.tolist()
+            ):
+                queried.add((ctx, center if keyed else None))
+            return generate_rows(lm, C, centers)
 
         monkeypatch.setattr(batchgen, "_generate_rows", recording_rows)
-        monkeypatch.setattr(StochasticLM, "_generate", recording_generate)
         spec = ExperimentSpec.create(
             model="llama70b", system=system, rps=4.0, duration_s=3.0, seed=9
         )
         first = run_spec(spec)
-        rows = dict.fromkeys(("target", "draft"), 0)
+        (target,) = targets
+        rows = dict.fromkeys(("target", "emission", "draft"), 0)
         for signature, memo in stochastic_lm._SHARED_CACHES.items():
             rows[signature[0]] += len(memo)
         assert rows["draft"] == 0
-        assert 0 < rows["target"] <= len(queried)
+        emissions = dict(target._emissions)
+        assert rows["emission"] == len(emissions) > 0
+        keys = {ctx if c is None else stochastic_lm.mix(ctx, int(c * 1e6)) for ctx, c in queried}
+        assert set(emissions) == keys
+        target.clear_cache()
+        for ctx, c in queried:
+            key = ctx if c is None else stochastic_lm.mix(ctx, int(c * 1e6))
+            assert emissions[key] == target.sample(ctx, c)
         assert run_spec(spec).metrics == first.metrics

@@ -45,7 +45,7 @@ class TestBasics:
         roots = [(0, perfect_pair.context_of([4]))]
         res = construct_optimal_trees(perfect_pair, roots, [1.5], budget=10)
         tree = res.trees[0]
-        assert all(n.selected for n in tree.nodes(include_root=False))
+        assert all(tree.selected[n] for n in tree.nodes(include_root=False))
         assert tree.is_selection_connected()
 
     def test_expected_accepted_matches_true_f(self, perfect_pair):
@@ -55,7 +55,7 @@ class TestBasics:
         tree = res.trees[0]
         total = 1.0
         for node in tree.nodes(include_root=False):
-            total += true_path_probability(pair, tree.root.ctx_hash, node.path_tokens())
+            total += true_path_probability(pair, tree.ctx[0], tree.path_tokens(node))
         assert res.expected_accepted[0] == pytest.approx(total)
 
 

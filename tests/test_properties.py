@@ -22,6 +22,7 @@ from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
 from repro.prefixcache import PrefixCacheManager
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
+from tests.conftest import object_tree
 
 _PAIR = ModelPair.build(vocab_size=1000, seed=99, alignment=0.85, predictability=0.7)
 _ROOFLINE = RooflineModel(DEPLOYMENT_PRESETS["llama70b-4xa100"])
@@ -61,18 +62,19 @@ class TestTreeProperties:
         assert tree.size <= 1 + depth * width
         assert tree.depth <= depth
         for node in tree.nodes(include_root=False):
-            assert 0.0 <= node.path_prob <= node.parent.path_prob
-            assert node.ctx_hash == _PAIR.extend(node.parent.ctx_hash, node.token_id)
+            parent = tree.parent[node]
+            assert 0.0 <= tree.path_prob[node] <= tree.path_prob[parent]
+            assert tree.ctx[node] == _PAIR.extend(tree.ctx[parent], tree.token[node])
 
     @given(st.lists(st.floats(0.01, 0.98), min_size=1, max_size=12))
     def test_chain_path_prob_is_product(self, probs):
         tree = TokenTree(0, 1)
-        node = tree.root
+        node = 0
         expected = 1.0
         for i, p in enumerate(probs):
             node = tree.add_child(node, i, i + 2, p)
             expected *= p
-        assert abs(node.path_prob - expected) < 1e-9
+        assert abs(tree.path_prob[node] - expected) < 1e-9
 
 
 class TestSelectionProperties:
@@ -96,7 +98,7 @@ class TestSelectionProperties:
         # Connectivity and extractability.
         for t in trees:
             assert t.is_selection_connected()
-            t.extract_selected()
+            object_tree(t).extract_selected()
         # n_max only bounds the SLO phase.
         for s in res.selections:
             assert s.slo_tokens <= n_max
@@ -112,18 +114,16 @@ class TestSelectionProperties:
         trees = speculate_batch(_PAIR, roots, 3, 2).trees
         select_tokens(trees, [0.0] * n, budget=n + extra)
         selected = [
-            x for t in trees for x in t.nodes(include_root=False) if x.selected
+            t.path_prob[x] for t in trees for x in t.nodes(include_root=False) if t.selected[x]
         ]
         frontier = [
-            x
+            t.path_prob[x]
             for t in trees
             for x in t.nodes(include_root=False)
-            if not x.selected and (x.parent.is_root or x.parent.selected)
+            if not t.selected[x] and (t.parent[x] == 0 or t.selected[t.parent[x]])
         ]
         if selected and frontier:
-            assert min(x.path_prob for x in selected) >= max(
-                x.path_prob for x in frontier
-            ) - 1e-12
+            assert min(selected) >= max(frontier) - 1e-12
 
 
 class TestRooflineProperties:

@@ -2,23 +2,37 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.selection import select_tokens
 from repro.core.speculation import speculate_batch
 from repro.core.tree import TokenTree
+from repro.model.acceptance import verify_tree
+from tests.conftest import (
+    CENTERS,
+    ORACLE_PAIRS,
+    assert_same_tree,
+    object_tree,
+    oracle_pair,
+    reference_select_tokens,
+    reference_verify_tree,
+)
+
+CONTEXTS = st.integers(0, 2**64 - 1)
 
 
 def build_manual_tree(spec: dict) -> TokenTree:
     """Tree from {token: (prob, {children})} nested dicts."""
     tree = TokenTree(0, 1000)
 
-    def add(parent, sub: dict, ctx: int):
+    def add(parent: int, sub: dict, ctx: int):
         for tok, (prob, children) in sub.items():
             node = tree.add_child(parent, tok, ctx * 31 + tok, prob)
             add(node, children, ctx * 31 + tok)
 
-    add(tree.root, spec, 1000)
+    add(0, spec, 1000)
     return tree
 
 
@@ -97,18 +111,16 @@ class TestThroughputPhase:
         ).trees
         select_tokens(trees, [0.0, 0.0], budget=2 + 6)
         selected = [
-            n for t in trees for n in t.nodes(include_root=False) if n.selected
+            t.path_prob[n] for t in trees for n in t.nodes(include_root=False) if t.selected[n]
         ]
         frontier_unselected = [
-            n
+            t.path_prob[n]
             for t in trees
             for n in t.nodes(include_root=False)
-            if not n.selected and (n.parent.is_root or n.parent.selected)
+            if not t.selected[n] and (t.parent[n] == 0 or t.selected[t.parent[n]])
         ]
         assert len(selected) == 6
-        assert min(n.path_prob for n in selected) >= max(
-            n.path_prob for n in frontier_unselected
-        )
+        assert min(selected) >= max(frontier_unselected)
 
     def test_global_greedy_selects_max_prob_order(self):
         # Manual trees with known probabilities: the selected set must be
@@ -116,8 +128,8 @@ class TestThroughputPhase:
         t1 = build_manual_tree({1: (0.9, {2: (0.8, {})}), 3: (0.2, {})})
         t2 = build_manual_tree({1: (0.6, {2: (0.5, {})}), 3: (0.3, {})})
         res = select_tokens([t1, t2], [0.0, 0.0], budget=2 + 3)
-        sel1 = {n.token_id for n in t1.nodes(include_root=False) if n.selected}
-        sel2 = {n.token_id for n in t2.nodes(include_root=False) if n.selected}
+        sel1 = {t1.token[n] for n in t1.nodes(include_root=False) if t1.selected[n]}
+        sel2 = {t2.token[n] for n in t2.nodes(include_root=False) if t2.selected[n]}
         # Top-3 path probs: 0.9, 0.72 (=0.9*0.8), 0.6.
         assert sel1 == {1, 2}
         assert sel2 == {1}
@@ -129,10 +141,18 @@ class TestValidity:
         assert all(t.is_selection_connected() for t in trees)
 
     def test_extractable(self, trees):
+        # Walking selected children from the root reaches every selected
+        # node: the mask is a valid draft tree for verification.
         select_tokens(trees, [1.5] * 4, budget=16)
         for t in trees:
-            extracted = t.extract_selected()
-            assert extracted.num_speculated == t.num_selected()
+            reached = 0
+            stack = [0]
+            while stack:
+                for c in t.children(stack.pop()):
+                    if t.selected[c]:
+                        reached += 1
+                        stack.append(c)
+            assert reached == t.num_selected()
 
     def test_reselection_resets(self, trees):
         select_tokens(trees, [3.0] * 4, budget=30)
@@ -151,3 +171,90 @@ class TestValidity:
     def test_candidates_scanned_counted(self, trees):
         res = select_tokens(trees, [2.0] * 4, budget=24)
         assert res.candidates_scanned == sum(t.num_selected() for t in trees)
+
+
+def _manual_tree(data, pair, root_ctx: int, center) -> TokenTree:
+    """A random tree whose draft probs are powers of two: path-prob ties abound.
+
+    Half the children carry the target's emission at their parent, so
+    verification accepts along some paths; siblings may repeat tokens.
+    """
+    tree = TokenTree(0, root_ctx)
+    for node in range(1, data.draw(st.integers(0, 14)) + 1):
+        parent = data.draw(st.integers(0, node - 1))
+        ctx = tree.ctx[parent]
+        if data.draw(st.booleans()):
+            token = pair.target_sample(ctx, center)
+        else:
+            token = data.draw(st.integers(0, 5))
+        prob = data.draw(st.sampled_from([0.5, 0.25, 0.75]))
+        tree.add_child(parent, token, pair.extend(ctx, token), prob)
+    return tree
+
+
+class TestMatchesObjectReference:
+    """Index-based selection and verification equal the object-per-node path."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_selection_and_verification_match_reference(self, data):
+        pair = oracle_pair(data.draw(st.sampled_from(ORACLE_PAIRS)))
+        n = data.draw(st.integers(1, 8))
+        roots = [(0, ctx) for ctx in data.draw(st.lists(CONTEXTS, min_size=n, max_size=n))]
+        centers = data.draw(st.lists(CENTERS, min_size=n, max_size=n))
+        depth = data.draw(st.integers(0, 5))
+        if data.draw(st.booleans()):
+            width = data.draw(st.integers(1, pair.target.branching + 2))
+            trees = speculate_batch(pair, roots, depth, width, centers).trees
+        else:
+            trees = [_manual_tree(data, pair, ctx, c) for (_, ctx), c in zip(roots, centers)]
+        requirements = data.draw(
+            st.lists(st.sampled_from([-1.0, 0.0, 1.0, 1.5, 2.25, 3.0, 8.0]), min_size=n, max_size=n)
+        )
+        budget = n + data.draw(st.integers(0, 40))
+        n_max = data.draw(st.integers(0, 20))
+        cap_depth = data.draw(st.one_of(st.none(), st.just(depth)))
+
+        refs = [object_tree(t) for t in trees]
+        result = select_tokens(trees, requirements, budget, n_max=n_max, depth=cap_depth)
+        ref = reference_select_tokens(refs, requirements, budget, n_max, depth=cap_depth)
+
+        assert (result.budget, result.budget_used, result.candidates_scanned) == (
+            ref.budget,
+            ref.budget_used,
+            ref.candidates_scanned,
+        )
+        for sel, want in zip(result.selections, ref.selections):
+            assert sel.requirement == want.requirement
+            assert sel.capped_requirement == want.capped_requirement
+            assert sel.expected_accepted == want.expected_accepted  # bit-equal floats
+            assert sel.slo_tokens == want.slo_tokens
+            assert sel.throughput_tokens == want.throughput_tokens
+            assert sel.slo_satisfied == want.slo_satisfied
+        for tree, ref_tree, center in zip(trees, refs, centers):
+            assert_same_tree(tree, ref_tree)  # the selected set included
+            accepted, correction, new_ctx = verify_tree(pair, tree, center, mask=tree.selected)
+            want_nodes, want_correction, want_ctx = reference_verify_tree(
+                pair, ref_tree.extract_selected().root, center
+            )
+            assert [tree.token[i] for i in accepted] == [n.token_id for n in want_nodes]
+            assert [tree.ctx[i] for i in accepted] == [n.ctx_hash for n in want_nodes]
+            assert all(tree.selected[i] for i in accepted)
+            assert (correction, new_ctx) == (want_correction, want_ctx)
+
+    def test_forced_ties_break_in_push_order(self):
+        # Two equal-probability siblings, then a grandchild tying with
+        # the remaining sibling: the earlier push wins each tie.
+        tree = TokenTree(0, 1)
+        a = tree.add_child(0, 1, 2, 0.5)
+        b = tree.add_child(0, 2, 3, 0.5)
+        c = tree.add_child(a, 3, 4, 1.0)
+        ref = object_tree(tree)
+        select_tokens([tree], [0.0], budget=3)
+        reference_select_tokens([ref], [0.0], 3, n_max=16)
+        assert tree.selected == [False, True, True, False]
+        assert_same_tree(tree, ref)
+        select_tokens([tree], [2.0], budget=3, n_max=2)
+        assert [tree.selected[i] for i in (a, b, c)] == [True, True, False]
+        select_tokens([tree], [0.0], budget=2)
+        assert [tree.selected[i] for i in (a, b, c)] == [True, False, False]

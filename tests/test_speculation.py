@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cache
-
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -13,25 +11,16 @@ from repro._rng import mix
 from repro.core.optimal import construct_optimal_trees
 from repro.core.speculation import build_candidate_tree, draft_chains, speculate_batch
 from repro.model import batchgen
-from repro.model.pair import PAIR_PRESETS, ModelPair
-from tests.conftest import reference_draft_chains, reference_speculate
+from repro.model.pair import ModelPair
+from tests.conftest import (
+    CENTERS,
+    ORACLE_PAIRS,
+    assert_same_tree,
+    oracle_pair,
+    reference_draft_chains,
+    reference_speculate,
+)
 
-#: Every preset, a perfectly aligned draft (its top-w is the target row's
-#: first w slots, which are not sorted by probability), and a vocabulary
-#: so small that most rows' first token draws collide.
-_ORACLE_PAIRS = (*sorted(PAIR_PRESETS), "perfect", "tiny-vocab")
-
-
-@cache
-def _oracle_pair(name: str) -> ModelPair:
-    if name == "perfect":
-        return ModelPair.build(vocab_size=1000, seed=7, alignment=1.0)
-    if name == "tiny-vocab":
-        return ModelPair.build(vocab_size=24, seed=6)
-    return ModelPair.from_preset(name, seed=11)
-
-
-_centers = st.one_of(st.none(), st.sampled_from([0.3, 0.62, 0.7, 0.8, 0.95]))
 _contexts = st.integers(0, 2**64 - 1)
 
 
@@ -39,14 +28,18 @@ def _memo_key(ctx: int, center: float | None) -> int:
     return ctx if center is None else mix(ctx, int(center * 1e6))
 
 
-def _assert_memo_holds_exactly(pair: ModelPair, queried: set[tuple[int, float | None]]) -> None:
-    """The draft memo is empty; the target memo is the queried rows, exact."""
+def _assert_emissions_hold_exactly(
+    pair: ModelPair, queried: set[tuple[int, float | None]]
+) -> None:
+    """Speculation memoized only emissions: one per queried context, each scalar ``sample``'s."""
     target = pair.target
     assert len(pair.draft._cache) == 0
-    assert set(target._cache) == {_memo_key(ctx, c) for ctx, c in queried}
+    assert len(target._cache) == 0
+    emissions = dict(target._emissions)
+    assert set(emissions) == {_memo_key(ctx, c) for ctx, c in queried}
+    pair.clear_caches()
     for ctx, c in queried:
-        expected = target._generate(ctx, target.predictability if c is None else c)
-        assert target._cache[_memo_key(ctx, c)] == expected
+        assert emissions[_memo_key(ctx, c)] == target.sample(ctx, c)
 
 
 def _assert_same_trees(result, expected) -> None:
@@ -57,22 +50,7 @@ def _assert_same_trees(result, expected) -> None:
     )
     assert len(result.trees) == len(expected.trees)
     for tree, ref in zip(result.trees, expected.trees):
-        nodes, ref_nodes = list(tree.nodes()), list(ref.nodes())
-        index = {id(node): i for i, node in enumerate(nodes)}
-        ref_index = {id(node): i for i, node in enumerate(ref_nodes)}
-        assert len(nodes) == len(ref_nodes)
-        for node, want in zip(nodes, ref_nodes):
-            assert node.token_id == want.token_id
-            assert node.ctx_hash == want.ctx_hash
-            assert node.draft_prob == want.draft_prob  # exact float equality
-            assert node.path_prob == want.path_prob
-            assert node.depth == want.depth
-            assert (node.parent is None) == (want.parent is None)
-            if node.parent is not None:
-                assert index[id(node.parent)] == ref_index[id(want.parent)]
-            assert [index[id(c)] for c in node.children] == [
-                ref_index[id(c)] for c in want.children
-            ]
+        assert_same_tree(tree, ref)
 
 
 class TestBeamShape:
@@ -90,8 +68,8 @@ class TestBeamShape:
         # Depth d, width w: every layer except the root has exactly w nodes.
         tree = build_candidate_tree(pair, 0, pair.context_of([2]), depth=4, width=3)
         by_depth: dict[int, int] = {}
-        for n in tree.nodes():
-            by_depth[n.depth] = by_depth.get(n.depth, 0) + 1
+        for level in tree.level:
+            by_depth[level] = by_depth.get(level, 0) + 1
         assert by_depth[0] == 1
         for depth in range(1, 5):
             assert by_depth[depth] == 3
@@ -102,12 +80,12 @@ class TestBeamShape:
         tree = build_candidate_tree(pair, 0, ctx, depth=4, width=1)
         assert tree.size == 5
         # Chain follows the draft's greedy continuations.
-        node = tree.root
+        node = 0
         c = ctx
         for _ in range(4):
-            (child,) = node.children
+            (child,) = tree.children(node)
             tok, _ = pair.draft_children(c, 1)[0]
-            assert child.token_id == tok
+            assert tree.token[child] == tok
             c = pair.extend(c, tok)
             node = child
 
@@ -118,21 +96,21 @@ class TestBeamShape:
         ctx = pair.context_of([4])
         w = 2
         tree = build_candidate_tree(pair, 0, ctx, depth=2, width=w)
-        level1 = [n for n in tree.nodes() if n.depth == 1]
+        level1 = [n for n in tree.nodes() if tree.level[n] == 1]
         # The top-w children of the root by draft prob must be the level-1 set.
         top = pair.draft_children(ctx, w)
-        assert {n.token_id for n in level1} == {t for t, _ in top}
+        assert {tree.token[n] for n in level1} == {t for t, _ in top}
 
     def test_ctx_hashes_consistent(self, pair):
         ctx = pair.context_of([5])
         tree = build_candidate_tree(pair, 0, ctx, depth=3, width=2)
         for node in tree.nodes(include_root=False):
-            assert node.ctx_hash == pair.extend(node.parent.ctx_hash, node.token_id)
+            assert tree.ctx[node] == pair.extend(tree.ctx[tree.parent[node]], tree.token[node])
 
     def test_path_probs_decreasing(self, pair):
         tree = build_candidate_tree(pair, 0, pair.context_of([6]), depth=4, width=3)
         for node in tree.nodes(include_root=False):
-            assert node.path_prob <= node.parent.path_prob
+            assert tree.path_prob[node] <= tree.path_prob[tree.parent[node]]
 
 
 class TestBatch:
@@ -142,6 +120,16 @@ class TestBatch:
         assert res.step_tokens == (5, 10, 10)
         assert res.total_draft_tokens == 25
         assert len(res.trees) == 5
+
+    def test_step_tokens_count_the_drafted_frontier(self):
+        # Width above the branching factor: the root offers only 8
+        # children, so step 2 drafts 8 nodes per tree, not 12.
+        pair = ModelPair.build(vocab_size=1000, seed=3, branching=8)
+        roots = [(0, pair.context_of([i])) for i in range(3)]
+        res = speculate_batch(pair, roots, depth=3, width=12)
+        assert res.step_tokens == (3, 24, 36)
+        assert [res.trees[0].level.count(level) for level in (1, 2, 3)] == [8, 12, 12]
+        assert res.step_tokens == reference_speculate(pair, roots, 3, 12).step_tokens
 
     def test_depth_zero_no_steps(self, pair):
         res = speculate_batch(pair, [(0, pair.context_of([1]))], depth=0, width=2)
@@ -155,8 +143,8 @@ class TestBatch:
         roots = [(0, pair.context_of([9]))]
         hi = speculate_batch(pair, roots, 2, 2, centers=[0.95]).trees[0]
         lo = speculate_batch(pair, roots, 2, 2, centers=[0.2]).trees[0]
-        hi_top = max(n.path_prob for n in hi.nodes(include_root=False))
-        lo_top = max(n.path_prob for n in lo.nodes(include_root=False))
+        hi_top = max(hi.path_prob[1:])
+        lo_top = max(lo.path_prob[1:])
         assert hi_top > lo_top
 
 
@@ -177,9 +165,9 @@ class TestTheorem41:
         opt_tree = result.trees[0]
         d_opt = opt_tree.depth
         cand = build_candidate_tree(pair, 0, ctx, depth=max(d_opt, 1), width=budget)
-        cand_paths = {tuple(n.path_tokens()) for n in cand.nodes(include_root=False)}
+        cand_paths = {tuple(cand.path_tokens(n)) for n in cand.nodes(include_root=False)}
         for node in opt_tree.nodes(include_root=False):
-            assert tuple(node.path_tokens()) in cand_paths
+            assert tuple(opt_tree.path_tokens(node)) in cand_paths
 
     def test_depth_bound(self, perfect_pair):
         # D_opt <= B - n (loose bound from the paper).
@@ -196,23 +184,23 @@ class TestLevelKernelMatchesOracle:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_trees_match_per_node_builder(self, data):
-        pair = _oracle_pair(data.draw(st.sampled_from(_ORACLE_PAIRS)))
+        pair = oracle_pair(data.draw(st.sampled_from(ORACLE_PAIRS)))
         n = data.draw(st.integers(0, 20))
         depth = data.draw(st.integers(0, 8))
         width = data.draw(st.integers(1, pair.target.branching + 2))
         roots = data.draw(
             st.lists(st.tuples(st.integers(0, 999), _contexts), min_size=n, max_size=n)
         )
-        centers = data.draw(st.lists(_centers, min_size=n, max_size=n))
+        centers = data.draw(st.lists(CENTERS, min_size=n, max_size=n))
         pair.clear_caches()
         result = speculate_batch(pair, roots, depth, width, centers)
-        _assert_memo_holds_exactly(
+        _assert_emissions_hold_exactly(
             pair,
             {
-                (node.ctx_hash, center)
+                (tree.ctx[node], center)
                 for tree, center in zip(result.trees, centers)
                 for node in tree.nodes()
-                if node.depth < depth
+                if tree.level[node] < depth
             },
         )
         pair.clear_caches()
@@ -221,10 +209,10 @@ class TestLevelKernelMatchesOracle:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_chains_match_per_request_loop(self, data):
-        pair = _oracle_pair(data.draw(st.sampled_from(_ORACLE_PAIRS)))
+        pair = oracle_pair(data.draw(st.sampled_from(ORACLE_PAIRS)))
         n = data.draw(st.integers(0, 20))
         k = data.draw(st.integers(0, 8))
-        starts = data.draw(st.lists(st.tuples(_contexts, _centers), min_size=n, max_size=n))
+        starts = data.draw(st.lists(st.tuples(_contexts, CENTERS), min_size=n, max_size=n))
         pair.clear_caches()
         chains = draft_chains(pair, starts, k)
         queried = set()
@@ -232,21 +220,21 @@ class TestLevelKernelMatchesOracle:
             for tok in chain:
                 queried.add((ctx, center))
                 ctx = pair.extend(ctx, tok)
-        _assert_memo_holds_exactly(pair, queried)
+        _assert_emissions_hold_exactly(pair, queried)
         pair.clear_caches()
         assert chains == reference_draft_chains(pair, starts, k)
 
     def test_tiny_vocab_collides(self):
         # The tiny-vocab pair must exercise the collided-row repair.
-        pair = _oracle_pair("tiny-vocab")
+        pair = oracle_pair("tiny-vocab")
         C = np.array([pair.context_of([i]) for i in range(32)], dtype=np.uint64)
         centers = batchgen.Centers(pair.target, [None] * 32)
-        _P, _ids, dup, _N = batchgen._generate_rows(pair.target, C, centers.effective)
-        assert dup.any(axis=1).sum() > 16
+        _P, _ids, collided, _X, _u = batchgen._generate_rows(pair.target, C, centers)
+        assert len(collided) > 16
 
     def test_perfect_pair_rows_are_unsorted(self):
         # Some perfectly aligned rows have a tail slot above the top-1
         # slot, so taking the first w slots differs from sorting.
-        pair = _oracle_pair("perfect")
+        pair = oracle_pair("perfect")
         rows = [pair.draft.distribution(pair.context_of([i]), 0.3) for i in range(64)]
         assert any(list(d.probs) != sorted(d.probs, reverse=True) for d in rows)

@@ -140,14 +140,14 @@ class TestInstantiation:
         assert tree.num_speculated == topo.size
         # Root's first child is the draft's top token.
         top_tok, _ = pair.draft_children(ctx, 1)[0]
-        assert tree.root.children[0].token_id == top_tok
+        assert tree.token[tree.children(0)[0]] == top_tok
 
     def test_ctx_hashes_consistent(self, pair):
         ctx = pair.context_of([5])
         topo, _ = optimal_static_topology((0.6, 0.3, 0.1), 7)
         tree = instantiate_topology(pair, 0, ctx, topo)
         for node in tree.nodes(include_root=False):
-            assert node.ctx_hash == pair.extend(node.parent.ctx_hash, node.token_id)
+            assert tree.ctx[node] == pair.extend(tree.ctx[tree.parent[node]], tree.token[node])
 
     def test_verifiable(self, pair):
         from repro.model.acceptance import verify_tree
@@ -155,5 +155,5 @@ class TestInstantiation:
         ctx = pair.context_of([8, 1])
         topo, _ = optimal_static_topology((0.7, 0.2), 6)
         tree = instantiate_topology(pair, 0, ctx, topo)
-        accepted, corr, _ = verify_tree(pair, tree.root)
+        accepted, corr, _ = verify_tree(pair, tree)
         assert len(accepted) <= topo.depth

@@ -1,15 +1,29 @@
-"""Tests for draft token trees."""
+"""Tests for draft token trees.
+
+``TestExtraction`` pins the reference extraction in ``tests/conftest.py``
+(``ObjectTree.extract_selected``), which the selection and verification
+oracles compare the index-based trees against.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.tree import TokenTree
+from tests.conftest import ObjectTree
 
 
 def chain_tree(probs: list[float]) -> TokenTree:
     """Root -> chain of nodes with the given conditional probs."""
     tree = TokenTree(0, 100)
+    node = 0
+    for i, p in enumerate(probs):
+        node = tree.add_child(node, i + 1, 100 + i + 1, p)
+    return tree
+
+
+def object_chain_tree(probs: list[float]) -> ObjectTree:
+    tree = ObjectTree(0, 100)
     node = tree.root
     for i, p in enumerate(probs):
         node = tree.add_child(node, i + 1, 100 + i + 1, p)
@@ -19,79 +33,95 @@ def chain_tree(probs: list[float]) -> TokenTree:
 class TestConstruction:
     def test_root_properties(self):
         tree = TokenTree(7, 999)
-        assert tree.root.is_root
-        assert tree.root.token_id == 7
-        assert tree.root.ctx_hash == 999
-        assert tree.root.path_prob == 1.0
+        assert tree.parent == [-1]
+        assert tree.token[0] == 7
+        assert tree.ctx[0] == 999
+        assert tree.path_prob[0] == 1.0
         assert tree.size == 1
         assert tree.num_speculated == 0
         assert tree.depth == 0
 
     def test_add_child_path_prob(self):
         tree = TokenTree(0, 1)
-        a = tree.add_child(tree.root, 1, 2, 0.5)
+        a = tree.add_child(0, 1, 2, 0.5)
         b = tree.add_child(a, 2, 3, 0.4)
-        assert a.path_prob == 0.5
-        assert b.path_prob == pytest.approx(0.2)
-        assert b.depth == 2
-        assert b.parent is a
+        assert (a, b) == (1, 2)
+        assert tree.path_prob[a] == 0.5
+        assert tree.path_prob[b] == pytest.approx(0.2)
+        assert tree.level[b] == 2
+        assert tree.parent[b] == a
+        assert tree.children(0) == [a] and tree.children(a) == [b]
 
     def test_invalid_prob_rejected(self):
         tree = TokenTree(0, 1)
         with pytest.raises(ValueError):
-            tree.add_child(tree.root, 1, 2, 1.5)
+            tree.add_child(0, 1, 2, 1.5)
 
     def test_path_tokens(self):
         tree = chain_tree([0.9, 0.8, 0.7])
-        leaf = tree._nodes[-1]
-        assert leaf.path_tokens() == [1, 2, 3]
-        assert tree.root.path_tokens() == []
+        assert tree.path_tokens(tree.size - 1) == [1, 2, 3]
+        assert tree.path_tokens(0) == []
 
     def test_nodes_iteration(self):
         tree = chain_tree([0.9, 0.8])
-        assert len(list(tree.nodes())) == 3
-        assert len(list(tree.nodes(include_root=False))) == 2
+        assert list(tree.nodes()) == [0, 1, 2]
+        assert list(tree.nodes(include_root=False)) == [1, 2]
+
+    def test_children_follow_later_additions(self):
+        tree = TokenTree(0, 1)
+        a = tree.add_child(0, 1, 2, 0.9)
+        assert tree.children(0) == [a]  # builds the child lists
+        b = tree.add_child(0, 2, 3, 0.05)
+        c = tree.add_child(a, 3, 4, 0.5)
+        assert tree.child_lists() == [[a, b], [c], [], []]
+
+    def test_from_columns(self):
+        tree = TokenTree.from_columns(
+            [0, 5, 6], [10, 11, 12], [1.0, 0.5, 0.25], [1.0, 0.5, 0.125], [0, 1, 2], [-1, 0, 1]
+        )
+        assert tree.children(1) == [2]
+        assert tree.selected == [False] * 3
+        assert tree.depth == 2
 
 
 class TestSelection:
     def test_selected_counts(self):
         tree = chain_tree([0.9, 0.8])
-        nodes = list(tree.nodes(include_root=False))
-        nodes[0].selected = True
+        tree.selected[1] = True
         assert tree.num_selected() == 1
         assert tree.num_selected(include_root=True) == 2
 
     def test_selected_path_prob_sum(self):
         tree = chain_tree([0.5, 0.5])
         for n in tree.nodes(include_root=False):
-            n.selected = True
+            tree.selected[n] = True
         assert tree.selected_path_prob_sum() == pytest.approx(0.5 + 0.25)
 
     def test_clear_selection(self):
         tree = chain_tree([0.5])
-        next(tree.nodes(include_root=False)).selected = True
+        tree.selected[1] = True
         tree.clear_selection()
         assert tree.num_selected() == 0
 
     def test_connectivity_check(self):
         tree = TokenTree(0, 1)
-        a = tree.add_child(tree.root, 1, 2, 0.9)
+        a = tree.add_child(0, 1, 2, 0.9)
         b = tree.add_child(a, 2, 3, 0.8)
-        b.selected = True  # orphan: parent a not selected
+        tree.selected[b] = True  # orphan: parent a not selected
         assert not tree.is_selection_connected()
-        a.selected = True
+        tree.selected[a] = True
         assert tree.is_selection_connected()
 
     def test_child_of_root_always_connected(self):
         tree = TokenTree(0, 1)
-        a = tree.add_child(tree.root, 1, 2, 0.9)
-        a.selected = True
+        a = tree.add_child(0, 1, 2, 0.9)
+        tree.selected[a] = True
         assert tree.is_selection_connected()
 
 
 class TestExtraction:
     def test_extract_rejects_disconnected(self):
-        tree = TokenTree(0, 1)
+        tree = ObjectTree(0, 1)
         a = tree.add_child(tree.root, 1, 2, 0.9)
         b = tree.add_child(a, 2, 3, 0.8)
         b.selected = True
@@ -99,9 +129,9 @@ class TestExtraction:
             tree.extract_selected()
 
     def test_extract_structure(self):
-        tree = TokenTree(0, 1)
+        tree = ObjectTree(0, 1)
         a = tree.add_child(tree.root, 1, 10, 0.9)
-        b = tree.add_child(tree.root, 2, 11, 0.5)
+        tree.add_child(tree.root, 2, 11, 0.5)
         c = tree.add_child(a, 3, 12, 0.8)
         a.selected = True
         c.selected = True
@@ -114,28 +144,22 @@ class TestExtraction:
         assert c2.token_id == 3 and c2.ctx_hash == 12
 
     def test_extract_empty_selection(self):
-        tree = chain_tree([0.9])
+        tree = object_chain_tree([0.9])
         out = tree.extract_selected()
         assert out.size == 1
 
     def test_extract_preserves_path_probs(self):
-        tree = chain_tree([0.5, 0.4])
+        tree = object_chain_tree([0.5, 0.4])
         for n in tree.nodes(include_root=False):
             n.selected = True
         out = tree.extract_selected()
-        leaf = list(out.nodes())[-1]
+        leaf = out.nodes()[-1]
         assert leaf.path_prob == pytest.approx(0.2)
 
     def test_extract_is_independent_copy(self):
-        tree = chain_tree([0.9])
-        child = next(tree.nodes(include_root=False))
+        tree = object_chain_tree([0.9])
+        child = tree.nodes(include_root=False)[0]
         child.selected = True
         out = tree.extract_selected()
         tree.clear_selection()
         assert out.size == 2  # unaffected by source mutation
-
-    def test_map_nodes(self):
-        tree = chain_tree([0.9, 0.8])
-        seen = []
-        tree.map_nodes(lambda n: seen.append(n.depth))
-        assert seen == [0, 1, 2]
