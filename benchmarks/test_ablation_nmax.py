@@ -8,13 +8,11 @@ the micro-level mechanism directly on one selection round.
 
 from __future__ import annotations
 
-from benchmarks.common import SEED, setup_for
-from repro.analysis.harness import run_once
+from benchmarks.common import SEED, run_system
 from repro.analysis.report import format_table
 from repro.core.selection import select_tokens
 from repro.core.speculation import speculate_batch
 from repro.model.pair import ModelPair
-from repro.workloads.generator import WorkloadGenerator
 
 _RPS = 4.2
 _DURATION_S = 40.0
@@ -22,11 +20,10 @@ _N_MAX_SWEEP = (2, 4, 8, 16, 64)
 
 
 def _run_sweep():
-    setup = setup_for("llama70b")
-    gen = WorkloadGenerator(setup.target_roofline, seed=SEED)
-    requests = gen.bursty(_DURATION_S, _RPS)
     return {
-        n_max: run_once(setup, "adaserve", requests, n_max=n_max)
+        n_max: run_system(
+            "llama70b", f"adaserve:n_max={n_max}", _RPS, duration_s=_DURATION_S
+        )
         for n_max in _N_MAX_SWEEP
     }
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import E2E_SYSTEMS, SEED, setup_for
-from repro.analysis.harness import run_once
+from benchmarks.common import E2E_SYSTEMS, run_system
 from repro.analysis.report import format_table
-from repro.workloads.generator import WorkloadGenerator
 
 _DURATION_S = 150.0
 _PEAK_RPS = 3.6
@@ -22,12 +20,15 @@ _MODELS = ("llama70b", "qwen32b")
 
 
 def _run_all(model: str):
-    setup = setup_for(model)
-    gen = WorkloadGenerator(setup.target_roofline, seed=SEED)
-    requests = gen.phased(_DURATION_S, _PEAK_RPS, _BASE_RPS)
     results = {}
     for system in E2E_SYSTEMS:
-        report = run_once(setup, system, requests, max_sim_time_s=1800.0)
+        report = run_system(
+            model,
+            system,
+            _PEAK_RPS,
+            duration_s=_DURATION_S,
+            trace=f"phased:base_rps={_BASE_RPS}",
+        )
         results[report.scheduler_name] = report
     return results
 

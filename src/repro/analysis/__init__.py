@@ -3,7 +3,6 @@
 from repro.analysis.cache import SCHEMA_VERSION, CacheStats, ResultCache, config_key
 from repro.analysis.harness import (
     MODEL_SETUPS,
-    SYSTEM_NAMES,
     Setup,
     build_setup,
     make_scheduler,
@@ -39,7 +38,6 @@ from repro.analysis.spec import (
 __all__ = [
     "MODEL_SETUPS",
     "SCHEMA_VERSION",
-    "SYSTEM_NAMES",
     "CacheStats",
     "ClusterSpec",
     "ExperimentConfig",

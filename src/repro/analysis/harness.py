@@ -48,22 +48,6 @@ MODEL_SETUPS: dict[str, tuple[str, str, str]] = {
     "qwen32b": ("qwen32b-05b", "qwen32b-2xa100", "qwen05b-1xa100"),
 }
 
-#: Legacy flat system names (kept for compatibility; the authoritative
-#: enumeration, including parameter schemas, is ``repro.registry.SYSTEMS``).
-SYSTEM_NAMES = (
-    "adaserve",
-    "vllm",
-    "sarathi",
-    "vllm-spec-4",
-    "vllm-spec-6",
-    "vllm-spec-8",
-    "priority",
-    "fastserve",
-    "vtc",
-    "smartspec",
-)
-
-
 @dataclass(frozen=True)
 class Setup:
     """Reusable (per-run-rebuilt) description of a deployment."""

@@ -45,7 +45,6 @@ from repro.serving.server import SimulationReport
 from repro.workloads.generator import WorkloadGenerator
 
 __all__ = [
-    "TRACE_KINDS",
     "ClusterSpec",
     "ExperimentConfig",
     "ExperimentSpec",
@@ -59,10 +58,6 @@ __all__ = [
     "run_spec",
     "run_traced",
 ]
-
-#: Legacy flat trace names (the authoritative enumeration, including
-#: parameter schemas, is ``repro.registry.TRACES``).
-TRACE_KINDS = ("bursty", "steady", "phased", "diurnal", "sessions", "agentic")
 
 #: Backwards-compatible alias: the flat config class grew sections.
 ExperimentConfig = ExperimentSpec
@@ -86,12 +81,12 @@ def run_spec(
 ) -> SimulationReport:
     """Execute one spec fresh and return the live report (no cache).
 
-    The single build-and-run recipe behind :func:`execute_point`, the
-    perf suite (:mod:`repro.perfbench`), and the golden-equivalence
-    tests — so every consumer simulates exactly the configuration real
-    experiments would.  Cluster points (``replicas > 1`` or autoscaling)
-    run through :func:`~repro.analysis.harness.run_cluster` and return
-    the fleet-level summary.  ``observer`` (see :func:`run_traced`)
+    The single build-and-run recipe behind :func:`execute_point` and
+    the golden-equivalence tests — so every consumer simulates exactly
+    the configuration real experiments would.  Cluster points
+    (``replicas > 1`` or autoscaling) run through
+    :func:`~repro.analysis.harness.run_cluster` and return the
+    fleet-level summary.  ``observer`` (see :func:`run_traced`)
     attaches passive observability; ``invariants`` (an
     :class:`~repro.check.invariants.InvariantChecker`, see
     ``--check-invariants``) attaches the runtime sanitizer.  Neither

@@ -9,9 +9,9 @@ suppressions are themselves findings (RPD000), so the exception
 inventory cannot rot.
 
 Scope is path-based: measurement harnesses (``perfbench``) are exempt
-from the wall-clock and set-order rules (they time the simulator, they
-are not simulation), the obs package is exempt from the guard rule (its
-internals *are* the handles), and ``repro._rng`` is the one sanctioned
+from the wall-clock and set-order rules (they time workload generation,
+they are not simulation), the obs package is exempt from the guard rule
+(its internals *are* the handles), and ``repro._rng`` is the one sanctioned
 home of raw RNG.  Everything else is simulation code and checked.
 """
 
@@ -129,8 +129,8 @@ def _rule_scope(parts: tuple[str, ...]) -> set[str]:
     if parts and parts[0] == "_rng.py":
         scope.discard("RPD001")  # the sanctioned RNG home
     if parts and parts[0] == "perfbench":
-        # Measurement harness: it times the simulator on purpose, and its
-        # scenario tables are ordered lists, not sim state.
+        # Measurement harness: it times workload generation on purpose,
+        # and its gate tables are ordered dicts, not sim state.
         scope.discard("RPD002")
         scope.discard("RPD003")
     if parts and parts[0] == "obs":

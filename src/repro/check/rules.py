@@ -76,8 +76,8 @@ RULES: dict[str, Rule] = {
                 "Simulated time is SimClock; real time (time.time, "
                 "time.monotonic, time.perf_counter, datetime.now) differs "
                 "every run, so any value derived from it breaks "
-                "byte-identical replay.  Measurement harnesses that time the "
-                "simulator itself (repro.perfbench) are out of scope; a "
+                "byte-identical replay.  Measurement harnesses that time "
+                "workload generation (repro.perfbench) are out of scope; a "
                 "measurement inside sim code needs an explicit allow with "
                 "proof the value never reaches a result."
             ),

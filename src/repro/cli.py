@@ -10,11 +10,6 @@ The subcommands mirror how the repository is used:
   optionally autoscaled;
 - ``list``: introspect the component registries (systems, routers,
   traces, models) with their parameter schemas;
-- ``bench``: measure the *simulator's* own throughput (iterations per
-  wall-second) over the standard perf suite and write ``BENCH_PR9.json``
-  (see :mod:`repro.perfbench`); ``--baseline`` (defaulting to the newest
-  committed ``BENCH_PR*.json``) warns on perf regressions and **fails**
-  on fixed-seed digest divergence;
 - ``chaos-report``: run one fault-injection experiment and export its
   incident timeline (strict JSON via ``--out``, GitHub-markdown table
   via ``--markdown`` — CI appends it to the job summary);
@@ -79,7 +74,6 @@ from repro.analysis.spec import SYSTEM_FIELD_AXES, apply_axis, parse_grid_axis
 from repro.check.rules import CHECKS
 from repro.obs import DEFAULT_ABS_THRESHOLD_S, DEFAULT_REL_THRESHOLD, ObsSpec
 from repro.hardware.profiler import HardwareProfiler
-from repro.perfbench.suite import DEFAULT_OUT as _DEFAULT_BENCH_OUT
 from repro.registry import FAULTS, MODELS, ROUTERS, SYSTEMS, TRACES, SpecError
 from repro.workloads.categories import urgent_mix
 
@@ -556,81 +550,6 @@ def _cmd_cache_prune(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Run the simulator perf suite (see :mod:`repro.perfbench`)."""
-    import cProfile
-
-    from repro.perfbench import (
-        compare_to_baseline,
-        format_bench_table,
-        gate_failures,
-        latest_baseline,
-        run_suite,
-    )
-    from repro.perfbench.suite import load_result
-
-    baseline_path = args.baseline
-    if baseline_path == "auto":
-        found = latest_baseline()
-        if found is None:
-            print(
-                "error: --baseline given without FILE but no committed "
-                "BENCH_PR*.json found in the working directory",
-                file=sys.stderr,
-            )
-            return 2
-        baseline_path = str(found)
-        print(f"baseline: {baseline_path}", file=sys.stderr)
-
-    def progress(row) -> None:
-        print(
-            f"  done: {row['name']} ({row['wall_s']:.2f}s wall, "
-            f"{row['iters_per_s']:.0f} iters/s)",
-            file=sys.stderr,
-        )
-
-    if args.profile:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = run_suite(quick=args.quick, progress=progress)
-        profiler.disable()
-        pstats_path = str(Path(args.out).with_suffix(".pstats"))
-        profiler.dump_stats(pstats_path)
-        print(f"wrote {pstats_path}", file=sys.stderr)
-        print(
-            f"inspect it with `python -m pstats {pstats_path}` "
-            "(then e.g. `sort cumtime` + `stats 20`), or `snakeviz "
-            f"{pstats_path}` for a flame graph if installed",
-            file=sys.stderr,
-        )
-    else:
-        result = run_suite(quick=args.quick, progress=progress)
-
-    warnings: list[str] = []
-    # Population gates (concurrency floor, memory ceiling, speedup,
-    # byte identity) are hard failures even without a baseline.
-    errors: list[str] = gate_failures(result.get("population"))
-    if baseline_path is not None:
-        try:
-            baseline = load_result(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-        summary, warnings, base_errors = compare_to_baseline(result, baseline)
-        errors.extend(base_errors)
-        result["baseline"] = summary
-
-    print(format_bench_table(result))
-    for line in warnings:
-        print(line, file=sys.stderr)
-    for line in errors:
-        print(line, file=sys.stderr)
-    _write_out(args.out, json.dumps(result, indent=2, sort_keys=True, allow_nan=False))
-    # Perf regressions only warn (wall clocks are noisy); a diverged
-    # fixed-seed report digest means determinism broke and must fail.
-    return 1 if errors else 0
-
-
 def _cmd_chaos_report(args) -> int:
     """Run one chaos experiment and export its incident timeline.
 
@@ -931,37 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report what would be deleted without removing anything",
     )
     p_prune.set_defaults(func=_cmd_cache_prune)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure simulator throughput over the standard perf suite",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="shortened traces (same scenarios) for CI smoke runs",
-    )
-    p_bench.add_argument(
-        "--out",
-        default=_DEFAULT_BENCH_OUT,
-        help=f"write the bench result JSON here (default: {_DEFAULT_BENCH_OUT})",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="FILE",
-        help="compare against a previous bench result (default FILE: the "
-        "newest committed BENCH_PR*.json); a >30%% iterations/s drop prints "
-        "a warning, a diverged fixed-seed report digest fails the run",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="also dump a cProfile pstats file next to --out",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_chaos = sub.add_parser(
         "chaos-report",

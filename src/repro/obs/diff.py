@@ -12,8 +12,7 @@ what lets CI pin a same-seed rerun to a *zero* diff while a genuinely
 changed scheduler still trips the gate.
 
 The verdict drives the CLI exit code: any regression exits nonzero, so
-the perf-smoke pipeline gains a where-did-the-time-go gate instead of a
-bare iterations/s number.
+CI's explain-smoke job gets a where-did-the-time-go gate.
 """
 
 from __future__ import annotations

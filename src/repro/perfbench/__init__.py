@@ -1,18 +1,11 @@
-"""Simulator performance tracking (``repro bench``).
+"""Measurements of the simulator's own substrate.
 
 The rest of the repository measures the *simulated systems* (attainment,
-goodput); this package measures the **simulator itself** — iterations per
-wall-clock second and simulated seconds per wall second over a fixed,
-seeded suite of representative scenarios — so that performance work on
-the hot loops is a regression-tracked artifact instead of folklore.
-
-The suite runs every simulation directly through the harness and never
-touches the result cache: a bench run always executes fresh simulations
-(a cache hit would measure JSON decoding, not the simulator), and there
-is consequently no interaction with the cache's source fingerprint or
-any stale on-disk record.  Each scenario also digests its reports'
-strict-JSON export, so a bench run doubles as an end-to-end equivalence
-check across optimization work.
+goodput); this package holds the population-scale workload-generation
+benchmark (:mod:`repro.perfbench.population`), whose gates and digest
+are asserted by the tier-1 tests.  Simulator throughput is measured by
+the paired reference benchmark in ``simbench/``; fixed-seed simulation
+output is pinned by ``tests/test_golden_equivalence.py``.
 """
 
 from repro.perfbench.population import (
@@ -23,30 +16,12 @@ from repro.perfbench.population import (
     gate_failures,
     run_population,
 )
-from repro.perfbench.suite import (
-    BENCH_SCHEMA_VERSION,
-    DEFAULT_OUT,
-    Scenario,
-    build_suite,
-    compare_to_baseline,
-    format_bench_table,
-    latest_baseline,
-    run_suite,
-)
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "DEFAULT_OUT",
     "MIN_CONCURRENT_SESSIONS",
     "MIN_SPEEDUP",
     "PEAK_MEMORY_CEILING_MB",
     "POPULATION_CONFIG",
-    "Scenario",
-    "build_suite",
-    "compare_to_baseline",
-    "format_bench_table",
     "gate_failures",
-    "latest_baseline",
     "run_population",
-    "run_suite",
 ]

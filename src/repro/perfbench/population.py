@@ -1,8 +1,7 @@
-"""Population-scale workload-generation benchmark (``repro bench``).
+"""Population-scale workload-generation benchmark.
 
-The simulation scenarios in :mod:`repro.perfbench.suite` measure the
-*simulator*; this module measures the **workload substrate** at the
-ROADMAP "million-user population scale" operating point: a session
+This module measures the **workload substrate** at the ROADMAP
+"million-user population scale" operating point: a session
 trace sized so that >100k conversations are simultaneously open inside
 the generation window.  At that scale the per-``Request``-object path
 is memory-bound long before it is compute-bound, so the benchmark pins
@@ -19,12 +18,11 @@ the three properties the columnar substrate
   schedulable field of every request, in trace order).
 
 Each property is a hard **gate**: :func:`gate_failures` turns any
-violation into an error line and ``repro bench`` exits non-zero, so CI
-perf-smoke enforces all three on every run.  The row is embedded in the
-bench result JSON under the ``"population"`` key and committed with the
-``BENCH_PR*.json`` trajectory; :func:`~repro.perfbench.suite.compare_to_baseline`
-treats a diverged population digest (same config) exactly like a
-diverged scenario digest — determinism broke.
+violation into an error line, and the tier-1 test
+``tests/test_perfbench.py`` asserts that there are none.  The same test
+pins the row's ``digest`` to its committed value, so a fixed-seed change
+to workload generation fails it even when columnar and scalar paths
+still agree with each other.
 
 The speedup gate compares scalar end-to-end generation against the
 *columnar build*, because the column store is what population-scale
@@ -260,8 +258,7 @@ def gate_failures(row: dict | None) -> list[str]:
 
     A missing or skipped row is itself a failure: its gates were never
     measured.  A present row with any ``ok: false`` gate is a hard
-    failure too — ``repro bench`` exits non-zero on these exactly like a
-    diverged report digest.
+    failure too.
     """
     if not row:
         return ["error: population row missing; its gates were not run"]

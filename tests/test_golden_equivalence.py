@@ -12,6 +12,14 @@ The digests are committed; the optimized loops must reproduce them
 byte-for-byte.  A digest mismatch means an "optimization" changed
 simulation semantics — floats included — and must not ship.
 
+A second table, :data:`PERF_SCENARIOS`, pins five multi-spec scenarios
+that together cover the speculation pipeline, the fleet loop and
+routing, the prefix cache on sessions, chaos recovery and a 12-point
+four-system sweep.  Each carries two digests: SHA-256 over every spec's
+``report_to_json`` joined by ``b"\0"`` (*what* the simulator produced),
+and SHA-256 over the first spec's latency-attribution export (*where the
+time went*, which also pins the trace grammar).
+
 If simulator *semantics* change intentionally in a future PR, recompute
 the digests with ``python -m tests.test_golden_equivalence`` (this module
 is runnable) and say so in the PR description.
@@ -20,12 +28,14 @@ is runnable) and say so in the PR description.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.export import report_to_json
-from repro.analysis.runner import run_spec
+from repro.analysis.runner import run_spec, run_traced
 from repro.analysis.spec import ExperimentSpec
+from repro.obs import ObsSpec, attribution_to_dict, attribution_to_json, decompose
 
 
 def _digest(spec: ExperimentSpec) -> str:
@@ -134,6 +144,100 @@ GOLDEN = [
 ]
 
 
+def _scenario_digest(specs: list[ExperimentSpec]) -> str:
+    """SHA-256 over each spec's strict-JSON export, joined by ``b"\0"``."""
+    digest = hashlib.sha256()
+    for spec in specs:
+        digest.update(report_to_json(run_spec(spec)).encode("utf-8"))
+        digest.update(b"\0")
+    return f"sha256:{digest.hexdigest()}"
+
+
+def _attrib_digest(spec: ExperimentSpec) -> str:
+    """SHA-256 over the spec's latency-attribution export.
+
+    Traced rerun of one spec (obs on; the spec's cache key and report
+    are unchanged — observation is passive), digesting the strict-JSON
+    attribution payload.  Pins the trace grammar and the decomposition:
+    a prefill span that moves, a preemption that stops being emitted, or
+    a component that drifts all change this digest while the report
+    digest stays put.
+    """
+    report, observer = run_traced(replace(spec, obs=ObsSpec(trace=True)))
+    attribs = decompose(observer.collector, report.requests, report.sim_time_s)
+    payload = attribution_to_dict(attribs, report.sim_time_s, chaos=report.chaos)
+    digest = hashlib.sha256(attribution_to_json(payload).encode("utf-8"))
+    return f"sha256:{digest.hexdigest()}"
+
+
+#: The 12-point sweep scenario: four systems x three rates, 4 s points.
+_SWEEP_12PT = tuple(
+    dict(system=system, rps=rps, duration_s=4.0, trace="bursty")
+    for system in ("vllm", "sarathi", "vllm-spec:k=4", "adaserve")
+    for rps in (2.6, 3.4, 4.2)
+)
+
+#: (scenario name, spec kwargs per run, report digest, attribution
+#: digest of the first run).  Seed 0 on llama70b (see ``_spec``).
+PERF_SCENARIOS = [
+    (
+        "solo-adaserve",
+        (dict(system="adaserve", rps=4.0, duration_s=8.0, trace="bursty"),),
+        "sha256:11da2447cf519b6a76993ff9ade8168e64adcc254ee6aadff4faf0e8f712dc10",
+        "sha256:13932283f8ddcbec58cf79d89a6268d25e398fc1d53c3b776642549aacd88f65",
+    ),
+    (
+        "fleet-4r",
+        (
+            dict(
+                system="vllm",
+                rps=12.0,
+                duration_s=8.0,
+                trace="diurnal",
+                replicas=4,
+                router="least-loaded",
+            ),
+        ),
+        "sha256:282e2e4b7116e830dcf575aabd4d3359711f6dd691f7d2a63e5b37db58985323",
+        "sha256:93ba78382926ff4fa3ee96a479c39ea97492ad7f454337b183b4d035db5319e4",
+    ),
+    (
+        "sessions-prefix",
+        (dict(system="vllm", rps=6.0, duration_s=8.0, trace="sessions", prefix_cache=True),),
+        "sha256:b2d1df3c7fd1e2e6cc3654373d7ffb05cd330bccd5df7f31c5c13aba3e62bd85",
+        "sha256:9432cd0dfb33029ed03a0f8df715700192f9dfdc22cc9c0baf923a736099b3d5",
+    ),
+    (
+        "chaos-churn",
+        (
+            dict(
+                system="vllm",
+                rps=9.0,
+                duration_s=8.0,
+                trace="sessions",
+                prefix_cache=True,
+                replicas=3,
+                router="affinity",
+                faults=(
+                    "crash:at=3,replica=1,restart=2",
+                    "straggler:at=1,replica=0,slow=1.5,duration=4",
+                ),
+            ),
+        ),
+        "sha256:1fa89da74cf77c6a8c021da557c07fda71b45537f8a30dd47455447a489cfa8b",
+        "sha256:ae9d2fbc916668638081fc30f69aff7a1d53704cbb8591c8e653f761ba635f8a",
+    ),
+    (
+        "sweep-12pt",
+        _SWEEP_12PT,
+        "sha256:e5f1e399e0a00ecbe434651e9a7c355787fff98839497958778d84ba4b1c6420",
+        "sha256:d8e1e2995e187c53283fe7784f1c4f12ef1f175cc1ce074dae2c79686357fc87",
+    ),
+]
+
+_PERF_IDS = [name for name, *_ in PERF_SCENARIOS]
+
+
 @pytest.mark.parametrize(
     "name,kwargs,expected", GOLDEN, ids=[name for name, _, _ in GOLDEN]
 )
@@ -145,9 +249,35 @@ def test_golden_digest(name: str, kwargs: dict, expected: str) -> None:
     )
 
 
+@pytest.mark.parametrize(
+    "name,runs,report_digest,attrib_digest", PERF_SCENARIOS, ids=_PERF_IDS
+)
+def test_perf_scenario_digest(name, runs, report_digest, attrib_digest) -> None:
+    """Every run of the scenario reproduces its committed export."""
+    assert _scenario_digest([_spec(**kw) for kw in runs]) == report_digest, (
+        f"scenario {name!r} report digest diverged; fixed-seed simulation "
+        "output changed"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,runs,report_digest,attrib_digest", PERF_SCENARIOS, ids=_PERF_IDS
+)
+def test_perf_scenario_attrib_digest(name, runs, report_digest, attrib_digest) -> None:
+    """The first run's latency attribution reproduces its committed export."""
+    assert _attrib_digest(_spec(**runs[0])) == attrib_digest, (
+        f"scenario {name!r} attribution digest diverged; fixed-seed "
+        "trace/attribution output changed"
+    )
+
+
 def _main() -> None:  # pragma: no cover - digest (re)generation helper
     for name, kwargs, _ in GOLDEN:
         print(f'    "{_digest(_spec(**kwargs))}",  # {name}')
+    for name, runs, _, _ in PERF_SCENARIOS:
+        specs = [_spec(**kw) for kw in runs]
+        print(f'    "{_scenario_digest(specs)}",  # {name} report')
+        print(f'    "{_attrib_digest(specs[0])}",  # {name} attribution')
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.harness import SYSTEM_NAMES, build_setup, make_scheduler
-from repro.analysis.runner import TRACE_KINDS
+from repro.analysis.harness import build_setup, make_scheduler
 from repro.cluster.router import ROUTER_NAMES, make_router
 from repro.registry import (
     MODELS,
@@ -210,12 +209,26 @@ class TestBuiltinRegistries:
                 SYSTEMS.resolve("vllm-spec:q=3")
 
     def test_legacy_system_names_all_registered(self):
-        for name in SYSTEM_NAMES:
+        legacy = (
+            "adaserve",
+            "vllm",
+            "sarathi",
+            "vllm-spec-4",
+            "vllm-spec-6",
+            "vllm-spec-8",
+            "priority",
+            "fastserve",
+            "vtc",
+            "smartspec",
+        )
+        for name in legacy:
             assert name in SYSTEMS, name
 
     def test_router_and_trace_names_match_registries(self):
         assert ROUTERS.names() == ROUTER_NAMES
-        assert set(TRACES.names()) == set(TRACE_KINDS)
+        assert set(TRACES.names()) == {
+            "bursty", "steady", "phased", "diurnal", "sessions", "agentic"
+        }
 
     def test_models_registered(self):
         assert MODELS.names() == ("llama70b", "qwen32b")
