@@ -28,7 +28,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.common import SEED, benchmark_cache
-from repro.analysis.runner import ExperimentConfig, SweepRunner
+from repro.analysis.runner import ExperimentSpec, SweepRunner
 from repro.chaos import format_incident_table
 
 pytestmark = pytest.mark.smoke
@@ -47,8 +47,8 @@ _FAULTS = (
 _URGENT_CATEGORY = "coding"
 
 
-def _churn_config(router: str) -> ExperimentConfig:
-    return ExperimentConfig.create(
+def _churn_config(router: str) -> ExperimentSpec:
+    return ExperimentSpec.create(
         model=_MODEL,
         system="vllm",
         rps=_RPS,

@@ -26,8 +26,8 @@ import pytest
 
 from benchmarks.common import SEED, benchmark_cache
 from repro.analysis.report import point_from_metrics, series_table
-from repro.analysis.runner import ExperimentConfig, SweepRunner
-from repro.cluster.router import ROUTER_NAMES
+from repro.analysis.runner import ExperimentSpec, SweepRunner
+from repro.registry import ROUTERS
 
 pytestmark = pytest.mark.smoke
 
@@ -40,8 +40,8 @@ _DURATION_S = 18.0
 
 def _cluster_config(
     router: str, system: str = "vllm", autoscale: dict | None = None
-) -> ExperimentConfig:
-    return ExperimentConfig.create(
+) -> ExperimentSpec:
+    return ExperimentSpec.create(
         model=_MODEL,
         system=system,
         rps=_RPS,
@@ -59,10 +59,10 @@ def _urgent_attainment(report) -> float:
 
 
 def test_cluster_router_comparison(benchmark):
-    configs = [_cluster_config(router) for router in ROUTER_NAMES]
+    configs = [_cluster_config(router) for router in ROUTERS.names()]
     runner = SweepRunner(cache=benchmark_cache(), jobs=1)
     results = benchmark.pedantic(runner.run, args=(configs,), rounds=1, iterations=1)
-    by_router = dict(zip(ROUTER_NAMES, results))
+    by_router = dict(zip(ROUTERS.names(), results))
 
     points = [
         point_from_metrics(_RPS, r.report.scheduler_name, r.report.metrics)
@@ -116,7 +116,7 @@ def test_cluster_points_are_deterministic_and_cached(tmp_path):
 def test_cluster_autoscaling_converges(benchmark):
     """A half-size fleet with autoscaling approaches the static fleet."""
     static = _cluster_config("least-loaded", system="adaserve")
-    scaled = ExperimentConfig.create(
+    scaled = ExperimentSpec.create(
         model=_MODEL,
         system="adaserve",
         rps=_RPS,

@@ -14,6 +14,7 @@ Two measurements are reported:
 
 from __future__ import annotations
 
+import gc
 import time
 
 from benchmarks.common import SEED, run_system
@@ -55,13 +56,21 @@ def test_fig15_selection_cpu_measured(pair_fixture=None):
     ]
     # Warm the model caches so we time selection, not distribution draws.
     run_iteration(pair, items, depth=4, width=4, budget=120)
-    t0 = time.perf_counter()
-    n = 20
-    cpu = 0.0
-    for _ in range(n):
-        result = run_iteration(pair, items, depth=4, width=4, budget=120)
-        cpu += result.selection_cpu_s
-    wall = time.perf_counter() - t0
+    # Time with the collector off, as timeit does: a collection landing in
+    # the loop walks the whole test session's heap, which is not selection cost.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        n = 20
+        cpu = 0.0
+        for _ in range(n):
+            result = run_iteration(pair, items, depth=4, width=4, budget=120)
+            cpu += result.selection_cpu_s
+        wall = time.perf_counter() - t0
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     per_iter_cpu = cpu / n
     print(f"\nmeasured selection CPU: {per_iter_cpu * 1e6:.0f} us/iteration "
           f"(batch 32, budget 120); pipeline wall {wall / n * 1e3:.1f} ms/iter")

@@ -23,7 +23,7 @@ import pytest
 
 from benchmarks.common import SEED, benchmark_cache
 from repro.analysis.report import point_from_metrics, series_table
-from repro.analysis.runner import ExperimentConfig, SweepRunner
+from repro.analysis.runner import ExperimentSpec, SweepRunner
 
 pytestmark = pytest.mark.smoke
 
@@ -39,8 +39,8 @@ def _session_config(
     prefix_cache: bool = True,
     replicas: int = _REPLICAS,
     system: str = "vllm",
-) -> ExperimentConfig:
-    return ExperimentConfig.create(
+) -> ExperimentSpec:
+    return ExperimentSpec.create(
         model=_MODEL,
         system=system,
         rps=_RPS,
@@ -133,16 +133,16 @@ def test_prefix_points_deterministic_and_canonicalized(tmp_path):
 
     # v4 canonicalization: defaulted prefix knobs (prefix_cache=False,
     # spelled-out trace defaults) share keys with plain v4 configs.
-    plain = ExperimentConfig.create(
+    plain = ExperimentSpec.create(
         model=_MODEL, system="vllm", rps=_RPS, duration_s=_DURATION_S, seed=SEED
     )
-    spelled = ExperimentConfig.create(
+    spelled = ExperimentSpec.create(
         model=_MODEL, system="vllm", rps=_RPS, duration_s=_DURATION_S, seed=SEED,
         trace="bursty:burstiness=0.5", prefix_cache=False,
     )
     assert plain == spelled
     assert plain.digest() == spelled.digest()
-    sessions_default = ExperimentConfig.create(
+    sessions_default = ExperimentSpec.create(
         model=_MODEL, system="vllm", rps=_RPS, duration_s=_DURATION_S, seed=SEED,
         trace="sessions:turns=6,system_prompt=256,think_time=4.0",
     )

@@ -14,7 +14,7 @@ import pytest
 from benchmarks.common import SEED
 from repro.analysis.cache import ResultCache
 from repro.analysis.export import points_from_cache
-from repro.analysis.runner import ExperimentConfig, SweepRunner
+from repro.analysis.runner import ExperimentSpec, SweepRunner
 
 pytestmark = pytest.mark.smoke
 
@@ -22,14 +22,14 @@ _SYSTEMS = ("adaserve", "vllm")
 _RPS = (1.5, 2.5)
 
 
-def _grid() -> list[ExperimentConfig]:
-    base = ExperimentConfig.create(
+def _grid() -> list[ExperimentSpec]:
+    base = ExperimentSpec.create(
         model="llama70b", system="adaserve", rps=1.0, duration_s=6.0, seed=SEED
     )
     # Replica seeding keeps the smoke grid disjoint from the figure caches.
     seed = base.with_replica(0).seed
     return [
-        ExperimentConfig.create(
+        ExperimentSpec.create(
             model="llama70b", system=system, rps=rps, duration_s=6.0, seed=seed
         )
         for rps in _RPS

@@ -18,7 +18,6 @@ from repro.analysis.report import (
     series_table,
 )
 from repro.analysis.runner import (
-    ExperimentConfig,
     SweepResult,
     SweepRunner,
     derive_seed,
@@ -40,7 +39,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CacheStats",
     "ClusterSpec",
-    "ExperimentConfig",
     "ExperimentSpec",
     "GridAxis",
     "ResultCache",

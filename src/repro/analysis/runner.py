@@ -16,15 +16,6 @@ Results are returned in input order regardless of completion order.  To
 keep cached and freshly-executed results indistinguishable, every report
 is round-tripped through its JSON record form (per-request detail is
 dropped; all aggregates survive exactly).
-
-``ExperimentConfig`` is a backwards-compatible alias of
-:class:`ExperimentSpec`: the flat ``.create(...)`` constructor still
-works, as do the flat read accessors ``.model``, ``.rps``,
-``.duration_s``, ``.seed``, ``.trace``, ``.slo_scale``, ``.mix``,
-``.max_sim_time_s``, ``.replicas``, ``.router``, and ``.autoscale``.
-The one exception is ``.system``: it now returns the nested
-:class:`~repro.analysis.spec.SystemSpec` section — read the scheduler
-spec string via ``.system.name`` (or the ``.system_name`` alias).
 """
 
 from __future__ import annotations
@@ -46,7 +37,6 @@ from repro.workloads.generator import WorkloadGenerator
 
 __all__ = [
     "ClusterSpec",
-    "ExperimentConfig",
     "ExperimentSpec",
     "SweepResult",
     "SweepRunner",
@@ -58,9 +48,6 @@ __all__ = [
     "run_spec",
     "run_traced",
 ]
-
-#: Backwards-compatible alias: the flat config class grew sections.
-ExperimentConfig = ExperimentSpec
 
 
 def build_workload(setup: Setup, config: ExperimentSpec) -> list[Request]:
@@ -160,7 +147,7 @@ def execute_point(config: ExperimentSpec) -> dict:
 class SweepResult:
     """One completed point: its config, cache key, report, and provenance."""
 
-    config: ExperimentConfig
+    config: ExperimentSpec
     key: str
     report: SimulationReport
     from_cache: bool
@@ -189,7 +176,7 @@ class SweepRunner:
 
     def run(
         self,
-        configs: Iterable[ExperimentConfig],
+        configs: Iterable[ExperimentSpec],
         on_result: Callable[[SweepResult], None] | None = None,
     ) -> list[SweepResult]:
         """All points of a grid, in input order.
@@ -197,7 +184,7 @@ class SweepRunner:
         ``on_result`` (if given) fires once per point as it completes —
         cache hits first, then simulations in completion order.
         """
-        grid: Sequence[ExperimentConfig] = list(configs)
+        grid: Sequence[ExperimentSpec] = list(configs)
         results: list[SweepResult | None] = [None] * len(grid)
 
         # Resolve cache hits up front; group the misses by digest so a

@@ -28,9 +28,8 @@ cache hashes, so ``vllm-spec-8`` and ``vllm-spec:k=8`` share one cache
 record.
 
 The flat constructor :meth:`ExperimentSpec.create` and flat read-only
-properties (``.rps``, ``.seed``, ``.replicas``, ...) keep the historical
-``ExperimentConfig`` call sites working; ``ExperimentConfig`` is now an
-alias of this class.
+properties (``.rps``, ``.seed``, ``.replicas``, ...) build and read a
+spec without spelling out its sections.
 
 Grid sweeps over *any* registered parameter use dotted axes::
 
@@ -174,7 +173,7 @@ class ClusterSpec:
 
     @property
     def is_cluster(self) -> bool:
-        """Whether this section selects the fleet path over a solo engine."""
+        """Whether this section asks for a fleet (replicas > 1 or autoscaling)."""
         return self.replicas > 1 or self.autoscale is not None
 
     @property
@@ -277,7 +276,7 @@ class ExperimentSpec:
         faults: Sequence[str] | str | None = None,
         obs: ObsSpec | None = None,
     ) -> "ExperimentSpec":
-        """Flat-keyword constructor (the historical ``ExperimentConfig.create``).
+        """Flat-keyword constructor: one keyword per field, sections built here.
 
         ``system``, ``trace``, and ``router`` accept any registry spec
         string, including legacy aliases; everything is canonicalized by
@@ -426,10 +425,11 @@ class ExperimentSpec:
 
     @property
     def is_cluster(self) -> bool:
-        """Whether this point runs the fleet path rather than one engine.
+        """Whether this point runs as a cluster (``run_cluster``, fleet
+        summary) rather than as one engine (``run_once``).
 
-        Chaos points always take the fleet path — even with one replica —
-        since fault events ride the fleet event heap.
+        Chaos points always run as a cluster — even with one replica —
+        since the fault schedule is built per fleet.
         """
         return self.cluster.is_cluster or self.chaos.enabled
 

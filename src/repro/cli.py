@@ -2,12 +2,12 @@
 
 The subcommands mirror how the repository is used:
 
-- ``run``: serve one workload with one system and print the metrics;
+- ``run``: serve one workload with one system and print the metrics —
+  on one replica, or on a router-fronted fleet with ``--replicas N``
+  (``--router``), optionally autoscaled (``--autoscale``);
 - ``sweep``: the Figure 8/9 RPS sweep for a set of systems (optionally
   at cluster scale via ``--replicas``/``--router``, and over arbitrary
   registered parameters via ``--grid``);
-- ``cluster``: serve one workload with a router-fronted replica fleet,
-  optionally autoscaled;
 - ``list``: introspect the component registries (systems, routers,
   traces, models) with their parameter schemas;
 - ``chaos-report``: run one fault-injection experiment and export its
@@ -32,13 +32,12 @@ Components are referenced by registry spec strings — ``adaserve``,
 — with legacy names (``vllm-spec-8``) accepted as aliases; ``repro list``
 shows everything that is registered.
 
-``run``, ``sweep``, and ``cluster`` execute through the content-addressed
+``run`` and ``sweep`` execute through the content-addressed
 result cache (:mod:`repro.analysis.cache`), so repeating an
 already-computed point or grid performs zero simulations; ``sweep
 --jobs N`` fans cache-missing points out over worker processes with
 results identical to ``--jobs 1``.  ``--out FILE`` writes the results as
-strict JSON (a report for ``run``/``cluster``, sweep points for
-``sweep``).
+strict JSON (a report for ``run``, sweep points for ``sweep``).
 
 Examples
 --------
@@ -47,8 +46,8 @@ Examples
     python -m repro run --system adaserve --model llama70b --rps 4.0
     python -m repro sweep --model qwen32b --systems adaserve vllm --rps 2.4 3.2 4.0 --jobs 4
     python -m repro sweep --systems vllm-spec --rps 4.2 --grid system.k=2,4,6,8
-    python -m repro cluster --replicas 4 --router affinity:reserve=0.5 --rps 12 --trace diurnal
-    python -m repro cluster --replicas 3 --faults crash:at=20,replica=1 --faults straggler:slow=2
+    python -m repro run --replicas 4 --router affinity:reserve=0.5 --rps 12 --trace diurnal
+    python -m repro run --replicas 3 --rps 12 --faults crash:at=20,replica=1 --faults straggler:slow=2
     python -m repro chaos-report --replicas 3 --router affinity --faults crash --markdown
     python -m repro trace --replicas 2 --faults crash --duration 20 --out trace.json
     python -m repro explain --replicas 2 --faults crash --out attrib.json
@@ -69,8 +68,8 @@ from repro.analysis.cache import ResultCache
 from repro.analysis.export import points_to_json, report_to_json
 from repro.analysis.harness import build_setup
 from repro.analysis.report import format_table, point_from_metrics, series_table
-from repro.analysis.runner import ExperimentConfig, SweepRunner
-from repro.analysis.spec import SYSTEM_FIELD_AXES, apply_axis, parse_grid_axis
+from repro.analysis.runner import SweepRunner
+from repro.analysis.spec import SYSTEM_FIELD_AXES, ExperimentSpec, apply_axis, parse_grid_axis
 from repro.check.rules import CHECKS
 from repro.obs import DEFAULT_ABS_THRESHOLD_S, DEFAULT_REL_THRESHOLD, ObsSpec
 from repro.hardware.profiler import HardwareProfiler
@@ -153,7 +152,7 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help="inject a deterministic fault (repeatable), e.g. "
         "crash:at=120,replica=1 or straggler:slow=2.0 "
-        "(see `repro list faults`; forces the fleet execution path)",
+        "(see `repro list faults`; makes the point a cluster point)",
     )
     p.add_argument(
         "--metrics",
@@ -176,6 +175,25 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _add_point_args(p: argparse.ArgumentParser, rps: float, replicas: int) -> None:
+    """Flags naming one experiment point (run, chaos-report, trace, explain)."""
+    p.add_argument(
+        "--system",
+        type=_system_spec,
+        default="adaserve",
+        help="system spec (see `repro list systems`), e.g. vllm-spec:k=8",
+    )
+    p.add_argument("--rps", type=_positive_float, default=rps)
+    p.add_argument("--replicas", type=_positive_int, default=replicas)
+    p.add_argument(
+        "--router",
+        type=_router_spec,
+        default="round-robin",
+        help="routing policy spec (see `repro list routers`), e.g. affinity:reserve=0.4",
+    )
+    p.add_argument("--max-sim-time", type=_positive_float, default=1800.0)
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -252,9 +270,9 @@ def _config_for(
     router: str = "round-robin",
     autoscale: dict | None = None,
     obs: ObsSpec | None = None,
-) -> ExperimentConfig:
+) -> ExperimentSpec:
     mix = urgent_mix(args.urgent_fraction) if args.urgent_fraction is not None else None
-    return ExperimentConfig.create(
+    return ExperimentSpec.create(
         model=args.model,
         system=system,
         rps=rps,
@@ -282,7 +300,7 @@ def _obs_spec(args) -> ObsSpec:
     )
 
 
-def _run_point(args, config: ExperimentConfig):
+def _run_point(args, config: ExperimentSpec):
     """One point through the result cache — or fresh when tracing or
     invariant checking is on.
 
@@ -366,15 +384,6 @@ def _print_report(report, model: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _config_for(args, args.system, args.rps, obs=_obs_spec(args))
-    report, stats = _run_point(args, config)
-    _print_report(report, args.model)
-    print(stats)
-    _write_out(args.out, report_to_json(report))
-    return 0
-
-
-def _cmd_cluster(args) -> int:
     if not args.autoscale and (args.max_replicas is not None or args.warmup is not None):
         print(
             "error: --max-replicas/--warmup only apply with --autoscale",
@@ -412,10 +421,11 @@ def _cmd_cluster(args) -> int:
     )
     report, stats = _run_point(args, config)
     _print_report(report, args.model)
-    print(
-        f"replicas: {args.replicas}   router: {args.router}   "
-        f"autoscale: {'on' if autoscale is not None else 'off'}"
-    )
+    if config.is_cluster:
+        print(
+            f"replicas: {args.replicas}   router: {args.router}   "
+            f"autoscale: {'on' if autoscale is not None else 'off'}"
+        )
     chaos = report.chaos
     if chaos is not None:
         line = (
@@ -431,7 +441,7 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _dedupe(configs: list[ExperimentConfig]) -> list[ExperimentConfig]:
+def _dedupe(configs: list[ExperimentSpec]) -> list[ExperimentSpec]:
     """Drop repeated points (e.g. duplicate ``--rps`` values), keeping order."""
     return list(dict.fromkeys(configs))
 
@@ -735,17 +745,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="serve one workload with one system")
+    p_run = sub.add_parser(
+        "run",
+        help="serve one workload with one system on one replica or a "
+        "router-fronted fleet, optionally autoscaled",
+    )
     _add_workload_args(p_run)
     _add_cache_args(p_run)
+    _add_point_args(p_run, rps=4.0, replicas=1)
     p_run.add_argument(
-        "--system",
-        type=_system_spec,
-        default="adaserve",
-        help="system spec (see `repro list systems`), e.g. vllm-spec:k=8",
+        "--autoscale",
+        action="store_true",
+        help="grow/shrink the fleet on queue depth (warm-up delayed)",
     )
-    p_run.add_argument("--rps", type=_positive_float, default=4.0)
-    p_run.add_argument("--max-sim-time", type=_positive_float, default=1800.0)
+    p_run.add_argument(
+        "--max-replicas",
+        type=_positive_int,
+        default=None,
+        help="autoscaler ceiling (default: 2x --replicas)",
+    )
+    p_run.add_argument(
+        "--warmup",
+        type=float,
+        default=None,
+        help="seconds before an autoscaled replica becomes routable",
+    )
     p_run.add_argument("--out", default=None, help="write the report as strict JSON")
     _add_obs_args(p_run)
     _add_check_args(p_run)
@@ -792,43 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="write sweep points as strict JSON")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_cluster = sub.add_parser(
-        "cluster", help="serve one workload with a router-fronted replica fleet"
-    )
-    _add_workload_args(p_cluster)
-    _add_cache_args(p_cluster)
-    p_cluster.add_argument("--system", type=_system_spec, default="adaserve")
-    p_cluster.add_argument("--rps", type=_positive_float, default=12.0)
-    p_cluster.add_argument("--replicas", type=_positive_int, default=4)
-    p_cluster.add_argument(
-        "--router",
-        type=_router_spec,
-        default="round-robin",
-        help="routing policy spec (see `repro list routers`), e.g. affinity:reserve=0.4",
-    )
-    p_cluster.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="grow/shrink the fleet on queue depth (warm-up delayed)",
-    )
-    p_cluster.add_argument(
-        "--max-replicas",
-        type=_positive_int,
-        default=None,
-        help="autoscaler ceiling (default: 2x --replicas)",
-    )
-    p_cluster.add_argument(
-        "--warmup",
-        type=float,
-        default=None,
-        help="seconds before an autoscaled replica becomes routable",
-    )
-    p_cluster.add_argument("--max-sim-time", type=_positive_float, default=1800.0)
-    p_cluster.add_argument("--out", default=None, help="write the report as strict JSON")
-    _add_obs_args(p_cluster)
-    _add_check_args(p_cluster)
-    p_cluster.set_defaults(func=_cmd_cluster)
-
     p_list = sub.add_parser(
         "list", help="introspect a component registry and its parameter schemas"
     )
@@ -857,16 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(p_chaos)
     _add_cache_args(p_chaos)
-    p_chaos.add_argument("--system", type=_system_spec, default="adaserve")
-    p_chaos.add_argument("--rps", type=_positive_float, default=12.0)
-    p_chaos.add_argument("--replicas", type=_positive_int, default=4)
-    p_chaos.add_argument(
-        "--router",
-        type=_router_spec,
-        default="round-robin",
-        help="routing policy spec (see `repro list routers`), e.g. affinity:reserve=0.4",
-    )
-    p_chaos.add_argument("--max-sim-time", type=_positive_float, default=1800.0)
+    _add_point_args(p_chaos, rps=12.0, replicas=4)
     p_chaos.add_argument(
         "--out", default=None, help="also write the incident timeline as strict JSON"
     )
@@ -885,21 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment with tracing on and export a Perfetto trace",
     )
     _add_workload_args(p_trace)
-    p_trace.add_argument("--system", type=_system_spec, default="adaserve")
-    p_trace.add_argument("--rps", type=_positive_float, default=8.0)
-    p_trace.add_argument(
-        "--replicas",
-        type=_positive_int,
-        default=1,
-        help="replica fleet size (> 1 or --faults forces the fleet path)",
-    )
-    p_trace.add_argument(
-        "--router",
-        type=_router_spec,
-        default="round-robin",
-        help="routing policy spec (see `repro list routers`), e.g. affinity:reserve=0.4",
-    )
-    p_trace.add_argument("--max-sim-time", type=_positive_float, default=1800.0)
+    _add_point_args(p_trace, rps=8.0, replicas=1)
     p_trace.add_argument(
         "--sample-every",
         type=_positive_float,
@@ -945,21 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diagnose SLO violations",
     )
     _add_workload_args(p_explain)
-    p_explain.add_argument("--system", type=_system_spec, default="adaserve")
-    p_explain.add_argument("--rps", type=_positive_float, default=8.0)
-    p_explain.add_argument(
-        "--replicas",
-        type=_positive_int,
-        default=1,
-        help="replica fleet size (> 1 or --faults forces the fleet path)",
-    )
-    p_explain.add_argument(
-        "--router",
-        type=_router_spec,
-        default="round-robin",
-        help="routing policy spec (see `repro list routers`), e.g. affinity:reserve=0.4",
-    )
-    p_explain.add_argument("--max-sim-time", type=_positive_float, default=1800.0)
+    _add_point_args(p_explain, rps=8.0, replicas=1)
     p_explain.add_argument(
         "--sample-every",
         type=_positive_float,

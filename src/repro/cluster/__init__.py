@@ -10,7 +10,6 @@ from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from repro.cluster.fleet import FleetReport, FleetSimulator
 from repro.cluster.replica import Replica
 from repro.cluster.router import (
-    ROUTER_NAMES,
     AffinityRouter,
     LeastLoadedRouter,
     PowerOfTwoRouter,
@@ -21,7 +20,6 @@ from repro.cluster.router import (
 )
 
 __all__ = [
-    "ROUTER_NAMES",
     "AffinityRouter",
     "Autoscaler",
     "AutoscalerConfig",

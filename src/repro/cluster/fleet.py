@@ -1,15 +1,15 @@
-"""Fleet-level event loop: many replicas, one clock, one router.
+"""The simulation loop: replicas, one clock, one router.
 
-:class:`FleetSimulator` is the multi-replica generalization of
-:class:`~repro.serving.server.ServingSimulator.run`.  Each replica keeps
-its own iteration timeline (``local_now``); the fleet processes events in
-global time order over a shared :class:`~repro.serving.clock.SimClock`:
+:class:`FleetSimulator` is the only simulation loop; a solo run
+(:class:`~repro.serving.server.ServingSimulator`) is a one-replica fleet.
+Each replica keeps its own iteration timeline (``local_now``); the fleet
+processes events in global time order over a shared
+:class:`~repro.serving.clock.SimClock`:
 
 - the next event is either the earliest arrival or the earliest iteration
   boundary among replicas that have work;
 - arrivals are admitted through the router at their arrival instant —
-  a busy target queues them for its next boundary (exactly the
-  single-engine between-iteration admission semantics), an idle target's
+  a busy target queues them for its next boundary, an idle target's
   timeline is pulled forward and it steps immediately;
 - at each event the autoscaler (if configured) may add a warming replica
   or start draining one.
@@ -18,9 +18,9 @@ Because ties are broken by replica index and every random draw is seeded,
 a fleet run is a pure function of (replica factory, workload, router,
 autoscaler config) — two runs with the same inputs are byte-identical.
 
-Fleet-level metrics are the existing single-engine aggregation applied to
-the union of all per-replica requests, so cluster numbers and solo
-numbers are directly comparable.
+Fleet-level metrics are the per-replica aggregation applied to the union
+of all per-replica requests, so cluster numbers and solo numbers are
+directly comparable.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class FleetSimulator:
         ride the fleet event heap as first-class entries.  ``None`` or an
         empty schedule leaves the run bit-identical to a chaos-free one.
     max_sim_time_s / max_iterations:
-        Safety cutoffs, as in the single-engine simulator; iterations are
-        counted fleet-wide.
+        Safety cutoffs: no replica starts an iteration after the horizon;
+        iterations are counted fleet-wide.
     observer:
         Optional :class:`~repro.obs.observer.RunObserver`; enables
         lifecycle tracing, fleet-event markers, and periodic gauge
@@ -129,7 +129,8 @@ class FleetSimulator:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
         self.replica_factory = replica_factory
         # A columnar workload (anything exposing iter_chunks in arrival
-        # order) is consumed lazily, like the solo simulator does.
+        # order) is consumed lazily: requests materialize as the clock
+        # reaches them instead of all up front.
         self.requests = requests if hasattr(requests, "iter_chunks") else list(requests)
         self.metrics_mode = metrics_mode
         self.router = router
@@ -473,9 +474,9 @@ class FleetSimulator:
             if not heap and next_arrival is None:
                 break  # drained
 
-            # Safety horizon, per replica as in the single-engine loop: a
-            # replica stops stepping once an iteration finishes beyond
-            # the horizon (its leftover requests count as violations).
+            # Safety horizon, per replica: a replica stops stepping once
+            # an iteration finishes beyond the horizon (its leftover
+            # requests count as violations).
             # The run continues while any working replica is below the
             # horizon, or an idle sub-horizon replica could still serve a
             # pending sub-horizon arrival — only then is nothing left.

@@ -1,9 +1,9 @@
 """One fleet replica: an engine + scheduler pair on its own timeline.
 
-A replica is exactly the unit :class:`~repro.serving.server.ServingSimulator`
-drives — a fresh :class:`~repro.serving.engine.SimulatedEngine` wrapped by a
-scheduler — plus the bookkeeping the fleet loop needs to interleave many of
-them over one shared clock:
+A replica is a :class:`~repro.serving.engine.SimulatedEngine` wrapped by a
+scheduler, plus the bookkeeping the fleet loop needs to interleave
+replicas over one shared clock (a solo run,
+:class:`~repro.serving.server.ServingSimulator`, is a fleet of one):
 
 - ``local_now`` is the time up to which this replica has been simulated
   (its next iteration boundary when it has work);
@@ -86,8 +86,8 @@ class Replica:
 
         An idle replica's timeline is pulled forward to the admission
         instant (there is nothing to simulate in the gap); a busy replica
-        queues the request for its next boundary, exactly as the
-        single-engine loop admits between-iteration arrivals.
+        queues the request for its next boundary, as a real engine's
+        waiting queue does.
         """
         if not self.has_work():
             self.local_now = max(self.local_now, now)
@@ -192,7 +192,7 @@ class Replica:
 
     # ------------------------------------------------------------------
     def report(self, metrics_mode: str = "exact") -> SimulationReport:
-        """Per-replica simulation report (same shape as a solo run)."""
+        """Per-replica simulation report (what a solo run returns)."""
         requests = self._crash_finished + self.scheduler.all_requests()
         return SimulationReport(
             scheduler_name=self.scheduler.name,

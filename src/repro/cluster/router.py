@@ -39,11 +39,6 @@ from repro.cluster.replica import Replica
 from repro.registry import ROUTERS, Param
 from repro.serving.request import Request
 
-#: Router registry keys, in the order the CLI advertises them (kept as a
-#: static tuple for backwards compatibility; :data:`repro.registry.ROUTERS`
-#: is the authoritative enumeration).
-ROUTER_NAMES = ("round-robin", "least-loaded", "p2c", "affinity", "prefix-affinity")
-
 
 
 class Router(abc.ABC):

@@ -139,11 +139,10 @@ class ReplicaTracer:
 
     The engine and scheduler base call these methods only behind
     ``if obs is not None`` guards, so disabled runs pay a single
-    attribute check per site.  ``now`` is refreshed by the driving loop
-    (:class:`~repro.cluster.replica.Replica.step` / the solo simulator)
-    at each iteration boundary, giving emission sites that have no time
-    parameter of their own (preemption, prefix lookups) the iteration
-    start time.
+    attribute check per site.  ``now`` is refreshed by
+    :meth:`~repro.cluster.replica.Replica.step` at each iteration
+    boundary, giving emission sites that have no time parameter of their
+    own (preemption, prefix lookups) the iteration start time.
     """
 
     __slots__ = ("_events", "replica", "now")

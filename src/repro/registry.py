@@ -47,7 +47,7 @@ class UnknownComponentError(SpecError, KeyError):
     """A spec names a component that is not registered.
 
     Subclasses both ``ValueError`` and ``KeyError``: historical call
-    sites (``make_scheduler``, ``make_router``, ``ExperimentConfig``)
+    sites (``make_scheduler``, ``make_router``, spec construction)
     raised one or the other, and both idioms keep working.
     """
 

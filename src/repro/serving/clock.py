@@ -1,9 +1,10 @@
 """Simulation clock and arrival stream.
 
-The serving simulator is iteration-driven: the clock advances by the
-modeled latency of each executed engine step, and requests are admitted
-when their arrival timestamps pass.  ``ArrivalStream`` wraps the sorted
-arrival list with a cursor so the main loop stays O(n) overall.
+The simulation loop (:mod:`repro.cluster.fleet`) jumps the clock to each
+event in global time order — an arrival, a replica's iteration boundary,
+or a fault — and admits requests when their arrival timestamps pass.
+``ArrivalStream`` wraps the sorted arrival list with a cursor so the loop
+stays O(n) overall.
 """
 
 from __future__ import annotations
@@ -22,13 +23,6 @@ class SimClock:
     @property
     def now(self) -> float:
         """Current simulated time."""
-        return self._now
-
-    def advance(self, delta: float) -> float:
-        """Move time forward by ``delta`` (must be non-negative)."""
-        if delta < 0:
-            raise ValueError(f"cannot advance clock by {delta}")
-        self._now += delta
         return self._now
 
     def advance_to(self, t: float) -> float:

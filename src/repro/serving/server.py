@@ -1,26 +1,27 @@
-"""Top-level serving simulator.
+"""Single-engine entry point and the run report.
 
-Drives a scheduler over an arrival trace: admit requests whose timestamps
-have passed, run scheduler iterations, advance the simulated clock by each
-iteration's modeled latency, and collect metrics when the pool drains.
+:class:`ServingSimulator` drives one scheduler over an arrival trace by
+running it as a one-replica fleet: there is one simulation loop,
+:meth:`repro.cluster.fleet.FleetSimulator.run`, and a solo run is that
+loop with a single replica behind a round-robin router.
 
-The loop is iteration-driven rather than event-driven: GPU serving systems
-execute one batch step at a time, and every interesting event (token
-commit, prefill completion) happens at an iteration boundary.  Arrivals
-between boundaries are admitted at the next boundary, exactly as a real
-engine's waiting queue behaves.
+The loop is iteration-driven: GPU serving systems execute one batch step
+at a time, and every interesting event (token commit, prefill
+completion) happens at an iteration boundary.  A request joins the
+waiting queue at its arrival instant and is scheduled at the next
+boundary, exactly as a real engine's waiting queue behaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.serving.clock import ArrivalStream, ChunkedArrivalStream, SimClock
 from repro.serving.engine import SimulatedEngine
 from repro.serving.metrics import RunMetrics
 from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
-from repro.serving.streaming import aggregate_metrics
+# Unused here; kept as a module global because simbench/tracer.py wraps it.
+from repro.serving.streaming import aggregate_metrics  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class ServingSimulator:
     requests:
         The workload; arrival times are absolute seconds.
     max_sim_time_s:
-        Safety horizon; the run aborts (with unfinished requests counted
-        as violations) if simulated time exceeds it.
+        Safety horizon; no iteration starts after it (unfinished requests
+        count as violations).
     max_iterations:
         Safety cap on scheduler iterations.
     observer:
@@ -91,10 +92,7 @@ class ServingSimulator:
             raise ValueError("scheduler must wrap the provided engine")
         self.engine = engine
         self.scheduler = scheduler
-        # A columnar workload (anything exposing iter_chunks in arrival
-        # order) is consumed lazily — requests materialize as the clock
-        # reaches them instead of all up front.
-        self.requests = requests if hasattr(requests, "iter_chunks") else list(requests)
+        self.requests = requests
         self.max_sim_time_s = max_sim_time_s
         self.max_iterations = max_iterations
         self.observer = observer
@@ -102,81 +100,27 @@ class ServingSimulator:
         self.metrics_mode = metrics_mode
 
     def run(self) -> SimulationReport:
-        """Execute the simulation to completion (or safety cutoff)."""
-        clock = SimClock()
-        if hasattr(self.requests, "iter_chunks"):
-            arrivals = ChunkedArrivalStream(self.requests.iter_chunks())
-        else:
-            arrivals = ArrivalStream(self.requests)
-        iterations = 0
-        sampler = None
-        if self.observer is not None:
-            self.observer.bind_solo(self.scheduler, self.engine)
-            sampler = self.observer.sampler
-        # The tracer (if any) was installed as ``engine.obs`` by the
-        # harness; a solo run never swaps engines, so bind it once.
-        tracer = self.engine.obs
-        inv = self.invariants
-        # Conservation is checked against what was actually admitted: a
-        # horizon abort legitimately leaves unreleased arrivals behind.
-        admitted = [] if inv is not None else None
+        """Execute the simulation to completion (or safety cutoff).
 
-        while True:
-            # Gauge ticks <= now fire before this boundary's admissions,
-            # capturing the state held since the previous event.
-            if sampler is not None:
-                sampler.catch_up(clock.now)
-            if inv is not None:
-                inv.check_event_time(clock.now)
-                if sampler is not None:
-                    inv.check_sampler(sampler, clock.now)
+        Runs a one-replica :class:`~repro.cluster.fleet.FleetSimulator`
+        over this simulator's engine and scheduler and returns the
+        replica's report: the scheduler's own label, metrics aggregated
+        in scheduler order, and ``sim_time_s`` at the replica's last
+        iteration boundary.
+        """
+        # Imported here: repro.cluster imports SimulationReport from this module.
+        from repro.cluster.fleet import FleetSimulator
+        from repro.cluster.router import RoundRobinRouter
 
-            for req in arrivals.release_until(clock.now):
-                self.scheduler.admit(req)
-                if tracer is not None:
-                    tracer.enqueue(clock.now, req)
-                if admitted is not None:
-                    admitted.append(req)
-
-            if not self.scheduler.has_work():
-                nxt = arrivals.next_arrival
-                if nxt is None:
-                    break  # drained
-                clock.advance_to(nxt)
-                continue
-
-            if tracer is not None:
-                tracer.now = clock.now
-            latency = self.scheduler.step(clock.now)
-            if latency <= 0:
-                raise RuntimeError(
-                    f"{self.scheduler.name}: non-positive iteration latency {latency}"
-                )
-            clock.advance(latency)
-            iterations += 1
-
-            if clock.now > self.max_sim_time_s:
-                break
-            if iterations > self.max_iterations:
-                raise RuntimeError(
-                    f"{self.scheduler.name}: exceeded {self.max_iterations} iterations"
-                )
-
-        if sampler is not None:
-            sampler.catch_up(clock.now)
-        self.scheduler.finalize()
-        all_requests = self.scheduler.all_requests()
-        for req in all_requests:
-            req.on_finish = None  # still set on requests left unfinished
-        if inv is not None:
-            if sampler is not None:
-                inv.check_sampler(sampler, clock.now)
-            inv.check_conservation(admitted, all_requests, "solo drain")
-        return SimulationReport(
-            scheduler_name=self.scheduler.name,
-            metrics=aggregate_metrics(all_requests, self.metrics_mode),
-            sim_time_s=clock.now,
-            iterations=iterations,
-            phase_breakdown=self.engine.phase_times.breakdown(),
-            requests=all_requests,
+        fleet = FleetSimulator(
+            lambda _index: (self.engine, self.scheduler),
+            self.requests,
+            RoundRobinRouter(),
+            num_replicas=1,
+            max_sim_time_s=self.max_sim_time_s,
+            max_iterations=self.max_iterations,
+            observer=self.observer,
+            invariants=self.invariants,
+            metrics_mode=self.metrics_mode,
         )
+        return fleet.run().replica_reports[0]

@@ -151,7 +151,7 @@ class TestChaosSpec:
     def test_cli_exits_nonzero_on_unreachable_fault(self, capsys):
         from repro.cli import main
 
-        argv = ["cluster", "--replicas", "2", "--no-cache",
+        argv = ["run", "--replicas", "2", "--no-cache",
                 "--faults", "crash:at=1,replica=5"]
         assert main(argv) == 2
         assert "replicas 0..1" in capsys.readouterr().err

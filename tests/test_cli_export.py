@@ -147,7 +147,7 @@ class TestCLI:
 
 
 class TestCLICluster:
-    _CLUSTER: ClassVar[list[str]] = ["cluster", "--system", "vllm", "--replicas", "2", "--router", "p2c",
+    _CLUSTER: ClassVar[list[str]] = ["run", "--system", "vllm", "--replicas", "2", "--router", "p2c",
                 "--rps", "3.0", "--duration", "4", "--trace", "steady", "--no-cache"]
 
     def test_cluster_command_runs(self, capsys):
@@ -178,7 +178,7 @@ class TestCLICluster:
 
     def test_cluster_router_choices(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["cluster", "--router", "dns"])
+            build_parser().parse_args(["run", "--router", "dns"])
 
     def test_sweep_accepts_cluster_flags(self):
         args = build_parser().parse_args(
@@ -194,7 +194,7 @@ class TestCLICluster:
         assert "--replicas" in capsys.readouterr().err
 
     def test_cluster_router_inert_without_fleet(self, capsys):
-        argv = ["cluster", "--system", "vllm", "--replicas", "1", "--router", "p2c",
+        argv = ["run", "--system", "vllm", "--replicas", "1", "--router", "p2c",
                 "--rps", "3.0", "--duration", "4", "--trace", "steady", "--no-cache"]
         assert main(argv) == 2
         assert "no effect" in capsys.readouterr().err
@@ -228,7 +228,7 @@ class TestCLIOut:
 
     def test_cluster_out_writes_report_json(self, capsys, tmp_path):
         out_file = tmp_path / "cluster.json"
-        argv = ["cluster", "--system", "vllm", "--replicas", "2", "--rps", "3.0",
+        argv = ["run", "--system", "vllm", "--replicas", "2", "--rps", "3.0",
                 "--duration", "4", "--trace", "steady", "--no-cache",
                 "--out", str(out_file)]
         assert main(argv) == 0

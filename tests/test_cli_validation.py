@@ -38,9 +38,9 @@ class TestWorkloadValidation:
 
     def test_cluster_knobs_validated_too(self):
         with pytest.raises(SystemExit):
-            _parse(["cluster", "--rps", "-3"])
+            _parse(["run", "--rps", "-3"])
         with pytest.raises(SystemExit):
-            _parse(["cluster", "--duration", "0"])
+            _parse(["run", "--duration", "0"])
 
 
 class TestSpecStringArgs:
@@ -64,18 +64,18 @@ class TestSpecStringArgs:
         with pytest.raises(SystemExit):
             _parse(["run", "--system", "vllm-spec:k=0"])
         with pytest.raises(SystemExit):
-            _parse(["cluster", "--router", "affinity:reserve=1.5"])
+            _parse(["run", "--router", "affinity:reserve=1.5"])
         with pytest.raises(SystemExit):
             _parse(["run", "--trace", "bursty:burstiness=1.0"])
 
     def test_router_and_trace_specs(self):
         args = _parse(
-            ["cluster", "--router", "affinity:reserve=0.4", "--trace", "diurnal:peak_to_trough=6"]
+            ["run", "--router", "affinity:reserve=0.4", "--trace", "diurnal:peak_to_trough=6"]
         )
         assert args.router == "affinity:reserve=0.4"
         assert args.trace == "diurnal:peak_to_trough=6.0"
         with pytest.raises(SystemExit):
-            _parse(["cluster", "--router", "dns"])
+            _parse(["run", "--router", "dns"])
         with pytest.raises(SystemExit):
             _parse(["run", "--trace", "sinusoidal"])
 

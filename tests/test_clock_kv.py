@@ -10,15 +10,6 @@ from tests.conftest import make_request
 
 
 class TestClock:
-    def test_advance(self):
-        c = SimClock()
-        assert c.advance(1.5) == 1.5
-        assert c.now == 1.5
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-0.1)
-
     def test_advance_to(self):
         c = SimClock(10.0)
         c.advance_to(12.0)

@@ -11,7 +11,6 @@ from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.fleet import FleetSimulator
 from repro.cluster.replica import Replica
 from repro.cluster.router import (
-    ROUTER_NAMES,
     AffinityRouter,
     LeastLoadedRouter,
     PowerOfTwoRouter,
@@ -21,6 +20,7 @@ from repro.cluster.router import (
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
+from repro.registry import ROUTERS
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
 from repro.serving.metrics import compute_metrics
@@ -61,7 +61,7 @@ class FakeReplica:
 
 class TestRouters:
     def test_registry(self):
-        for name in ROUTER_NAMES:
+        for name in ROUTERS.names():
             assert make_router(name, seed=1).name == name
         with pytest.raises(KeyError):
             make_router("random")
@@ -223,7 +223,7 @@ class TestFleetSimulator:
         )
         assert routed == sorted(r.rid for r in requests)
 
-    @pytest.mark.parametrize("router_name", ROUTER_NAMES)
+    @pytest.mark.parametrize("router_name", ROUTERS.names())
     def test_fixed_seed_runs_are_byte_identical(self, router_name):
         def run_once():
             report = make_fleet(
@@ -234,7 +234,11 @@ class TestFleetSimulator:
         assert run_once() == run_once()
 
     def test_single_replica_fleet_matches_serving_simulator(self):
-        """A 1-replica fleet is exactly the single-engine simulation."""
+        """A 1-replica fleet's merged summary equals its replica report.
+
+        ``ServingSimulator.run`` returns that replica report, so this
+        pins the fleet merge against the per-replica aggregation.
+        """
         from repro.baselines.vllm import VLLMScheduler
         from repro.serving.server import ServingSimulator
 
@@ -251,7 +255,7 @@ class TestFleetSimulator:
         assert fleet_report.summary.phase_breakdown == solo.phase_breakdown
 
     def test_horizon_cutoff_matches_serving_simulator(self):
-        """A capped 1-replica fleet stops exactly where the solo loop does."""
+        """Under a horizon, a 1-replica fleet's summary equals its replica report."""
         from repro.baselines.vllm import VLLMScheduler
         from repro.serving.server import ServingSimulator
 
@@ -353,16 +357,16 @@ class TestFleetSimulator:
                 assert req.first_token_time >= event.time_s + config.warmup_s
 
     def test_cluster_config_fields_change_the_cache_key(self):
-        from repro.analysis.runner import ExperimentConfig
+        from repro.analysis.runner import ExperimentSpec
 
-        base = ExperimentConfig.create(
+        base = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0
         )
-        cluster = ExperimentConfig.create(
+        cluster = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0,
             replicas=2, router="p2c",
         )
-        autoscaled = ExperimentConfig.create(
+        autoscaled = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0,
             replicas=2, router="p2c", autoscale={"max_replicas": 4},
         )
@@ -372,53 +376,53 @@ class TestFleetSimulator:
         assert cluster.is_cluster and autoscaled.is_cluster
 
     def test_solo_config_canonicalizes_inert_router(self):
-        from repro.analysis.runner import ExperimentConfig
+        from repro.analysis.runner import ExperimentSpec
 
-        solo = ExperimentConfig.create(
+        solo = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0,
             router="p2c",  # no replicas/autoscale: router never consulted
         )
-        default = ExperimentConfig.create(
+        default = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0
         )
         assert solo.router == "round-robin"
         assert solo.digest() == default.digest()
 
     def test_autoscale_defaults_canonicalized_in_cache_key(self):
-        from repro.analysis.runner import ExperimentConfig
+        from repro.analysis.runner import ExperimentSpec
 
-        implicit = ExperimentConfig.create(
+        implicit = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0,
             replicas=2, autoscale={},
         )
-        explicit = ExperimentConfig.create(
+        explicit = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0,
             replicas=2, autoscale={"max_replicas": 4, "warmup_s": 5.0},
         )
         assert implicit.digest() == explicit.digest()
         assert implicit.is_cluster  # empty mapping still means "on"
-        non_default = ExperimentConfig.create(
+        non_default = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0,
             replicas=2, autoscale={"max_replicas": 6},
         )
         assert non_default.digest() != implicit.digest()
         # Invalid ceilings fail at config construction, not mid-sweep.
         with pytest.raises(ValueError, match="below"):
-            ExperimentConfig.create(
+            ExperimentSpec.create(
                 model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0,
                 replicas=4, autoscale={"max_replicas": 2},
             )
 
     def test_config_rejects_unknown_router_and_bad_replicas(self):
-        from repro.analysis.runner import ExperimentConfig
+        from repro.analysis.runner import ExperimentSpec
 
         with pytest.raises(ValueError):
-            ExperimentConfig.create(
+            ExperimentSpec.create(
                 model="llama70b", system="vllm", rps=2.0, duration_s=4.0,
                 seed=0, router="dns",
             )
         with pytest.raises(ValueError):
-            ExperimentConfig.create(
+            ExperimentSpec.create(
                 model="llama70b", system="vllm", rps=2.0, duration_s=4.0,
                 seed=0, replicas=0,
             )
@@ -434,9 +438,9 @@ class TestFleetSimulator:
             )
 
     def test_execute_point_dispatches_to_cluster(self):
-        from repro.analysis.runner import ExperimentConfig, execute_point
+        from repro.analysis.runner import ExperimentSpec, execute_point
 
-        config = ExperimentConfig.create(
+        config = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=3.0, duration_s=4.0, seed=0,
             trace="steady", replicas=2, router="least-loaded",
         )

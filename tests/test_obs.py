@@ -192,6 +192,20 @@ class TestObservationInvariance:
         assert got == want == _digest(_spec(**kw))
 
 
+class TestSoloTimestamps:
+    def test_enqueue_stamped_at_arrival(self):
+        # A solo run is a one-replica fleet: requests join the waiting
+        # queue at their arrival instant, not at the next boundary.
+        report, observer = run_traced(
+            _spec(system="adaserve", rps=4.0, duration_s=8.0, obs=ObsSpec(trace=True))
+        )
+        arrival = {req.rid: req.arrival_time for req in report.requests}
+        enqueues = observer.collector.of_kind("enqueue")
+        assert len(enqueues) == len(arrival) > 0
+        for ev in enqueues:
+            assert ev.t == arrival[ev.rid]
+
+
 class TestDeterminism:
     def test_trace_exports_byte_identical_across_reruns(self):
         def run():

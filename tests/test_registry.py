@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.harness import build_setup, make_scheduler
-from repro.cluster.router import ROUTER_NAMES, make_router
+from repro.cluster.router import make_router
 from repro.registry import (
     MODELS,
     ROUTERS,
@@ -225,7 +225,9 @@ class TestBuiltinRegistries:
             assert name in SYSTEMS, name
 
     def test_router_and_trace_names_match_registries(self):
-        assert ROUTERS.names() == ROUTER_NAMES
+        assert ROUTERS.names() == (
+            "round-robin", "least-loaded", "p2c", "affinity", "prefix-affinity"
+        )
         assert set(TRACES.names()) == {
             "bursty", "steady", "phased", "diurnal", "sessions", "agentic"
         }

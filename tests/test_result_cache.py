@@ -10,15 +10,15 @@ from repro.analysis.cache import (
     config_key,
     default_cache_dir,
 )
-from repro.analysis.runner import ExperimentConfig
+from repro.analysis.runner import ExperimentSpec
 
 
-def _config(**overrides) -> ExperimentConfig:
+def _config(**overrides) -> ExperimentSpec:
     base = dict(
         model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=7, trace="steady"
     )
     base.update(overrides)
-    return ExperimentConfig.create(**base)
+    return ExperimentSpec.create(**base)
 
 
 class TestKey:

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.cache import ResultCache
 from repro.analysis.export import points_from_cache, points_to_json
 from repro.analysis.runner import (
-    ExperimentConfig,
+    ExperimentSpec,
     SweepRunner,
     derive_seed,
     execute_point,
@@ -15,7 +15,7 @@ from repro.analysis.runner import (
 
 #: A small grid: 4 points of a few simulated seconds each.
 GRID = tuple(
-    ExperimentConfig.create(
+    ExperimentSpec.create(
         model="llama70b", system=system, rps=rps, duration_s=4.0, seed=3, trace="steady"
     )
     for rps in (1.0, 2.0)
@@ -26,18 +26,18 @@ GRID = tuple(
 class TestConfig:
     def test_create_rejects_unknown_trace(self):
         with pytest.raises(ValueError):
-            ExperimentConfig.create(
+            ExperimentSpec.create(
                 model="llama70b", system="vllm", rps=1.0, duration_s=4.0, seed=0,
                 trace="sinusoidal",
             )
 
     def test_to_dict_round_trips_mix(self):
-        config = ExperimentConfig.create(
+        config = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=1.0, duration_s=4.0, seed=0,
             mix={"coding": 0.7, "chatbot": 0.3},
         )
         assert config.to_dict()["workload"]["mix"] == [["chatbot", 0.3], ["coding", 0.7]]
-        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        assert ExperimentSpec.from_dict(config.to_dict()) == config
 
 
 class TestDeriveSeed:

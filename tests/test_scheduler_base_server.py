@@ -136,6 +136,21 @@ class TestSimulator:
         assert report.sim_time_s <= 0.5 + 1.0  # one iteration of slack
         assert report.metrics.num_finished < 30
 
+    def test_horizon_blocks_iterations_after_idle_gap(self, engine):
+        # An arrival past the horizon is admitted, but no iteration starts
+        # after the horizon: the run ends at that arrival instant.
+        reqs = [
+            make_request(rid=0, arrival=0.0, prompt_len=10, max_new_tokens=2),
+            make_request(rid=1, arrival=100.0, prompt_len=10, max_new_tokens=2),
+        ]
+        report = ServingSimulator(
+            engine, VLLMScheduler(engine), reqs, max_sim_time_s=50.0
+        ).run()
+        assert report.sim_time_s == 100.0
+        late = next(r for r in report.requests if r.rid == 1)
+        assert late.prefilled == 0
+        assert report.metrics.num_finished == 1
+
     def test_report_phase_breakdown(self, engine):
         reqs = [make_request(rid=0, prompt_len=10, max_new_tokens=3)]
         report = ServingSimulator(engine, VLLMScheduler(engine), reqs).run()

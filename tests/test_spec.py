@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.analysis.runner import ExperimentConfig
 from repro.analysis.spec import (
     ClusterSpec,
     ExperimentSpec,
@@ -119,9 +118,6 @@ class TestShape:
         assert derived.system == spec.system and derived.cluster == spec.cluster
         assert derived.workload.seed != spec.workload.seed
         assert derived == spec.with_replica(2)
-
-    def test_experiment_config_is_an_alias(self):
-        assert ExperimentConfig is ExperimentSpec
 
     def test_create_requires_the_result_determining_core(self):
         # Forgetting the seed must be a loud TypeError, not a silent
