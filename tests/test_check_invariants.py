@@ -226,6 +226,7 @@ _GOLDEN_UNDER_CHECK = {
     "solo-adaserve": 500,  # one-replica fleet under the per-replica checks
     "sessions-prefix-affinity-fleet": 1000,  # prefix sharing across a fleet
     "chaos-crash-straggler-fleet": 1000,  # crash + straggler + prefix cache
+    "solo-fastserve-saturated": 1000,  # MLFQ level changes at a full batch
 }
 
 

@@ -141,6 +141,30 @@ GOLDEN = [
         ),
         "42690dc163aae93c63cddd7111a01180ceddd1757a8c929a755f6a47fa18b48b",
     ),
+    # Saturated plain-decode points: at 20 rps the running set reaches the
+    # 64-slot ``max_batch_size`` (66 for sarathi, whose chunked prefill
+    # appends past the cut), so the batch cut and each policy's batch
+    # choice are exercised every step.
+    (
+        "solo-priority-saturated",
+        dict(system="priority", rps=20.0, duration_s=12.0, trace="bursty", seed=5),
+        "ce774bdcdfe8f2749f75489594e1d2198f501a5183ae9fb4b58c1e6d09c32509",
+    ),
+    (
+        "solo-fastserve-saturated",
+        dict(system="fastserve", rps=20.0, duration_s=12.0, trace="bursty", seed=5),
+        "0418eaba630b3ad6734c89a0f7e57d5abf00048898084da8f2e8ef8dfd256f52",
+    ),
+    (
+        "solo-vtc-saturated",
+        dict(system="vtc", rps=20.0, duration_s=12.0, trace="bursty", seed=5),
+        "a0cb9a3c13cb2d988e36e1152dca280c47e954117feead27cd505f5a68584f48",
+    ),
+    (
+        "solo-sarathi-saturated",
+        dict(system="sarathi", rps=20.0, duration_s=12.0, trace="bursty", seed=5),
+        "835beaaf02f64817ab9263889be323a1184a96fd8959316669060458722f72f8",
+    ),
 ]
 
 
