@@ -41,9 +41,14 @@ class FastServeScheduler(Scheduler):
             self._thresholds.append(acc)
 
     def _level(self, req: Request) -> int:
-        """MLFQ level of a request (0 = highest priority)."""
+        """MLFQ level of a request (0 = highest priority).
+
+        Reads the lazy decode count, so ranking the pool each step
+        materializes nothing.
+        """
+        generated = self._cohort.generated(req)
         for lvl, threshold in enumerate(self._thresholds):
-            if req.n_generated < threshold:
+            if generated < threshold:
                 return lvl
         return len(self._thresholds)
 
@@ -64,10 +69,10 @@ class FastServeScheduler(Scheduler):
         top = min(self._level(r) for r in self.running)
         batch = [r for r in self.running if self._level(r) == top]
         batch.sort(key=lambda r: r.arrival_time)
-        batch = self._ensure_kv_for_decode(batch[: self.max_batch_size])
+        batch = self._admit_plain_decode(batch[: self.max_batch_size])
         if not batch:
             latency = self._prefill_iteration(now)
             if latency is not None:
                 return latency
             raise RuntimeError("FastServe scheduler stuck: KV exhausted")
-        return self.engine.decode(batch, now, context_tokens=self._last_decode_context)
+        return self.engine.decode(batch, now, self._cohort)

@@ -47,12 +47,12 @@ class PriorityScheduler(Scheduler):
         # Urgent decodes preempt everything, including prefill, and run in
         # small batches ordered by SLO debt.
         if urgent:
+            # ``requirement`` reads n_generated: write the lazy counts.
+            self._cohort.materialize(urgent)
             urgent.sort(key=lambda r: r.requirement(now, 0.0), reverse=True)
-            batch = self._ensure_kv_for_decode(urgent[: self.urgent_batch_cap])
+            batch = self._admit_plain_decode(urgent[: self.urgent_batch_cap])
             if batch:
-                return self.engine.decode(
-                    batch, now, context_tokens=self._last_decode_context
-                )
+                return self.engine.decode(batch, now, self._cohort)
 
         # No urgent work: behave like vLLM (prefill priority, then decode).
         if self.waiting:
@@ -60,11 +60,9 @@ class PriorityScheduler(Scheduler):
             if latency is not None:
                 return latency
 
-        batch = self._ensure_kv_for_decode(self.running[: self.max_batch_size])
+        batch = self._admit_plain_decode(self.running[: self.max_batch_size])
         if batch:
-            return self.engine.decode(
-                batch, now, context_tokens=self._last_decode_context
-            )
+            return self.engine.decode(batch, now, self._cohort)
 
         latency = self._prefill_iteration(now)
         if latency is not None:

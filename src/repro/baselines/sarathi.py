@@ -44,8 +44,7 @@ class SarathiScheduler(Scheduler):
     def step(self, now: float) -> float:
         self._retire_finished()
 
-        decode_batch = self.running[: self.max_batch_size]
-        decode_batch = self._ensure_kv_for_decode(decode_batch)
+        decode_batch = self._admit_plain_decode(self.running[: self.max_batch_size])
 
         # Top up the remaining token budget with a prompt chunk.
         budget_left = max(0, self.chunk_budget - len(decode_batch))
@@ -64,12 +63,7 @@ class SarathiScheduler(Scheduler):
                 return latency
             raise RuntimeError("Sarathi scheduler stuck: no progress possible")
 
-        latency = self.engine.mixed_step(
-            decode_batch,
-            prefill_chunks,
-            now,
-            decode_context_tokens=self._last_decode_context,
-        )
+        latency = self.engine.mixed_step(decode_batch, prefill_chunks, now, self._cohort)
         for req, _ in prefill_chunks:
             # Always the head of the queue; popleft avoids deque.remove's
             # full-field dataclass comparisons.

@@ -35,8 +35,7 @@ class VLLMScheduler(Scheduler):
             # KV exhausted: fall through to decode, which frees blocks as
             # requests finish.
 
-        batch = self.running[: self.max_batch_size]
-        batch = self._ensure_kv_for_decode(batch)
+        batch = self._admit_plain_decode(self.running[: self.max_batch_size])
         if not batch:
             # Nothing decodable; force forward progress by preempting the
             # newest running request to make room (degenerate KV pressure).
@@ -44,4 +43,4 @@ class VLLMScheduler(Scheduler):
             if latency is not None:
                 return latency
             raise RuntimeError("vLLM scheduler stuck: no prefill and no decode possible")
-        return self.engine.decode(batch, now, context_tokens=self._last_decode_context)
+        return self.engine.decode(batch, now, self._cohort)

@@ -50,13 +50,13 @@ class VTCScheduler(Scheduler):
         order = sorted(
             self.running, key=lambda r: (self.counters[r.category], r.arrival_time)
         )
-        batch = self._ensure_kv_for_decode(order[: self.max_batch_size])
+        batch = self._admit_plain_decode(order[: self.max_batch_size])
         if not batch:
             latency = self._prefill_with_accounting(now)
             if latency is not None:
                 return latency
             raise RuntimeError("VTC scheduler stuck: KV exhausted")
-        latency = self.engine.decode(batch, now, context_tokens=self._last_decode_context)
+        latency = self.engine.decode(batch, now, self._cohort)
         for req in batch:
             self.counters[req.category] += 1.0
         return latency

@@ -2,9 +2,10 @@
 
 Deep structural checks the simulator cannot afford on every run: KV and
 prefix-block refcount conservation, plus the coverage bound decode
-admission trusts, after every admit/finish/preempt/crash, per-replica
-and global event-time monotonicity, gauge-sampler catch-up bounds, and
-request conservation at merge points.  Violations raise
+admission trusts, after every admit/finish/preempt/crash, the lazy
+plain-decode counters against a recount after every decode admission,
+per-replica and global event-time monotonicity, gauge-sampler catch-up
+bounds, and request conservation at merge points.  Violations raise
 :class:`InvariantViolation` immediately, carrying structured
 context (invariant name, replica, request, block, sim time) so a report
 names exactly what broke and where.
@@ -94,6 +95,9 @@ class _BoundInvariants:
 
     def kv(self, kv, event: str, rid: int | None = None) -> None:
         self.checker.check_kv(kv, event, replica=self.replica, rid=rid)
+
+    def decode(self, scheduler) -> None:
+        self.checker.check_decode(scheduler, replica=self.replica)
 
 
 class InvariantChecker:
@@ -207,6 +211,83 @@ class InvariantChecker:
                         f"block parent={parent}, chain predecessor={want}",
                         block=key,
                     )
+
+    # ------------------------------------------------------------------
+    # Lazy plain-decode counters
+    # ------------------------------------------------------------------
+    def check_decode(self, scheduler, replica: int | None = None) -> None:
+        """The lazy decode counters equal a from-scratch recount.
+
+        Run after each plain-decode admission.  Every cohort member must
+        be a running request of this scheduler's batch whose pending
+        tokens leave at least one to generate; the batch's summed KV
+        residency, the pending total and the scheduler's outstanding
+        load must match a recount over true (written + pending) counts;
+        and every member must sit in exactly the finish and block-crossing
+        buckets its counts and KV coverage imply.
+        """
+        self.checks += 1
+        cohort = scheduler._cohort
+        step = cohort.step
+
+        def fail(message: str, rid: int | None = None) -> None:
+            raise InvariantViolation(
+                "lazy-decode", f"after decode-admission: {message}", replica=replica, rid=rid
+            )
+
+        members = cohort._members
+        batch_rids = [req.rid for req in cohort.batch]
+        if sorted(batch_rids) != sorted(members):
+            fail(f"cohort members {sorted(members)} != batch {sorted(batch_rids)}")
+        running = {id(req) for req in scheduler.running}
+        joining = {id(m) for m in cohort._joining}
+
+        def live_entries(buckets) -> dict[int, list[int]]:
+            """rid -> steps of the live member's entries in ``buckets``."""
+            found: dict[int, list[int]] = {}
+            for at, due in sorted(buckets.items()):
+                for m in due:
+                    if members.get(m.req.rid) is m:
+                        found.setdefault(m.req.rid, []).append(at)
+            return found
+
+        finish = live_entries(cohort._finish_at)
+        cross = live_entries(cohort._cross_at)
+        covered = scheduler.engine.kv.covered
+        context = 0
+        pending_total = 0
+        for req in cohort.batch:
+            m = members[req.rid]
+            pending = step - m.mark
+            if m.req is not req or id(req) not in running:
+                fail("a batch request is not a running cohort member", req.rid)
+            if req.state.value != "running" or not 0 <= pending < req.remaining_tokens:
+                fail(
+                    f"{pending} pending token(s) with {req.remaining_tokens} left "
+                    f"in state {req.state.value}",
+                    req.rid,
+                )
+            context += req.kv_tokens + pending
+            pending_total += pending
+            left = req.remaining_tokens - pending
+            want = [] if id(m) in joining else [step + left]
+            if finish.get(req.rid, []) != want:
+                fail(f"finish bucket disagrees with {left} token(s) left", req.rid)
+            spare = covered.get(req.rid, 0) - (req.kv_tokens + pending + 1)
+            if spare < 0 or cross.get(req.rid) != [step + spare + 1]:
+                fail(f"block-crossing bucket disagrees with {spare} spare KV token(s)", req.rid)
+        if context != cohort.context:
+            fail(f"context={cohort.context} but the batch holds {context} KV tokens")
+        if pending_total != cohort.pending_tokens():
+            fail(f"pending total={cohort.pending_tokens()} but members hold {pending_total}")
+        count = 0
+        tokens = 0
+        for req in list(scheduler.waiting) + list(scheduler.running):
+            if req.state.value != "finished":
+                count += 1
+                tokens += req.remaining_prompt + req.remaining_tokens - cohort.pending(req)
+        if scheduler.outstanding() != (count, tokens):
+            fail(f"outstanding={scheduler.outstanding()} but a recount gives {(count, tokens)}")
 
     # ------------------------------------------------------------------
     # Event-time monotonicity

@@ -138,6 +138,18 @@ RULES: dict[str, Rule] = {
 }
 
 
+#: Runtime invariants of ``--check-invariants`` (repro.check.invariants)
+#: that ``repro list checks`` names beside the static rules: name ->
+#: what a violation means.
+RUNTIME_CHECKS: dict[str, str] = {
+    "lazy-decode": (
+        "at each plain-decode admission, the lazy decode counters (context "
+        "sum, pending tokens, finish and block-crossing steps, outstanding "
+        "load) equal a from-scratch recount"
+    ),
+}
+
+
 class _RuleIndex:
     """``repro list checks`` adapter with the Registry.describe() shape."""
 
@@ -159,6 +171,10 @@ class _RuleIndex:
                     "aliases": [],
                     "params": params,
                 }
+            )
+        for name, summary in RUNTIME_CHECKS.items():
+            rows.append(
+                {"name": name, "summary": summary, "aliases": [], "params": ["runtime: --check-invariants"]}
             )
         return rows
 

@@ -232,7 +232,8 @@ def _add_check_args(p: argparse.ArgumentParser) -> None:
         "--check-invariants",
         action="store_true",
         help="validate runtime invariants (KV/prefix refcount conservation, "
-        "event-time monotonicity, request conservation) during the run; "
+        "event-time monotonicity, request conservation, lazy decode "
+        "counters) during the run; "
         "always simulates fresh, bypassing the result cache — the report "
         "stays byte-identical (see `repro list checks`)",
     )

@@ -161,17 +161,9 @@ class Replica:
     # Load introspection (router inputs)
     # ------------------------------------------------------------------
     def _current_load(self) -> tuple[int, int]:
-        """(unfinished requests, outstanding tokens), scan memoized."""
+        """(unfinished requests, outstanding tokens), memoized per version."""
         if self._load_at_version != self._load_version:
-            count = len(self.scheduler.waiting)
-            tokens = 0
-            for req in self.scheduler.waiting:
-                tokens += req.remaining_prompt + req.remaining_tokens
-            for req in self.scheduler.running:
-                if not req.is_finished:
-                    count += 1
-                    tokens += req.remaining_prompt + req.remaining_tokens
-            self._load = (count, tokens)
+            self._load = self.scheduler.outstanding()
             self._load_at_version = self._load_version
         return self._load
 

@@ -61,7 +61,16 @@ class ForwardCost:
     @property
     def total(self) -> float:
         """End-to-end latency of the pass."""
-        return max(self.weight_time, self.compute_time) + self.kv_time + self.comm_time + self.launch_time
+        return _pass_latency(
+            self.weight_time, self.compute_time, self.kv_time, self.comm_time, self.launch_time
+        )
+
+
+def _pass_latency(weight: float, compute: float, kv: float, comm: float, launch: float) -> float:
+    """The one latency formula: weight streaming and compute overlap
+    (the roofline), KV reads, tensor-parallel communication and kernel
+    launches add."""
+    return max(weight, compute) + kv + comm + launch
 
 
 class RooflineModel:
@@ -156,16 +165,26 @@ class RooflineModel:
     ) -> float:
         """End-to-end latency (seconds) of one forward pass.
 
-        Memoized on the shape signature (decode and speculation steps
-        overwhelmingly repeat shapes within a run); misses delegate to
-        :meth:`forward_cost`, so there is exactly one latency formula.
+        Memoized on the shape signature (speculation steps overwhelmingly
+        repeat shapes within a run).  A miss prices the pass with the
+        same terms and formula as :meth:`forward_cost` without building
+        the breakdown (a decode step's context grows every step, so
+        decode mostly misses).
         """
         key = (batch_tokens, context_tokens, launch_overhead)
         cache = self._latency_cache
         total = cache.get(key)
         if total is not None:
             return total
-        total = self.forward_cost(batch_tokens, context_tokens, launch_overhead).total
+        if batch_tokens < 0 or context_tokens < 0:
+            raise ValueError("token counts must be non-negative")
+        total = _pass_latency(
+            self._weight_time,
+            batch_tokens * self._compute_per_token,
+            context_tokens * self._kv_per_token,
+            batch_tokens * self._comm_per_token,
+            self._launch_time if launch_overhead is None else launch_overhead,
+        )
         if len(cache) >= self._LATENCY_CACHE_CAP:
             cache.clear()
         cache[key] = total

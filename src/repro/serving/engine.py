@@ -7,9 +7,14 @@ GPU operations every scheduler is composed of:
 
 - ``prefill(chunks, now)``: process prompt chunks (possibly batched with
   nothing else — co-batching is priced via ``verify_cost`` extras);
-- ``decode(requests, now)`` / ``mixed_step``: one autoregressive token
-  per request, advancing timing and token counts only — no plain-decode
-  scheduler reads token identity, so none is sampled;
+- ``decode(requests, now, cohort)`` / ``mixed_step``: one autoregressive
+  token per request, advancing timing and token counts only — no
+  plain-decode scheduler reads token identity, so none is sampled.  The
+  counts advance lazily through the scheduler's
+  :class:`~repro.serving.cohort.DecodeCohort`: only requests that join
+  the batch or finish on this step have their ``Request`` counters
+  written here; the rest are materialized when the scheduler next needs
+  them (see :mod:`repro.serving.scheduler_base`);
 - ``draft_cost(step_tokens)``: price a batched draft beam (CUDA-graph
   replays for shape-stable steps 2..d);
 - ``verify_cost(tokens, context)``: price target verification of a batch
@@ -23,6 +28,7 @@ accumulates per-phase busy time for the Figure 15 breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from repro._rng import hash_seed
 from repro.hardware.cuda_graph import CudaGraphModel
@@ -31,6 +37,9 @@ from repro.hardware.roofline import RooflineModel
 from repro.model.pair import ModelPair
 from repro.serving.kv_cache import KVCacheManager
 from repro.serving.request import Request, RequestState
+
+if TYPE_CHECKING:
+    from repro.serving.cohort import DecodeCohort
 
 #: Fixed CPU-side overhead per engine step (batch formation, tensor
 #: bookkeeping) added to every iteration, seconds.
@@ -204,32 +213,23 @@ class SimulatedEngine:
     # ------------------------------------------------------------------
     # Plain autoregressive decode
     # ------------------------------------------------------------------
-    def decode(
-        self, requests: list[Request], now: float, context_tokens: int | None = None
-    ) -> float:
+    def decode(self, requests: list[Request], now: float, cohort: DecodeCohort) -> float:
         """One autoregressive decoding iteration; returns latency.
 
-        Advances timing and token counts only: each request commits one
-        token with its context unchanged (see ``Request.ctx``).
-        ``context_tokens`` (the batch's summed KV residency) may be
-        passed by schedulers that already walked the batch this
-        iteration — e.g. during KV admission — so the engine does not
-        re-sum it; ``None`` computes it here.
+        ``requests`` is ``cohort.batch`` as the scheduler admitted it
+        (:meth:`Scheduler._admit_plain_decode`).  The step is priced from
+        the cohort's summed KV residency, then :meth:`DecodeCohort.advance`
+        gives every request its token: joiners and finishers commit now,
+        the rest are implied by the cohort's step count.  Contexts are
+        left unchanged (see ``Request.ctx``).
         """
         if not requests:
             raise ValueError("empty decode batch")
-        context = (
-            sum(r.kv_tokens for r in requests)
-            if context_tokens is None
-            else context_tokens
-        )
-        latency = self.target_roofline.forward_latency(len(requests), context)
+        latency = self.target_roofline.forward_latency(len(requests), cohort.context)
         latency += self.step_overhead_s
         if self.slow_factor != 1.0:
             latency *= self.slow_factor
-        end = now + latency
-        for req in requests:
-            req.commit_tokens(1, req.ctx, end)
+        cohort.advance(now + latency)
         self.phase_times.decode_s += latency
         self.iterations += 1
         return latency
@@ -239,7 +239,7 @@ class SimulatedEngine:
         decode_requests: list[Request],
         prefill_chunks: list[tuple[Request, int]],
         now: float,
-        decode_context_tokens: int | None = None,
+        cohort: DecodeCohort,
     ) -> float:
         """One co-batched iteration: decode tokens + prefill chunks.
 
@@ -247,18 +247,14 @@ class SimulatedEngine:
         prompt-chunk compute.  Latency is a single forward pass over all
         batched tokens; busy time is split between the prefill and decode
         phases in proportion to their token counts.  Like :meth:`decode`,
-        it advances timing and token counts only.
-        ``decode_context_tokens`` works as in :meth:`decode`.
+        it advances timing and token counts only, the decode half through
+        ``cohort`` (whose batch is ``decode_requests``).
         """
         if not decode_requests and not prefill_chunks:
             raise ValueError("empty mixed step")
         decode_tokens = len(decode_requests)
         chunk_tokens = sum(t for _, t in prefill_chunks)
-        context = (
-            sum(r.kv_tokens for r in decode_requests)
-            if decode_context_tokens is None
-            else decode_context_tokens
-        )
+        context = cohort.context if decode_requests else 0
         context += sum(req.prefilled + t // 2 for req, t in prefill_chunks)
         latency = self.target_roofline.forward_latency(
             decode_tokens + chunk_tokens, context
@@ -267,8 +263,8 @@ class SimulatedEngine:
         if self.slow_factor != 1.0:
             latency *= self.slow_factor
         end = now + latency
-        for req in decode_requests:
-            req.commit_tokens(1, req.ctx, end)
+        if decode_requests:
+            cohort.advance(end)
         for req, tokens in prefill_chunks:
             req.advance_prefill(tokens)
             if req.remaining_prompt == 0:

@@ -80,8 +80,6 @@ class Request:
     # Speculation accounting (for Figure 12).
     verify_steps: int = 0
     accepted_draft_tokens: int = 0
-    token_times: list[float] = field(default_factory=list)
-    record_token_times: bool = False
     #: Called (with the request) the instant generation completes.  Set
     #: by the owning scheduler so finished-request bookkeeping stays
     #: incremental (no per-iteration pool rescans); excluded from
@@ -203,8 +201,6 @@ class Request:
         if self.first_token_time is None:
             self.first_token_time = now
         self.last_token_time = now
-        if self.record_token_times:
-            self.token_times.extend([now] * count)
         if self.n_generated >= self.max_new_tokens:
             self.state = RequestState.FINISHED
             self.finish_time = now
@@ -352,8 +348,6 @@ class Request:
         clone.cached_prompt_tokens = 0
         clone.verify_steps = 0
         clone.accepted_draft_tokens = 0
-        clone.token_times = []
-        clone.record_token_times = False
         clone.on_finish = None
         clone.prefix_keys = None
         return clone

@@ -13,7 +13,35 @@ The base class provides the machinery every policy shares:
   control;
 - retirement of finished requests (KV release);
 - KV-pressure preemption (evict the newest-arrival victim, drop its KV,
-  re-queue for recomputation — vLLM's recompute-on-preempt strategy).
+  re-queue for recomputation — vLLM's recompute-on-preempt strategy);
+- lazy plain-decode counters.
+
+Plain-decode policies (vllm, sarathi, priority, fastserve, vtc) pick a
+batch and hand it to :meth:`Scheduler._admit_plain_decode`, then to the
+engine with the scheduler's :class:`~repro.serving.cohort.DecodeCohort`.
+While a request stays in that batch, its ``n_generated`` (and so its
+KV residency) is implied by the cohort's step count rather than written
+each step, and KV growth is checked only for requests the cohort
+predicts cross a block boundary.  A request's counters are written
+(*materialized*, one ``commit_tokens`` call) when:
+
+- it finishes (at the end of its last step, so its times are exact);
+- it is preempted for KV (before :meth:`SimulatedEngine.preempt`);
+- it leaves the batch: the ``max_batch_size`` cut, FastServe's level
+  change, Priority's urgent subset, VTC's counter order;
+- the scheduler is evacuated after a crash (:meth:`Scheduler.evacuate`);
+- a policy reads the count: Priority's ``Request.requirement`` sort
+  materializes the urgent requests first, and FastServe's ``_level``
+  reads the lazy count through :meth:`DecodeCohort.generated`;
+- the pool is reported: :meth:`Scheduler.all_requests` and
+  :meth:`Scheduler.finalize` (which covers requests left unfinished at
+  the horizon).
+
+Routers read the pool's outstanding work through
+:meth:`Scheduler.outstanding`, which subtracts the cohort's pending total
+instead of materializing.  Speculative policies commit a variable number
+of tokens per step and keep eager commits with
+:meth:`Scheduler._ensure_kv_for_decode`.
 """
 
 from __future__ import annotations
@@ -22,6 +50,7 @@ import abc
 from collections import deque
 
 from repro.prefixcache.tokens import request_block_keys
+from repro.serving.cohort import DecodeCohort
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import OutOfKVCache
 from repro.serving.request import Request, RequestState
@@ -62,6 +91,8 @@ class Scheduler(abc.ABC):
         #: :meth:`_ensure_kv_for_decode` call — the decode context the
         #: engine would otherwise re-sum.
         self._last_decode_context = 0
+        #: Lazy counters of the plain-decode batch (see module docstring).
+        self._cohort = DecodeCohort()
         #: Optional runtime invariant sanitizer (see repro.check and
         #: ``--check-invariants``); same None-by-default guarded-hook
         #: contract as ``engine.obs``.
@@ -150,10 +181,13 @@ class Scheduler(abc.ABC):
     def finalize(self) -> None:
         """Retire any requests that finished in the last iteration.
 
-        Called by the simulator after the pool drains; without it, KV
-        blocks of requests completing in the final step would linger.
+        Called by the simulator after the pool drains or at the horizon;
+        without it, KV blocks of requests completing in the final step
+        would linger.  Also materializes the lazy decode counters of
+        requests still running.
         """
         self._retire_finished()
+        self._cohort.materialize_all()
 
     def evacuate(self) -> list[Request]:
         """Surrender every unfinished request (replica-crash support).
@@ -170,6 +204,7 @@ class Scheduler(abc.ABC):
         (:meth:`Request.fail_over`) and re-routing.
         """
         self._retire_finished()
+        self._cohort.materialize_all()
         victims = list(self.waiting) + list(self.running)
         for req in victims:
             self.engine.kv.free(req.rid)
@@ -177,6 +212,7 @@ class Scheduler(abc.ABC):
         self.running = []
         self._finished_in_running = 0
         self._last_decode_context = 0
+        self._cohort = DecodeCohort()
         inv = self.inv
         if inv is not None:
             inv.kv(self.engine.kv, "evacuate")
@@ -186,8 +222,27 @@ class Scheduler(abc.ABC):
     # Shared machinery
     # ------------------------------------------------------------------
     def all_requests(self) -> list[Request]:
-        """Every request the scheduler has seen (for metrics)."""
+        """Every request the scheduler has seen (for metrics), materialized."""
+        self._cohort.materialize_all()
         return list(self.finished) + list(self.running) + list(self.waiting)
+
+    def outstanding(self) -> tuple[int, int]:
+        """(unfinished requests, outstanding tokens) the scheduler owns.
+
+        Outstanding tokens are prompt left to prefill plus output left to
+        generate.  The scan reads the written counters and subtracts the
+        cohort's pending total, so it never materializes.  A finished
+        request has prefilled its prompt and generated every token, so it
+        adds nothing.
+        """
+        count = len(self.waiting) + len(self.running) - self._finished_in_running
+        tokens = -self._cohort.pending_tokens()
+        for pool in (self.waiting, self.running):
+            for req in pool:
+                tokens += (
+                    req.prompt_len - req.prefilled + req.max_new_tokens - req.n_generated
+                )
+        return count, tokens
 
     def _retire_finished(self) -> None:
         """Move finished requests out of the running set, freeing KV."""
@@ -263,45 +318,87 @@ class Scheduler(abc.ABC):
                 self.waiting.appendleft(req)
         return latency
 
+    def _admit_plain_decode(self, batch: list[Request]) -> list[Request]:
+        """KV admission of a plain-decode batch over the lazy cohort.
+
+        Makes ``batch`` the cohort (regrouping only if it changed) and
+        grows KV for the requests that need it this step — joiners and
+        members whose next token crosses their covered tokens — in batch
+        order, preempting on pressure as :meth:`_grow_kv` does.  Returns
+        the surviving batch, which the caller passes to the engine with
+        ``self._cohort``.
+        """
+        cohort = self._cohort
+        needy = cohort.admit(batch)
+        if needy:
+            batch, evicted_tokens = self._grow_kv(batch, needy)
+            cohort.context -= evicted_tokens
+            cohort.rearm(needy, self.engine.kv.covered)
+        cohort.batch = batch
+        inv = self.inv
+        if inv is not None:
+            inv.kv(self.engine.kv, "decode-admission")
+            inv.decode(self)
+        return batch
+
     def _ensure_kv_for_decode(self, batch: list[Request], extra_tokens: int = 1) -> list[Request]:
-        """Grow KV for a decode batch, preempting on pressure.
+        """Grow KV for a speculative decode batch, preempting on pressure.
 
-        Victims (newest arrivals first) are evicted with KV dropped and
-        re-queued for recomputation.  Returns the surviving batch.
+        Speculative policies commit a variable number of tokens per step,
+        so every request is checked every step: ``kv.ensure`` is called
+        only when its need (``kv_tokens + extra_tokens``) exceeds the
+        tokens its allocation is known to cover (``kv.covered``).  The
+        batch's summed KV residency is left in ``_last_decode_context``
+        so callers can hand it to the engine instead of re-summing.
+        """
+        covered = self.engine.kv.covered
+        context_tokens = 0
+        needy: list[tuple[Request, int]] = []
+        for req in batch:
+            tokens = req.kv_tokens
+            context_tokens += tokens
+            if tokens + extra_tokens > covered.get(req.rid, 0):
+                needy.append((req, tokens + extra_tokens))
+        survivors, evicted_tokens = self._grow_kv(batch, needy)
+        self._last_decode_context = context_tokens - evicted_tokens
+        inv = self.inv
+        if inv is not None:
+            inv.kv(self.engine.kv, "decode-admission")
+        return survivors
 
-        ``kv.ensure`` is called only when a request's need exceeds the
-        tokens its allocation is known to cover (``kv.covered``), so
-        without pressure a request reaches the manager about once per
-        block rather than once per step; a skipped call is one that
-        would have returned without effect.  Bookkeeping is
-        identity-based (rids are unique within a run), with no quadratic
-        membership scans; the batch's summed KV residency is accumulated
-        along the way into ``_last_decode_context`` so callers can hand
-        it to the engine instead of re-summing.
+    def _grow_kv(
+        self, batch: list[Request], needy: list[tuple[Request, int]]
+    ) -> tuple[list[Request], int]:
+        """Raise each ``(request, need)`` allocation, in batch order.
+
+        On pressure, victims (newest arrivals first, the needy request
+        only as a last resort) are materialized, evicted with KV dropped
+        and re-queued for recomputation.  Returns the surviving batch
+        (``batch`` itself when nobody was evicted) and the KV tokens the
+        evicted batch members held.  Bookkeeping is identity-based (rids
+        are unique within a run), with no quadratic membership scans.
         """
         kv = self.engine.kv
         covered = kv.covered
-        survivors = list(batch)
+        survivors = batch
         evicted: set[int] = set()
-        context_tokens = 0
-        contributions: dict[int, int] = {}
+        evicted_tokens = 0
         # Victims are the newest arrivals among current survivors; the
         # descending-arrival index is built lazily on first KV pressure
         # (stable sort ⇒ ties resolve to batch order, exactly as the old
         # linear max() scan did) and consumed front to back.
         victim_order: list[Request] | None = None
-        for req in batch:
+        for req, need in needy:
             rid = req.rid
             if rid in evicted:
                 continue  # already evicted as somebody's victim
-            tokens = req.kv_tokens
-            need = tokens + extra_tokens
             while need > covered.get(rid, 0):
                 try:
                     kv.ensure(rid, need)
                     break
                 except OutOfKVCache:
                     if victim_order is None:
+                        survivors = list(batch)
                         victim_order = sorted(
                             survivors, key=lambda r: r.arrival_time, reverse=True
                         )
@@ -317,26 +414,21 @@ class Scheduler(abc.ABC):
                             req,
                         )
                     if victim is None:  # pragma: no cover - defensive
+                        self._cohort.leave(req)
+                        evicted_tokens += req.kv_tokens
                         evicted.add(rid)
                         self._remove_by_identity(survivors, req)
                         break
+                    self._cohort.leave(victim)
+                    evicted_tokens += victim.kv_tokens
                     self.engine.preempt(victim, drop_kv=True)
                     evicted.add(victim.rid)
                     self._remove_by_identity(survivors, victim)
                     self._remove_by_identity(self.running, victim)
                     self.waiting.appendleft(victim)
-                    context_tokens -= contributions.pop(victim.rid, 0)
                     if victim is req:
                         break
-            if rid in evicted:
-                continue
-            contributions[rid] = tokens
-            context_tokens += tokens
-        self._last_decode_context = context_tokens
-        inv = self.inv
-        if inv is not None:
-            inv.kv(kv, "decode-admission")
-        return survivors
+        return survivors, evicted_tokens
 
     @staticmethod
     def _remove_by_identity(pool: list[Request], req: Request) -> bool:

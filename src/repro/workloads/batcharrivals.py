@@ -340,8 +340,6 @@ class ColumnarWorkload:
             req.cached_prompt_tokens = 0
             req.verify_steps = 0
             req.accepted_draft_tokens = 0
-            req.token_times = []
-            req.record_token_times = False
             req.on_finish = None
             out.append(req)
         return out

@@ -5,7 +5,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
+from contextlib import contextmanager
 from functools import cache
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
@@ -21,8 +23,9 @@ from repro.model.draft import DraftLM
 from repro.model.pair import PAIR_PRESETS, ModelPair
 from repro.model.stochastic_lm import StochasticLM
 from repro.serving.engine import SimulatedEngine
-from repro.serving.kv_cache import KVCacheManager
+from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
 from repro.serving.request import Request
+from repro.serving.scheduler_base import Scheduler
 from repro.workloads.datasets import DATASETS
 from repro.workloads.generator import WorkloadGenerator
 
@@ -489,3 +492,147 @@ def tiny_generator(roofline: RooflineModel, seed: int = 5) -> WorkloadGenerator:
 def tiny_workload(target_roofline) -> list[Request]:
     """A small mixed workload using the tiny dataset (fast sims)."""
     return tiny_generator(target_roofline).steady(duration_s=8.0, rps=3.0)
+
+
+# ---------------------------------------------------------------------------
+# Eager plain decode: the oracle for the lazy decode cohort
+# ---------------------------------------------------------------------------
+
+
+def eager_decode(engine, requests, now, context_tokens=None) -> float:
+    """Plain decode committing every request's token as it is produced.
+
+    The per-request loop :meth:`SimulatedEngine.decode` ran before token
+    counts moved into :class:`repro.serving.cohort.DecodeCohort`.
+    """
+    if not requests:
+        raise ValueError("empty decode batch")
+    context = sum(r.kv_tokens for r in requests) if context_tokens is None else context_tokens
+    latency = engine.target_roofline.forward_latency(len(requests), context)
+    latency += engine.step_overhead_s
+    if engine.slow_factor != 1.0:
+        latency *= engine.slow_factor
+    end = now + latency
+    for req in requests:
+        req.commit_tokens(1, req.ctx, end)
+    engine.phase_times.decode_s += latency
+    engine.iterations += 1
+    return latency
+
+
+def eager_mixed_step(engine, decode_requests, prefill_chunks, now, decode_context_tokens=None):
+    """Sarathi's co-batched step with eager decode commits (see :func:`eager_decode`)."""
+    if not decode_requests and not prefill_chunks:
+        raise ValueError("empty mixed step")
+    decode_tokens = len(decode_requests)
+    chunk_tokens = sum(t for _, t in prefill_chunks)
+    context = (
+        sum(r.kv_tokens for r in decode_requests)
+        if decode_context_tokens is None
+        else decode_context_tokens
+    )
+    context += sum(req.prefilled + t // 2 for req, t in prefill_chunks)
+    latency = engine.target_roofline.forward_latency(decode_tokens + chunk_tokens, context)
+    latency += engine.step_overhead_s
+    if engine.slow_factor != 1.0:
+        latency *= engine.slow_factor
+    end = now + latency
+    for req in decode_requests:
+        req.commit_tokens(1, req.ctx, end)
+    for req, tokens in prefill_chunks:
+        req.advance_prefill(tokens)
+        if req.remaining_prompt == 0:
+            req.begin_decode(engine.root_ctx(req), end)
+            engine._commit_prefix(req, req.prompt_len)
+    obs = engine.obs
+    if obs is not None:
+        for req, tokens in prefill_chunks:
+            obs.prefill(now, latency, req, tokens)
+    total = decode_tokens + chunk_tokens
+    engine.phase_times.decode_s += latency * (decode_tokens / total)
+    engine.phase_times.prefill_s += latency * (chunk_tokens / total)
+    engine.iterations += 1
+    return latency
+
+
+def eager_ensure_kv_for_decode(scheduler, batch, extra_tokens=1):
+    """Decode KV admission walking the whole batch every step.
+
+    Each request whose need exceeds ``kv.covered`` calls ``kv.ensure``
+    in batch order; on pressure the newest arrival among the survivors
+    (the needy request only as a last resort) is preempted with its KV
+    dropped and re-queued.  Leaves the survivors' summed KV residency in
+    ``scheduler._last_decode_context``.
+    """
+    kv = scheduler.engine.kv
+    covered = kv.covered
+    survivors = list(batch)
+    evicted: set[int] = set()
+    context_tokens = 0
+    contributions: dict[int, int] = {}
+    victim_order = None
+    for req in batch:
+        rid = req.rid
+        if rid in evicted:
+            continue
+        tokens = req.kv_tokens
+        need = tokens + extra_tokens
+        while need > covered.get(rid, 0):
+            try:
+                kv.ensure(rid, need)
+                break
+            except OutOfKVCache:
+                if victim_order is None:
+                    victim_order = sorted(survivors, key=lambda r: r.arrival_time, reverse=True)
+                while victim_order and victim_order[0].rid in evicted:
+                    victim_order.pop(0)
+                victim = victim_order[0] if victim_order else None
+                if victim is req:
+                    victim = next((r for r in victim_order[1:] if r.rid not in evicted), req)
+                if victim is None:
+                    evicted.add(rid)
+                    scheduler._remove_by_identity(survivors, req)
+                    break
+                scheduler.engine.preempt(victim, drop_kv=True)
+                evicted.add(victim.rid)
+                scheduler._remove_by_identity(survivors, victim)
+                scheduler._remove_by_identity(scheduler.running, victim)
+                scheduler.waiting.appendleft(victim)
+                context_tokens -= contributions.pop(victim.rid, 0)
+                if victim is req:
+                    break
+        if rid in evicted:
+            continue
+        contributions[rid] = tokens
+        context_tokens += tokens
+    scheduler._last_decode_context = context_tokens
+    return survivors
+
+
+@contextmanager
+def eager_plain_decode():
+    """Run plain-decode schedulers with eager per-request commits.
+
+    Swaps the lazy cohort path for the oracle above: admission walks the
+    batch, and decode commits each token as it is produced.  The
+    schedulers' cohorts then stay empty, so their materialization calls
+    do nothing.
+    """
+    with (
+        patch.object(
+            Scheduler,
+            "_admit_plain_decode",
+            lambda self, batch: eager_ensure_kv_for_decode(self, batch),
+        ),
+        patch.object(
+            SimulatedEngine,
+            "decode",
+            lambda self, requests, now, _cohort: eager_decode(self, requests, now),
+        ),
+        patch.object(
+            SimulatedEngine,
+            "mixed_step",
+            lambda self, decode, chunks, now, _cohort: eager_mixed_step(self, decode, chunks, now),
+        ),
+    ):
+        yield

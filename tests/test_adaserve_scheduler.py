@@ -95,9 +95,16 @@ class TestIterationBehaviour:
             make_request(rid=0, arrival=0.0, prompt_len=20, max_new_tokens=50),
             make_request(rid=1, arrival=0.1, prompt_len=2400, max_new_tokens=4),
         ]
-        reqs[0].record_token_times = True
+        # AdaServe commits eagerly: record the time of each commit.
+        times = []
+        commit = reqs[0].commit_tokens
+
+        def recording_commit(count, ctx, now):
+            times.append(now)
+            commit(count, ctx, now)
+
+        reqs[0].commit_tokens = recording_commit
         ServingSimulator(engine, AdaServeScheduler(engine), reqs).run()
-        times = reqs[0].token_times
         max_gap = max(b - a for a, b in zip(times, times[1:]))
         # Full 2400-token prefill would stall ~0.6s; chunks keep gaps short.
         assert max_gap < 0.3

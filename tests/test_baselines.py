@@ -89,9 +89,23 @@ class TestSarathi:
                 make_request(rid=0, arrival=0.0, prompt_len=20, max_new_tokens=40),
                 make_request(rid=1, arrival=0.1, prompt_len=2400, max_new_tokens=4),
             ]
-            reqs[0].record_token_times = True
+            # Plain decode writes token counts lazily, so record the end
+            # of every engine step whose decode batch holds request 0.
+            times = []
+
+            def recording(step):
+                # decode(batch, now, cohort), mixed_step(batch, chunks, now, cohort)
+                def wrapper(batch, *args):
+                    latency = step(batch, *args)
+                    if any(r is reqs[0] for r in batch):
+                        times.append(args[-2] + latency)
+                    return latency
+
+                return wrapper
+
+            engine.decode = recording(engine.decode)
+            engine.mixed_step = recording(engine.mixed_step)
             ServingSimulator(engine, scheduler_cls(engine), reqs).run()
-            times = reqs[0].token_times
             return max(b - a for a, b in zip(times, times[1:]))
 
         assert max_gap(SarathiScheduler) < max_gap(VLLMScheduler)

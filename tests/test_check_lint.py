@@ -402,6 +402,7 @@ class TestReport:
         out = capsys.readouterr().out
         for rule_id in RULES:
             assert rule_id in out
+        assert "lazy-decode" in out
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.runner import run_spec
 from repro.analysis.spec import ExperimentSpec
+from repro.serving.cohort import DecodeCohort
 from repro.serving.request import RequestState
 from tests.conftest import make_request
 
@@ -18,6 +19,13 @@ def running(engine, rid=0, prompt=32, out=16, **kw):
     req = queued(rid, prompt, out, **kw)
     engine.prefill([(req, req.prompt_len)], now=0.0)
     return req
+
+
+def cohort_of(reqs):
+    """A decode cohort whose batch is ``reqs`` (all joining)."""
+    cohort = DecodeCohort()
+    cohort.regroup(reqs)
+    return cohort
 
 
 class TestPrefill:
@@ -53,7 +61,7 @@ class TestPrefill:
 class TestDecode:
     def test_decode_commits_one_token_each(self, engine):
         reqs = [running(engine, rid=i) for i in range(3)]
-        latency = engine.decode(reqs, now=2.0)
+        latency = engine.decode(reqs, 2.0, cohort_of(reqs))
         for r in reqs:
             assert r.n_generated == 1
             assert r.last_token_time == pytest.approx(2.0 + latency)
@@ -64,21 +72,25 @@ class TestDecode:
         r1 = running(engine, rid=7)
         r2 = running(engine, rid=8)
         root = engine.root_ctx(r1)
-        engine.decode([r1], 0.0)
-        engine.mixed_step([r1, r2], [(queued(9, prompt=40), 16)], 1.0)
+        cohort = cohort_of([r1])
+        engine.decode([r1], 0.0, cohort)
+        cohort.regroup([r1, r2])
+        engine.mixed_step([r1, r2], [(queued(9, prompt=40), 16)], 1.0, cohort)
+        assert r1.n_generated == 1  # r1's second token is implied by the cohort
+        cohort.materialize_all()
         assert r1.ctx == root and r1.n_generated == 2
         assert r2.ctx == engine.root_ctx(r2) and r2.n_generated == 1
 
     def test_empty_decode_rejected(self, engine):
         with pytest.raises(ValueError):
-            engine.decode([], 0.0)
+            engine.decode([], 0.0, DecodeCohort())
 
     def test_decode_latency_grows_with_batch(self, engine):
         # Far past saturation, bigger batches take longer.
         a = [running(engine, rid=i) for i in range(2)]
-        lat_small = engine.decode(a, 0.0)
+        lat_small = engine.decode(a, 0.0, cohort_of(a))
         b = [running(engine, rid=100 + i) for i in range(150)]
-        lat_big = engine.decode(b, 0.0)
+        lat_big = engine.decode(b, 0.0, cohort_of(b))
         assert lat_big > lat_small
 
 
@@ -86,25 +98,25 @@ class TestMixedStep:
     def test_mixed_commits_both(self, engine):
         dec = running(engine, rid=1)
         pre = queued(rid=2, prompt=100)
-        latency = engine.mixed_step([dec], [(pre, 40)], now=1.0)
+        latency = engine.mixed_step([dec], [(pre, 40)], 1.0, cohort_of([dec]))
         assert dec.n_generated == 1
         assert pre.prefilled == 40
         assert latency > 0
 
     def test_mixed_completes_prefill(self, engine):
         pre = queued(rid=2, prompt=50)
-        engine.mixed_step([], [(pre, 50)], now=0.0)
+        engine.mixed_step([], [(pre, 50)], 0.0, DecodeCohort())
         assert pre.state == RequestState.RUNNING
 
     def test_empty_mixed_rejected(self, engine):
         with pytest.raises(ValueError):
-            engine.mixed_step([], [], 0.0)
+            engine.mixed_step([], [], 0.0, DecodeCohort())
 
     def test_phase_split(self, engine):
         dec = running(engine, rid=1)
         engine.phase_times.prefill_s = 0.0  # reset after setup prefill
         pre = queued(rid=2, prompt=100)
-        engine.mixed_step([dec], [(pre, 40)], now=0.0)
+        engine.mixed_step([dec], [(pre, 40)], 0.0, cohort_of([dec]))
         assert engine.phase_times.prefill_s > 0
         assert engine.phase_times.decode_s > 0
 
@@ -152,7 +164,7 @@ class TestLifecycle:
     def test_finish_frees_kv(self, engine):
         req = running(engine, rid=3, out=1)
         engine.kv.ensure(req.rid, req.kv_tokens)
-        engine.decode([req], 0.0)
+        engine.decode([req], 0.0, cohort_of([req]))
         assert req.is_finished
         engine.finish(req)
         assert not engine.kv.holds(req.rid)

@@ -92,12 +92,6 @@ class TestDecode:
         req.commit_tokens(2, 1, 1.5)
         assert req.kv_tokens == 34
 
-    def test_token_times_recorded_when_enabled(self):
-        req = running_request(max_new_tokens=10)
-        req.record_token_times = True
-        req.commit_tokens(2, 1, 1.5)
-        assert req.token_times == [1.5, 1.5]
-
 
 class TestPreemption:
     def test_preempt_keep_kv(self):
