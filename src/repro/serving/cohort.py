@@ -4,9 +4,10 @@ A plain-decode step (vllm, sarathi, priority, fastserve, vtc) gives every
 request in its batch exactly one token.  While a request stays in the
 batch from one step to the next, its count is therefore implied:
 ``n_generated`` at the last commit plus the steps decoded since.  A
-:class:`DecodeCohort` keeps that implied count instead of writing it, so
-a step costs O(1) plus the requests that join, leave, finish or need a
-new KV block — not O(batch size).
+:class:`DecodeCohort` keeps that implied count instead of writing it.  A
+step then does Python work only for the requests that join, leave,
+finish or need a new KV block; spotting that the batch is unchanged is
+one C-level identity comparison.
 
 Each member records ``mark``, the cohort step at which its ``Request``
 counters were last written.  Its ``pending`` tokens are ``step - mark``,
@@ -131,7 +132,7 @@ class DecodeCohort:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def regroup(self, batch: list[Request]) -> list[_Member]:
+    def _regroup(self, batch: list[Request]) -> list[_Member]:
         """Make ``batch`` the cohort; return the members that joined.
 
         Requests that left are materialized; every member's batch
@@ -179,7 +180,7 @@ class DecodeCohort:
                 return []
             joiners = []
         else:
-            joiners = self.regroup(batch)
+            joiners = self._regroup(batch)
             due = self._cross_at.pop(self.step, ())
         members = self._members
         examine = [m for m in due if members.get(m.req.rid) is m]

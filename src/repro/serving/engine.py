@@ -13,8 +13,10 @@ GPU operations every scheduler is composed of:
   counts advance lazily through the scheduler's
   :class:`~repro.serving.cohort.DecodeCohort`: only requests that join
   the batch or finish on this step have their ``Request`` counters
-  written here; the rest are materialized when the scheduler next needs
-  them (see :mod:`repro.serving.scheduler_base`);
+  written here.  The scheduler materializes the rest when a request is
+  preempted, leaves the batch or is evacuated by a crash, when a policy
+  reads ``n_generated`` through a ``Request`` method, and before the
+  pool is reported (see :mod:`repro.serving.scheduler_base`);
 - ``draft_cost(step_tokens)``: price a batched draft beam (CUDA-graph
   replays for shape-stable steps 2..d);
 - ``verify_cost(tokens, context)``: price target verification of a batch
@@ -254,8 +256,7 @@ class SimulatedEngine:
             raise ValueError("empty mixed step")
         decode_tokens = len(decode_requests)
         chunk_tokens = sum(t for _, t in prefill_chunks)
-        context = cohort.context if decode_requests else 0
-        context += sum(req.prefilled + t // 2 for req, t in prefill_chunks)
+        context = cohort.context + sum(req.prefilled + t // 2 for req, t in prefill_chunks)
         latency = self.target_roofline.forward_latency(
             decode_tokens + chunk_tokens, context
         )
@@ -263,8 +264,7 @@ class SimulatedEngine:
         if self.slow_factor != 1.0:
             latency *= self.slow_factor
         end = now + latency
-        if decode_requests:
-            cohort.advance(end)
+        cohort.advance(end)
         for req, tokens in prefill_chunks:
             req.advance_prefill(tokens)
             if req.remaining_prompt == 0:

@@ -24,7 +24,7 @@ def running(engine, rid=0, prompt=32, out=16, **kw):
 def cohort_of(reqs):
     """A decode cohort whose batch is ``reqs`` (all joining)."""
     cohort = DecodeCohort()
-    cohort.regroup(reqs)
+    cohort.admit(reqs)
     return cohort
 
 
@@ -74,7 +74,7 @@ class TestDecode:
         root = engine.root_ctx(r1)
         cohort = cohort_of([r1])
         engine.decode([r1], 0.0, cohort)
-        cohort.regroup([r1, r2])
+        cohort.admit([r1, r2])
         engine.mixed_step([r1, r2], [(queued(9, prompt=40), 16)], 1.0, cohort)
         assert r1.n_generated == 1  # r1's second token is implied by the cohort
         cohort.materialize_all()
