@@ -7,7 +7,7 @@ batch from one step to the next, its count is therefore implied:
 :class:`DecodeCohort` keeps that implied count instead of writing it.  A
 step then does Python work only for the requests that join, leave,
 finish or need a new KV block; spotting that the batch is unchanged is
-one C-level identity comparison.
+one C-level list comparison.
 
 Each member records ``mark``, the cohort step at which its ``Request``
 counters were last written.  Its ``pending`` tokens are ``step - mark``,
@@ -37,7 +37,7 @@ materializes is listed in :mod:`repro.serving.scheduler_base`.
 
 from __future__ import annotations
 
-from operator import attrgetter, is_
+from operator import attrgetter
 
 from repro.serving.request import Request
 
@@ -168,13 +168,14 @@ class DecodeCohort:
     def admit(self, batch: list[Request]) -> list[tuple[Request, int]]:
         """Make ``batch`` the cohort; return who needs KV checked this step.
 
-        Regroups only if the batch changed, which one C-level identity
-        comparison tells.  The result lists joiners and members whose
-        next token exceeds the coverage recorded by :meth:`rearm`, as
-        ``(request, KV tokens needed)`` in batch order.
+        Regroups only if the batch changed.  The result lists joiners and
+        members whose next token exceeds the coverage recorded by
+        :meth:`rearm`, as ``(request, KV tokens needed)`` in batch order.
         """
-        old = self.batch
-        if not self._stale and len(batch) == len(old) and all(map(is_, batch, old)):
+        # List equality runs in C and short-circuits on identity; two
+        # distinct requests never compare equal (rids are unique), so
+        # equal lists hold the same requests in the same order.
+        if not self._stale and batch == self.batch:
             due = self._cross_at.pop(self.step, None)
             if not due:
                 return []
@@ -204,7 +205,8 @@ class DecodeCohort:
             m = members.get(req.rid)
             if m is not None:
                 spare = covered.get(req.rid, 0) - need
-                self._cross_at.setdefault(step + 1 + max(spare, 0), []).append(m)
+                at = step + 1 + (spare if spare > 0 else 0)
+                self._cross_at.setdefault(at, []).append(m)
 
     # ------------------------------------------------------------------
     # Stepping

@@ -249,8 +249,9 @@ class Scheduler(abc.ABC):
         if self._finished_in_running == 0:
             return
         still_running: list[Request] = []
+        finished = RequestState.FINISHED
         for req in self.running:
-            if req.is_finished:
+            if req.state is finished:
                 self.engine.finish(req)
                 self.finished.append(req)
             else:
