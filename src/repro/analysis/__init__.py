@@ -6,7 +6,6 @@ from repro.analysis.harness import (
     Setup,
     build_setup,
     make_scheduler,
-    run_cluster,
     run_once,
 )
 from repro.analysis.report import (
@@ -60,7 +59,6 @@ __all__ = [
     "make_scheduler",
     "parse_grid_axis",
     "point_from_metrics",
-    "run_cluster",
     "run_once",
     "series_table",
 ]

@@ -7,16 +7,15 @@ system construction is identical everywhere:
   (target + draft rooflines, KV manager);
 - :func:`make_scheduler` instantiates any registered system from a spec
   string (``adaserve``, ``vllm-spec:k=8``, legacy ``vllm-spec-6``, ...);
-- :func:`run_once` executes one (system, workload) simulation and returns
-  the report;
-- :func:`run_cluster` executes the same workload against a router-fronted
-  fleet of replicas (see :mod:`repro.cluster`).
+- :func:`run_once` executes one (system, workload) simulation — a solo
+  point or a router-fronted fleet (see :mod:`repro.cluster`) — and
+  returns the report.
 
 Schedulers, routers, and model setups are resolved through the typed
 registries in :mod:`repro.registry` — components register themselves at
 definition site, so adding a system never touches this module.  Engines
-and schedulers are stateful, so a fresh pair is built per run (per
-replica, for fleets).
+and schedulers are stateful, so every run builds a fresh pair per
+replica.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro._rng import derive_seed
 from repro import baselines as _baselines  # noqa: F401 - registers the baseline systems
 from repro.chaos import FaultSchedule
 from repro.cluster.autoscaler import AutoscalerConfig
-from repro.cluster.fleet import FleetReport, FleetSimulator
+from repro.cluster.fleet import FleetSimulator
 from repro.cluster.router import make_router
 from repro.core import scheduler as _core_scheduler  # noqa: F401 - registers adaserve
 from repro.hardware.roofline import RooflineModel
@@ -40,7 +39,7 @@ from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
 from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
-from repro.serving.server import ServingSimulator, SimulationReport
+from repro.serving.server import SimulationReport
 
 #: The two Table 1 setups: (pair preset, target deployment, draft deployment).
 MODEL_SETUPS: dict[str, tuple[str, str, str]] = {
@@ -122,53 +121,11 @@ def make_scheduler(system: str, engine: SimulatedEngine, **overrides) -> Schedul
     return SYSTEMS.create(system, engine, **overrides)
 
 
-def _clone_requests(requests: list[Request]) -> list[Request]:
-    """Requests are mutated during a run; give each run a private copy."""
-    return [r.fresh_copy() for r in requests]
-
-
 def run_once(
     setup: Setup,
     system: str,
     requests: list[Request],
-    max_sim_time_s: float = 7200.0,
-    observer=None,
-    invariants=None,
-    metrics_mode: str = "exact",
-    **scheduler_overrides,
-) -> SimulationReport:
-    """Run one system over one workload on a fresh engine.
-
-    ``observer`` (a :class:`~repro.obs.observer.RunObserver`) attaches
-    lifecycle tracing + gauge sampling; ``invariants`` (a
-    :class:`~repro.check.invariants.InvariantChecker`) attaches the
-    runtime sanitizer.  Both are passive, so the report is byte-identical
-    with or without them.  ``metrics_mode`` selects the aggregation path
-    (``exact`` or ``streaming``; see :mod:`repro.serving.streaming`).
-    """
-    engine = setup.build_engine()
-    if observer is not None:
-        observer.attach_engine(engine, replica=0)
-    scheduler = make_scheduler(system, engine, **scheduler_overrides)
-    if invariants is not None:
-        invariants.attach(engine, scheduler, replica=0)
-    sim = ServingSimulator(
-        engine,
-        scheduler,
-        _clone_requests(requests),
-        max_sim_time_s=max_sim_time_s,
-        observer=observer,
-        invariants=invariants,
-        metrics_mode=metrics_mode,
-    )
-    return sim.run()
-
-
-def run_cluster(
-    setup: Setup,
-    system: str,
-    requests: list[Request],
-    replicas: int = 2,
+    replicas: int = 1,
     router: str = "round-robin",
     autoscale: dict | None = None,
     faults: Sequence[str] | None = None,
@@ -177,28 +134,33 @@ def run_cluster(
     invariants=None,
     metrics_mode: str = "exact",
     **scheduler_overrides,
-) -> FleetReport:
-    """Run one system as a router-fronted fleet over one workload.
+) -> SimulationReport:
+    """Run one system over one workload on a fresh router-fronted fleet.
 
-    Each replica gets a fresh engine + scheduler built from ``setup``
-    with a per-replica derived seed (so replica engines are independent
-    but the whole fleet is a pure function of ``setup.seed``).  Passing
-    ``autoscale`` (a mapping of :class:`AutoscalerConfig` overrides)
-    enables autoscaling; its ``max_replicas`` defaults to twice the
-    initial fleet when unset.  ``faults`` is a sequence of fault spec
-    strings (``crash:at=120,replica=1``, ``straggler:slow=2.0``, ...)
+    A point is a cluster when it has more than one replica, autoscaling
+    or faults (the ``ExperimentSpec.is_cluster`` rule).  A solo point's
+    engine takes ``setup.seed`` and its replica report is returned; a
+    cluster's replica ``i`` takes ``derive_seed(setup.seed, "fleet", i)``
+    and the fleet summary is returned.  ``autoscale`` (a mapping of
+    :class:`AutoscalerConfig` overrides) enables autoscaling; its
+    ``max_replicas`` defaults to twice the initial fleet when unset.
+    ``faults`` is a sequence of fault spec strings
+    (``crash:at=120,replica=1``, ``straggler:slow=2.0``, ...)
     materialized into a deterministic :class:`FaultSchedule` seeded from
-    ``setup.seed`` — fixed-seed chaos runs are byte-identical across
-    repeats.  ``observer`` (a :class:`~repro.obs.observer.RunObserver`)
-    attaches tracing to every engine the factory ever builds — initial
-    fleet, autoscaled additions, and crash replacements alike; the same
-    holds for ``invariants`` (an
-    :class:`~repro.check.invariants.InvariantChecker`).
+    ``setup.seed``.  ``observer`` (a
+    :class:`~repro.obs.observer.RunObserver`) and ``invariants`` (an
+    :class:`~repro.check.invariants.InvariantChecker`) attach to every
+    engine the replica factory builds — initial fleet, autoscaled
+    additions and crash replacements alike.  Both are passive, so the
+    report is byte-identical with or without them.  ``metrics_mode``
+    selects the aggregation path (``exact`` or ``streaming``; see
+    :mod:`repro.serving.streaming`).
     """
+    cluster = replicas > 1 or autoscale is not None or bool(faults)
 
     def replica_factory(index: int):
-        replica_setup = replace(setup, seed=derive_seed(setup.seed, "fleet", index))
-        engine = replica_setup.build_engine()
+        seed = derive_seed(setup.seed, "fleet", index) if cluster else setup.seed
+        engine = replace(setup, seed=seed).build_engine()
         if observer is not None:
             observer.attach_engine(engine, replica=index)
         scheduler = make_scheduler(system, engine, **scheduler_overrides)
@@ -223,9 +185,10 @@ def run_cluster(
             num_replicas=replicas,
         )
 
-    fleet = FleetSimulator(
+    # Requests are mutated during a run; each run gets a private copy.
+    report = FleetSimulator(
         replica_factory,
-        _clone_requests(requests),
+        [r.fresh_copy() for r in requests],
         make_router(router, seed=derive_seed(setup.seed, "router")),
         num_replicas=replicas,
         autoscaler_config=autoscaler_config,
@@ -234,5 +197,5 @@ def run_cluster(
         observer=observer,
         invariants=invariants,
         metrics_mode=metrics_mode,
-    )
-    return fleet.run()
+    ).run()
+    return report.summary if cluster else report.replica_reports[0]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro._rng import derive_seed
 from repro.analysis.cache import ResultCache
 from repro.analysis.export import report_from_dict, report_to_dict
-from repro.analysis.harness import Setup, build_setup, run_cluster, run_once
+from repro.analysis.harness import Setup, build_setup, run_once
 from repro.analysis.spec import ClusterSpec, ExperimentSpec, SystemSpec, WorkloadSpec
 from repro.registry import TRACES
 from repro.serving.request import Request
@@ -70,11 +70,11 @@ def run_spec(
 
     The single build-and-run recipe behind :func:`execute_point` and
     the golden-equivalence tests — so every consumer simulates exactly
-    the configuration real experiments would.  Cluster points
-    (``replicas > 1`` or autoscaling) run through
-    :func:`~repro.analysis.harness.run_cluster` and return the
-    fleet-level summary.  ``observer`` (see :func:`run_traced`)
-    attaches passive observability; ``invariants`` (an
+    the configuration real experiments would.  Every point runs through
+    :func:`~repro.analysis.harness.run_once`; cluster points (see
+    :attr:`ExperimentSpec.is_cluster`) return the fleet-level summary.
+    ``observer`` (see :func:`run_traced`) attaches passive
+    observability; ``invariants`` (an
     :class:`~repro.check.invariants.InvariantChecker`, see
     ``--check-invariants``) attaches the runtime sanitizer.  Neither
     ever changes the report.
@@ -85,28 +85,15 @@ def run_spec(
         prefix_cache=config.system.prefix_cache,
     )
     requests = build_workload(setup, config)
-    if config.is_cluster:
-        return run_cluster(
-            setup,
-            config.system.name,
-            requests,
-            replicas=config.cluster.replicas,
-            router=config.cluster.router,
-            autoscale=(
-                dict(config.cluster.autoscale)
-                if config.cluster.autoscale is not None
-                else None
-            ),
-            faults=config.chaos.faults if config.chaos.enabled else None,
-            max_sim_time_s=config.system.max_sim_time_s,
-            observer=observer,
-            invariants=invariants,
-            metrics_mode=config.system.metrics,
-        ).summary
+    cluster = config.cluster
     return run_once(
         setup,
         config.system.name,
         requests,
+        replicas=cluster.replicas,
+        router=cluster.router,
+        autoscale=None if cluster.autoscale is None else dict(cluster.autoscale),
+        faults=config.chaos.faults,
         max_sim_time_s=config.system.max_sim_time_s,
         observer=observer,
         invariants=invariants,

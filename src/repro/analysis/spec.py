@@ -244,15 +244,23 @@ class ExperimentSpec:
     obs: ObsSpec = field(default_factory=ObsSpec)
 
     def __post_init__(self) -> None:
-        # A fault aimed at a replica the fleet can never run would be a
-        # silent no-op, so it is rejected here rather than skipped mid-run.
+        # A fault aimed at a replica the fleet can never run, or timed past
+        # the horizon, would be a silent no-op: reject it, never skip it.
         ceiling = self.cluster.max_replicas
+        horizon = self.system.max_sim_time_s
         for spec in self.chaos.faults:
-            replica = getattr(FAULTS.create(spec), "replica", None)
+            fault = FAULTS.create(spec)
+            replica = getattr(fault, "replica", None)
             if replica is not None and replica >= ceiling:
                 raise SpecError(
                     f"fault {spec!r} targets replica {replica}, but the fleet "
                     f"only has replicas 0..{ceiling - 1}"
+                )
+            at = getattr(fault, "at", None)
+            if at is not None and at > horizon:
+                raise SpecError(
+                    f"fault {spec!r} fires at {at:g} s, past the {horizon:g} s "
+                    "simulation horizon (max_sim_time_s)"
                 )
 
     # -- construction ---------------------------------------------------
@@ -425,8 +433,8 @@ class ExperimentSpec:
 
     @property
     def is_cluster(self) -> bool:
-        """Whether this point runs as a cluster (``run_cluster``, fleet
-        summary) rather than as one engine (``run_once``).
+        """Whether this point runs as a cluster (per-replica engine seeds,
+        fleet summary) rather than solo; ``run_once`` applies the same rule.
 
         Chaos points always run as a cluster — even with one replica —
         since the fault schedule is built per fleet.

@@ -406,7 +406,7 @@ def _cmd_run(args) -> int:
     if args.warmup is not None and args.warmup < 0:
         print(f"error: --warmup must be >= 0, got {args.warmup:g}", file=sys.stderr)
         return 2
-    # Pass only user-provided knobs; AutoscalerConfig and run_cluster own
+    # Pass only user-provided knobs; AutoscalerConfig and run_once own
     # the defaults (warm-up length, 2x-initial-fleet ceiling).
     autoscale = None
     if args.autoscale:

@@ -1,7 +1,8 @@
 """The simulation loop: replicas, one clock, one router.
 
-:class:`FleetSimulator` is the only simulation loop; a solo run
-(:class:`~repro.serving.server.ServingSimulator`) is a one-replica fleet.
+:class:`FleetSimulator` is the only simulation loop; a solo point
+(:func:`~repro.analysis.harness.run_once` with one replica, or
+:class:`~repro.serving.server.ServingSimulator`) is a one-replica fleet.
 Each replica keeps its own iteration timeline (``local_now``); the fleet
 processes events in global time order over a shared
 :class:`~repro.serving.clock.SimClock`:
@@ -34,7 +35,7 @@ from repro.chaos import ChaosLog, FaultEvent, FaultSchedule, build_chaos_report
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from repro.cluster.replica import Replica
 from repro.cluster.router import Router
-from repro.serving.clock import ArrivalStream, ChunkedArrivalStream, SimClock
+from repro.serving.clock import ArrivalStream, SimClock
 from repro.serving.engine import PhaseTimes, SimulatedEngine
 from repro.serving.streaming import aggregate_metrics
 from repro.serving.request import Request
@@ -128,10 +129,7 @@ class FleetSimulator:
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
         self.replica_factory = replica_factory
-        # A columnar workload (anything exposing iter_chunks in arrival
-        # order) is consumed lazily: requests materialize as the clock
-        # reaches them instead of all up front.
-        self.requests = requests if hasattr(requests, "iter_chunks") else list(requests)
+        self.requests = list(requests)
         self.metrics_mode = metrics_mode
         self.router = router
         # Observability (repro.obs): fleet-level markers go straight to
@@ -439,10 +437,7 @@ class FleetSimulator:
         ties exactly as they do against steps.
         """
         clock = SimClock()
-        if hasattr(self.requests, "iter_chunks"):
-            arrivals = ChunkedArrivalStream(self.requests.iter_chunks())
-        else:
-            arrivals = ArrivalStream(self.requests)
+        arrivals = ArrivalStream(self.requests)
         iterations = 0
         horizon = self.max_sim_time_s
         heap = self._event_heap

@@ -13,7 +13,7 @@ the three properties the columnar substrate
 - **memory** — tracemalloc peak during the columnar build must stay
   under the committed :data:`PEAK_MEMORY_CEILING_MB` (the resident
   column store itself is 64 B/request);
-- **identity** — chunk-materializing the column store must reproduce
+- **identity** — materializing the column store in slices must reproduce
   the scalar path's requests byte-for-byte (one SHA-256 over every
   schedulable field of every request, in trace order).
 
@@ -25,11 +25,11 @@ to workload generation fails it even when columnar and scalar paths
 still agree with each other.
 
 The speedup gate compares scalar end-to-end generation against the
-*columnar build*, because the column store is what population-scale
-consumers use: both simulators detect ``iter_chunks`` and stream
-chunk-materialized requests instead of holding the full object list
-(see :class:`repro.serving.clock.ChunkedArrivalStream`).  The chunked
-materialization rate is reported alongside as context, not gated.
+*columnar build*, because the column store is the population-scale
+generation substrate: a consumer keeps the columns and materializes the
+row slices it needs (``materialize(lo, hi)``) instead of holding the
+full object list.  The sliced materialization rate is reported
+alongside as context, not gated.
 
 :func:`gate_failures` reports a missing or skipped row as a failure: a
 gate that was not run enforces nothing.
@@ -143,7 +143,7 @@ def request_digest(requests) -> str:
     Covers everything the simulator reads from a freshly generated
     request — identity, timing, lengths, SLO, session linkage, and
     prefix segments — with floats in hex so the digest is exact.
-    Accepts any iterable, so the columnar side can stream chunks
+    Accepts any iterable, so the columnar side can stream slices
     without ever holding the full object list.
     """
     digest = hashlib.sha256()
@@ -187,10 +187,10 @@ def run_population() -> dict:
     peak_sessions = peak_concurrent_sessions(work, duration_s, cfg["turns"])
     sessions = int(np.unique(np.asarray(work.session_id)).size)
 
-    # Chunked materialization + digest (streaming; never the full list).
+    # Sliced materialization + digest (streaming; never the full list).
     start = time.perf_counter()
     digest = request_digest(
-        r for chunk in work.iter_chunks() for r in chunk
+        r for lo in range(0, n, 8192) for r in work.materialize(lo, lo + 8192)
     )
     materialize_wall = time.perf_counter() - start
 

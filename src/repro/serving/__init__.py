@@ -1,6 +1,6 @@
 """Serving-system simulator substrate: requests, engine, KV cache, metrics."""
 
-from repro.serving.clock import ArrivalStream, ChunkedArrivalStream, SimClock
+from repro.serving.clock import ArrivalStream, SimClock
 from repro.serving.engine import PhaseTimes, SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager, KVStats, OutOfKVCache
 from repro.serving.metrics import (
@@ -16,7 +16,6 @@ from repro.serving.server import ServingSimulator, SimulationReport
 __all__ = [
     "ArrivalStream",
     "CategoryMetrics",
-    "ChunkedArrivalStream",
     "KVCacheManager",
     "KVStats",
     "OutOfKVCache",

@@ -1,9 +1,9 @@
-"""Single-engine entry point and the run report.
+"""Engine-level driver for tests and examples, and the run report.
 
-:class:`ServingSimulator` drives one scheduler over an arrival trace by
-running it as a one-replica fleet: there is one simulation loop,
-:meth:`repro.cluster.fleet.FleetSimulator.run`, and a solo run is that
-loop with a single replica behind a round-robin router.
+:class:`ServingSimulator` drives one built engine and scheduler over an
+arrival trace as a one-replica fleet: there is one simulation loop,
+:meth:`repro.cluster.fleet.FleetSimulator.run`.  Experiments build their
+points through :func:`repro.analysis.harness.run_once` instead.
 
 The loop is iteration-driven: GPU serving systems execute one batch step
 at a time, and every interesting event (token commit, prefill

@@ -34,14 +34,13 @@ path below :data:`MIN_BATCH` requests.
 
 The columnar form is also the *memory* story: :class:`ColumnarWorkload`
 holds one float64/int64 column per field (~60 B/request instead of a
-~700 B ``Request`` object) and materializes requests lazily in chunks,
-so the fleet loop can consume a million-session trace incrementally.
+~700 B ``Request`` object) and materializes any row slice on demand,
+so a million-session trace need never exist as one object list.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -239,10 +238,10 @@ class ColumnarWorkload:
     """A workload as per-request numpy columns, materialized on demand.
 
     Row ``i`` is request ``rid == i`` (rows are already in the scalar
-    path's final emission order).  ``materialize()`` produces the exact
-    ``Request`` objects the scalar generator would have built;
-    ``iter_requests`` / ``iter_chunks`` do so lazily so a consumer never
-    holds more than one chunk of live objects unless it retains them.
+    path's final emission order).  ``materialize(lo, hi)`` produces the
+    exact ``Request`` objects the scalar generator would have built for
+    rows ``[lo, hi)``; callers materialize before simulating, in slices
+    when they must not hold every object at once.
     """
 
     arrival: object  # float64[n]
@@ -343,18 +342,6 @@ class ColumnarWorkload:
             req.on_finish = None
             out.append(req)
         return out
-
-    def iter_chunks(self, chunk_size: int = 8192) -> Iterator[list[Request]]:
-        """Materialize the workload one chunk at a time (arrival order)."""
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        for lo in range(0, len(self), chunk_size):
-            yield self.materialize(lo, lo + chunk_size)
-
-    def iter_requests(self, chunk_size: int = 8192) -> Iterator[Request]:
-        """Lazily yield every request in arrival order."""
-        for chunk in self.iter_chunks(chunk_size):
-            yield from chunk
 
 
 # ----------------------------------------------------------------------

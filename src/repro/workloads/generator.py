@@ -133,8 +133,8 @@ class WorkloadGenerator:
 
         ``columnar_from_arrivals(...).materialize()`` is bit-identical to
         ``from_arrivals(...)`` but the column store holds 32 bytes per
-        request (64 with session columns) and materializes lazily
-        (``iter_chunks``/``iter_requests``).
+        request (64 with session columns) and materializes any row slice
+        on demand (``materialize(lo, hi)``).
         """
         mix = mix or DEFAULT_MIX
         unknown = set(mix) - set(self.categories)

@@ -171,9 +171,8 @@ class SessionGenerator:
 
         Same requests as :meth:`generate` — ``columnar(...).materialize()``
         is bit-identical — but holds ~60 bytes per request instead of a
-        ``Request`` object, and supports chunked/lazy materialization via
-        ``iter_chunks`` / ``iter_requests``; built by the batch substrate
-        (:mod:`repro.workloads.batcharrivals`).
+        ``Request`` object and materializes any row slice on demand; built
+        by the batch substrate (:mod:`repro.workloads.batcharrivals`).
         """
         if duration_s <= 0 or rps <= 0:
             raise ValueError("duration and rps must be positive")

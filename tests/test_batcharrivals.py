@@ -153,15 +153,6 @@ class TestColumnarWorkload:
         split = work.materialize(0, 10) + work.materialize(10, len(work))
         assert [_fields(a) for a in full] == [_fields(b) for b in split]
 
-    def test_iter_chunks_covers_everything_in_order(self, target_roofline):
-        work = self._work(target_roofline)
-        chunked = [r for chunk in work.iter_chunks(16) for r in chunk]
-        assert [_fields(a) for a in chunked] == [
-            _fields(b) for b in work.materialize()
-        ]
-        arrivals = [r.arrival_time for r in chunked]
-        assert arrivals == sorted(arrivals)
-
     def test_column_store_bytes_per_request(self, target_roofline):
         # One-shot traces: 4 int64/float64 columns.  Session traces add
         # the 4 session columns (id, turn, namespace, segment tokens).
@@ -176,67 +167,3 @@ class TestColumnarWorkload:
         gen = WorkloadGenerator(target_roofline, seed=0)
         with pytest.raises(KeyError):
             gen.columnar_from_arrivals([1.0, 2.0], mix={"nope": 1.0})
-
-
-class TestChunkedArrivalStream:
-    def _stream(self, target_roofline, chunk_size=16):
-        from repro.serving.clock import ChunkedArrivalStream
-        from repro.workloads.trace import uniform_trace
-
-        gen = WorkloadGenerator(target_roofline, seed=4)
-        work = gen.columnar_from_arrivals(uniform_trace(30.0, 4.0, seed=gen.seed))
-        return work, ChunkedArrivalStream(work.iter_chunks(chunk_size))
-
-    def test_releases_every_request_in_arrival_order(self, target_roofline):
-        work, stream = self._stream(target_roofline)
-        released = []
-        t = 0.0
-        while not stream.exhausted:
-            t = max(t + 1.0, stream.next_arrival)
-            released.extend(stream.release_until(t))
-        assert len(released) == len(work)
-        arrivals = [r.arrival_time for r in released]
-        assert arrivals == sorted(arrivals)
-
-    def test_next_arrival_tracks_head(self, target_roofline):
-        work, stream = self._stream(target_roofline)
-        head = work.materialize(0, 1)[0]
-        assert stream.next_arrival == head.arrival_time
-        stream.release_until(head.arrival_time)
-        assert stream.next_arrival > head.arrival_time
-
-    def test_regressing_seam_rejected(self):
-        from repro.serving.clock import ChunkedArrivalStream
-        from tests.conftest import make_request
-
-        chunks = iter(
-            [
-                [make_request(rid=0, arrival=5.0)],
-                [make_request(rid=1, arrival=1.0)],  # regresses across seam
-            ]
-        )
-        stream = ChunkedArrivalStream(chunks)
-        with pytest.raises(ValueError, match="regressed"):
-            stream.release_until(10.0)
-
-
-class TestLazySimulationEquivalence:
-    def test_columnar_run_matches_materialized_run(self, target_roofline):
-        from repro.analysis.harness import build_setup, make_scheduler
-        from repro.serving.server import ServingSimulator
-        from repro.workloads.trace import uniform_trace
-
-        setup = build_setup("llama70b", seed=1)
-        gen = WorkloadGenerator(setup.target_roofline, seed=1)
-        work = gen.columnar_from_arrivals(uniform_trace(20.0, 4.0, seed=gen.seed))
-
-        def run(requests):
-            engine = setup.build_engine()
-            scheduler = make_scheduler("vllm", engine)
-            return ServingSimulator(engine, scheduler, requests).run()
-
-        lazy = run(work)
-        eager = run(work.materialize())
-        assert lazy.metrics == eager.metrics
-        assert lazy.iterations == eager.iterations
-        assert lazy.sim_time_s == eager.sim_time_s

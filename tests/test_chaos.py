@@ -140,6 +140,21 @@ class TestChaosSpec:
         with pytest.raises(SpecError, match=r"replicas 0\.\.1"):
             self.base(replicas=2, faults=(fault,))
 
+    @pytest.mark.parametrize(
+        "fault", ["crash:at=50,replica=1", "straggler:at=21", "scale-delay:at=30"]
+    )
+    def test_fault_past_horizon_rejected(self, fault):
+        with pytest.raises(SpecError, match=r"past the 20 s simulation horizon"):
+            self.base(replicas=2, faults=(fault,), max_sim_time_s=20.0)
+
+    def test_fault_at_horizon_or_auto_placed_accepted(self):
+        spec = self.base(
+            replicas=2,
+            faults=("crash:at=20,replica=1", "straggler"),
+            max_sim_time_s=20.0,
+        )
+        assert len(spec.faults) == 2
+
     def test_autoscale_ceiling_bounds_replica(self):
         # The autoscaler's ceiling (2x the initial fleet by default), not
         # the initial fleet, bounds which replicas can ever be hit.
@@ -155,6 +170,18 @@ class TestChaosSpec:
                 "--faults", "crash:at=1,replica=5"]
         assert main(argv) == 2
         assert "replicas 0..1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "chaos-report"])
+    def test_cli_exits_nonzero_on_fault_past_horizon(self, command, capsys):
+        from repro.cli import main
+
+        argv = [command, "--system", "vllm", "--rps", "4", "--duration", "5",
+                "--replicas", "2", "--faults", "crash:at=50,replica=1",
+                "--max-sim-time", "20", "--no-cache"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "crash:at=50.0,replica=1" in err
+        assert "20 s simulation horizon" in err
 
 
 # ----------------------------------------------------------------------

@@ -428,11 +428,11 @@ class TestFleetSimulator:
             )
 
     def test_run_cluster_rejects_ceiling_below_initial_fleet(self):
-        from repro.analysis.harness import build_setup, run_cluster
+        from repro.analysis.harness import build_setup, run_once
 
         setup = build_setup("llama70b", seed=0)
         with pytest.raises(ValueError, match="below"):
-            run_cluster(
+            run_once(
                 setup, "vllm", fleet_workload(n=5),
                 replicas=4, autoscale={"max_replicas": 2},
             )

@@ -141,6 +141,21 @@ GOLDEN = [
         ),
         "42690dc163aae93c63cddd7111a01180ceddd1757a8c929a755f6a47fa18b48b",
     ),
+    # A one-replica speculative fleet: a fault makes the point a cluster,
+    # so replica 0's engine seed is derived per replica, not the run
+    # seed.  Plain decode never reads the engine seed, so only a
+    # speculative system can tell the two apart.
+    (
+        "fleet-1r-adaserve-straggler",
+        dict(
+            system="adaserve",
+            rps=4.0,
+            duration_s=8.0,
+            trace="bursty",
+            faults=("straggler:at=2,replica=0,slow=1.5,duration=3",),
+        ),
+        "0fea763fe9433ceef870437d560c223e4b52031c88ee6f232dd09bfade9b77c8",
+    ),
     # Saturated plain-decode points: at 20 rps the running set reaches the
     # 64-slot ``max_batch_size`` (66 for sarathi, whose chunked prefill
     # appends past the cut), so the batch cut and each policy's batch
