@@ -110,6 +110,14 @@ GOLDEN = [
         ),
         "3e2f2183135a5f34d2c6346760f0b85d0ebe3a572b2fa657f3024bb7c5075917",
     ),
+    # A long sessions run whose prefix table fills the pool: about 12k of
+    # 28k shared blocks are evicted, so the LRU, leaf-first eviction
+    # order is part of the digest.
+    (
+        "sessions-prefix-evict",
+        dict(system="vllm", rps=8.0, duration_s=300.0, trace="sessions", prefix_cache=True),
+        "0dab6698f3732c5dc8f1ba66d60afa5b73198cd047ab8bedff95b45ee5cd4d41",
+    ),
     # Chaos scenarios (PR 6): fixed-seed fault injection must be exactly
     # as reproducible as every other run — the whole fault timeline
     # (including auto-placed draws) is a pure function of the spec.
