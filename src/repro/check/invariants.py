@@ -151,7 +151,7 @@ class InvariantChecker:
 
         # The decode-admission skip trusts ``covered`` as a lower bound:
         # every entry is a live request holding at least that many tokens.
-        refs = getattr(kv, "_refs", {})
+        refs = kv._refs if kv.prefix_caching else {}
         for owner, tokens in kv.covered.items():
             held = (kv._allocated.get(owner, 0) + len(refs.get(owner, ()))) * kv.block_size
             if not kv.holds(owner) or tokens > held:
@@ -160,57 +160,75 @@ class InvariantChecker:
                     f"request {owner} records {tokens} covered tokens but holds {held}",
                 )
 
-        shared = getattr(kv, "_shared", None)
-        if shared is None:
+        if not kv.prefix_caching:
             return
+        blocks = kv._blocks  # key -> run holding the block
 
-        # Refcounts must equal the number of live chains referencing each
-        # shared block — recomputed from scratch, not trusted.
-        expected = Counter(key for chain in kv._refs.values() for key in chain)
-        for key, block in shared.items():
-            if block.refcount != expected[key]:
+        # A block's refcount (its run's) must equal the number of live
+        # chains referencing it — recomputed from scratch, not trusted.
+        expected = Counter(key for chain in refs.values() for key in chain)
+        for key, run in blocks.items():
+            if run.refcount != expected[key]:
                 fail(
                     "prefix-refcount",
-                    f"block refcount={block.refcount} but "
+                    f"block refcount={run.refcount} but "
                     f"{expected[key]} live chain(s) reference it",
                     block=key,
                 )
         for key in expected:
-            if key not in shared:
+            if key not in blocks:
                 fail(
                     "prefix-refcount",
                     "a live chain references a block missing from the shared table",
                     block=key,
                 )
-        unreferenced = sum(1 for block in shared.values() if block.refcount == 0)
+        unreferenced = sum(1 for run in blocks.values() if run.refcount == 0)
         if kv._unreferenced != unreferenced:
             fail(
                 "prefix-unreferenced",
                 f"_unreferenced={kv._unreferenced} but {unreferenced} shared "
                 "block(s) have refcount 0",
             )
-        children = Counter(
-            block.parent for block in shared.values() if block.parent is not None
-        )
-        for key, block in shared.items():
-            if block.children != children[key]:
+        runs = list({id(run): run for run in blocks.values()}.values())
+        children = Counter(id(run.parent) for run in runs if run.parent is not None)
+        for run in runs:
+            if run.children != children[id(run)]:
                 fail(
                     "prefix-children",
-                    f"block children={block.children} but {children[key]} "
-                    "resident block(s) name it as parent",
-                    block=key,
+                    f"run children={run.children} but {children[id(run)]} "
+                    "resident run(s) name it as parent",
+                    block=run.keys[-1],
                 )
-        for owner, chain in kv._refs.items():
-            for i, key in enumerate(chain):
-                parent = shared[key].parent
-                want = chain[i - 1] if i > 0 else None
-                if parent != want:
+        # Each run owns its keys and hangs from its resident parent's tail;
+        # each held chain is the run path from its tip up to the root.
+        for run in runs:
+            parent = run.parent
+            if parent is not None and (not parent.keys or blocks.get(parent.keys[-1]) is not parent):
+                fail("prefix-chain", "run hangs from an evicted parent", block=run.keys[0])
+            depth = 0 if parent is None else parent.start + len(parent.keys)
+            if run.start != depth:
+                fail(
+                    "prefix-chain",
+                    f"run starts at depth {run.start} but its parent's tail ends at {depth - 1}",
+                    block=run.keys[0],
+                )
+            for key in run.keys:
+                if blocks.get(key) is not run:
+                    fail("prefix-chain", "the table maps the block to another run", block=key)
+        for owner, chain in refs.items():
+            end = len(chain)
+            run = blocks[chain[-1]] if chain else None
+            while run is not None:
+                if run.start + len(run.keys) != end or chain[run.start : end] != run.keys:
                     fail(
                         "prefix-chain",
-                        f"request {owner}'s chain breaks at position {i}: "
-                        f"block parent={parent}, chain predecessor={want}",
-                        block=key,
+                        f"request {owner}'s chain breaks at position {end - 1}: "
+                        f"the run holding it spans depths {run.start}.."
+                        f"{run.start + len(run.keys) - 1}",
+                        block=chain[end - 1],
                     )
+                end = run.start
+                run = run.parent
 
     # ------------------------------------------------------------------
     # Lazy plain-decode counters

@@ -6,10 +6,12 @@ of recomputing prefill is the mechanism behind vLLM's automatic prefix
 caching and SGLang-style radix reuse.  This package provides
 
 - :mod:`repro.prefixcache.tokens` — prefix identity: block keys derived
-  from a request's ``(namespace, length)`` prompt segments;
+  from a request's ``(namespace, length)`` prompt segments, one vector
+  hash call per segment;
 - :mod:`repro.prefixcache.manager` — :class:`PrefixCacheManager`, the
   refcounted, LRU-evicted shared-block extension of the KV manager,
-  matched and committed over those keys (``lock_keys``/``commit_keys``).
+  matched and committed over those keys (``lock_keys``/``commit_keys``)
+  and refcounted per run of blocks held together, not per block.
 
 Enable it per experiment with ``ExperimentSpec.create(...,
 prefix_cache=True)`` or ``repro run/sweep/cluster --prefix-cache``; pair

@@ -11,6 +11,14 @@ their last reference drops, forming a reuse cache evicted LRU,
 leaf-first, only under allocation pressure — so enabling prefix caching
 never makes an allocation fail that would have succeeded without it.
 
+Shared blocks form a tree of **runs**: a run is a stretch of chained
+blocks that every holder holds as a whole, so it carries one refcount,
+one child-run count and one LRU stamp.  A request's references are
+always a root prefix of its keys ending on a run's tail, so locking,
+committing and freeing visit the few runs on that path, not its blocks.
+A resident key implies resident ancestors (eviction is leaf-first), so
+the longest match is a binary search over the request's keys.
+
 Lifecycle (driven by the engine/scheduler hooks, all over block keys):
 
 - :meth:`lock_keys` at prefill-batch entry — match the prompt's keys
@@ -29,6 +37,7 @@ Lifecycle (driven by the engine/scheduler hooks, all over block keys):
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -40,14 +49,21 @@ from repro.serving.kv_cache import (
 )
 
 
-@dataclass
-class _Block:
-    """One shared (prefix-addressed) KV block."""
+@dataclass(eq=False, slots=True)
+class _Run:
+    """A stretch of chained shared blocks that every holder holds whole.
 
-    parent: int | None  # key of the previous block in the chain
-    refcount: int = 0  # live requests referencing this block
-    children: int = 0  # resident blocks chained after this one
-    touch: int = 0  # LRU stamp (monotonic tick at last use)
+    Child runs hang from the tail block.  Once unreferenced, the blocks
+    are stamped deepest first: block ``i`` has LRU stamp ``touch +
+    len(keys) - 1 - i``, so ``touch`` is the tail's.
+    """
+
+    keys: list[int]  # block keys, root-most first
+    start: int  # depth of keys[0] (its index in every holder's chain)
+    parent: _Run | None  # run whose tail precedes keys[0]
+    refcount: int = 0  # live requests holding the run
+    children: int = 0  # resident runs hanging from the tail
+    touch: int = 0  # LRU stamp of the tail block (meaningful at refcount 0)
 
 
 @dataclass(frozen=True)
@@ -84,11 +100,13 @@ class PrefixCacheManager(KVCacheManager):
 
     def __init__(self, capacity_tokens: int, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         super().__init__(capacity_tokens, block_size)
-        self._shared: dict[int, _Block] = {}
+        self._blocks: dict[int, _Run] = {}  # shared key -> run holding it
         self._refs: dict[int, list[int]] = {}  # rid -> chain of shared keys
         self._unreferenced = 0
         self._tick = 0
-        self._evictable: list[tuple[int, int]] = []  # (touch, key) lazy heap
+        #: Lazy heap of ``(touch, seq, run)`` over unreferenced leaf runs.
+        self._evictable: list[tuple[int, int, _Run]] = []
+        self._seq = itertools.count()
         #: Requests whose miss has been counted this prefill pass, so the
         #: per-iteration lock retries of a queued request do not inflate
         #: the lookup counter (cleared by :meth:`free`).
@@ -105,12 +123,12 @@ class PrefixCacheManager(KVCacheManager):
     @property
     def used_blocks(self) -> int:
         """Physical blocks in use: private allocations + shared blocks."""
-        return self._used + len(self._shared)
+        return self._used + len(self._blocks)
 
     @property
     def free_blocks(self) -> int:
         """Blocks immediately available (excludes evictable shared blocks)."""
-        return self.total_blocks - self._used - len(self._shared)
+        return self.total_blocks - self._used - len(self._blocks)
 
     def holds(self, rid: int) -> bool:
         """Whether the request has any allocation or shared reference."""
@@ -132,7 +150,7 @@ class PrefixCacheManager(KVCacheManager):
             hit_tokens=self._hit_tokens,
             committed_blocks=self._committed,
             evicted_blocks=self._evicted,
-            cached_blocks=len(self._shared),
+            cached_blocks=len(self._blocks),
             unreferenced_blocks=self._unreferenced,
         )
 
@@ -154,24 +172,19 @@ class PrefixCacheManager(KVCacheManager):
         held = self._refs.get(rid)
         if held:
             return len(held) * self.block_size
-        chain: list[int] = []
-        for key in keys:
-            block = self._shared.get(key)
-            if block is None:
-                break
-            self._ref(key, block)
-            chain.append(key)
-        if chain:
-            self._refs[rid] = chain
+        hit = self._resident_prefix(keys, 0)
+        if hit:
+            self._refs[rid] = list(keys[:hit])
+            self._ref_path(self._split(keys[hit - 1], hit), None)
             if rid not in self._miss_counted:
                 self._lookups += 1
             self._miss_counted.discard(rid)
             self._hits += 1
-            self._hit_tokens += len(chain) * self.block_size
+            self._hit_tokens += hit * self.block_size
         elif rid not in self._miss_counted:
             self._miss_counted.add(rid)
             self._lookups += 1
-        return len(chain) * self.block_size
+        return hit * self.block_size
 
     def release_prefix(self, rid: int) -> int:
         """Drop ``rid``'s shared references (private blocks untouched).
@@ -181,14 +194,14 @@ class PrefixCacheManager(KVCacheManager):
         are reverted and the blocks become evictable again (unless other
         requests still reference them).  Returns the references dropped.
         """
-        chain = self._refs.pop(rid, [])
+        chain = self._refs.pop(rid, None)
         self.covered.pop(rid, None)
-        for key in reversed(chain):
-            self._unref(key)
-        if chain:
-            self._hits -= 1
-            self._hit_tokens -= len(chain) * self.block_size
-            self._lookups -= 1
+        if not chain:
+            return 0
+        self._unref_path(self._blocks[chain[-1]])
+        self._hits -= 1
+        self._hit_tokens -= len(chain) * self.block_size
+        self._lookups -= 1
         return len(chain)
 
     def commit_keys(self, rid: int, keys: Sequence[int]) -> int:
@@ -201,45 +214,106 @@ class PrefixCacheManager(KVCacheManager):
         """
         keys = list(keys)
         chain = self._refs.setdefault(rid, [])
-        if keys[: len(chain)] != chain:
+        held = len(chain)
+        if keys[:held] != chain:
             raise ValueError(f"request {rid}: commit diverges from its locked prefix")
-        added = 0
-        for key in keys[len(chain) :]:
-            block = self._shared.get(key)
-            if block is None:
-                parent = chain[-1] if chain else None
-                block = _Block(parent=parent, refcount=0, children=0, touch=self._tick)
-                if parent is not None:
-                    self._shared[parent].children += 1
-                self._shared[key] = block
-                self._unreferenced += 1  # transient; _ref below claims it
-            self._ref(key, block)
-            chain.append(key)
-            # The physical block was covered by the request's private
-            # allocation; hand it to the shared table (net occupancy 0
-            # for a new block, -1 for a deduplicated one).
-            if self._allocated.get(rid, 0) > 0:
-                self._allocated[rid] -= 1
-                self._used -= 1
-            self._committed += 1
-            added += 1
+        added = len(keys) - held
+        if added <= 0:
+            return 0
+        blocks = self._blocks
+        tip = blocks[chain[-1]] if held else None
+        # Keys another request already published: reference their runs.
+        resident = self._resident_prefix(keys, held)
+        if resident > held:
+            run = self._split(keys[resident - 1], resident)
+            self._ref_path(run, tip)
+            tip = run
+        fresh = keys[resident:]
+        if fresh:
+            if tip is not None and tip.refcount == 1 and not tip.children:
+                tip.keys += fresh  # sole holder of a leaf run: extend it
+            else:
+                run = _Run(fresh, resident, tip, refcount=1)
+                if tip is not None:
+                    tip.children += 1
+                tip = run
+            blocks.update(dict.fromkeys(fresh, tip))
+        self._refs[rid] = keys
+        # The physical blocks were covered by the request's private
+        # allocation; hand them to the shared table (net occupancy 0 for
+        # a new block, -1 for a deduplicated one).
+        have = self._allocated.get(rid, 0)
+        if have > 0:
+            moved = min(have, added)
+            self._allocated[rid] = have - moved
+            self._used -= moved
+        self._committed += added
         return added
 
-    def _ref(self, key: int, block: _Block) -> None:
-        if block.refcount == 0:
-            self._unreferenced -= 1
-        block.refcount += 1
-        self._tick += 1
-        block.touch = self._tick
+    def _resident_prefix(self, keys: Sequence[int], lo: int) -> int:
+        """Length of the longest resident prefix of ``keys``, at least ``lo``.
 
-    def _unref(self, key: int) -> None:
-        block = self._shared[key]
-        block.refcount -= 1
-        if block.refcount == 0:
-            self._unreferenced += 1
-            self._tick += 1
-            block.touch = self._tick
-            heapq.heappush(self._evictable, (block.touch, key))
+        Binary search: a resident key implies resident ancestors.
+        """
+        blocks = self._blocks
+        hi = len(keys)
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if keys[mid - 1] in blocks:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    def _split(self, key: int, depth: int) -> _Run:
+        """The run ending at ``key`` (at ``depth - 1``), split off if mid-run.
+
+        The run keeps its tail part, so its heap entries stay valid; a
+        new run takes the head and becomes the tail part's parent.
+        """
+        run = self._blocks[key]
+        cut = depth - run.start
+        if cut == len(run.keys):
+            return run
+        head = _Run(
+            run.keys[:cut],
+            run.start,
+            run.parent,
+            refcount=run.refcount,
+            children=1,
+            touch=run.touch + len(run.keys) - cut,
+        )
+        del run.keys[:cut]
+        run.start = depth
+        run.parent = head
+        self._blocks.update(dict.fromkeys(head.keys, head))
+        return head
+
+    def _ref_path(self, run: _Run | None, stop: _Run | None) -> None:
+        """Reference each run from ``run`` up to, not including, ``stop``."""
+        while run is not stop:
+            if run.refcount == 0:
+                self._unreferenced -= len(run.keys)
+            run.refcount += 1
+            run = run.parent
+
+    def _unref_path(self, run: _Run | None) -> None:
+        """Drop one reference from ``run`` and each of its ancestors.
+
+        A run reaching refcount 0 stamps its blocks deepest first, after
+        any deeper run released by the same call — the order the blocks'
+        last references drop in — and enters the heap if it is a leaf.
+        """
+        while run is not None:
+            run.refcount -= 1
+            if run.refcount == 0:
+                n = len(run.keys)
+                self._unreferenced += n
+                run.touch = self._tick + 1
+                self._tick += n
+                if not run.children:
+                    heapq.heappush(self._evictable, (run.touch, next(self._seq), run))
+            run = run.parent
 
     # ------------------------------------------------------------------
     # Allocation (base interface, prefix-aware)
@@ -274,10 +348,11 @@ class PrefixCacheManager(KVCacheManager):
         other request references them).  Idempotent.
         """
         released = super().free(rid)
-        chain = self._refs.pop(rid, [])
-        for key in reversed(chain):
-            self._unref(key)
+        chain = self._refs.pop(rid, None)
         self._miss_counted.discard(rid)  # a re-admission is a fresh pass
+        if not chain:
+            return released
+        self._unref_path(self._blocks[chain[-1]])
         return released + len(chain)
 
     def invalidate_all(self) -> None:
@@ -290,7 +365,7 @@ class PrefixCacheManager(KVCacheManager):
         work that genuinely happened before the crash.
         """
         super().invalidate_all()
-        self._shared.clear()
+        self._blocks.clear()
         self._refs.clear()
         self._unreferenced = 0
         self._evictable = []
@@ -300,22 +375,25 @@ class PrefixCacheManager(KVCacheManager):
     # Eviction
     # ------------------------------------------------------------------
     def _reclaim(self, need: int) -> None:
-        """Evict unreferenced leaf blocks (LRU) until ``need`` fit or none left."""
-        while self.free_blocks < need and self._evictable:
-            touch, key = heapq.heappop(self._evictable)
-            block = self._shared.get(key)
-            if (
-                block is None
-                or block.touch != touch
-                or block.refcount != 0
-                or block.children != 0
-            ):
+        """Evict unreferenced leaf blocks (LRU) until ``need`` fit or none left.
+
+        The LRU leaf block is the tail of the unreferenced leaf run with
+        the smallest stamp; dropping it leaves the next block up as that
+        run's tail, one stamp later.
+        """
+        heap = self._evictable
+        while self.free_blocks < need and heap:
+            touch, _, run = heapq.heappop(heap)
+            if run.touch != touch or run.refcount or run.children or not run.keys:
                 continue  # stale heap entry
-            del self._shared[key]
+            del self._blocks[run.keys.pop()]
             self._unreferenced -= 1
             self._evicted += 1
-            if block.parent is not None:
-                parent = self._shared[block.parent]
+            if run.keys:
+                run.touch += 1
+                heapq.heappush(heap, (run.touch, next(self._seq), run))
+            elif run.parent is not None:
+                parent = run.parent
                 parent.children -= 1
                 if parent.refcount == 0 and parent.children == 0:
-                    heapq.heappush(self._evictable, (parent.touch, block.parent))
+                    heapq.heappush(heap, (parent.touch, next(self._seq), parent))

@@ -27,7 +27,10 @@ schedulers skip them.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro._rng import mix
+from repro.workloads.batcharrivals import _U64, _vmix
 
 #: Root of every block-key chain.
 _CHAIN_ROOT = 0x50464358  # "PFCX"
@@ -45,7 +48,8 @@ def request_block_keys(req, n_tokens: int, block_size: int) -> list[int]:
     before the last contribute no tokens and are skipped, and the final
     segment extends without bound (generated tokens).  The trailing
     partial block has no key (only whole blocks are shareable).  Cost:
-    one :func:`mix` per block plus at most two per segment.
+    at most two :func:`mix` calls per segment, plus one vector
+    ``_vmix`` call keying all of a segment's blocks at once.
     """
     segments = req.prompt_segments
     last = len(segments) - 1
@@ -61,7 +65,8 @@ def request_block_keys(req, n_tokens: int, block_size: int) -> list[int]:
         end = n_tokens if i == last else min(offset + length, n_tokens)
         head = mix(h, namespace)
         if pos <= end:
-            keys.extend([mix(head, p - offset) for p in range(pos, end + 1, block_size)])
+            depths = np.arange(pos - offset, end - offset + 1, block_size, dtype=np.uint64)
+            keys += _vmix(_U64(head), depths).tolist()
             pos = (end // block_size + 1) * block_size
         h = mix(head, length)
         offset += length

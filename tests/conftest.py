@@ -6,6 +6,7 @@ import heapq
 import itertools
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import cache
 from unittest.mock import patch
 
@@ -22,6 +23,8 @@ from repro.model import batchgen
 from repro.model.draft import DraftLM
 from repro.model.pair import PAIR_PRESETS, ModelPair
 from repro.model.stochastic_lm import StochasticLM
+from repro.prefixcache import PrefixStats
+from repro.prefixcache.tokens import _CHAIN_ROOT
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
 from repro.serving.request import Request
@@ -478,6 +481,223 @@ def content_block_keys(
             if pos % block_size == 0:
                 keys.append(h)
     return keys
+
+
+def reference_block_keys(req, n_tokens: int, block_size: int) -> list[int]:
+    """One scalar ``mix`` per block: the oracle for ``request_block_keys``.
+
+    The same structural recipe as the vector path (see
+    :func:`repro.prefixcache.tokens.request_block_keys`), keyed block by
+    block with the reference :func:`repro._rng.mix`.
+    """
+    segments = req.prompt_segments
+    last = len(segments) - 1
+    keys: list[int] = []
+    h = _CHAIN_ROOT
+    offset = 0
+    pos = block_size  # end of the next block to key
+    for i, (namespace, length) in enumerate(segments):
+        if pos > n_tokens:
+            break
+        if length == 0 and i != last:
+            continue
+        end = n_tokens if i == last else min(offset + length, n_tokens)
+        head = mix(h, namespace)
+        if pos <= end:
+            keys.extend([mix(head, p - offset) for p in range(pos, end + 1, block_size)])
+            pos = (end // block_size + 1) * block_size
+        h = mix(head, length)
+        offset += length
+    return keys
+
+
+# ---------------------------------------------------------------------------
+# Per-block prefix cache: the oracle for the run-granular PrefixCacheManager
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _RefBlock:
+    """One shared (prefix-addressed) KV block of the reference manager."""
+
+    parent: int | None  # key of the previous block in the chain
+    refcount: int = 0  # live requests referencing this block
+    children: int = 0  # resident blocks chained after this one
+    touch: int = 0  # LRU stamp (monotonic tick at last use)
+
+
+class ReferencePrefixCacheManager(KVCacheManager):
+    """Per-block refcounts, one ``_ref``/``_unref`` per block.
+
+    The straightforward form of :class:`repro.prefixcache.PrefixCacheManager`:
+    the same public behaviour (return values, errors, ``prefix_stats``,
+    occupancy, LRU leaf-first eviction order), with every shared block
+    its own refcounted record.
+    """
+
+    prefix_caching = True
+
+    def __init__(self, capacity_tokens: int, block_size: int = 16) -> None:
+        super().__init__(capacity_tokens, block_size)
+        self._shared: dict[int, _RefBlock] = {}
+        self._refs: dict[int, list[int]] = {}  # rid -> chain of shared keys
+        self._unreferenced = 0
+        self._tick = 0
+        self._evictable: list[tuple[int, int]] = []  # (touch, key) lazy heap
+        self._miss_counted: set[int] = set()
+        self._lookups = 0
+        self._hits = 0
+        self._hit_tokens = 0
+        self._committed = 0
+        self._evicted = 0
+
+    @property
+    def used_blocks(self) -> int:
+        return self._used + len(self._shared)
+
+    @property
+    def free_blocks(self) -> int:
+        return self.total_blocks - self._used - len(self._shared)
+
+    def holds(self, rid: int) -> bool:
+        return rid in self._allocated or rid in self._refs
+
+    def prefix_stats(self) -> PrefixStats:
+        return PrefixStats(
+            lookups=self._lookups,
+            hits=self._hits,
+            hit_tokens=self._hit_tokens,
+            committed_blocks=self._committed,
+            evicted_blocks=self._evicted,
+            cached_blocks=len(self._shared),
+            unreferenced_blocks=self._unreferenced,
+        )
+
+    def lock_keys(self, rid: int, keys) -> int:
+        held = self._refs.get(rid)
+        if held:
+            return len(held) * self.block_size
+        chain: list[int] = []
+        for key in keys:
+            block = self._shared.get(key)
+            if block is None:
+                break
+            self._ref(block)
+            chain.append(key)
+        if chain:
+            self._refs[rid] = chain
+            if rid not in self._miss_counted:
+                self._lookups += 1
+            self._miss_counted.discard(rid)
+            self._hits += 1
+            self._hit_tokens += len(chain) * self.block_size
+        elif rid not in self._miss_counted:
+            self._miss_counted.add(rid)
+            self._lookups += 1
+        return len(chain) * self.block_size
+
+    def release_prefix(self, rid: int) -> int:
+        chain = self._refs.pop(rid, [])
+        self.covered.pop(rid, None)
+        for key in reversed(chain):
+            self._unref(key)
+        if chain:
+            self._hits -= 1
+            self._hit_tokens -= len(chain) * self.block_size
+            self._lookups -= 1
+        return len(chain)
+
+    def commit_keys(self, rid: int, keys) -> int:
+        keys = list(keys)
+        chain = self._refs.setdefault(rid, [])
+        if keys[: len(chain)] != chain:
+            raise ValueError(f"request {rid}: commit diverges from its locked prefix")
+        added = 0
+        for key in keys[len(chain) :]:
+            block = self._shared.get(key)
+            if block is None:
+                parent = chain[-1] if chain else None
+                block = _RefBlock(parent=parent, touch=self._tick)
+                if parent is not None:
+                    self._shared[parent].children += 1
+                self._shared[key] = block
+                self._unreferenced += 1  # transient; _ref below claims it
+            self._ref(block)
+            chain.append(key)
+            if self._allocated.get(rid, 0) > 0:
+                self._allocated[rid] -= 1
+                self._used -= 1
+            self._committed += 1
+            added += 1
+        return added
+
+    def _ref(self, block: _RefBlock) -> None:
+        if block.refcount == 0:
+            self._unreferenced -= 1
+        block.refcount += 1
+        self._tick += 1
+        block.touch = self._tick
+
+    def _unref(self, key: int) -> None:
+        block = self._shared[key]
+        block.refcount -= 1
+        if block.refcount == 0:
+            self._unreferenced += 1
+            self._tick += 1
+            block.touch = self._tick
+            heapq.heappush(self._evictable, (block.touch, key))
+
+    def ensure(self, rid: int, tokens: int) -> None:
+        refs = len(self._refs.get(rid, ()))
+        target = self.blocks_for(tokens) - refs
+        have = self._allocated.get(rid, 0)
+        if target > have:
+            need = target - have
+            self._reclaim(need)
+            if need > self.free_blocks:
+                raise OutOfKVCache(
+                    f"request {rid} needs {need} blocks, only {self.free_blocks} free"
+                )
+            self._allocated[rid] = have = target
+            self._used += need
+        if have or refs:
+            self.covered[rid] = (have + refs) * self.block_size
+
+    def free(self, rid: int) -> int:
+        released = super().free(rid)
+        chain = self._refs.pop(rid, [])
+        for key in reversed(chain):
+            self._unref(key)
+        self._miss_counted.discard(rid)
+        return released + len(chain)
+
+    def invalidate_all(self) -> None:
+        super().invalidate_all()
+        self._shared.clear()
+        self._refs.clear()
+        self._unreferenced = 0
+        self._evictable = []
+        self._miss_counted.clear()
+
+    def _reclaim(self, need: int) -> None:
+        while self.free_blocks < need and self._evictable:
+            touch, key = heapq.heappop(self._evictable)
+            block = self._shared.get(key)
+            if (
+                block is None
+                or block.touch != touch
+                or block.refcount != 0
+                or block.children != 0
+            ):
+                continue  # stale heap entry
+            del self._shared[key]
+            self._unreferenced -= 1
+            self._evicted += 1
+            if block.parent is not None:
+                parent = self._shared[block.parent]
+                parent.children -= 1
+                if parent.refcount == 0 and parent.children == 0:
+                    heapq.heappush(self._evictable, (parent.touch, block.parent))
 
 
 def tiny_generator(roofline: RooflineModel, seed: int = 5) -> WorkloadGenerator:

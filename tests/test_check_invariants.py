@@ -84,29 +84,33 @@ class TestPrefixInvariants:
     def _shared_kv(self) -> PrefixCacheManager:
         kv = PrefixCacheManager(capacity_tokens=1024)
         kv.ensure(rid=1, tokens=64)  # 4 blocks private
-        kv.commit_keys(1, [101, 102])  # two of them published as shared
-        kv.lock_keys(2, [101, 102])  # a second request references the chain
+        kv.commit_keys(1, [101, 102, 103])  # three of them published as shared
+        kv.lock_keys(2, [101, 102])  # a second request references two
+        # Two runs: [101, 102] held by both requests, [103] by request 1.
         return kv
 
     def test_clean_prefix_state_passes(self):
-        checker = InvariantChecker()
-        checker.check_kv(self._shared_kv(), "admit", rid=2)
+        kv = self._shared_kv()
+        head, tail = kv._blocks[101], kv._blocks[103]
+        assert (head.keys, head.refcount, head.children) == ([101, 102], 2, 1)
+        assert (tail.keys, tail.refcount, tail.parent) == ([103], 1, head)
+        InvariantChecker().check_kv(kv, "admit", rid=2)
 
     def test_refcount_skew_names_block(self):
         kv = self._shared_kv()
-        kv._shared[102].refcount += 1  # corrupt one block's refcount
+        kv._blocks[103].refcount += 1  # corrupt one run's refcount
         v = violation(InvariantChecker().check_kv, kv, "admit", replica=1, rid=2)
         assert v.invariant == "prefix-refcount"
-        assert v.block == 102
+        assert v.block == 103
         assert v.replica == 1 and v.rid == 2
-        assert "2 live chain(s)" in v.message
+        assert "refcount=2 but 1 live chain(s)" in v.message
 
     def test_dangling_chain_reference_detected(self):
         kv = self._shared_kv()
-        del kv._shared[102]  # chain still names the evicted block
+        del kv._blocks[103]  # chain still names the evicted block
         v = violation(InvariantChecker().check_kv, kv, "evacuate")
         assert v.invariant == "prefix-refcount"
-        assert v.block == 102
+        assert v.block == 103
 
     def test_unreferenced_count_skew_detected(self):
         kv = self._shared_kv()
@@ -116,21 +120,31 @@ class TestPrefixInvariants:
 
     def test_children_count_skew_detected(self):
         kv = self._shared_kv()
-        kv._shared[101].children = 5
+        kv._blocks[101].children = 5
         v = violation(InvariantChecker().check_kv, kv, "admit")
         assert v.invariant == "prefix-children"
-        assert v.block == 101
+        assert v.block == 102  # the run's tail, where its children hang
 
     def test_broken_chain_linkage_detected(self):
         kv = self._shared_kv()
-        # Repoint the child's parent (keeping the children tallies
-        # consistent, so only the chain-linkage audit can catch it).
-        kv._shared[102].parent = 999
-        kv._shared[101].children = 0
+        # Detach the tail run as a root (keeping the children tallies and
+        # depths consistent, so only the chain audit can catch it).
+        tail = kv._blocks[103]
+        tail.parent, tail.start = None, 0
+        kv._blocks[101].children = 0
         v = violation(InvariantChecker().check_kv, kv, "admit")
         assert v.invariant == "prefix-chain"
-        assert v.block == 102
-        assert "breaks at position 1" in v.message
+        assert v.block == 103
+        assert "request 1's chain breaks at position 2" in v.message
+
+    def test_prefix_manager_without_its_table_fails_loudly(self):
+        # A prefix-caching manager whose table is not where the checker
+        # looks must fail the audit, not silently skip every prefix rule.
+        kv = KVCacheManager(capacity_tokens=1024)
+        kv.prefix_caching = True
+        kv._refs = {}
+        with pytest.raises(AttributeError, match="_blocks"):
+            InvariantChecker().check_kv(kv, "admit")
 
 
 # ----------------------------------------------------------------------

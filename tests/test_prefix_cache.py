@@ -9,6 +9,8 @@ refcounted eviction paths), and the engine/scheduler integration hooks.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.prefixcache import PrefixCacheManager, request_block_keys, tokens
 from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, KVCacheManager, OutOfKVCache
 from repro.serving.request import Request
-from tests.conftest import content_block_keys
+from tests.conftest import content_block_keys, reference_block_keys
 
 
 def session_request(rid, prompt_len, session=0, out=16, sys_ns=901):
@@ -163,9 +165,44 @@ def _sessions_spec():
     )
 
 
+class TestVectorKeys:
+    """Each segment's keys come from one vector call, equal to the scalar
+    per-block loop bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.just(0) | st.integers(1, 120)),
+            min_size=1,
+            max_size=5,
+        ).filter(lambda segments: sum(length for _, length in segments) > 0),
+        block_size=st.sampled_from([1, 3, 7, 16, 32]),
+        data=st.data(),
+    )
+    @example(  # zero-length middle segment; prefix ends on a segment boundary
+        segments=[(5, 32), (6, 0), (7, 16)], block_size=16, data=None
+    )
+    def test_matches_scalar_loop(self, segments, block_size, data):
+        req = segment_request(segments)
+        boundaries = list(itertools.accumulate(length for _, length in segments))
+        if data is None:
+            candidates = [0, block_size - 1, *boundaries, boundaries[-1] + 40]
+        else:
+            candidates = [
+                data.draw(st.integers(0, block_size - 1)),  # below one block
+                data.draw(st.sampled_from(boundaries)),  # ends on a boundary
+                data.draw(st.integers(0, boundaries[-1] + 3 * block_size)),
+            ]
+        for n_tokens in candidates:
+            ours = request_block_keys(req, n_tokens, block_size)
+            assert ours == reference_block_keys(req, n_tokens, block_size)
+            assert all(type(key) is int for key in ours)
+
+
 class TestKeyCost:
-    """Keys cost one hash per block, are derived once per request, and no
-    memo grows between calls; decode grows KV once per block."""
+    """Keys cost two scalar hashes per segment, are derived once per
+    request, and no memo grows between calls; decode grows KV once per
+    block."""
 
     def test_mix_calls_bounded_by_blocks(self, monkeypatch):
         calls = 0
@@ -180,7 +217,7 @@ class TestKeyCost:
         req = segment_request(((0x5E55_0001, 50_000), (0x5E55_0002, 50_000)))
         out = keys(req, 100_000, block_size=16)
         assert len(out) == 6_250
-        assert calls <= len(out) + 2 * len(req.prompt_segments)
+        assert calls <= 2 * len(req.prompt_segments)  # blocks are keyed in one vector call
 
     def test_sessions_run_grows_no_module_state(self):
         from repro.analysis.runner import run_spec

@@ -22,7 +22,7 @@ from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
 from repro.prefixcache import PrefixCacheManager
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
-from tests.conftest import object_tree
+from tests.conftest import ReferencePrefixCacheManager, object_tree
 
 _PAIR = ModelPair.build(vocab_size=1000, seed=99, alignment=0.85, predictability=0.7)
 _ROOFLINE = RooflineModel(DEPLOYMENT_PRESETS["llama70b-4xa100"])
@@ -145,6 +145,29 @@ def _chain(rid: int, n_blocks: int) -> list[int]:
     return [(0 if i < 2 else rid % 3) * 1000 + i for i in range(n_blocks)]
 
 
+def _runs(kv) -> list[tuple]:
+    """The run manager's runs, each as (keys, start, refcount, children, touch)."""
+    runs = {id(run): run for run in kv._blocks.values()}.values()
+    return [(tuple(r.keys), r.start, r.refcount, r.children, r.touch) for r in runs]
+
+
+def prefix_state(kv) -> tuple:
+    """Per-key refcounts, held chains and the LRU order of unreferenced
+    blocks, read alike from the run manager and the per-block oracle."""
+    if isinstance(kv, ReferencePrefixCacheManager):
+        refcounts = {key: b.refcount for key, b in kv._shared.items()}
+        stamps = {key: b.touch for key, b in kv._shared.items() if b.refcount == 0}
+    else:
+        refcounts = {key: run.refcount for key, run in kv._blocks.items()}
+        stamps = {
+            key: run.touch + len(run.keys) - 1 - run.keys.index(key)
+            for key, run in kv._blocks.items()
+            if run.refcount == 0
+        }
+    refs = {rid: list(chain) for rid, chain in kv._refs.items()}
+    return refcounts, refs, sorted(stamps, key=stamps.__getitem__)
+
+
 class KVCacheMachine(RuleBasedStateMachine):
     """Stateful test: the KV manager never over-allocates or loses blocks,
     and ``covered`` stays a lower bound that makes ``ensure`` a no-op."""
@@ -157,28 +180,32 @@ class KVCacheMachine(RuleBasedStateMachine):
         #: rid -> most tokens ensured since the request's last release.
         self.tokens: dict[int, int] = {}
 
+    def call(self, name: str, *args):
+        """Apply one manager operation."""
+        return getattr(self.kv, name)(*args)
+
     def held(self, rid: int) -> int:
         """Blocks covering ``rid``: private ones plus shared references."""
-        return self.kv.allocation(rid) + len(getattr(self.kv, "_refs", {}).get(rid, ()))
+        refs = len(self.kv._refs.get(rid, ())) if self.kv.prefix_caching else 0
+        return self.kv.allocation(rid) + refs
 
     def snapshot(self):
-        """Every counter, allocation and shared block (not ``covered``)."""
+        """Every counter, allocation and shared run (not ``covered``)."""
         kv = self.kv
-        shared = {
-            key: (b.parent, b.refcount, b.children, b.touch)
-            for key, b in getattr(kv, "_shared", {}).items()
-        }
-        refs = {rid: list(chain) for rid, chain in getattr(kv, "_refs", {}).items()}
-        stats = kv.prefix_stats() if kv.prefix_caching else None
-        return dict(kv._allocated), kv._used, shared, refs, stats
+        if not kv.prefix_caching:
+            return dict(kv._allocated), kv._used
+        return dict(kv._allocated), kv._used, _runs(kv), prefix_state(kv), kv.prefix_stats()
 
-    @rule(rid=st.integers(0, 9), tokens=st.integers(0, 400))
-    def ensure(self, rid, tokens):
+    def grow(self, rid: int, tokens: int) -> None:
         try:
-            self.kv.ensure(rid, tokens)
+            self.call("ensure", rid, tokens)
             self.tokens[rid] = max(self.tokens.get(rid, 0), tokens)
         except OutOfKVCache:
             pass  # state must be unchanged; checked by invariants
+
+    @rule(rid=st.integers(0, 9), tokens=st.integers(0, 400))
+    def ensure(self, rid, tokens):
+        self.grow(rid, tokens)
 
     @precondition(lambda self: bool(self.kv.covered))
     @rule(data=st.data())
@@ -187,7 +214,7 @@ class KVCacheMachine(RuleBasedStateMachine):
         bound = self.kv.covered[rid]
         tokens = data.draw(st.integers(0, bound))
         before = self.snapshot()
-        self.kv.ensure(rid, tokens)
+        self.call("ensure", rid, tokens)
         assert self.snapshot() == before
         assert self.kv.covered[rid] >= bound
 
@@ -196,7 +223,7 @@ class KVCacheMachine(RuleBasedStateMachine):
     def free(self, data):
         rid = data.draw(st.sampled_from(sorted(self.tokens)))
         held = self.held(rid)
-        freed = self.kv.free(rid)
+        freed = self.call("free", rid)
         assert freed == held
         if not self.kv.prefix_caching:
             assert freed == self.kv.blocks_for(self.tokens[rid])
@@ -205,7 +232,7 @@ class KVCacheMachine(RuleBasedStateMachine):
 
     @rule()
     def invalidate_all(self):
-        self.kv.invalidate_all()
+        self.call("invalidate_all")
         self.tokens.clear()
         assert not self.kv.covered
 
@@ -231,13 +258,33 @@ class KVCacheMachine(RuleBasedStateMachine):
 
 
 class PrefixCacheMachine(KVCacheMachine):
-    """The same machine over the prefix manager, plus its key lifecycle."""
+    """The same machine over the run-granular prefix manager, plus its key
+    lifecycle, with every operation replayed on the per-block oracle."""
 
     manager = PrefixCacheManager
 
+    def __init__(self):
+        super().__init__()
+        self.ref = ReferencePrefixCacheManager(capacity_tokens=64 * 16, block_size=16)
+
+    def call(self, name: str, *args):
+        """Apply one operation to both managers; outcomes must agree."""
+        outcomes = []
+        for kv in (self.ref, self.kv):
+            try:
+                outcomes.append((getattr(kv, name)(*args), None))
+            except (OutOfKVCache, ValueError) as exc:
+                outcomes.append((None, exc))
+        (want, want_exc), (got, got_exc) = outcomes
+        assert got == want
+        assert repr(got_exc) == repr(want_exc)
+        if got_exc is not None:
+            raise got_exc
+        return got
+
     @rule(rid=st.integers(0, 9), n_blocks=st.integers(0, 24))
     def lock_keys(self, rid, n_blocks):
-        self.kv.lock_keys(rid, _chain(rid, n_blocks))
+        self.call("lock_keys", rid, _chain(rid, n_blocks))
         if self.kv.holds(rid):
             self.tokens.setdefault(rid, 0)
 
@@ -245,23 +292,45 @@ class PrefixCacheMachine(KVCacheMachine):
     @rule(data=st.data())
     def commit_keys(self, data):
         # Only blocks the request already covers: each new key then
-        # reclassifies one of its private blocks, as in the engine.
+        # reclassifies one of its private blocks, as in the engine.  Keys
+        # of a neighbouring stream may diverge from the locked prefix.
         rid = data.draw(st.sampled_from(sorted(self.tokens)))
+        stream = data.draw(st.sampled_from([rid, rid, rid + 1]))
         held = self.held(rid)
         n_blocks = data.draw(st.integers(len(self.kv._refs.get(rid, ())), held))
-        self.kv.commit_keys(rid, _chain(rid, n_blocks))
+        try:
+            self.call("commit_keys", rid, _chain(stream, n_blocks))
+        except ValueError:
+            pass  # diverged from the held prefix; both managers refused
         assert self.held(rid) == held
 
     @precondition(lambda self: bool(self.tokens))
     @rule(data=st.data())
     def release_prefix(self, data):
         rid = data.draw(st.sampled_from(sorted(self.tokens)))
-        self.kv.release_prefix(rid)
+        self.call("release_prefix", rid)
         assert rid not in self.kv.covered
         if self.kv.holds(rid):
             self.tokens[rid] = 0
         else:
             del self.tokens[rid]
+
+    @rule(rid=st.integers(0, 9), extra=st.integers(1, 8))
+    def evict(self, rid, extra):
+        """Grow ``rid`` past the free pool, so cached blocks must go."""
+        need = self.held(rid) + self.kv.free_blocks + extra
+        self.grow(rid, need * self.kv.block_size)
+
+    @invariant()
+    def matches_oracle(self):
+        ref, kv = self.ref, self.kv
+        assert kv.prefix_stats() == ref.prefix_stats()
+        assert (kv.used_blocks, kv._allocated, kv.covered) == (
+            ref.used_blocks,
+            ref._allocated,
+            ref.covered,
+        )
+        assert prefix_state(kv) == prefix_state(ref)
 
 
 TestKVCacheStateful = KVCacheMachine.TestCase
