@@ -65,8 +65,8 @@ def request_block_keys(req, n_tokens: int, block_size: int) -> list[int]:
         end = n_tokens if i == last else min(offset + length, n_tokens)
         head = mix(h, namespace)
         if pos <= end:
-            depths = np.arange(pos - offset, end - offset + 1, block_size, dtype=np.uint64)
-            keys += _vmix(_U64(head), depths).tolist()
+            ends = np.arange(pos - offset, end - offset + 1, block_size, dtype=np.uint64)
+            keys += _vmix(_U64(head), ends).tolist()  # block ends within the segment
             pos = (end // block_size + 1) * block_size
         h = mix(head, length)
         offset += length

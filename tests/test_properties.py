@@ -3,7 +3,8 @@
 Covers: hashing/uniform ranges, token-tree construction, selection
 (budget/connectivity/greedy dominance), Algorithm 1 consistency, the
 roofline's monotonicity, and both KV managers (with the prefix
-manager's key lifecycle) via stateful machines.
+manager's key lifecycle, replayed on the per-block oracle) via stateful
+machines.
 """
 
 from __future__ import annotations
