@@ -17,19 +17,22 @@ frontier has the same size ``f`` at a given level and the level is a
 dense ``[n, f]`` block:
 
 1. :func:`repro.model.batchgen.draft_top` returns the draft's top-w
-   ``(token, prob)`` of every frontier context in one pass, and memoizes
-   the target's emission at each of them for verification;
+   ``(token, prob, child context)`` of every frontier context in one
+   pass, and stashes the target's emission inputs at each of them;
 2. candidate scores are ``path_prob * prob`` over ``[n, f * w]``, in
    the per-node scan order (frontier node, then draft rank);
 3. a stable descending argsort per tree keeps the ``w`` best, with the
    tie order of ``sorted(..., reverse=True)``;
-4. child contexts come from the vectorized ``extend``, and the level
-   joins each column of the batch as one ``[n, keep]`` block.
+4. the kept candidates' tokens, child contexts and probabilities are
+   gathered into the level's columns of preallocated
+   ``[n, 1 + depth * width]`` matrices, and the children are the next
+   frontier.
 
-After the last level every column is concatenated across levels and
-split into per-tree lists with one ``tolist`` each: the trees are
-struct-of-arrays :class:`~repro.core.tree.TokenTree` s, node indices in
-level order, and no per-node object is ever built.
+After the last level the call memoizes every drafted context's target
+emission in one pass (:meth:`repro.model.batchgen.DraftCall.emit`), and
+each column matrix is split into per-tree lists with one ``tolist``:
+the trees are struct-of-arrays :class:`~repro.core.tree.TokenTree` s,
+node indices in level order, and no per-node object is ever built.
 
 Every token, context and float equals the per-node builder's (each
 comes from the same IEEE operation on the same operands); the oracle in
@@ -70,15 +73,16 @@ def draft_chains(
     if not starts or k <= 0:
         return [[] for _ in starts]
     draft = pair.draft
-    centers = batchgen.Centers(draft.target, [center for _, center in starts])
+    call = batchgen.DraftCall(draft.target, draft.alignment)
+    centers = batchgen.Centers(call, [center for _, center in starts])
     C = np.array([ctx for ctx, _ in starts], dtype=np.uint64)
-    steps = []
-    for _ in range(k):
-        ids, _probs = batchgen.draft_top(draft, C, centers, 1)
-        tokens = ids[:, 0]
-        steps.append(tokens)
-        C = batchgen.extend(C, tokens)
-    return np.stack(steps, axis=1).tolist()
+    chains = np.empty((len(starts), k), dtype=np.uint64)
+    for step in range(k):
+        ids, _probs, children = batchgen.draft_top(call, C, centers, 1)
+        chains[:, step : step + 1] = ids
+        C = children.ravel()
+    call.emit()
+    return chains.tolist()
 
 
 @dataclass(frozen=True)
@@ -156,50 +160,70 @@ def speculate_batch(
         return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=())
 
     draft = pair.draft
-    rows = np.arange(n)
+    call = batchgen.DraftCall(draft.target, draft.alignment)
+    level_centers = root_centers = batchgen.Centers(call, centers)
     # The frontier, row-major over [n, f]: f nodes per tree.
     C = np.array([ctx for _, ctx in roots], dtype=np.uint64)
-    path = np.ones(n)
+    # Each column of the trees, one [n, nodes] matrix; node j of every
+    # tree is column j, the roots first.
+    cols = 1 + depth * width
+    tokens = np.empty((n, cols), dtype=np.uint64)
+    ctxs = np.empty((n, cols), dtype=np.uint64)
+    probs = np.empty((n, cols))
+    paths = np.empty((n, cols))
+    # Each node's candidate index within its level's scan; its parent
+    # is that over the draft's per-node width, past the frontier's start.
+    ranks = np.empty((n, cols), dtype=np.int64)
+    tokens[:, 0] = [tok for tok, _ in roots]
+    ctxs[:, 0] = C
+    probs[:, 0] = paths[:, 0] = 1.0
+    ranks[:, 0] = 0
+    bases = [-1]  # per column: tree index of its level's frontier start
+    path = paths[:, :1]  # the frontier's path probabilities, one column
     f = 1
     start = 0  # tree index of the frontier's first node
-    level_centers = root_centers = batchgen.Centers(draft.target, centers)
-    # Per-level [n, nodes] blocks of each column, the roots first.
-    tokens = [np.array([tok for tok, _ in roots], dtype=np.uint64)[:, None]]
-    ctxs = [C[:, None]]
-    probs = [path[:, None]]
-    paths = [path[:, None]]
-    parents = [np.full((n, 1), -1)]
+    scanned = 0  # candidates per tree at the level the offsets were built for
     levels = [0]
     step_tokens = []
     for level in range(1, depth + 1):
         step_tokens.append(n * f)
-        ids, level_probs = batchgen.draft_top(draft, C, level_centers, width)
+        ids, level_probs, children = batchgen.draft_top(call, C, level_centers, width)
         per_node = ids.shape[1]  # min(width, branching)
-        scores = (path[:, None] * level_probs).reshape(n, f * per_node)
-        keep = min(width, f * per_node)
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
-        picked = (order + (rows * (f * per_node))[:, None]).ravel()  # flat candidate index
-        path = scores.ravel()[picked]
-        picked_tokens = ids.ravel()[picked]
-        C = batchgen.extend(C[picked // per_node], picked_tokens)
-        tokens.append(picked_tokens.reshape(n, keep))
-        ctxs.append(C.reshape(n, keep))
-        probs.append(level_probs.ravel()[picked].reshape(n, keep))
-        paths.append(path.reshape(n, keep))
-        parents.append(order // per_node + start)
+        if f * per_node != scanned:
+            scanned = f * per_node
+            offsets = np.arange(0, n * scanned, scanned)[:, None]
+        scores = (path * level_probs).reshape(n, scanned)
+        keep = min(width, scanned)
+        order = (-scores).argsort(axis=1, kind="stable")[:, :keep]
+        picked = order + offsets  # flat candidate index, [n, keep]
+        block = slice(start + f, start + f + keep)
+        ranks[:, block] = order
+        chosen = scores.take(picked)
+        paths[:, block] = chosen
+        tokens[:, block] = ids.take(picked)
+        chosen_ctxs = children.take(picked)
+        ctxs[:, block] = chosen_ctxs
+        probs[:, block] = level_probs.take(picked)
+        path = chosen.reshape(-1, 1)
+        C = chosen_ctxs.ravel()
         levels += [level] * keep
+        bases += [start] * keep
         start += f
         if keep != f:
             level_centers = root_centers.repeat(keep)
             f = keep
+    call.emit()
+    used = start + f
+    parents = ranks[:, :used] // per_node
+    parents += bases
     trees = [
         TokenTree.from_columns(*columns, levels.copy(), parent)
         for *columns, parent in zip(
-            np.concatenate(tokens, axis=1).tolist(),
-            np.concatenate(ctxs, axis=1).tolist(),
-            np.concatenate(probs, axis=1).tolist(),
-            np.concatenate(paths, axis=1).tolist(),
-            np.concatenate(parents, axis=1).tolist(),
+            tokens[:, :used].tolist(),
+            ctxs[:, :used].tolist(),
+            probs[:, :used].tolist(),
+            paths[:, :used].tolist(),
+            parents.tolist(),
         )
     ]
     return SpeculationResult(

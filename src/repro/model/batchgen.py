@@ -8,17 +8,21 @@ chain step, across a whole batch — so this module evaluates those
 chains for a whole column of contexts at once with ``numpy``
 uint64/float64 matrices (contexts x draws).
 
-:func:`draft_top` is the level kernel.  It takes a uint64 context
-column plus per-row centers and returns each row's draft-sorted top-w
-``(token ids, probs)`` matrices.  Along the way it computes each row's
-target *emission* — ``StochasticLM.sample`` bit for bit: a cumulative
-sum of the row's probabilities against the sample uniform, drawn in the
-same finalizer pass — and memoizes it as ``key -> token``, because
+:func:`draft_top` is the level kernel and the module's one row
+function.  It takes a uint64 context column plus per-row centers and
+returns each row's draft-sorted top-w ``(token ids, probs, child
+contexts)`` matrices in two finalizer passes: one for every chain a
+target row needs, one for the draft's noise draws and all ``k``
+candidates' child contexts.  It stashes each row's target emission
+inputs on its :class:`DraftCall`, and :meth:`DraftCall.emit` turns every
+level's rows into target *emissions* — ``StochasticLM.sample`` bit for
+bit: a cumulative sum of the row's probabilities against the sample
+uniform — once per call, memoized as ``key -> token``, because
 verification samples the target at exactly these contexts.  Nothing
 else is memoized: no draft rows (regenerating a level is cheaper than
 looking rows up one by one) and no target distributions.
 ``prefetch_draft`` and ``warm_target`` warm the distribution memos for
-arbitrary query lists with the same row math.
+a batch of queries from the same row function.
 
 **Bit-identity is the contract.**  Every vector statement here maps 1:1
 onto a scalar statement of the reference implementation:
@@ -28,12 +32,22 @@ onto a scalar statement of the reference implementation:
   arithmetic;
 - each float64 element is produced by the same IEEE operation sequence
   (multiply, divide, add in the same order) as the scalar path;
-- running sums use ``cumsum`` (sequential, left-associated by
-  definition), never ``np.sum`` (whose pairwise summation would differ);
+- running sums use ``np.add.accumulate`` (``cumsum``: sequential,
+  left-associated by definition), never ``np.sum`` (whose pairwise
+  summation would differ);
 - descending stable ``argsort`` of the negated probabilities matches
-  ``sorted(..., reverse=True)`` tie-breaking;
+  ``sorted(..., reverse=True)`` tie-breaking, and for ``w = 1``
+  ``argmax`` is its first entry, because ``argmax`` returns the first
+  maximum;
 - rows whose first ``k`` token draws collide are repaired with the
-  scalar skip-duplicates loop (``StochasticLM._draw_token_ids``).
+  scalar skip-duplicates loop (``StochasticLM._draw_token_ids``);
+- child contexts ``splitmix(ctx ^ id * COMBINE)`` are
+  ``StochasticLM.extend`` of the repaired ids, finalized in the same
+  pass as the noise draws (each element's chain is independent of the
+  rest of the pass);
+- an emission is a pure function of its memo key, so computing every
+  level's emissions once per call, after the last level and before
+  verification reads the memo, stores the same tokens.
 
 The golden-equivalence suite (tests/test_golden_equivalence.py),
 ``tests/test_batchgen.py`` and the per-node oracle in
@@ -57,8 +71,8 @@ from repro.model.stochastic_lm import (
     _token_mask,
 )
 
-#: Below this many missing rows, ``prefetch`` (a memo warm-up for an
-#: arbitrary query list) leaves the rows to on-demand scalar generation.
+#: Below this many queries, ``prefetch`` (a memo warm-up for a batch of
+#: queries) leaves the rows to on-demand scalar generation.
 PREFETCH_MIN_BATCH = 16
 
 _U64 = np.uint64
@@ -70,6 +84,12 @@ _S30 = _U64(30)
 _S27 = _U64(27)
 _S31 = _U64(31)
 _S11 = _U64(11)
+#: Twice ``_INV_2_53``: ``(x >> 11) * 2**-52`` is ``2.0 * u`` exactly
+#: (power-of-two scalings of an integer below 2**53 never round).
+_INV_2_52 = 2.0 * _INV_2_53
+#: Running sums (``ndarray.cumsum`` is this ufunc's accumulate, minus a
+#: dispatch layer).
+_ACCUMULATE = np.add.accumulate
 
 #: Per-center XOR salts for the cache-key mix (few distinct centers).
 _CENTER_SALTS: dict[float, int] = {}
@@ -110,20 +130,16 @@ def _steps_array(k: int) -> np.ndarray:
 
 
 def _weights_array(weights: list[float]) -> np.ndarray:
+    """The tail weights behind a zero top-1 slot (overwritten with top-1)."""
     key = tuple(weights)
     arr = _WEIGHTS_ARRAYS.get(key)
     if arr is None:
-        arr = _WEIGHTS_ARRAYS[key] = np.array(weights, dtype=np.float64)
+        arr = _WEIGHTS_ARRAYS[key] = np.array([0.0, *weights], dtype=np.float64)
     return arr
 
 
-def _splitmix(x):
-    """Vector splitmix64 finalizer (matches repro._rng.splitmix64)."""
-    return _fin3(x + _G)
-
-
 def _fin3(x):
-    """The finalizer minus the golden-ratio add, in place on ``x``."""
+    """The splitmix64 finalizer minus the golden-ratio add, in place on ``x``."""
     x ^= x >> _S30
     x *= _M1
     x ^= x >> _S27
@@ -132,127 +148,201 @@ def _fin3(x):
     return x
 
 
-def extend(C: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Vector ``StochasticLM.extend``: each context after appending a token."""
-    return _splitmix(C ^ (tokens * _C))
+class DraftCall:
+    """One speculation call: the model's constants and its stashed rows.
+
+    Built once per ``speculate_batch`` / ``draft_chains`` call (or
+    prefetch) for a target and a draft alignment.  Every
+    :func:`draft_top` level of the call reads its constants and appends
+    its rows' ``(keys, P, ids, sample bits)`` to ``rows``; :meth:`emit`
+    memoizes their emissions in one pass.
+    """
+
+    __slots__ = (
+        "target",
+        "k",
+        "spread",
+        "n_regular",
+        "weights",
+        "steps",
+        "alignment",
+        "inv_alignment",
+        "noisy",
+        "rows",
+    )
+
+    def __init__(self, target, alignment: float) -> None:
+        k = target.branching
+        self.target = target
+        self.k = k
+        self.spread = target.spread
+        self.n_regular = _U64(target._n_regular)
+        self.weights = _weights_array(target._tail_weights)
+        self.steps = _steps_array(k)
+        self.alignment = alignment
+        self.inv_alignment = 1.0 - alignment
+        # A perfectly aligned draft *is* the target: no noise to draw.
+        self.noisy = alignment < 1.0
+        self.rows: list[tuple] = []
+
+    def emit(self) -> None:
+        """Memoize the target emission of every row drafted since the last emit.
+
+        The memo is emptied at most once per call, before the update,
+        when the update could take it past ``MEMO_CAP``; a call drafting
+        more rows than the cap memoizes only the first ``MEMO_CAP``.
+        """
+        rows = self.rows
+        if not rows:
+            return
+        self.rows = []
+        if len(rows) == 1:
+            keys, P, ids, bits = rows[0]
+        else:
+            keys, P, ids, bits = (np.concatenate(column) for column in zip(*rows))
+        memo = self.target._emissions
+        if len(memo) + keys.shape[0] > MEMO_CAP:
+            memo.clear()
+        u = (bits >> _S11) * _INV_2_53  # the sample uniforms
+        memo.update(zip(keys[:MEMO_CAP].tolist(), _emissions(P, ids, u).tolist()))
 
 
 class Centers:
-    """Per-row predictability centers in the columns the kernel reads.
+    """Per-row predictability centers in the forms the kernel reads.
 
-    ``effective`` is each row's center (the model default where it has
-    none); a row with a center has memo key ``mix(ctx, int(center * 1e6))``
-    (``salts``), one without has the context itself (``keyed`` false).
+    ``masks`` XORs a context column into its first finalizer pass: the
+    draw masks (shape, sample, ``k`` token draws, noise base) and, when
+    any row has a center, a last column of key salts, which finalizes to
+    the memo key ``mix(ctx, int(center * 1e6))``.  ``keyed`` is ``True``
+    when every row has a center, ``False`` when none does (each memo key
+    is the context itself, and ``masks`` is the one broadcast draw-mask
+    row), and otherwise each row's flag.  ``effective`` is each row's
+    center as an ``[n, 1]`` column (the model default where it has
+    none); ``offsets`` is each row's first flat index in an ``[n, k]``
+    matrix.
     """
 
-    __slots__ = ("effective", "salts", "keyed")
+    __slots__ = ("masks", "keyed", "effective", "offsets", "k")
 
-    def __init__(self, lm, centers: list[float | None]) -> None:
-        default = lm.predictability
+    def __init__(self, call: DraftCall, centers: list[float | None]) -> None:
+        k = self.k = call.k
+        n = len(centers)
+        default = call.target.predictability
         self.effective = np.array(
             [default if c is None else c for c in centers], dtype=np.float64
-        )
-        self.salts = np.array(
-            [0 if c is None else _center_salt(c) for c in centers], dtype=np.uint64
-        )
-        self.keyed = np.array([c is not None for c in centers], dtype=bool)
+        )[:, None]
+        keyed = [c is not None for c in centers]
+        if any(keyed):
+            self.masks = np.empty((n, k + 4), dtype=np.uint64)
+            self.masks[:, : k + 3] = _draw_masks(k)
+            self.masks[:, k + 3] = [0 if c is None else _center_salt(c) for c in centers]
+            self.keyed = True if all(keyed) else np.array(keyed)
+        else:
+            self.masks = _draw_masks(k)
+            self.keyed = False
+        self.offsets = np.arange(0, n * k, k)[:, None]
 
     def repeat(self, r: int) -> "Centers":
         """The centers of each row repeated ``r`` times (a beam frontier)."""
         out = Centers.__new__(Centers)
-        out.effective = self.effective.repeat(r)
-        out.salts = self.salts.repeat(r)
-        out.keyed = self.keyed.repeat(r)
+        out.k = k = self.k
+        out.effective = self.effective.repeat(r, axis=0)
+        keyed = out.keyed = self.keyed
+        out.masks = self.masks if keyed is False else self.masks.repeat(r, axis=0)
+        if not isinstance(keyed, bool):
+            out.keyed = keyed.repeat(r)
+        out.offsets = np.arange(0, out.effective.shape[0] * k, k)[:, None]
         return out
-
-    def keys(self, C: np.ndarray) -> np.ndarray:
-        """Memo keys of contexts ``C`` (the scalar-path key derivation)."""
-        return np.where(self.keyed, _splitmix(C ^ self.salts), C)
-
-
-def _generate_rows(lm, C, centers: Centers):
-    """Vectorized ``StochasticLM._generate`` over contexts ``C``.
-
-    Returns ``(P, ids, collided, X, u)``: per-row probabilities and token
-    ids, the rows whose fast-path draws collided (the caller re-draws
-    those ids with the scalar skip-duplicates loop — probabilities are
-    unaffected), the finalized draw matrix and each row's sample uniform.
-
-    Every splitmix64 chain a row needs is one column of a single
-    ``[len(C), k + 4]`` finalizer pass: column 0 is the shape uniform,
-    1 the target's sample uniform, ``2..k+1`` the token draws, ``k + 2``
-    the draft's noise base and ``k + 3`` the memo key
-    ``mix(ctx, int(center * 1e6))``.
-    """
-    k = lm.branching
-    n = C.shape[0]
-    X = np.empty((n, k + 4), dtype=np.uint64)
-    np.bitwise_xor(C[:, None], _draw_masks(k), out=X[:, : k + 3])
-    np.bitwise_xor(C, centers.salts, out=X[:, k + 3])
-    X += _G
-    _fin3(X)
-    U = (X[:, :2] >> _S11) * _INV_2_53  # the shape and sample uniforms
-    top1 = U[:, 0] * 2.0
-    top1 -= 1.0
-    top1 *= lm.spread
-    top1 += centers.effective
-    np.maximum(top1, _TOP1_FLOOR, out=top1)
-    np.minimum(top1, _TOP1_CEIL, out=top1)
-    P = np.empty((n, k), dtype=np.float64)
-    P[:, 0] = top1
-    np.multiply((1.0 - top1)[:, None], _weights_array(lm._tail_weights), out=P[:, 1:])
-    ids = X[:, 2 : k + 2] % _U64(lm._n_regular)
-    ordered = np.sort(ids, axis=1)
-    equal = ordered[:, 1:] == ordered[:, :-1]
-    collided = np.flatnonzero(equal.any(axis=1)).tolist() if equal.any() else []
-    return P, ids, collided, X, U[:, 1]
-
-
-def _target_rows(lm, C, centers: Centers):
-    """``(P, ids, X, u)`` rows for contexts ``C``, collided ids repaired."""
-    P, ids, collided, X, u = _generate_rows(lm, C, centers)
-    for row in collided:
-        ids[row] = lm._draw_token_ids(int(C[row]))
-    return P, ids, X, u
-
-
-def _noise_rows(X, k):
-    """The draft's noise rows ``uniforms(ctx, _SALT_NOISE, k)``.
-
-    The stream continues from its base column as
-    ``x_j = base + (j+1) * GOLDEN`` (mod 2**64), finalized without the
-    extra golden add: one outer add.
-    """
-    return (_fin3(X[:, k + 2, None] + _steps_array(k)) >> _S11) * _INV_2_53
 
 
 def _emissions(P, ids, u):
     """``StochasticLM.sample`` of every row: the token the target emits.
 
     The scalar loop returns the first slot whose running sum exceeds the
-    sample uniform ``u`` (the last slot if none does).  ``cumsum`` is that
-    running sum, and because it never decreases, the first such slot is
-    the count of the first ``k - 1`` sums at or below ``u``.
+    sample uniform ``u`` (the last slot if none does).  The accumulated
+    row is that running sum; ``argmax`` finds the first slot above ``u``
+    once the last slot is marked to stand for "none".
     """
     n, k = P.shape
-    slot = (P.cumsum(axis=1)[:, :-1] <= u[:, None]).sum(axis=1)
+    above = _ACCUMULATE(P, 1) > u[:, None]
+    above[:, -1] = True
+    slot = above.argmax(axis=1)
     slot += np.arange(0, n * k, k)
-    return ids.ravel()[slot]
+    return ids.take(slot)
 
 
-def _draft_sorted(draft, P, N):
-    """The draft's row math for ``alignment < 1``: ``(order, norm)``.
+def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
+    """The level kernel: each row's draft-sorted top-``w`` candidates.
 
-    ``norm`` is each row's normalized alignment mixture of the target
-    probabilities ``P`` with the noise rows ``N``; ``order`` sorts it
-    descending with ``sorted(..., reverse=True)``'s tie order.
+    Returns ``(ids, probs, children)`` matrices of shape
+    ``[len(C), min(w, k)]``: exactly
+    ``draft.distribution(ctx, center).token_ids[:w]`` / ``.probs[:w]``
+    row by row, and each candidate's context ``extend(ctx, id)``.  A
+    perfectly aligned draft *is* the target, whose rows are not sorted,
+    so its top-w is the target row's first ``w`` slots.  Stashes each
+    row's emission inputs on ``call`` (see :meth:`DraftCall.emit`).
+
+    The first pass finalizes one ``[len(C), k + 3]`` matrix (``k + 4``
+    with keyed rows): column 0 is the shape uniform, 1 the target's
+    sample uniform, ``2..k+1`` the token draws, ``k + 2`` the draft's
+    noise base and ``k + 3`` the memo key.  The second finalizes the
+    noise stream, which continues from its base as
+    ``x_j = base + (j+1) * GOLDEN`` without the extra golden add, next
+    to every candidate's child context.
     """
-    a = draft.alignment
-    noise_total = N.cumsum(axis=1)[:, -1]
-    mixed = a * P + (1.0 - a) * (N / noise_total[:, None])
-    total = mixed.cumsum(axis=1)[:, -1]
-    norm = mixed / total[:, None]
-    return np.argsort(-norm, axis=1, kind="stable"), norm
+    k = call.k
+    n = C.shape[0]
+    X = C[:, None] ^ centers.masks
+    X += _G
+    _fin3(X)
+    top1 = (X[:, :1] >> _S11) * _INV_2_52  # 2.0 * the shape uniform
+    top1 -= 1.0
+    top1 *= call.spread
+    top1 += centers.effective
+    np.maximum(top1, _TOP1_FLOOR, out=top1)
+    np.minimum(top1, _TOP1_CEIL, out=top1)
+    P = (1.0 - top1) * call.weights
+    P[:, :1] = top1
+    ids = X[:, 2 : k + 2] % call.n_regular
+    ordered = ids.copy()
+    ordered.sort(axis=1)
+    equal = ordered[:, 1:] == ordered[:, :-1]
+    if np.count_nonzero(equal):  # some row's draws collided
+        target = call.target
+        for row in np.flatnonzero(equal.any(axis=1)).tolist():
+            ids[row] = target._draw_token_ids(int(C[row]))
+    keyed = centers.keyed
+    if keyed is False:
+        keys = C
+    elif keyed is True:
+        keys = X[:, k + 3]
+    else:
+        keys = np.where(keyed, X[:, k + 3], C)
+    call.rows.append((keys, P, ids, X[:, 1]))
+    noisy = call.noisy
+    Y = np.empty((1 + noisy, n, k), dtype=np.uint64)
+    children = Y[-1]
+    np.multiply(ids, _C, out=children)
+    children ^= C[:, None]
+    children += _G
+    if noisy:
+        np.add(X[:, k + 2 : k + 3], call.steps, out=Y[0])
+    _fin3(Y)
+    if not noisy:
+        return ids[:, :w], P[:, :w], children[:, :w]
+    # The draft row: the normalized alignment mixture of P with the
+    # normalized noise row.
+    norm = (Y[0] >> _S11) * _INV_2_53
+    norm /= _ACCUMULATE(norm, 1)[:, -1:]
+    norm *= call.inv_alignment
+    norm += P * call.alignment
+    norm /= _ACCUMULATE(norm, 1)[:, -1:]
+    if w == 1:
+        order = norm.argmax(axis=1, keepdims=True)
+    else:
+        order = (-norm).argsort(axis=1, kind="stable")[:, :w]
+    order += centers.offsets
+    return ids.take(order), norm.take(order), children.take(order)
 
 
 def _memoize(cache, keys_list, ids_mat, P) -> list[TokenDistribution]:
@@ -274,76 +364,41 @@ def _memoize(cache, keys_list, ids_mat, P) -> list[TokenDistribution]:
     return out
 
 
-def draft_top(draft, C: np.ndarray, centers: Centers, w: int):
-    """The level kernel: each row's draft-sorted top-``w`` candidates.
+def _draft_items(call: DraftCall, items, w: int):
+    """:func:`draft_top` over ``(ctx, center)`` items, then their target rows.
 
-    Returns ``(ids, probs)`` matrices of shape ``[len(C), min(w, k)]``,
-    exactly ``draft.distribution(ctx, center).token_ids[:w]`` / ``.probs[:w]``
-    row by row.  A perfectly aligned draft *is* the target, whose rows
-    are not sorted, so its top-w is the target row's first ``w`` slots.
-    Memoizes each row's target emission (see the module docstring).
+    Returns ``(keys_list, P, ids, top_ids, top_probs)``.
     """
-    target = draft.target
-    k = target.branching
-    P, ids, X, u = _target_rows(target, C, centers)
-    keys = np.where(centers.keyed, X[:, k + 3], C)
-    memo = target._emissions
-    if len(memo) + C.shape[0] > MEMO_CAP:
-        memo.clear()
-    memo.update(zip(keys.tolist(), _emissions(P, ids, u).tolist()))
-    if draft.alignment >= 1.0:
-        return ids[:, :w], P[:, :w]
-    order, norm = _draft_sorted(draft, P, _noise_rows(X, k))
-    order = order[:, :w]
-    order += np.arange(0, C.shape[0] * k, k)[:, None]
-    return ids.ravel()[order], norm.ravel()[order]
-
-
-def _missing_rows(lm, items, memo):
-    """``(C, centers, keys_list)`` of the items whose keys miss ``memo``.
-
-    ``None`` when fewer than :data:`PREFETCH_MIN_BATCH` items miss.
-    """
-    if len(items) < PREFETCH_MIN_BATCH:
-        return None
     C = np.array([ctx for ctx, _ in items], dtype=np.uint64)
-    keys_list = Centers(lm, [center for _, center in items]).keys(C).tolist()
-    missing = [i for i, key in enumerate(keys_list) if key not in memo]
-    if len(missing) < PREFETCH_MIN_BATCH:
-        return None
-    centers = Centers(lm, [items[i][1] for i in missing])
-    return C[missing], centers, [keys_list[i] for i in missing]
+    top_ids, top_probs, _ = draft_top(call, C, Centers(call, [c for _, c in items]), w)
+    keys, P, ids, _ = call.rows.pop()
+    return keys.tolist(), P, ids, top_ids, top_probs
 
 
 def warm_target(lm, items) -> None:
-    """Generate and memoize ``lm``'s rows for items missing from its memo."""
-    rows = _missing_rows(lm, items, lm._cache)
-    if rows is None:
+    """Generate and memoize ``lm``'s rows for a batch of queries."""
+    if len(items) < PREFETCH_MIN_BATCH:
         return
-    C, centers, keys_list = rows
-    P, ids_mat, _, _ = _target_rows(lm, C, centers)
-    _memoize(lm._cache, keys_list, ids_mat, P)
+    keys_list, P, ids, _, _ = _draft_items(DraftCall(lm, 1.0), items, 1)
+    _memoize(lm._cache, keys_list, ids, P)
 
 
 def prefetch_draft(draft, items) -> None:
-    """Warm the draft's (and target's) memos for many queries (exact)."""
-    target = draft.target
-    rows = _missing_rows(target, items, draft._cache)
-    if rows is None:
+    """Warm the draft's (and target's) memos for a batch of queries (exact)."""
+    if len(items) < PREFETCH_MIN_BATCH:
         return
-    C, centers, keys_list = rows
-    P, ids_mat, X, _ = _target_rows(target, C, centers)
+    target = draft.target
+    call = DraftCall(target, draft.alignment)
+    keys_list, P, ids, top_ids, top_probs = _draft_items(call, items, target.branching)
     # The target rows too: verification samples the target at exactly
     # these contexts later.
-    tgt_dists = _memoize(target._cache, keys_list, ids_mat, P)
+    tgt_dists = _memoize(target._cache, keys_list, ids, P)
     dcache = draft._cache
-    if draft.alignment >= 1.0:
+    if not call.noisy:
         for key, dist in zip(keys_list, tgt_dists):
             if key not in dcache:
                 if len(dcache) >= MEMO_CAP:
                     dcache.clear()
                 dcache[key] = dist
         return
-    order, norm = _draft_sorted(draft, P, _noise_rows(X, target.branching))
-    rows = np.arange(len(C))[:, None]
-    _memoize(dcache, keys_list, ids_mat[rows, order], norm[rows, order])
+    _memoize(dcache, keys_list, top_ids, top_probs)

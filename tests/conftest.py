@@ -50,28 +50,25 @@ def generated(monkeypatch) -> Counter:
     """Distributions the models generate from here on, by kind.
 
     ``target`` counts scalar ``StochasticLM._generate`` calls plus rows
-    of the vectorized ``batchgen._generate_rows``; ``draft`` counts
-    entries the scalar ``DraftLM.distribution`` adds to its memo plus
-    the noise rows ``batchgen._noise_rows`` draws.  Memo hits count
-    nothing.
+    of the level kernel ``batchgen.draft_top``; ``draft`` counts entries
+    the scalar ``DraftLM.distribution`` adds to its memo plus the
+    kernel's rows that mix in noise (alignment below 1).  Memo hits
+    count nothing.
     """
     counts: Counter = Counter()
     generate = StochasticLM._generate
-    generate_rows = batchgen._generate_rows
-    noise_rows = batchgen._noise_rows
+    draft_top = batchgen.draft_top
     draft_distribution = DraftLM.distribution
 
     def counted_generate(self, ctx, center):
         counts["target"] += 1
         return generate(self, ctx, center)
 
-    def counted_generate_rows(lm, C, centers):
+    def counted_draft_top(call, C, centers, w):
         counts["target"] += len(C)
-        return generate_rows(lm, C, centers)
-
-    def counted_noise_rows(X, k):
-        counts["draft"] += len(X)
-        return noise_rows(X, k)
+        if call.noisy:
+            counts["draft"] += len(C)
+        return draft_top(call, C, centers, w)
 
     def counted_draft_distribution(self, ctx, center=None):
         before = len(self._cache)
@@ -80,8 +77,7 @@ def generated(monkeypatch) -> Counter:
         return dist
 
     monkeypatch.setattr(StochasticLM, "_generate", counted_generate)
-    monkeypatch.setattr(batchgen, "_generate_rows", counted_generate_rows)
-    monkeypatch.setattr(batchgen, "_noise_rows", counted_noise_rows)
+    monkeypatch.setattr(batchgen, "draft_top", counted_draft_top)
     monkeypatch.setattr(DraftLM, "distribution", counted_draft_distribution)
     return counts
 

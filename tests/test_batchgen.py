@@ -1,11 +1,12 @@
 """Bit-identity of the vectorized batch generator (repro.model.batchgen).
 
-``prefetch`` warms the shared distribution memos with numpy-generated
-rows; every cached entry must be *exactly* what the scalar path would
-have produced — token ids and IEEE-754 probability bits alike.  Each
-test captures the vector-generated distributions, clears the shared
-memos, regenerates the same queries through the scalar path, and
-compares bit for bit (including the duplicate-draw repair path).
+The level kernel ``draft_top`` is the module's one row function: its
+top-w rows, child contexts and emissions, and the memo entries
+``prefetch`` warms from it, must be *exactly* what the scalar path
+produces — token ids and IEEE-754 probability bits alike.  Each test
+captures the vector-generated values, clears the shared memos,
+regenerates the same queries through the scalar path, and compares bit
+for bit (including the duplicate-draw repair path).
 """
 
 from __future__ import annotations
@@ -136,6 +137,42 @@ class TestTokenDistribution:
         assert a != TokenDistribution((1, 3), (0.8, 0.2))
 
 
+def _draft_top(pair, ctxs, centers, w):
+    """One kernel call; returns ``(ids, probs, children)`` and the call."""
+    call = batchgen.DraftCall(pair.target, pair.draft.alignment)
+    C = np.array(ctxs, dtype=np.uint64)
+    return batchgen.draft_top(call, C, batchgen.Centers(call, centers), w), call
+
+
+class TestLevelKernel:
+    """``draft_top`` rows are the scalar draft rows, children ``extend``'s."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_and_children_match_scalar(self, data):
+        pair = oracle_pair(data.draw(st.sampled_from(ORACLE_PAIRS)))
+        n = data.draw(st.integers(1, 30))
+        w = data.draw(st.integers(1, pair.target.branching + 2))
+        ctxs = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+        centers = data.draw(st.lists(CENTERS, min_size=n, max_size=n))
+        (ids, probs, children), _ = _draft_top(pair, ctxs, centers, w)
+        pair.clear_caches()
+        for ctx, c, row_ids, row_probs, row_children in zip(
+            ctxs, centers, ids.tolist(), probs.tolist(), children.tolist()
+        ):
+            dist = pair.draft.distribution(ctx, c)
+            assert row_ids == list(dist.token_ids[:w])
+            assert row_probs == list(dist.probs[:w])
+            assert row_children == [pair.extend(ctx, tok) for tok in row_ids]
+
+    def test_argmax_is_the_first_of_the_stable_descending_order(self):
+        # The w = 1 leg takes argmax where wider levels take the first w
+        # of a stable descending argsort: ties go to the lowest slot.
+        rows = np.array([[0.25, 0.5, 0.5, 0.25], [0.4, 0.4, 0.1, 0.1], [0.1, 0.2, 0.3, 0.3]])
+        first = np.argsort(-rows, axis=1, kind="stable")[:, :1]
+        assert rows.argmax(axis=1, keepdims=True).tolist() == first.tolist() == [[1], [0], [2]]
+
+
 class TestEmissions:
     """The kernel's emission column is ``StochasticLM.sample``, row by row."""
 
@@ -147,8 +184,9 @@ class TestEmissions:
         ctxs = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
         centers = data.draw(st.lists(CENTERS, min_size=n, max_size=n))
         pair.clear_caches()
-        C = np.array(ctxs, dtype=np.uint64)
-        batchgen.draft_top(pair.draft, C, batchgen.Centers(pair.target, centers), 2)
+        _, call = _draft_top(pair, ctxs, centers, 2)
+        assert len(pair.target._emissions) == 0  # written once per call, by emit
+        call.emit()
         emissions = dict(pair.target._emissions)
         pair.clear_caches()
         assert set(emissions) == {
@@ -161,10 +199,13 @@ class TestEmissions:
     def test_collided_rows_emit_repaired_ids(self):
         pair = oracle_pair("tiny-vocab")
         ctxs = [pair.context_of([i]) for i in range(64)]
-        C = np.array(ctxs, dtype=np.uint64)
-        centers = batchgen.Centers(pair.target, [None] * 64)
-        P, ids, _X, u = batchgen._target_rows(pair.target, C, centers)
-        emitted = batchgen._emissions(P, ids, u).tolist()
+        pair.clear_caches()
+        _, call = _draft_top(pair, ctxs, [None] * 64, 2)
+        ((keys, _P, ids, _bits),) = call.rows
+        assert keys.tolist() == ctxs
+        assert all(len(set(row)) == len(row) for row in ids.tolist())
+        call.emit()
+        emitted = [pair.target._emissions[ctx] for ctx in ctxs]
         pair.clear_caches()
         assert emitted == [pair.target.sample(ctx) for ctx in ctxs]
 

@@ -8,8 +8,9 @@ import pytest
 
 from repro.analysis.runner import run_spec
 from repro.analysis.spec import ExperimentSpec
-from repro.core.speculation import speculate_batch
+from repro.core.speculation import draft_chains, speculate_batch
 from repro.model import batchgen, stochastic_lm
+from repro.model.acceptance import verify_sequence, verify_tree
 from repro.model.draft import DraftLM
 from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import StochasticLM, TokenDistribution
@@ -301,6 +302,40 @@ class TestMemoLifetime:
         pair.target.clear_cache()
         assert len(memo) == 0
 
+    @pytest.mark.parametrize("kind", ["beam", "chains"])
+    def test_deferred_emission_memo_is_bounded(self, monkeypatch, kind):
+        # One call drafts 40 rows over several levels (8 roots; a
+        # depth-3 width-2 beam drafts 8 + 16 + 16, 5-token chains 8 x 5)
+        # and memoizes them once, after its last level: the memo is
+        # emptied at most once per call, before the update.
+        monkeypatch.setattr(batchgen, "MEMO_CAP", 100)
+        pair = ModelPair.build(vocab_size=1000, seed=5)
+        memo = pair.target._emissions
+        sizes = []
+        calls = []
+        for i in range(6):
+            ctxs = [pair.context_of([i, j]) for j in range(8)]
+            if kind == "beam":
+                trees = speculate_batch(pair, [(0, c) for c in ctxs], depth=3, width=2).trees
+                verify = [lambda tree=tree: verify_tree(pair, tree) for tree in trees]
+            else:
+                chains = draft_chains(pair, [(c, None) for c in ctxs], 5)
+                verify = [
+                    lambda c=c, chain=chain: verify_sequence(pair, c, chain)
+                    for c, chain in zip(ctxs, chains)
+                ]
+            sizes.append(len(memo))
+            calls.append((dict(memo), [check() for check in verify], verify))
+        assert max(sizes) <= 100
+        assert sizes == [40, 80, 40, 80, 40, 80]
+        # The first call's emissions were cleared by the third call;
+        # verification falls back to scalar sampling and agrees.
+        first, verified, verify = calls[0]
+        assert not any(key in memo for key in first)
+        assert [check() for check in verify] == verified
+        pair.clear_caches()
+        assert all(pair.target.sample(ctx) == token for ctx, token in first.items())
+
     def test_distinct_seeds_do_not_pile_up(self, generated):
         for seed in (1, 2, 3):
             run_spec(adaserve_spec(seed))
@@ -317,17 +352,19 @@ class TestMemoLifetime:
         # samples.
         queried: set[tuple[int, float | None]] = set()
         targets = set()
-        generate_rows = batchgen._generate_rows
+        draft_top = batchgen.draft_top
 
-        def recording_rows(lm, C, centers):
-            targets.add(lm)
-            for ctx, center, keyed in zip(
-                C.tolist(), centers.effective.tolist(), centers.keyed.tolist()
+        def recording_draft_top(call, C, centers, w):
+            targets.add(call.target)
+            keyed = centers.keyed
+            flags = [keyed] * len(C) if isinstance(keyed, bool) else keyed.tolist()
+            for ctx, center, has_center in zip(
+                C.tolist(), centers.effective[:, 0].tolist(), flags
             ):
-                queried.add((ctx, center if keyed else None))
-            return generate_rows(lm, C, centers)
+                queried.add((ctx, center if has_center else None))
+            return draft_top(call, C, centers, w)
 
-        monkeypatch.setattr(batchgen, "_generate_rows", recording_rows)
+        monkeypatch.setattr(batchgen, "draft_top", recording_draft_top)
         spec = ExperimentSpec.create(
             model="llama70b", system=system, rps=4.0, duration_s=3.0, seed=9
         )

@@ -12,6 +12,7 @@ from repro.core.optimal import construct_optimal_trees
 from repro.core.speculation import build_candidate_tree, draft_chains, speculate_batch
 from repro.model import batchgen
 from repro.model.pair import ModelPair
+from repro.model.stochastic_lm import StochasticLM
 from tests.conftest import (
     CENTERS,
     ORACLE_PAIRS,
@@ -224,13 +225,24 @@ class TestLevelKernelMatchesOracle:
         pair.clear_caches()
         assert chains == reference_draft_chains(pair, starts, k)
 
-    def test_tiny_vocab_collides(self):
-        # The tiny-vocab pair must exercise the collided-row repair.
+    def test_tiny_vocab_collides(self, monkeypatch):
+        # The tiny-vocab pair must exercise the collided-row repair: the
+        # kernel re-draws a collided row's ids with the scalar loop.
         pair = oracle_pair("tiny-vocab")
-        C = np.array([pair.context_of([i]) for i in range(32)], dtype=np.uint64)
-        centers = batchgen.Centers(pair.target, [None] * 32)
-        _P, _ids, collided, _X, _u = batchgen._generate_rows(pair.target, C, centers)
-        assert len(collided) > 16
+        ctxs = [pair.context_of([i]) for i in range(32)]
+        repaired = []
+        draw = StochasticLM._draw_token_ids
+
+        def recording_draw(lm, ctx):
+            repaired.append(ctx)
+            return draw(lm, ctx)
+
+        monkeypatch.setattr(StochasticLM, "_draw_token_ids", recording_draw)
+        call = batchgen.DraftCall(pair.target, pair.draft.alignment)
+        C = np.array(ctxs, dtype=np.uint64)
+        batchgen.draft_top(call, C, batchgen.Centers(call, [None] * 32), 2)
+        assert len(repaired) > 16
+        assert set(repaired) <= set(ctxs)
 
     def test_perfect_pair_rows_are_unsorted(self):
         # Some perfectly aligned rows have a tail slot above the top-1
