@@ -171,8 +171,9 @@ def speculate_batch(
     ctxs = np.empty((n, cols), dtype=np.uint64)
     probs = np.empty((n, cols))
     paths = np.empty((n, cols))
-    # Each node's candidate index within its level's scan; its parent
-    # is that over the draft's per-node width, past the frontier's start.
+    # Each node's index in its level's candidate scan (frontier node,
+    # then draft rank); its parent is that index over the per-node
+    # width, plus the tree index of the level's first frontier node.
     ranks = np.empty((n, cols), dtype=np.int64)
     tokens[:, 0] = [tok for tok, _ in roots]
     ctxs[:, 0] = C

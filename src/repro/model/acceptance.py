@@ -16,8 +16,8 @@ Tree verification walks a :class:`~repro.core.tree.TokenTree` by node
 index and reads its selection mask in place, so the selected subtree is
 never copied out.  Both verifications sample the target through
 ``StochasticLM.sample``, which answers every drafted context from the
-emission memo the speculation kernel wrote
-(:func:`repro.model.batchgen.draft_top`).
+emission memo each speculation call writes once, after its last level
+(:meth:`repro.model.batchgen.DraftCall.emit`).
 
 Also provides the Theorem 3.1 quantities: the true path probability
 ``f(v)`` of a node and the expected number of accepted tokens of a tree,

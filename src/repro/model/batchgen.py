@@ -199,7 +199,7 @@ class DraftCall:
         if len(rows) == 1:
             keys, P, ids, bits = rows[0]
         else:
-            keys, P, ids, bits = (np.concatenate(column) for column in zip(*rows))
+            keys, P, ids, bits = map(np.concatenate, zip(*rows))
         memo = self.target._emissions
         if len(memo) + keys.shape[0] > MEMO_CAP:
             memo.clear()
@@ -227,20 +227,21 @@ class Centers:
     def __init__(self, call: DraftCall, centers: list[float | None]) -> None:
         k = self.k = call.k
         n = len(centers)
+        unset = centers.count(None)
+        self.offsets = np.arange(0, n * k, k)[:, None]
         default = call.target.predictability
         self.effective = np.array(
-            [default if c is None else c for c in centers], dtype=np.float64
+            [default if c is None else c for c in centers] if unset else centers,
+            dtype=np.float64,
         )[:, None]
-        keyed = [c is not None for c in centers]
-        if any(keyed):
-            self.masks = np.empty((n, k + 4), dtype=np.uint64)
-            self.masks[:, : k + 3] = _draw_masks(k)
-            self.masks[:, k + 3] = [0 if c is None else _center_salt(c) for c in centers]
-            self.keyed = True if all(keyed) else np.array(keyed)
-        else:
+        if unset == n:
             self.masks = _draw_masks(k)
             self.keyed = False
-        self.offsets = np.arange(0, n * k, k)[:, None]
+            return
+        masks = self.masks = np.empty((n, k + 4), dtype=np.uint64)
+        masks[:, : k + 3] = _draw_masks(k)
+        masks[:, k + 3] = [0 if c is None else _center_salt(c) for c in centers]
+        self.keyed = np.array([c is not None for c in centers]) if unset else True
 
     def repeat(self, r: int) -> "Centers":
         """The centers of each row repeated ``r`` times (a beam frontier)."""

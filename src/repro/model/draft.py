@@ -104,12 +104,13 @@ class DraftLM:
         the target (per-request predictability).
         """
         # The per-context reference for the speculation kernel
-        # (repro.model.batchgen.draft_top): the cache key is computed
-        # once and shared with the target's memo (same derivation,
-        # distinct dicts), the noise stream is the uniforms() loop
-        # inlined, and (ids, probs) come from one zip(*...) — every
-        # float is produced by the same operations in the same order as
-        # the kernel's, so the two agree bit for bit.
+        # (repro.model.batchgen.draft_top, whose top-w rows are this
+        # row's first w entries): the cache key is computed once and
+        # shared with the target's memo (same derivation, distinct
+        # dicts), the noise stream is the uniforms() loop inlined, and
+        # (ids, probs) come from one zip(*...) — every float is produced
+        # by the same operations in the same order as the kernel's, so
+        # the two agree bit for bit.
         if center is None:
             key = ctx
         else:
@@ -142,7 +143,7 @@ class DraftLM:
             x = ((x ^ (x >> 30)) * _MIX1) & MASK64
             x = ((x ^ (x >> 27)) * _MIX2) & MASK64
             x ^= x >> 31
-            # Sums fold left to right, like batchgen's cumsum; the builtin
+            # Sums fold left to right, like batchgen's running sums; the builtin
             # sum() compensates its rounding on Python >= 3.12.
             noise = []
             append = noise.append
@@ -178,9 +179,9 @@ class DraftLM:
     def prefetch(self, items) -> None:
         """Warm the draft (and target) memos for many ``(ctx, center)`` queries.
 
-        Vectorized batch generation (see :mod:`repro.model.batchgen`);
-        bit-identical to generating on demand, and a no-op when too few
-        queries miss the memo to amortize it.
+        The speculation kernel's row function (see
+        :mod:`repro.model.batchgen`); bit-identical to generating on
+        demand, and a no-op for a batch too small to amortize it.
         """
         from repro.model import batchgen
 

@@ -62,7 +62,9 @@ def _token_mask(i: int) -> int:
 #: Entries one distribution memo holds before it is emptied (live models
 #: keep working — they refill on demand).  Large enough for a whole
 #: sweep point's working set, so same-seed points sharing a memo never
-#: regenerate.
+#: regenerate.  The emission memo is written once per speculation call
+#: and emptied at most once per call, before the update, when the update
+#: could take it past the cap (``repro.model.batchgen.DraftCall.emit``).
 MEMO_CAP = 200_000
 
 #: Distribution memos shared across model instances, keyed by the model
@@ -201,8 +203,10 @@ class StochasticLM:
         self._cache: dict[int, TokenDistribution] = shared_distribution_cache(
             ("target", *signature)
         )
-        #: memo key -> emitted token, written by the speculation kernel
-        #: (repro.model.batchgen.draft_top) for every context it drafts.
+        #: memo key -> emitted token of every context a speculation call
+        #: drafted, written once per call after its last level
+        #: (repro.model.batchgen.DraftCall.emit); emptied at most once per
+        #: call, before the update (see MEMO_CAP).
         self._emissions: dict[int, int] = shared_distribution_cache(("emission", *signature))
 
     # ------------------------------------------------------------------
@@ -301,7 +305,7 @@ class StochasticLM:
     def sample(self, ctx: int, center: float | None = None) -> int:
         """The token the target emits at this context (deterministic)."""
         # Inline the memo probes: verification samples right after the
-        # speculation kernel memoized the emissions of every drafted
+        # speculation call memoized the emissions of every drafted
         # context, so the hit path should not pay the distribution()
         # frame + key recomputation.
         if center is None:
@@ -331,9 +335,9 @@ class StochasticLM:
     def prefetch(self, items) -> None:
         """Warm the distribution memo for many ``(ctx, center)`` queries.
 
-        Vectorized batch generation (see :mod:`repro.model.batchgen`);
-        bit-identical to generating on demand, and a no-op when too few
-        queries miss the memo to amortize it.
+        The speculation kernel's row function (see
+        :mod:`repro.model.batchgen`); bit-identical to generating on
+        demand, and a no-op for a batch too small to amortize it.
         """
         from repro.model import batchgen
 
