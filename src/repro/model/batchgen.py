@@ -293,7 +293,8 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
     """
     k = call.k
     n = C.shape[0]
-    X = C[:, None] ^ centers.masks
+    column = C[:, None]
+    X = column ^ centers.masks
     X += _G
     _fin3(X)
     top1 = (X[:, :1] >> _S11) * _INV_2_52  # 2.0 * the shape uniform
@@ -324,7 +325,7 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
     Y = np.empty((1 + noisy, n, k), dtype=np.uint64)
     children = Y[-1]
     np.multiply(ids, _C, out=children)
-    children ^= C[:, None]
+    children ^= column
     children += _G
     if noisy:
         np.add(X[:, k + 2 : k + 3], call.steps, out=Y[0])
@@ -332,9 +333,12 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
     if not noisy:
         return ids[:, :w], P[:, :w], children[:, :w]
     # The draft row: the normalized alignment mixture of P with the
-    # normalized noise row.
-    norm = (Y[0] >> _S11) * _INV_2_53
-    norm /= _ACCUMULATE(norm, 1)[:, -1:]
+    # normalized noise row.  The noise uniforms are ``bits * 2**-53``;
+    # a power-of-two scale commutes with every rounding of the running
+    # sum and cancels in the division, so the unscaled integers (exact
+    # in float64, being below 2**53) give the same quotients.
+    bits = Y[0] >> _S11
+    norm = bits / _ACCUMULATE(bits, 1, dtype=np.float64)[:, -1:]
     norm *= call.inv_alignment
     norm += P * call.alignment
     norm /= _ACCUMULATE(norm, 1)[:, -1:]
