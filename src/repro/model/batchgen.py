@@ -159,16 +159,8 @@ class DraftCall:
     """
 
     __slots__ = (
-        "target",
-        "k",
-        "spread",
-        "n_regular",
-        "weights",
-        "steps",
-        "alignment",
-        "inv_alignment",
-        "noisy",
-        "rows",
+        "target", "k", "spread", "n_regular", "weights", "steps",
+        "alignment", "inv_alignment", "noisy", "rows",
     )
 
     def __init__(self, target, alignment: float) -> None:
@@ -192,18 +184,13 @@ class DraftCall:
         when the update could take it past ``MEMO_CAP``; a call drafting
         more rows than the cap memoizes only the first ``MEMO_CAP``.
         """
-        rows = self.rows
-        if not rows:
-            return
+        keys, P, ids, bits = map(np.concatenate, zip(*self.rows))
         self.rows = []
-        if len(rows) == 1:
-            keys, P, ids, bits = rows[0]
-        else:
-            keys, P, ids, bits = map(np.concatenate, zip(*rows))
         memo = self.target._emissions
         if len(memo) + keys.shape[0] > MEMO_CAP:
             memo.clear()
-        u = (bits >> _S11) * _INV_2_53  # the sample uniforms
+        u = (bits >> _S11).astype(np.float64)
+        u *= _INV_2_53  # the sample uniforms
         memo.update(zip(keys[:MEMO_CAP].tolist(), _emissions(P, ids, u).tolist()))
 
 
@@ -297,7 +284,8 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
     X = column ^ centers.masks
     X += _G
     _fin3(X)
-    top1 = (X[:, :1] >> _S11) * _INV_2_52  # 2.0 * the shape uniform
+    top1 = (X[:, :1] >> _S11).astype(np.float64)
+    top1 *= _INV_2_52  # 2.0 * the shape uniform
     top1 -= 1.0
     top1 *= call.spread
     top1 += centers.effective
@@ -337,8 +325,8 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
     # a power-of-two scale commutes with every rounding of the running
     # sum and cancels in the division, so the unscaled integers (exact
     # in float64, being below 2**53) give the same quotients.
-    bits = Y[0] >> _S11
-    norm = bits / _ACCUMULATE(bits, 1, dtype=np.float64)[:, -1:]
+    norm = (Y[0] >> _S11).astype(np.float64)
+    norm /= _ACCUMULATE(norm, 1)[:, -1:]
     norm *= call.inv_alignment
     norm += P * call.alignment
     norm /= _ACCUMULATE(norm, 1)[:, -1:]
@@ -346,7 +334,7 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
         order = norm.argmax(axis=1, keepdims=True)
     else:
         order = (-norm).argsort(axis=1, kind="stable")[:, :w]
-    order += centers.offsets
+    order = order + centers.offsets  # a contiguous index (faster takes)
     return ids.take(order), norm.take(order), children.take(order)
 
 
