@@ -312,7 +312,7 @@ class TestMemoLifetime:
         pair = ModelPair.build(vocab_size=1000, seed=5)
         memo = pair.target._emissions
         sizes = []
-        calls = []
+        first = None  # the first call's emissions, verifications and verifiers
         for i in range(6):
             ctxs = [pair.context_of([i, j]) for j in range(8)]
             if kind == "beam":
@@ -325,16 +325,17 @@ class TestMemoLifetime:
                     for c, chain in zip(ctxs, chains)
                 ]
             sizes.append(len(memo))
-            calls.append((dict(memo), [check() for check in verify], verify))
+            if first is None:
+                first = (dict(memo), [check() for check in verify], verify)
         assert max(sizes) <= 100
         assert sizes == [40, 80, 40, 80, 40, 80]
         # The first call's emissions were cleared by the third call;
         # verification falls back to scalar sampling and agrees.
-        first, verified, verify = calls[0]
-        assert not any(key in memo for key in first)
+        emissions, verified, verify = first
+        assert not any(key in memo for key in emissions)
         assert [check() for check in verify] == verified
         pair.clear_caches()
-        assert all(pair.target.sample(ctx) == token for ctx, token in first.items())
+        assert all(pair.target.sample(ctx) == token for ctx, token in emissions.items())
 
     def test_distinct_seeds_do_not_pile_up(self, generated):
         for seed in (1, 2, 3):
