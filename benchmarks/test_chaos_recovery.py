@@ -19,8 +19,8 @@ What the scenario pins down:
   timeline is part of the experiment spec).
 
 Runs through the shared result cache and is ``smoke``-marked for CI; the
-incident table printed here is the same one ``repro chaos-report``
-exports for the CI job summary.
+incident table printed here is the same one ``repro run`` prints for a
+point with ``--faults`` (CI puts it in the job summary).
 """
 
 from __future__ import annotations

@@ -23,17 +23,19 @@ class SeriesPoint:
     mean_accepted: float
 
 
-def format_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Plain-text aligned table."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(cells: list[str]) -> str:
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+def format_table(header, rows, markdown: bool = False) -> str:
+    """Aligned plain-text table with a dash rule under the header, or a
+    GitHub markdown table with ``markdown`` (e.g. for a CI job summary)."""
+    if markdown:
+        lines = ["| " + " | ".join(header) + " |", "|" + "|".join("---" for _ in header) + "|"]
+        lines += ["| " + " | ".join(row) + " |" for row in rows]
+        return "\n".join(lines)
+    widths = [max(len(cell) for cell in column) for column in zip(header, *rows)]
+
+    def fmt(cells) -> str:
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    return "\n".join([fmt(header), fmt(["-" * w for w in widths]), *map(fmt, rows)])
 
 
 def point_from_metrics(x: float, system: str, metrics: RunMetrics) -> SeriesPoint:

@@ -5,7 +5,7 @@ The fleet keeps a :class:`ChaosLog` while a fault schedule is active and
 request states — into a plain-dict incident report that is strict-JSON
 safe (no NaN, ``None`` for "not applicable") and rides the normal report
 export/cache round-trip.  :func:`format_incident_table` renders the same
-dict for humans (CLI) and for ``$GITHUB_STEP_SUMMARY`` (markdown).
+dict for ``repro run``.
 
 Glossary (also in the README):
 
@@ -22,7 +22,7 @@ Glossary (also in the README):
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.serving.request import Request
 
@@ -141,9 +141,12 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def format_incident_table(chaos: dict, markdown: bool = False) -> str:
-    """Render an incident report for the CLI or a CI step summary."""
-    rows: list[Sequence[str]] = [("t (s)", "event", "replica", "detail")]
+def format_incident_table(chaos: dict) -> str:
+    """Render an incident report: the event table, then summary lines."""
+    # Imported here: the analysis package imports the fleet, which imports this module.
+    from repro.analysis.report import format_table
+
+    rows = []
     for event in chaos["events"]:
         detail_keys = [
             k for k in sorted(event) if k not in ("time_s", "kind", "replica")
@@ -153,29 +156,18 @@ def format_incident_table(chaos: dict, markdown: bool = False) -> str:
             (_fmt(event["time_s"]), str(event["kind"]), _fmt(event.get("replica")), detail)
         )
 
-    incident = chaos.get("incident")
-    summary = [
+    lines = [
+        format_table(("t (s)", "event", "replica", "detail"), rows),
+        "",
         f"crashes: {chaos['num_crashes']}  stragglers: {chaos['num_stragglers']}",
         f"requests disrupted: {chaos['requests_disrupted']}"
         f"  lost: {chaos['requests_lost']}",
         f"mean recovery time: {_fmt(chaos['mean_recovery_time_s'])} s",
     ]
+    incident = chaos.get("incident")
     if incident is not None:
-        summary.append(
+        lines.append(
             f"incident-window attainment: {_fmt(incident['attainment'])}"
             f" ({incident['num_attained']}/{incident['num_requests']} requests)"
         )
-
-    if markdown:
-        lines = ["| " + " | ".join(rows[0]) + " |"]
-        lines.append("|" + "|".join(" --- " for _ in rows[0]) + "|")
-        lines.extend("| " + " | ".join(row) + " |" for row in rows[1:])
-        lines.append("")
-        lines.extend(f"- {line}" for line in summary)
-        return "\n".join(lines)
-
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    lines.append("")
-    lines.extend(summary)
     return "\n".join(lines)

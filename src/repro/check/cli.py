@@ -1,13 +1,10 @@
-"""Entry points for the determinism linter.
+"""Entry point for the determinism linter behind ``repro check lint``.
 
-Shared by ``repro check lint`` (subcommand of the main CLI) and
-``python -m repro.check`` (standalone, e.g. as a pre-commit hook).
 Exit status is the gate: 0 when clean, 1 when findings survive.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -28,26 +25,3 @@ def run_lint(paths: list[str], json_out: bool = False, out=None) -> int:
     else:
         out.write(format_result(result) + "\n")
     return 0 if result.ok else 1
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check",
-        description="Determinism lint over repro source (see `repro list checks`).",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the repro package)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the strict-JSON report instead of text",
-    )
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_lint(args.paths, json_out=args.json)

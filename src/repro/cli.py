@@ -4,27 +4,24 @@ The subcommands mirror how the repository is used:
 
 - ``run``: serve one workload with one system and print the metrics —
   on one replica, or on a router-fronted fleet with ``--replicas N``
-  (``--router``), optionally autoscaled (``--autoscale``);
+  (``--router``), optionally autoscaled (``--autoscale``); a point with
+  ``--faults`` also prints its incident timeline;
 - ``sweep``: the Figure 8/9 RPS sweep for a set of systems (optionally
   at cluster scale via ``--replicas``/``--router``, and over arbitrary
   registered parameters via ``--grid``);
 - ``list``: introspect the component registries (systems, routers,
   traces, models) with their parameter schemas;
-- ``chaos-report``: run one fault-injection experiment and export its
-  incident timeline (strict JSON via ``--out``, GitHub-markdown table
-  via ``--markdown`` — CI appends it to the job summary);
-- ``trace``: run one experiment with observability on (see
-  :mod:`repro.obs`) and export a Perfetto/Chrome ``trace_event`` JSON
-  (``--out``), an optional gauge time-series (``--series-out``), and a
-  top-N slowest-requests table with a dominant-latency-component
-  attribution column;
-- ``explain``: run one experiment with tracing on and decompose every
-  request's latency into named components (queue wait, prefill/decode
-  compute, preemption stalls, straggler inflation, failover redo,
-  prefix-miss penalty — they sum exactly to end-to-end latency), print
-  per-category attribution and SLO root-cause tables, and — with
-  ``--baseline OTHER.json`` — diff against a previous attribution
+- ``cache-prune``: delete cache records stranded by code changes;
+- ``explain``: run one experiment with tracing on (see :mod:`repro.obs`)
+  and decompose every request's latency into named components (queue
+  wait, prefill/decode compute, preemption stalls, straggler inflation,
+  failover redo, prefix-miss penalty — they sum exactly to end-to-end
+  latency); print per-category attribution, SLO root-cause and top-N
+  slowest-requests tables; export a Perfetto/Chrome ``trace_event`` JSON
+  (``--trace-out``) and a gauge time-series (``--series-out``); and —
+  with ``--baseline OTHER.json`` — diff against a previous attribution
   export component by component, exiting nonzero on regression;
+- ``check lint``: the determinism linter (see :mod:`repro.check`);
 - ``profile``: hardware profiling (Table 1 derived quantities).
 
 Components are referenced by registry spec strings — ``adaserve``,
@@ -37,7 +34,8 @@ result cache (:mod:`repro.analysis.cache`), so repeating an
 already-computed point or grid performs zero simulations; ``sweep
 --jobs N`` fans cache-missing points out over worker processes with
 results identical to ``--jobs 1``.  ``--out FILE`` writes the results as
-strict JSON (a report for ``run``, sweep points for ``sweep``).
+strict JSON (a report for ``run``, sweep points for ``sweep``, the
+attribution export for ``explain``).
 
 Examples
 --------
@@ -48,9 +46,7 @@ Examples
     python -m repro sweep --systems vllm-spec --rps 4.2 --grid system.k=2,4,6,8
     python -m repro run --replicas 4 --router affinity:reserve=0.5 --rps 12 --trace diurnal
     python -m repro run --replicas 3 --rps 12 --faults crash:at=20,replica=1 --faults straggler:slow=2
-    python -m repro chaos-report --replicas 3 --router affinity --faults crash --markdown
-    python -m repro trace --replicas 2 --faults crash --duration 20 --out trace.json
-    python -m repro explain --replicas 2 --faults crash --out attrib.json
+    python -m repro explain --replicas 2 --faults crash --out attrib.json --trace-out trace.json
     python -m repro explain --baseline attrib.json --replicas 2 --faults crash
     python -m repro list systems
     python -m repro profile --model llama70b
@@ -70,6 +66,7 @@ from repro.analysis.harness import build_setup
 from repro.analysis.report import format_table, point_from_metrics, series_table
 from repro.analysis.runner import SweepRunner
 from repro.analysis.spec import SYSTEM_FIELD_AXES, ExperimentSpec, apply_axis, parse_grid_axis
+from repro.chaos import format_incident_table
 from repro.check.rules import CHECKS
 from repro.obs import DEFAULT_ABS_THRESHOLD_S, DEFAULT_REL_THRESHOLD, ObsSpec
 from repro.hardware.profiler import HardwareProfiler
@@ -170,6 +167,13 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _slack(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 and finite, got {value:g}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -178,7 +182,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_point_args(p: argparse.ArgumentParser, rps: float, replicas: int) -> None:
-    """Flags naming one experiment point (run, chaos-report, trace, explain)."""
+    """Flags naming one experiment point (run, explain)."""
     p.add_argument(
         "--system",
         type=_system_spec,
@@ -209,24 +213,6 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_obs_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write a Perfetto/Chrome trace of this run (always simulates "
-        "fresh, bypassing the result cache; see also `repro trace`)",
-    )
-    p.add_argument(
-        "--sample-every",
-        type=_positive_float,
-        default=0.5,
-        metavar="SECONDS",
-        help="gauge sampling period in simulated seconds when tracing "
-        "(default: 0.5)",
-    )
-
-
 def _add_check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--check-invariants",
@@ -241,7 +227,7 @@ def _add_check_args(p: argparse.ArgumentParser) -> None:
 
 def _maybe_invariants(args):
     """An :class:`InvariantChecker` when ``--check-invariants`` was given."""
-    if not getattr(args, "check_invariants", False):
+    if not args.check_invariants:
         return None
     from repro.check import InvariantChecker
 
@@ -284,61 +270,13 @@ def _config_for(
         mix=mix,
         max_sim_time_s=args.max_sim_time,
         prefix_cache=args.prefix_cache,
-        metrics=getattr(args, "metrics", "exact"),
+        metrics=args.metrics,
         replicas=replicas,
         router=router,
         autoscale=autoscale,
         faults=tuple(args.faults) if args.faults else None,
         obs=obs,
     )
-
-
-def _obs_spec(args) -> ObsSpec:
-    """The ``ObsSpec`` section implied by the ``--trace-out`` flags."""
-    return ObsSpec(
-        trace=getattr(args, "trace_out", None) is not None,
-        sample_every_s=getattr(args, "sample_every", 0.5),
-    )
-
-
-def _run_point(args, config: ExperimentSpec):
-    """One point through the result cache — or fresh when tracing or
-    invariant checking is on.
-
-    Returns ``(report, stats_line)``.  Traced runs always simulate (a
-    cache hit would have no trace to return) and write the Perfetto
-    export as a side effect; ``--check-invariants`` runs always simulate
-    (cached records were never checked).  The report itself is
-    byte-identical either way because observation and invariant checks
-    are strictly passive.
-    """
-    invariants = _maybe_invariants(args)
-    if config.obs.enabled:
-        from repro.analysis.runner import run_traced
-        from repro.obs import perfetto_json
-
-        report, observer = run_traced(config, invariants=invariants)
-        _note_invariants(invariants)
-        _write_out(
-            args.trace_out,
-            perfetto_json(observer.collector, observer.sampler, chaos=report.chaos),
-        )
-        print(
-            "open the trace in https://ui.perfetto.dev (or chrome://tracing)",
-            file=sys.stderr,
-        )
-        return report, "cache: bypassed (--trace-out always simulates); simulations executed: 1"
-    if invariants is not None:
-        from repro.analysis.runner import run_spec
-
-        report = run_spec(config, invariants=invariants)
-        _note_invariants(invariants)
-        return report, (
-            "cache: bypassed (--check-invariants always simulates); "
-            "simulations executed: 1"
-        )
-    runner = SweepRunner(cache=_make_cache(args), jobs=1)
-    return runner.run([config])[0].report, runner.stats_line()
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -403,9 +341,6 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.warmup is not None and args.warmup < 0:
-        print(f"error: --warmup must be >= 0, got {args.warmup:g}", file=sys.stderr)
-        return 2
     # Pass only user-provided knobs; AutoscalerConfig and run_once own
     # the defaults (warm-up length, 2x-initial-fleet ceiling).
     autoscale = None
@@ -418,25 +353,28 @@ def _cmd_run(args) -> int:
     config = _config_for(
         args, args.system, args.rps,
         replicas=args.replicas, router=args.router, autoscale=autoscale,
-        obs=_obs_spec(args),
     )
-    report, stats = _run_point(args, config)
+    invariants = _maybe_invariants(args)
+    if invariants is not None:
+        # Cached records were never checked, so the point simulates fresh;
+        # the report stays byte-identical because the checks are passive.
+        from repro.analysis.runner import run_spec
+
+        report = run_spec(config, invariants=invariants)
+        _note_invariants(invariants)
+        stats = "cache: bypassed (--check-invariants always simulates); simulations executed: 1"
+    else:
+        runner = SweepRunner(cache=_make_cache(args), jobs=1)
+        report, stats = runner.run([config])[0].report, runner.stats_line()
     _print_report(report, args.model)
     if config.is_cluster:
         print(
             f"replicas: {args.replicas}   router: {args.router}   "
             f"autoscale: {'on' if autoscale is not None else 'off'}"
         )
-    chaos = report.chaos
-    if chaos is not None:
-        line = (
-            f"chaos: {chaos['num_crashes']} crash(es), "
-            f"{chaos['num_stragglers']} straggler(s); "
-            f"disrupted {chaos['requests_disrupted']}, lost {chaos['requests_lost']}"
-        )
-        if chaos["mean_recovery_time_s"] is not None:
-            line += f", mean recovery {chaos['mean_recovery_time_s']:.3f}s"
-        print(line + "  (full timeline: repro chaos-report)")
+    if report.chaos is not None:
+        print()
+        print(format_incident_table(report.chaos))
     print(stats)
     _write_out(args.out, report_to_json(report))
     return 0
@@ -561,108 +499,22 @@ def _cmd_cache_prune(args) -> int:
     return 0
 
 
-def _cmd_chaos_report(args) -> int:
-    """Run one chaos experiment and export its incident timeline.
-
-    Stdout carries only the incident table (plain text, or a GitHub
-    markdown table with ``--markdown`` — appendable straight to
-    ``$GITHUB_STEP_SUMMARY``); run status goes to stderr.  ``--out``
-    additionally writes the full timeline as strict JSON.
-    """
-    from repro import __version__
-    from repro.analysis.export import REPORT_SCHEMA_VERSION
-    from repro.chaos import format_incident_table
-
-    if not args.faults:
-        print("error: chaos-report requires at least one --faults SPEC", file=sys.stderr)
-        return 2
-    config = _config_for(
-        args, args.system, args.rps,
-        replicas=args.replicas, router=args.router,
-        obs=_obs_spec(args),
-    )
-    report, stats = _run_point(args, config)
-    chaos = report.chaos
-    if chaos is None:
-        print("error: run produced no chaos report", file=sys.stderr)
-        return 2
-    print(stats, file=sys.stderr)
-    if args.out:
-        payload = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "repro_version": __version__,
-            "chaos": chaos,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-        _write_out(args.out, text)
-    print(format_incident_table(chaos, markdown=args.markdown))
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    """Run one experiment with tracing on and export its artifacts.
-
-    Always simulates fresh (traced runs never consult the result cache;
-    the ``obs`` section is excluded from cache keys, so the run's report
-    still matches the cached, untraced point byte for byte).  Stdout
-    carries only the top-N slowest-requests table (plain text, or a
-    GitHub markdown table with ``--markdown``); run status goes to
-    stderr.
-    """
-    from repro.analysis.runner import run_traced
-    from repro.obs import decompose, format_slowest_table, perfetto_json, series_to_json
-
-    obs = ObsSpec(
-        trace=True,
-        sample_every_s=args.sample_every,
-        iteration_log=args.iteration_log,
-    )
-    config = _config_for(
-        args, args.system, args.rps,
-        replicas=args.replicas, router=args.router, obs=obs,
-    )
-    invariants = _maybe_invariants(args)
-    report, observer = run_traced(config, invariants=invariants)
-    _note_invariants(invariants)
-    _write_out(
-        args.out,
-        perfetto_json(observer.collector, observer.sampler, chaos=report.chaos),
-    )
-    m = report.metrics
-    print(
-        f"traced {m.num_requests} request(s): {len(observer.collector)} trace "
-        f"event(s), {len(observer.sampler)} gauge sample(s) over "
-        f"{report.sim_time_s:.1f}s simulated",
-        file=sys.stderr,
-    )
-    print(
-        "open the trace in https://ui.perfetto.dev (or chrome://tracing)",
-        file=sys.stderr,
-    )
-    if args.series_out:
-        _write_out(args.series_out, series_to_json(observer))
-    attribs = decompose(observer.collector, report.requests, report.sim_time_s)
-    dominant = {a.rid: a.dominant for a in attribs}
-    print(
-        format_slowest_table(
-            report.requests, n=args.top, markdown=args.markdown, attributions=dominant
-        )
-    )
-    return 0
-
-
 def _cmd_explain(args) -> int:
     """Attribute latency and diagnose SLO violations for one experiment.
 
-    Runs the spec with tracing on (always fresh; see ``repro trace``),
-    decomposes every request's end-to-end latency into the named
-    components of :mod:`repro.obs.attrib`, and prints the per-category
-    attribution table, the violation root-cause table, and fleet
-    diagnostics.  ``--out`` writes the full attribution export as strict
-    JSON (byte-deterministic for a fixed seed).  ``--baseline FILE``
-    additionally diffs this run against a previous export component by
-    component: exit 1 on regression past the thresholds, 2 on an
-    unreadable baseline.  Stdout carries only the tables (markdown with
+    Runs the spec with tracing on (always fresh: traced runs never
+    consult the result cache; the ``obs`` section is excluded from cache
+    keys, so the run's report still matches the cached, untraced point
+    byte for byte), decomposes every request's end-to-end latency into
+    the named components of :mod:`repro.obs.attrib`, and prints the
+    per-category attribution table, the violation root-cause table, fleet
+    diagnostics and the top-N slowest requests.  ``--out`` writes the
+    full attribution export as strict JSON (byte-deterministic for a
+    fixed seed); ``--trace-out`` and ``--series-out`` write the Perfetto
+    trace and the gauge time-series.  ``--baseline FILE`` additionally
+    diffs this run against a previous export component by component:
+    exit 1 on regression past the thresholds, 2 on an unreadable
+    baseline.  Stdout carries only the tables (markdown with
     ``--markdown``); run status goes to stderr.
     """
     from repro.analysis.runner import run_traced
@@ -673,9 +525,14 @@ def _cmd_explain(args) -> int:
         diff_attributions,
         format_attribution,
         format_diff_table,
+        format_slowest_table,
+        perfetto_json,
+        series_to_json,
     )
 
-    obs = ObsSpec(trace=True, sample_every_s=args.sample_every)
+    obs = ObsSpec(
+        trace=True, sample_every_s=args.sample_every, iteration_log=args.iteration_log
+    )
     config = _config_for(
         args, args.system, args.rps,
         replicas=args.replicas, router=args.router, obs=obs,
@@ -694,7 +551,22 @@ def _cmd_explain(args) -> int:
         file=sys.stderr,
     )
     _write_out(args.out, attribution_to_json(payload))
+    if args.trace_out is not None:
+        _write_out(
+            args.trace_out,
+            perfetto_json(observer.collector, observer.sampler, chaos=report.chaos),
+        )
+        print("open the trace in https://ui.perfetto.dev (or chrome://tracing)", file=sys.stderr)
+    if args.series_out is not None:
+        _write_out(args.series_out, series_to_json(observer))
     print(format_attribution(payload, markdown=args.markdown))
+    print()
+    dominant = {a.rid: a.dominant for a in attribs}
+    print(
+        format_slowest_table(
+            report.requests, n=args.top, markdown=args.markdown, attributions=dominant
+        )
+    )
     if args.baseline is None:
         return 0
     try:
@@ -716,8 +588,7 @@ def _cmd_explain(args) -> int:
 def _cmd_check(args) -> int:
     """Run the determinism linter (see :mod:`repro.check`).
 
-    ``repro check lint`` is the CI gate form of ``python -m repro.check``:
-    exit 0 when the tree is clean (suppressions inventoried), 1 when
+    Exit 0 when the tree is clean (suppressions inventoried), 1 when
     findings survive.  ``--json`` emits the strict-JSON report.
     """
     from repro.check.cli import run_lint
@@ -767,12 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--warmup",
-        type=float,
+        type=_nonneg_float,
         default=None,
         help="seconds before an autoscaled replica becomes routable",
     )
     p_run.add_argument("--out", default=None, help="write the report as strict JSON")
-    _add_obs_args(p_run)
     _add_check_args(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -839,71 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prune.set_defaults(func=_cmd_cache_prune)
 
-    p_chaos = sub.add_parser(
-        "chaos-report",
-        help="run one chaos experiment and export its incident timeline",
-    )
-    _add_workload_args(p_chaos)
-    _add_cache_args(p_chaos)
-    _add_point_args(p_chaos, rps=12.0, replicas=4)
-    p_chaos.add_argument(
-        "--out", default=None, help="also write the incident timeline as strict JSON"
-    )
-    p_chaos.add_argument(
-        "--markdown",
-        action="store_true",
-        help="print the incident table as GitHub markdown "
-        "(stdout carries only the table, e.g. for $GITHUB_STEP_SUMMARY)",
-    )
-    _add_obs_args(p_chaos)
-    _add_check_args(p_chaos)
-    p_chaos.set_defaults(func=_cmd_chaos_report)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="run one experiment with tracing on and export a Perfetto trace",
-    )
-    _add_workload_args(p_trace)
-    _add_point_args(p_trace, rps=8.0, replicas=1)
-    p_trace.add_argument(
-        "--sample-every",
-        type=_positive_float,
-        default=0.5,
-        metavar="SECONDS",
-        help="gauge sampling period in simulated seconds (default: 0.5)",
-    )
-    p_trace.add_argument(
-        "--iteration-log",
-        action="store_true",
-        help="also record per-iteration engine telemetry "
-        "(exported under --series-out)",
-    )
-    p_trace.add_argument(
-        "--out",
-        default="trace.json",
-        help="Perfetto/Chrome trace_event JSON path (default: trace.json)",
-    )
-    p_trace.add_argument(
-        "--series-out",
-        default=None,
-        metavar="FILE",
-        help="also write the sampled gauge time-series (strict JSON)",
-    )
-    p_trace.add_argument(
-        "--top",
-        type=_positive_int,
-        default=10,
-        help="slowest-requests table size (default: 10)",
-    )
-    p_trace.add_argument(
-        "--markdown",
-        action="store_true",
-        help="print the slowest-requests table as GitHub markdown "
-        "(stdout carries only the table, e.g. for $GITHUB_STEP_SUMMARY)",
-    )
-    _add_check_args(p_trace)
-    p_trace.set_defaults(func=_cmd_trace)
-
     p_explain = sub.add_parser(
         "explain",
         help="attribute per-request latency to components and "
@@ -917,7 +722,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         metavar="SECONDS",
         help="gauge sampling period in simulated seconds for the fleet "
-        "diagnostics (default: 0.5)",
+        "diagnostics and --series-out (default: 0.5)",
+    )
+    p_explain.add_argument(
+        "--iteration-log",
+        action="store_true",
+        help="also record per-iteration engine telemetry "
+        "(exported under --series-out)",
     )
     p_explain.add_argument(
         "--out",
@@ -925,6 +736,25 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the attribution export as strict JSON "
         "(byte-deterministic; diffable via --baseline)",
+    )
+    p_explain.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="write the Perfetto/Chrome trace_event JSON "
+        "(open at https://ui.perfetto.dev)",
+    )
+    p_explain.add_argument(
+        "--series-out",
+        default=None,
+        metavar="FILE",
+        help="write the sampled gauge time-series (strict JSON)",
+    )
+    p_explain.add_argument(
+        "--top",
+        type=_positive_int,
+        default=10,
+        help="slowest-requests table size (default: 10)",
     )
     p_explain.add_argument(
         "--baseline",
@@ -983,7 +813,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser("profile", help="hardware profiling for a deployment")
     p_prof.add_argument("--model", type=_model_spec, default="llama70b")
     p_prof.add_argument("--seed", type=int, default=0)
-    p_prof.add_argument("--slack", type=float, default=1.5)
+    p_prof.add_argument(
+        "--slack",
+        type=_slack,
+        default=1.5,
+        help="latency slack over the memory-bound floor when picking B (>= 1)",
+    )
     p_prof.set_defaults(func=_cmd_profile)
     return parser
 

@@ -23,10 +23,12 @@ than all at once.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.cluster.replica import Replica
+from repro.registry import SpecError
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,17 @@ class AutoscalerConfig:
 
     def __post_init__(self) -> None:
         if self.min_replicas < 1:
-            raise ValueError("min_replicas must be >= 1")
+            raise SpecError("min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:
-            raise ValueError("max_replicas must be >= min_replicas")
+            raise SpecError("max_replicas must be >= min_replicas")
+        # A NaN warm-up would leave a scaled-up replica never routable.
+        for name in ("check_interval_s", "scale_up_queue", "scale_down_queue", "warmup_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"autoscaler {name} must be finite, got {getattr(self, name)!r}")
         if self.check_interval_s <= 0 or self.warmup_s < 0:
-            raise ValueError("check_interval_s must be > 0 and warmup_s >= 0")
+            raise SpecError("check_interval_s must be > 0 and warmup_s >= 0")
         if self.scale_down_queue >= self.scale_up_queue:
-            raise ValueError("scale_down_queue must be < scale_up_queue")
+            raise SpecError("scale_down_queue must be < scale_up_queue")
 
     @classmethod
     def from_mapping(cls, knobs) -> "AutoscalerConfig":
@@ -87,7 +93,7 @@ class AutoscalerConfig:
         )
         config = cls.from_mapping(values)
         if config.max_replicas < initial_replicas:
-            raise ValueError(
+            raise SpecError(
                 f"autoscale max_replicas ({config.max_replicas}) is below "
                 f"the initial fleet size ({initial_replicas})"
             )

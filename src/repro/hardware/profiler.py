@@ -50,8 +50,8 @@ class HardwareProfiler:
     """Selects token budgets by sweeping the roofline model."""
 
     def __init__(self, roofline: RooflineModel, slack: float = DEFAULT_BUDGET_SLACK) -> None:
-        if slack < 1.0:
-            raise ValueError("slack must be >= 1.0")
+        if not slack >= 1.0:  # NaN fails the comparison
+            raise ValueError(f"slack must be >= 1.0, got {slack!r}")
         self.roofline = roofline
         self.slack = slack
 

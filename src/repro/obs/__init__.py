@@ -10,12 +10,11 @@ ones (only the trace is extra).
 
 Entry points:
 
-- ``repro trace`` CLI: run one spec with tracing, export Perfetto +
-  time-series JSON, print the slowest-requests table;
 - ``repro explain`` CLI: exact per-request latency attribution, SLO
-  root-cause tables, fleet-efficiency diagnostics, and ``--baseline``
-  diffing of two attribution exports (:mod:`repro.obs.attrib`,
-  :mod:`repro.obs.diff`);
+  root-cause tables, fleet-efficiency diagnostics, the slowest-requests
+  table, ``--baseline`` diffing of two attribution exports
+  (:mod:`repro.obs.attrib`, :mod:`repro.obs.diff`), and the Perfetto and
+  time-series exports (``--trace-out``, ``--series-out``);
 - :func:`repro.analysis.runner.run_traced`: the same as a library call,
   returning ``(report, RunObserver)``.
 """

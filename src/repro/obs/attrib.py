@@ -62,6 +62,7 @@ import json
 from dataclasses import dataclass
 
 from repro import __version__
+from repro.analysis.report import format_table
 from repro.obs.trace import TraceCollector
 from repro.serving.metrics import _percentile_sorted
 
@@ -514,21 +515,6 @@ _SHORT = {
 }
 
 
-def _table(rows: list[tuple], markdown: bool) -> str:
-    header, body = rows[0], rows[1:]
-    if markdown:
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join("---" for _ in header) + "|",
-        ]
-        lines += ["| " + " | ".join(row) + " |" for row in body]
-        return "\n".join(lines)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
 def format_attribution(payload: dict, markdown: bool = False) -> str:
     """Human-readable attribution report (plain or GitHub markdown).
 
@@ -538,35 +524,30 @@ def format_attribution(payload: dict, markdown: bool = False) -> str:
     """
     parts: list[str] = []
 
-    rows: list[tuple] = [
+    header = (
         ("category", "n", "violated")
         + tuple(_SHORT[c] for c in COMPONENTS)
-        + ("e2e p50", "e2e p99"),
+        + ("e2e p50", "e2e p99")
+    )
+    rows = [
+        (cat, str(stats["num_requests"]), str(stats["num_violated"]))
+        + tuple(f"{stats['components'][c]['total_s']:.3f}" for c in COMPONENTS)
+        + (f"{stats['e2e']['p50_s']:.3f}", f"{stats['e2e']['p99_s']:.3f}")
+        for cat, stats in payload["per_category"].items()
     ]
-    for cat, stats in payload["per_category"].items():
-        rows.append(
-            (cat, str(stats["num_requests"]), str(stats["num_violated"]))
-            + tuple(
-                f"{stats['components'][c]['total_s']:.3f}" for c in COMPONENTS
-            )
-            + (f"{stats['e2e']['p50_s']:.3f}", f"{stats['e2e']['p99_s']:.3f}")
-        )
-    parts.append(_table(rows, markdown))
+    parts.append(format_table(header, rows, markdown))
 
     causes = payload["root_causes"]
-    rows = [("root cause", "violations", "share")]
     violated = payload["num_violated"]
-    for comp in COMPONENTS:
-        count = causes[comp]
-        if count == 0:
-            continue
-        rows.append(
-            (comp, str(count), f"{count / violated * 100:.1f}%" if violated else "-")
-        )
-    if len(rows) == 1:
-        parts.append("no SLO violations")
+    rows = [
+        (comp, str(causes[comp]), f"{causes[comp] / violated * 100:.1f}%" if violated else "-")
+        for comp in COMPONENTS
+        if causes[comp]
+    ]
+    if rows:
+        parts.append(format_table(("root cause", "violations", "share"), rows, markdown))
     else:
-        parts.append(_table(rows, markdown))
+        parts.append("no SLO violations")
 
     fleet = payload.get("fleet")
     if fleet is not None:

@@ -17,6 +17,7 @@ CI's explain-smoke job gets a where-did-the-time-go gate.
 
 from __future__ import annotations
 
+from repro.analysis.report import format_table
 from repro.obs.attrib import COMPONENTS
 
 #: A component regresses only past BOTH thresholds (see module docstring).
@@ -120,25 +121,10 @@ def format_diff_table(diff: dict, markdown: bool = False) -> str:
         )
     )
 
-    rows = [header, *body]
-    if markdown:
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join("---" for _ in header) + "|",
-        ]
-        lines += ["| " + " | ".join(row) + " |" for row in body]
-    else:
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in rows
-        ]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-
     if diff["regressions"]:
         verdict = "REGRESSION: " + ", ".join(diff["regressions"])
     elif diff["improvements"]:
         verdict = "improved: " + ", ".join(diff["improvements"])
     else:
         verdict = "no significant attribution change"
-    return "\n".join(lines) + "\n\n" + verdict
+    return format_table(header, body, markdown) + "\n\n" + verdict

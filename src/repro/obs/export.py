@@ -24,6 +24,7 @@ import json
 import math
 
 from repro import __version__
+from repro.analysis.report import format_table
 from repro.obs.sampler import GaugeSampler, REPLICA_FIELDS
 from repro.obs.trace import FLEET_TRACK, TraceCollector
 
@@ -334,20 +335,4 @@ def format_slowest_table(
         rows.append(row)
     if not rows:
         return "(no requests)"
-    widths = [
-        max(len(header[i]), max(len(row[i]) for row in rows))
-        for i in range(len(header))
-    ]
-    if markdown:
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join("---" for _ in header) + "|",
-        ]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
-        return "\n".join(lines)
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    lines.append("  ".join("-" * w for w in widths))
-    lines += [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows
-    ]
-    return "\n".join(lines)
+    return format_table(header, rows, markdown)

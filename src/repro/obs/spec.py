@@ -36,8 +36,3 @@ class ObsSpec:
                 f"sample_every_s must be a positive finite number, "
                 f"got {self.sample_every_s!r}"
             )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any observation is requested."""
-        return self.trace or self.iteration_log

@@ -11,7 +11,7 @@ Recording is opt-in (``engine.telemetry = IterationLog()``): the hot loop
 pays nothing when disabled.  The observability layer wires this up for
 you: a :class:`~repro.obs.observer.RunObserver` with ``iteration_log``
 set attaches one log per replica (crash-replacement engines append to
-their predecessor's log), and ``repro trace --iteration-log`` exports
+their predecessor's log), and ``repro explain --iteration-log`` exports
 the records under ``--series-out``.
 """
 

@@ -171,13 +171,15 @@ class TestChaosSpec:
         assert main(argv) == 2
         assert "replicas 0..1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "chaos-report"])
+    @pytest.mark.parametrize(
+        "command", [["run", "--no-cache"], ["explain"]], ids=["run", "explain"]
+    )
     def test_cli_exits_nonzero_on_fault_past_horizon(self, command, capsys):
         from repro.cli import main
 
-        argv = [command, "--system", "vllm", "--rps", "4", "--duration", "5",
+        argv = [*command, "--system", "vllm", "--rps", "4", "--duration", "5",
                 "--replicas", "2", "--faults", "crash:at=50,replica=1",
-                "--max-sim-time", "20", "--no-cache"]
+                "--max-sim-time", "20"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "crash:at=50.0,replica=1" in err
@@ -500,12 +502,44 @@ class TestIncidentReport:
         report = build_chaos_report(self.crash_log(), [lost], sim_time_s=10.0)
         json.dumps(report, allow_nan=False)  # no NaN anywhere
 
-    def test_markdown_table_renders(self):
+    def test_incident_table_renders(self):
         report = build_chaos_report(
             self.crash_log(), [self.finished(1)], sim_time_s=10.0
         )
-        text = format_incident_table(report, markdown=True)
-        assert text.startswith("| t (s) | event | replica | detail |")
-        assert "- crashes: 1" in text
-        plain = format_incident_table(report)
-        assert "crash" in plain and "|" not in plain.splitlines()[0]
+        lines = format_incident_table(report).splitlines()
+        assert lines[0].split() == ["t", "(s)", "event", "replica", "detail"]
+        assert set(lines[1]) == {"-", " "}
+        assert lines[2].split()[:3] == ["2.000", "crash", "0"]
+        assert "crashes: 1  stragglers: 0" in lines
+
+
+# ----------------------------------------------------------------------
+# `repro run` on a faulted point
+# ----------------------------------------------------------------------
+class TestRunCLI:
+    ARGV = ("run", "--system", "vllm", "--rps", "4", "--duration", "6",
+            "--replicas", "2", "--faults", "crash:at=2,replica=1,restart=1", "--no-cache")
+
+    def test_prints_incident_table(self, capsys):
+        from repro.cli import main
+
+        assert main(list(self.ARGV)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("t (s)"))
+        assert lines[header + 2].split()[:3] == ["2.000", "crash", "1"]
+        assert lines[header + 3].split() == ["3.000", "restart", "1"]
+        assert "crashes: 1  stragglers: 0" in lines
+
+    def test_out_report_carries_chaos(self, tmp_path, capsys):
+        from repro.analysis.runner import run_spec
+        from repro.cli import main
+
+        out = tmp_path / "report.json"
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        chaos = json.loads(out.read_text())["chaos"]
+        assert chaos["num_crashes"] == 1
+        spec = ExperimentSpec.create(
+            model="llama70b", system="vllm", rps=4.0, duration_s=6.0, seed=0,
+            replicas=2, faults=("crash:at=2,replica=1,restart=1",),
+        )
+        assert chaos == json.loads(json.dumps(run_spec(spec).chaos))

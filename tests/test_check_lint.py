@@ -22,7 +22,7 @@ from repro.check import (
     lint_file,
     lint_paths,
 )
-from repro.check.cli import main as check_main
+from repro.cli import main as repro_main
 from repro.check.report import result_to_dict
 from repro.check.rules import RPD005_EXCLUSIONS
 
@@ -376,14 +376,14 @@ class TestReport:
 
     def test_cli_exit_status(self, tmp_path, capsys):
         tree = self._dirty_tree(tmp_path)
-        assert check_main([str(tree)]) == 1
+        assert repro_main(["check", "lint", str(tree)]) == 1
         assert "RPD001" in capsys.readouterr().out
         (tree / "core" / "bad.py").write_text("x = 1\n")
-        assert check_main([str(tree)]) == 0
+        assert repro_main(["check", "lint", str(tree)]) == 0
 
     def test_cli_json_flag(self, tmp_path, capsys):
         tree = self._dirty_tree(tmp_path)
-        assert check_main(["--json", str(tree)]) == 1
+        assert repro_main(["check", "lint", str(tree), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == CHECK_SCHEMA_VERSION
         assert not payload["ok"]

@@ -173,7 +173,9 @@ class TestCLICluster:
 
     def test_negative_warmup_rejected(self, capsys):
         argv = [*self._CLUSTER, "--autoscale", "--warmup", "-1"]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         assert "--warmup" in capsys.readouterr().err
 
     def test_cluster_router_choices(self):

@@ -42,6 +42,25 @@ class TestWorkloadValidation:
         with pytest.raises(SystemExit):
             _parse(["run", "--duration", "0"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_warmup_exits_2(self, value, capsys):
+        argv = ["run", "--replicas", "2", "--autoscale", "--warmup", value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--warmup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.5", "-1", "nan", "inf"])
+    def test_bad_profile_slack_exits_2(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--slack", value])
+        assert exc.value.code == 2
+        assert "--slack: must be >= 1 and finite" in capsys.readouterr().err
+
+    def test_profile_slack_boundary_accepted(self, capsys):
+        assert main(["profile", "--slack", "1"]) == 0
+        assert "token budget B (slack 1.0)" in capsys.readouterr().out
+
 
 class TestSpecStringArgs:
     def test_system_specs_canonicalized_at_parse_time(self):

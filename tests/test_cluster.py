@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.analysis.export import report_to_dict
+from repro.analysis.spec import ExperimentSpec
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.fleet import FleetSimulator
 from repro.cluster.replica import Replica
@@ -20,7 +21,7 @@ from repro.cluster.router import (
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
-from repro.registry import ROUTERS
+from repro.registry import ROUTERS, SpecError
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
 from repro.serving.metrics import compute_metrics
@@ -138,6 +139,20 @@ class TestAutoscaler:
             AutoscalerConfig(min_replicas=4, max_replicas=2)
         with pytest.raises(ValueError):
             AutoscalerConfig(scale_up_queue=1.0, scale_down_queue=2.0)
+
+    @pytest.mark.parametrize("knob", ["warmup_s", "check_interval_s", "scale_up_queue"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite(self, knob, value):
+        with pytest.raises(SpecError, match=f"{knob} must be finite"):
+            AutoscalerConfig(**{knob: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_spec_rejects_non_finite_warmup(self, value):
+        with pytest.raises(SpecError, match="warmup_s must be finite"):
+            ExperimentSpec.create(
+                model="llama70b", system="vllm", rps=30.0, duration_s=20.0, seed=1,
+                replicas=2, autoscale={"warmup_s": value, "max_replicas": 4},
+            )
 
     def test_from_mapping_rejects_unknown_and_coerces_counts(self):
         config = AutoscalerConfig.from_mapping({"max_replicas": 6.0, "warmup_s": 1.5})

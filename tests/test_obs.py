@@ -60,11 +60,6 @@ class TestObsSpec:
     def test_defaults_disabled(self):
         spec = ObsSpec()
         assert not spec.trace and not spec.iteration_log
-        assert not spec.enabled
-
-    def test_enabled_variants(self):
-        assert ObsSpec(trace=True).enabled
-        assert ObsSpec(iteration_log=True).enabled
 
     @pytest.mark.parametrize("period", [0.0, -1.0, float("nan"), float("inf")])
     def test_sample_period_validation(self, period):
@@ -83,7 +78,7 @@ class TestObsSpec:
         assert plain.digest() == traced.digest()
         assert "obs" not in traced.to_dict()
         roundtrip = ExperimentSpec.from_dict(traced.to_dict())
-        assert not roundtrip.obs.enabled
+        assert roundtrip.obs == ObsSpec()
 
 
 class TestGaugeSampler:
@@ -374,7 +369,7 @@ class TestSlowestRequests:
 
 class TestTraceCLI:
     ARGS: ClassVar[list[str]] = [
-        "trace",
+        "explain",
         "--replicas", "2",
         "--faults", "crash:at=4,replica=1,restart=2",
         "--duration", "10",
@@ -390,8 +385,8 @@ class TestTraceCLI:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             series = tmp_path / f"series-{name}"
-            argv = [*self.ARGS, 
-                "--out", str(out),
+            argv = [*self.ARGS,
+                "--trace-out", str(out),
                 "--series-out", str(series),
                 "--iteration-log",
             ]
@@ -403,10 +398,13 @@ class TestTraceCLI:
             e.get("name") == "incident" for e in payload["traceEvents"]
         )
 
-    def test_markdown_table_on_stdout(self, tmp_path, capsys):
+    def test_markdown_table_on_stdout(self, capsys):
         from repro.cli import main
 
-        argv = [*self.ARGS, "--markdown", "--out", str(tmp_path / "t.json")]
+        argv = [*self.ARGS, "--markdown", "--top", "3"]
         assert main(argv) == 0
-        stdout = capsys.readouterr().out
-        assert stdout.lstrip().startswith("| rid |")
+        blocks = capsys.readouterr().out.strip().split("\n\n")
+        assert blocks[0].startswith("| category |")
+        # The slowest-requests table closes the report: header, rule, --top rows.
+        slowest = blocks[-1].splitlines()
+        assert slowest[0].startswith("| rid |") and len(slowest) == 2 + 3
