@@ -72,6 +72,13 @@ GOLDEN = [
         dict(system="vllm-spec:k=4", rps=4.0, duration_s=10.0, trace="phased", seed=1),
         "630583d5d16bf6bb907b774de287292928e9797528386bf63e992ba536ef5033",
     ),
+    # Adaptive chain speculation: the chain length changes per iteration,
+    # so chains of several lengths are drafted and verified.
+    (
+        "solo-smartspec",
+        dict(system="smartspec", rps=4.0, duration_s=10.0, trace="bursty", seed=2),
+        "f3ace0b1ce413d5362064029f046ae908ad661eb5925b38afd512875944e8395",
+    ),
     (
         "fleet-least-loaded",
         dict(system="vllm", rps=12.0, duration_s=12.0, trace="diurnal", replicas=3, router="least-loaded"),
