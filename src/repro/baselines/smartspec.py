@@ -23,7 +23,7 @@ Policy reproduced here:
 
 from __future__ import annotations
 
-from repro.core.speculation import draft_chains
+from repro.core.speculation import Chain, draft_chains
 from repro.model.acceptance import verify_sequence
 from repro.registry import SYSTEMS, Param
 from repro.serving.request import Request
@@ -96,7 +96,7 @@ class SmartSpecScheduler(Scheduler):
         # Keep the estimate in a sane band (rate can hit 0/1 on tiny batches).
         self.acceptance_ema = min(0.95, max(0.05, self.acceptance_ema))
 
-    def _draft_chains(self, batch: list[Request], k: int) -> list[list[int]]:
+    def _draft_chains(self, batch: list[Request], k: int) -> list[Chain]:
         """Greedy ``k``-token chains for the whole batch (lockstep)."""
         return draft_chains(
             self.engine.pair,
@@ -134,7 +134,7 @@ class SmartSpecScheduler(Scheduler):
         total_accepted = 0
         for req, chain in zip(batch, chains):
             accepted, _corr, new_ctx = verify_sequence(
-                self.engine.pair, req.ctx, chain, req.predictability
+                self.engine.pair, req.ctx, chain, req.predictability, chain.emitted
             )
             commit = min(accepted + 1, req.remaining_tokens)
             if commit < accepted + 1:

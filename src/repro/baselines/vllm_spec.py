@@ -14,7 +14,7 @@ inflating iteration latency for everyone.
 
 from __future__ import annotations
 
-from repro.core.speculation import draft_chains
+from repro.core.speculation import Chain, draft_chains
 from repro.model.acceptance import verify_sequence
 from repro.registry import SYSTEMS, Param
 from repro.serving.request import Request
@@ -53,7 +53,7 @@ class VLLMSpecScheduler(Scheduler):
         self.spec_len = spec_len
         self.name = f"vLLM-Spec({spec_len})"
 
-    def _draft_chains(self, batch: list[Request]) -> list[list[int]]:
+    def _draft_chains(self, batch: list[Request]) -> list[Chain]:
         """Greedy ``spec_len``-token chains for the whole batch (lockstep)."""
         return draft_chains(
             self.engine.pair,
@@ -91,7 +91,7 @@ class VLLMSpecScheduler(Scheduler):
         end = now + latency
         for req, chain in zip(batch, chains):
             accepted, _correction, new_ctx = verify_sequence(
-                self.engine.pair, req.ctx, chain, req.predictability
+                self.engine.pair, req.ctx, chain, req.predictability, chain.emitted
             )
             commit = min(accepted + 1, req.remaining_tokens)
             if commit < accepted + 1:

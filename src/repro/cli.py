@@ -792,23 +792,23 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="static determinism lint over the source tree (CI gate)",
     )
-    p_check.add_argument(
-        "action",
-        choices=["lint"],
-        help="what to check (lint: run the RPD determinism rules; "
-        "see `repro list checks`)",
+    # A nested subcommand, so ``paths`` is lint's only positional and
+    # options may come before or after it.
+    check_sub = p_check.add_subparsers(dest="action", required=True, metavar="ACTION")
+    p_lint = check_sub.add_parser(
+        "lint", help="run the RPD determinism rules (see `repro list checks`)"
     )
-    p_check.add_argument(
+    p_lint.add_argument(
         "paths",
         nargs="*",
         help="files or directories to lint (default: the repro package)",
     )
-    p_check.add_argument(
+    p_lint.add_argument(
         "--json",
         action="store_true",
         help="emit the strict-JSON findings report instead of text",
     )
-    p_check.set_defaults(func=_cmd_check)
+    p_lint.set_defaults(func=_cmd_check)
 
     p_prof = sub.add_parser("profile", help="hardware profiling for a deployment")
     p_prof.add_argument("--model", type=_model_spec, default="llama70b")

@@ -28,11 +28,12 @@ dense ``[n, f]`` block:
    ``[n, 1 + depth * width]`` matrices, and the children are the next
    frontier.
 
-After the last level the call memoizes every drafted context's target
-emission in one pass (:meth:`repro.model.batchgen.DraftCall.emit`), and
-each column matrix is split into per-tree lists with one ``tolist``:
-the trees are struct-of-arrays :class:`~repro.core.tree.TokenTree` s,
-node indices in level order, and no per-node object is ever built.
+After the last level the call computes every drafted context's target
+emission in one pass (:meth:`repro.model.batchgen.DraftCall.emit`) into
+the trees' ``emitted`` column, which verification reads, and each column
+matrix is split into per-tree lists with one ``tolist``: the trees are
+struct-of-arrays :class:`~repro.core.tree.TokenTree` s, node indices in
+level order, and no per-node object is ever built.
 
 Every token, context and float equals the per-node builder's (each
 comes from the same IEEE operation on the same operands); the oracle in
@@ -58,31 +59,48 @@ from repro.model import batchgen
 from repro.model.pair import ModelPair
 
 
+class Chain(list):
+    """A draft chain's tokens, with the target's emission before each.
+
+    ``emitted[i]`` is the token the target emits at the context just
+    before ``self[i]`` (the start context, then each drafted prefix):
+    what sequence verification compares ``self[i]`` with.
+    """
+
+    __slots__ = ("emitted",)
+
+    def __init__(self, tokens: list[int], emitted: list[int]) -> None:
+        super().__init__(tokens)
+        self.emitted = emitted
+
+
 def draft_chains(
     pair: ModelPair,
     starts: list[tuple[int, float | None]],
     k: int,
-) -> list[list[int]]:
+) -> list[Chain]:
     """Greedy ``k``-token draft chains from each ``(ctx, center)`` start.
 
     Used by the chain-speculation baselines (vLLM-Spec, SmartSpec).
     Each chain is a pure function of its start context, so the chains
     advance step-lockstep: ``k`` vectorized steps, each the draft's
-    top-1 of every chain's current context.
+    top-1 of every chain's current context.  Each chain carries the
+    ``k`` target emissions at the contexts it drafted.
     """
     if not starts or k <= 0:
-        return [[] for _ in starts]
+        return [Chain([], []) for _ in starts]
     draft = pair.draft
     call = batchgen.DraftCall(draft.target, draft.alignment)
     centers = batchgen.Centers(call, [center for _, center in starts])
+    n = len(starts)
     C = np.array([ctx for ctx, _ in starts], dtype=np.uint64)
-    chains = np.empty((len(starts), k), dtype=np.uint64)
+    chains = np.empty((n, k), dtype=np.uint64)
     for step in range(k):
         ids, _probs, children = batchgen.draft_top(call, C, centers, 1)
         chains[:, step : step + 1] = ids
         C = children.ravel()
-    call.emit()
-    return chains.tolist()
+    emitted = call.emit().reshape(k, n).T  # step-major rows -> one row per chain
+    return list(map(Chain, chains.tolist(), emitted.tolist()))
 
 
 @dataclass(frozen=True)
@@ -186,8 +204,10 @@ def speculate_batch(
     scanned = 0  # candidates per tree at the level the offsets were built for
     levels = [0]
     step_tokens = []
+    widths = []  # frontier nodes per tree at each drafted level
     for level in range(1, depth + 1):
         step_tokens.append(n * f)
+        widths.append(f)
         ids, level_probs, children = batchgen.draft_top(call, C, level_centers, width)
         per_node = ids.shape[1]  # min(width, branching)
         if f * per_node != scanned:
@@ -213,18 +233,27 @@ def speculate_batch(
         if keep != f:
             level_centers = root_centers.repeat(keep)
             f = keep
-    call.emit()
     used = start + f
+    # Each level drafted its frontier block of columns, tree-major
+    # within the level; the deepest level's ``f`` columns were not drafted.
+    emitted = np.full((n, used), -1, dtype=np.int64)
+    drafted = call.emit()
+    col = row = 0
+    for nodes in widths:
+        emitted[:, col : col + nodes] = drafted[row : row + n * nodes].reshape(n, nodes)
+        col += nodes
+        row += n * nodes
     parents = ranks[:, :used] // per_node
     parents += bases
     trees = [
-        TokenTree.from_columns(*columns, levels.copy(), parent)
-        for *columns, parent in zip(
+        TokenTree.from_columns(*columns, levels.copy(), parent, emissions)
+        for *columns, parent, emissions in zip(
             tokens[:, :used].tolist(),
             ctxs[:, :used].tolist(),
             probs[:, :used].tolist(),
             paths[:, :used].tolist(),
             parents.tolist(),
+            emitted.tolist(),
         )
     ]
     return SpeculationResult(

@@ -14,6 +14,9 @@ parent precedes its children) into parallel columns:
   approximation of f(v) from Equation 7;
 - ``level``: the node's depth (root = 0);
 - ``parent``: the parent's index (-1 for the root);
+- ``emitted``: the token the target emits at ``ctx``, handed over by the
+  speculation call that drafted the node's children, or -1 where no call
+  drafted it (the deepest level, and every node added by ``add_child``);
 - ``selected``: the selection mask, set by
   :func:`repro.core.selection.select_tokens`.
 
@@ -40,7 +43,9 @@ class TokenTree:
         Context hash of the sequence up to and including the root token.
     """
 
-    __slots__ = ("token", "ctx", "draft_prob", "path_prob", "level", "parent", "selected", "_kids")
+    __slots__ = (
+        "token", "ctx", "draft_prob", "path_prob", "level", "parent", "emitted", "selected", "_kids",
+    )
 
     def __init__(self, root_token: int, root_ctx: int) -> None:
         self.token = [root_token]
@@ -49,6 +54,7 @@ class TokenTree:
         self.path_prob = [1.0]
         self.level = [0]
         self.parent = [-1]
+        self.emitted = [-1]
         self.selected = [False]
         self._kids: list[list[int]] | None = None
 
@@ -61,8 +67,12 @@ class TokenTree:
         path_prob: list[float],
         level: list[int],
         parent: list[int],
+        emitted: list[int] | None = None,
     ) -> "TokenTree":
-        """A tree over ready-made columns (row 0 is the root), taken as is."""
+        """A tree over ready-made columns (row 0 is the root), taken as is.
+
+        ``emitted`` defaults to -1 on every node (no emission handed over).
+        """
         tree = cls.__new__(cls)
         tree.token = token
         tree.ctx = ctx
@@ -70,6 +80,7 @@ class TokenTree:
         tree.path_prob = path_prob
         tree.level = level
         tree.parent = parent
+        tree.emitted = [-1] * len(token) if emitted is None else emitted
         tree.selected = [False] * len(token)
         tree._kids = None
         return tree
@@ -86,6 +97,7 @@ class TokenTree:
         self.path_prob.append(self.path_prob[parent] * draft_prob)
         self.level.append(self.level[parent] + 1)
         self.parent.append(parent)
+        self.emitted.append(-1)
         self.selected.append(False)
         if self._kids is not None:
             self._kids[parent].append(node)

@@ -14,10 +14,13 @@ Implements the lossless acceptance rules used throughout the paper:
 
 Tree verification walks a :class:`~repro.core.tree.TokenTree` by node
 index and reads its selection mask in place, so the selected subtree is
-never copied out.  Both verifications sample the target through
-``StochasticLM.sample``, which answers every drafted context from the
-emission memo each speculation call writes once, after its last level
-(:meth:`repro.model.batchgen.DraftCall.emit`).
+never copied out.  Both verifications read the target's emission at each
+drafted context from what the speculation call handed over with its
+drafts (the tree's ``emitted`` column, a chain's ``emitted`` list; see
+:meth:`repro.model.batchgen.DraftCall.emit`), and sample the target
+through ``StochasticLM.sample`` only at contexts the call did not draft.
+The handed emissions are the target's at the center the call drafted
+with, so verification must pass that same center.
 
 Also provides the Theorem 3.1 quantities: the true path probability
 ``f(v)`` of a node and the expected number of accepted tokens of a tree,
@@ -39,6 +42,7 @@ def verify_sequence(
     root_ctx: int,
     draft_tokens: Sequence[int],
     center: float | None = None,
+    emitted: Sequence[int] | None = None,
 ) -> tuple[int, int, int]:
     """Verify a draft *chain* against the target.
 
@@ -51,6 +55,9 @@ def verify_sequence(
         committed token).
     draft_tokens:
         Speculated continuation, in order.
+    emitted:
+        The target's emission before each draft token (a drafted chain's
+        ``emitted``); ``None`` samples the target at each context.
 
     Returns
     -------
@@ -60,16 +67,16 @@ def verify_sequence(
         so the step generates ``n_accepted + 1`` tokens); ``new_ctx`` is
         the context hash including the correction token.
     """
+    sample = pair.target_sample
+    extend = pair.extend
     ctx = root_ctx
-    accepted = 0
-    for tok in draft_tokens:
-        emitted = pair.target_sample(ctx, center)
-        if emitted != tok:
-            return accepted, emitted, pair.extend(ctx, emitted)
-        accepted += 1
-        ctx = pair.extend(ctx, tok)
-    emitted = pair.target_sample(ctx, center)
-    return accepted, emitted, pair.extend(ctx, emitted)
+    for accepted, tok in enumerate(draft_tokens):
+        out = sample(ctx, center) if emitted is None else emitted[accepted]
+        if out != tok:
+            return accepted, out, extend(ctx, out)
+        ctx = extend(ctx, tok)
+    out = sample(ctx, center)
+    return len(draft_tokens), out, extend(ctx, out)
 
 
 def verify_tree(
@@ -86,7 +93,9 @@ def verify_tree(
     emission becomes the correction token.
 
     ``mask`` flags the nodes submitted for verification (the selection,
-    ``tree.selected``); ``None`` submits the whole tree.
+    ``tree.selected``); ``None`` submits the whole tree.  A node's
+    emission is ``tree.emitted``'s where the speculation call drafted it,
+    and is sampled where it holds -1.
 
     Returns
     -------
@@ -98,11 +107,14 @@ def verify_tree(
     sample = pair.target_sample
     token = tree.token
     ctx = tree.ctx
+    handed = tree.emitted
     kids = tree.child_lists()
     node = 0
     accepted: list[int] = []
     while True:
-        emitted = sample(ctx[node], center)
+        emitted = handed[node]
+        if emitted < 0:
+            emitted = sample(ctx[node], center)
         for child in kids[node]:
             if token[child] == emitted and (mask is None or mask[child]):
                 break

@@ -17,12 +17,13 @@ candidates' child contexts.  It stashes each row's target emission
 inputs on its :class:`DraftCall`, and :meth:`DraftCall.emit` turns every
 level's rows into target *emissions* — ``StochasticLM.sample`` bit for
 bit: a cumulative sum of the row's probabilities against the sample
-uniform — once per call, memoized as ``key -> token``, because
-verification samples the target at exactly these contexts.  Nothing
-else is memoized: no draft rows (regenerating a level is cheaper than
-looking rows up one by one) and no target distributions.
-``prefetch_draft`` and ``warm_target`` warm the distribution memos for
-a batch of queries from the same row function.
+uniform — once per call and returns them, because verification needs
+the target's token at exactly these contexts; the caller hands them to
+verification with its drafts.  Nothing is memoized: no draft rows
+(regenerating a level is cheaper than looking rows up one by one), no
+target distributions and no emissions.  ``prefetch_draft`` and
+``warm_target`` warm the distribution memos for a batch of queries from
+the same row function.
 
 **Bit-identity is the contract.**  Every vector statement here maps 1:1
 onto a scalar statement of the reference implementation:
@@ -45,9 +46,9 @@ onto a scalar statement of the reference implementation:
   ``StochasticLM.extend`` of the repaired ids, finalized in the same
   pass as the noise draws (each element's chain is independent of the
   rest of the pass);
-- an emission is a pure function of its memo key, so computing every
-  level's emissions once per call, after the last level and before
-  verification reads the memo, stores the same tokens.
+- an emission is a pure function of its row's probabilities, ids and
+  sample uniform, so computing every level's emissions once per call,
+  after the last level, gives the tokens a per-level pass would.
 
 The golden-equivalence suite (tests/test_golden_equivalence.py),
 ``tests/test_batchgen.py`` and the per-node oracle in
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._rng import MASK64, _COMBINE, _GOLDEN, _INV_2_53, _MIX1, _MIX2
+from repro._rng import MASK64, _COMBINE, _GOLDEN, _INV_2_53, _MIX1, _MIX2, mix
 from repro.model.draft import _NOISE_MASK
 from repro.model.stochastic_lm import (
     MEMO_CAP,
@@ -91,21 +92,11 @@ _INV_2_52 = 2.0 * _INV_2_53
 #: dispatch layer).
 _ACCUMULATE = np.add.accumulate
 
-#: Per-center XOR salts for the cache-key mix (few distinct centers).
-_CENTER_SALTS: dict[float, int] = {}
-
 #: Constant arrays reused across calls (token masks / tail weights /
 #: noise steps are rebuilt thousands of times per run otherwise).
 _MASKS_ARRAYS: dict[int, np.ndarray] = {}
 _STEPS_ARRAYS: dict[int, np.ndarray] = {}
 _WEIGHTS_ARRAYS: dict[tuple, np.ndarray] = {}
-
-
-def _center_salt(center: float) -> int:
-    salt = _CENTER_SALTS.get(center)
-    if salt is None:
-        salt = _CENTER_SALTS[center] = (int(center * 1e6) * _COMBINE) & MASK64
-    return salt
 
 
 def _draw_masks(k: int) -> np.ndarray:
@@ -154,12 +145,12 @@ class DraftCall:
     Built once per ``speculate_batch`` / ``draft_chains`` call (or
     prefetch) for a target and a draft alignment.  Every
     :func:`draft_top` level of the call reads its constants and appends
-    its rows' ``(keys, P, ids, sample bits)`` to ``rows``; :meth:`emit`
-    memoizes their emissions in one pass.
+    its rows' ``(P, ids, sample bits)`` to ``rows``; :meth:`emit` turns
+    them into emissions in one pass.
     """
 
     __slots__ = (
-        "target", "k", "spread", "n_regular", "weights", "steps",
+        "target", "k", "masks", "spread", "n_regular", "weights", "steps",
         "alignment", "inv_alignment", "noisy", "rows",
     )
 
@@ -167,6 +158,7 @@ class DraftCall:
         k = target.branching
         self.target = target
         self.k = k
+        self.masks = _draw_masks(k)
         self.spread = target.spread
         self.n_regular = _U64(target._n_regular)
         self.weights = _weights_array(target._tail_weights)
@@ -177,68 +169,43 @@ class DraftCall:
         self.noisy = alignment < 1.0
         self.rows: list[tuple] = []
 
-    def emit(self) -> None:
-        """Memoize the target emission of every row drafted since the last emit.
+    def emit(self) -> np.ndarray:
+        """The target emission of every row drafted since the last emit.
 
-        The memo is emptied at most once per call, before the update,
-        when the update could take it past ``MEMO_CAP``; a call drafting
-        more rows than the cap memoizes only the first ``MEMO_CAP``.
+        One uint64 column, the rows in the order :func:`draft_top`
+        drafted them: level by level, each level's rows in order.
         """
-        keys, P, ids, bits = map(np.concatenate, zip(*self.rows))
+        P, ids, bits = map(np.concatenate, zip(*self.rows))
         self.rows = []
-        memo = self.target._emissions
-        if len(memo) + keys.shape[0] > MEMO_CAP:
-            memo.clear()
         u = (bits >> _S11).astype(np.float64)
         u *= _INV_2_53  # the sample uniforms
-        memo.update(zip(keys[:MEMO_CAP].tolist(), _emissions(P, ids, u).tolist()))
+        return _emissions(P, ids, u)
 
 
 class Centers:
     """Per-row predictability centers in the forms the kernel reads.
 
-    ``masks`` XORs a context column into its first finalizer pass: the
-    draw masks (shape, sample, ``k`` token draws, noise base) and, when
-    any row has a center, a last column of key salts, which finalizes to
-    the memo key ``mix(ctx, int(center * 1e6))``.  ``keyed`` is ``True``
-    when every row has a center, ``False`` when none does (each memo key
-    is the context itself, and ``masks`` is the one broadcast draw-mask
-    row), and otherwise each row's flag.  ``effective`` is each row's
-    center as an ``[n, 1]`` column (the model default where it has
-    none); ``offsets`` is each row's first flat index in an ``[n, k]``
-    matrix.
+    ``effective`` is each row's center as an ``[n, 1]`` column (the
+    model default where it has none); ``offsets`` is each row's first
+    flat index in an ``[n, k]`` matrix.
     """
 
-    __slots__ = ("masks", "keyed", "effective", "offsets", "k")
+    __slots__ = ("effective", "offsets", "k")
 
     def __init__(self, call: DraftCall, centers: list[float | None]) -> None:
         k = self.k = call.k
-        n = len(centers)
-        unset = centers.count(None)
-        self.offsets = np.arange(0, n * k, k)[:, None]
+        self.offsets = np.arange(0, len(centers) * k, k)[:, None]
         default = call.target.predictability
         self.effective = np.array(
-            [default if c is None else c for c in centers] if unset else centers,
+            [default if c is None else c for c in centers] if None in centers else centers,
             dtype=np.float64,
         )[:, None]
-        if unset == n:
-            self.masks = _draw_masks(k)
-            self.keyed = False
-            return
-        masks = self.masks = np.empty((n, k + 4), dtype=np.uint64)
-        masks[:, : k + 3] = _draw_masks(k)
-        masks[:, k + 3] = [0 if c is None else _center_salt(c) for c in centers]
-        self.keyed = np.array([c is not None for c in centers]) if unset else True
 
     def repeat(self, r: int) -> "Centers":
         """The centers of each row repeated ``r`` times (a beam frontier)."""
         out = Centers.__new__(Centers)
         out.k = k = self.k
         out.effective = self.effective.repeat(r, axis=0)
-        keyed = out.keyed = self.keyed
-        out.masks = self.masks if keyed is False else self.masks.repeat(r, axis=0)
-        if not isinstance(keyed, bool):
-            out.keyed = keyed.repeat(r)
         out.offsets = np.arange(0, out.effective.shape[0] * k, k)[:, None]
         return out
 
@@ -270,10 +237,10 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
     so its top-w is the target row's first ``w`` slots.  Stashes each
     row's emission inputs on ``call`` (see :meth:`DraftCall.emit`).
 
-    The first pass finalizes one ``[len(C), k + 3]`` matrix (``k + 4``
-    with keyed rows): column 0 is the shape uniform, 1 the target's
-    sample uniform, ``2..k+1`` the token draws, ``k + 2`` the draft's
-    noise base and ``k + 3`` the memo key.  The second finalizes the
+    The first pass finalizes one ``[len(C), k + 3]`` matrix: column 0 is
+    the shape uniform, 1 the target's sample uniform, ``2..k+1`` the
+    token draws and ``k + 2`` the draft's noise base.  The second
+    finalizes the
     noise stream, which continues from its base as
     ``x_j = base + (j+1) * GOLDEN`` without the extra golden add, next
     to every candidate's child context.
@@ -281,7 +248,7 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
     k = call.k
     n = C.shape[0]
     column = C[:, None]
-    X = column ^ centers.masks
+    X = column ^ call.masks
     X += _G
     _fin3(X)
     top1 = (X[:, :1] >> _S11).astype(np.float64)
@@ -301,14 +268,7 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
         target = call.target
         for row in np.flatnonzero(equal.any(axis=1)).tolist():
             ids[row] = target._draw_token_ids(int(C[row]))
-    keyed = centers.keyed
-    if keyed is False:
-        keys = C
-    elif keyed is True:
-        keys = X[:, k + 3]
-    else:
-        keys = np.where(keyed, X[:, k + 3], C)
-    call.rows.append((keys, P, ids, X[:, 1]))
+    call.rows.append((P, ids, X[:, 1]))
     noisy = call.noisy
     Y = np.empty((1 + noisy, n, k), dtype=np.uint64)
     children = Y[-1]
@@ -360,12 +320,14 @@ def _memoize(cache, keys_list, ids_mat, P) -> list[TokenDistribution]:
 def _draft_items(call: DraftCall, items, w: int):
     """:func:`draft_top` over ``(ctx, center)`` items, then their target rows.
 
-    Returns ``(keys_list, P, ids, top_ids, top_probs)``.
+    Returns ``(keys_list, P, ids, top_ids, top_probs)``; each memo key is
+    the one ``StochasticLM.distribution`` derives.
     """
     C = np.array([ctx for ctx, _ in items], dtype=np.uint64)
     top_ids, top_probs, _ = draft_top(call, C, Centers(call, [c for _, c in items]), w)
-    keys, P, ids, _ = call.rows.pop()
-    return keys.tolist(), P, ids, top_ids, top_probs
+    P, ids, _ = call.rows.pop()
+    keys_list = [ctx if c is None else mix(ctx, int(c * 1e6)) for ctx, c in items]
+    return keys_list, P, ids, top_ids, top_probs
 
 
 def warm_target(lm, items) -> None:

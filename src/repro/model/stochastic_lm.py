@@ -62,9 +62,9 @@ def _token_mask(i: int) -> int:
 #: Entries one distribution memo holds before it is emptied (live models
 #: keep working — they refill on demand).  Large enough for a whole
 #: sweep point's working set, so same-seed points sharing a memo never
-#: regenerate.  The emission memo is written once per speculation call
-#: and emptied at most once per call, before the update, when the update
-#: could take it past the cap (``repro.model.batchgen.DraftCall.emit``).
+#: regenerate.  There is no emission memo: a speculation call hands the
+#: target's emission at each drafted context to verification with its
+#: drafts (``repro.model.batchgen.DraftCall.emit``).
 MEMO_CAP = 200_000
 
 #: Distribution memos shared across model instances, keyed by the model
@@ -76,14 +76,14 @@ MEMO_CAP = 200_000
 #: draws from one memo instead of regenerating it per instance.
 #:
 #: Insertion-ordered as an LRU of at most ``_MAX_MEMOS`` memos, the
-#: newest model pair's (its target rows, its target emissions, its draft
-#: rows).  A lookup moves its memo to the newest end; past
-#: the bound the oldest is unregistered, not cleared, so a live model
-#: keeps its dict and the dict is freed with the last model holding it.
+#: newest model pair's (its target rows, its draft rows).  A lookup
+#: moves its memo to the newest end; past the bound the oldest is
+#: unregistered, not cleared, so a live model keeps its dict and the
+#: dict is freed with the last model holding it.
 _SHARED_CACHES: dict[tuple, dict] = {}
 
-#: The target, emission and draft memos of one model pair.
-_MAX_MEMOS = 3
+#: The target and draft memos of one model pair.
+_MAX_MEMOS = 2
 
 
 def shared_distribution_cache(signature: tuple) -> dict:
@@ -203,11 +203,6 @@ class StochasticLM:
         self._cache: dict[int, TokenDistribution] = shared_distribution_cache(
             ("target", *signature)
         )
-        #: memo key -> emitted token of every context a speculation call
-        #: drafted, written once per call after its last level
-        #: (repro.model.batchgen.DraftCall.emit); emptied at most once per
-        #: call, before the update (see MEMO_CAP).
-        self._emissions: dict[int, int] = shared_distribution_cache(("emission", *signature))
 
     # ------------------------------------------------------------------
     # Context handling
@@ -303,24 +298,13 @@ class StochasticLM:
         return ids
 
     def sample(self, ctx: int, center: float | None = None) -> int:
-        """The token the target emits at this context (deterministic)."""
-        # Inline the memo probes: verification samples right after the
-        # speculation call memoized the emissions of every drafted
-        # context, so the hit path should not pay the distribution()
-        # frame + key recomputation.
-        if center is None:
-            key = ctx
-        else:
-            x = (((ctx ^ (int(center * 1e6) * _COMBINE)) & MASK64) + _GOLDEN) & MASK64
-            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-            key = x ^ (x >> 31)
-        token = self._emissions.get(key)
-        if token is not None:
-            return token
-        dist = self._cache.get(key)
-        if dist is None:
-            dist = self.distribution(ctx, center)
+        """The token the target emits at this context (deterministic).
+
+        Verification calls it only at contexts its speculation call did
+        not draft: the kernel hands over the emission of every drafted
+        one (``repro.model.batchgen.DraftCall.emit``).
+        """
+        dist = self.distribution(ctx, center)
         x = ((ctx ^ _SAMPLE_MASK) + _GOLDEN) & MASK64
         x = ((x ^ (x >> 30)) * _MIX1) & MASK64
         x = ((x ^ (x >> 27)) * _MIX2) & MASK64
@@ -348,9 +332,8 @@ class StochasticLM:
         return self.distribution(ctx, center).top_token()
 
     def clear_cache(self) -> None:
-        """Drop memoized distributions and emissions (for memory-bounded long runs)."""
+        """Drop memoized distributions (for memory-bounded long runs)."""
         self._cache.clear()
-        self._emissions.clear()
 
 
 def uniforms_for_noise(ctx: int, salt: int, n: int) -> list[float]:

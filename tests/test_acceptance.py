@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
+from repro.core.optimal import construct_optimal_trees
 from repro.core.speculation import build_candidate_tree
+from repro.core.static_tree import Topology, instantiate_topology
 from repro.core.tree import TokenTree
 from repro.model.acceptance import (
     expected_accepted_tokens,
@@ -12,6 +16,7 @@ from repro.model.acceptance import (
     verify_sequence,
     verify_tree,
 )
+from tests.conftest import object_tree, reference_verify_tree
 
 
 class TestVerifySequence:
@@ -110,6 +115,37 @@ class TestVerifyTree:
         for node in accepted:
             assert tree.parent[node] == prev
             prev = node
+
+    @pytest.mark.parametrize("build", ["add_child", "from_columns", "static", "optimal"])
+    def test_hand_built_trees_hand_over_no_emissions(self, pair, build):
+        # Trees no speculation call drafted carry -1 on every node, and
+        # verification samples the target at each, as the oracle does.
+        roots = [(0, pair.context_of([7, i])) for i in range(12)]
+        if build == "optimal":
+            trees = construct_optimal_trees(pair, roots, [2.0] * 12, budget=60).trees
+        else:
+            trees = []
+            for root_token, root_ctx in roots:
+                tree = instantiate_topology(
+                    pair, root_token, root_ctx, Topology((Topology((Topology(),)), Topology()))
+                )
+                if build == "add_child":
+                    tree.add_child(0, 5, pair.extend(root_ctx, 5), 0.1)
+                elif build == "from_columns":
+                    tree = TokenTree.from_columns(
+                        tree.token, tree.ctx, tree.draft_prob, tree.path_prob, tree.level,
+                        tree.parent,
+                    )
+                trees.append(tree)
+        for tree in trees:
+            assert tree.size > 1
+            assert tree.emitted == [-1] * tree.size
+            got_nodes, correction, new_ctx = verify_tree(pair, tree)
+            want_nodes, want_correction, want_ctx = reference_verify_tree(
+                pair, object_tree(tree).root
+            )
+            assert [tree.ctx[i] for i in got_nodes] == [n.ctx_hash for n in want_nodes]
+            assert (correction, new_ctx) == (want_correction, want_ctx)
 
     def test_tree_vs_sequence_consistency(self, pair):
         # A chain-shaped tree verifies identically to verify_sequence.

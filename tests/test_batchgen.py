@@ -1,9 +1,9 @@
 """Bit-identity of the vectorized batch generator (repro.model.batchgen).
 
 The level kernel ``draft_top`` is the module's one row function: its
-top-w rows, child contexts and emissions, and the memo entries
-``prefetch`` warms from it, must be *exactly* what the scalar path
-produces — token ids and IEEE-754 probability bits alike.  Each test
+top-w rows, child contexts and the emissions ``DraftCall.emit`` returns,
+and the memo entries ``prefetch`` warms from it, must be *exactly* what
+the scalar path produces — token ids and IEEE-754 probability bits alike.  Each test
 captures the vector-generated values, clears the shared memos,
 regenerates the same queries through the scalar path, and compares bit
 for bit (including the duplicate-draw repair path).
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro._rng import mix
 from repro.model import batchgen
 from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import StochasticLM, TokenDistribution
@@ -178,35 +177,37 @@ class TestEmissions:
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_emission_memo_matches_scalar_sample(self, data):
+    def test_emit_matches_scalar_sample(self, data):
+        # Several levels in one call, with and without centers: emit
+        # returns every row's emission in drafting order and empties the
+        # stash, writing no memo.
         pair = oracle_pair(data.draw(st.sampled_from(ORACLE_PAIRS)))
-        n = data.draw(st.integers(1, 40))
-        ctxs = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
-        centers = data.draw(st.lists(CENTERS, min_size=n, max_size=n))
+        levels = data.draw(
+            st.lists(
+                st.lists(st.tuples(st.integers(0, 2**64 - 1), CENTERS), min_size=1, max_size=20),
+                min_size=1,
+                max_size=3,
+            )
+        )
         pair.clear_caches()
-        _, call = _draft_top(pair, ctxs, centers, 2)
-        assert len(pair.target._emissions) == 0  # written once per call, by emit
-        call.emit()
-        emissions = dict(pair.target._emissions)
-        pair.clear_caches()
-        assert set(emissions) == {
-            ctx if c is None else mix(ctx, int(c * 1e6)) for ctx, c in zip(ctxs, centers)
-        }
-        for ctx, c in zip(ctxs, centers):
-            key = ctx if c is None else mix(ctx, int(c * 1e6))
-            assert emissions[key] == pair.target.sample(ctx, c)
+        call = batchgen.DraftCall(pair.target, pair.draft.alignment)
+        for rows in levels:
+            C = np.array([ctx for ctx, _ in rows], dtype=np.uint64)
+            batchgen.draft_top(call, C, batchgen.Centers(call, [c for _, c in rows]), 2)
+        emitted = call.emit().tolist()
+        assert call.rows == []
+        assert len(pair.target._cache) == len(pair.draft._cache) == 0
+        assert emitted == [pair.target.sample(ctx, c) for rows in levels for ctx, c in rows]
 
     def test_collided_rows_emit_repaired_ids(self):
         pair = oracle_pair("tiny-vocab")
         ctxs = [pair.context_of([i]) for i in range(64)]
         pair.clear_caches()
         _, call = _draft_top(pair, ctxs, [None] * 64, 2)
-        ((keys, _P, ids, _bits),) = call.rows
-        assert keys.tolist() == ctxs
+        ((_P, ids, _bits),) = call.rows
         assert all(len(set(row)) == len(row) for row in ids.tolist())
-        call.emit()
-        emitted = [pair.target._emissions[ctx] for ctx in ctxs]
-        pair.clear_caches()
+        emitted = call.emit().tolist()
+        assert len(pair.target._cache) == len(pair.draft._cache) == 0
         assert emitted == [pair.target.sample(ctx) for ctx in ctxs]
 
     def test_slot_edges_match_the_scalar_loop(self):

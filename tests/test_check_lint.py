@@ -382,11 +382,14 @@ class TestReport:
         assert repro_main(["check", "lint", str(tree)]) == 0
 
     def test_cli_json_flag(self, tmp_path, capsys):
+        # The option may come before or after the paths.
         tree = self._dirty_tree(tmp_path)
-        assert repro_main(["check", "lint", str(tree), "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == CHECK_SCHEMA_VERSION
-        assert not payload["ok"]
+        for args in ([str(tree), "--json"], ["--json", str(tree)]):
+            assert repro_main(["check", "lint", *args]) == 1
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["schema_version"] == CHECK_SCHEMA_VERSION
+            assert not payload["ok"]
+            assert payload["findings"]
 
     def test_main_cli_check_subcommand(self, tmp_path, capsys):
         from repro.cli import main

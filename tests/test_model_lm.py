@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.runner import run_spec
 from repro.analysis.spec import ExperimentSpec
 from repro.core.speculation import draft_chains, speculate_batch
-from repro.model import batchgen, stochastic_lm
+from repro.model import stochastic_lm
 from repro.model.acceptance import verify_sequence, verify_tree
 from repro.model.draft import DraftLM
 from repro.model.pair import ModelPair
@@ -235,107 +235,77 @@ class TestMemoLifetime:
         for seed in range(4):
             for alignment in (0.5, 0.9):
                 pairs.append(ModelPair.build(vocab_size=1000, seed=seed, alignment=alignment))
-                assert len(registry) <= 3
+                assert len(registry) <= 2
         newest = pairs[-1]
-        assert list(registry.values()) == [
-            newest.target._cache,
-            newest.target._emissions,
-            newest.draft._cache,
-        ]
+        assert list(registry.values()) == [newest.target._cache, newest.draft._cache]
 
     def test_lookup_refreshes_a_memo(self):
         first = StochasticLM(Vocabulary(1000), seed=1)
         DraftLM(first, alignment=0.5)
-        again = StochasticLM(Vocabulary(1000), seed=1)  # seed 1's memos are newest now
+        again = StochasticLM(Vocabulary(1000), seed=1)  # seed 1's memo is newest now
         DraftLM(first, alignment=0.6)  # evicts the 0.5 draft memo, not seed 1's
         assert again._cache is first._cache
-        assert again._emissions is first._emissions
         memos = list(stochastic_lm._SHARED_CACHES.values())
         assert any(memo is first._cache for memo in memos)
-        assert any(memo is first._emissions for memo in memos)
 
     def test_evicted_memo_is_kept_by_its_model(self):
         old = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
         ctxs = [old.context_of([i]) for i in range(50)]
         speculate_batch(old, [(0, c) for c in ctxs[25:]], depth=2, width=2)
         before = [(old.draft.distribution(c), old.target.sample(c)) for c in ctxs]
-        sizes = (len(old.target._cache), len(old.target._emissions), len(old.draft._cache))
-        assert sizes[1] > 0
+        sizes = (len(old.target._cache), len(old.draft._cache))
+        assert sizes[0] > 0
         ModelPair.build(vocab_size=1000, seed=6, alignment=0.8)
         memos = stochastic_lm._SHARED_CACHES.values()
         assert all(memo is not old.target._cache for memo in memos)
-        assert all(memo is not old.target._emissions for memo in memos)
         assert all(memo is not old.draft._cache for memo in memos)
-        assert (len(old.target._cache), len(old.target._emissions), len(old.draft._cache)) == sizes
+        assert (len(old.target._cache), len(old.draft._cache)) == sizes
         after = [(old.draft.distribution(c), old.target.sample(c)) for c in ctxs]
         assert after == before
         fresh = ModelPair.build(vocab_size=1000, seed=5, alignment=0.8)
         assert fresh.target._cache is not old.target._cache
-        assert fresh.target._emissions is not old.target._emissions
         assert [(fresh.draft.distribution(c), fresh.target.sample(c)) for c in ctxs] == before
 
-    def test_emission_memo_is_keyed_by_seed(self):
+    def test_pair_registers_its_target_and_draft_memos_only(self):
+        # No emission memo: a pair's seed keys exactly two memos.
         a = ModelPair.build(vocab_size=1000, seed=5)
         b = ModelPair.build(vocab_size=1000, seed=5)
-        assert a.target._emissions is b.target._emissions
-        assert a.target._emissions is not a.target._cache
-        other = ModelPair.build(vocab_size=1000, seed=6)
-        assert other.target._emissions is not a.target._emissions
-        (signature,) = [
-            sig
-            for sig, memo in stochastic_lm._SHARED_CACHES.items()
-            if memo is other.target._emissions
-        ]
-        assert signature[0] == "emission" and signature[-1] == 6
-
-    def test_emission_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(batchgen, "MEMO_CAP", 40)
-        pair = ModelPair.build(vocab_size=1000, seed=5)
-        memo = pair.target._emissions
-        sizes = []
-        for i in range(6):
-            roots = [(0, pair.context_of([i, j])) for j in range(12)]
-            speculate_batch(pair, roots, depth=1, width=2)
-            sizes.append(len(memo))
-        assert max(sizes) <= 40
-        assert sizes[:3] == [12, 24, 36] and sizes[3] == 12  # emptied, then refilled
-        pair.target.clear_cache()
-        assert len(memo) == 0
+        assert a.target._cache is b.target._cache
+        assert not hasattr(a.target, "_emissions")
+        signatures = list(stochastic_lm._SHARED_CACHES)
+        assert [sig[0] for sig in signatures] == ["target", "draft"]
+        assert all(sig[-1] == 5 for sig in signatures)
 
     @pytest.mark.parametrize("kind", ["beam", "chains"])
-    def test_deferred_emission_memo_is_bounded(self, monkeypatch, kind):
-        # One call drafts 40 rows over several levels (8 roots; a
-        # depth-3 width-2 beam drafts 8 + 16 + 16, 5-token chains 8 x 5)
-        # and memoizes them once, after its last level: the memo is
-        # emptied at most once per call, before the update.
-        monkeypatch.setattr(batchgen, "MEMO_CAP", 100)
+    def test_speculation_keeps_every_memo_size(self, kind):
+        # Each call hands its emissions over with its drafts, so repeated
+        # calls write no memo at all (8 roots; a depth-3 width-2 beam
+        # drafts 8 + 16 + 16 rows, 5-token chains 8 x 5).  Verifying with
+        # the handed emissions equals verifying by scalar sampling.
         pair = ModelPair.build(vocab_size=1000, seed=5)
-        memo = pair.target._emissions
-        sizes = []
-        first = None  # the first call's emissions, verifications and verifiers
+        memos = list(stochastic_lm._SHARED_CACHES.values())
+        assert len(memos) == 2
         for i in range(6):
             ctxs = [pair.context_of([i, j]) for j in range(8)]
             if kind == "beam":
                 trees = speculate_batch(pair, [(0, c) for c in ctxs], depth=3, width=2).trees
-                verify = [lambda tree=tree: verify_tree(pair, tree) for tree in trees]
+                assert all(sum(e >= 0 for e in tree.emitted) == 5 for tree in trees)
             else:
                 chains = draft_chains(pair, [(c, None) for c in ctxs], 5)
-                verify = [
-                    lambda c=c, chain=chain: verify_sequence(pair, c, chain)
-                    for c, chain in zip(ctxs, chains)
-                ]
-            sizes.append(len(memo))
-            if first is None:
-                first = (dict(memo), [check() for check in verify], verify)
-        assert max(sizes) <= 100
-        assert sizes == [40, 80, 40, 80, 40, 80]
-        # The first call's emissions were cleared by the third call;
-        # verification falls back to scalar sampling and agrees.
-        emissions, verified, verify = first
-        assert not any(key in memo for key in emissions)
-        assert [check() for check in verify] == verified
-        pair.clear_caches()
-        assert all(pair.target.sample(ctx) == token for ctx, token in emissions.items())
+                assert all(len(chain.emitted) == 5 for chain in chains)
+            assert [len(memo) for memo in memos] == [0, 0]
+        if kind == "beam":
+            handed = [verify_tree(pair, tree) for tree in trees]
+            for tree in trees:
+                tree.emitted = [-1] * tree.size
+            sampled = [verify_tree(pair, tree) for tree in trees]
+        else:
+            handed = [
+                verify_sequence(pair, c, chain, None, chain.emitted)
+                for c, chain in zip(ctxs, chains)
+            ]
+            sampled = [verify_sequence(pair, c, chain) for c, chain in zip(ctxs, chains)]
+        assert handed == sampled
 
     def test_distinct_seeds_do_not_pile_up(self, generated):
         for seed in (1, 2, 3):
@@ -345,42 +315,27 @@ class TestMemoLifetime:
         assert generated["target"] > 0
         assert registry_entries() <= generated["target"] + generated["draft"]
 
-    @pytest.mark.parametrize("system", ["adaserve", "vllm-spec:k=4"])
-    def test_speculation_memoizes_emissions_only(self, monkeypatch, system):
+    @pytest.mark.parametrize("system", ["adaserve", "vllm-spec:k=4", "smartspec"])
+    def test_speculation_memoizes_no_rows(self, monkeypatch, system):
         # Speculation regenerates draft rows per level instead of
-        # memoizing them, and writes no target rows either: it memoizes
-        # the emission of each context it drafts, which verification
-        # samples.
-        queried: set[tuple[int, float | None]] = set()
-        targets = set()
-        draft_top = batchgen.draft_top
+        # memoizing them, and memoizes neither target rows nor
+        # emissions: the only target rows are those of the contexts
+        # verification samples because no call drafted them.
+        sampled: set[tuple[int, float | None]] = set()
+        sample = StochasticLM.sample
 
-        def recording_draft_top(call, C, centers, w):
-            targets.add(call.target)
-            keyed = centers.keyed
-            flags = [keyed] * len(C) if isinstance(keyed, bool) else keyed.tolist()
-            for ctx, center, has_center in zip(
-                C.tolist(), centers.effective[:, 0].tolist(), flags
-            ):
-                queried.add((ctx, center if has_center else None))
-            return draft_top(call, C, centers, w)
+        def recording_sample(lm, ctx, center=None):
+            sampled.add((ctx, center))
+            return sample(lm, ctx, center)
 
-        monkeypatch.setattr(batchgen, "draft_top", recording_draft_top)
+        monkeypatch.setattr(StochasticLM, "sample", recording_sample)
         spec = ExperimentSpec.create(
             model="llama70b", system=system, rps=4.0, duration_s=3.0, seed=9
         )
         first = run_spec(spec)
-        (target,) = targets
-        rows = dict.fromkeys(("target", "emission", "draft"), 0)
+        rows = dict.fromkeys(("target", "draft"), 0)
         for signature, memo in stochastic_lm._SHARED_CACHES.items():
             rows[signature[0]] += len(memo)
         assert rows["draft"] == 0
-        emissions = dict(target._emissions)
-        assert rows["emission"] == len(emissions) > 0
-        keys = {ctx if c is None else stochastic_lm.mix(ctx, int(c * 1e6)) for ctx, c in queried}
-        assert set(emissions) == keys
-        target.clear_cache()
-        for ctx, c in queried:
-            key = ctx if c is None else stochastic_lm.mix(ctx, int(c * 1e6))
-            assert emissions[key] == target.sample(ctx, c)
+        assert 0 < rows["target"] <= len(sampled)
         assert run_spec(spec).metrics == first.metrics

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro._rng import mix
 from repro.core.optimal import construct_optimal_trees
 from repro.core.speculation import build_candidate_tree, draft_chains, speculate_batch
 from repro.model import batchgen
@@ -25,22 +24,14 @@ from tests.conftest import (
 _contexts = st.integers(0, 2**64 - 1)
 
 
-def _memo_key(ctx: int, center: float | None) -> int:
-    return ctx if center is None else mix(ctx, int(center * 1e6))
-
-
-def _assert_emissions_hold_exactly(
-    pair: ModelPair, queried: set[tuple[int, float | None]]
+def _assert_handed_emissions_exact(
+    pair: ModelPair, handed: list[tuple[int, float | None, int]]
 ) -> None:
-    """Speculation memoized only emissions: one per queried context, each scalar ``sample``'s."""
-    target = pair.target
+    """Speculation memoized nothing; each handed ``(ctx, center, emission)`` is scalar ``sample``'s."""
     assert len(pair.draft._cache) == 0
-    assert len(target._cache) == 0
-    emissions = dict(target._emissions)
-    assert set(emissions) == {_memo_key(ctx, c) for ctx, c in queried}
-    pair.clear_caches()
-    for ctx, c in queried:
-        assert emissions[_memo_key(ctx, c)] == target.sample(ctx, c)
+    assert len(pair.target._cache) == 0
+    for ctx, c, emitted in handed:
+        assert emitted == pair.target.sample(ctx, c)
 
 
 def _assert_same_trees(result, expected) -> None:
@@ -195,14 +186,18 @@ class TestLevelKernelMatchesOracle:
         centers = data.draw(st.lists(CENTERS, min_size=n, max_size=n))
         pair.clear_caches()
         result = speculate_batch(pair, roots, depth, width, centers)
-        _assert_emissions_hold_exactly(
+        # Every node of a level the call drafted carries its emission;
+        # the deepest level (and a depth-0 root) carries none.
+        for tree in result.trees:
+            assert [e < 0 for e in tree.emitted] == [lvl == depth for lvl in tree.level]
+        _assert_handed_emissions_exact(
             pair,
-            {
-                (tree.ctx[node], center)
+            [
+                (tree.ctx[node], center, tree.emitted[node])
                 for tree, center in zip(result.trees, centers)
                 for node in tree.nodes()
                 if tree.level[node] < depth
-            },
+            ],
         )
         pair.clear_caches()
         _assert_same_trees(result, reference_speculate(pair, roots, depth, width, centers))
@@ -216,12 +211,13 @@ class TestLevelKernelMatchesOracle:
         starts = data.draw(st.lists(st.tuples(_contexts, CENTERS), min_size=n, max_size=n))
         pair.clear_caches()
         chains = draft_chains(pair, starts, k)
-        queried = set()
+        handed = []
         for (ctx, center), chain in zip(starts, chains):
-            for tok in chain:
-                queried.add((ctx, center))
+            assert len(chain.emitted) == len(chain)
+            for tok, emitted in zip(chain, chain.emitted):
+                handed.append((ctx, center, emitted))
                 ctx = pair.extend(ctx, tok)
-        _assert_emissions_hold_exactly(pair, queried)
+        _assert_handed_emissions_exact(pair, handed)
         pair.clear_caches()
         assert chains == reference_draft_chains(pair, starts, k)
 
