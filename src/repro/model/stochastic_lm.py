@@ -62,9 +62,9 @@ def _token_mask(i: int) -> int:
 #: Entries one distribution memo holds before it is emptied (live models
 #: keep working — they refill on demand).  Large enough for a whole
 #: sweep point's working set, so same-seed points sharing a memo never
-#: regenerate.  There is no emission memo: a speculation call hands the
-#: target's emission at each drafted context to verification with its
-#: drafts (``repro.model.batchgen.DraftCall.emit``).
+#: regenerate.  Emissions are not memoized: each speculation call hands
+#: the target's emission at every context it drafted to verification
+#: with its drafts (``repro.model.batchgen.DraftCall.emit``).
 MEMO_CAP = 200_000
 
 #: Distribution memos shared across model instances, keyed by the model
