@@ -95,13 +95,12 @@ class VLLMSpecScheduler(Scheduler):
             )
             commit = min(accepted + 1, req.remaining_tokens)
             if commit < accepted + 1:
-                # Generation cap: recompute the context for the truncated
-                # prefix (the correction token may be dropped).
-                ctx = req.ctx
-                for tok in chain[: commit - 1]:
-                    ctx = self.engine.pair.extend(ctx, tok)
-                emitted = self.engine.pair.target_sample(ctx, req.predictability)
-                new_ctx = self.engine.pair.extend(ctx, emitted)
+                # Generation cap: the cut falls inside the accepted prefix,
+                # whose tokens are the target's own emissions, so the
+                # committed context extends through chain[:commit].
+                new_ctx = req.ctx
+                for tok in chain[:commit]:
+                    new_ctx = self.engine.pair.extend(new_ctx, tok)
             req.verify_steps += 1
             req.accepted_draft_tokens += min(accepted, commit - 1) if commit > 0 else 0
             req.commit_tokens(commit, new_ctx, end)

@@ -8,11 +8,11 @@ straight from the source text; honoring one marks it used, and unused
 suppressions are themselves findings (RPD000), so the exception
 inventory cannot rot.
 
-Scope is path-based: measurement harnesses (``perfbench``) are exempt
-from the wall-clock and set-order rules (they time workload generation,
-they are not simulation), the obs package is exempt from the guard rule
-(its internals *are* the handles), and ``repro._rng`` is the one sanctioned
-home of raw RNG.  Everything else is simulation code and checked.
+Scope is path-based: the obs package is exempt from the guard rule (its
+internals *are* the handles), and ``repro._rng`` is the one sanctioned
+home of raw RNG.  Everything else in the package is simulation code and
+checked; measurement harnesses (the population benchmark under
+``tests/``, ``simbench/``) live outside it.
 """
 
 from __future__ import annotations
@@ -128,11 +128,6 @@ def _rule_scope(parts: tuple[str, ...]) -> set[str]:
     scope = {"RPD001", "RPD002", "RPD003", "RPD004", "RPD005", "RPD006"}
     if parts and parts[0] == "_rng.py":
         scope.discard("RPD001")  # the sanctioned RNG home
-    if parts and parts[0] == "perfbench":
-        # Measurement harness: it times workload generation on purpose,
-        # and its gate tables are ordered dicts, not sim state.
-        scope.discard("RPD002")
-        scope.discard("RPD003")
     if parts and parts[0] == "obs":
         scope.discard("RPD004")  # the handles' own implementation
     return scope

@@ -76,10 +76,10 @@ RULES: dict[str, Rule] = {
                 "Simulated time is SimClock; real time (time.time, "
                 "time.monotonic, time.perf_counter, datetime.now) differs "
                 "every run, so any value derived from it breaks "
-                "byte-identical replay.  Measurement harnesses that time "
-                "workload generation (repro.perfbench) are out of scope; a "
-                "measurement inside sim code needs an explicit allow with "
-                "proof the value never reaches a result."
+                "byte-identical replay.  Harnesses that time the simulator "
+                "live outside the package (the population benchmark in "
+                "tests/, simbench/); a measurement inside sim code needs an "
+                "explicit allow with proof the value never reaches a result."
             ),
             example="latency += time.perf_counter() - t0",
         ),

@@ -128,13 +128,15 @@ def run_iteration(
             pair, tree, center=item.center, mask=tree.selected
         )
         accepted = [tree.token[node] for node in accepted_nodes]
-        # Respect end-of-generation: do not overshoot max_tokens.
+        # Respect end-of-generation: do not overshoot max_tokens.  The cut
+        # falls inside the accepted path, so the target's emission there
+        # is the next accepted token and no row needs sampling.
         if item.max_tokens is not None and len(accepted) + 1 > item.max_tokens:
-            keep = max(0, item.max_tokens - 1)
+            keep = item.max_tokens - 1
             accepted = accepted[:keep]
-            ctx = tree.ctx[accepted_nodes[keep - 1]] if keep else item.root_ctx
-            correction = pair.target_sample(ctx, item.center)
-            new_ctx = pair.extend(ctx, correction)
+            node = accepted_nodes[keep]
+            correction = tree.token[node]
+            new_ctx = tree.ctx[node]
         outcomes.append(
             RequestOutcome(
                 accepted_tokens=accepted,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
@@ -118,6 +119,9 @@ class Param:
     def _check_bounds(self, value: object) -> object:
         if value is None:
             return value
+        # NaN passes every comparison below, and no knob means "infinite".
+        if self.kind == "float" and not math.isfinite(value):
+            raise SpecError(f"parameter {self.name!r} must be finite, got {value!r}")
         too_low = self.minimum is not None and (
             value < self.minimum or (self.exclusive_min and value == self.minimum)
         )

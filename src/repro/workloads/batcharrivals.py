@@ -1,15 +1,15 @@
-"""Columnar (vectorized) workload generation — the population-scale substrate.
+"""Columnar (vectorized) workload generation: the one workload-generation path.
 
-The scalar generators in :mod:`repro.workloads.generator` /
-:mod:`repro.workloads.sessions` materialize one :class:`Request` at a
-time from a handful of splitmix64 chains plus lognormal length draws.
-At population scale (hundreds of thousands of sessions) the interpreter
-loop dominates: this module evaluates the same chains for *every*
-request at once with ``numpy`` uint64/float64 columns, following the
-``model/batchgen.py`` gated-vectorization-with-scalar-fallback pattern.
+Each request of a workload comes from a handful of splitmix64 chains plus
+lognormal length draws.  This module evaluates those chains for *every*
+request at once with ``numpy`` uint64/float64 columns; every trace, at
+every size (0 and 1 requests included), and every session workload is
+built here.
 
-**Bit-identity is the contract.**  Every vector statement maps 1:1 onto
-a scalar statement of the reference implementation:
+**Bit-identity with the scalar recipe is the contract.**  Every vector
+statement maps 1:1 onto a statement of the per-request recipe (one
+:mod:`repro._rng` chain at a time, kept as the test oracle in
+``tests/conftest.py``):
 
 - uint64 adds/multiplies wrap modulo 2**64 exactly like the masked
   Python-int arithmetic of :mod:`repro._rng`;
@@ -23,14 +23,13 @@ a scalar statement of the reference implementation:
   SIMD kernels with a few-ULP error bound, which is *not* bit-identical
   to libm's ``math.log`` / ``math.exp``.  Every transcendental (and
   ``** 2``) therefore routes through an exact elementwise kernel that
-  calls the same ``math.*`` / ``float.__pow__`` the scalar path calls —
-  ~130 ns/element, still far below the interpreter loop it replaces;
+  calls the same ``math.*`` / ``float.__pow__`` the scalar recipe
+  calls (~130 ns/element);
 - stable ``lexsort`` matches ``list.sort`` with the same key tuple.
 
-``tests/test_batcharrivals.py`` pins vector == scalar byte-identity
-across every trace kind and many seeds: it flips :data:`DISABLED` to
-run the scalar loops, which stay as the reference and as the faster
-path below :data:`MIN_BATCH` requests.
+``tests/test_batcharrivals.py`` pins byte-identity with the oracle for
+every trace kind at 0-200 requests, custom mixes and the tiny dataset;
+the golden digests pin the shipped output itself.
 
 The columnar form is also the *memory* story: :class:`ColumnarWorkload`
 holds one float64/int64 column per field (~60 B/request instead of a
@@ -52,20 +51,6 @@ from repro.serving.request import Request, RequestState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.sessions import SessionGenerator
-
-#: Force the scalar reference path everywhere (the byte-identity tests
-#: and the population benchmark's scalar run toggle it).
-DISABLED = False
-
-#: Below this many requests the numpy dispatch overhead loses to the
-#: scalar loop (measured on small arrays).
-MIN_BATCH = 64
-
-
-def enabled(n: int) -> bool:
-    """Whether the vector path should serve a batch of ``n`` draws."""
-    return not DISABLED and n >= MIN_BATCH
-
 
 _U64 = np.uint64
 _G = _U64(_GOLDEN)
@@ -143,22 +128,22 @@ def _exact_unary(fn, a):
 
 
 def vlog(a):
-    """Elementwise ``math.log`` — bit-identical to the scalar path."""
+    """Elementwise ``math.log`` (libm, bit-exact)."""
     return _exact_unary(math.log, a)
 
 
 def vexp(a):
-    """Elementwise ``math.exp`` — bit-identical to the scalar path."""
+    """Elementwise ``math.exp`` (libm, bit-exact)."""
     return _exact_unary(math.exp, a)
 
 
 def vsin(a):
-    """Elementwise ``math.sin`` — bit-identical to the scalar path."""
+    """Elementwise ``math.sin`` (libm, bit-exact)."""
     return _exact_unary(math.sin, a)
 
 
 def vcos(a):
-    """Elementwise ``math.cos`` — bit-identical to the scalar path."""
+    """Elementwise ``math.cos`` (libm, bit-exact)."""
     return _exact_unary(math.cos, a)
 
 
@@ -167,8 +152,8 @@ def vpow2(a):
 
     Python's ``x ** 2`` routes through libm ``pow``, which is not
     guaranteed to equal ``x * x`` (and measurably differs from numpy's
-    ``**`` on some builds), so squaring in rate shapes must call the
-    exact same operation the scalar code ran.
+    ``**`` on some builds), so squaring in rate shapes calls the exact
+    operation a scalar ``x ** 2`` runs.
     """
     return _exact_unary(lambda x: x**2, a)
 
@@ -184,16 +169,17 @@ def vfull(like, value: float):
 
 
 # ----------------------------------------------------------------------
-# Non-homogeneous Poisson thinning (vector form of trace._thin_poisson)
+# Non-homogeneous Poisson thinning
 # ----------------------------------------------------------------------
 def thin_poisson(rate_vec, duration_s: float, rate_max: float, seed: int) -> list[float]:
-    """Vectorized Poisson thinning; bit-identical to ``_thin_poisson``.
+    """Non-homogeneous Poisson arrivals on ``[0, duration_s)`` via thinning.
 
     ``rate_vec`` maps a float64 array of candidate times to the arrival
     rate at each, evaluated with the exact scalar operation sequence.
-    Candidate inter-arrival gaps come from the same ``uniforms(h, i, 2)``
-    chain, accumulated with ``cumsum`` (sequential, so the running time
-    matches the scalar ``t += gap`` left-associated float chain).  If the
+    Candidate ``i``'s inter-arrival gap and acceptance draw come from the
+    ``uniforms(h, i, 2)`` chain; gaps are accumulated with ``cumsum``
+    (sequential, so the running time matches a scalar ``t += gap``
+    left-associated float chain).  If the
     candidate block doesn't reach ``duration_s`` it is **regenerated from
     index 0** at double size — continuing an old block would re-associate
     the partial sums.
@@ -212,7 +198,7 @@ def thin_poisson(rate_vec, duration_s: float, rate_max: float, seed: int) -> lis
             if t[-1] >= duration_s:
                 break
             n *= 2
-    stop = int(np.argmax(t >= duration_s))  # scalar loop breaks here
+    stop = int(np.argmax(t >= duration_s))  # the first candidate past the window
     t = t[:stop]
     u2 = u2[:stop]
     accept = (u2 * rate_max) <= rate_vec(t)
@@ -224,7 +210,7 @@ def thin_poisson(rate_vec, duration_s: float, rate_max: float, seed: int) -> lis
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CategoryMeta:
-    """Per-category constants resolved once (identical to scalar fields)."""
+    """Per-category constants resolved once per workload."""
 
     name: str
     tpot_slo: float
@@ -237,11 +223,10 @@ class CategoryMeta:
 class ColumnarWorkload:
     """A workload as per-request numpy columns, materialized on demand.
 
-    Row ``i`` is request ``rid == i`` (rows are already in the scalar
-    path's final emission order).  ``materialize(lo, hi)`` produces the
-    exact ``Request`` objects the scalar generator would have built for
-    rows ``[lo, hi)``; callers materialize before simulating, in slices
-    when they must not hold every object at once.
+    Row ``i`` is request ``rid == i`` (rows are already in the final
+    emission order).  ``materialize(lo, hi)`` produces the ``Request``
+    objects of rows ``[lo, hi)``; callers materialize before simulating,
+    in slices when they must not hold every object at once.
     """
 
     arrival: object  # float64[n]
@@ -345,7 +330,7 @@ class ColumnarWorkload:
 
 
 # ----------------------------------------------------------------------
-# Category / length columns (vector form of WorkloadGenerator internals)
+# Category / length columns
 # ----------------------------------------------------------------------
 def _category_meta(gen: "WorkloadGenerator", names: list[str]) -> tuple[CategoryMeta, ...]:
     out = []
@@ -364,7 +349,7 @@ def _category_meta(gen: "WorkloadGenerator", names: list[str]) -> tuple[Category
 
 
 def _dataset_name_tag(name: str) -> int:
-    """The stable 32-bit name hash of ``SyntheticDataset.sample``."""
+    """A dataset name's stable 32-bit hash (``str.__hash__`` is salted per process)."""
     name_tag = 0
     for ch in name:
         name_tag = (name_tag * 131 + ord(ch)) & ((1 << 32) - 1)
@@ -372,7 +357,11 @@ def _dataset_name_tag(name: str) -> int:
 
 
 def _sample_lengths(H, salt: int, dist) -> object:
-    """Vector ``LengthDistribution.sample`` (clipped lognormal, Box-Muller)."""
+    """Lengths drawn from ``dist`` for per-row hashes ``H``.
+
+    A clipped lognormal via Box-Muller on ``uniforms(h, salt, 2)``, with
+    ``mu`` chosen so that the unclipped mean is ``dist.mean``.
+    """
     u1, u2 = _uniform2_cols(H, _U64(salted(salt)))
     u1 = np.maximum(u1, 1e-12)
     z = np.sqrt(-2.0 * vlog(u1)) * vcos((2.0 * math.pi) * u2)
@@ -384,8 +373,8 @@ def _sample_lengths(H, salt: int, dist) -> object:
 def _length_columns(gen: "WorkloadGenerator", cats: tuple[CategoryMeta, ...], cat_idx, indices):
     """(prompt_len, output_len) columns for dataset draws at ``indices``.
 
-    ``indices`` is the per-row dataset sample index (the scalar ``rid``
-    for one-shot traces, ``derive_seed(seed, "turn", s, k)`` for
+    ``indices`` is the per-row dataset sample index (the ``rid`` for
+    one-shot traces, ``derive_seed(seed, "turn", s, k)`` for
     sessions), grouped by dataset so each group shares one hash prefix.
     """
     n = indices.shape[0]
@@ -400,8 +389,8 @@ def _length_columns(gen: "WorkloadGenerator", cats: tuple[CategoryMeta, ...], ca
         if rows.size == 0:
             continue
         dataset = gen.datasets[ds_name]
-        # The scalar path hashes the *distribution's own* name (tests remap
-        # every registry key to one tiny dataset), not the registry key.
+        # Lengths hash the *dataset's own* name (tests remap every
+        # registry key to one tiny dataset), not the registry key.
         prefix = _U64(hash_seed(gen.seed, _dataset_name_tag(dataset.name)))
         H = _vmix(prefix, indices[rows])
         prompt[rows] = _sample_lengths(H, 1, dataset.prompt)
@@ -410,11 +399,11 @@ def _length_columns(gen: "WorkloadGenerator", cats: tuple[CategoryMeta, ...], ca
 
 
 def _category_column(gen: "WorkloadGenerator", mix: dict[str, float], draws):
-    """Vector ``_sample_category`` for per-row draw hashes ``draws``.
+    """One category draw per row against ``mix``'s CDF.
 
-    ``draws`` is the second ``hash_seed`` argument of the scalar call —
-    the rid for one-shot traces, the derived per-session seed for
-    sessions.  Returns ``(names, cat_idx)``.
+    Row ``i`` draws ``uniform(hash_seed(seed, "CAT", draws[i]), 0)``:
+    ``draws`` is the rid for one-shot traces and the derived per-session
+    seed for sessions.  Returns ``(names, cat_idx)``.
     """
     names, cdf = gen._category_cdf(mix)
     prefix = _U64(hash_seed(gen.seed, 0x434154))  # "CAT"
@@ -427,7 +416,7 @@ def _category_column(gen: "WorkloadGenerator", mix: dict[str, float], draws):
 def columnar_from_arrivals(
     gen: "WorkloadGenerator", arrivals, mix: dict[str, float]
 ) -> ColumnarWorkload:
-    """Columnar equivalent of ``WorkloadGenerator.from_arrivals``.
+    """The columns of ``WorkloadGenerator.from_arrivals``.
 
     ``arrivals`` must already be ascending (the caller's contract after
     its monotonicity scan).
@@ -448,15 +437,10 @@ def columnar_from_arrivals(
     )
 
 
-def build_requests(gen: "WorkloadGenerator", arrivals, mix: dict[str, float]) -> list[Request]:
-    """Vectorized ``from_arrivals`` (materialized form)."""
-    return columnar_from_arrivals(gen, arrivals, mix).materialize()
-
-
 def columnar_phased(
     gen: "WorkloadGenerator", pairs: list[tuple[float, str]], order: tuple[str, ...]
 ) -> ColumnarWorkload:
-    """Columnar equivalent of ``WorkloadGenerator.phased``.
+    """The columns of ``WorkloadGenerator.phased``.
 
     ``pairs`` is the trace's (arrival, category) list; categories are
     given by the trace rather than drawn from a mix.
@@ -483,7 +467,7 @@ def columnar_phased(
 
 
 # ----------------------------------------------------------------------
-# Session grids (vector form of SessionGenerator.generate)
+# Session grids
 # ----------------------------------------------------------------------
 def columnar_sessions(
     sgen: "SessionGenerator",
@@ -491,14 +475,13 @@ def columnar_sessions(
     starts: list[float],
     mix: dict[str, float],
 ) -> ColumnarWorkload:
-    """Columnar equivalent of ``SessionGenerator.generate``.
+    """The columns of ``SessionGenerator.generate``.
 
-    ``starts`` is the session-start Poisson trace (already generated —
-    vector or scalar, the floats are identical).  Every per-session and
-    per-turn draw is evaluated on an S x K grid with the exact scalar
-    derivations; turns beyond the window are masked with the same
-    break-at-first-violation semantics, and the final
-    (arrival, session, turn) sort is a stable ``lexsort``.
+    ``starts`` is the session-start Poisson trace.  Every per-session and
+    per-turn draw is evaluated on an S x K grid with the per-entity
+    derivations of :mod:`repro._rng`; a session ends at its first turn
+    past the window, and the final (arrival, session, turn) sort is a
+    stable ``lexsort``.
     """
     from repro.workloads.sessions import _FOLLOWUP_DIVISOR, _MIN_USER_TOKENS
 
@@ -512,8 +495,8 @@ def columnar_sessions(
     k_arr = np.arange(turns, dtype=np.uint64)
 
     with np.errstate(over="ignore"):
-        # Per-session category: _sample_category(mix, derive_seed(seed,
-        # "session-category", s)).
+        # Per-session category, drawn at derive_seed(seed,
+        # "session-category", s).
         cat_prefix = _U64(_derive_prefix(seed, "session-category"))
         d_cat = _vmix(cat_prefix, s_arr) >> _S1
         names, cat_idx = _category_column(gen, mix, d_cat)
@@ -562,7 +545,7 @@ def columnar_sessions(
             chain[:, 1:] = inc[:, :-1]
         arrival_grid = np.cumsum(chain, axis=1)
 
-        # The scalar loop breaks at the first arrival >= duration.
+        # A session ends at its first arrival >= duration.
         keep = np.logical_and.accumulate(arrival_grid < duration_s, axis=1)
 
     row_s, row_k = np.nonzero(keep)

@@ -13,15 +13,13 @@ real corpora's token statistics:
 - CNN/DailyMail: long article prompts, short summaries — the long-prefill
   class whose interference the paper discusses in §6.2.
 
-Sampling is deterministic per (dataset, seed, index).
+Sampling is deterministic per (dataset, seed, index); the draws are made
+on numpy columns by :mod:`repro.workloads.batcharrivals`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from repro._rng import hash_seed, uniforms
 
 
 @dataclass(frozen=True)
@@ -39,16 +37,6 @@ class LengthDistribution:
         if self.mean <= 0 or self.sigma <= 0:
             raise ValueError(f"invalid lognormal params: {self}")
 
-    def sample(self, h: int, salt: int) -> int:
-        """Draw one length from hash-derived randomness (Box-Muller)."""
-        u1, u2 = uniforms(h, salt, 2)
-        u1 = max(u1, 1e-12)
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        # ln X ~ N(mu, sigma); choose mu so that E[X] ~= mean.
-        mu = math.log(self.mean) - 0.5 * self.sigma**2
-        value = int(round(math.exp(mu + self.sigma * z)))
-        return max(self.lo, min(self.hi, value))
-
 
 @dataclass(frozen=True)
 class SyntheticDataset:
@@ -57,15 +45,6 @@ class SyntheticDataset:
     name: str
     prompt: LengthDistribution
     output: LengthDistribution
-
-    def sample(self, seed: int, index: int) -> tuple[int, int]:
-        """(prompt_len, output_len) for the ``index``-th draw."""
-        # Stable name hash (Python's str hash is randomized per process).
-        name_tag = 0
-        for ch in self.name:
-            name_tag = (name_tag * 131 + ord(ch)) & ((1 << 32) - 1)
-        h = hash_seed(seed, name_tag, index)
-        return self.prompt.sample(h, 1), self.output.sample(h, 2)
 
 
 DATASETS: dict[str, SyntheticDataset] = {

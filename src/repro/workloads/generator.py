@@ -4,14 +4,15 @@
 each arrival timestamp (from a trace), sample a category according to the
 mix, then sample a request (prompt/output lengths) from that category's
 dataset, and attach the category's TPOT SLO resolved against the deployed
-model's baseline latency.
+model's baseline latency.  Every workload, at every size, is built as
+numpy columns by :mod:`repro.workloads.batcharrivals` and materialized
+into :class:`Request` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._rng import hash_seed, uniform
 from repro.hardware.roofline import RooflineModel
 from repro.registry import TRACES, Param
 from repro.serving.request import Request
@@ -58,27 +59,13 @@ class WorkloadGenerator:
         self._baseline = self.roofline.baseline_decode_latency
 
     # ------------------------------------------------------------------
-    def _make_request(self, rid: int, arrival: float, category: Category) -> Request:
-        dataset = self.datasets[category.dataset]
-        prompt_len, output_len = dataset.sample(self.seed, rid)
-        return Request(
-            rid=rid,
-            category=category.name,
-            arrival_time=arrival,
-            prompt_len=prompt_len,
-            max_new_tokens=output_len,
-            tpot_slo=category.resolve_slo(self._baseline, self.slo_scale),
-            predictability=category.predictability,
-            priority=0 if category.is_urgent else 1,
-        )
-
     def _category_cdf(self, mix: dict[str, float]) -> tuple[list[str], list[float]]:
         """Normalized category CDF for ``mix``, computed once per workload.
 
-        The CDF entries are accumulated with exactly the scalar draw
-        loop's float sequence (``acc += mix[name] / total`` over sorted
-        names), so sampling against the precomputed list is bit-identical
-        to the historical per-rid recomputation.
+        The CDF entries are accumulated in the per-draw float sequence
+        (``acc += mix[name] / total`` over sorted names), so a vector draw
+        against the precomputed list equals a scalar draw that recomputes
+        the sum for every request.
         """
         total = sum(mix.values())
         names = sorted(mix)
@@ -89,50 +76,20 @@ class WorkloadGenerator:
             cdf.append(acc)
         return names, cdf
 
-    def _sample_category_cdf(
-        self, names: list[str], cdf: list[float], rid: int
-    ) -> Category:
-        """One category draw against a precomputed normalized CDF."""
-        h = hash_seed(self.seed, 0x434154, rid)  # "CAT"
-        u = uniform(h, 0)
-        for name, acc in zip(names, cdf):
-            if u < acc:
-                return self.categories[name]
-        return self.categories[names[-1]]
-
-    def _sample_category(self, mix: dict[str, float], rid: int) -> Category:
-        names, cdf = self._category_cdf(mix)
-        return self._sample_category_cdf(names, cdf, rid)
-
     # ------------------------------------------------------------------
     def from_arrivals(
         self, arrivals: list[float], mix: dict[str, float] | None = None
     ) -> list[Request]:
         """Requests for explicit arrival timestamps, categories by mix."""
-        mix = mix or DEFAULT_MIX
-        unknown = set(mix) - set(self.categories)
-        if unknown:
-            raise KeyError(f"unknown categories in mix: {sorted(unknown)}")
-        # Every registered trace already emits ascending arrivals; one
-        # monotonicity scan skips the redundant re-sort then (explicit
-        # out-of-order input still sorts, preserving the contract).
-        if not _is_ascending(arrivals):
-            arrivals = sorted(arrivals)
-        if batcharrivals.enabled(len(arrivals)):
-            return batcharrivals.build_requests(self, arrivals, mix)
-        names, cdf = self._category_cdf(mix)
-        return [
-            self._make_request(rid, t, self._sample_category_cdf(names, cdf, rid))
-            for rid, t in enumerate(arrivals)
-        ]
+        return self.columnar_from_arrivals(arrivals, mix).materialize()
 
     def columnar_from_arrivals(
         self, arrivals: list[float], mix: dict[str, float] | None = None
     ) -> "batcharrivals.ColumnarWorkload":
         """The same workload as :meth:`from_arrivals`, as numpy columns.
 
-        ``columnar_from_arrivals(...).materialize()`` is bit-identical to
-        ``from_arrivals(...)`` but the column store holds 32 bytes per
+        ``columnar_from_arrivals(...).materialize()`` is
+        ``from_arrivals(...)``, but the column store holds 32 bytes per
         request (64 with session columns) and materializes any row slice
         on demand (``materialize(lo, hi)``).
         """
@@ -140,6 +97,9 @@ class WorkloadGenerator:
         unknown = set(mix) - set(self.categories)
         if unknown:
             raise KeyError(f"unknown categories in mix: {sorted(unknown)}")
+        # Every registered trace already emits ascending arrivals; one
+        # monotonicity scan skips the redundant re-sort then (explicit
+        # out-of-order input still sorts, preserving the contract).
         if not _is_ascending(arrivals):
             arrivals = sorted(arrivals)
         return batcharrivals.columnar_from_arrivals(self, arrivals, mix)
@@ -194,14 +154,7 @@ class WorkloadGenerator:
         pairs = phased_trace(
             duration_s, list(category_order), peak_rps, base_rps, seed=self.seed
         )
-        if batcharrivals.enabled(len(pairs)):
-            return batcharrivals.columnar_phased(
-                self, pairs, tuple(category_order)
-            ).materialize()
-        return [
-            self._make_request(rid, t, self.categories[cat])
-            for rid, (t, cat) in enumerate(pairs)
-        ]
+        return batcharrivals.columnar_phased(self, pairs, tuple(category_order)).materialize()
 
 
 # ----------------------------------------------------------------------

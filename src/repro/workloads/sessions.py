@@ -25,6 +25,10 @@ recomputation (see :mod:`repro.prefixcache`).
   answers, so turn ``k+1``'s prompt is a strict prefix extension of turn
   ``k``'s prompt + output and its leading block keys equal turn ``k``'s.
 
+Every per-session and per-turn draw is evaluated at once on a
+sessions x turns grid of numpy columns
+(:func:`repro.workloads.batcharrivals.columnar_sessions`).
+
 Two trace kinds are registered: ``sessions`` (chat-shaped: a few turns,
 human think time) and ``agentic`` (agent-loop-shaped: many short turns
 over a large system prompt with near-zero gaps).  Both are sweepable via
@@ -33,10 +37,9 @@ over a large system prompt with near-zero gaps).  Both are sweepable via
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro._rng import derive_seed, hash_seed, uniform
+from repro._rng import derive_seed
 from repro.registry import TRACES, Param
 from repro.serving.request import Request
 from repro.workloads import batcharrivals
@@ -91,88 +94,19 @@ class SessionGenerator:
         trace is a fixed observation window; late sessions are cut
         short), so the realized rate is slightly below ``rps``.
         """
-        if duration_s <= 0 or rps <= 0:
-            raise ValueError("duration and rps must be positive")
-        mix = mix or DEFAULT_MIX
-        unknown = set(mix) - set(self.base.categories)
-        if unknown:
-            raise KeyError(f"unknown categories in mix: {sorted(unknown)}")
-        seed = self.base.seed
-        baseline = self.base.roofline.baseline_decode_latency
-        sys_namespace = hash_seed(seed, 0x535953)  # "SYS": one stream for all
-        starts = uniform_trace(
-            duration_s, rps / self.turns, seed=derive_seed(seed, "session-starts")
-        )
-        if batcharrivals.enabled(len(starts) * self.turns):
-            return self.columnar(duration_s, rps, mix, _starts=starts).materialize()
-
-        names, cdf = self.base._category_cdf(mix)
-        protos: list[tuple[float, int, int, Request]] = []
-        for s, start in enumerate(starts):
-            category = self.base._sample_category_cdf(
-                names, cdf, derive_seed(seed, "session-category", s)
-            )
-            dataset = self.base.datasets[category.dataset]
-            sess_namespace = hash_seed(seed, 0x53455353, s)  # "SESS"
-            arrival = start
-            history = 0  # session-stream tokens accumulated before this turn
-            for k in range(self.turns):
-                if arrival >= duration_s:
-                    break
-                sampled_prompt, output_len = dataset.sample(
-                    seed, derive_seed(seed, "turn", s, k)
-                )
-                user_tokens = (
-                    sampled_prompt
-                    if k == 0
-                    else max(_MIN_USER_TOKENS, sampled_prompt // _FOLLOWUP_DIVISOR)
-                )
-                segments = ((sess_namespace, history + user_tokens),)
-                if self.system_prompt > 0:
-                    segments = ((sys_namespace, self.system_prompt), *segments)
-                req = Request(
-                    rid=0,  # assigned after the global arrival sort
-                    category=category.name,
-                    arrival_time=arrival,
-                    prompt_len=self.system_prompt + history + user_tokens,
-                    max_new_tokens=output_len,
-                    tpot_slo=category.resolve_slo(baseline, self.base.slo_scale),
-                    predictability=category.predictability,
-                    priority=0 if category.is_urgent else 1,
-                    session_id=s,
-                    turn_index=k,
-                    prompt_segments=segments,
-                )
-                protos.append((arrival, s, k, req))
-                # The answer joins the conversation stream; the next turn
-                # arrives once it has (approximately) been generated and
-                # the user has thought about it.
-                history += user_tokens + output_len
-                gap = uniform(hash_seed(seed, 0x47415021, s), k)  # "GAP!"
-                arrival += output_len * baseline - math.log(
-                    max(gap, 1e-12)
-                ) * self.think_time_s
-
-        protos.sort(key=lambda item: (item[0], item[1], item[2]))
-        requests = []
-        for rid, (_, _, _, req) in enumerate(protos):
-            req.rid = rid
-            requests.append(req)
-        return requests
+        return self.columnar(duration_s, rps, mix).materialize()
 
     def columnar(
         self,
         duration_s: float,
         rps: float,
         mix: dict[str, float] | None = None,
-        _starts: list[float] | None = None,
     ) -> "batcharrivals.ColumnarWorkload":
-        """The session workload as numpy columns (population scale).
+        """The session workload as numpy columns (:meth:`generate` materializes it).
 
-        Same requests as :meth:`generate` — ``columnar(...).materialize()``
-        is bit-identical — but holds ~60 bytes per request instead of a
-        ``Request`` object and materializes any row slice on demand; built
-        by the batch substrate (:mod:`repro.workloads.batcharrivals`).
+        The column store holds 64 bytes per request instead of a
+        ``Request`` object and materializes any row slice on demand; see
+        :func:`repro.workloads.batcharrivals.columnar_sessions`.
         """
         if duration_s <= 0 or rps <= 0:
             raise ValueError("duration and rps must be positive")
@@ -180,9 +114,8 @@ class SessionGenerator:
         unknown = set(mix) - set(self.base.categories)
         if unknown:
             raise KeyError(f"unknown categories in mix: {sorted(unknown)}")
-        starts = _starts if _starts is not None else uniform_trace(
-            duration_s, rps / self.turns,
-            seed=derive_seed(self.base.seed, "session-starts"),
+        starts = uniform_trace(
+            duration_s, rps / self.turns, seed=derive_seed(self.base.seed, "session-starts")
         )
         return batcharrivals.columnar_sessions(self, duration_s, starts, mix)
 

@@ -17,52 +17,20 @@ Plus one cluster-scenario extension beyond the paper:
 - :func:`diurnal_trace` — a day/night sinusoidal cycle (the scenario
   where fleet autoscaling matters; see :mod:`repro.cluster`).
 
-Both return arrival timestamps (and per-arrival categories for the phased
-trace); :mod:`repro.workloads.generator` turns them into requests.
+Each returns arrival timestamps (plus per-arrival categories for the
+phased trace); :mod:`repro.workloads.generator` turns them into requests.
+Arrivals come from Poisson thinning on numpy columns
+(:func:`repro.workloads.batcharrivals.thin_poisson`): a trace's rate maps
+a float64 time column to rates, with every transcendental routed through
+libm (``vsin``, ``vexp``, ``vpow2``).
 """
 
 from __future__ import annotations
 
 import math
 
-from repro._rng import hash_seed, uniform, uniforms
-from repro.workloads import batcharrivals
-
-
-def _thin(rate_fn, rate_vec, duration_s: float, rate_max: float, seed: int) -> list[float]:
-    """Poisson thinning, vectorized when the batch substrate is enabled.
-
-    ``rate_fn`` is the scalar rate; ``rate_vec`` evaluates the same
-    expression sequence over a float64 array (or ``None`` when no vector
-    form exists).  Both paths emit bit-identical arrivals — the gate is
-    purely a throughput decision, sized by the expected candidate count.
-    """
-    if rate_vec is not None and batcharrivals.enabled(int(rate_max * duration_s)):
-        return batcharrivals.thin_poisson(rate_vec, duration_s, rate_max, seed)
-    return _thin_poisson(rate_fn, duration_s, rate_max, seed)
-
-
-def _thin_poisson(
-    rate_fn,
-    duration_s: float,
-    rate_max: float,
-    seed: int,
-) -> list[float]:
-    """Non-homogeneous Poisson arrivals on [0, duration) via thinning."""
-    h = hash_seed(seed, 0x5452_4143)  # "TRAC"
-    arrivals: list[float] = []
-    t = 0.0
-    i = 0
-    while True:
-        u1, u2 = uniforms(h, i, 2)
-        i += 1
-        u1 = max(u1, 1e-12)
-        t += -math.log(u1) / rate_max
-        if t >= duration_s:
-            break
-        if u2 * rate_max <= rate_fn(t):
-            arrivals.append(t)
-    return arrivals
+from repro._rng import hash_seed, uniform
+from repro.workloads.batcharrivals import thin_poisson, vexp, vfull, vmaximum, vpow2, vsin
 
 
 def bursty_trace(
@@ -101,27 +69,26 @@ def bursty_trace(
     scale = target_rps / mean_shape
     rate_max = scale * max(shape(duration_s * (k + 0.5) / samples) for k in range(samples)) * 1.05
 
-    def shape_vec(t):
-        # Same float sequence as shape(), elementwise over a time column;
-        # sin/exp/**2 go through the exact kernels (numpy's SIMD
-        # transcendentals are a few ULP off libm, which would fork digests).
-        ba = batcharrivals
+    def rate(t):
+        # scale * shape(t), elementwise over a time column in shape()'s
+        # float sequence; sin/exp/**2 go through the exact kernels (numpy's
+        # SIMD transcendentals are a few ULP off libm, which would fork
+        # digests).
         c = 2 * math.pi
-        base = 1.0 + burstiness * 0.6 * ba.vsin(c * t / (duration_s / 2.3))
-        base = base + burstiness * 0.3 * ba.vsin(c * t / (duration_s / 7.1) + 1.0)
+        base = 1.0 + burstiness * 0.6 * vsin(c * t / (duration_s / 2.3))
+        base = base + burstiness * 0.3 * vsin(c * t / (duration_s / 7.1) + 1.0)
         for p in burst_pos:
-            base = base + burstiness * 1.5 * ba.vexp(-0.5 * ba.vpow2((t - p) / burst_width))
-        return ba.vmaximum(0.05, base)
+            base = base + burstiness * 1.5 * vexp(-0.5 * vpow2((t - p) / burst_width))
+        return scale * vmaximum(0.05, base)
 
-    return _thin(lambda t: scale * shape(t), lambda t: scale * shape_vec(t),
-                 duration_s, rate_max, seed)
+    return thin_poisson(rate, duration_s, rate_max, seed)
 
 
 def uniform_trace(duration_s: float, rps: float, seed: int = 0) -> list[float]:
     """Homogeneous Poisson arrivals (steady load)."""
     if duration_s <= 0 or rps <= 0:
         raise ValueError("duration and rps must be positive")
-    return _thin(lambda t: rps, lambda t: batcharrivals.vfull(t, rps), duration_s, rps, seed)
+    return thin_poisson(lambda t: vfull(t, rps), duration_s, rps, seed)
 
 
 def diurnal_trace(
@@ -150,16 +117,12 @@ def diurnal_trace(
     # unit mean: (1 + a) / (1 - a) = ratio.
     amplitude = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
 
-    def rate(t: float) -> float:
+    def rate(t):
         phase = 2 * math.pi * cycles * t / duration_s
-        return target_rps * (1.0 + amplitude * math.sin(phase - math.pi / 2))
-
-    def rate_vec(t):
-        phase = 2 * math.pi * cycles * t / duration_s
-        return target_rps * (1.0 + amplitude * batcharrivals.vsin(phase - math.pi / 2))
+        return target_rps * (1.0 + amplitude * vsin(phase - math.pi / 2))
 
     rate_max = target_rps * (1.0 + amplitude)
-    return _thin(rate, rate_vec, duration_s, rate_max, seed)
+    return thin_poisson(rate, duration_s, rate_max, seed)
 
 
 def phased_trace(
@@ -184,15 +147,11 @@ def phased_trace(
     for k, cat in enumerate(categories):
         centre = duration_s * (k + 0.5) / len(categories)
 
-        def rate(t: float, c: float = centre) -> float:
-            return base_rps + peak_rps * math.exp(-0.5 * ((t - c) / width) ** 2)
-
-        def rate_vec(t, c: float = centre):
-            ba = batcharrivals
-            return base_rps + peak_rps * ba.vexp(-0.5 * ba.vpow2((t - c) / width))
+        def rate(t, c: float = centre):
+            return base_rps + peak_rps * vexp(-0.5 * vpow2((t - c) / width))
 
         rate_max = base_rps + peak_rps
-        arrivals = _thin(rate, rate_vec, duration_s, rate_max, hash_seed(seed, k))
+        arrivals = thin_poisson(rate, duration_s, rate_max, hash_seed(seed, k))
         out.extend((t, cat) for t in arrivals)
     out.sort(key=lambda tc: tc[0])
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from unittest.mock import patch
 import hypothesis.strategies as st
 import pytest
 
-from repro._rng import mix
+from repro._rng import derive_seed, hash_seed, mix, uniform, uniforms
 from repro.core.selection import RequestSelection, SelectionResult
 from repro.core.speculation import SpeculationResult
 from repro.core.tree import TokenTree
@@ -25,12 +26,15 @@ from repro.model.pair import PAIR_PRESETS, ModelPair
 from repro.model.stochastic_lm import StochasticLM
 from repro.prefixcache import PrefixStats
 from repro.prefixcache.tokens import _CHAIN_ROOT
+from repro.registry import TRACES
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
 from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
-from repro.workloads.datasets import DATASETS
+from repro.workloads.categories import DEFAULT_MIX, Category
+from repro.workloads.datasets import DATASETS, LengthDistribution, SyntheticDataset
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.sessions import SessionGenerator
 
 
 @pytest.fixture
@@ -708,6 +712,209 @@ def tiny_generator(roofline: RooflineModel, seed: int = 5) -> WorkloadGenerator:
 def tiny_workload(target_roofline) -> list[Request]:
     """A small mixed workload using the tiny dataset (fast sims)."""
     return tiny_generator(target_roofline).steady(duration_s=8.0, rps=3.0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar workload generation: the oracle for the columnar substrate
+# ---------------------------------------------------------------------------
+# One request (and one thinning candidate) at a time through repro._rng,
+# exactly the recipe repro.workloads.batcharrivals evaluates on columns.
+
+
+def reference_thin(rate, duration_s: float, rate_max: float, seed: int) -> list[float]:
+    """Non-homogeneous Poisson arrivals on [0, duration) via thinning."""
+    h = hash_seed(seed, 0x5452_4143)  # "TRAC"
+    arrivals: list[float] = []
+    t = 0.0
+    i = 0
+    while True:
+        u1, u2 = uniforms(h, i, 2)
+        i += 1
+        t += -math.log(max(u1, 1e-12)) / rate_max
+        if t >= duration_s:
+            return arrivals
+        if u2 * rate_max <= rate(t):
+            arrivals.append(t)
+
+
+def reference_bursty_trace(duration_s, target_rps, seed, burstiness=0.5, num_bursts=4):
+    """Scalar :func:`repro.workloads.trace.bursty_trace`."""
+    h = hash_seed(seed, 0x4255_5253)  # "BURS"
+    burst_pos = [uniform(h, 10 + k) * duration_s for k in range(num_bursts)]
+    burst_width = duration_s * 0.02
+
+    def shape(t: float) -> float:
+        base = 1.0
+        base += burstiness * 0.6 * math.sin(2 * math.pi * t / (duration_s / 2.3))
+        base += burstiness * 0.3 * math.sin(2 * math.pi * t / (duration_s / 7.1) + 1.0)
+        for p in burst_pos:
+            base += burstiness * 1.5 * math.exp(-0.5 * ((t - p) / burst_width) ** 2)
+        return max(0.05, base)
+
+    grid = [shape(duration_s * (k + 0.5) / 512) for k in range(512)]
+    scale = target_rps / (sum(grid) / 512)
+    rate_max = scale * max(grid) * 1.05
+    return reference_thin(lambda t: scale * shape(t), duration_s, rate_max, seed)
+
+
+def reference_diurnal_trace(duration_s, target_rps, seed, peak_to_trough=4.0, cycles=1.0):
+    """Scalar :func:`repro.workloads.trace.diurnal_trace`."""
+    amplitude = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
+
+    def rate(t: float) -> float:
+        phase = 2 * math.pi * cycles * t / duration_s
+        return target_rps * (1.0 + amplitude * math.sin(phase - math.pi / 2))
+
+    return reference_thin(rate, duration_s, target_rps * (1.0 + amplitude), seed)
+
+
+def reference_phased_trace(duration_s, categories, peak_rps, base_rps, seed):
+    """Scalar :func:`repro.workloads.trace.phased_trace`."""
+    width = duration_s / (len(categories) * 2.5)
+    out = []
+    for k, cat in enumerate(categories):
+        centre = duration_s * (k + 0.5) / len(categories)
+
+        def rate(t: float, c: float = centre) -> float:
+            return base_rps + peak_rps * math.exp(-0.5 * ((t - c) / width) ** 2)
+
+        arrivals = reference_thin(rate, duration_s, base_rps + peak_rps, hash_seed(seed, k))
+        out.extend((t, cat) for t in arrivals)
+    out.sort(key=lambda tc: tc[0])
+    return out
+
+
+def reference_length(dist: LengthDistribution, h: int, salt: int) -> int:
+    """One clipped-lognormal length of ``dist`` (Box-Muller)."""
+    u1, u2 = uniforms(h, salt, 2)
+    u1 = max(u1, 1e-12)
+    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    mu = math.log(dist.mean) - 0.5 * dist.sigma**2
+    value = int(round(math.exp(mu + dist.sigma * z)))
+    return max(dist.lo, min(dist.hi, value))
+
+
+def reference_lengths(dataset: SyntheticDataset, seed: int, index: int) -> tuple[int, int]:
+    """(prompt_len, output_len) of ``dataset``'s ``index``-th draw."""
+    name_tag = 0
+    for ch in dataset.name:
+        name_tag = (name_tag * 131 + ord(ch)) & ((1 << 32) - 1)
+    h = hash_seed(seed, name_tag, index)
+    return reference_length(dataset.prompt, h, 1), reference_length(dataset.output, h, 2)
+
+
+def reference_category(gen: WorkloadGenerator, mix: dict[str, float], draw: int) -> Category:
+    """The category ``mix`` assigns to ``draw`` (a rid or a session seed)."""
+    u = uniform(hash_seed(gen.seed, 0x434154, draw), 0)  # "CAT"
+    total = sum(mix.values())
+    acc = 0.0
+    for name in sorted(mix):
+        acc += mix[name] / total
+        if u < acc:
+            return gen.categories[name]
+    return gen.categories[max(mix)]
+
+
+def _reference_request(gen, rid, arrival, category, prompt_len, output_len, **session) -> Request:
+    return Request(
+        rid=rid,
+        category=category.name,
+        arrival_time=arrival,
+        prompt_len=prompt_len,
+        max_new_tokens=output_len,
+        tpot_slo=category.resolve_slo(gen.roofline.baseline_decode_latency, gen.slo_scale),
+        predictability=category.predictability,
+        priority=0 if category.is_urgent else 1,
+        **session,
+    )
+
+
+def reference_from_arrivals(gen: WorkloadGenerator, arrivals, mix=None) -> list[Request]:
+    """Scalar :meth:`WorkloadGenerator.from_arrivals`."""
+    mix = mix or DEFAULT_MIX
+    out = []
+    for rid, t in enumerate(sorted(arrivals)):
+        category = reference_category(gen, mix, rid)
+        lengths = reference_lengths(gen.datasets[category.dataset], gen.seed, rid)
+        out.append(_reference_request(gen, rid, t, category, *lengths))
+    return out
+
+
+def reference_phased(gen: WorkloadGenerator, duration_s, peak_rps, base_rps=0.3) -> list[Request]:
+    """Scalar :meth:`WorkloadGenerator.phased` (default category order)."""
+    order = ["chatbot", "coding", "summarization"]
+    out = []
+    pairs = reference_phased_trace(duration_s, order, peak_rps, base_rps, gen.seed)
+    for rid, (t, name) in enumerate(pairs):
+        category = gen.categories[name]
+        lengths = reference_lengths(gen.datasets[category.dataset], gen.seed, rid)
+        out.append(_reference_request(gen, rid, t, category, *lengths))
+    return out
+
+
+def reference_sessions(sgen: SessionGenerator, duration_s, rps, mix=None) -> list[Request]:
+    """Scalar :meth:`SessionGenerator.generate`: one session, one turn at a time."""
+    gen = sgen.base
+    seed = gen.seed
+    mix = mix or DEFAULT_MIX
+    baseline = gen.roofline.baseline_decode_latency
+    sys_namespace = hash_seed(seed, 0x535953)  # "SYS": one stream for all
+    starts = reference_thin(
+        lambda t: rps / sgen.turns, duration_s, rps / sgen.turns,
+        derive_seed(seed, "session-starts"),
+    )
+    protos: list[tuple[float, int, int, Request]] = []
+    for s, start in enumerate(starts):
+        category = reference_category(gen, mix, derive_seed(seed, "session-category", s))
+        dataset = gen.datasets[category.dataset]
+        sess_namespace = hash_seed(seed, 0x53455353, s)  # "SESS"
+        arrival = start
+        history = 0  # session-stream tokens accumulated before this turn
+        for k in range(sgen.turns):
+            if arrival >= duration_s:
+                break
+            sampled_prompt, output_len = reference_lengths(
+                dataset, seed, derive_seed(seed, "turn", s, k)
+            )
+            user_tokens = sampled_prompt if k == 0 else max(4, sampled_prompt // 4)
+            segments = ((sess_namespace, history + user_tokens),)
+            if sgen.system_prompt > 0:
+                segments = ((sys_namespace, sgen.system_prompt), *segments)
+            req = _reference_request(
+                gen, 0, arrival, category, sgen.system_prompt + history + user_tokens,
+                output_len, session_id=s, turn_index=k, prompt_segments=segments,
+            )
+            protos.append((arrival, s, k, req))
+            history += user_tokens + output_len
+            gap = uniform(hash_seed(seed, 0x47415021, s), k)  # "GAP!"
+            arrival += output_len * baseline - math.log(max(gap, 1e-12)) * sgen.think_time_s
+    protos.sort(key=lambda item: item[:3])
+    for rid, (*_, req) in enumerate(protos):
+        req.rid = rid
+    return [req for *_, req in protos]
+
+
+def reference_trace(spec: str, gen: WorkloadGenerator, duration_s, rps, mix=None) -> list[Request]:
+    """Scalar build of the registered trace ``spec`` (``TRACES.create``'s oracle)."""
+    resolved = TRACES.resolve(spec)
+    params = resolved.kwargs()
+    kind = resolved.name
+    if kind in ("sessions", "agentic"):
+        sgen = SessionGenerator(
+            gen, turns=params["turns"], system_prompt=params["system_prompt"],
+            think_time_s=params["think_time"],
+        )
+        return reference_sessions(sgen, duration_s, rps, mix)
+    if kind == "phased":
+        return reference_phased(gen, duration_s, rps, params["base_rps"])
+    if kind == "bursty":
+        arrivals = reference_bursty_trace(duration_s, rps, gen.seed, params["burstiness"])
+    elif kind == "diurnal":
+        arrivals = reference_diurnal_trace(duration_s, rps, gen.seed, params["peak_to_trough"])
+    else:
+        assert kind == "steady", kind
+        arrivals = reference_thin(lambda t: rps, duration_s, rps, gen.seed)
+    return reference_from_arrivals(gen, arrivals, mix)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Population-scale workload-generation benchmark.
 
-This module measures the **workload substrate** at the ROADMAP
-"million-user population scale" operating point: a session
+This harness measures the **workload substrate** at a million-user
+population-scale operating point: a session
 trace sized so that >100k conversations are simultaneously open inside
 the generation window.  At that scale the per-``Request``-object path
 is memory-bound long before it is compute-bound, so the benchmark pins
@@ -9,22 +9,23 @@ the three properties the columnar substrate
 (:mod:`repro.workloads.batcharrivals`) exists to provide:
 
 - **throughput** — building the column store must beat the scalar
-  object-materializing path by at least :data:`MIN_SPEEDUP`;
+  oracle (``tests/conftest.py::reference_sessions``, which builds one
+  ``Request`` object at a time) by at least :data:`MIN_SPEEDUP`;
 - **memory** — tracemalloc peak during the columnar build must stay
   under the committed :data:`PEAK_MEMORY_CEILING_MB` (the resident
   column store itself is 64 B/request);
 - **identity** — materializing the column store in slices must reproduce
-  the scalar path's requests byte-for-byte (one SHA-256 over every
+  the oracle's requests byte-for-byte (one SHA-256 over every
   schedulable field of every request, in trace order).
 
 Each property is a hard **gate**: :func:`gate_failures` turns any
 violation into an error line, and the tier-1 test
 ``tests/test_perfbench.py`` asserts that there are none.  The same test
 pins the row's ``digest`` to its committed value, so a fixed-seed change
-to workload generation fails it even when columnar and scalar paths
-still agree with each other.
+to workload generation fails it even when the columnar build and the
+oracle still agree with each other.
 
-The speedup gate compares scalar end-to-end generation against the
+The speedup gate compares the oracle's end-to-end generation against the
 *columnar build*, because the column store is the population-scale
 generation substrate: a consumer keeps the columns and materializes the
 row slices it needs (``materialize(lo, hi)``) instead of holding the
@@ -45,16 +46,7 @@ import numpy as np
 
 from repro.workloads import batcharrivals
 
-__all__ = [
-    "MIN_CONCURRENT_SESSIONS",
-    "MIN_SPEEDUP",
-    "PEAK_MEMORY_CEILING_MB",
-    "POPULATION_CONFIG",
-    "gate_failures",
-    "peak_concurrent_sessions",
-    "request_digest",
-    "run_population",
-]
+from tests.conftest import reference_sessions
 
 #: The committed operating point.  seed=3 at 1400 req/s over a 10-minute
 #: window with 6-turn conversations and 3-minute think times yields
@@ -163,9 +155,8 @@ def run_population() -> dict:
     """Execute the population benchmark; returns its result row.
 
     Wall clocks and the tracemalloc peak come from separate builds so
-    the instrumentation never pollutes the timing.  The scalar run
-    toggles :data:`repro.workloads.batcharrivals.DISABLED` around a
-    fresh generator, exactly like the byte-identity tests.
+    the instrumentation never pollutes the timing.  The scalar
+    reference is the conftest oracle on a fresh generator.
     """
     cfg = POPULATION_CONFIG
     row: dict = {"name": "population-100k", "config": dict(cfg)}
@@ -194,15 +185,10 @@ def run_population() -> dict:
     )
     materialize_wall = time.perf_counter() - start
 
-    # Scalar reference: full object-materializing generation.
-    saved = batcharrivals.DISABLED
-    batcharrivals.DISABLED = True
-    try:
-        start = time.perf_counter()
-        scalar_requests = _session_generator().generate(duration_s, rps)
-        scalar_wall = time.perf_counter() - start
-    finally:
-        batcharrivals.DISABLED = saved
+    # Scalar reference: the oracle's object-materializing generation.
+    start = time.perf_counter()
+    scalar_requests = reference_sessions(_session_generator(), duration_s, rps)
+    scalar_wall = time.perf_counter() - start
     scalar_digest = request_digest(scalar_requests)
     del scalar_requests
 

@@ -1,33 +1,38 @@
 """Bit-identity of the columnar workload substrate (repro.workloads.batcharrivals).
 
-Every trace factory switches to the vectorized path when the batch is
-large enough; the contract is that the
-switch is *invisible* — same seeds, byte-for-byte the same requests.
-Each test generates a workload with the vector path enabled, flips
-``batcharrivals.DISABLED``, regenerates through the scalar path, and
-compares every schedulable field with exact (IEEE-754 bit) equality.
-The tiny-dataset cases pin the dataset-name seeding rule: length draws
-hash the *distribution's own* name, not the registry key it sits under
-(tests remap every key to one tiny dataset).
+The columnar substrate is the one workload-generation path: every trace,
+at every size, is built on numpy columns.  Its contract is the scalar
+recipe, kept as the oracle in ``tests/conftest.py`` (one request and one
+thinning candidate at a time through :mod:`repro._rng`): same seeds,
+byte-for-byte the same requests.  Every test compares each schedulable
+field with exact (IEEE-754 bit) equality.  The tiny-dataset cases pin
+the dataset-name seeding rule: length draws hash the *distribution's own*
+name, not the registry key it sits under (tests remap every key to one
+tiny dataset).
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._rng import uniform
+from repro.hardware.roofline import RooflineModel
+from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.registry import TRACES
-from repro.workloads import batcharrivals
+from repro.workloads.categories import CATEGORIES
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.sessions import SessionGenerator
 
-from tests.conftest import tiny_generator
+from tests.conftest import (
+    reference_from_arrivals,
+    reference_sessions,
+    reference_trace,
+    tiny_generator,
+)
 
-@pytest.fixture
-def scalar_toggle():
-    """Restore the module toggle no matter how the test exits."""
-    saved = batcharrivals.DISABLED
-    yield
-    batcharrivals.DISABLED = saved
+ROOFLINE = RooflineModel(DEPLOYMENT_PRESETS["llama70b-4xa100"])
 
 
 def _fields(r):
@@ -47,70 +52,113 @@ def _fields(r):
     )
 
 
-def _assert_workloads_identical(vec, scalar):
-    assert len(vec) == len(scalar)
-    for v, s in zip(vec, scalar):
-        assert _fields(v) == _fields(s)
+def _assert_workloads_identical(shipped, oracle):
+    assert [_fields(r) for r in shipped] == [_fields(r) for r in oracle]
 
 
-def _both_paths(make):
-    """(vector, scalar) workloads from a zero-arg factory."""
-    batcharrivals.DISABLED = False
-    vec = make()
-    batcharrivals.DISABLED = True
-    scalar = make()
-    return vec, scalar
+#: Each trace kind's registered parameters, drawn across their ranges.
+TRACE_PARAMS = {
+    "bursty": st.fixed_dictionaries({"burstiness": st.floats(0.0, 0.99)}),
+    "steady": st.just({}),
+    "diurnal": st.fixed_dictionaries({"peak_to_trough": st.floats(1.0, 12.0)}),
+    "phased": st.fixed_dictionaries({"base_rps": st.floats(0.01, 2.0)}),
+    **{
+        kind: st.fixed_dictionaries(
+            {
+                "turns": st.integers(1, 8),
+                "system_prompt": st.sampled_from([0, 64, 512]),
+                "think_time": st.floats(0.0, 8.0),
+            }
+        )
+        for kind in ("sessions", "agentic")
+    },
+}
+
+#: ``None`` (the default mix) or a custom mix over a subset of categories.
+MIXES = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.sampled_from(sorted(CATEGORIES)), st.floats(0.05, 1.0), min_size=1
+    ),
+)
+
+
+@st.composite
+def trace_specs(draw):
+    kind = draw(st.sampled_from(TRACES.names()))
+    return TRACES.with_params(kind, **draw(TRACE_PARAMS[kind]))
+
+
+class TestOnePath:
+    def test_every_trace_kind_has_drawn_params(self):
+        assert set(TRACE_PARAMS) == set(TRACES.names())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=trace_specs(),
+        seed=st.integers(0, 2**16),
+        size=st.integers(0, 200),
+        duration_s=st.floats(1.0, 40.0),
+        mix=MIXES,
+        tiny=st.booleans(),
+    )
+    def test_trace_matches_oracle_at_every_size(self, spec, seed, size, duration_s, mix, tiny):
+        # ``size`` sets the expected request count, 0-200 across the old
+        # 64-request threshold below which a scalar path used to run.
+        rps = max(size, 0.05) / duration_s
+        gen = tiny_generator(ROOFLINE, seed) if tiny else WorkloadGenerator(ROOFLINE, seed=seed)
+        shipped = TRACES.create(spec, gen, duration_s, rps, mix=mix)
+        _assert_workloads_identical(shipped, reference_trace(spec, gen, duration_s, rps, mix))
+        if mix is not None and not spec.startswith("phased"):
+            assert {r.category for r in shipped} <= set(mix)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 200])
+    def test_from_arrivals_matches_oracle_at_exact_sizes(self, n):
+        gen = WorkloadGenerator(ROOFLINE, seed=n)
+        arrivals = [uniform(n, i) * 100.0 for i in range(n)]  # unsorted
+        _assert_workloads_identical(
+            gen.from_arrivals(arrivals), reference_from_arrivals(gen, arrivals)
+        )
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("kind", TRACES.names())
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_every_trace_kind_matches_scalar(
-        self, target_roofline, scalar_toggle, kind, seed
-    ):
-        def make():
-            gen = WorkloadGenerator(target_roofline, seed=seed)
-            return TRACES.create(kind, gen, 60.0, 4.0)
-
-        vec, scalar = _both_paths(make)
-        assert len(vec) >= batcharrivals.MIN_BATCH  # the gate actually opened
-        _assert_workloads_identical(vec, scalar)
+    def test_every_trace_kind_matches_scalar(self, target_roofline, kind, seed):
+        gen = WorkloadGenerator(target_roofline, seed=seed)
+        _assert_workloads_identical(
+            TRACES.create(kind, gen, 60.0, 4.0), reference_trace(kind, gen, 60.0, 4.0)
+        )
 
     @pytest.mark.parametrize("kind", ["steady", "sessions"])
-    def test_tiny_dataset_remap_matches_scalar(
-        self, target_roofline, scalar_toggle, kind
-    ):
+    def test_tiny_dataset_remap_matches_scalar(self, target_roofline, kind):
         # Every registry key mapped to one shared dataset: the length
         # hash prefix must follow the dataset's own name ("tiny").
-        def make():
-            return TRACES.create(kind, tiny_generator(target_roofline), 30.0, 5.0)
+        gen = tiny_generator(target_roofline)
+        _assert_workloads_identical(
+            TRACES.create(kind, gen, 30.0, 5.0), reference_trace(kind, gen, 30.0, 5.0)
+        )
 
-        _assert_workloads_identical(*_both_paths(make))
-
-    def test_custom_mix_matches_scalar(self, target_roofline, scalar_toggle):
+    def test_custom_mix_matches_scalar(self, target_roofline):
         mix = {"coding": 0.6, "chatbot": 0.4}
+        gen = WorkloadGenerator(target_roofline, seed=3)
+        shipped = gen.steady(40.0, 4.0, mix=mix)
+        _assert_workloads_identical(
+            shipped, reference_trace("steady", gen, 40.0, 4.0, mix=mix)
+        )
+        assert {r.category for r in shipped} <= set(mix)
 
-        def make():
-            gen = WorkloadGenerator(target_roofline, seed=3)
-            return gen.steady(40.0, 4.0, mix=mix)
-
-        vec, scalar = _both_paths(make)
-        _assert_workloads_identical(vec, scalar)
-        assert {r.category for r in vec} <= set(mix)
-
-    def test_session_prompt_segments_match_scalar(
-        self, target_roofline, scalar_toggle
-    ):
-        def make():
-            gen = WorkloadGenerator(target_roofline, seed=11)
-            return SessionGenerator(
-                gen, turns=4, system_prompt=128, think_time_s=2.0
-            ).generate(45.0, 4.0)
-
-        vec, scalar = _both_paths(make)
-        _assert_workloads_identical(vec, scalar)
+    def test_session_prompt_segments_match_scalar(self, target_roofline):
+        sgen = SessionGenerator(
+            WorkloadGenerator(target_roofline, seed=11),
+            turns=4,
+            system_prompt=128,
+            think_time_s=2.0,
+        )
+        shipped = sgen.generate(45.0, 4.0)
+        _assert_workloads_identical(shipped, reference_sessions(sgen, 45.0, 4.0))
         # Both the shared-system-prompt and session segments survived.
-        assert any(len(r.prompt_segments) == 2 for r in vec)
+        assert any(len(r.prompt_segments) == 2 for r in shipped)
 
 
 class TestFromArrivalsOrdering:

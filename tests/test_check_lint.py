@@ -105,12 +105,6 @@ class TestRPD002:
         )
         assert findings == []
 
-    def test_perfbench_exempt(self):
-        findings, _ = lint_src(
-            "t = time.perf_counter()\n", relpath="perfbench/fixture.py"
-        )
-        assert findings == []
-
 
 # ----------------------------------------------------------------------
 # RPD003: unordered iteration
@@ -143,12 +137,6 @@ class TestRPD003:
     )
     def test_ordered_clean(self, src):
         findings, _ = lint_src(src + "\n")
-        assert findings == []
-
-    def test_perfbench_exempt(self):
-        findings, _ = lint_src(
-            "for x in {1, 2}:\n    pass\n", relpath="perfbench/fixture.py"
-        )
         assert findings == []
 
 

@@ -87,6 +87,11 @@ class TestSpecStringArgs:
         with pytest.raises(SystemExit):
             _parse(["run", "--trace", "bursty:burstiness=1.0"])
 
+    def test_non_finite_float_param_fails_at_the_parser(self, capsys):
+        with pytest.raises(SystemExit):
+            _parse(["run", "--trace", "diurnal:peak_to_trough=nan"])
+        assert "'peak_to_trough' must be finite" in capsys.readouterr().err
+
     def test_router_and_trace_specs(self):
         args = _parse(
             ["run", "--router", "affinity:reserve=0.4", "--trace", "diurnal:peak_to_trough=6"]

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.harness import build_setup, run_once
+from repro.analysis.harness import build_setup, make_scheduler, run_once
 from repro.workloads.categories import urgent_mix
 from repro.workloads.generator import WorkloadGenerator
-from tests.conftest import autoregressive_ctx, tiny_generator
+from tests.conftest import autoregressive_ctx, make_request, tiny_generator
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,46 @@ class TestLossless:
 
     def test_smartspec_is_lossless(self, setup):
         self.assert_lossless(setup, "smartspec", seed=17)
+
+
+class TestTruncatedIteration:
+    """A step capped by ``max_new_tokens`` reads the emissions speculation handed over.
+
+    Truncation fires only when the target accepted past the cap, so the
+    token at the cut is the next accepted one: the capped step commits
+    the oracle's tokens and samples exactly the target rows the uncapped
+    step does.
+    """
+
+    @staticmethod
+    def _one_step(engine, system, caps):
+        """One decode step over requests capped at ``caps``; (requests, target rows)."""
+        scheduler = make_scheduler(system, engine)
+        reqs = []
+        for rid, cap in enumerate(caps):
+            req = make_request(rid=rid, prompt_len=10, max_new_tokens=cap, predictability=0.9)
+            req.advance_prefill(10)
+            req.begin_decode(engine.root_ctx(req), 0.0)
+            scheduler.running.append(req)
+            reqs.append(req)
+        engine.pair.target.clear_cache()
+        scheduler.step(0.0)
+        return reqs, len(engine.pair.target._cache)
+
+    @pytest.mark.parametrize("system", ["adaserve", "vllm-spec:k=4", "smartspec"])
+    def test_capped_step_commits_oracle_tokens_and_samples_no_row(self, engine, system):
+        free, free_rows = self._one_step(engine, system, [60] * 8)
+        # One token short of the uncapped commit: every request that
+        # accepted a draft token is cut inside its accepted path.
+        caps = [r.n_generated - 1 if r.n_generated > 1 else 60 for r in free]
+        assert any(cap < 60 for cap in caps)
+        capped, capped_rows = self._one_step(engine, system, caps)
+        assert capped_rows == free_rows
+        for req, cap, uncapped in zip(capped, caps, free):
+            assert req.n_generated == min(cap, uncapped.n_generated)
+            assert req.ctx == autoregressive_ctx(
+                engine.pair, engine.root_ctx(req), req.n_generated, req.predictability
+            )
 
 
 class TestQualitativeOrdering:

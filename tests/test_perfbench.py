@@ -1,4 +1,4 @@
-"""Tests for the population-scale workload benchmark (repro.perfbench).
+"""Tests for the population-scale workload benchmark (``tests/population.py``).
 
 :class:`TestPopulationGates` pins :func:`gate_failures` on hand-made rows;
 :func:`test_population_gates_and_digest` runs the benchmark once at its
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.perfbench import gate_failures, run_population
+from tests.population import gate_failures, run_population
 
 #: SHA-256 over every schedulable field of every request the committed
 #: population config generates (see ``population.request_digest``).

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.harness import build_setup, make_scheduler
 from repro.cluster.router import make_router
+from repro.analysis.spec import ExperimentSpec
 from repro.registry import (
+    FAULTS,
     MODELS,
     ROUTERS,
     SYSTEMS,
@@ -18,6 +22,7 @@ from repro.registry import (
     SpecError,
     UnknownComponentError,
     UnknownParamError,
+    load_components,
     parse_spec,
 )
 
@@ -103,6 +108,63 @@ class TestParam:
     def test_bounds_shown_in_describe(self):
         p = Param("k", "int", default=4, minimum=1, help="speculation length")
         assert p.describe() == "k: int = 4 (in [1, inf)) — speculation length"
+
+
+def _float_params():
+    """Every registered float parameter of the trace, system, fault and router registries."""
+    load_components()
+    return [
+        pytest.param(registry, component.name, param.name, id=f"{component.name}.{param.name}")
+        for registry in (TRACES, SYSTEMS, FAULTS, ROUTERS)
+        for component in registry.components()
+        for param in component.params
+        if param.kind == "float"
+    ]
+
+
+FLOAT_PARAMS = _float_params()
+
+
+class TestNonFiniteFloats:
+    """NaN passes every bound comparison, so float knobs reject it (and +-inf) first."""
+
+    def test_float_params_cover_the_known_knobs(self):
+        names = {p.values[1] + "." + p.values[2] for p in FLOAT_PARAMS}
+        assert {
+            "bursty.burstiness", "diurnal.peak_to_trough", "phased.base_rps",
+            "sessions.think_time", "agentic.think_time", "adaserve.slack",
+            "crash.restart", "affinity.reserve",
+        } <= names
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(("registry", "component", "name"), FLOAT_PARAMS)
+    def test_spec_string_rejected_naming_the_param(self, registry, component, name, text):
+        with pytest.raises(SpecError, match=f"parameter '{name}' must be finite"):
+            registry.resolve(f"{component}:{name}={text}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(("registry", "component", "name"), FLOAT_PARAMS)
+    def test_coerced_value_rejected_naming_the_param(self, registry, component, name, value):
+        param = registry.resolve(component).component.param(name)
+        with pytest.raises(SpecError, match=f"parameter '{name}' must be finite"):
+            param.coerce(value)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"trace": "diurnal:peak_to_trough=nan"},
+            {"trace": "phased:base_rps=nan"},
+            {"trace": "bursty:burstiness=nan"},
+            {"trace": "sessions:think_time=nan"},
+            {"system": "adaserve:slack=inf"},
+            {"faults": ["crash:replica=0,at=1.0,restart=nan"]},
+        ],
+        ids=lambda field: str(*field.values()),
+    )
+    def test_experiment_spec_rejects_at_construction(self, field):
+        kwargs = {"model": "llama70b", "system": "adaserve", "rps": 2.0, "duration_s": 3.0, "seed": 1}
+        with pytest.raises(SpecError, match="must be finite"):
+            ExperimentSpec.create(**{**kwargs, **field})
 
 
 class TestScratchRegistry:

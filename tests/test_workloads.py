@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.workloads.batcharrivals import _sample_lengths
 from repro.workloads.categories import (
     CATEGORIES,
     CHATBOT,
@@ -67,6 +69,18 @@ class TestCategories:
         assert sum(DEFAULT_MIX.values()) == pytest.approx(1.0)
 
 
+def _lengths(dist, hashes, salt=0):
+    """Lengths the columnar substrate draws from ``dist`` for per-row ``hashes``."""
+    return _sample_lengths(np.array(hashes, dtype=np.uint64), salt, dist).tolist()
+
+
+def _dataset_lengths(roofline, name, seed, n):
+    """(prompt_len, output_len) of dataset ``name``'s first ``n`` draws, as shipped."""
+    gen = WorkloadGenerator(roofline, seed=seed)
+    gen.datasets = {key: DATASETS[name] for key in gen.datasets}
+    return [(r.prompt_len, r.max_new_tokens) for r in gen.from_arrivals([0.0] * n)]
+
+
 class TestDatasets:
     def test_invalid_distribution(self):
         with pytest.raises(ValueError):
@@ -76,23 +90,21 @@ class TestDatasets:
 
     def test_sample_within_clip(self):
         dist = LengthDistribution(mean=100, sigma=0.6, lo=50, hi=200)
-        for i in range(300):
-            v = dist.sample(i * 7 + 1, 0)
-            assert 50 <= v <= 200
+        assert all(50 <= v <= 200 for v in _lengths(dist, [i * 7 + 1 for i in range(300)]))
 
     def test_sample_mean_approximate(self):
         dist = LengthDistribution(mean=100, sigma=0.3, lo=1, hi=10_000)
-        vals = [dist.sample(i * 13 + 5, 0) for i in range(3000)]
+        vals = _lengths(dist, [i * 13 + 5 for i in range(3000)])
         assert abs(sum(vals) / len(vals) - 100) < 10
 
-    def test_dataset_deterministic(self):
-        d = DATASETS["humaneval"]
-        assert d.sample(1, 5) == d.sample(1, 5)
-        assert d.sample(1, 5) != d.sample(2, 5) or d.sample(1, 6) != d.sample(2, 6)
+    def test_dataset_deterministic(self, target_roofline):
+        first = _dataset_lengths(target_roofline, "humaneval", 1, 8)
+        assert first == _dataset_lengths(target_roofline, "humaneval", 1, 8)
+        assert first != _dataset_lengths(target_roofline, "humaneval", 2, 8)
 
-    def test_datasets_distinct(self):
-        a = [DATASETS["alpaca"].sample(0, i)[0] for i in range(100)]
-        c = [DATASETS["cnn_dailymail"].sample(0, i)[0] for i in range(100)]
+    def test_datasets_distinct(self, target_roofline):
+        a = [p for p, _ in _dataset_lengths(target_roofline, "alpaca", 0, 100)]
+        c = [p for p, _ in _dataset_lengths(target_roofline, "cnn_dailymail", 0, 100)]
         assert sum(c) > 3 * sum(a)  # news prompts are much longer
 
     def test_expected_corpora_present(self):
