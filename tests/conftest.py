@@ -876,6 +876,7 @@ def reference_sessions(sgen: SessionGenerator, duration_s, rps, mix=None) -> lis
             sampled_prompt, output_len = reference_lengths(
                 dataset, seed, derive_seed(seed, "turn", s, k)
             )
+            # Follow-up user messages: a quarter of the draw, at least 4 tokens.
             user_tokens = sampled_prompt if k == 0 else max(4, sampled_prompt // 4)
             segments = ((sess_namespace, history + user_tokens),)
             if sgen.system_prompt > 0:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.harness import build_setup, make_scheduler
-from repro.cluster.router import make_router
 from repro.analysis.spec import ExperimentSpec
+from repro.cluster.router import make_router
 from repro.registry import (
     FAULTS,
     MODELS,
