@@ -11,10 +11,15 @@ a 64-bit *context hash* computed with splitmix64-style mixing.  This gives:
 - O(1) incremental updates: appending a token to a context is one mix step;
 - speed: a handful of integer multiplications per uniform.
 
-All functions operate on Python ints masked to 64 bits.
+All functions operate on Python ints masked to 64 bits, except
+:func:`fold_sum`, the one float sum the simulator uses.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+from functools import reduce
+from operator import add
 
 MASK64 = (1 << 64) - 1
 
@@ -102,3 +107,15 @@ def derive_seed(base_seed: int, *parts: object) -> int:
             for byte in str(part).encode("utf-8"):
                 h = mix(h, byte)
     return h >> 1
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum: the same bits on every Python version.
+
+    From Python 3.12 the builtin ``sum()`` compensates its rounding
+    (Neumaier), so a float total it feeds into a fixed-seed run would
+    differ between 3.11 and 3.12.  This fold rounds after every
+    addition, exactly as ``sum()`` did before 3.12.  Integer-only sums
+    keep using ``sum()``, which is exact on every version.
+    """
+    return reduce(add, values, 0.0)

@@ -37,6 +37,7 @@ from repro.prefixcache import PrefixCacheManager
 from repro.registry import MODELS, SYSTEMS
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
+from repro.serving.metrics import DEFAULT_METRICS_MODE
 from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
 from repro.serving.server import SimulationReport
@@ -132,7 +133,7 @@ def run_once(
     max_sim_time_s: float = 7200.0,
     observer=None,
     invariants=None,
-    metrics_mode: str = "exact",
+    metrics_mode: str = DEFAULT_METRICS_MODE,
     **scheduler_overrides,
 ) -> SimulationReport:
     """Run one system over one workload on a fresh router-fronted fleet.
@@ -153,8 +154,8 @@ def run_once(
     engine the replica factory builds — initial fleet, autoscaled
     additions and crash replacements alike.  Both are passive, so the
     report is byte-identical with or without them.  ``metrics_mode``
-    selects the aggregation path (``exact`` or ``streaming``; see
-    :mod:`repro.serving.streaming`).
+    sets the percentile reservoirs' capacity (a key of
+    :data:`~repro.serving.metrics.METRICS_MODES`).
     """
     cluster = replicas > 1 or autoscale is not None or bool(faults)
 

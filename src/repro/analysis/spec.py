@@ -50,6 +50,8 @@ from repro.analysis.cache import config_key
 from repro.cluster.autoscaler import AutoscalerConfig
 from repro.obs.spec import ObsSpec
 from repro.registry import FAULTS, MODELS, ROUTERS, SYSTEMS, TRACES, SpecError
+from repro.serving.metrics import DEFAULT_METRICS_MODE, METRICS_MODES
+from repro.workloads.categories import CATEGORIES
 
 
 def _set(obj, **values) -> None:
@@ -106,16 +108,16 @@ class SystemSpec:
     max_sim_time_s: float = 1800.0
     #: Share prefix KV blocks across requests (see :mod:`repro.prefixcache`).
     prefix_cache: bool = False
-    #: Metrics aggregation: ``exact`` (reference, per-request sample
-    #: lists) or ``streaming`` (O(1) online accumulator with reservoir
-    #: percentiles; see :mod:`repro.serving.streaming`).
-    metrics: str = "exact"
+    #: Metrics aggregation mode, a key of
+    #: :data:`~repro.serving.metrics.METRICS_MODES`: ``exact`` keeps every
+    #: latency sample, ``streaming`` caps each category's reservoir.
+    metrics: str = DEFAULT_METRICS_MODE
 
     def __post_init__(self) -> None:
         metrics = str(self.metrics)
-        if metrics not in ("exact", "streaming"):
+        if metrics not in METRICS_MODES:
             raise SpecError(
-                f"metrics must be 'exact' or 'streaming', got {self.metrics!r}"
+                f"metrics must be one of {', '.join(METRICS_MODES)}, got {self.metrics!r}"
             )
         _set(
             self,
@@ -137,12 +139,12 @@ class SystemSpec:
             "max_sim_time_s": self.max_sim_time_s,
             "prefix_cache": self.prefix_cache,
         }
-        # Defaulted-knob canonicalization: ``exact`` (the reference) is
-        # omitted so every pre-existing cache key and golden digest is
-        # unchanged.  ``streaming`` IS serialized — reservoir percentiles
-        # may legitimately differ from the exact reference above the
-        # reservoir capacity, so the knob must fork the cache key.
-        if self.metrics != "exact":
+        # Defaulted-knob canonicalization: the default mode is omitted so
+        # every pre-existing cache key and golden digest is unchanged.
+        # ``streaming`` IS serialized — reservoir percentiles may
+        # legitimately differ from exact ones above the reservoir
+        # capacity, so the knob must fork the cache key.
+        if self.metrics != DEFAULT_METRICS_MODE:
             d["metrics"] = self.metrics
         return d
 
@@ -277,7 +279,7 @@ class ExperimentSpec:
         mix: Mapping[str, float] | None = None,
         max_sim_time_s: float = 1800.0,
         prefix_cache: bool = False,
-        metrics: str = "exact",
+        metrics: str = DEFAULT_METRICS_MODE,
         replicas: int = 1,
         router: str = "round-robin",
         autoscale: Mapping[str, float] | None = None,
@@ -412,7 +414,7 @@ class ExperimentSpec:
 
     @property
     def metrics(self) -> str:
-        """Metrics aggregation mode (``exact`` or ``streaming``)."""
+        """Metrics aggregation mode (a ``METRICS_MODES`` key)."""
         return self.system.metrics
 
     @property
@@ -463,10 +465,27 @@ def _parse_bool(path: str, value) -> bool:
 
 
 def _canonical_mix(mix) -> tuple[tuple[str, float], ...] | None:
+    """Sorted ``(category, weight)`` pairs; every weight finite, >= 0, not all 0."""
     if not mix:
         return None
-    items = mix.items() if isinstance(mix, Mapping) else mix
-    return tuple(sorted((str(name), float(share)) for name, share in items))
+    canonical = []
+    for name, share in mix.items() if isinstance(mix, Mapping) else mix:
+        name = str(name)
+        if name not in CATEGORIES:
+            raise SpecError(
+                f"mix names unknown category {name!r} (known: {', '.join(CATEGORIES)})"
+            )
+        try:
+            weight = float(share)
+        except (TypeError, ValueError):
+            weight = math.nan
+        if not math.isfinite(weight) or weight < 0:
+            raise SpecError(f"mix weight of {name!r} must be a finite number >= 0, got {share!r}")
+        canonical.append((name, weight))
+    if not any(weight > 0 for _, weight in canonical):
+        names = ", ".join(repr(name) for name, _ in canonical)
+        raise SpecError(f"mix weights of {names} are all zero")
+    return tuple(sorted(canonical))
 
 
 # ----------------------------------------------------------------------

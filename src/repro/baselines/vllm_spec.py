@@ -14,7 +14,7 @@ inflating iteration latency for everyone.
 
 from __future__ import annotations
 
-from repro.core.speculation import Chain, draft_chains
+from repro.core.speculation import Chain, commit_chain, draft_chains
 from repro.model.acceptance import verify_sequence
 from repro.registry import SYSTEMS, Param
 from repro.serving.request import Request
@@ -93,16 +93,6 @@ class VLLMSpecScheduler(Scheduler):
             accepted, _correction, new_ctx = verify_sequence(
                 self.engine.pair, req.ctx, chain, req.predictability, chain.emitted
             )
-            commit = min(accepted + 1, req.remaining_tokens)
-            if commit < accepted + 1:
-                # Generation cap: the cut falls inside the accepted prefix,
-                # whose tokens are the target's own emissions, so the
-                # committed context extends through chain[:commit].
-                new_ctx = req.ctx
-                for tok in chain[:commit]:
-                    new_ctx = self.engine.pair.extend(new_ctx, tok)
-            req.verify_steps += 1
-            req.accepted_draft_tokens += min(accepted, commit - 1) if commit > 0 else 0
-            req.commit_tokens(commit, new_ctx, end)
+            commit_chain(self.engine.pair, req, chain, accepted, new_ctx, end)
         self.engine.iterations += 1
         return latency

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro._rng import fold_sum
 from repro.serving.request import Request
 
 
@@ -129,7 +130,7 @@ def build_chaos_report(
         "requests_lost": requests_lost,
         "incident_windows": [[start, end] for start, end in windows],
         "incident": incident,
-        "mean_recovery_time_s": (sum(recoveries) / len(recoveries)) if recoveries else None,
+        "mean_recovery_time_s": (fold_sum(recoveries) / len(recoveries)) if recoveries else None,
     }
 
 

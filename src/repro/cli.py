@@ -71,6 +71,7 @@ from repro.check.rules import CHECKS
 from repro.obs import DEFAULT_ABS_THRESHOLD_S, DEFAULT_REL_THRESHOLD, ObsSpec
 from repro.hardware.profiler import HardwareProfiler
 from repro.registry import FAULTS, MODELS, ROUTERS, SYSTEMS, TRACES, SpecError
+from repro.serving.metrics import DEFAULT_METRICS_MODE, METRICS_MODES
 from repro.workloads.categories import urgent_mix
 
 #: Introspectable registries, by the plural the ``list`` subcommand uses.
@@ -153,9 +154,9 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--metrics",
-        choices=("exact", "streaming"),
-        default="exact",
-        help="metrics aggregation: exact (reference) or streaming "
+        choices=tuple(METRICS_MODES),
+        default=DEFAULT_METRICS_MODE,
+        help="metrics aggregation: exact (every latency sample) or streaming "
         "(O(1) memory, reservoir percentiles; population-scale runs)",
     )
 

@@ -37,7 +37,7 @@ from repro.cluster.replica import Replica
 from repro.cluster.router import Router
 from repro.serving.clock import ArrivalStream, SimClock
 from repro.serving.engine import PhaseTimes, SimulatedEngine
-from repro.serving.streaming import aggregate_metrics
+from repro.serving.metrics import DEFAULT_METRICS_MODE, aggregate_metrics
 from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
 from repro.serving.server import SimulationReport
@@ -124,7 +124,7 @@ class FleetSimulator:
         max_iterations: int = 2_000_000,
         observer=None,
         invariants=None,
-        metrics_mode: str = "exact",
+        metrics_mode: str = DEFAULT_METRICS_MODE,
     ) -> None:
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.serving.engine import PhaseTimes, SimulatedEngine
 from repro.serving.request import Request
-from repro.serving.streaming import aggregate_metrics
+from repro.serving.metrics import DEFAULT_METRICS_MODE, aggregate_metrics
 from repro.serving.scheduler_base import Scheduler
 from repro.serving.server import SimulationReport
 
@@ -183,7 +183,7 @@ class Replica:
         return self._current_load()[1]
 
     # ------------------------------------------------------------------
-    def report(self, metrics_mode: str = "exact") -> SimulationReport:
+    def report(self, metrics_mode: str = DEFAULT_METRICS_MODE) -> SimulationReport:
         """Per-replica simulation report (what a solo run returns)."""
         requests = self._crash_finished + self.scheduler.all_requests()
         return SimulationReport(

@@ -28,6 +28,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+from repro._rng import fold_sum
 from repro.core.tree import TokenTree
 from repro.model.pair import ModelPair
 
@@ -47,7 +48,7 @@ class OptimalResult:
     @property
     def total_expected(self) -> float:
         """Objective value: expected accepted tokens across the batch."""
-        return sum(self.expected_accepted)
+        return fold_sum(self.expected_accepted)
 
 
 class _OracleFrontier:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 
+from repro._rng import fold_sum
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.pipeline import BatchItem, run_iteration
 from repro.core.selection import DEFAULT_N_MAX
@@ -206,7 +207,7 @@ class AdaServeScheduler(Scheduler):
         demands = [
             min(t_spec / (r.tpot_slo * self.slo_margin), d_max + 1.0) for r in batch
         ]
-        typical = sum(demands) / n
+        typical = fold_sum(demands) / n
         max_demand = max(demands)
         budget = self.verify_budget
         if max_demand > 1.0:

@@ -57,6 +57,7 @@ import numpy as np
 from repro.core.tree import TokenTree
 from repro.model import batchgen
 from repro.model.pair import ModelPair
+from repro.serving.request import Request
 
 
 class Chain(list):
@@ -81,7 +82,8 @@ def draft_chains(
 ) -> list[Chain]:
     """Greedy ``k``-token draft chains from each ``(ctx, center)`` start.
 
-    Used by the chain-speculation baselines (vLLM-Spec, SmartSpec).
+    Used by the chain-speculation baselines (vLLM-Spec, SmartSpec), which
+    verify each chain and hand it to :func:`commit_chain`.
     Each chain is a pure function of its start context, so the chains
     advance step-lockstep: ``k`` vectorized steps, each the draft's
     top-1 of every chain's current context.  Each chain carries the
@@ -101,6 +103,27 @@ def draft_chains(
         C = children.ravel()
     emitted = call.emit().reshape(k, n).T  # step-major rows -> one row per chain
     return list(map(Chain, chains.tolist(), emitted.tolist()))
+
+
+def commit_chain(
+    pair: ModelPair, req: Request, chain: Chain, accepted: int, new_ctx: int, now: float
+) -> None:
+    """Commit a verified chain's ``accepted`` prefix plus its correction.
+
+    ``accepted`` and ``new_ctx`` are what ``verify_sequence`` returned
+    for ``chain``.  The commit is capped at the request's remaining
+    tokens.  A cap that cuts inside the accepted prefix keeps only the
+    target's own emissions, so the committed context extends through
+    ``chain[:commit]``.
+    """
+    commit = min(accepted + 1, req.remaining_tokens)
+    if commit <= accepted:
+        new_ctx = req.ctx
+        for tok in chain[:commit]:
+            new_ctx = pair.extend(new_ctx, tok)
+    req.verify_steps += 1
+    req.accepted_draft_tokens += commit - 1
+    req.commit_tokens(commit, new_ctx, now)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ mask in place.
 
 from __future__ import annotations
 
+from repro._rng import fold_sum
+
 
 class TokenTree:
     """A draft token tree rooted at the last committed token.
@@ -159,7 +161,7 @@ class TokenTree:
         (Equation 5), excluding the root's guaranteed 1.
         """
         mask = self.selected
-        return sum(p for node, p in enumerate(self.path_prob) if node and mask[node])
+        return fold_sum(p for node, p in enumerate(self.path_prob) if node and mask[node])
 
     def clear_selection(self) -> None:
         """Unselect every node."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._rng import fold_sum
 from repro.core.speculation import build_candidate_tree
 from repro.model.acceptance import verify_tree
 from repro.model.pair import ModelPair
@@ -78,11 +79,11 @@ def measure_draft_quality(
         if tok == pair.target_distribution(ctx, center).top_token():
             agree += 1
     n = n_contexts
-    mean_e = sum(ests) / n
-    mean_t = sum(trues) / n
-    cov = sum((e - mean_e) * (t - mean_t) for e, t in zip(ests, trues)) / n
-    var_e = sum((e - mean_e) ** 2 for e in ests) / n
-    var_t = sum((t - mean_t) ** 2 for t in trues) / n
+    mean_e = fold_sum(ests) / n
+    mean_t = fold_sum(trues) / n
+    cov = fold_sum((e - mean_e) * (t - mean_t) for e, t in zip(ests, trues)) / n
+    var_e = fold_sum((e - mean_e) ** 2 for e in ests) / n
+    var_t = fold_sum((t - mean_t) ** 2 for t in trues) / n
     corr = cov / (var_e**0.5 * var_t**0.5) if var_e > 0 and var_t > 0 else 0.0
     return DraftQuality(
         mean_estimate=mean_e,

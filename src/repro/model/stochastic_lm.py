@@ -31,6 +31,7 @@ from repro._rng import (
     _INV_2_53,
     _MIX1,
     _MIX2,
+    fold_sum,
     hash_seed,
     mix,
     salted,
@@ -195,7 +196,7 @@ class StochasticLM:
         self._n_regular = vocab.num_regular  # property hoisted off the hot path
         # Geometric weights for the non-top slots, precomputed and normalized.
         weights = [decay**i for i in range(branching - 1)]
-        total = sum(weights)
+        total = fold_sum(weights)
         self._tail_weights = [w / total for w in weights]
         # Shared with every model of the same signature (see
         # _SHARED_CACHES for why the seed is part of it).

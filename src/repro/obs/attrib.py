@@ -62,6 +62,7 @@ import json
 from dataclasses import dataclass
 
 from repro import __version__
+from repro._rng import fold_sum
 from repro.analysis.report import format_table
 from repro.obs.trace import TraceCollector
 from repro.serving.metrics import _percentile_sorted
@@ -321,7 +322,7 @@ def _group_stats(group: list[RequestAttribution]) -> dict:
     n = len(group)
     for comp in COMPONENTS:
         values = sorted(a.components[comp] for a in group)
-        total = sum(values)
+        total = fold_sum(values)
         stats[comp] = {
             "total_s": total,
             "mean_s": total / n,
@@ -334,8 +335,8 @@ def _group_stats(group: list[RequestAttribution]) -> dict:
         "num_violated": sum(1 for a in group if a.violated),
         "components": stats,
         "e2e": {
-            "total_s": sum(e2e),
-            "mean_s": sum(e2e) / n,
+            "total_s": fold_sum(e2e),
+            "mean_s": fold_sum(e2e) / n,
             "p50_s": _percentile_sorted(e2e, 50.0),
             "p99_s": _percentile_sorted(e2e, 99.0),
         },
@@ -436,7 +437,7 @@ def attribution_to_dict(
     arrived inside an incident window.
     """
     totals = {
-        comp: sum(a.components[comp] for a in attribs) for comp in COMPONENTS
+        comp: fold_sum(a.components[comp] for a in attribs) for comp in COMPONENTS
     }
     by_category: dict[str, list[RequestAttribution]] = {}
     by_replica: dict[int, list[RequestAttribution]] = {}
@@ -451,7 +452,7 @@ def attribution_to_dict(
         "sim_time_s": sim_time_s,
         "num_requests": len(attribs),
         "num_violated": sum(1 for a in attribs if a.violated),
-        "e2e_total_s": sum(a.e2e_s for a in attribs),
+        "e2e_total_s": fold_sum(a.e2e_s for a in attribs),
         "totals": totals,
         "per_category": {
             cat: _group_stats(by_category[cat]) for cat in sorted(by_category)
@@ -488,7 +489,7 @@ def attribution_to_dict(
             "num_requests": len(incident),
             "num_violated": sum(1 for a in incident if a.violated),
             "totals": {
-                comp: sum(a.components[comp] for a in incident)
+                comp: fold_sum(a.components[comp] for a in incident)
                 for comp in COMPONENTS
             },
             "root_causes": root_causes(incident),

@@ -6,7 +6,7 @@ from repro.serving.kv_cache import KVCacheManager, KVStats, OutOfKVCache
 from repro.serving.metrics import (
     CategoryMetrics,
     RunMetrics,
-    compute_metrics,
+    aggregate_metrics,
     violation_reduction,
 )
 from repro.serving.request import Request, RequestState
@@ -28,6 +28,6 @@ __all__ = [
     "SimClock",
     "SimulatedEngine",
     "SimulationReport",
-    "compute_metrics",
+    "aggregate_metrics",
     "violation_reduction",
 ]

@@ -17,11 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.serving.engine import SimulatedEngine
-from repro.serving.metrics import RunMetrics
+# aggregate_metrics is unused here; it stays a module global because
+# simbench/tracer.py wraps it.
+from repro.serving.metrics import (  # noqa: F401
+    DEFAULT_METRICS_MODE,
+    RunMetrics,
+    aggregate_metrics,
+)
 from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
-# Unused here; kept as a module global because simbench/tracer.py wraps it.
-from repro.serving.streaming import aggregate_metrics  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class ServingSimulator:
         max_iterations: int = 2_000_000,
         observer=None,
         invariants=None,
-        metrics_mode: str = "exact",
+        metrics_mode: str = DEFAULT_METRICS_MODE,
     ) -> None:
         if scheduler.engine is not engine:
             raise ValueError("scheduler must wrap the provided engine")

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro._rng import fold_sum
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -74,7 +76,7 @@ class IterationLog:
             window = [r for r in self.records if t <= r.time_s < t + bucket_s]
             if window:
                 vals = [float(getattr(r, attr)) for r in window]
-                out.append((t, sum(vals) / len(vals)))
+                out.append((t, fold_sum(vals) / len(vals)))
             t += bucket_s
         return out
 
@@ -86,4 +88,4 @@ class IterationLog:
         ]
         if not rows:
             return 0.0
-        return sum(r.tokens_accepted / r.batch_size for r in rows) / len(rows)
+        return fold_sum(r.tokens_accepted / r.batch_size for r in rows) / len(rows)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro._rng import fold_sum
 from repro.hardware.roofline import RooflineModel
 from repro.registry import TRACES, Param
 from repro.serving.request import Request
@@ -67,7 +68,7 @@ class WorkloadGenerator:
         against the precomputed list equals a scalar draw that recomputes
         the sum for every request.
         """
-        total = sum(mix.values())
+        total = fold_sum(mix.values())
         names = sorted(mix)
         cdf: list[float] = []
         acc = 0.0

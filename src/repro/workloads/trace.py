@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from repro._rng import hash_seed, uniform
+from repro._rng import fold_sum, hash_seed, uniform
 from repro.workloads.batcharrivals import thin_poisson, vexp, vfull, vmaximum, vpow2, vsin
 
 
@@ -65,7 +65,7 @@ def bursty_trace(
 
     # Normalize the shape to the target average rate.
     samples = 512
-    mean_shape = sum(shape(duration_s * (k + 0.5) / samples) for k in range(samples)) / samples
+    mean_shape = fold_sum(shape(duration_s * (k + 0.5) / samples) for k in range(samples)) / samples
     scale = target_rps / mean_shape
     rate_max = scale * max(shape(duration_s * (k + 0.5) / samples) for k in range(samples)) * 1.05
 

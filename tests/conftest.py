@@ -14,7 +14,7 @@ from unittest.mock import patch
 import hypothesis.strategies as st
 import pytest
 
-from repro._rng import derive_seed, hash_seed, mix, uniform, uniforms
+from repro._rng import derive_seed, fold_sum, hash_seed, mix, uniform, uniforms
 from repro.core.selection import RequestSelection, SelectionResult
 from repro.core.speculation import SpeculationResult
 from repro.core.tree import TokenTree
@@ -29,6 +29,7 @@ from repro.prefixcache.tokens import _CHAIN_ROOT
 from repro.registry import TRACES
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
+from repro.serving.metrics import CategoryMetrics, RunMetrics
 from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
 from repro.workloads.categories import DEFAULT_MIX, Category
@@ -752,7 +753,7 @@ def reference_bursty_trace(duration_s, target_rps, seed, burstiness=0.5, num_bur
         return max(0.05, base)
 
     grid = [shape(duration_s * (k + 0.5) / 512) for k in range(512)]
-    scale = target_rps / (sum(grid) / 512)
+    scale = target_rps / (fold_sum(grid) / 512)
     rate_max = scale * max(grid) * 1.05
     return reference_thin(lambda t: scale * shape(t), duration_s, rate_max, seed)
 
@@ -806,7 +807,7 @@ def reference_lengths(dataset: SyntheticDataset, seed: int, index: int) -> tuple
 def reference_category(gen: WorkloadGenerator, mix: dict[str, float], draw: int) -> Category:
     """The category ``mix`` assigns to ``draw`` (a rid or a session seed)."""
     u = uniform(hash_seed(gen.seed, 0x434154, draw), 0)  # "CAT"
-    total = sum(mix.values())
+    total = fold_sum(mix.values())
     acc = 0.0
     for name in sorted(mix):
         acc += mix[name] / total
@@ -1060,3 +1061,64 @@ def eager_plain_decode():
         ),
     ):
         yield
+
+
+# ---------------------------------------------------------------------------
+# Metrics oracle: per-category sample lists, sorted and read by rank
+# ---------------------------------------------------------------------------
+
+
+def reference_nearest_rank(values, q: float) -> float:
+    """The smallest of ``values`` whose rank is at least ``ceil(q/100 * n)`` (and 1)."""
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+def reference_metrics(requests) -> RunMetrics:
+    """:func:`repro.serving.metrics.aggregate_metrics`, from whole sample lists."""
+    reqs = list(requests)
+    if not reqs:
+        return RunMetrics(0, 0, 0, 0, 0, 0.0, 0.0)
+    finished = [r for r in reqs if r.is_finished]
+    first = min(r.arrival_time for r in reqs)
+    last = max((r.finish_time for r in finished if r.finish_time is not None), default=first)
+    verify = sum(r.verify_steps for r in reqs)
+    hits = [r for r in reqs if r.cached_prompt_tokens > 0]
+    disrupted = [r for r in reqs if r.failover_count > 0]
+    per_cat = {}
+    for cat in sorted({r.category for r in reqs}):
+        members = [r for r in reqs if r.category == cat]
+        fin = [r for r in members if r.is_finished]
+        tpots, ttfts = [r.avg_tpot for r in fin], [r.ttft for r in fin]
+        stats = dict(mean_tpot_s=None, p99_tpot_s=None)
+        if fin:
+            stats = dict(
+                mean_tpot_s=fold_sum(tpots) / len(fin),
+                p99_tpot_s=reference_nearest_rank(tpots, 99.0),
+                mean_ttft_s=fold_sum(ttfts) / len(fin),
+                p99_ttft_s=reference_nearest_rank(ttfts, 99.0),
+                p50_tpot_s=reference_nearest_rank(tpots, 50.0),
+                p50_ttft_s=reference_nearest_rank(ttfts, 50.0),
+            )
+        per_cat[cat] = CategoryMetrics(
+            cat, len(members), sum(1 for r in fin if r.attained), **stats
+        )
+    attained = [r for r in finished if r.attained]
+    return RunMetrics(
+        num_requests=len(reqs),
+        num_finished=len(finished),
+        num_attained=len(attained),
+        total_tokens=sum(r.n_generated for r in reqs),
+        attained_tokens=sum(r.n_generated for r in attained),
+        span_s=max(1e-9, last - first),
+        mean_accepted_per_verify=(
+            sum(r.accepted_draft_tokens for r in reqs) / verify if verify else 0.0
+        ),
+        per_category=per_cat,
+        mean_ttft_s=fold_sum(r.ttft for r in finished) / len(finished) if finished else None,
+        prefix_hit_requests=len(hits),
+        prefill_tokens_saved=sum(r.cached_prompt_tokens for r in hits),
+        requests_disrupted=len(disrupted),
+        requests_lost=sum(1 for r in disrupted if not r.is_finished),
+    )

@@ -13,7 +13,7 @@ from repro.analysis.report import (
     point_from_metrics,
     series_table,
 )
-from repro.serving.metrics import compute_metrics
+from repro.serving.metrics import aggregate_metrics
 from tests.conftest import make_request, tiny_generator
 
 
@@ -78,7 +78,7 @@ class TestReport:
         req.advance_prefill(req.prompt_len)
         req.begin_decode(1, 0.0)
         req.commit_tokens(4, 2, 0.2)
-        m = compute_metrics([req])
+        m = aggregate_metrics([req])
         p = point_from_metrics(2.5, "vLLM", m)
         assert p.x == 2.5
         assert p.attainment == 1.0

@@ -22,7 +22,7 @@ from repro.analysis.export import (
 )
 from repro.analysis.report import SeriesPoint
 from repro.cli import build_parser, main
-from repro.serving.metrics import compute_metrics
+from repro.serving.metrics import aggregate_metrics
 from tests.conftest import make_request
 
 
@@ -36,7 +36,7 @@ def _finished_request(rid=0):
 
 class TestExport:
     def test_metrics_roundtrip_fields(self):
-        m = compute_metrics([_finished_request()])
+        m = aggregate_metrics([_finished_request()])
         d = metrics_to_dict(m)
         assert d["num_requests"] == 1
         assert d["attainment"] == 1.0
@@ -72,7 +72,7 @@ class TestExport:
         assert parsed["iterations"] == report.iterations
 
     def test_metrics_dict_roundtrip(self):
-        m = compute_metrics([_finished_request()])
+        m = aggregate_metrics([_finished_request()])
         back = metrics_from_dict(metrics_to_dict(m))
         assert back == m
         assert back.attainment == m.attainment

@@ -24,8 +24,7 @@ from repro.model.pair import ModelPair
 from repro.registry import ROUTERS, SpecError
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
-from repro.serving.metrics import compute_metrics
-from tests.conftest import make_request, tiny_generator
+from tests.conftest import make_request, reference_metrics, tiny_generator
 
 
 def small_engine(seed: int = 42) -> SimulatedEngine:
@@ -209,11 +208,11 @@ class TestAutoscaler:
 
 class TestFleetSimulator:
     def test_metrics_merge_equals_union_of_replica_requests(self):
-        """Fleet RunMetrics == compute_metrics over the union (property)."""
+        """Fleet RunMetrics == the metrics oracle over the union (property)."""
         report = make_fleet(fleet_workload(), RoundRobinRouter(), replicas=3).run()
         union = [req for rep in report.replica_reports for req in rep.requests]
         assert len(union) == report.summary.metrics.num_requests
-        assert compute_metrics(union) == report.summary.metrics
+        assert reference_metrics(union) == report.summary.metrics
         # Per-replica metrics are internally consistent with the merge.
         assert sum(r.metrics.num_requests for r in report.replica_reports) == len(union)
         assert sum(r.metrics.num_finished for r in report.replica_reports) == (

@@ -20,6 +20,12 @@ four-system sweep.  Each carries two digests: SHA-256 over every spec's
 and SHA-256 over the first spec's latency-attribution export (*where the
 time went*, which also pins the trace grammar).
 
+The digests hold on every supported Python version.  From 3.12 the
+builtin ``sum()`` compensates float rounding, so float totals fold left
+to right through ``repro._rng.fold_sum``;
+:func:`test_digests_hold_under_compensated_sum` recomputes every digest
+with a 3.12-style ``sum()`` patched in.
+
 If simulator *semantics* change intentionally in a future PR, recompute
 the digests with ``python -m tests.test_golden_equivalence`` (this module
 is runnable) and say so in the PR description.
@@ -27,7 +33,9 @@ is runnable) and say so in the PR description.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import math
 from dataclasses import replace
 
 import pytest
@@ -35,6 +43,7 @@ import pytest
 from repro.analysis.export import report_to_json
 from repro.analysis.runner import run_spec, run_traced
 from repro.analysis.spec import ExperimentSpec
+from repro.model import stochastic_lm
 from repro.obs import ObsSpec, attribution_to_dict, attribution_to_json, decompose
 
 
@@ -323,6 +332,40 @@ def test_perf_scenario_attrib_digest(name, runs, report_digest, attrib_digest) -
         f"scenario {name!r} attribution digest diverged; fixed-seed "
         "trace/attribution output changed"
     )
+
+
+def _compensated_sum(iterable, /, start=0):
+    """``sum()`` as CPython >= 3.12 computes it: Neumaier-compensated floats."""
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            if c:
+                total, c = total + c, 0.0
+            total = total + x
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_digests_hold_under_compensated_sum(monkeypatch) -> None:
+    """Every committed digest reproduces with Python 3.12's float ``sum()``.
+
+    The shared distribution memo is swapped for an empty one, so every
+    model rebuilds its distributions under the patched ``sum()``.
+    """
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    monkeypatch.setattr(stochastic_lm, "_SHARED_CACHES", {})
+    assert sum([0.1] * 10) == 1.0  # the patch compensates; a left fold gives 0.9999999999999999
+    diverged = [name for name, kwargs, expected in GOLDEN if _digest(_spec(**kwargs)) != expected]
+    for name, runs, report_digest, attrib_digest in PERF_SCENARIOS:
+        specs = [_spec(**kw) for kw in runs]
+        if _scenario_digest(specs) != report_digest:
+            diverged.append(f"{name} report")
+        if _attrib_digest(specs[0]) != attrib_digest:
+            diverged.append(f"{name} attribution")
+    assert not diverged, f"digests that depend on the Python version's sum(): {diverged}"
 
 
 def _main() -> None:  # pragma: no cover - digest (re)generation helper

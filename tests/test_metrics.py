@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.serving.metrics import (
-    _percentile,
+    Reservoir,
     _percentile_sorted,
-    compute_metrics,
+    aggregate_metrics,
     violation_reduction,
 )
-from tests.conftest import make_request
+from tests.conftest import make_request, reference_nearest_rank
 
 
 def finished_request(rid, category="coding", arrival=0.0, slo=0.05, tokens=10, duration=0.3):
@@ -27,12 +27,12 @@ def finished_request(rid, category="coding", arrival=0.0, slo=0.05, tokens=10, d
 
 
 class TestPercentile:
-    """The sort-once fast path must match nearest-rank on the raw list.
+    """Nearest-rank percentiles, as the accumulator's reservoirs read them.
 
-    ``compute_metrics`` used to call ``_percentile`` (which sorts) four
-    times per category sample; it now sorts once and indexes through
-    ``_percentile_sorted``.  Both must agree for every quantile — and
-    ``_percentile`` itself must be order-insensitive.
+    ``_percentile_sorted`` indexes an ascending list; an uncapped
+    :class:`Reservoir` (exact mode) sorts its whole sample once and reads
+    several quantiles from it.  Both must match the conftest oracle for
+    every quantile, whatever order the samples arrive in.
     """
 
     @pytest.mark.parametrize(
@@ -47,35 +47,42 @@ class TestPercentile:
     )
     @pytest.mark.parametrize("q", [0.0, 1.0, 50.0, 90.0, 99.0, 100.0])
     def test_sorted_fast_path_matches(self, values, q):
-        assert _percentile_sorted(sorted(values), q) == _percentile(values, q)
+        assert _percentile_sorted(sorted(values), q) == reference_nearest_rank(values, q)
+        res = Reservoir(key=0, capacity=None)
+        for v in values:
+            res.add(v)
+        assert res.percentiles(q) == [reference_nearest_rank(values, q)]
 
     @pytest.mark.parametrize("q", [0.0, 50.0, 99.0, 100.0])
     def test_percentile_on_presorted_input_unchanged(self, q):
-        # Old behavior: _percentile(sorted list) — sorting a sorted list
-        # is the identity, so the result must be unchanged.
-        values = [0.05, 0.1, 0.1, 0.2, 0.4, 0.9]
-        assert _percentile(values, q) == _percentile(sorted(values), q)
+        # Feed order does not matter to an uncapped reservoir.
+        values = [0.9, 0.1, 0.4, 0.05, 0.2, 0.1]
+        shuffled, ordered = Reservoir(key=0, capacity=None), Reservoir(key=0, capacity=None)
+        for v, w in zip(values, sorted(values)):
+            shuffled.add(v)
+            ordered.add(w)
+        assert shuffled.percentiles(q) == ordered.percentiles(q)
 
     def test_nearest_rank_definition(self):
-        values = [0.4, 0.1, 0.2, 0.3]
+        values = sorted([0.4, 0.1, 0.2, 0.3])
         # rank = ceil(q/100 * 4): q=50 -> rank 2 -> 0.2; q=99 -> rank 4.
-        assert _percentile(values, 50.0) == 0.2
-        assert _percentile(values, 99.0) == 0.4
-        assert _percentile(values, 0.0) == 0.1  # rank floors at 1
+        assert _percentile_sorted(values, 50.0) == 0.2
+        assert _percentile_sorted(values, 99.0) == 0.4
+        assert _percentile_sorted(values, 0.0) == 0.1  # rank floors at 1
 
     def test_empty_inputs_raise(self):
         # NaN-on-empty was a strict-JSON (allow_nan=False) landmine and
         # broke dataclass equality; empty samples are a caller bug —
         # callers guard and report None (the CategoryMetrics convention).
         with pytest.raises(ValueError, match="empty sample"):
-            _percentile([], 50.0)
+            Reservoir(key=0, capacity=None).percentiles(50.0)
         with pytest.raises(ValueError, match="empty sample"):
             _percentile_sorted([], 50.0)
 
 
 class TestComputeMetrics:
     def test_empty(self):
-        m = compute_metrics([])
+        m = aggregate_metrics([])
         assert m.num_requests == 0
         assert m.attainment == 0.0
         assert m.goodput == 0.0
@@ -83,7 +90,7 @@ class TestComputeMetrics:
     def test_all_attained(self):
         # 10 tokens over 0.3s = 30ms/token <= 50ms SLO.
         reqs = [finished_request(i) for i in range(4)]
-        m = compute_metrics(reqs)
+        m = aggregate_metrics(reqs)
         assert m.attainment == 1.0
         assert m.violation_rate == 0.0
         assert m.num_finished == 4
@@ -91,13 +98,13 @@ class TestComputeMetrics:
     def test_mixed_attainment(self):
         ok = [finished_request(i, duration=0.3) for i in range(3)]
         bad = [finished_request(10 + i, duration=1.0) for i in range(1)]
-        m = compute_metrics(ok + bad)
+        m = aggregate_metrics(ok + bad)
         assert m.attainment == pytest.approx(0.75)
 
     def test_unfinished_counts_as_violation(self):
         ok = finished_request(0)
         pending = make_request(rid=1)
-        m = compute_metrics([ok, pending])
+        m = aggregate_metrics([ok, pending])
         assert m.num_requests == 2
         assert m.num_attained == 1
         assert m.attainment == pytest.approx(0.5)
@@ -105,7 +112,7 @@ class TestComputeMetrics:
     def test_goodput_counts_attained_tokens_only(self):
         ok = finished_request(0, tokens=10, duration=0.3)
         bad = finished_request(1, tokens=20, duration=2.0)
-        m = compute_metrics([ok, bad])
+        m = aggregate_metrics([ok, bad])
         # Span: first arrival 0.0 to last finish 0.1 + 2.0.
         assert m.span_s == pytest.approx(2.1)
         assert m.goodput == pytest.approx(10 / 2.1)
@@ -114,7 +121,7 @@ class TestComputeMetrics:
     def test_per_category(self):
         a = finished_request(0, category="coding", duration=0.3)
         b = finished_request(1, category="chatbot", duration=1.0)
-        m = compute_metrics([a, b])
+        m = aggregate_metrics([a, b])
         assert m.per_category["coding"].attainment == 1.0
         assert m.per_category["chatbot"].attainment == 0.0
         assert m.per_category["chatbot"].mean_tpot_s == pytest.approx(0.1)
@@ -126,11 +133,11 @@ class TestComputeMetrics:
         b = finished_request(1)
         b.verify_steps = 6
         b.accepted_draft_tokens = 5
-        m = compute_metrics([a, b])
+        m = aggregate_metrics([a, b])
         assert m.mean_accepted_per_verify == pytest.approx(15 / 10)
 
     def test_no_verify_steps_zero(self):
-        m = compute_metrics([finished_request(0)])
+        m = aggregate_metrics([finished_request(0)])
         assert m.mean_accepted_per_verify == 0.0
 
 
@@ -140,7 +147,7 @@ class TestEmptyCategories:
     def test_category_with_no_finished_requests(self):
         ok = finished_request(0, category="coding")
         pending = make_request(rid=1, category="chatbot")  # never finishes
-        m = compute_metrics([ok, pending])
+        m = aggregate_metrics([ok, pending])
         cm = m.per_category["chatbot"]
         assert cm.num_requests == 1
         assert cm.num_attained == 0
@@ -158,7 +165,7 @@ class TestEmptyCategories:
         # Regression: with NaN sentinels, two identical runs produced
         # CategoryMetrics that compared unequal (NaN != NaN).
         def metrics():
-            return compute_metrics(
+            return aggregate_metrics(
                 [finished_request(0), make_request(rid=1, category="chatbot")]
             )
 
@@ -166,19 +173,19 @@ class TestEmptyCategories:
         assert metrics().per_category["chatbot"] == metrics().per_category["chatbot"]
 
     def test_no_finished_requests_at_all(self):
-        m = compute_metrics([make_request(rid=i) for i in range(3)])
+        m = aggregate_metrics([make_request(rid=i) for i in range(3)])
         assert m.num_finished == 0
         assert m.attainment == 0.0
         assert m.goodput == 0.0
         assert m.mean_ttft_s is None
-        again = compute_metrics([make_request(rid=i) for i in range(3)])
+        again = aggregate_metrics([make_request(rid=i) for i in range(3)])
         assert m == again  # full equality, no NaN sentinels anywhere
 
     def test_empty_category_serializes_to_strict_json(self):
         from repro.analysis.export import metrics_from_dict, metrics_to_dict
         import json
 
-        m = compute_metrics([finished_request(0), make_request(rid=1, category="chatbot")])
+        m = aggregate_metrics([finished_request(0), make_request(rid=1, category="chatbot")])
         text = json.dumps(metrics_to_dict(m), allow_nan=False)  # no NaN tokens
         back = metrics_from_dict(json.loads(text))
         assert back.per_category["chatbot"].mean_tpot_s is None
@@ -189,24 +196,24 @@ class TestEmptyCategories:
         a = finished_request(0)
         a.cached_prompt_tokens = 96
         b = finished_request(1)
-        m = compute_metrics([a, b])
+        m = aggregate_metrics([a, b])
         assert m.prefix_hit_requests == 1
         assert m.prefill_tokens_saved == 96
         assert m.prefix_hit_rate == 0.5
         assert m.mean_ttft_s == pytest.approx((a.ttft + b.ttft) / 2)
 
     def test_empty_run_prefix_defaults(self):
-        m = compute_metrics([])
+        m = aggregate_metrics([])
         assert m.prefix_hit_rate == 0.0
         assert m.prefill_tokens_saved == 0
 
 
 class TestViolationReduction:
     def test_ratio(self):
-        base = compute_metrics(
+        base = aggregate_metrics(
             [*(finished_request(i, duration=2.0) for i in range(2)), finished_request(9, duration=0.3)]
         )  # 2/3 violations
-        good = compute_metrics(
+        good = aggregate_metrics(
             [
                 *(finished_request(i, duration=2.0) for i in range(1)),
                 *[finished_request(8, duration=0.3)] * 1,
@@ -216,10 +223,10 @@ class TestViolationReduction:
         assert violation_reduction(base, good) == pytest.approx(2.0)
 
     def test_zero_improved_violations(self):
-        base = compute_metrics([finished_request(0, duration=2.0)])
-        good = compute_metrics([finished_request(0, duration=0.3)])
+        base = aggregate_metrics([finished_request(0, duration=2.0)])
+        good = aggregate_metrics([finished_request(0, duration=0.3)])
         assert violation_reduction(base, good) == float("inf")
 
     def test_both_zero(self):
-        good = compute_metrics([finished_request(0, duration=0.3)])
+        good = aggregate_metrics([finished_request(0, duration=0.3)])
         assert violation_reduction(good, good) == 1.0

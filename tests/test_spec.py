@@ -154,6 +154,31 @@ class TestValidation:
                 {"model": "qwen32b", "system": "vllm", "rps": 8.0, "seed": 5}
             )
 
+    @pytest.mark.parametrize(
+        "mix,named",
+        [
+            ({"coding": float("nan"), "chatbot": 1.0}, "coding"),
+            ({"coding": -1.0, "chatbot": 2.0}, "coding"),
+            ({"coding": float("inf")}, "coding"),
+            ({"chatbot": 1.0, "summarization": float("-inf")}, "summarization"),
+            ({"coding": "abc", "chatbot": 1.0}, "coding"),
+            ({"coding": None}, "coding"),
+            ({"bogus": 1.0}, "bogus"),
+            ({"coding": 0.0}, "coding"),
+            ({"coding": 0.0, "chatbot": 0.0}, "chatbot"),
+        ],
+        ids=["nan", "negative", "inf", "-inf", "text", "none", "unknown", "zero", "all-zero"],
+    )
+    def test_rejects_malformed_mix_naming_the_category(self, mix, named):
+        with pytest.raises(SpecError, match=f"'{named}'"):
+            _spec(mix=mix)
+        with pytest.raises(SpecError, match=f"'{named}'"):
+            WorkloadSpec(mix=tuple(mix.items()))
+
+    def test_zero_weight_beside_a_positive_one_is_a_valid_mix(self):
+        spec = _spec(mix={"coding": 1.0, "chatbot": 0.0})
+        assert spec.mix == (("chatbot", 0.0), ("coding", 1.0))
+
     def test_rejects_unknown_components(self):
         with pytest.raises(ValueError):
             _spec(system="gpt5")

@@ -1,15 +1,19 @@
-"""Streaming metrics accumulator (repro.serving.streaming).
+"""Both metrics aggregation modes against the conftest oracle.
 
-``StreamingRunMetrics`` makes run metrics O(1) in request count: online
-sums for every mean/counter plus deterministic fixed-size reservoirs
-for percentiles.  The contract tested here:
+:func:`~repro.serving.metrics.aggregate_metrics` is one accumulator:
+online sums for every mean/counter plus deterministic per-category
+reservoirs for percentiles.  The ``metrics`` mode sets the reservoirs'
+capacity (``exact``: no cap; ``streaming``: 4096).  The contract tested
+here:
 
-- **exact-at-small-n**: while every per-category sample count fits the
-  reservoir capacity (the default 4096 dwarfs any test run), the
-  streamed :class:`RunMetrics` equals ``compute_metrics`` *as a whole
-  dataclass* — sums, counters, and percentiles alike;
-- **bounded beyond capacity**: with a deliberately tiny reservoir the
+- **exact at small n**: while every per-category sample count fits the
+  capacity (4096 dwarfs any test run), both modes equal
+  ``reference_metrics`` *as a whole dataclass* — sums, counters, and
+  percentiles alike;
+- **only percentiles move past capacity**: with a deliberately tiny
+  reservoir every other field still equals the oracle, and the
   percentile estimate stays within the expected rank-error band;
+  ``exact`` mode keeps every sample however many there are;
 - **deterministic**: reservoirs are keyed splitmix64 streams — same
   feed, same sample, no global RNG;
 - the ``metrics`` spec knob forks cache keys only for ``streaming``
@@ -18,16 +22,20 @@ for percentiles.  The contract tested here:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.spec import ExperimentSpec, SpecError
-from repro.serving.metrics import compute_metrics
-from repro.serving.streaming import (
-    RESERVOIR_CAPACITY,
+from repro.serving.metrics import (
+    METRICS_MODES,
+    MetricsAccumulator,
     Reservoir,
-    StreamingRunMetrics,
     aggregate_metrics,
 )
+from tests.conftest import make_request, reference_metrics
+
+_PERCENTILES = ("p50_tpot_s", "p99_tpot_s", "p50_ttft_s", "p99_ttft_s")
 
 
 def _finished_requests(target_roofline, n_seed: int = 0):
@@ -43,34 +51,61 @@ def _finished_requests(target_roofline, n_seed: int = 0):
     return run_once(setup, "vllm", requests).requests
 
 
+def _without_percentiles(metrics):
+    """``metrics`` with every per-category percentile set to None."""
+    blank = dict.fromkeys(_PERCENTILES)
+    return replace(
+        metrics,
+        per_category={k: replace(c, **blank) for k, c in metrics.per_category.items()},
+    )
+
+
+def _many_finished(n: int, category: str = "coding"):
+    """``n`` finished requests of one category with distinct latencies."""
+    out = []
+    for rid in range(n):
+        req = make_request(rid=rid, category=category, arrival=rid * 1e-3, max_new_tokens=4)
+        req.advance_prefill(req.prompt_len)
+        start = req.arrival_time + 0.01 + (rid * 7919 % n) * 1e-6
+        req.begin_decode(1, start)
+        req.commit_tokens(4, 2, start + 0.02 + (rid * 104729 % n) * 1e-6)
+        out.append(req)
+    return out
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_streaming_equals_exact_below_capacity(self, target_roofline, seed):
         requests = _finished_requests(target_roofline, seed)
-        exact = compute_metrics(requests)
-        acc = StreamingRunMetrics()
-        for r in requests:
-            acc.add(r)
-        assert acc.finalize() == exact  # full dataclass equality
+        expected = reference_metrics(requests)
+        for mode in METRICS_MODES:
+            assert aggregate_metrics(requests, mode) == expected, mode  # whole dataclass
 
     def test_aggregate_metrics_dispatch(self, target_roofline):
         requests = _finished_requests(target_roofline)
-        assert aggregate_metrics(requests, "exact") == compute_metrics(requests)
-        assert aggregate_metrics(requests, "streaming") == compute_metrics(requests)
+        assert aggregate_metrics(requests) == aggregate_metrics(requests, "exact")
         with pytest.raises(ValueError, match="metrics mode"):
             aggregate_metrics(requests, "approximate")
 
     def test_empty_run(self):
-        assert StreamingRunMetrics().finalize() == compute_metrics([])
+        for mode in METRICS_MODES:
+            assert aggregate_metrics([], mode) == reference_metrics([])
 
-    def test_add_all_matches_add(self, target_roofline):
+    def test_tiny_capacity_moves_only_percentiles(self, target_roofline):
         requests = _finished_requests(target_roofline)
-        one = StreamingRunMetrics()
+        acc = MetricsAccumulator(capacity=4)
         for r in requests:
-            one.add(r)
-        bulk = StreamingRunMetrics()
-        bulk.add_all(requests)
-        assert one.finalize() == bulk.finalize()
+            acc.add(r)
+        tiny, expected = acc.finalize(), reference_metrics(requests)
+        assert tiny != expected  # the cap binds: some percentile is an estimate
+        assert _without_percentiles(tiny) == _without_percentiles(expected)
+
+    def test_exact_mode_keeps_every_sample_past_capacity(self):
+        requests = _many_finished(METRICS_MODES["streaming"] + 200)
+        expected = reference_metrics(requests)
+        assert aggregate_metrics(requests, "exact") == expected
+        streaming = aggregate_metrics(requests, "streaming")
+        assert _without_percentiles(streaming) == _without_percentiles(expected)
 
     def test_simulator_streaming_mode_matches_exact(self, target_roofline):
         from repro.analysis.harness import build_setup, run_once
@@ -90,16 +125,23 @@ class TestReservoir:
         res = Reservoir(key=123, capacity=8)
         for v in [5.0, 1.0, 3.0]:
             res.add(v)
-        assert res.is_exact
-        assert res.percentile(50.0) == sorted([5.0, 1.0, 3.0])[1]
+        assert res.count <= res.capacity
+        assert res.percentiles(50.0) == [sorted([5.0, 1.0, 3.0])[1]]
+
+    def test_uncapped_keeps_every_sample(self):
+        res = Reservoir(key=123, capacity=None)
+        n = 10_000
+        for i in range(n):
+            res.add(float(n - i))
+        assert res.percentiles(0.0, 50.0, 100.0) == [1.0, n / 2, float(n)]
 
     def test_deterministic_same_key_same_feed(self):
         a, b = Reservoir(key=7, capacity=16), Reservoir(key=7, capacity=16)
         for i in range(1000):
             a.add(float(i))
             b.add(float(i))
-        assert not a.is_exact
-        assert a.percentile(99.0) == b.percentile(99.0)
+        assert a.count > a.capacity
+        assert a.percentiles(99.0) == b.percentiles(99.0)
 
     def test_bounded_rank_error_beyond_capacity(self):
         # 10k uniform values through a 256-slot reservoir: the p50
@@ -110,16 +152,16 @@ class TestReservoir:
         n = 10_000
         for i in range(n):
             res.add(i / n)
-        estimate = res.percentile(50.0)
+        (estimate,) = res.percentiles(50.0)
         assert abs(estimate - 0.5) < 6 * (0.25 / 256) ** 0.5
 
     def test_empty_reservoir_has_no_percentile(self):
         res = Reservoir(key=1, capacity=4)
         with pytest.raises(ValueError):
-            res.percentile(50.0)
+            res.percentiles(50.0)
 
     def test_default_capacity_is_committed(self):
-        assert RESERVOIR_CAPACITY == 4096
+        assert METRICS_MODES == {"exact": None, "streaming": 4096}
 
 
 def _spec(**kw):
@@ -146,5 +188,5 @@ class TestSpecKnob:
         assert streaming.metrics == "streaming"
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="exact, streaming"):
             _spec(metrics="sometimes")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serving.metrics import compute_metrics
+from repro.serving.metrics import aggregate_metrics
 from tests.conftest import make_request
 
 
@@ -39,13 +39,13 @@ class TestCategoryTTFT:
             r.commit_tokens(1, 2, ttft)
             r.commit_tokens(1, 3, ttft + 0.1)
             reqs.append(r)
-        m = compute_metrics(reqs)
+        m = aggregate_metrics(reqs)
         cm = m.per_category["coding"]
         assert cm.mean_ttft_s == pytest.approx(0.3)
         assert cm.p99_ttft_s == pytest.approx(0.4)
 
     def test_none_when_no_finishers(self):
-        m = compute_metrics([make_request()])
+        m = aggregate_metrics([make_request()])
         cm = m.per_category["coding"]
         assert cm.mean_ttft_s is None  # no samples, no sentinel
 
