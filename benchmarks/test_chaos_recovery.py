@@ -29,7 +29,7 @@ import pytest
 
 from benchmarks.common import SEED, benchmark_cache
 from repro.analysis.runner import ExperimentSpec, SweepRunner
-from repro.chaos import format_incident_table
+from repro.chaos.report import format_incident_table
 
 pytestmark = pytest.mark.smoke
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro.analysis import build_setup
 from repro.analysis.harness import make_scheduler
-from repro.serving import ServingSimulator
+from repro.serving.server import ServingSimulator
 from repro.serving.telemetry import IterationLog
-from repro.workloads import WorkloadGenerator
+from repro.workloads.generator import WorkloadGenerator
 
 
 def main() -> None:

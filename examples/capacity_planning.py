@@ -14,14 +14,9 @@ Run:  python examples/capacity_planning.py
 
 from __future__ import annotations
 
-from repro.hardware import (
-    DEPLOYMENT_PRESETS,
-    GPU_PRESETS,
-    MODEL_PRESETS,
-    DeploymentSpec,
-    HardwareProfiler,
-    RooflineModel,
-)
+from repro.hardware.profiler import HardwareProfiler
+from repro.hardware.roofline import RooflineModel
+from repro.hardware.spec import DEPLOYMENT_PRESETS, GPU_PRESETS, MODEL_PRESETS, DeploymentSpec
 
 
 def placement_table() -> None:

@@ -21,7 +21,7 @@ import sys
 from repro.analysis import ExperimentSpec, ResultCache, SweepRunner, build_setup
 from repro.analysis.report import format_table
 from repro.serving.metrics import violation_reduction
-from repro.workloads import WorkloadGenerator
+from repro.workloads.generator import WorkloadGenerator
 
 SYSTEMS = (
     "adaserve",

@@ -25,6 +25,12 @@ Subpackages
 - ``repro.analysis`` — declarative experiment specs, harness, parallel
   runner, result cache, tables.
 
+Import each name from the module that defines it.  Subpackage
+``__init__`` files re-export nothing, so a run loads only the modules it
+executes; ``repro.analysis`` (the facade the quickstart uses) and
+``repro.baselines`` (whose import registers the baseline schedulers)
+are the exceptions.
+
 Quickstart
 ----------
 >>> from repro.analysis import ExperimentSpec, SweepRunner
@@ -42,7 +48,3 @@ Systems, routers, and traces are referenced by registry spec strings
 """
 
 __version__ = "0.1.0"
-
-from repro.core.scheduler import AdaServeScheduler
-
-__all__ = ["AdaServeScheduler", "__version__"]

@@ -24,16 +24,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro._rng import derive_seed
-from repro import baselines as _baselines  # noqa: F401 - registers the baseline systems
-from repro.chaos import FaultSchedule
+from repro.chaos.faults import FaultSchedule
 from repro.cluster.autoscaler import AutoscalerConfig
 from repro.cluster.fleet import FleetSimulator
 from repro.cluster.router import make_router
-from repro.core import scheduler as _core_scheduler  # noqa: F401 - registers adaserve
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS, DeploymentSpec
 from repro.model.pair import ModelPair
-from repro.prefixcache import PrefixCacheManager
+from repro.prefixcache.manager import PrefixCacheManager
 from repro.registry import MODELS, SYSTEMS
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager

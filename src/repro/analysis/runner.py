@@ -21,7 +21,6 @@ dropped; all aggregates survive exactly).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -114,7 +113,7 @@ def run_traced(config: ExperimentSpec, invariants=None):
     byte-identical reports.  ``invariants`` attaches the runtime
     sanitizer exactly as in :func:`run_spec`.
     """
-    from repro.obs import RunObserver
+    from repro.obs.observer import RunObserver
 
     observer = RunObserver.from_spec(config.obs)
     report = run_spec(config, observer=observer, invariants=invariants)
@@ -205,6 +204,8 @@ class SweepRunner:
                 for key, indices in pending.items():
                     finish(key, indices, execute_point(grid[indices[0]]))
             else:
+                from concurrent.futures import ProcessPoolExecutor, as_completed
+
                 workers = min(self.jobs, len(pending), os.cpu_count() or 1)
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {

@@ -42,6 +42,7 @@ fast, naming the declared alternatives.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, field, replace
 
@@ -58,6 +59,23 @@ def _set(obj, **values) -> None:
     """Assign onto a frozen dataclass during ``__post_init__``."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or a :class:`SpecError` naming the field.
+
+    An integral float (``2.0``) passes.  A bool, a fraction, NaN,
+    infinity or a non-number is refused: ``int()`` would truncate it,
+    read ``True`` as 1, or raise a raw error.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise SpecError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +95,7 @@ class WorkloadSpec:
             trace=TRACES.canonical(self.trace),
             rps=float(self.rps),
             duration_s=float(self.duration_s),
-            seed=int(self.seed),
+            seed=_integer("workload seed", self.seed),
             slo_scale=float(self.slo_scale),
             mix=_canonical_mix(self.mix),
         )
@@ -158,7 +176,7 @@ class ClusterSpec:
     autoscale: tuple[tuple[str, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        replicas = int(self.replicas)
+        replicas = _integer("replicas", self.replicas)
         if replicas < 1:
             raise SpecError(f"replicas must be >= 1, got {replicas}")
         autoscale = self.autoscale

@@ -1,9 +1,9 @@
 """Deterministic chaos engineering for the fleet simulator.
 
 Faults are first-class, seeded experiment inputs rather than ad-hoc test
-hooks: a :class:`FaultSchedule` is materialized from ``--faults`` spec
-strings (see the FAULTS registry in :mod:`repro.chaos.faults`) plus a
-seed derived from the run seed, and its events ride the fleet event heap
+hooks: a :class:`~repro.chaos.faults.FaultSchedule` is materialized from
+``--faults`` spec strings (see the FAULTS registry in
+:mod:`repro.chaos.faults`) plus a seed derived from the run seed, and its events ride the fleet event heap
 in :mod:`repro.cluster.fleet` exactly like iteration boundaries and
 arrivals.  A fixed-seed chaos run is therefore byte-identical across
 repeats, and an *empty* schedule leaves every existing run untouched to
@@ -15,14 +15,3 @@ timeline, per-crash recovery milestones, requests disrupted/lost, SLO
 attainment inside incident windows) to its
 :class:`~repro.serving.server.SimulationReport`.
 """
-
-from repro.chaos.faults import FaultEvent, FaultSchedule
-from repro.chaos.report import ChaosLog, build_chaos_report, format_incident_table
-
-__all__ = [
-    "ChaosLog",
-    "FaultEvent",
-    "FaultSchedule",
-    "build_chaos_report",
-    "format_incident_table",
-]

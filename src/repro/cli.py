@@ -66,9 +66,9 @@ from repro.analysis.harness import build_setup
 from repro.analysis.report import format_table, point_from_metrics, series_table
 from repro.analysis.runner import SweepRunner
 from repro.analysis.spec import SYSTEM_FIELD_AXES, ExperimentSpec, apply_axis, parse_grid_axis
-from repro.chaos import format_incident_table
+from repro.chaos.report import format_incident_table
 from repro.check.rules import CHECKS
-from repro.obs import DEFAULT_ABS_THRESHOLD_S, DEFAULT_REL_THRESHOLD, ObsSpec
+from repro.obs.spec import DEFAULT_ABS_THRESHOLD_S, DEFAULT_REL_THRESHOLD, ObsSpec
 from repro.hardware.profiler import HardwareProfiler
 from repro.registry import FAULTS, MODELS, ROUTERS, SYSTEMS, TRACES, SpecError
 from repro.serving.metrics import DEFAULT_METRICS_MODE, METRICS_MODES
@@ -230,7 +230,7 @@ def _maybe_invariants(args):
     """An :class:`InvariantChecker` when ``--check-invariants`` was given."""
     if not args.check_invariants:
         return None
-    from repro.check import InvariantChecker
+    from repro.check.invariants import InvariantChecker
 
     return InvariantChecker()
 
@@ -519,17 +519,14 @@ def _cmd_explain(args) -> int:
     ``--markdown``); run status goes to stderr.
     """
     from repro.analysis.runner import run_traced
-    from repro.obs import (
+    from repro.obs.attrib import (
         attribution_to_dict,
         attribution_to_json,
         decompose,
-        diff_attributions,
         format_attribution,
-        format_diff_table,
-        format_slowest_table,
-        perfetto_json,
-        series_to_json,
     )
+    from repro.obs.diff import diff_attributions, format_diff_table
+    from repro.obs.export import format_slowest_table, perfetto_json, series_to_json
 
     obs = ObsSpec(
         trace=True, sample_every_s=args.sample_every, iteration_log=args.iteration_log
@@ -824,15 +821,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    from repro.check import InvariantViolation
+def _run_checked(args) -> int:
+    """``args.func`` under ``--check-invariants``: a violation exits 1."""
+    from repro.check.invariants import InvariantViolation
 
-    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvariantViolation as exc:
         # Structured violation report: one line per context field, so CI
         # logs name the invariant, replica, request, and block directly.
@@ -841,6 +835,17 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 print(f"  {key}: {value}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if getattr(args, "check_invariants", False):
+            return _run_checked(args)
+        return args.func(args)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -31,7 +31,8 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.chaos import ChaosLog, FaultEvent, FaultSchedule, build_chaos_report
+from repro.chaos.faults import FaultEvent, FaultSchedule
+from repro.chaos.report import ChaosLog, build_chaos_report
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from repro.cluster.replica import Replica
 from repro.cluster.router import Router

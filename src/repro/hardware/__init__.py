@@ -1,28 +1,1 @@
 """GPU cost-model substrate: specs, roofline latency, budget profiling."""
-
-from repro.hardware.cuda_graph import CudaGraphModel
-from repro.hardware.profiler import HardwareProfiler, ProfileResult, verify_budget
-from repro.hardware.roofline import ForwardCost, RooflineModel
-from repro.hardware.spec import (
-    DEPLOYMENT_PRESETS,
-    GPU_PRESETS,
-    MODEL_PRESETS,
-    DeploymentSpec,
-    GPUSpec,
-    ModelSpec,
-)
-
-__all__ = [
-    "CudaGraphModel",
-    "DeploymentSpec",
-    "DEPLOYMENT_PRESETS",
-    "ForwardCost",
-    "GPUSpec",
-    "GPU_PRESETS",
-    "HardwareProfiler",
-    "ModelSpec",
-    "MODEL_PRESETS",
-    "ProfileResult",
-    "RooflineModel",
-    "verify_budget",
-]

@@ -3,38 +3,3 @@
 See DESIGN.md §1 for why a seeded stochastic model pair is a faithful
 substitute for real LLM weights in this reproduction.
 """
-
-from repro.model.calibration import (
-    DraftQuality,
-    calibrate_alignment,
-    measure_acceptance,
-    measure_draft_quality,
-)
-from repro.model.acceptance import (
-    expected_accepted_tokens,
-    true_path_probability,
-    verify_sequence,
-    verify_tree,
-)
-from repro.model.draft import DraftLM
-from repro.model.pair import PAIR_PRESETS, ModelPair, PairPreset
-from repro.model.stochastic_lm import StochasticLM, TokenDistribution
-from repro.model.vocab import Vocabulary
-
-__all__ = [
-    "DraftLM",
-    "DraftQuality",
-    "calibrate_alignment",
-    "measure_acceptance",
-    "measure_draft_quality",
-    "ModelPair",
-    "PairPreset",
-    "PAIR_PRESETS",
-    "StochasticLM",
-    "TokenDistribution",
-    "Vocabulary",
-    "expected_accepted_tokens",
-    "true_path_probability",
-    "verify_sequence",
-    "verify_tree",
-]

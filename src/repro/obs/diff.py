@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.obs.attrib import COMPONENTS
-
-#: A component regresses only past BOTH thresholds (see module docstring).
-DEFAULT_REL_THRESHOLD = 0.05
-DEFAULT_ABS_THRESHOLD_S = 0.05
+from repro.obs.spec import DEFAULT_ABS_THRESHOLD_S, DEFAULT_REL_THRESHOLD
 
 
 def diff_attributions(

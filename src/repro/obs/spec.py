@@ -15,6 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: ``repro explain --baseline`` defaults: a component regresses only past
+#: BOTH thresholds (see :mod:`repro.obs.diff`).
+DEFAULT_REL_THRESHOLD = 0.05
+DEFAULT_ABS_THRESHOLD_S = 0.05
+
 
 @dataclass(frozen=True)
 class ObsSpec:

@@ -19,8 +19,3 @@ it with the ``sessions``/``agentic`` traces
 (:mod:`repro.workloads.sessions`) and the ``prefix-affinity`` router
 (:mod:`repro.cluster.router`) for the full reuse scenario.
 """
-
-from repro.prefixcache.manager import PrefixCacheManager, PrefixStats
-from repro.prefixcache.tokens import request_block_keys
-
-__all__ = ["PrefixCacheManager", "PrefixStats", "request_block_keys"]

@@ -518,9 +518,10 @@ MODELS = Registry("model setup")
 #: Deterministic fault injections (chaos runs).
 FAULTS = Registry("fault")
 
+#: Imported in this order, so ``repro list systems`` puts adaserve first.
 _COMPONENT_MODULES = (
-    "repro.baselines",  # seven baseline schedulers
     "repro.core.scheduler",  # adaserve
+    "repro.baselines",  # seven baseline schedulers
     "repro.cluster.router",  # routing policies
     "repro.workloads.generator",  # single-shot trace kinds
     "repro.workloads.sessions",  # multi-turn session trace kinds

@@ -50,7 +50,7 @@ class KVCacheManager:
 
     #: Whether this manager shares prefix blocks across requests; engine
     #: and scheduler prefix hooks are no-ops when False.  The sharing
-    #: implementation lives in :class:`repro.prefixcache.PrefixCacheManager`.
+    #: implementation lives in :class:`repro.prefixcache.manager.PrefixCacheManager`.
     prefix_caching = False
 
     def __init__(self, capacity_tokens: int, block_size: int = DEFAULT_BLOCK_SIZE) -> None:

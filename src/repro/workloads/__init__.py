@@ -1,43 +1,1 @@
 """Workload substrate: categories (Table 2), datasets, traces, generator."""
-
-from repro.workloads.categories import (
-    CATEGORIES,
-    CHATBOT,
-    CODING,
-    DEFAULT_MIX,
-    SUMMARIZATION,
-    Category,
-    resolve_slos,
-    urgent_mix,
-)
-from repro.workloads.datasets import DATASETS, LengthDistribution, SyntheticDataset
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.sessions import SessionGenerator
-from repro.workloads.trace import (
-    bursty_trace,
-    diurnal_trace,
-    phased_trace,
-    trace_frequency,
-    uniform_trace,
-)
-
-__all__ = [
-    "CATEGORIES",
-    "CHATBOT",
-    "CODING",
-    "DATASETS",
-    "DEFAULT_MIX",
-    "SUMMARIZATION",
-    "Category",
-    "LengthDistribution",
-    "SessionGenerator",
-    "SyntheticDataset",
-    "WorkloadGenerator",
-    "bursty_trace",
-    "diurnal_trace",
-    "phased_trace",
-    "resolve_slos",
-    "trace_frequency",
-    "uniform_trace",
-    "urgent_mix",
-]

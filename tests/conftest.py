@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
+from pathlib import Path
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -24,7 +29,7 @@ from repro.model import batchgen
 from repro.model.draft import DraftLM
 from repro.model.pair import PAIR_PRESETS, ModelPair
 from repro.model.stochastic_lm import StochasticLM
-from repro.prefixcache import PrefixStats
+from repro.prefixcache.manager import PrefixStats
 from repro.prefixcache.tokens import _CHAIN_ROOT
 from repro.registry import TRACES
 from repro.serving.engine import SimulatedEngine
@@ -36,6 +41,22 @@ from repro.workloads.categories import DEFAULT_MIX, Category
 from repro.workloads.datasets import DATASETS, LengthDistribution, SyntheticDataset
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.sessions import SessionGenerator
+
+#: The ``src`` directory a fresh interpreter imports ``repro`` from.
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a new interpreter and return the JSON it prints last.
+
+    A fresh process starts with an empty ``sys.modules``, so what the
+    code imports, and only that, is what it loads.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 @pytest.fixture
@@ -530,7 +551,7 @@ class _RefBlock:
 class ReferencePrefixCacheManager(KVCacheManager):
     """Per-block refcounts, one ``_ref``/``_unref`` per block.
 
-    The straightforward form of :class:`repro.prefixcache.PrefixCacheManager`:
+    The straightforward form of :class:`repro.prefixcache.manager.PrefixCacheManager`:
     the same public behaviour (return values, errors, ``prefix_stats``,
     occupancy, LRU leaf-first eviction order), with every shared block
     its own refcounted record.

@@ -21,7 +21,6 @@ import pytest
 
 from repro.analysis.runner import run_traced
 from repro.analysis.spec import ExperimentSpec
-from repro.obs import ObsSpec, Sample, TraceCollector
 from repro.obs.attrib import (
     COMPONENTS,
     SUM_TOLERANCE,
@@ -34,6 +33,9 @@ from repro.obs.attrib import (
 )
 from repro.obs.diff import diff_attributions, format_diff_table
 from repro.obs.export import format_slowest_table
+from repro.obs.sampler import Sample
+from repro.obs.spec import ObsSpec
+from repro.obs.trace import TraceCollector
 from tests.conftest import make_request
 
 

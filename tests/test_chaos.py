@@ -17,8 +17,8 @@ from repro.analysis.cache import config_key
 from repro.analysis.export import report_to_dict
 from repro.analysis.harness import make_scheduler
 from repro.analysis.spec import ChaosSpec, ExperimentSpec
-from repro.chaos import ChaosLog, FaultEvent, FaultSchedule, build_chaos_report
-from repro.chaos.report import format_incident_table
+from repro.chaos.faults import FaultEvent, FaultSchedule
+from repro.chaos.report import ChaosLog, build_chaos_report, format_incident_table
 from repro.cluster.fleet import FleetSimulator
 from repro.cluster.replica import Replica
 from repro.cluster.router import PrefixAffinityRouter, RoundRobinRouter

@@ -21,8 +21,8 @@ import pytest
 from repro.analysis.export import report_to_json
 from repro.analysis.runner import run_spec
 from repro.analysis.spec import ExperimentSpec
-from repro.check import InvariantChecker, InvariantViolation
-from repro.prefixcache import PrefixCacheManager
+from repro.check.invariants import InvariantChecker, InvariantViolation
+from repro.prefixcache.manager import PrefixCacheManager
 from repro.serving.kv_cache import KVCacheManager
 from tests.conftest import make_request
 from tests.test_golden_equivalence import GOLDEN

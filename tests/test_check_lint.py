@@ -15,16 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro import __version__ as repro_version
-from repro.check import (
-    CHECK_SCHEMA_VERSION,
-    RULES,
-    format_result,
-    lint_file,
-    lint_paths,
-)
+from repro.check.linter import lint_file, lint_paths
+from repro.check.report import CHECK_SCHEMA_VERSION, format_result, result_to_dict
+from repro.check.rules import RPD005_EXCLUSIONS, RULES
 from repro.cli import main as repro_main
-from repro.check.report import result_to_dict
-from repro.check.rules import RPD005_EXCLUSIONS
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 

@@ -44,7 +44,8 @@ from repro.analysis.export import report_to_json
 from repro.analysis.runner import run_spec, run_traced
 from repro.analysis.spec import ExperimentSpec
 from repro.model import stochastic_lm
-from repro.obs import ObsSpec, attribution_to_dict, attribution_to_json, decompose
+from repro.obs.attrib import attribution_to_dict, attribution_to_json, decompose
+from repro.obs.spec import ObsSpec
 
 
 def _digest(spec: ExperimentSpec) -> str:

@@ -32,7 +32,7 @@ from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
-from repro.prefixcache import PrefixCacheManager
+from repro.prefixcache.manager import PrefixCacheManager
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
 from repro.serving.request import Request

@@ -21,11 +21,8 @@ import pytest
 from repro.analysis.export import report_to_json
 from repro.analysis.runner import run_spec, run_traced
 from repro.analysis.spec import ExperimentSpec
-from repro.obs import (
-    FLEET_TRACK,
-    GaugeSampler,
-    ObsSpec,
-    TraceCollector,
+from repro.obs.export import (
+    FLEET_PID,
     format_slowest_table,
     perfetto_json,
     perfetto_trace,
@@ -33,7 +30,9 @@ from repro.obs import (
     series_to_json,
     slowest_requests,
 )
-from repro.obs.export import FLEET_PID
+from repro.obs.sampler import GaugeSampler
+from repro.obs.spec import ObsSpec
+from repro.obs.trace import FLEET_TRACK, TraceCollector
 from tests.conftest import make_request
 
 

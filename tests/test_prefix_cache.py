@@ -15,7 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.prefixcache import PrefixCacheManager, request_block_keys, tokens
+from repro.prefixcache import tokens
+from repro.prefixcache.manager import PrefixCacheManager
+from repro.prefixcache.tokens import request_block_keys
 from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, KVCacheManager, OutOfKVCache
 from repro.serving.request import Request
 from tests.conftest import content_block_keys, reference_block_keys

@@ -14,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro._rng import hash_seed, mix, uniform, uniforms
-from repro.check import InvariantChecker
+from repro.check.invariants import InvariantChecker
 from repro.core.selection import select_tokens
 from repro.core.speculation import build_candidate_tree, speculate_batch
 from repro.core.tree import TokenTree
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
-from repro.prefixcache import PrefixCacheManager
+from repro.prefixcache.manager import PrefixCacheManager
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
 from tests.conftest import ReferencePrefixCacheManager, object_tree
 

@@ -25,6 +25,25 @@ from repro.registry import (
     load_components,
     parse_spec,
 )
+from tests.conftest import run_fresh
+
+#: Every built-in component, in the order ``repro list`` prints it.
+COMMITTED_NAMES = {
+    "SYSTEMS": (
+        "adaserve",
+        "fastserve",
+        "priority",
+        "sarathi",
+        "smartspec",
+        "vllm",
+        "vllm-spec",
+        "vtc",
+    ),
+    "ROUTERS": ("round-robin", "least-loaded", "p2c", "affinity", "prefix-affinity"),
+    "TRACES": ("bursty", "steady", "diurnal", "phased", "sessions", "agentic"),
+    "FAULTS": ("crash", "straggler", "scale-delay"),
+    "MODELS": ("llama70b", "qwen32b"),
+}
 
 
 class TestGrammar:
@@ -309,6 +328,20 @@ class TestBuiltinRegistries:
         assert any("k: int = 4" in p for p in rows["vllm-spec"]["params"])
         assert any(a.startswith("vllm-spec-6") for a in rows["vllm-spec"]["aliases"])
         assert any("n_max" in p for p in rows["adaserve"]["params"])
+
+    def test_registry_alone_registers_every_component(self):
+        # No entry point imports a component module first: the queries
+        # themselves load every built-in, in ``repro list`` order.
+        names = run_fresh(
+            """
+import json
+import repro.registry as registry
+
+kinds = ("SYSTEMS", "ROUTERS", "TRACES", "FAULTS", "MODELS")
+print(json.dumps({kind: getattr(registry, kind).names() for kind in kinds}))
+"""
+        )
+        assert {kind: tuple(v) for kind, v in names.items()} == COMMITTED_NAMES
 
 
 class TestComponentCreation:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.spec import ExperimentSpec, apply_axis
 from repro.cluster.router import PrefixAffinityRouter
-from repro.prefixcache import request_block_keys
+from repro.prefixcache.tokens import request_block_keys
 from repro.registry import TRACES, SpecError
 from repro.workloads.sessions import SessionGenerator
 from tests.conftest import make_request, tiny_generator

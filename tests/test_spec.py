@@ -175,6 +175,38 @@ class TestValidation:
         with pytest.raises(SpecError, match=f"'{named}'"):
             WorkloadSpec(mix=tuple(mix.items()))
 
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("replicas", 2.5, "replicas"),
+            ("replicas", True, "replicas"),
+            ("replicas", float("nan"), "replicas"),
+            ("replicas", float("inf"), "replicas"),
+            ("replicas", None, "replicas"),
+            ("seed", 1.5, "seed"),
+            ("seed", True, "seed"),
+            ("seed", None, "seed"),
+        ],
+        ids=[
+            "replicas-fraction",
+            "replicas-bool",
+            "replicas-nan",
+            "replicas-inf",
+            "replicas-none",
+            "seed-fraction",
+            "seed-bool",
+            "seed-none",
+        ],
+    )
+    def test_rejects_non_integer_count_naming_the_field(self, field, value, named):
+        with pytest.raises(SpecError, match=named):
+            _spec(**{field: value})
+
+    def test_integral_floats_are_integer_fields(self):
+        spec = _spec(replicas=2.0, seed=7.0)
+        assert (spec.replicas, spec.seed) == (2, 7)
+        assert type(spec.replicas) is int and type(spec.seed) is int
+
     def test_zero_weight_beside_a_positive_one_is_a_valid_mix(self):
         spec = _spec(mix={"coding": 1.0, "chatbot": 0.0})
         assert spec.mix == (("chatbot", 0.0), ("coding", 1.0))

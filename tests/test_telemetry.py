@@ -95,7 +95,7 @@ class TestEngineIntegration:
     def test_observer_attaches_log(self, engine):
         # The obs layer wires the (formerly manual) IterationLog without
         # the caller touching engine.telemetry.
-        from repro.obs import RunObserver
+        from repro.obs.observer import RunObserver
 
         observer = RunObserver(trace=False, iteration_log=True)
         observer.attach_engine(engine, replica=0)
