@@ -26,7 +26,7 @@ from repro.analysis.runner import ExperimentSpec, SweepRunner
 from repro.serving.server import SimulationReport
 
 #: Systems compared in the end-to-end figures (Figures 8-12, 14).
-E2E_SYSTEMS = ("adaserve", "vllm", "sarathi", "vllm-spec-4", "vllm-spec-6", "vllm-spec-8")
+E2E_SYSTEMS = ("adaserve", "vllm", "sarathi", "vllm-spec:k=4", "vllm-spec:k=6", "vllm-spec:k=8")
 
 #: RPS sweeps per model (Figure 8/9 x-axes).
 RPS_SWEEP = {

@@ -19,7 +19,7 @@ from benchmarks.common import run_system
 from repro.analysis.report import format_table
 
 _RPS = 4.6
-_SYSTEMS = ("vllm-spec-6", "smartspec", "adaserve")
+_SYSTEMS = ("vllm-spec:k=6", "smartspec", "adaserve")
 
 
 def _run_all():

@@ -13,7 +13,7 @@ import pytest
 from benchmarks.common import RPS_SWEEP, rps_sweep
 from repro.analysis.report import series_table
 
-_SYSTEMS = ("adaserve", "vllm-spec-4", "vllm-spec-6", "vllm-spec-8")
+_SYSTEMS = ("adaserve", "vllm-spec:k=4", "vllm-spec:k=6", "vllm-spec:k=8")
 
 
 @pytest.mark.parametrize("model", sorted(RPS_SWEEP))

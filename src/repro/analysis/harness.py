@@ -6,7 +6,7 @@ system construction is identical everywhere:
 - :func:`build_setup` wires a model-pair preset to its Table 1 deployment
   (target + draft rooflines, KV manager);
 - :func:`make_scheduler` instantiates any registered system from a spec
-  string (``adaserve``, ``vllm-spec:k=8``, legacy ``vllm-spec-6``, ...);
+  string (``adaserve``, ``vllm-spec:k=8``, ``smartspec:k_max=6``, ...);
 - :func:`run_once` executes one (system, workload) simulation — a solo
   point or a router-fronted fleet (see :mod:`repro.cluster`) — and
   returns the report.
@@ -112,8 +112,8 @@ def build_setup(model: str, seed: int = 0, prefix_cache: bool = False) -> Setup:
 def make_scheduler(system: str, engine: SimulatedEngine, **overrides) -> Scheduler:
     """Instantiate a registered system from a spec string.
 
-    Accepts canonical names, parameterized specs (``vllm-spec:k=8``,
-    ``adaserve:n_max=32``), and legacy aliases (``vllm-spec-6``).
+    Accepts canonical names and parameterized specs (``vllm-spec:k=8``,
+    ``adaserve:n_max=32``).
     Keyword ``overrides`` are passed to the scheduler constructor and win
     over spec-string parameters.
     """

@@ -18,13 +18,13 @@ nested sections:
   part of the canonical payload or cache key.
 
 Construction **canonicalizes**: component references are spec strings
-(see :mod:`repro.registry`) rewritten to their canonical form (aliases
-resolved, parameters sorted, defaults dropped), inert choices collapse
+(see :mod:`repro.registry`) rewritten to their canonical form
+(parameters sorted, defaults dropped), inert choices collapse
 (a solo point's router is never consulted), and autoscaler knobs resolve
 against their defaults.  Two spellings of the same experiment are
 therefore *equal dataclasses* with byte-identical canonical JSON
 (:meth:`ExperimentSpec.to_dict`) — which is exactly what the result
-cache hashes, so ``vllm-spec-8`` and ``vllm-spec:k=8`` share one cache
+cache hashes, so ``vllm-spec:k=4`` and ``vllm-spec`` share one cache
 record.
 
 The flat constructor :meth:`ExperimentSpec.create` and flat read-only
@@ -307,8 +307,7 @@ class ExperimentSpec:
         """Flat-keyword constructor: one keyword per field, sections built here.
 
         ``system``, ``trace``, and ``router`` accept any registry spec
-        string, including legacy aliases; everything is canonicalized by
-        the section constructors.  The result-determining core (model,
+        string; everything is canonicalized by the section constructors.  The result-determining core (model,
         system, rps, duration, seed) is deliberately required — anything
         that changes a result must be explicit at the call site, never
         implied by a default (the nested section constructors, by

@@ -19,14 +19,16 @@ Policy reproduced here:
   where E[accepted | k, p] = p(1-p^k)/(1-p) is the geometric acceptance
   sum and iteration_latency(k) prices k draft steps plus verification of
   n*k tokens with the roofline.
+
+The chain step itself is :class:`ChainSpecScheduler`, shared with
+vLLM-Spec(n), whose policy is a fixed ``k``.
 """
 
 from __future__ import annotations
 
-from repro.core.speculation import Chain, commit_chain, draft_chains
+from repro.core.speculation import commit_chain, draft_chains
 from repro.model.acceptance import verify_sequence
 from repro.registry import SYSTEMS, Param
-from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
 
 #: Bounds on the adaptive chain length.
@@ -34,6 +36,65 @@ DEFAULT_K_MAX = 8
 
 #: EMA smoothing for the observed acceptance rate.
 _EMA_ALPHA = 0.15
+
+
+class ChainSpecScheduler(Scheduler):
+    """Chain speculation on continuous batching with one batch-wide ``k``.
+
+    Each decode iteration drafts a ``k``-token chain per running request
+    (``k`` sequential draft steps over the batch) and verifies every
+    chain in one target pass.  Subclasses choose ``k`` (:meth:`choose_k`)
+    and may learn from each iteration's acceptance (:meth:`_observe`).
+    Lives here, not in ``vllm_spec``: systems register in import order, and ``smartspec`` comes first.
+    """
+
+    def __init__(self, *args, k_max: int, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.k_max = k_max
+
+    def choose_k(self, n: int, context: int) -> int:
+        """Chain length for an iteration over ``n`` requests (fixed: ``k_max``)."""
+        return self.k_max
+
+    def _observe(self, accepted: int, proposed: int) -> None:
+        """Acceptance feedback after an iteration (a fixed policy ignores it)."""
+
+    def step(self, now: float) -> float:
+        self._retire_finished()
+
+        if self.waiting:
+            latency = self._prefill_iteration(now)
+            if latency is not None:
+                return latency
+
+        batch = self.running[: self.max_batch_size]
+        # Reserve room for the longest accepted chain + correction.
+        batch = self._ensure_kv_for_decode(batch, extra_tokens=self.k_max + 1)
+        if not batch:
+            latency = self._prefill_iteration(now)
+            if latency is not None:
+                return latency
+            raise RuntimeError(f"{self.name} scheduler stuck: no progress possible")
+
+        n = len(batch)
+        context = self._last_decode_context
+        k = self.choose_k(n, context)
+        chains = draft_chains(self.engine.pair, [(r.ctx, r.predictability) for r in batch], k)
+        draft_latency = self.engine.sequence_draft_cost(k, n, context)
+        verify_latency = self.engine.verify_cost(k * n, context)
+        latency = draft_latency + verify_latency + self.engine.step_overhead_s
+
+        end = now + latency
+        total_accepted = 0
+        for req, chain in zip(batch, chains):
+            accepted, _correction, new_ctx = verify_sequence(
+                self.engine.pair, req.ctx, chain, req.predictability, chain.emitted
+            )
+            commit_chain(self.engine.pair, req, chain, accepted, new_ctx, end)
+            total_accepted += accepted
+        self._observe(total_accepted, k * n)
+        self.engine.iterations += 1
+        return latency
 
 
 @SYSTEMS.register(
@@ -46,19 +107,17 @@ _EMA_ALPHA = 0.15
     ],
     summary="goodput-adaptive chain speculation (SmartSpec-style)",
 )
-class SmartSpecScheduler(Scheduler):
+class SmartSpecScheduler(ChainSpecScheduler):
     """Goodput-adaptive chain speculation on continuous batching."""
 
     name = "SmartSpec"
 
     def __init__(self, *args, k_max: int = DEFAULT_K_MAX, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, k_max=k_max, **kwargs)
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        self.k_max = k_max
         #: EMA of the per-position acceptance probability.
         self.acceptance_ema = 0.7
-        self.last_k = 1
 
     # ------------------------------------------------------------------
     def _expected_accepted(self, k: int, p: float) -> float:
@@ -95,49 +154,3 @@ class SmartSpecScheduler(Scheduler):
         )
         # Keep the estimate in a sane band (rate can hit 0/1 on tiny batches).
         self.acceptance_ema = min(0.95, max(0.05, self.acceptance_ema))
-
-    def _draft_chains(self, batch: list[Request], k: int) -> list[Chain]:
-        """Greedy ``k``-token chains for the whole batch (lockstep)."""
-        return draft_chains(
-            self.engine.pair,
-            [(r.ctx, r.predictability) for r in batch],
-            k,
-        )
-
-    # ------------------------------------------------------------------
-    def step(self, now: float) -> float:
-        self._retire_finished()
-
-        if self.waiting:
-            latency = self._prefill_iteration(now)
-            if latency is not None:
-                return latency
-
-        batch = self.running[: self.max_batch_size]
-        batch = self._ensure_kv_for_decode(batch, extra_tokens=self.k_max + 1)
-        if not batch:
-            latency = self._prefill_iteration(now)
-            if latency is not None:
-                return latency
-            raise RuntimeError("SmartSpec scheduler stuck: no progress possible")
-
-        context = self._last_decode_context
-        k = self.choose_k(len(batch), context)
-        self.last_k = k
-
-        chains = self._draft_chains(batch, k)
-        draft_latency = self.engine.sequence_draft_cost(k, len(batch), context)
-        verify_latency = self.engine.verify_cost(k * len(batch), context)
-        latency = draft_latency + verify_latency + self.engine.step_overhead_s
-
-        end = now + latency
-        total_accepted = 0
-        for req, chain in zip(batch, chains):
-            accepted, _corr, new_ctx = verify_sequence(
-                self.engine.pair, req.ctx, chain, req.predictability, chain.emitted
-            )
-            commit_chain(self.engine.pair, req, chain, accepted, new_ctx, end)
-            total_accepted += accepted
-        self._observe(total_accepted, k * len(batch))
-        self.engine.iterations += 1
-        return latency

@@ -168,13 +168,12 @@ class _RuleIndex:
                 {
                     "name": rule.id,
                     "summary": rule.title,
-                    "aliases": [],
                     "params": params,
                 }
             )
         for name, summary in RUNTIME_CHECKS.items():
             rows.append(
-                {"name": name, "summary": summary, "aliases": [], "params": ["runtime: --check-invariants"]}
+                {"name": name, "summary": summary, "params": ["runtime: --check-invariants"]}
             )
         return rows
 

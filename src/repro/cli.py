@@ -26,8 +26,7 @@ The subcommands mirror how the repository is used:
 
 Components are referenced by registry spec strings — ``adaserve``,
 ``vllm-spec:k=8``, ``affinity:reserve=0.4``, ``diurnal:peak_to_trough=6``
-— with legacy names (``vllm-spec-8``) accepted as aliases; ``repro list``
-shows everything that is registered.
+— and ``repro list`` shows everything that is registered.
 
 ``run`` and ``sweep`` execute through the content-addressed
 result cache (:mod:`repro.analysis.cache`), so repeating an
@@ -476,15 +475,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    """Introspect a component registry: names, aliases, parameter schemas."""
+    """Introspect a component registry: names and parameter schemas."""
     registry = _REGISTRIES[args.kind]
     for row in registry.describe():
         line = row["name"]
         if row["summary"]:
             line += f" — {row['summary']}"
         print(line)
-        for alias in row["aliases"]:
-            print(f"    alias: {alias}")
         for param in row["params"]:
             print(f"    param: {param}")
     return 0

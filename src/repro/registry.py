@@ -9,18 +9,15 @@ decorator, declaring
 - a canonical **name** (``vllm-spec``, ``affinity``, ``diurnal``, ...);
 - a typed **parameter schema** (:class:`Param`), so hyperparameters such
   as the static speculation length are first-class, introspectable sweep
-  axes rather than name suffixes;
-- optional **legacy aliases** that bind parameters (``vllm-spec-6`` is
-  an alias for ``vllm-spec`` with ``k=6``), keeping every historical
-  name working.
+  axes rather than name suffixes (``vllm-spec:k=6``, not ``vllm-spec-6``).
 
 Components are referenced by **spec strings** with the grammar::
 
     name[:key=value[,key=value...]]
 
 e.g. ``vllm-spec:k=8``, ``affinity:reserve=0.4``, ``diurnal:peak_to_trough=6``.
-:meth:`Registry.canonical` rewrites any accepted spelling (alias,
-reordered keys, explicitly spelled defaults) into one canonical string —
+:meth:`Registry.canonical` rewrites any accepted spelling (reordered
+keys, explicitly spelled defaults) into one canonical string —
 parameters sorted by name, defaulted parameters omitted — so equivalent
 specs hash identically everywhere they are used as cache-key material.
 
@@ -227,14 +224,12 @@ class Param:
 
 @dataclass(frozen=True)
 class Component:
-    """Registered factory plus its descriptor (name, schema, aliases)."""
+    """Registered factory plus its descriptor (name, parameter schema)."""
 
     kind: str
     name: str
     factory: Callable
     params: tuple[Param, ...] = ()
-    #: alias -> parameter bindings applied when the alias is used.
-    aliases: tuple[tuple[str, tuple[tuple[str, object], ...]], ...] = ()
     summary: str = ""
 
     def param(self, key: str) -> Param:
@@ -329,7 +324,6 @@ class Registry:
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._components: dict[str, Component] = {}
-        self._aliases: dict[str, tuple[str, tuple[tuple[str, object], ...]]] = {}
 
     # -- registration (never triggers component loading) ----------------
     def register(
@@ -337,39 +331,18 @@ class Registry:
         name: str,
         *,
         params: Iterable[Param] = (),
-        aliases: Mapping[str, Mapping[str, object]] | None = None,
         summary: str = "",
     ) -> Callable:
-        """Class/function decorator announcing a component.
-
-        ``aliases`` maps each legacy name to the parameter values it
-        binds (``{"vllm-spec-6": {"k": 6}}``).
-        """
+        """Class/function decorator announcing a component."""
         name = name.lower()
         params = tuple(params)
-        alias_items = tuple(
-            (alias.lower(), tuple(sorted(bindings.items())))
-            for alias, bindings in (aliases or {}).items()
-        )
 
         def decorator(factory: Callable) -> Callable:
-            if name in self._components or name in self._aliases:
+            if name in self._components:
                 raise ValueError(f"duplicate {self.kind} registration: {name!r}")
-            component = Component(
-                kind=self.kind,
-                name=name,
-                factory=factory,
-                params=params,
-                aliases=alias_items,
-                summary=summary,
+            self._components[name] = Component(
+                kind=self.kind, name=name, factory=factory, params=params, summary=summary
             )
-            for alias, bindings in alias_items:
-                if alias in self._components or alias in self._aliases:
-                    raise ValueError(f"duplicate {self.kind} alias: {alias!r}")
-                for key, value in bindings:
-                    component.param(key).coerce(value)
-                self._aliases[alias] = (name, bindings)
-            self._components[name] = component
             return factory
 
         return decorator
@@ -380,46 +353,26 @@ class Registry:
         load_components()
         return tuple(self._components)
 
-    def legacy_names(self) -> tuple[str, ...]:
-        """Every accepted bare name: canonical names plus aliases."""
-        load_components()
-        return tuple(self._components) + tuple(self._aliases)
-
     def components(self) -> tuple[Component, ...]:
         load_components()
         return tuple(self._components.values())
 
     def __contains__(self, name: str) -> bool:
         load_components()
-        key = name.lower()
-        return key in self._components or key in self._aliases
+        return name.lower() in self._components
 
     # -- resolution -----------------------------------------------------
     def resolve(self, spec: str) -> Resolved:
         """Parse + validate a spec string against the registry."""
         load_components()
         name, raw = parse_spec(spec)
-        bound: dict[str, object] = {}
-        if name in self._aliases:
-            name, bindings = self._aliases[name]
-            bound.update(bindings)
         component = self._components.get(name)
         if component is None:
             raise UnknownComponentError(
-                f"unknown {self.kind} {spec!r}; registered: "
-                f"{sorted(self.legacy_names())}"
+                f"unknown {self.kind} {spec!r}; registered: {sorted(self._components)}"
             )
-        values: dict[str, object] = {}
-        for key, token in raw.items():
-            param = component.param(key)  # raises UnknownParamError
-            if key in bound:
-                raise SpecError(
-                    f"parameter {key!r} is fixed to {bound[key]!r} by the alias "
-                    f"and cannot be overridden in {spec!r}; use {component.name!r} directly"
-                )
-            values[key] = param.parse(token)
-        for key, value in bound.items():
-            values[key] = component.param(key).coerce(value)
+        # component.param raises UnknownParamError for an undeclared key.
+        values = {key: component.param(key).parse(token) for key, token in raw.items()}
         for p in component.params:
             if p.name not in values:
                 if p.required:
@@ -462,25 +415,16 @@ class Registry:
 
     # -- introspection --------------------------------------------------
     def describe(self) -> list[dict]:
-        """Rows for ``repro list``: name, summary, aliases, param schema."""
+        """Rows for ``repro list``: name, summary, param schema."""
         load_components()
-        rows = []
-        for component in self._components.values():
-            aliases = []
-            for alias, bindings in component.aliases:
-                bound = ",".join(
-                    f"{k}={component.param(k).format(v)}" for k, v in bindings
-                )
-                aliases.append(f"{alias} (= {component.name}:{bound})" if bound else alias)
-            rows.append(
-                {
-                    "name": component.name,
-                    "summary": component.summary,
-                    "aliases": aliases,
-                    "params": [p.describe() for p in component.params],
-                }
-            )
-        return rows
+        return [
+            {
+                "name": component.name,
+                "summary": component.summary,
+                "params": [p.describe() for p in component.params],
+            }
+            for component in self._components.values()
+        ]
 
 
 def _filter_kwargs(factory: Callable, extra: Mapping[str, object]) -> dict:

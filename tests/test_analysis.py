@@ -39,7 +39,8 @@ class TestHarness:
             ("adaserve", "AdaServe"),
             ("vllm", "vLLM"),
             ("sarathi", "Sarathi-Serve"),
-            ("vllm-spec-6", "vLLM-Spec(6)"),
+            ("vllm-spec:k=6", "vLLM-Spec(6)"),
+            ("smartspec", "SmartSpec"),
             ("priority", "vLLM+Priority"),
             ("fastserve", "FastServe"),
             ("vtc", "VTC"),

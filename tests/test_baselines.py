@@ -230,7 +230,7 @@ class TestVTC:
 
 class TestVLLMSpec:
     def test_invalid_spec_len(self, engine):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spec_len must be >= 1"):
             VLLMSpecScheduler(engine, spec_len=0)
 
     def test_name_includes_length(self, engine):

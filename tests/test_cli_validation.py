@@ -65,7 +65,7 @@ class TestWorkloadValidation:
 class TestSpecStringArgs:
     def test_system_specs_canonicalized_at_parse_time(self):
         assert _parse(["run", "--system", "vllm-spec:k=8"]).system == "vllm-spec:k=8"
-        assert _parse(["run", "--system", "vllm-spec-4"]).system == "vllm-spec"
+        assert _parse(["run", "--system", "vllm-spec:k=4"]).system == "vllm-spec"
         assert _parse(["sweep", "--systems", "adaserve", "vllm-spec:k=6"]).systems == [
             "adaserve",
             "vllm-spec:k=6",
@@ -76,6 +76,14 @@ class TestSpecStringArgs:
             _parse(["run", "--system", "bogus"])
         with pytest.raises(SystemExit):
             _parse(["run", "--system", "vllm-spec:q=3"])
+
+    def test_suffixed_system_name_exits_2(self, capsys):
+        # The speculation length is a spec key: vllm-spec:k=6, not vllm-spec-6.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--system", "vllm-spec-6"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown system 'vllm-spec-6'" in err and "'vllm-spec'" in err
 
     def test_out_of_range_param_values_fail_at_the_parser(self):
         # Previously these passed argparse and crashed the component
@@ -105,11 +113,11 @@ class TestSpecStringArgs:
 
 
 class TestListCommand:
-    def test_list_systems_shows_schemas_and_aliases(self, capsys):
+    def test_list_systems_shows_schemas(self, capsys):
         assert main(["list", "systems"]) == 0
         out = capsys.readouterr().out
         assert "adaserve" in out and "vllm-spec" in out
-        assert "alias: vllm-spec-6 (= vllm-spec:k=6)" in out
+        assert "alias:" not in out
         assert "param: k: int = 4" in out
         assert "param: n_max: int = 16" in out
 
@@ -177,11 +185,11 @@ class TestGridOption:
         out = capsys.readouterr().out
         assert "[seed=1]" in out and "[seed=2]" in out
 
-    def test_grid_values_dedupe_with_aliases(self, tmp_path, capsys):
-        # k=4 is the alias vllm-spec-4's binding and the default: one point.
+    def test_grid_values_dedupe_with_spelled_defaults(self, tmp_path, capsys):
+        # k=4 is the default, so both spellings and the grid cell are one point.
         argv = [
             "sweep",
-            "--systems", "vllm-spec", "vllm-spec-4",
+            "--systems", "vllm-spec", "vllm-spec:k=4",
             "--rps", "1.5",
             "--duration", "4",
             "--trace", "steady",

@@ -51,7 +51,7 @@ class TestDeployments:
         )
 
 
-@pytest.mark.parametrize("system", ["adaserve", "vllm", "vllm-spec-4", "smartspec"])
+@pytest.mark.parametrize("system", ["adaserve", "vllm", "vllm-spec:k=4", "smartspec"])
 class TestEveryCombination:
     def test_runs_and_finishes(self, setup, workload, system):
         report = run_once(setup, system, workload, max_sim_time_s=300.0)

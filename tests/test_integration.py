@@ -104,13 +104,13 @@ class TestTruncatedIteration:
 class TestQualitativeOrdering:
     def test_adaserve_at_least_best_baseline(self, setup, workload):
         ada = run_once(setup, "adaserve", workload)
-        spec = run_once(setup, "vllm-spec-6", workload)
+        spec = run_once(setup, "vllm-spec:k=6", workload)
         vllm = run_once(setup, "vllm", workload)
         best = max(spec.metrics.attainment, vllm.metrics.attainment)
         assert ada.metrics.attainment >= best - 0.02
 
     def test_speculation_beats_plain_batching_on_strict(self, setup, workload):
-        spec = run_once(setup, "vllm-spec-6", workload)
+        spec = run_once(setup, "vllm-spec:k=6", workload)
         vllm = run_once(setup, "vllm", workload)
         assert (
             spec.metrics.per_category["coding"].attainment
@@ -118,7 +118,7 @@ class TestQualitativeOrdering:
         )
 
     def test_all_systems_complete(self, setup, workload):
-        for system in ("adaserve", "vllm", "sarathi", "vllm-spec-4", "fastserve", "vtc", "priority"):
+        for system in ("adaserve", "vllm", "sarathi", "vllm-spec:k=4", "fastserve", "vtc", "priority"):
             report = run_once(setup, system, workload, max_sim_time_s=600.0)
             assert report.metrics.num_finished == report.metrics.num_requests, system
 
@@ -148,8 +148,8 @@ class TestLoadResponse:
 
     def test_static_spec_acceptance_stable(self, setup):
         gen = WorkloadGenerator(setup.target_roofline, seed=25)
-        light = run_once(setup, "vllm-spec-6", gen.steady(20.0, 1.5))
-        heavy = run_once(setup, "vllm-spec-6", gen.steady(20.0, 5.0))
+        light = run_once(setup, "vllm-spec:k=6", gen.steady(20.0, 1.5))
+        heavy = run_once(setup, "vllm-spec:k=6", gen.steady(20.0, 5.0))
         assert light.metrics.mean_accepted_per_verify == pytest.approx(
             heavy.metrics.mean_accepted_per_verify, abs=0.6
         )

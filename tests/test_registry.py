@@ -197,7 +197,6 @@ class TestScratchRegistry:
                 Param("rate", "float", default=0.5),
                 Param("mode", "str", default="fast"),
             ],
-            aliases={"gadget-9": {"size": 9}},
         )
         def gadget(size=3, rate=0.5, mode="fast"):
             return (size, rate, mode)
@@ -209,21 +208,13 @@ class TestScratchRegistry:
         with pytest.raises(ValueError, match="duplicate"):
             reg.register("gadget")(lambda: None)
         with pytest.raises(ValueError, match="duplicate"):
-            reg.register("gadget-9")(lambda: None)
+            reg.register("GADGET")(lambda: None)
 
-    def test_alias_resolves_with_bindings(self):
-        reg = self._registry()
-        resolved = reg.resolve("gadget-9")
+    def test_resolve_fills_defaults(self):
+        resolved = self._registry().resolve("gadget:size=9")
         assert resolved.name == "gadget"
         assert resolved.params == {"size": 9, "rate": 0.5, "mode": "fast"}
         assert resolved.canonical == "gadget:size=9"
-
-    def test_alias_binding_cannot_be_overridden(self):
-        reg = self._registry()
-        with pytest.raises(SpecError, match="fixed"):
-            reg.resolve("gadget-9:size=2")
-        # Other params remain settable through the alias.
-        assert reg.resolve("gadget-9:rate=0.25").params["rate"] == 0.25
 
     def test_required_param(self):
         reg = Registry("widget")
@@ -274,7 +265,15 @@ class TestBuiltinRegistries:
         with pytest.raises(UnknownComponentError) as exc:
             SYSTEMS.resolve("nonsense")
         message = str(exc.value)
-        assert "nonsense" in message and "adaserve" in message and "vllm-spec-8" in message
+        assert "nonsense" in message and "adaserve" in message and "'vllm-spec'" in message
+
+    def test_suffixed_vllm_spec_names_are_unknown(self):
+        # A parameter is a spec key, never a name suffix: vllm-spec:k=6.
+        for name in ("vllm-spec-4", "vllm-spec-6", "vllm-spec-8"):
+            assert name not in SYSTEMS
+        with pytest.raises(UnknownComponentError) as exc:
+            SYSTEMS.resolve("vllm-spec-6")
+        assert "'vllm-spec-6'" in str(exc.value) and "'vllm-spec'" in str(exc.value)
 
     def test_unknown_param_error_names_alternatives(self):
         with pytest.raises(UnknownParamError) as exc:
@@ -289,21 +288,10 @@ class TestBuiltinRegistries:
             with pytest.raises(exc_type):
                 SYSTEMS.resolve("vllm-spec:q=3")
 
-    def test_legacy_system_names_all_registered(self):
-        legacy = (
-            "adaserve",
-            "vllm",
-            "sarathi",
-            "vllm-spec-4",
-            "vllm-spec-6",
-            "vllm-spec-8",
-            "priority",
-            "fastserve",
-            "vtc",
-            "smartspec",
-        )
-        for name in legacy:
+    def test_committed_system_names_all_registered(self):
+        for name in COMMITTED_NAMES["SYSTEMS"]:
             assert name in SYSTEMS, name
+        assert "VLLM-Spec" in SYSTEMS  # names are case-insensitive
 
     def test_router_and_trace_names_match_registries(self):
         assert ROUTERS.names() == (
@@ -317,16 +305,15 @@ class TestBuiltinRegistries:
         assert MODELS.names() == ("llama70b", "qwen32b")
         assert build_setup("qwen32b", seed=3).seed == 3
 
-    def test_vllm_spec_aliases_canonicalize(self):
-        assert SYSTEMS.canonical("vllm-spec-4") == SYSTEMS.canonical("vllm-spec:k=4")
-        assert SYSTEMS.canonical("vllm-spec-8") == "vllm-spec:k=8"
+    def test_vllm_spec_specs_canonicalize(self):
+        assert SYSTEMS.canonical(" VLLM-Spec : k=8 ") == "vllm-spec:k=8"
         # Spelled-out default collapses to the bare name.
         assert SYSTEMS.canonical("vllm-spec:k=4") == "vllm-spec"
 
     def test_every_system_component_lists_its_schema(self):
         rows = {row["name"]: row for row in SYSTEMS.describe()}
         assert any("k: int = 4" in p for p in rows["vllm-spec"]["params"])
-        assert any(a.startswith("vllm-spec-6") for a in rows["vllm-spec"]["aliases"])
+        assert set(rows["vllm-spec"]) == {"name", "summary", "params"}
         assert any("n_max" in p for p in rows["adaserve"]["params"])
 
     def test_registry_alone_registers_every_component(self):
@@ -348,7 +335,7 @@ class TestComponentCreation:
     def test_make_scheduler_parameterized_specs(self):
         engine = build_setup("llama70b").build_engine()
         assert make_scheduler("vllm-spec:k=3", engine).spec_len == 3
-        assert make_scheduler("vllm-spec-6", engine).spec_len == 6
+        assert make_scheduler("vllm-spec:k=6", engine).name == "vLLM-Spec(6)"
         assert make_scheduler("adaserve:n_max=4", engine).n_max == 4
         assert make_scheduler("sarathi:chunk=128", engine).chunk_budget == 128
         assert make_scheduler("priority:cap=2", engine).urgent_batch_cap == 2

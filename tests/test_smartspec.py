@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.smartspec import SmartSpecScheduler
+from repro.analysis.harness import build_setup, run_once
+from repro.baselines.smartspec import ChainSpecScheduler, SmartSpecScheduler
+from repro.serving.request import Request
 from repro.serving.server import ServingSimulator
-from tests.conftest import make_request
+from tests.conftest import make_request, tiny_generator
 
 
 class TestPolicy:
     def test_invalid_k_max(self, engine):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
             SmartSpecScheduler(engine, k_max=0)
 
     def test_expected_accepted_geometric(self, engine):
@@ -91,3 +93,42 @@ class TestServing:
         s = SmartSpecScheduler(engine)
         ServingSimulator(engine, s, reqs).run()
         assert s.acceptance_ema > 0.7
+
+
+class TestPolicyIsTheOnlyDifference:
+    """SmartSpec with vLLM-Spec's fixed policy serves exactly like vLLM-Spec."""
+
+    K = 5
+
+    def _serve(self, monkeypatch, system: str):
+        timeline = []
+        commit = Request.commit_tokens
+
+        def recording_commit(req, count, new_ctx, now):
+            commit(req, count, new_ctx, now)
+            timeline.append((req.rid, req.n_generated, req.ctx, now))
+
+        setup = build_setup("llama70b", seed=4)
+        workload = tiny_generator(setup.target_roofline, seed=4).steady(8.0, 3.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(Request, "commit_tokens", recording_commit)
+            report = run_once(setup, system, workload)
+        return report, timeline
+
+    def test_fixed_policy_smartspec_matches_vllm_spec(self, monkeypatch):
+        k = self.K
+        monkeypatch.setattr(SmartSpecScheduler, "choose_k", lambda _sched, n, context: k)
+        monkeypatch.setattr(SmartSpecScheduler, "_observe", ChainSpecScheduler._observe)
+        smart, smart_timeline = self._serve(monkeypatch, f"smartspec:k_max={self.K}")
+        spec, spec_timeline = self._serve(monkeypatch, f"vllm-spec:k={self.K}")
+        assert (smart.scheduler_name, spec.scheduler_name) == ("SmartSpec", f"vLLM-Spec({self.K})")
+        assert smart_timeline and smart_timeline == spec_timeline
+        assert smart.metrics == spec.metrics
+        assert (smart.sim_time_s, smart.iterations) == (spec.sim_time_s, spec.iterations)
+        assert smart.requests == spec.requests
+
+    def test_adaptive_policy_differs(self, monkeypatch):
+        # Guard the test above: unpatched, SmartSpec does not serve like a fixed k.
+        smart, smart_timeline = self._serve(monkeypatch, f"smartspec:k_max={self.K}")
+        _spec, spec_timeline = self._serve(monkeypatch, f"vllm-spec:k={self.K}")
+        assert smart_timeline != spec_timeline

@@ -15,16 +15,14 @@ from repro.analysis.spec import (
     expand_grid,
     parse_grid_axis,
 )
-from repro.registry import SpecError, UnknownParamError
+from repro.registry import SpecError, UnknownComponentError, UnknownParamError
 
-#: Every legacy system name maps to its explicit parameterized spelling.
-LEGACY_EQUIVALENTS = {
+#: Every system's bare name maps to its spelling with each default written out.
+SPELLED_DEFAULTS = {
     "adaserve": "adaserve:n_max=16,slack=1.5,margin=0.9,chunk=256",
     "vllm": "vllm",
     "sarathi": "sarathi:chunk=256",
-    "vllm-spec-4": "vllm-spec:k=4",
-    "vllm-spec-6": "vllm-spec:k=6",
-    "vllm-spec-8": "vllm-spec:k=8",
+    "vllm-spec": "vllm-spec:k=4",
     "priority": "priority:cap=8",
     "fastserve": "fastserve",
     "vtc": "vtc",
@@ -41,16 +39,18 @@ def _spec(**overrides) -> ExperimentSpec:
 
 
 class TestCanonicalization:
-    @pytest.mark.parametrize("legacy,parameterized", sorted(LEGACY_EQUIVALENTS.items()))
-    def test_alias_cache_key_byte_identical_to_parameterized_form(
-        self, legacy, parameterized
-    ):
-        a, b = _spec(system=legacy), _spec(system=parameterized)
+    @pytest.mark.parametrize("bare,spelled", sorted(SPELLED_DEFAULTS.items()))
+    def test_bare_name_cache_key_byte_identical_to_spelled_defaults(self, bare, spelled):
+        a, b = _spec(system=bare), _spec(system=spelled)
         assert a == b
         assert a.digest() == b.digest()
         canonical_a = json.dumps(a.to_dict(), sort_keys=True, separators=(",", ":"))
         canonical_b = json.dumps(b.to_dict(), sort_keys=True, separators=(",", ":"))
         assert canonical_a.encode() == canonical_b.encode()  # byte-identical
+
+    def test_suffixed_system_name_rejected(self):
+        with pytest.raises(UnknownComponentError, match="'vllm-spec'"):
+            _spec(system="vllm-spec-8")
 
     def test_distinct_parameters_fork_the_key(self):
         assert _spec(system="vllm-spec:k=6").digest() != _spec(system="vllm-spec:k=8").digest()
@@ -107,7 +107,7 @@ class TestShape:
     def test_sections_constructible_directly(self):
         spec = ExperimentSpec(
             workload=WorkloadSpec(trace="steady", rps=2.0, duration_s=4.0, seed=7),
-            system=SystemSpec(name="vllm-spec-8", model="llama70b"),
+            system=SystemSpec(name="vllm-spec:k=8", model="llama70b"),
             cluster=ClusterSpec(),
         )
         assert spec == _spec(system="vllm-spec:k=8")

@@ -11,6 +11,11 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.harness import build_setup, run_once
+from tests.conftest import tiny_generator
+
 SIMBENCH = Path(__file__).resolve().parents[1] / "simbench"
 
 
@@ -25,3 +30,20 @@ def test_install_resolves_every_target_and_uninstall_restores(monkeypatch):
     assert patches
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original, f"{owner!r}.{attr} not restored"
+
+
+@pytest.mark.parametrize("system", ["vllm-spec:k=4", "smartspec"])
+def test_chain_step_calls_the_wrapped_speculation_names(monkeypatch, system):
+    # The chain step must look draft_chains/verify_sequence up where the
+    # tracer wraps them, or chain points report no core work.
+    monkeypatch.syspath_prepend(str(SIMBENCH))
+    setup = build_setup("llama70b", seed=2)
+    workload = tiny_generator(setup.target_roofline, seed=2).steady(4.0, 3.0)
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+        run_once(setup, system, workload)
+    finally:
+        tracer.uninstall()
+    for name in ("core.speculate", "core.verify"):
+        assert tracer.stats[name].calls > 0, f"{system}: no {name} calls recorded"
