@@ -126,19 +126,20 @@ class SmartSpecScheduler(ChainSpecScheduler):
             return float(k)
         return p * (1.0 - p**k) / (1.0 - p)
 
-    def _iteration_latency(self, k: int, n: int, context: int) -> float:
-        """Predicted latency of a k-chain iteration over n requests."""
-        draft = self.engine.draft_roofline.forward_latency(n, context) * k
+    def _iteration_latency(self, k: int, n: int, context: int, draft_pass: float) -> float:
+        """Predicted latency of a k-chain iteration over n requests, given
+        the latency of one draft pass over them."""
         verify = self.engine.target_roofline.forward_latency(n * k, context)
-        return draft + verify + self.engine.step_overhead_s
+        return draft_pass * k + verify + self.engine.step_overhead_s
 
     def choose_k(self, n: int, context: int) -> int:
         """Chain length maximizing predicted tokens/second."""
         p = self.acceptance_ema
         best_k, best_rate = 1, 0.0
+        draft_pass = self.engine.draft_roofline.forward_latency(n, context)  # same for every k
         for k in range(1, self.k_max + 1):
             rate = n * (self._expected_accepted(k, p) + 1.0) / self._iteration_latency(
-                k, n, context
+                k, n, context, draft_pass
             )
             if rate > best_rate:
                 best_k, best_rate = k, rate

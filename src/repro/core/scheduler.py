@@ -128,10 +128,13 @@ class AdaServeScheduler(Scheduler):
         t = 0.0
         if d > 0:
             t += draft.forward_latency(n, context)
+        if d > 1:
+            # Levels 2..d replay one graph shape: price it once.
+            replay = draft.forward_latency(
+                n * w, context, launch_overhead=self.engine.draft_graphs.replay_cost_s
+            )
             for _ in range(d - 1):
-                t += draft.forward_latency(
-                    n * w, context, launch_overhead=self.engine.draft_graphs.replay_cost_s
-                )
+                t += replay
         t += self.engine.target_roofline.forward_latency(self.verify_budget, context)
         return t + self.engine.step_overhead_s
 

@@ -26,6 +26,11 @@ The model is the standard two-roof approximation:
 Absolute numbers are approximations of A100-class hardware; what the
 reproduction relies on is the *shape* (flat-then-linear in batched tokens),
 which is what makes budgets and SLO math meaningful.
+
+Every pass is priced in closed form; nothing is memoized.  A per-shape
+memo hit 0.8-2.6% of its lookups on a plain-decode fleet (decode
+contexts grow every step) and 55% on a speculative sweep, every hit a
+shape repeated inside one pricing loop, which now reuses its own float.
 """
 
 from __future__ import annotations
@@ -118,12 +123,6 @@ class RooflineModel:
         else:
             self._comm_per_token = 0.0
         self._launch_time = model.n_layers * KERNELS_PER_LAYER * gpu.kernel_launch_s
-        # Memoized end-to-end latencies keyed on the pass shape.  Decode
-        # and speculation steps overwhelmingly repeat (batch, context,
-        # launch) signatures within a run, and the model is a pure
-        # function of them, so caching the float is exact — it skips the
-        # ForwardCost construction, not any arithmetic variation.
-        self._latency_cache: dict[tuple[int, int, float | None], float] = {}
 
     # ------------------------------------------------------------------
     def forward_cost(
@@ -155,8 +154,6 @@ class RooflineModel:
             launch_time=self._launch_time if launch_overhead is None else launch_overhead,
         )
 
-    _LATENCY_CACHE_CAP = 1 << 16
-
     def forward_latency(
         self,
         batch_tokens: int,
@@ -165,41 +162,18 @@ class RooflineModel:
     ) -> float:
         """End-to-end latency (seconds) of one forward pass.
 
-        Memoized on the shape signature (speculation steps overwhelmingly
-        repeat shapes within a run).  A miss prices the pass with the
-        same terms and formula as :meth:`forward_cost` without building
-        the breakdown (a decode step's context grows every step, so
-        decode mostly misses).
+        The same terms and formula as :meth:`forward_cost`, without
+        building the breakdown.  Not memoized (see the module docstring).
         """
-        key = (batch_tokens, context_tokens, launch_overhead)
-        cache = self._latency_cache
-        total = cache.get(key)
-        if total is not None:
-            return total
         if batch_tokens < 0 or context_tokens < 0:
             raise ValueError("token counts must be non-negative")
-        total = _pass_latency(
+        return _pass_latency(
             self._weight_time,
             batch_tokens * self._compute_per_token,
             context_tokens * self._kv_per_token,
             batch_tokens * self._comm_per_token,
             self._launch_time if launch_overhead is None else launch_overhead,
         )
-        if len(cache) >= self._LATENCY_CACHE_CAP:
-            cache.clear()
-        cache[key] = total
-        return total
-
-    def decode_latency(self, batch_size: int, context_tokens: int = 0) -> float:
-        """Latency of a plain autoregressive decode step (one token/request)."""
-        return self.forward_latency(batch_size, context_tokens)
-
-    def prefill_latency(self, prompt_tokens: int) -> float:
-        """Latency to prefill ``prompt_tokens`` in one pass.
-
-        Attention context during prefill averages half the prompt length.
-        """
-        return self.forward_latency(prompt_tokens, prompt_tokens // 2)
 
     @property
     def baseline_decode_latency(self) -> float:

@@ -287,19 +287,22 @@ class SimulatedEngine:
         """Latency of a batched draft beam (speculation phase).
 
         Step 1 launches eagerly (its shape includes fresh contexts); steps
-        2..d replay CUDA graphs when their shapes are warm (§5.2).
+        2..d replay CUDA graphs when their shapes are warm (§5.2).  A level
+        shaped like the one before reuses its latency; the graph model
+        still sees every level, as it counts captures and replays.
         """
         total = 0.0
+        shape = latency = None
         for i, tokens in enumerate(step_tokens):
             if tokens <= 0:
                 continue
-            if i == 0:
-                overhead = None  # eager launch
-            else:
-                overhead = self.draft_graphs.launch_overhead(tokens)
-            total += self.draft_roofline.forward_latency(
-                tokens, context_tokens, launch_overhead=overhead
-            )
+            overhead = None if i == 0 else self.draft_graphs.launch_overhead(tokens)
+            if (tokens, overhead) != shape:
+                shape = (tokens, overhead)
+                latency = self.draft_roofline.forward_latency(
+                    tokens, context_tokens, launch_overhead=overhead
+                )
+            total += latency
         if self.slow_factor != 1.0:
             total *= self.slow_factor
         self.phase_times.speculation_s += total

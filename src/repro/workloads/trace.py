@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro._rng import fold_sum, hash_seed, uniform
 from repro.workloads.batcharrivals import thin_poisson, vexp, vfull, vmaximum, vpow2, vsin
 
@@ -55,31 +57,25 @@ def bursty_trace(
     burst_pos = [uniform(h, 10 + k) * duration_s for k in range(num_bursts)]
     burst_width = duration_s * 0.02
 
-    def shape(t: float) -> float:
-        base = 1.0
-        base += burstiness * 0.6 * math.sin(2 * math.pi * t / (duration_s / 2.3))
-        base += burstiness * 0.3 * math.sin(2 * math.pi * t / (duration_s / 7.1) + 1.0)
-        for p in burst_pos:
-            base += burstiness * 1.5 * math.exp(-0.5 * ((t - p) / burst_width) ** 2)
-        return max(0.05, base)
-
-    # Normalize the shape to the target average rate.
-    samples = 512
-    mean_shape = fold_sum(shape(duration_s * (k + 0.5) / samples) for k in range(samples)) / samples
-    scale = target_rps / mean_shape
-    rate_max = scale * max(shape(duration_s * (k + 0.5) / samples) for k in range(samples)) * 1.05
-
-    def rate(t):
-        # scale * shape(t), elementwise over a time column in shape()'s
-        # float sequence; sin/exp/**2 go through the exact kernels (numpy's
-        # SIMD transcendentals are a few ULP off libm, which would fork
-        # digests).
+    def shape(t):
+        # Elementwise over a float64 time column; sin/exp/**2 go through
+        # the exact kernels (numpy's SIMD transcendentals are a few ULP
+        # off libm, which would fork digests).
         c = 2 * math.pi
         base = 1.0 + burstiness * 0.6 * vsin(c * t / (duration_s / 2.3))
         base = base + burstiness * 0.3 * vsin(c * t / (duration_s / 7.1) + 1.0)
         for p in burst_pos:
             base = base + burstiness * 1.5 * vexp(-0.5 * vpow2((t - p) / burst_width))
-        return scale * vmaximum(0.05, base)
+        return vmaximum(0.05, base)
+
+    # Normalize the shape to the target average rate over a midpoint grid.
+    samples = 512
+    grid = shape(duration_s * (np.arange(samples) + 0.5) / samples).tolist()
+    scale = target_rps / (fold_sum(grid) / samples)
+    rate_max = scale * max(grid) * 1.05
+
+    def rate(t):
+        return scale * shape(t)
 
     return thin_poisson(rate, duration_s, rate_max, seed)
 

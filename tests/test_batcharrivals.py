@@ -14,7 +14,7 @@ tiny dataset).
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro._rng import uniform
@@ -24,8 +24,10 @@ from repro.registry import TRACES
 from repro.workloads.categories import CATEGORIES
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.sessions import SessionGenerator
+from repro.workloads.trace import bursty_trace
 
 from tests.conftest import (
+    reference_bursty_trace,
     reference_from_arrivals,
     reference_sessions,
     reference_trace,
@@ -137,6 +139,21 @@ class TestByteIdentity:
         gen = tiny_generator(target_roofline)
         _assert_workloads_identical(
             TRACES.create(kind, gen, 30.0, 5.0), reference_trace(kind, gen, 30.0, 5.0)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        duration_s=st.floats(0.5, 400.0),
+        rps=st.floats(0.01, 12.0),
+        burstiness=st.floats(0.0, 0.99, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(duration_s=60.0, rps=4.0, burstiness=0.0, seed=0)
+    def test_bursty_trace_matches_scalar(self, duration_s, rps, burstiness, seed):
+        # The 512-point normalization grid (mean and max) and the
+        # thinning rate: one vector shape, the scalar oracle's bits.
+        assert bursty_trace(duration_s, rps, seed=seed, burstiness=burstiness) == (
+            reference_bursty_trace(duration_s, rps, seed, burstiness)
         )
 
     def test_custom_mix_matches_scalar(self, target_roofline):
