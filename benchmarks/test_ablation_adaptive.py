@@ -27,11 +27,12 @@ def _run_variants():
     setup = setup_for("llama70b")
     gen = WorkloadGenerator(setup.target_roofline, seed=SEED)
     requests = gen.bursty(_DURATION_S, _RPS)
+    # Every variant replays the same trace, so each run gets fresh copies.
     out = {}
-    out["adaptive"] = run_once(setup, "adaserve", requests)
+    out["adaptive"] = run_once(setup, "adaserve", [r.fresh_copy() for r in requests])
     for d, w in ((1, 1), (2, 2), (6, 4), (8, 4)):
         out[f"fixed d={d} w={w}"] = run_once(
-            setup, "adaserve", requests, adaptive=_fixed(d, w)
+            setup, "adaserve", [r.fresh_copy() for r in requests], adaptive=_fixed(d, w)
         )
     return out
 

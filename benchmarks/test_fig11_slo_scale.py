@@ -46,8 +46,7 @@ def test_fig11_slo_scale(benchmark, model):
 
     # Tolerance is wider at the extreme end of the sweep: at scale 0.6
     # every system is far past its operating point and the static
-    # deep-speculation baselines can edge ahead by a few points (see
-    # EXPERIMENTS.md).
+    # deep-speculation baselines can edge ahead by a few points.
     checks = adaserve_dominates(points, "attainment", tolerance=0.08)
     for c in checks:
         print(c)

@@ -136,6 +136,11 @@ def run_once(
 ) -> SimulationReport:
     """Run one system over one workload on a fresh router-fronted fleet.
 
+    The run owns ``requests``: it advances them in place and returns
+    them in the report, without copying.  A request that has already
+    run is refused with a ``ValueError``, so a caller that runs one
+    workload more than once passes ``[r.fresh_copy() for r in requests]``.
+
     A point is a cluster when it has more than one replica, autoscaling
     or faults (the ``ExperimentSpec.is_cluster`` rule).  A solo point's
     engine takes ``setup.seed`` and its replica report is returned; a
@@ -184,10 +189,9 @@ def run_once(
             num_replicas=replicas,
         )
 
-    # Requests are mutated during a run; each run gets a private copy.
     report = FleetSimulator(
         replica_factory,
-        [r.fresh_copy() for r in requests],
+        requests,
         make_router(router, seed=derive_seed(setup.seed, "router")),
         num_replicas=replicas,
         autoscaler_config=autoscaler_config,

@@ -1,7 +1,7 @@
 """Result formatting: the rows/series the paper's tables and figures report.
 
-Benchmarks print their reproduced data through these helpers so output is
-uniform and EXPERIMENTS.md can quote it directly.
+Benchmarks print their reproduced data through these helpers so every
+table and series has one format.
 """
 
 from __future__ import annotations

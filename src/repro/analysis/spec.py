@@ -42,15 +42,23 @@ fast, naming the declared alternatives.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro._rng import derive_seed
 from repro.analysis.cache import config_key
 from repro.cluster.autoscaler import AutoscalerConfig
 from repro.obs.spec import ObsSpec
-from repro.registry import FAULTS, MODELS, ROUTERS, SYSTEMS, TRACES, SpecError
+from repro.registry import (
+    FAULTS,
+    MODELS,
+    ROUTERS,
+    SYSTEMS,
+    TRACES,
+    SpecError,
+    integer_field,
+    real_field,
+)
 from repro.serving.metrics import DEFAULT_METRICS_MODE, METRICS_MODES
 from repro.workloads.categories import CATEGORIES
 
@@ -59,23 +67,6 @@ def _set(obj, **values) -> None:
     """Assign onto a frozen dataclass during ``__post_init__``."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, or a :class:`SpecError` naming the field.
-
-    An integral float (``2.0``) passes.  A bool, a fraction, NaN,
-    infinity or a non-number is refused: ``int()`` would truncate it,
-    read ``True`` as 1, or raise a raw error.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise SpecError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,17 +84,17 @@ class WorkloadSpec:
         _set(
             self,
             trace=TRACES.canonical(self.trace),
-            rps=float(self.rps),
-            duration_s=float(self.duration_s),
-            seed=_integer("workload seed", self.seed),
-            slo_scale=float(self.slo_scale),
+            rps=real_field("workload.rps", self.rps),
+            duration_s=real_field("workload.duration_s", self.duration_s),
+            seed=integer_field("workload.seed", self.seed),
+            slo_scale=real_field("workload.slo_scale", self.slo_scale),
             mix=_canonical_mix(self.mix),
         )
         for name in ("rps", "duration_s", "slo_scale"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise SpecError(
-                    f"workload {name} must be a positive finite number, got {value:g}"
+                    f"workload.{name} must be a positive finite number, got {value:g}"
                 )
 
     def to_dict(self) -> dict:
@@ -137,12 +128,14 @@ class SystemSpec:
             raise SpecError(
                 f"metrics must be one of {', '.join(METRICS_MODES)}, got {self.metrics!r}"
             )
+        # ``bool("no")`` is True: a non-bool would silently switch the cache on.
+        if not isinstance(self.prefix_cache, bool):
+            raise SpecError(f"system.prefix_cache must be a bool, got {self.prefix_cache!r}")
         _set(
             self,
             name=SYSTEMS.canonical(self.name),
             model=MODELS.canonical(self.model),
-            max_sim_time_s=float(self.max_sim_time_s),
-            prefix_cache=bool(self.prefix_cache),
+            max_sim_time_s=real_field("system.max_sim_time_s", self.max_sim_time_s),
             metrics=metrics,
         )
         if not math.isfinite(self.max_sim_time_s) or self.max_sim_time_s <= 0:
@@ -176,12 +169,18 @@ class ClusterSpec:
     autoscale: tuple[tuple[str, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        replicas = _integer("replicas", self.replicas)
+        replicas = integer_field("replicas", self.replicas)
         if replicas < 1:
             raise SpecError(f"replicas must be >= 1, got {replicas}")
         autoscale = self.autoscale
         if autoscale is not None:
-            resolved = AutoscalerConfig.resolve(dict(autoscale), initial_replicas=replicas)
+            try:
+                knobs = dict(autoscale)
+            except (TypeError, ValueError):
+                raise SpecError(
+                    f"cluster.autoscale must be a mapping of autoscaler knobs, got {autoscale!r}"
+                ) from None
+            resolved = AutoscalerConfig.resolve(knobs, initial_replicas=replicas)
             autoscale = tuple(sorted(asdict(resolved).items()))
         # Always validate the router spec; then, on a solo non-autoscaled
         # point, collapse it to the default — the router is never
@@ -234,6 +233,8 @@ class ChaosSpec:
             raw = ()
         elif isinstance(raw, str):
             raw = (raw,)
+        elif not isinstance(raw, (list, tuple)):
+            raise SpecError(f"chaos.faults must be a list of fault specs, got {raw!r}")
         _set(self, faults=tuple(FAULTS.canonical(spec) for spec in raw))
 
     @property
@@ -332,7 +333,7 @@ class ExperimentSpec:
             cluster=ClusterSpec(
                 replicas=replicas,
                 router=router,
-                autoscale=tuple(autoscale.items()) if isinstance(autoscale, Mapping) else autoscale,
+                autoscale=autoscale,
             ),
             chaos=ChaosSpec(faults=faults),
             obs=obs if obs is not None else ObsSpec(),
@@ -340,7 +341,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentSpec":
-        """Rebuild a spec from its canonical JSON form."""
+        """Rebuild a spec from its canonical JSON form.
+
+        ``workload``, ``system`` and ``cluster`` are required mappings
+        (a record missing one is corrupt, not a request for defaults);
+        ``chaos`` is optional, as :meth:`to_dict` omits it when empty.
+        """
+        if not isinstance(d, Mapping):
+            raise SpecError(f"an ExperimentSpec record must be a mapping, got {d!r}")
         unknown = set(d) - {"workload", "system", "cluster", "chaos"}
         if unknown:
             raise SpecError(
@@ -348,20 +356,11 @@ class ExperimentSpec:
                 "flat schema-v2 configs are not readable — rebuild via "
                 "ExperimentSpec.create(...) (sections: workload, system, cluster, chaos)"
             )
-        w = dict(d.get("workload", {}))
-        if w.get("mix") is not None:
-            w["mix"] = tuple((name, share) for name, share in w["mix"])
-        c = dict(d.get("cluster", {}))
-        if c.get("autoscale") is not None:
-            c["autoscale"] = tuple((k, v) for k, v in c["autoscale"])
-        chaos = dict(d.get("chaos", {}))
-        if chaos.get("faults") is not None:
-            chaos["faults"] = tuple(chaos["faults"])
         return cls(
-            workload=WorkloadSpec(**w),
-            system=SystemSpec(**dict(d.get("system", {}))),
-            cluster=ClusterSpec(**c),
-            chaos=ChaosSpec(**chaos),
+            workload=_section(WorkloadSpec, "workload", d),
+            system=_section(SystemSpec, "system", d),
+            cluster=_section(ClusterSpec, "cluster", d),
+            chaos=_section(ChaosSpec, "chaos", d) if "chaos" in d else ChaosSpec(),
         )
 
     # -- canonical JSON / cache key -------------------------------------
@@ -481,12 +480,30 @@ def _parse_bool(path: str, value) -> bool:
     raise SpecError(f"{path} expects true/false, got {value!r}")
 
 
+def _section(section_cls, name: str, record: Mapping):
+    """Build one section of a :meth:`ExperimentSpec.from_dict` record."""
+    values = record.get(name)
+    if not isinstance(values, Mapping):
+        state = "missing" if name not in record else f"not a mapping: {values!r}"
+        raise SpecError(f"ExperimentSpec record section {name!r} is {state}")
+    unknown = set(values) - {f.name for f in fields(section_cls)}
+    if unknown:
+        keys = ", ".join(f"{name}.{key}" for key in sorted(unknown))
+        raise SpecError(f"ExperimentSpec record has unknown keys {keys}")
+    return section_cls(**values)
+
+
 def _canonical_mix(mix) -> tuple[tuple[str, float], ...] | None:
     """Sorted ``(category, weight)`` pairs; every weight finite, >= 0, not all 0."""
     if not mix:
         return None
+    if not isinstance(mix, Mapping):
+        try:
+            mix = dict(mix)
+        except (TypeError, ValueError):
+            raise SpecError(f"workload.mix must be a mapping of category weights, got {mix!r}") from None
     canonical = []
-    for name, share in mix.items() if isinstance(mix, Mapping) else mix:
+    for name, share in mix.items():
         name = str(name)
         if name not in CATEGORIES:
             raise SpecError(

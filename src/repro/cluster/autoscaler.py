@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.cluster.replica import Replica
-from repro.registry import SpecError
+from repro.registry import SpecError, UnknownParamError, integer_field, real_field
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,26 @@ class AutoscalerConfig:
     @classmethod
     def from_mapping(cls, knobs) -> "AutoscalerConfig":
         """Build from a (possibly partial) mapping of field overrides."""
+        return cls(**cls._checked(knobs))
+
+    @classmethod
+    def _checked(cls, knobs) -> dict:
+        """``knobs`` as a dict with int counts; an unknown or non-numeric knob is a ``SpecError``."""
         fields = set(cls.__dataclass_fields__)
         unknown = set(knobs) - fields
         if unknown:
-            raise KeyError(
-                f"unknown autoscaler knobs {sorted(unknown)}; available: {sorted(fields)}"
+            raise UnknownParamError(
+                f"unknown autoscale knobs {sorted(unknown)}; available: {sorted(fields)}"
             )
         values = dict(knobs)
-        # Replica counts may arrive as floats (e.g. from JSON round-trips).
-        for count_field in ("min_replicas", "max_replicas"):
-            if count_field in values:
-                values[count_field] = int(values[count_field])
-        return cls(**values)
+        for name, value in values.items():
+            if name.endswith("_replicas"):
+                # Counts may arrive as integral floats (e.g. from JSON round-trips).
+                values[name] = integer_field(f"autoscale.{name}", value)
+            else:
+                # Checked, not converted: the spelling stays in the cache key.
+                real_field(f"autoscale.{name}", value)
+        return values
 
     @classmethod
     def resolve(cls, knobs, initial_replicas: int) -> "AutoscalerConfig":
@@ -86,12 +94,9 @@ class AutoscalerConfig:
         rejected — both the experiment-config cache key and the harness
         resolve through here, so they can never disagree.
         """
-        values = dict(knobs)
-        values.setdefault(
-            "max_replicas",
-            max(2 * initial_replicas, int(values.get("min_replicas", 1))),
-        )
-        config = cls.from_mapping(values)
+        values = cls._checked(knobs)
+        values.setdefault("max_replicas", max(2 * initial_replicas, values.get("min_replicas", 1)))
+        config = cls(**values)
         if config.max_replicas < initial_replicas:
             raise SpecError(
                 f"autoscale max_replicas ({config.max_replicas}) is below "

@@ -87,6 +87,9 @@ class FleetSimulator:
         pair (initial fleet and autoscaled additions alike).
     requests:
         The cluster-level workload; arrival times are absolute seconds.
+        The run owns these requests and advances them in place; one that
+        has already run (see :attr:`Request.has_run`) is refused with a
+        ``ValueError``.
     router:
         Routing policy consulted once per arrival.
     num_replicas:
@@ -129,8 +132,14 @@ class FleetSimulator:
     ) -> None:
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        self.replica_factory = replica_factory
         self.requests = list(requests)
+        for request in self.requests:
+            if request.has_run:
+                raise ValueError(
+                    f"request {request.rid} has already run; pass fresh copies "
+                    "([r.fresh_copy() for r in requests]) to run a workload again"
+                )
+        self.replica_factory = replica_factory
         self.metrics_mode = metrics_mode
         self.router = router
         # Observability (repro.obs): fleet-level markers go straight to

@@ -1,5 +1,8 @@
 """Synthetic language-model substrate (target + draft pair).
 
-See DESIGN.md §1 for why a seeded stochastic model pair is a faithful
-substitute for real LLM weights in this reproduction.
+A seeded stochastic model pair stands in for real LLM weights: the
+schedulers read only draft probabilities and the tokens the target
+emits, and the pair reproduces both deterministically per seed, with
+acceptance rates calibrated to the paper's band (Figure 12; see
+:mod:`repro.model.calibration`).
 """

@@ -1,9 +1,10 @@
 """Calibration utilities for the synthetic model substrate.
 
-The substrate's two quality knobs — per-category *predictability* and the
-draft's *alignment* — are set in DESIGN.md to land acceptance rates in the
-band the paper reports (Figure 12: ~2-6 accepted tokens per verification).
-This module makes that calibration reproducible and testable:
+The substrate's two quality knobs — per-category *predictability*
+(:mod:`repro.workloads.categories`) and the draft's *alignment*
+(:data:`repro.model.pair.PAIR_PRESETS`) — are set to land acceptance
+rates in the band the paper reports (Figure 12: ~2-6 accepted tokens per
+verification).  This module makes that calibration reproducible and testable:
 
 - :func:`measure_acceptance` — empirical accepted-tokens-per-verification
   of a (pair, beam shape, predictability) configuration;

@@ -33,6 +33,8 @@ from __future__ import annotations
 import importlib
 import inspect
 import math
+import numbers
+import operator
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
@@ -58,6 +60,34 @@ class UnknownParamError(SpecError, KeyError):
 
     def __str__(self) -> str:
         return self.args[0] if self.args else ""
+
+
+def integer_field(name: str, value) -> int:
+    """``value`` as an int, or a :class:`SpecError` naming the field.
+
+    An integral float (``2.0``) passes.  A bool, a fraction, NaN,
+    infinity or a non-number is refused: ``int()`` would truncate it,
+    read ``True`` as 1, or raise a raw error.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
+def real_field(name: str, value) -> float:
+    """``value`` as a float, or a :class:`SpecError` naming the field.
+
+    A bool or a non-number (``"fast"``) is refused; range checks are the
+    caller's.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise SpecError(f"{name} must be a number, got {value!r}")
 
 
 #: Sentinel for parameters without a default (must be given explicitly).

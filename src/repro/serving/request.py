@@ -31,12 +31,20 @@ class RequestState(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass
+#: The runtime fields' construction defaults, in :attr:`Request.has_run` order.
+_PRISTINE = (RequestState.QUEUED, 0, 0, 0, None, None, None, None, 0, 0, 0, 0, 0, None)
+
+
+@dataclass(slots=True)
 class Request:
     """One inference request and its runtime accounting.
 
     Static fields describe the workload item; mutable fields are advanced
-    by schedulers through the helper methods (not directly).
+    by schedulers through the helper methods (not directly).  Slotted:
+    a long trace holds one of these per request, and every construction
+    path (``__init__``, :meth:`fresh_copy`,
+    :meth:`~repro.workloads.batcharrivals.ColumnarWorkload.materialize`)
+    sets every slot.
     """
 
     rid: int
@@ -312,16 +320,45 @@ class Request:
         return cached[1][: n_tokens // block_size]
 
     # ------------------------------------------------------------------
-    # Cloning
+    # Ownership
     # ------------------------------------------------------------------
+    @property
+    def has_run(self) -> bool:
+        """Whether a run has touched this request: a runtime field is off
+        its construction default, or a scheduler holds its ``on_finish``.
+
+        ``prefix_keys`` is not run state; it caches the static fields.
+        """
+        return (
+            self.state,
+            self.prefilled,
+            self.ctx,
+            self.n_generated,
+            self.decode_start,
+            self.first_token_time,
+            self.last_token_time,
+            self.finish_time,
+            self.preempt_count,
+            self.failover_count,
+            self.cached_prompt_tokens,
+            self.verify_steps,
+            self.accepted_draft_tokens,
+            self.on_finish,
+        ) != _PRISTINE
+
     def fresh_copy(self) -> "Request":
         """A pristine copy of this request for a new run.
 
+        A run owns the requests it is given and mutates them in place,
+        and the simulators refuse a request that :attr:`has_run`.  So a
+        caller that runs one workload more than once hands each run
+        ``[r.fresh_copy() for r in requests]``; a caller that runs it
+        once hands over the list itself.
+
         Copies the static workload fields and resets every runtime field
         to its construction default.  Bypasses ``__init__`` (the fields
-        were validated when this request was built), so harness sweeps —
-        which clone every request once per run — pay one attribute sweep
-        instead of dataclass construction + re-validation.
+        were validated when this request was built), so a copy costs one
+        attribute sweep instead of dataclass construction + re-validation.
         """
         clone = object.__new__(Request)
         clone.rid = self.rid

@@ -63,7 +63,9 @@ class ServingSimulator:
     scheduler:
         The policy under test (fresh per run, wrapping ``engine``).
     requests:
-        The workload; arrival times are absolute seconds.
+        The workload; arrival times are absolute seconds.  The run owns
+        these requests and advances them in place; :meth:`run` refuses
+        one that has already run (pass ``fresh_copy()``s to rerun).
     max_sim_time_s:
         Safety horizon; no iteration starts after it (unfinished requests
         count as violations).

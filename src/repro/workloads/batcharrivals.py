@@ -269,7 +269,8 @@ class ColumnarWorkload:
         Bypasses dataclass ``__init__`` exactly like
         :meth:`Request.fresh_copy` — the columns were produced by the
         validated construction recipe, so per-object re-validation would
-        only burn the batch win.
+        only burn the batch win — and, like it, sets every slot.  Session
+        prompts share one system-prompt segment tuple per call.
         """
         hi = len(self) if hi is None else min(hi, len(self))
         if lo >= hi:
@@ -283,8 +284,11 @@ class ColumnarWorkload:
         turns = self.turn_index[lo:hi].tolist() if self.turn_index is not None else None
         seg_ns = self.seg_namespace[lo:hi].tolist() if self.seg_namespace is not None else None
         seg_tok = self.seg_tokens[lo:hi].tolist() if self.seg_tokens is not None else None
-        sys_ns = self.sys_namespace
-        sys_tokens = self.system_prompt
+        # One shared (namespace, tokens) segment for every session prompt.
+        if self.sys_namespace is not None and self.system_prompt > 0:
+            sys_seg = (self.sys_namespace, self.system_prompt)
+        else:
+            sys_seg = None
         queued = RequestState.QUEUED
         new = Request.__new__
         out: list[Request] = []
@@ -307,8 +311,8 @@ class ColumnarWorkload:
                 req.session_id = sessions[i]
                 req.turn_index = turns[i]
                 session_seg = (seg_ns[i], seg_tok[i])
-                if sys_ns is not None and sys_tokens > 0:
-                    req.prompt_segments = ((sys_ns, sys_tokens), session_seg)
+                if sys_seg is not None:
+                    req.prompt_segments = (sys_seg, session_seg)
                 else:
                     req.prompt_segments = (session_seg,)
             req.state = queued
@@ -325,6 +329,7 @@ class ColumnarWorkload:
             req.verify_steps = 0
             req.accepted_draft_tokens = 0
             req.on_finish = None
+            req.prefix_keys = None
             out.append(req)
         return out
 

@@ -8,6 +8,7 @@ from repro.core.scheduler import AdaServeScheduler
 from repro.baselines.vllm import VLLMScheduler
 from repro.serving.engine import SimulatedEngine
 from repro.serving.kv_cache import KVCacheManager
+from repro.serving.request import Request
 from repro.serving.server import ServingSimulator
 from tests.conftest import make_request
 
@@ -87,7 +88,9 @@ class TestIterationBehaviour:
         report = ServingSimulator(engine, AdaServeScheduler(engine), reqs).run()
         assert 0 < report.phase_breakdown["scheduling"] < 0.05
 
-    def test_chunked_prefill_no_long_stall(self, pair, target_roofline, draft_roofline):
+    def test_chunked_prefill_no_long_stall(
+        self, pair, target_roofline, draft_roofline, monkeypatch
+    ):
         # A long prompt arriving mid-stream must not stall decoding
         # requests for its full prefill duration.
         engine = fresh_engine(pair, target_roofline, draft_roofline)
@@ -95,15 +98,17 @@ class TestIterationBehaviour:
             make_request(rid=0, arrival=0.0, prompt_len=20, max_new_tokens=50),
             make_request(rid=1, arrival=0.1, prompt_len=2400, max_new_tokens=4),
         ]
-        # AdaServe commits eagerly: record the time of each commit.
+        # AdaServe commits eagerly: record the time of each commit of
+        # request 0 (requests are slotted, so the spy goes on the class).
         times = []
-        commit = reqs[0].commit_tokens
+        commit = Request.commit_tokens
 
-        def recording_commit(count, ctx, now):
-            times.append(now)
-            commit(count, ctx, now)
+        def recording_commit(req, count, ctx, now):
+            if req is reqs[0]:
+                times.append(now)
+            commit(req, count, ctx, now)
 
-        reqs[0].commit_tokens = recording_commit
+        monkeypatch.setattr(Request, "commit_tokens", recording_commit)
         ServingSimulator(engine, AdaServeScheduler(engine), reqs).run()
         max_gap = max(b - a for a, b in zip(times, times[1:]))
         # Full 2400-token prefill would stall ~0.6s; chunks keep gaps short.
@@ -163,7 +168,7 @@ class TestEndToEndComparison:
 
 
 class TestSLOPressureAdaptation:
-    """The scheduler's structural-demand response (DESIGN.md extension b)."""
+    """The scheduler's structural-demand response to tighter SLOs."""
 
     def _one_step_budget(self, engine, slo: float, n: int = 40):
         """Run one iteration over n identical-SLO requests; return the

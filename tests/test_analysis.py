@@ -51,18 +51,18 @@ class TestHarness:
         sched = make_scheduler(system, setup.build_engine())
         assert sched.name == expected
 
-    def test_run_once_does_not_mutate_inputs(self):
+    def test_run_once_owns_its_requests(self):
         setup = build_setup("llama70b")
         reqs = tiny_generator(setup.target_roofline).steady(4.0, 2.0)
-        before = [(r.n_generated, r.state) for r in reqs]
-        run_once(setup, "vllm", reqs)
-        assert [(r.n_generated, r.state) for r in reqs] == before
+        report = run_once(setup, "vllm", reqs)
+        assert sorted(map(id, report.requests)) == sorted(map(id, reqs))
+        assert all(r.is_finished for r in reqs)
 
     def test_run_once_repeatable(self):
         setup = build_setup("llama70b")
         reqs = tiny_generator(setup.target_roofline).steady(4.0, 2.0)
-        a = run_once(setup, "adaserve", reqs)
-        b = run_once(setup, "adaserve", reqs)
+        a = run_once(setup, "adaserve", [r.fresh_copy() for r in reqs])
+        b = run_once(setup, "adaserve", [r.fresh_copy() for r in reqs])
         assert a.sim_time_s == b.sim_time_s
         assert a.metrics.attainment == b.metrics.attainment
 

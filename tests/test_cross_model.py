@@ -54,12 +54,14 @@ class TestDeployments:
 @pytest.mark.parametrize("system", ["adaserve", "vllm", "vllm-spec:k=4", "smartspec"])
 class TestEveryCombination:
     def test_runs_and_finishes(self, setup, workload, system):
-        report = run_once(setup, system, workload, max_sim_time_s=300.0)
+        report = run_once(
+            setup, system, [r.fresh_copy() for r in workload], max_sim_time_s=300.0
+        )
         assert report.metrics.num_finished == report.metrics.num_requests
 
     def test_repeatable(self, setup, workload, system):
-        a = run_once(setup, system, workload, max_sim_time_s=300.0)
-        b = run_once(setup, system, workload, max_sim_time_s=300.0)
+        a = run_once(setup, system, [r.fresh_copy() for r in workload], max_sim_time_s=300.0)
+        b = run_once(setup, system, [r.fresh_copy() for r in workload], max_sim_time_s=300.0)
         assert a.sim_time_s == b.sim_time_s
         assert a.metrics.total_tokens == b.metrics.total_tokens
         assert a.metrics.num_attained == b.metrics.num_attained

@@ -103,15 +103,15 @@ class TestTruncatedIteration:
 
 class TestQualitativeOrdering:
     def test_adaserve_at_least_best_baseline(self, setup, workload):
-        ada = run_once(setup, "adaserve", workload)
-        spec = run_once(setup, "vllm-spec:k=6", workload)
-        vllm = run_once(setup, "vllm", workload)
+        ada = run_once(setup, "adaserve", [r.fresh_copy() for r in workload])
+        spec = run_once(setup, "vllm-spec:k=6", [r.fresh_copy() for r in workload])
+        vllm = run_once(setup, "vllm", [r.fresh_copy() for r in workload])
         best = max(spec.metrics.attainment, vllm.metrics.attainment)
         assert ada.metrics.attainment >= best - 0.02
 
     def test_speculation_beats_plain_batching_on_strict(self, setup, workload):
-        spec = run_once(setup, "vllm-spec:k=6", workload)
-        vllm = run_once(setup, "vllm", workload)
+        spec = run_once(setup, "vllm-spec:k=6", [r.fresh_copy() for r in workload])
+        vllm = run_once(setup, "vllm", [r.fresh_copy() for r in workload])
         assert (
             spec.metrics.per_category["coding"].attainment
             >= vllm.metrics.per_category["coding"].attainment
@@ -119,12 +119,14 @@ class TestQualitativeOrdering:
 
     def test_all_systems_complete(self, setup, workload):
         for system in ("adaserve", "vllm", "sarathi", "vllm-spec:k=4", "fastserve", "vtc", "priority"):
-            report = run_once(setup, system, workload, max_sim_time_s=600.0)
+            report = run_once(
+                setup, system, [r.fresh_copy() for r in workload], max_sim_time_s=600.0
+            )
             assert report.metrics.num_finished == report.metrics.num_requests, system
 
     def test_goodput_bounded_by_throughput(self, setup, workload):
         for system in ("adaserve", "vllm"):
-            m = run_once(setup, system, workload).metrics
+            m = run_once(setup, system, [r.fresh_copy() for r in workload]).metrics
             assert m.goodput <= m.throughput + 1e-9
 
 

@@ -177,7 +177,7 @@ def test_oracle_points_exercise_pressure_and_the_cut(system):
     assert got["running"] or got["waiting"]  # the horizon cut the run short
 
 
-def test_decode_touches_only_joiners_and_finishers(engine):
+def test_decode_touches_only_joiners_and_finishers(engine, monkeypatch):
     """Between joining and finishing, a member's counters are not written."""
     s = VLLMScheduler(engine)
     reqs = [make_request(rid=i, prompt_len=16, max_new_tokens=20) for i in range(4)]
@@ -185,14 +185,14 @@ def test_decode_touches_only_joiners_and_finishers(engine):
         s.admit(r)
     now = s.step(0.0)  # prefill
     commits = []
-    for r in reqs:
-        commit = r.commit_tokens
+    commit = Request.commit_tokens
 
-        def counting(count, ctx, t, _commit=commit):
-            commits.append(count)
-            _commit(count, ctx, t)
+    # Requests are slotted, so the spy goes on the class.
+    def counting(req, count, ctx, t):
+        commits.append(count)
+        commit(req, count, ctx, t)
 
-        r.commit_tokens = counting
+    monkeypatch.setattr(Request, "commit_tokens", counting)
     for _ in range(10):
         now += s.step(now)
     assert commits == [1, 1, 1, 1]  # the joining step, nothing since

@@ -465,7 +465,12 @@ class TestInertness:
         for prefix_cache in (False, True):
             setup = build_setup("llama70b", seed=5, prefix_cache=prefix_cache)
             reports.append(
-                run_once(setup, system, tiny_workload, max_sim_time_s=300.0)
+                run_once(
+                    setup,
+                    system,
+                    [r.fresh_copy() for r in tiny_workload],
+                    max_sim_time_s=300.0,
+                )
             )
         off, on = reports
         assert on.metrics == off.metrics

@@ -219,6 +219,101 @@ class TestValidation:
         with pytest.raises(ValueError):
             _spec(model="llama405b")
 
+    @pytest.mark.parametrize(
+        "overrides,named",
+        [
+            ({"prefix_cache": "no"}, "prefix_cache"),
+            ({"prefix_cache": 1}, "prefix_cache"),
+            ({"autoscale": True}, "autoscale"),
+            ({"autoscale": {"bogus": 1}}, "bogus"),
+            ({"autoscale": {"max_replicas": float("nan")}}, "max_replicas"),
+            ({"autoscale": {"min_replicas": 1.5}}, "min_replicas"),
+            ({"autoscale": {"warmup_s": "slow"}}, "warmup_s"),
+            ({"rps": "fast"}, "rps"),
+            ({"max_sim_time_s": None}, "max_sim_time_s"),
+            ({"mix": 5}, "mix"),
+            ({"faults": 3}, "faults"),
+        ],
+        ids=[
+            "prefix-cache-text",
+            "prefix-cache-int",
+            "autoscale-bool",
+            "autoscale-unknown-knob",
+            "autoscale-nan-count",
+            "autoscale-fraction-count",
+            "autoscale-text-knob",
+            "rps-text",
+            "horizon-none",
+            "mix-not-a-mapping",
+            "faults-not-a-list",
+        ],
+    )
+    def test_create_rejects_malformed_values_naming_the_field(self, overrides, named):
+        with pytest.raises(SpecError, match=named):
+            _spec(**overrides)
+
+    def test_prefix_cache_off_stays_off(self):
+        assert _spec(prefix_cache=False).system.prefix_cache is False
+        assert _spec(prefix_cache=True).system.prefix_cache is True
+
+
+def _record(**sections) -> dict:
+    """A valid ``to_dict`` record with ``sections`` replaced (``None`` drops one)."""
+    d = _spec(replicas=2, autoscale={"max_replicas": 6}).to_dict()
+    for name, value in sections.items():
+        if value is None:
+            del d[name]
+        else:
+            d[name] = value
+    return d
+
+
+class TestRecordValidation:
+    """``from_dict`` refuses a corrupt record, naming the section or field."""
+
+    @pytest.mark.parametrize("section", ["workload", "system", "cluster"])
+    def test_missing_section_is_an_error_not_a_default(self, section):
+        with pytest.raises(SpecError, match=f"'{section}' is missing"):
+            ExperimentSpec.from_dict(_record(**{section: None}))
+
+    @pytest.mark.parametrize("section", ["workload", "system", "cluster", "chaos"])
+    @pytest.mark.parametrize("value", [[1, 2], "steady", 3])
+    def test_section_must_be_a_mapping(self, section, value):
+        with pytest.raises(SpecError, match=f"'{section}' is not a mapping"):
+            ExperimentSpec.from_dict(_record(**{section: value}))
+
+    def test_chaos_section_is_optional(self):
+        record = _record()
+        assert "chaos" not in record
+        assert ExperimentSpec.from_dict(record) == _spec(replicas=2, autoscale={"max_replicas": 6})
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("workload", "rps", "fast"),
+            ("workload", "seed", 1.5),
+            ("system", "prefix_cache", "no"),
+            ("system", "max_sim_time_s", "long"),
+            ("cluster", "autoscale", 7),
+            ("cluster", "replicas", None),
+        ],
+    )
+    def test_malformed_field_names_it(self, section, key, value):
+        record = _record()
+        record[section][key] = value
+        with pytest.raises(SpecError, match=key):
+            ExperimentSpec.from_dict(record)
+
+    def test_unknown_field_is_named_with_its_section(self):
+        record = _record()
+        record["workload"]["speed"] = 2.0
+        with pytest.raises(SpecError, match=r"workload\.speed"):
+            ExperimentSpec.from_dict(record)
+
+    def test_record_must_be_a_mapping(self):
+        with pytest.raises(SpecError, match="mapping"):
+            ExperimentSpec.from_dict([("workload", {})])
+
 
 class TestGrid:
     def test_parse_grid_axis(self):

@@ -115,7 +115,9 @@ class TestEquivalence:
         gen = WorkloadGenerator(setup.target_roofline, seed=2)
         requests = gen.steady(15.0, 4.0)
         exact = run_once(setup, "vllm", requests, metrics_mode="exact")
-        streaming = run_once(setup, "vllm", requests, metrics_mode="streaming")
+        streaming = run_once(
+            setup, "vllm", [r.fresh_copy() for r in requests], metrics_mode="streaming"
+        )
         assert streaming.metrics == exact.metrics
         assert streaming.sim_time_s == exact.sim_time_s
 
