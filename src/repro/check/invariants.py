@@ -153,7 +153,8 @@ class InvariantChecker:
         # every entry is a live request holding at least that many tokens.
         refs = kv._refs if kv.prefix_caching else {}
         for owner, tokens in kv.covered.items():
-            held = (kv._allocated.get(owner, 0) + len(refs.get(owner, ()))) * kv.block_size
+            shared = refs.get(owner, (None, 0))[1]
+            held = (kv._allocated.get(owner, 0) + shared) * kv.block_size
             if not kv.holds(owner) or tokens > held:
                 fail(
                     "kv-covered",
@@ -162,34 +163,86 @@ class InvariantChecker:
 
         if not kv.prefix_caching:
             return
-        blocks = kv._blocks  # key -> run holding the block
+        streams = kv._streams  # stream key -> its runs, by depth
+        runs = [run for stream_runs in streams.values() for run in stream_runs]
+        resident = {id(run) for run in runs}
 
-        # A block's refcount (its run's) must equal the number of live
-        # chains referencing it — recomputed from scratch, not trusted.
-        expected = Counter(key for chain in refs.values() for key in chain)
-        for key, run in blocks.items():
-            if run.refcount != expected[key]:
+        # Each request holds the run path from its tail up to the root;
+        # every run on it must still be in the table.
+        paths = {}
+        for owner, (tail, depth) in refs.items():
+            path = []
+            run = tail
+            while run is not None:
+                if id(run) not in resident:
+                    fail(
+                        "prefix-refcount",
+                        f"request {owner} references a run missing from the shared table",
+                        block=run.end - 1,
+                    )
+                path.append(run)
+                run = run.parent
+            paths[owner] = path
+
+        # Each stream's runs tile one depth range, each hanging from the
+        # one before it; the first hangs from a resident run's tail (or
+        # is a root at depth 0).  A held depth ends on its tail run.
+        for stream, stream_runs in streams.items():
+            if not stream_runs:
+                fail("prefix-chain", f"stream {stream:#x} is in the table with no runs")
+            previous = None
+            for run in stream_runs:
+                if run.stream != stream or run.start >= run.end:
+                    fail(
+                        "prefix-chain",
+                        f"run of stream {run.stream:#x} spans depths {run.start}..{run.end - 1} "
+                        f"in stream {stream:#x}'s list",
+                        block=run.start,
+                    )
+                parent = run.parent
+                if previous is not None and parent is not previous:
+                    fail(
+                        "prefix-chain",
+                        f"run starts at depth {run.start} but does not hang from the "
+                        f"stream's previous run, which ends at {previous.end - 1}",
+                        block=run.start,
+                    )
+                if parent is not None and id(parent) not in resident:
+                    fail("prefix-chain", "run hangs from an evicted parent", block=run.start)
+                depth = 0 if parent is None else parent.end
+                if run.start != depth:
+                    fail(
+                        "prefix-chain",
+                        f"run starts at depth {run.start} but its parent's tail ends at {depth - 1}",
+                        block=run.start,
+                    )
+                previous = run
+        for owner, (tail, depth) in refs.items():
+            end = 0 if tail is None else tail.end
+            if depth != end:
+                fail(
+                    "prefix-chain",
+                    f"request {owner} records {depth} shared blocks but its tail run ends at {end}",
+                )
+
+        # A run's refcount must equal the number of live paths through it
+        # — recomputed from scratch, not trusted.
+        expected = Counter(id(run) for path in paths.values() for run in path)
+        for run in runs:
+            if run.refcount != expected[id(run)]:
                 fail(
                     "prefix-refcount",
-                    f"block refcount={run.refcount} but "
-                    f"{expected[key]} live chain(s) reference it",
-                    block=key,
+                    f"run refcount={run.refcount} but "
+                    f"{expected[id(run)]} live chain(s) reference it",
+                    block=run.end - 1,
                 )
-        for key in expected:
-            if key not in blocks:
-                fail(
-                    "prefix-refcount",
-                    "a live chain references a block missing from the shared table",
-                    block=key,
-                )
-        unreferenced = sum(1 for run in blocks.values() if run.refcount == 0)
+        unreferenced = sum(run.end - run.start for run in runs if run.refcount == 0)
         if kv._unreferenced != unreferenced:
             fail(
                 "prefix-unreferenced",
                 f"_unreferenced={kv._unreferenced} but {unreferenced} shared "
                 "block(s) have refcount 0",
             )
-        runs = list({id(run): run for run in blocks.values()}.values())
         children = Counter(id(run.parent) for run in runs if run.parent is not None)
         for run in runs:
             if run.children != children[id(run)]:
@@ -197,38 +250,11 @@ class InvariantChecker:
                     "prefix-children",
                     f"run children={run.children} but {children[id(run)]} "
                     "resident run(s) name it as parent",
-                    block=run.keys[-1],
+                    block=run.end - 1,
                 )
-        # Each run owns its keys and hangs from its resident parent's tail;
-        # each held chain is the run path from its tip up to the root.
-        for run in runs:
-            parent = run.parent
-            if parent is not None and (not parent.keys or blocks.get(parent.keys[-1]) is not parent):
-                fail("prefix-chain", "run hangs from an evicted parent", block=run.keys[0])
-            depth = 0 if parent is None else parent.start + len(parent.keys)
-            if run.start != depth:
-                fail(
-                    "prefix-chain",
-                    f"run starts at depth {run.start} but its parent's tail ends at {depth - 1}",
-                    block=run.keys[0],
-                )
-            for key in run.keys:
-                if blocks.get(key) is not run:
-                    fail("prefix-chain", "the table maps the block to another run", block=key)
-        for owner, chain in refs.items():
-            end = len(chain)
-            run = blocks[chain[-1]] if chain else None
-            while run is not None:
-                if run.start + len(run.keys) != end or chain[run.start : end] != run.keys:
-                    fail(
-                        "prefix-chain",
-                        f"request {owner}'s chain breaks at position {end - 1}: "
-                        f"the run holding it spans depths {run.start}.."
-                        f"{run.start + len(run.keys) - 1}",
-                        block=chain[end - 1],
-                    )
-                end = run.start
-                run = run.parent
+        cached = sum(run.end - run.start for run in runs)
+        if kv._cached != cached:
+            fail("kv-conservation", f"_cached={kv._cached} but the runs hold {cached} blocks")
 
     # ------------------------------------------------------------------
     # Lazy plain-decode counters

@@ -4,26 +4,29 @@ Extends the block-granular :class:`~repro.serving.kv_cache.KVCacheManager`
 with a table of **shared blocks** addressed by prefix identity.  Physical
 capacity is one pool: every resident block is either *private* to a
 request (partial tail block, in-flight generation) or *shared* (a full
-block whose key identifies its entire token prefix — see
+block whose (stream, depth) identity fixes its entire token prefix — see
 :func:`~repro.prefixcache.tokens.request_block_keys`).  Shared blocks are
 refcounted by the live requests matching them and stay resident after
 their last reference drops, forming a reuse cache evicted LRU,
 leaf-first, only under allocation pressure — so enabling prefix caching
 never makes an allocation fail that would have succeeded without it.
 
-Shared blocks form a tree of **runs**: a run is a stretch of chained
-blocks that every holder holds as a whole, so it carries one refcount,
-one child-run count and one LRU stamp.  A request's references are
-always a root prefix of its keys ending on a run's tail, so locking,
-committing and freeing visit the few runs on that path, not its blocks.
-A resident key implies resident ancestors (eviction is leaf-first), so
-the longest match is a binary search over the request's keys.
+The table stores **runs**, not blocks.  A run is a depth range of one
+stream's blocks that every holder holds as a whole, so it carries one
+refcount, one child-run count and one LRU stamp; the table maps each
+stream key to its runs, and no block has an object of its own.  A
+resident block implies resident ancestors (eviction is leaf-first), so a
+stream's resident blocks are one depth range from its first block, and
+the longest match costs one lookup per stream of the request's chain.  A
+request's references are always a root prefix of its chain ending on a
+run's tail, so locking, committing and freeing visit the few runs on
+that path.
 
-Lifecycle (driven by the engine/scheduler hooks, all over block keys):
+Lifecycle (driven by the engine/scheduler hooks, all over block chains):
 
-- :meth:`lock_keys` at prefill-batch entry — match the prompt's keys
-  against the shared table and take references; the hit length counts as
-  already prefilled.  :meth:`release_prefix` rolls an unused hit back.
+- :meth:`lock_keys` at prefill-batch entry — match the prompt's chain
+  against the shared table and take references; the hit length counts
+  as already prefilled.  :meth:`release_prefix` rolls an unused hit back.
 - :meth:`commit_keys` when prefill completes (prompt blocks) and again
   when the request finishes (prompt + generated tokens) — full private
   blocks are reclassified as shared, deduplicating against any identical
@@ -38,8 +41,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.serving.kv_cache import (
     DEFAULT_BLOCK_SIZE,
@@ -51,19 +56,27 @@ from repro.serving.kv_cache import (
 
 @dataclass(eq=False, slots=True)
 class _Run:
-    """A stretch of chained shared blocks that every holder holds whole.
+    """Blocks ``[start, end)`` of one stream that every holder holds whole.
 
-    Child runs hang from the tail block.  Once unreferenced, the blocks
-    are stamped deepest first: block ``i`` has LRU stamp ``touch +
-    len(keys) - 1 - i``, so ``touch`` is the tail's.
+    Child runs hang from the tail block: the stream's next run, or the
+    first run of a later stream.  Once unreferenced, the blocks are
+    stamped deepest first: depth ``d`` has LRU stamp ``touch + end - 1 -
+    d``, so ``touch`` is the tail's.
     """
 
-    keys: list[int]  # block keys, root-most first
-    start: int  # depth of keys[0] (its index in every holder's chain)
-    parent: _Run | None  # run whose tail precedes keys[0]
+    stream: int  # stream key (see repro.prefixcache.tokens)
+    start: int  # depth of the first block
+    end: int  # depth after the tail block
+    parent: _Run | None  # run whose tail precedes the first block
     refcount: int = 0  # live requests holding the run
     children: int = 0  # resident runs hanging from the tail
     touch: int = 0  # LRU stamp of the tail block (meaningful at refcount 0)
+
+
+_END = attrgetter("end")
+
+#: ``_refs`` entry of a request holding no shared block.
+_EMPTY: tuple[_Run | None, int] = (None, 0)
 
 
 @dataclass(frozen=True)
@@ -84,6 +97,14 @@ class PrefixStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+def _stream_at(chain: Sequence[tuple[int, int]], depth: int) -> int | None:
+    """Stream key of the chain's block at ``depth`` (None past its end)."""
+    for stream, end in chain:
+        if depth < end:
+            return stream
+    return None
+
+
 class PrefixCacheManager(KVCacheManager):
     """Block-level prefix sharing over the base capacity accounting.
 
@@ -92,7 +113,7 @@ class PrefixCacheManager(KVCacheManager):
     the request — but a request's shared references satisfy part of the
     need (and count toward ``covered``), and unreferenced shared blocks
     are evicted on demand before an allocation is refused.  Locking and
-    committing keys only ever add coverage, so they leave ``covered``
+    committing chains only ever add coverage, so they leave ``covered``
     alone; :meth:`release_prefix` drops it.
     """
 
@@ -100,8 +121,13 @@ class PrefixCacheManager(KVCacheManager):
 
     def __init__(self, capacity_tokens: int, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         super().__init__(capacity_tokens, block_size)
-        self._blocks: dict[int, _Run] = {}  # shared key -> run holding it
-        self._refs: dict[int, list[int]] = {}  # rid -> chain of shared keys
+        #: stream key -> its resident runs, by depth; each run after the
+        #: first hangs from the one before it.
+        self._streams: dict[int, list[_Run]] = {}
+        #: rid -> (tail run, depth): the request holds the run path from
+        #: its tail run up to the root, ``depth`` blocks in all.
+        self._refs: dict[int, tuple[_Run | None, int]] = {}
+        self._cached = 0
         self._unreferenced = 0
         self._tick = 0
         #: Lazy heap of ``(touch, seq, run)`` over unreferenced leaf runs.
@@ -123,12 +149,12 @@ class PrefixCacheManager(KVCacheManager):
     @property
     def used_blocks(self) -> int:
         """Physical blocks in use: private allocations + shared blocks."""
-        return self._used + len(self._blocks)
+        return self._used + self._cached
 
     @property
     def free_blocks(self) -> int:
         """Blocks immediately available (excludes evictable shared blocks)."""
-        return self.total_blocks - self._used - len(self._blocks)
+        return self.total_blocks - self._used - self._cached
 
     def holds(self, rid: int) -> bool:
         """Whether the request has any allocation or shared reference."""
@@ -150,32 +176,35 @@ class PrefixCacheManager(KVCacheManager):
             hit_tokens=self._hit_tokens,
             committed_blocks=self._committed,
             evicted_blocks=self._evicted,
-            cached_blocks=len(self._blocks),
+            cached_blocks=self._cached,
             unreferenced_blocks=self._unreferenced,
         )
 
     # ------------------------------------------------------------------
     # Matching and reference lifecycle
     # ------------------------------------------------------------------
-    def lock_keys(self, rid: int, keys: Sequence[int]) -> int:
-        """Match block ``keys`` and reference the hit chain for ``rid``.
+    def lock_keys(self, rid: int, chain: Sequence[tuple[int, int]]) -> int:
+        """Match the block ``chain`` and reference the hit for ``rid``.
 
-        Returns the cached length in tokens.  References pin blocks
-        against eviction until :meth:`free`.  A request that already
-        holds references keeps them (a retry returns the locked length);
-        a request whose earlier attempts matched nothing retries the
-        match, so a prefix committed after its arrival is still found.
-        Stats are per (request, prefill pass): a queued request retrying
-        its match every iteration counts one lookup, not one per retry;
-        a hit is counted on the attempt that matches.
+        ``chain`` is :func:`~repro.prefixcache.tokens.request_block_keys`'
+        ``(stream, end)`` pairs.  Returns the cached length in tokens.
+        References pin blocks against eviction until :meth:`free`.  A
+        request that already holds references keeps them (a retry returns
+        the locked length); a request whose earlier attempts matched
+        nothing retries the match, so a prefix committed after its
+        arrival is still found.  Stats are per (request, prefill pass): a
+        queued request retrying its match every iteration counts one
+        lookup, not one per retry; a hit is counted on the attempt that
+        matches.
         """
-        held = self._refs.get(rid)
+        held = self._refs.get(rid, _EMPTY)[1]
         if held:
-            return len(held) * self.block_size
-        hit = self._resident_prefix(keys, 0)
+            return held * self.block_size
+        stream, hit = self._resident_prefix(chain)
         if hit:
-            self._refs[rid] = list(keys[:hit])
-            self._ref_path(self._split(keys[hit - 1], hit), None)
+            tail = self._split(stream, hit)
+            self._refs[rid] = (tail, hit)
+            self._ref_path(tail, None)
             if rid not in self._miss_counted:
                 self._lookups += 1
             self._miss_counted.discard(rid)
@@ -194,51 +223,52 @@ class PrefixCacheManager(KVCacheManager):
         are reverted and the blocks become evictable again (unless other
         requests still reference them).  Returns the references dropped.
         """
-        chain = self._refs.pop(rid, None)
+        tail, held = self._refs.pop(rid, _EMPTY)
         self.covered.pop(rid, None)
-        if not chain:
+        if not held:
             return 0
-        self._unref_path(self._blocks[chain[-1]])
+        self._unref_path(tail)
         self._hits -= 1
-        self._hit_tokens -= len(chain) * self.block_size
+        self._hit_tokens -= held * self.block_size
         self._lookups -= 1
-        return len(chain)
+        return held
 
-    def commit_keys(self, rid: int, keys: Sequence[int]) -> int:
-        """Publish the blocks keyed by ``keys`` as shared, owned by ``rid``.
+    def commit_keys(self, rid: int, chain: Sequence[tuple[int, int]]) -> int:
+        """Publish the blocks of ``chain`` as shared, owned by ``rid``.
 
         Blocks the request already references are skipped; the rest are
         reclassified from its private allocation (or deduplicated against
         an identical resident chain).  Returns the number of blocks newly
         attributed to the shared table for this request.
         """
-        keys = list(keys)
-        chain = self._refs.setdefault(rid, [])
-        held = len(chain)
-        if keys[:held] != chain:
+        tip, held = self._refs.setdefault(rid, _EMPTY)
+        total = chain[-1][1] if chain else 0
+        if held and _stream_at(chain, held - 1) != tip.stream:
             raise ValueError(f"request {rid}: commit diverges from its locked prefix")
-        added = len(keys) - held
+        added = total - held
         if added <= 0:
             return 0
-        blocks = self._blocks
-        tip = blocks[chain[-1]] if held else None
-        # Keys another request already published: reference their runs.
-        resident = self._resident_prefix(keys, held)
+        # Blocks another request already published: reference their runs.
+        stream, resident = self._resident_prefix(chain)
         if resident > held:
-            run = self._split(keys[resident - 1], resident)
+            run = self._split(stream, resident)
             self._ref_path(run, tip)
             tip = run
-        fresh = keys[resident:]
-        if fresh:
-            if tip is not None and tip.refcount == 1 and not tip.children:
-                tip.keys += fresh  # sole holder of a leaf run: extend it
+        depth = resident
+        for stream, end in chain:
+            if end <= depth:
+                continue
+            if tip is not None and tip.stream == stream and tip.refcount == 1 and not tip.children:
+                tip.end = end  # sole holder of its stream's last run: extend it
             else:
-                run = _Run(fresh, resident, tip, refcount=1)
+                run = _Run(stream, depth, end, tip, refcount=1)
                 if tip is not None:
                     tip.children += 1
+                self._streams.setdefault(stream, []).append(run)
                 tip = run
-            blocks.update(dict.fromkeys(fresh, tip))
-        self._refs[rid] = keys
+            depth = end
+        self._cached += total - resident
+        self._refs[rid] = (tip, total)
         # The physical blocks were covered by the request's private
         # allocation; hand them to the shared table (net occupancy 0 for
         # a new block, -1 for a deduplicated one).
@@ -250,50 +280,51 @@ class PrefixCacheManager(KVCacheManager):
         self._committed += added
         return added
 
-    def _resident_prefix(self, keys: Sequence[int], lo: int) -> int:
-        """Length of the longest resident prefix of ``keys``, at least ``lo``.
+    def _resident_prefix(self, chain: Sequence[tuple[int, int]]) -> tuple[int, int]:
+        """``(stream, depth)``: the chain's longest resident prefix ends
+        at ``depth``, with its last block in ``stream``.
 
-        Binary search: a resident key implies resident ancestors.
+        One lookup per stream: a resident block implies resident
+        ancestors, so a stream's resident blocks run from its first
+        block to its last run's tail.
         """
-        blocks = self._blocks
-        hi = len(keys)
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if keys[mid - 1] in blocks:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        streams = self._streams
+        found = (0, 0)
+        for stream, end in chain:
+            runs = streams.get(stream)
+            if runs is None:
+                break
+            top = runs[-1].end
+            if top < end:
+                return stream, top
+            found = (stream, end)
+        return found
 
-    def _split(self, key: int, depth: int) -> _Run:
-        """The run ending at ``key`` (at ``depth - 1``), split off if mid-run.
+    def _split(self, stream: int, depth: int) -> _Run:
+        """The stream's run whose tail is block ``depth - 1``, split off
+        if that block is mid-run.
 
         The run keeps its tail part, so its heap entries stay valid; a
-        new run takes the head and becomes the tail part's parent.
+        new run takes the head and becomes the tail part's parent.  Both
+        callers reference the head at once, so it needs no LRU stamp
+        until its next release.
         """
-        run = self._blocks[key]
-        cut = depth - run.start
-        if cut == len(run.keys):
+        runs = self._streams[stream]
+        i = bisect_left(runs, depth, key=_END)
+        run = runs[i]
+        if run.end == depth:
             return run
-        head = _Run(
-            run.keys[:cut],
-            run.start,
-            run.parent,
-            refcount=run.refcount,
-            children=1,
-            touch=run.touch + len(run.keys) - cut,
-        )
-        del run.keys[:cut]
+        head = _Run(stream, run.start, depth, run.parent, refcount=run.refcount, children=1)
         run.start = depth
         run.parent = head
-        self._blocks.update(dict.fromkeys(head.keys, head))
+        runs.insert(i, head)
         return head
 
     def _ref_path(self, run: _Run | None, stop: _Run | None) -> None:
         """Reference each run from ``run`` up to, not including, ``stop``."""
         while run is not stop:
             if run.refcount == 0:
-                self._unreferenced -= len(run.keys)
+                self._unreferenced -= run.end - run.start
             run.refcount += 1
             run = run.parent
 
@@ -307,7 +338,7 @@ class PrefixCacheManager(KVCacheManager):
         while run is not None:
             run.refcount -= 1
             if run.refcount == 0:
-                n = len(run.keys)
+                n = run.end - run.start
                 self._unreferenced += n
                 run.touch = self._tick + 1
                 self._tick += n
@@ -325,7 +356,7 @@ class PrefixCacheManager(KVCacheManager):
         shared blocks are evicted (LRU, leaf-first) to make room before
         :class:`OutOfKVCache` is raised.
         """
-        refs = len(self._refs.get(rid, ()))
+        refs = self._refs.get(rid, _EMPTY)[1]
         target = self.blocks_for(tokens) - refs
         have = self._allocated.get(rid, 0)
         if target > have:
@@ -348,12 +379,12 @@ class PrefixCacheManager(KVCacheManager):
         other request references them).  Idempotent.
         """
         released = super().free(rid)
-        chain = self._refs.pop(rid, None)
+        tail, held = self._refs.pop(rid, _EMPTY)
         self._miss_counted.discard(rid)  # a re-admission is a fresh pass
-        if not chain:
+        if not held:
             return released
-        self._unref_path(self._blocks[chain[-1]])
-        return released + len(chain)
+        self._unref_path(tail)
+        return released + held
 
     def invalidate_all(self) -> None:
         """Drop every allocation, reference, and shared block at once.
@@ -365,8 +396,9 @@ class PrefixCacheManager(KVCacheManager):
         work that genuinely happened before the crash.
         """
         super().invalidate_all()
-        self._blocks.clear()
+        self._streams.clear()
         self._refs.clear()
+        self._cached = 0
         self._unreferenced = 0
         self._evictable = []
         self._miss_counted.clear()
@@ -379,21 +411,28 @@ class PrefixCacheManager(KVCacheManager):
 
         The LRU leaf block is the tail of the unreferenced leaf run with
         the smallest stamp; dropping it leaves the next block up as that
-        run's tail, one stamp later.
+        run's tail, one stamp later.  A leaf run is its stream's last, so
+        an emptied run leaves its stream's list from the end.
         """
         heap = self._evictable
         while self.free_blocks < need and heap:
             touch, _, run = heapq.heappop(heap)
-            if run.touch != touch or run.refcount or run.children or not run.keys:
+            if run.touch != touch or run.refcount or run.children or run.end == run.start:
                 continue  # stale heap entry
-            del self._blocks[run.keys.pop()]
+            run.end -= 1
+            self._cached -= 1
             self._unreferenced -= 1
             self._evicted += 1
-            if run.keys:
+            if run.end > run.start:
                 run.touch += 1
                 heapq.heappush(heap, (run.touch, next(self._seq), run))
-            elif run.parent is not None:
-                parent = run.parent
+                continue
+            runs = self._streams[run.stream]
+            runs.pop()
+            if not runs:
+                del self._streams[run.stream]
+            parent = run.parent
+            if parent is not None:
                 parent.children -= 1
                 if parent.refcount == 0 and parent.children == 0:
                     heapq.heappush(heap, (parent.touch, next(self._seq), parent))

@@ -171,7 +171,7 @@ class SimulatedEngine:
         """
         kv = self.kv
         if kv.prefix_caching and req.prompt_segments:
-            kv.commit_keys(req.rid, req.block_keys(tokens, kv.block_size, request_block_keys))
+            kv.commit_keys(req.rid, request_block_keys(req, tokens, kv.block_size))
 
     # ------------------------------------------------------------------
     # Prefill
@@ -356,7 +356,6 @@ class SimulatedEngine:
         if self.obs is not None:
             self.obs.finish(req)
         self._commit_prefix(req, req.prompt_len + req.n_generated)
-        req.prefix_keys = None
         self.kv.free(req.rid)
         inv = self.inv
         if inv is not None:

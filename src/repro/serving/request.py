@@ -97,13 +97,6 @@ class Request:
     on_finish: "Callable[[Request], None] | None" = field(
         default=None, repr=False, compare=False
     )
-    #: ``(block_size, keys)``: prefix-cache block keys over the request's
-    #: whole lifetime (``prompt_len + max_new_tokens`` tokens), derived
-    #: once by :meth:`block_keys` and dropped when the request finishes.
-    #: A cache, so excluded from equality like ``on_finish``.
-    prefix_keys: "tuple[int, list[int]] | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.prompt_len < 1:
@@ -297,37 +290,12 @@ class Request:
         return (elapsed + iteration_latency) / self.tpot_slo - self.n_generated
 
     # ------------------------------------------------------------------
-    # Prefix identity
-    # ------------------------------------------------------------------
-    def block_keys(
-        self,
-        n_tokens: int,
-        block_size: int,
-        derive: "Callable[[Request, int, int], list[int]]",
-    ) -> list[int]:
-        """Prefix-cache keys of the full blocks covering ``n_tokens``.
-
-        ``derive`` is :func:`repro.prefixcache.tokens.request_block_keys`
-        as the calling module names it.  It runs once per request and
-        block size, over every token the request can ever hold; the keys
-        at ``n`` tokens are a prefix of the keys at any ``m > n``, so
-        each call slices that list.
-        """
-        cached = self.prefix_keys
-        if cached is None or cached[0] != block_size:
-            lifetime = self.prompt_len + self.max_new_tokens
-            cached = self.prefix_keys = (block_size, derive(self, lifetime, block_size))
-        return cached[1][: n_tokens // block_size]
-
-    # ------------------------------------------------------------------
     # Ownership
     # ------------------------------------------------------------------
     @property
     def has_run(self) -> bool:
         """Whether a run has touched this request: a runtime field is off
         its construction default, or a scheduler holds its ``on_finish``.
-
-        ``prefix_keys`` is not run state; it caches the static fields.
         """
         return (
             self.state,
@@ -386,7 +354,6 @@ class Request:
         clone.verify_steps = 0
         clone.accepted_draft_tokens = 0
         clone.on_finish = None
-        clone.prefix_keys = None
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -140,8 +140,8 @@ class Scheduler(abc.ABC):
         kv = self.engine.kv
         if not kv.prefix_caching or not req.prompt_segments or req.prefilled != 0:
             return 0
-        keys = req.block_keys(req.prompt_len, kv.block_size, request_block_keys)
-        cached = min(kv.lock_keys(req.rid, keys), req.prompt_len - 1)
+        chain = request_block_keys(req, req.prompt_len, kv.block_size)
+        cached = min(kv.lock_keys(req.rid, chain), req.prompt_len - 1)
         if cached > 0:
             req.note_prefix_hit(cached)
         obs = self.engine.obs

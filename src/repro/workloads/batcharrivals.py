@@ -329,7 +329,6 @@ class ColumnarWorkload:
             req.verify_steps = 0
             req.accepted_draft_tokens = 0
             req.on_finish = None
-            req.prefix_keys = None
             out.append(req)
         return out
 

@@ -19,11 +19,11 @@ recomputation (see :mod:`repro.prefixcache`).
   exponential think-time gap — an open-loop approximation of a user
   reading the answer before replying;
 - prompts are composed of ``(namespace, length)`` **segments**, from
-  which :mod:`repro.prefixcache.tokens` derives prefix block keys: one
+  which :mod:`repro.prefixcache.tokens` derives prefix identity: one
   global system-prompt namespace shared by *every* session, plus a
   per-session conversation namespace covering user turns and model
   answers, so turn ``k+1``'s prompt is a strict prefix extension of turn
-  ``k``'s prompt + output and its leading block keys equal turn ``k``'s.
+  ``k``'s prompt + output and its leading blocks are turn ``k``'s.
 
 Every per-session and per-turn draw is evaluated at once on a
 sessions x turns grid of numpy columns

@@ -1,10 +1,11 @@
-"""Calibration utilities for the synthetic model substrate.
+"""Calibration utilities for the synthetic model substrate (a test tool).
 
 The substrate's two quality knobs — per-category *predictability*
 (:mod:`repro.workloads.categories`) and the draft's *alignment*
 (:data:`repro.model.pair.PAIR_PRESETS`) — are set to land acceptance
 rates in the band the paper reports (Figure 12: ~2-6 accepted tokens per
-verification).  This module makes that calibration reproducible and testable:
+verification).  This module, which no simulation imports, makes that calibration
+reproducible and testable:
 
 - :func:`measure_acceptance` — empirical accepted-tokens-per-verification
   of a (pair, beam shape, predictability) configuration;

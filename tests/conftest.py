@@ -489,8 +489,9 @@ def content_block_keys(
     Token ``j`` of a segment is ``mix(namespace, j)``, generated tokens
     extend the final segment, and key ``b`` hash-chains every token of
     ``[0, (b+1) * block_size)``.  Equal keys here mean equal token
-    content, so :func:`repro.prefixcache.tokens.request_block_keys` must
-    produce equal keys exactly when this does.
+    content, so the (stream, depth) identities of
+    :func:`repro.prefixcache.tokens.request_block_keys` must be equal
+    exactly when these keys are.
     """
     keys: list[int] = []
     h = 0
@@ -505,12 +506,22 @@ def content_block_keys(
     return keys
 
 
-def reference_block_keys(req, n_tokens: int, block_size: int) -> list[int]:
-    """One scalar ``mix`` per block: the oracle for ``request_block_keys``.
+def block_identities(chain) -> list[tuple[int, int]]:
+    """``(stream, depth)`` of every block of a ``request_block_keys`` chain."""
+    out: list[tuple[int, int]] = []
+    for stream, end in chain:
+        out.extend((stream, depth) for depth in range(len(out), end))
+    return out
 
-    The same structural recipe as the vector path (see
-    :func:`repro.prefixcache.tokens.request_block_keys`), keyed block by
-    block with the reference :func:`repro._rng.mix`.
+
+def reference_block_keys(req, n_tokens: int, block_size: int) -> list[int]:
+    """One key per full block: the chain the per-block oracle manager keys.
+
+    Block ``b``'s key is ``mix(stream, P - offset)``: its stream key (see
+    :func:`repro.prefixcache.tokens.request_block_keys`) mixed with the
+    block's end ``P = (b+1) * block_size`` measured from the start of its
+    segment.  A stream key fixes its segment's offset, so keys are equal
+    exactly when (stream, depth) identities are.
     """
     segments = req.prompt_segments
     last = len(segments) - 1
@@ -549,12 +560,13 @@ class _RefBlock:
 
 
 class ReferencePrefixCacheManager(KVCacheManager):
-    """Per-block refcounts, one ``_ref``/``_unref`` per block.
+    """Per-block keys and refcounts, one ``_ref``/``_unref`` per block.
 
     The straightforward form of :class:`repro.prefixcache.manager.PrefixCacheManager`:
     the same public behaviour (return values, errors, ``prefix_stats``,
     occupancy, LRU leaf-first eviction order), with every shared block
-    its own refcounted record.
+    its own refcounted record addressed by its own key
+    (:func:`reference_block_keys`) instead of runs addressed by stream.
     """
 
     prefix_caching = True

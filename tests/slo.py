@@ -1,4 +1,4 @@
-"""SLO accounting: the TPOT constraint of §3.
+"""SLO accounting: the TPOT constraint of §3, as an oracle.
 
 For a request r in the current decoding iteration the paper defines
 
@@ -12,6 +12,10 @@ request's *average* per-token latency to remain within its SLO after the
 iteration.  Because at most d+1 tokens can be produced per iteration
 (d accepted draft tokens on the deepest path plus the correction token),
 the attainable target is capped at A_cap = min(A, d+1) (§4.3, step 2).
+
+:class:`~repro.core.scheduler.AdaServeScheduler` computes both inline
+(``_margin_requirement`` and the demand clamp in ``step``);
+``tests/test_slo.py`` pins them against these formulas.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Tests for the model-substrate calibration utilities."""
+"""Tests for the model-substrate calibration utilities (``tests/calibration.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.model.calibration import (
+from tests.calibration import (
     calibrate_alignment,
     measure_acceptance,
     measure_draft_quality,

@@ -81,36 +81,44 @@ class TestKVInvariants:
 
 
 class TestPrefixInvariants:
+    STREAM = 0x5157
+
     def _shared_kv(self) -> PrefixCacheManager:
         kv = PrefixCacheManager(capacity_tokens=1024)
         kv.ensure(rid=1, tokens=64)  # 4 blocks private
-        kv.commit_keys(1, [101, 102, 103])  # three of them published as shared
-        kv.lock_keys(2, [101, 102])  # a second request references two
-        # Two runs: [101, 102] held by both requests, [103] by request 1.
+        kv.commit_keys(1, [(self.STREAM, 3)])  # three of them published as shared
+        kv.lock_keys(2, [(self.STREAM, 2)])  # a second request references two
+        # Two runs of one stream: depths 0-1 held by both requests, depth
+        # 2 by request 1.
         return kv
+
+    def _runs(self, kv):
+        return kv._streams[self.STREAM]
 
     def test_clean_prefix_state_passes(self):
         kv = self._shared_kv()
-        head, tail = kv._blocks[101], kv._blocks[103]
-        assert (head.keys, head.refcount, head.children) == ([101, 102], 2, 1)
-        assert (tail.keys, tail.refcount, tail.parent) == ([103], 1, head)
+        head, tail = self._runs(kv)
+        assert (head.start, head.end, head.refcount, head.children) == (0, 2, 2, 1)
+        assert (tail.start, tail.end, tail.refcount, tail.parent) == (2, 3, 1, head)
+        assert kv._refs == {1: (tail, 3), 2: (head, 2)}
         InvariantChecker().check_kv(kv, "admit", rid=2)
 
     def test_refcount_skew_names_block(self):
         kv = self._shared_kv()
-        kv._blocks[103].refcount += 1  # corrupt one run's refcount
+        self._runs(kv)[1].refcount += 1  # corrupt one run's refcount
         v = violation(InvariantChecker().check_kv, kv, "admit", replica=1, rid=2)
         assert v.invariant == "prefix-refcount"
-        assert v.block == 103
+        assert v.block == 2  # the run's tail depth
         assert v.replica == 1 and v.rid == 2
         assert "refcount=2 but 1 live chain(s)" in v.message
 
     def test_dangling_chain_reference_detected(self):
         kv = self._shared_kv()
-        del kv._blocks[103]  # chain still names the evicted block
+        self._runs(kv).pop()  # request 1 still holds the evicted run
         v = violation(InvariantChecker().check_kv, kv, "evacuate")
         assert v.invariant == "prefix-refcount"
-        assert v.block == 103
+        assert v.block == 2
+        assert "request 1 references a run missing" in v.message
 
     def test_unreferenced_count_skew_detected(self):
         kv = self._shared_kv()
@@ -120,22 +128,37 @@ class TestPrefixInvariants:
 
     def test_children_count_skew_detected(self):
         kv = self._shared_kv()
-        kv._blocks[101].children = 5
+        self._runs(kv)[0].children = 5
         v = violation(InvariantChecker().check_kv, kv, "admit")
         assert v.invariant == "prefix-children"
-        assert v.block == 102  # the run's tail, where its children hang
+        assert v.block == 1  # the run's tail, where its children hang
 
     def test_broken_chain_linkage_detected(self):
         kv = self._shared_kv()
-        # Detach the tail run as a root (keeping the children tallies and
-        # depths consistent, so only the chain audit can catch it).
-        tail = kv._blocks[103]
+        # Detach the tail run as a root (keeping the children tallies
+        # consistent, so only the chain audit can catch it).
+        head, tail = self._runs(kv)
         tail.parent, tail.start = None, 0
-        kv._blocks[101].children = 0
+        head.children = 0
         v = violation(InvariantChecker().check_kv, kv, "admit")
         assert v.invariant == "prefix-chain"
-        assert v.block == 103
-        assert "request 1's chain breaks at position 2" in v.message
+        assert v.block == 0
+        assert "does not hang from the stream's previous run, which ends at 1" in v.message
+
+    def test_held_depth_off_its_tail_run_detected(self):
+        kv = self._shared_kv()
+        tail, _ = kv._refs[1]
+        kv._refs[1] = (tail, 4)
+        v = violation(InvariantChecker().check_kv, kv, "admit")
+        assert v.invariant == "prefix-chain"
+        assert "request 1 records 4 shared blocks but its tail run ends at 3" in v.message
+
+    def test_cached_count_skew_detected(self):
+        kv = self._shared_kv()
+        kv._cached -= 1
+        v = violation(InvariantChecker().check_kv, kv, "admit")
+        assert v.invariant == "kv-conservation"
+        assert "_cached=2 but the runs hold 3 blocks" in v.message
 
     def test_prefix_manager_without_its_table_fails_loudly(self):
         # A prefix-caching manager whose table is not where the checker
@@ -143,7 +166,7 @@ class TestPrefixInvariants:
         kv = KVCacheManager(capacity_tokens=1024)
         kv.prefix_caching = True
         kv._refs = {}
-        with pytest.raises(AttributeError, match="_blocks"):
+        with pytest.raises(AttributeError, match="_streams"):
             InvariantChecker().check_kv(kv, "admit")
 
 

@@ -18,7 +18,6 @@ from tests.conftest import run_fresh
 #: the process-pool stack of a parallel sweep.
 NOT_ON_RUN_PATH = (
     "repro.core.optimal",
-    "repro.model.calibration",
     "repro.serving.telemetry",
     "repro.check.linter",
     "repro.check.invariants",
@@ -78,3 +77,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     )
     assert _off_path(loaded) == []
 
+
+
+def test_test_only_oracles_live_outside_the_package():
+    # The SLO formulas and the calibration tool serve tests only; they
+    # live in ``tests/`` and nothing under ``repro`` can import them.
+    import importlib.util
+
+    for name in ("repro.core.slo", "repro.model.calibration"):
+        assert importlib.util.find_spec(name) is None, name

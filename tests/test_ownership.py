@@ -19,7 +19,7 @@ from repro.analysis.export import report_to_json
 from repro.analysis.harness import build_setup, make_scheduler, run_once
 from repro.analysis.spec import ExperimentSpec
 from repro.cluster.fleet import FleetSimulator
-from repro.serving.request import Request, RequestState
+from repro.serving.request import _PRISTINE, Request, RequestState
 from repro.serving.server import ServingSimulator
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.sessions import SessionGenerator
@@ -27,9 +27,9 @@ from repro.workloads.trace import uniform_trace
 from tests.conftest import make_request, tiny_generator
 
 _NAMES = [f.name for f in fields(Request)]
-#: The fields a run advances: every field from ``state`` on except the
-#: ``prefix_keys`` cache; the fields before ``state`` are the workload item.
-RUNTIME_FIELDS = [name for name in _NAMES[_NAMES.index("state"):] if name != "prefix_keys"]
+#: The fields a run advances: every field from ``state`` on; the fields
+#: before ``state`` are the workload item.
+RUNTIME_FIELDS = _NAMES[_NAMES.index("state"):]
 
 
 def _live_requests() -> int:
@@ -116,10 +116,9 @@ class TestFinishedRequestsAreRefused:
         assert req.has_run
         assert not req.fresh_copy().has_run
 
-    def test_cached_prefix_keys_are_not_run_state(self):
-        req = make_request()
-        req.prefix_keys = (16, [1, 2])
-        assert not req.has_run
+    def test_has_run_reads_every_runtime_field(self):
+        # No field from ``state`` on is a cache outside run state.
+        assert len(RUNTIME_FIELDS) == len(_PRISTINE)
 
 
 class TestSlots:
@@ -141,7 +140,7 @@ class TestSlots:
         for req in built + [r.fresh_copy() for r in built] + [make_request()]:
             for name in _NAMES:
                 getattr(req, name)  # an unset slot raises AttributeError
-            assert req.prefix_keys is None and not req.has_run
+            assert not req.has_run
 
     def test_session_prompts_share_the_system_segment(self, target_roofline):
         gen = WorkloadGenerator(target_roofline, seed=4)

@@ -1,10 +1,11 @@
 """Tests for the prefix-cache subsystem (repro.prefixcache).
 
-Covers the structural block keys (including their equivalence with
-per-token content hashing and their cost), the refcounted shared-block
-manager (including the KV edge cases: block rounding at boundaries,
-an exactly-full pool, double-``free`` idempotence, and the
-refcounted eviction paths), and the engine/scheduler integration hooks.
+Covers the structural block chains (including the equivalence of their
+(stream, depth) identities with per-token content hashing, and their
+cost), the run table's shape, the refcounted shared-block manager
+(including the KV edge cases: block rounding at boundaries, an
+exactly-full pool, double-``free`` idempotence, and the refcounted
+eviction paths), and the engine/scheduler integration hooks.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.check.invariants import InvariantChecker
 from repro.prefixcache import tokens
 from repro.prefixcache.manager import PrefixCacheManager
 from repro.prefixcache.tokens import request_block_keys
 from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, KVCacheManager, OutOfKVCache
 from repro.serving.request import Request
-from tests.conftest import content_block_keys, reference_block_keys
+from tests.conftest import block_identities, content_block_keys, reference_block_keys
 
 
 def session_request(rid, prompt_len, session=0, out=16, sys_ns=901):
@@ -73,38 +75,52 @@ def cached_len(kv, req, n_tokens, probe_rid=-1):
     return cached
 
 
+def ids(req, n_tokens, block_size=16):
+    """(stream, depth) identity of each full block of the first ``n_tokens``."""
+    return block_identities(keys(req, n_tokens, block_size))
+
+
 class TestTokenStreams:
-    """Block keys derived from ``(namespace, length)`` segments."""
+    """Block chains derived from ``(namespace, length)`` segments."""
 
     def test_cold_requests_have_disjoint_streams(self):
         a, b = cold_request(1), cold_request(2)
-        assert len(keys(a, 32)) == 2
-        assert set(keys(a, 32)).isdisjoint(keys(b, 32))
+        assert len(ids(a, 32)) == 2
+        assert set(ids(a, 32)).isdisjoint(ids(b, 32))
+
+    def test_chain_is_streams_and_their_block_ends(self):
+        req = segment_request(((11, 40), (22, 20)))
+        (first, two), (second, three) = keys(req, 60)
+        assert (two, three) == (2, 3)  # blocks 0-1 end in segment 0, block 2 in 1
+        assert first != second
+        assert keys(req, 60, block_size=64) == []  # no full block, no stream
+        # A segment that holds no block end gets no pair.
+        assert [end for _, end in keys(segment_request(((11, 4), (22, 60))), 64)] == [4]
 
     def test_segments_compose_and_extend(self):
         req = segment_request(((11, 40), (22, 20)), rid=5)
-        full = keys(req, 70, block_size=1)  # prompt + 10 generated
+        full = ids(req, 70, block_size=1)  # prompt + 10 generated
         assert len(full) == 70
-        assert full[:40] == keys(req, 40, block_size=1)
+        assert full[:40] == ids(req, 40, block_size=1)
         # Generated tokens continue the *final* segment's stream.
         longer = segment_request(((11, 40), (22, 30)), rid=6)
-        assert keys(longer, 70, block_size=1) == full
+        assert ids(longer, 70, block_size=1) == full
 
     def test_block_keys_chain_full_blocks_only(self):
         req = segment_request(((11, 40), (22, 20)))
-        base = keys(req, 60)
+        base = ids(req, 60)
         assert len(base) == 3  # 60 tokens -> 3 full blocks, partial tail unkeyed
-        assert keys(req, 48) == base
-        assert keys(req, 47) == base[:2]
-        # A changed namespace or length changes the key of every block
-        # covering the change, and of every later block (keys commit to
-        # the whole prefix); earlier blocks keep theirs.
+        assert ids(req, 48) == base
+        assert ids(req, 47) == base[:2]
+        # A changed namespace or length changes the identity of every
+        # block covering the change, and of every later block (a stream
+        # key commits to the whole prefix); earlier blocks keep theirs.
         for segments, first_changed in [
             (((12, 40), (22, 20)), 0),  # first namespace
             (((11, 39), (22, 21)), 2),  # boundary moves into block 2
             (((11, 40), (23, 20)), 2),  # final namespace
         ]:
-            changed = keys(segment_request(segments), 60)
+            changed = ids(segment_request(segments), 60)
             assert changed[:first_changed] == base[:first_changed]
             assert all(
                 x != y for x, y in zip(changed[first_changed:], base[first_changed:])
@@ -121,7 +137,9 @@ _segments = st.lists(
 
 
 class TestKeyEquivalence:
-    """Structural keys are equal exactly when token content is equal."""
+    """Two requests share a block's (stream, depth) identity exactly when
+    per-token content hashing says they share the block, and the oracle
+    manager's per-block keys are one-to-one with those identities."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -133,28 +151,42 @@ class TestKeyEquivalence:
         layouts=[[(11, 7), (12, 0), (11, 7)], [(11, 7), (11, 7)], [(11, 14)]],
         block_size=7, extra=9,
     )
-    @example(  # shared prefix, then distinct namespaces off a block edge
+    @example(  # shared system prompt, then distinct namespaces off a block edge
         layouts=[[(11, 16), (12, 5)], [(11, 16), (13, 5)], [(11, 16)]],
         block_size=16, extra=20,
     )
-    def test_keys_match_content_oracle(self, layouts, block_size, extra):
+    @example(  # later turns of one session: the history grows by a turn
+        layouts=[[(11, 16), (12, 9)], [(11, 16), (12, 30)], [(11, 16), (12, 47)]],
+        block_size=7, extra=12,
+    )
+    @example(  # zero-length last segment: the unbounded stream starts empty
+        layouts=[[(11, 14), (12, 0)], [(11, 14), (12, 9)], [(11, 14)]],
+        block_size=7, extra=14,
+    )
+    def test_identities_match_content_oracle(self, layouts, block_size, extra):
         requests = [segment_request(layout) for layout in layouts]
         n_tokens = max(req.prompt_len for req in requests) + extra
-        structural: dict[int, int] = {}  # oracle key -> structural key
+        structural: dict[int, tuple[int, int]] = {}  # oracle key -> identity
+        reference: dict[tuple[int, int], int] = {}  # identity -> oracle manager key
         for req in requests:
-            ours = keys(req, n_tokens, block_size)
+            ours = ids(req, n_tokens, block_size)
             oracle = content_block_keys(req.prompt_segments, n_tokens, block_size)
             assert len(ours) == len(oracle) == n_tokens // block_size
+            assert [depth for _, depth in ours] == list(range(len(ours)))
             for mine, ref in zip(ours, oracle):
                 assert structural.setdefault(ref, mine) == mine
-            # Keys at n are a prefix of the keys at any m > n.
+            for mine, key in zip(ours, reference_block_keys(req, n_tokens, block_size)):
+                assert reference.setdefault(mine, key) == key
+            # The chain at n is a prefix of the chain at any m > n.
             for n in range(0, n_tokens, max(1, n_tokens // 5)):
-                assert keys(req, n, block_size) == ours[: n // block_size]
-        # Equal oracle keys map to one structural key (checked above);
-        # distinct oracle keys map to distinct structural keys.  Together:
-        # for every pair of requests and every block, structural keys are
-        # equal exactly when the content-hash keys are.
+                assert ids(req, n, block_size) == ours[: n // block_size]
+        # Equal oracle keys map to one identity (checked above); distinct
+        # oracle keys map to distinct identities.  Together: for every
+        # pair of requests and every block, identities are equal exactly
+        # when the content-hash keys are.  The same holds for the oracle
+        # manager's keys.
         assert len(set(structural.values())) == len(structural)
+        assert len(set(reference.values())) == len(reference) == len(structural)
 
 
 def _sessions_spec():
@@ -167,9 +199,10 @@ def _sessions_spec():
     )
 
 
-class TestVectorKeys:
-    """Each segment's keys come from one vector call, equal to the scalar
-    per-block loop bit for bit."""
+class TestChainShape:
+    """A chain lists each stream once, with strictly growing block ends
+    that stop at the last full block, and the oracle manager keys exactly
+    its blocks."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -184,7 +217,7 @@ class TestVectorKeys:
     @example(  # zero-length middle segment; prefix ends on a segment boundary
         segments=[(5, 32), (6, 0), (7, 16)], block_size=16, data=None
     )
-    def test_matches_scalar_loop(self, segments, block_size, data):
+    def test_streams_and_ends(self, segments, block_size, data):
         req = segment_request(segments)
         boundaries = list(itertools.accumulate(length for _, length in segments))
         if data is None:
@@ -196,17 +229,22 @@ class TestVectorKeys:
                 data.draw(st.integers(0, boundaries[-1] + 3 * block_size)),
             ]
         for n_tokens in candidates:
-            ours = request_block_keys(req, n_tokens, block_size)
-            assert ours == reference_block_keys(req, n_tokens, block_size)
-            assert all(type(key) is int for key in ours)
+            chain = request_block_keys(req, n_tokens, block_size)
+            streams = [stream for stream, _ in chain]
+            ends = [end for _, end in chain]
+            assert len(set(streams)) == len(streams)
+            assert all(type(stream) is int for stream in streams)
+            assert ends == sorted(set(ends)) and 0 not in ends
+            assert (ends[-1] if ends else 0) == n_tokens // block_size
+            assert len(reference_block_keys(req, n_tokens, block_size)) == n_tokens // block_size
 
 
 class TestKeyCost:
-    """Keys cost two scalar hashes per segment, are derived once per
-    request, and no memo grows between calls; decode grows KV once per
-    block."""
+    """A chain costs two scalar hashes per segment whatever its length,
+    is derived once per lock or commit, and no memo grows between calls;
+    decode grows KV once per block."""
 
-    def test_mix_calls_bounded_by_blocks(self, monkeypatch):
+    def test_mix_calls_bounded_by_segments(self, monkeypatch):
         calls = 0
         real_mix = tokens.mix
 
@@ -218,8 +256,8 @@ class TestKeyCost:
         monkeypatch.setattr(tokens, "mix", counting_mix)
         req = segment_request(((0x5E55_0001, 50_000), (0x5E55_0002, 50_000)))
         out = keys(req, 100_000, block_size=16)
-        assert len(out) == 6_250
-        assert calls <= 2 * len(req.prompt_segments)  # blocks are keyed in one vector call
+        assert [end for _, end in out] == [3_125, 6_250]
+        assert calls <= 2 * len(req.prompt_segments)
 
     def test_sessions_run_grows_no_module_state(self):
         from repro.analysis.runner import run_spec
@@ -236,58 +274,75 @@ class TestKeyCost:
         assert report.metrics.prefix_hit_requests > 0
         assert container_sizes() == before
 
-    def test_sessions_run_derives_keys_once_and_grows_kv_per_block(self, monkeypatch):
-        """Keys are derived once per request, not once per prefix hook,
-        and decode reaches ``ensure`` about once per block, not per step."""
+    def test_sessions_run_derives_one_chain_per_hook_and_grows_kv_per_block(
+        self, monkeypatch
+    ):
+        """Each lock or commit derives its request's chain once, and
+        decode reaches ``ensure`` about once per block, not per step."""
         from repro.analysis.runner import run_spec
         from repro.serving import engine, scheduler_base
 
-        calls = {"keys": 0, "ensure": 0}
+        calls = {"keys": 0, "hooks": 0, "ensure": 0}
 
         def counting_keys(*args):
             calls["keys"] += 1
             return request_block_keys(*args)
 
-        real_ensure = PrefixCacheManager.ensure
+        def counting(method, name):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
 
-        def counting_ensure(self, rid, tokens):
-            calls["ensure"] += 1
-            return real_ensure(self, rid, tokens)
+            return wrapper
 
         for module in (engine, scheduler_base):
             monkeypatch.setattr(module, "request_block_keys", counting_keys)
-        monkeypatch.setattr(PrefixCacheManager, "ensure", counting_ensure)
+        for name in ("lock_keys", "commit_keys"):
+            method = getattr(PrefixCacheManager, name)
+            monkeypatch.setattr(PrefixCacheManager, name, counting(method, "hooks"))
+        monkeypatch.setattr(
+            PrefixCacheManager, "ensure", counting(PrefixCacheManager.ensure, "ensure")
+        )
         report = run_spec(_sessions_spec())
         requests = len(report.requests)
         decoded = report.metrics.total_tokens
         assert report.metrics.prefix_hit_requests > 0
-        assert 0 < calls["keys"] <= requests
+        assert 0 < calls["keys"] == calls["hooks"]
         assert calls["ensure"] <= 2 * requests + decoded / DEFAULT_BLOCK_SIZE
-        finished = [r for r in report.requests if r.is_finished]
-        assert finished and all(r.prefix_keys is None for r in finished)
-        assert finished[0].fresh_copy().prefix_keys is None
 
-    def test_cached_keys_are_derived_once_per_block_size(self):
-        req = segment_request(((0x5E55_0001, 40), (0x5E55_0002, 60)))
-        req.max_new_tokens = 30
-        derived = []
 
-        def derive(r, n_tokens, block_size):
-            derived.append((n_tokens, block_size))
-            return request_block_keys(r, n_tokens, block_size)
+class TestTableShape:
+    """The table holds runs, not blocks, and requests cache no keys."""
 
-        for n in (100, 37, 130, 16):
-            assert req.block_keys(n, 16, derive) == keys(req, n, 16)
-        assert derived == [(130, 16)]  # once, over prompt + max_new_tokens
-        assert req.block_keys(100, 8, derive) == keys(req, 100, 8)
-        assert derived[-1] == (130, 8)  # another block size re-derives
+    def test_request_has_no_prefix_keys_slot(self):
+        assert "prefix_keys" not in Request.__slots__
+        assert not hasattr(Request, "block_keys")
 
-    def test_fresh_copy_drops_cached_keys(self):
-        req = segment_request(((0x5E55_0001, 40),))
-        assert req.block_keys(40, 16, request_block_keys) == keys(req, 40)
-        assert req.prefix_keys is not None
-        assert req.fresh_copy().prefix_keys is None
-        assert req.fresh_copy() == req  # the cache is not part of equality
+    def test_evicting_sessions_run_holds_runs_not_blocks(
+        self, pair, target_roofline, draft_roofline
+    ):
+        from repro.analysis.harness import make_scheduler
+        from repro.serving.engine import SimulatedEngine
+        from repro.serving.server import ServingSimulator
+        from repro.workloads.generator import WorkloadGenerator
+        from repro.workloads.sessions import SessionGenerator
+
+        gen = WorkloadGenerator(target_roofline, seed=3)
+        requests = SessionGenerator(gen, turns=4, think_time_s=1.0).generate(
+            duration_s=30.0, rps=4.0
+        )
+        kv = PrefixCacheManager(16_000)  # 1,000 blocks: the table fills and evicts
+        engine = SimulatedEngine(pair, target_roofline, draft_roofline, kv, seed=42)
+        ServingSimulator(engine, make_scheduler("vllm", engine), requests).run()
+        stats = kv.prefix_stats()
+        runs = [run for stream_runs in kv._streams.values() for run in stream_runs]
+        assert stats.evicted_blocks > 0 and stats.hits > 0
+        assert stats.cached_blocks == sum(run.end - run.start for run in runs)
+        assert stats.cached_blocks >= 10 * len(runs)
+        InvariantChecker().check_kv(kv, "end")
+        # No per-block Python object: the table is one list per stream.
+        assert len(kv._streams) <= len(runs)
+        assert all(type(runs) is list for runs in kv._streams.values())
 
 
 class TestBlockRounding:
@@ -416,6 +471,7 @@ class TestRefcountedEviction:
         stats = kv.prefix_stats()
         assert stats.evicted_blocks >= 8
         assert kv.used_blocks <= kv.total_blocks
+        InvariantChecker().check_kv(kv, "evict")  # emptied runs left the table
 
     def test_referenced_blocks_are_never_evicted(self):
         kv = PrefixCacheManager(320, block_size=16)
@@ -439,6 +495,7 @@ class TestRefcountedEviction:
         kv.ensure(99, 256)  # 16 blocks; 20 total, 8 cached -> evict 4
         assert cached_len(kv, old, 64) == 0  # oldest chain gone
         assert cached_len(kv, new, 64) == 64  # newest kept
+        assert list(kv._streams) == [s for s, _ in keys(new, 64)]  # old's stream left
 
     def test_free_releases_references_not_cache(self):
         kv = PrefixCacheManager(320, block_size=16)

@@ -3,15 +3,23 @@
 Covers: hashing/uniform ranges, token-tree construction, selection
 (budget/connectivity/greedy dominance), Algorithm 1 consistency, the
 roofline's monotonicity, and both KV managers (with the prefix
-manager's key lifecycle, replayed on the per-block oracle) via stateful
+manager's chain lifecycle, replayed on the per-block oracle) via stateful
 machines.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro._rng import hash_seed, mix, uniform, uniforms
 from repro.check.invariants import InvariantChecker
@@ -22,8 +30,14 @@ from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 from repro.model.pair import ModelPair
 from repro.prefixcache.manager import PrefixCacheManager
+from repro.prefixcache.tokens import request_block_keys
 from repro.serving.kv_cache import KVCacheManager, OutOfKVCache
-from tests.conftest import ReferencePrefixCacheManager, object_tree
+from tests.conftest import (
+    ReferencePrefixCacheManager,
+    block_identities,
+    object_tree,
+    reference_block_keys,
+)
 
 _PAIR = ModelPair.build(vocab_size=1000, seed=99, alignment=0.85, predictability=0.7)
 _ROOFLINE = RooflineModel(DEPLOYMENT_PRESETS["llama70b-4xa100"])
@@ -140,32 +154,49 @@ class TestRooflineProperties:
         assert _ROOFLINE.forward_latency(8, ctx) >= _ROOFLINE.forward_latency(8, 0)
 
 
-def _chain(rid: int, n_blocks: int) -> list[int]:
-    """Block keys of request ``rid``'s first ``n_blocks`` blocks: two
-    blocks every request shares, then one of three per-stream suffixes."""
-    return [(0 if i < 2 else rid % 3) * 1000 + i for i in range(n_blocks)]
+#: Segment layouts: a first segment of namespace 11 that every layout
+#: shares for at least 24 tokens, then up to two segments over three
+#: namespaces with lengths off and on the 16-token block edge.  So the
+#: layouts drawn for different rids often share streams and often
+#: diverge mid-block; zero lengths exercise skipped segments.
+_LAYOUT = st.builds(
+    lambda head, tail: (head, *tail),
+    st.sampled_from([(11, 40), (11, 24)]),
+    st.lists(
+        st.tuples(st.sampled_from([11, 12, 13]), st.sampled_from([0, 8, 16, 40])),
+        max_size=2,
+    ),
+)
 
 
-def _runs(kv) -> list[tuple]:
-    """The run manager's runs, each as (keys, start, refcount, children, touch)."""
-    runs = {id(run): run for run in kv._blocks.values()}.values()
-    return [(tuple(r.keys), r.start, r.refcount, r.children, r.touch) for r in runs]
-
-
-def prefix_state(kv) -> tuple:
+def prefix_state(kv, key_of=None) -> tuple:
     """Per-key refcounts, held chains and the LRU order of unreferenced
-    blocks, read alike from the run manager and the per-block oracle."""
+    blocks, read alike from the run manager and the per-block oracle.
+
+    ``key_of`` maps the run manager's (stream, depth) block identities to
+    the oracle's keys.
+    """
     if isinstance(kv, ReferencePrefixCacheManager):
         refcounts = {key: b.refcount for key, b in kv._shared.items()}
         stamps = {key: b.touch for key, b in kv._shared.items() if b.refcount == 0}
-    else:
-        refcounts = {key: run.refcount for key, run in kv._blocks.items()}
-        stamps = {
-            key: run.touch + len(run.keys) - 1 - run.keys.index(key)
-            for key, run in kv._blocks.items()
-            if run.refcount == 0
-        }
-    refs = {rid: list(chain) for rid, chain in kv._refs.items()}
+        refs = {rid: list(chain) for rid, chain in kv._refs.items()}
+        return refcounts, refs, sorted(stamps, key=stamps.__getitem__)
+    refcounts, stamps = {}, {}
+    for stream, runs in kv._streams.items():
+        for run in runs:
+            for depth in range(run.start, run.end):
+                key = key_of[stream, depth]
+                refcounts[key] = run.refcount
+                if run.refcount == 0:
+                    stamps[key] = run.touch + run.end - 1 - depth
+    refs = {}
+    for rid, (run, depth) in kv._refs.items():
+        chain = [None] * depth
+        while run is not None:
+            for d in range(run.start, run.end):
+                chain[d] = key_of[run.stream, d]
+            run = run.parent
+        refs[rid] = chain
     return refcounts, refs, sorted(stamps, key=stamps.__getitem__)
 
 
@@ -187,7 +218,7 @@ class KVCacheMachine(RuleBasedStateMachine):
 
     def held(self, rid: int) -> int:
         """Blocks covering ``rid``: private ones plus shared references."""
-        refs = len(self.kv._refs.get(rid, ())) if self.kv.prefix_caching else 0
+        refs = self.kv._refs.get(rid, (None, 0))[1] if self.kv.prefix_caching else 0
         return self.kv.allocation(rid) + refs
 
     def snapshot(self):
@@ -195,7 +226,12 @@ class KVCacheMachine(RuleBasedStateMachine):
         kv = self.kv
         if not kv.prefix_caching:
             return dict(kv._allocated), kv._used
-        return dict(kv._allocated), kv._used, _runs(kv), prefix_state(kv), kv.prefix_stats()
+        runs = [
+            (r.stream, r.start, r.end, r.refcount, r.children, r.touch)
+            for runs in kv._streams.values()
+            for r in runs
+        ]
+        return dict(kv._allocated), kv._used, runs, kv._refs.copy(), kv.prefix_stats()
 
     def grow(self, rid: int, tokens: int) -> None:
         try:
@@ -259,21 +295,34 @@ class KVCacheMachine(RuleBasedStateMachine):
 
 
 class PrefixCacheMachine(KVCacheMachine):
-    """The same machine over the run-granular prefix manager, plus its key
-    lifecycle, with every operation replayed on the per-block oracle."""
+    """The same machine over the run-granular prefix manager, plus its
+    chain lifecycle, with every operation replayed on the per-block
+    oracle: the manager gets each request's ``request_block_keys`` chain
+    and the oracle the ``reference_block_keys`` of the same segments."""
 
     manager = PrefixCacheManager
 
     def __init__(self):
         super().__init__()
         self.ref = ReferencePrefixCacheManager(capacity_tokens=64 * 16, block_size=16)
+        #: Three prompt layouts (drawn once per machine); request ``rid``
+        #: rides layout ``rid % 3``.
+        self.layouts: tuple = ()
+        #: (stream, depth) -> oracle key, for every block chained so far.
+        self.key_of: dict[tuple[int, int], int] = {}
 
-    def call(self, name: str, *args):
-        """Apply one operation to both managers; outcomes must agree."""
+    @initialize(layouts=st.lists(_LAYOUT, min_size=3, max_size=3))
+    def draw_layouts(self, layouts):
+        self.layouts = tuple(SimpleNamespace(prompt_segments=layout) for layout in layouts)
+
+    def call(self, name: str, *args, ref_args=None):
+        """Apply one operation to both managers; outcomes must agree.
+
+        ``ref_args`` replaces ``args`` for the oracle."""
         outcomes = []
-        for kv in (self.ref, self.kv):
+        for kv, kv_args in ((self.ref, ref_args or args), (self.kv, args)):
             try:
-                outcomes.append((getattr(kv, name)(*args), None))
+                outcomes.append((getattr(kv, name)(*kv_args), None))
             except (OutOfKVCache, ValueError) as exc:
                 outcomes.append((None, exc))
         (want, want_exc), (got, got_exc) = outcomes
@@ -283,24 +332,36 @@ class PrefixCacheMachine(KVCacheMachine):
             raise got_exc
         return got
 
+    def call_chain(self, name: str, rid: int, layout: int, n_blocks: int):
+        """Apply ``name`` to layout ``layout``'s first ``n_blocks`` blocks
+        as request ``rid``: a chain for the manager, keys for the oracle."""
+        req, n_tokens = self.layouts[layout % 3], n_blocks * 16
+        chain = request_block_keys(req, n_tokens, 16)
+        keys = reference_block_keys(req, n_tokens, 16)
+        identities = block_identities(chain)
+        assert len(identities) == len(keys) == n_blocks
+        for identity, key in zip(identities, keys):
+            assert self.key_of.setdefault(identity, key) == key
+        return self.call(name, rid, chain, ref_args=(rid, keys))
+
     @rule(rid=st.integers(0, 9), n_blocks=st.integers(0, 24))
     def lock_keys(self, rid, n_blocks):
-        self.call("lock_keys", rid, _chain(rid, n_blocks))
+        self.call_chain("lock_keys", rid, rid, n_blocks)
         if self.kv.holds(rid):
             self.tokens.setdefault(rid, 0)
 
     @precondition(lambda self: bool(self.tokens))
     @rule(data=st.data())
     def commit_keys(self, data):
-        # Only blocks the request already covers: each new key then
-        # reclassifies one of its private blocks, as in the engine.  Keys
-        # of a neighbouring stream may diverge from the locked prefix.
+        # Only blocks the request already covers: each new block then
+        # reclassifies one of its private blocks, as in the engine.  A
+        # neighbouring layout may diverge from the locked prefix.
         rid = data.draw(st.sampled_from(sorted(self.tokens)))
-        stream = data.draw(st.sampled_from([rid, rid, rid + 1]))
+        layout = data.draw(st.sampled_from([rid, rid, rid + 1]))
         held = self.held(rid)
-        n_blocks = data.draw(st.integers(len(self.kv._refs.get(rid, ())), held))
+        n_blocks = data.draw(st.integers(self.kv._refs.get(rid, (None, 0))[1], held))
         try:
-            self.call("commit_keys", rid, _chain(stream, n_blocks))
+            self.call_chain("commit_keys", rid, layout, n_blocks)
         except ValueError:
             pass  # diverged from the held prefix; both managers refused
         assert self.held(rid) == held
@@ -322,6 +383,22 @@ class PrefixCacheMachine(KVCacheMachine):
         need = self.held(rid) + self.kv.free_blocks + extra
         self.grow(rid, need * self.kv.block_size)
 
+    @rule(rid=st.integers(0, 9), n_blocks=st.integers(1, 24), extra=st.integers(1, 8))
+    def cache_then_evict(self, rid, n_blocks, extra):
+        """Publish and release a chain as a fresh request, then grow the
+        next rid past the free pool, so the chain competes for eviction
+        with whatever else is cached."""
+        if rid in self.tokens:
+            return
+        self.lock_keys(rid, n_blocks)
+        self.grow(rid, n_blocks * self.kv.block_size)
+        if rid in self.tokens and self.held(rid) >= n_blocks:
+            self.call_chain("commit_keys", rid, rid, n_blocks)
+        if rid in self.tokens:
+            self.call("free", rid)
+            del self.tokens[rid]
+        self.evict((rid + 1) % 10, extra)
+
     @invariant()
     def matches_oracle(self):
         ref, kv = self.ref, self.kv
@@ -331,7 +408,7 @@ class PrefixCacheMachine(KVCacheMachine):
             ref._allocated,
             ref.covered,
         )
-        assert prefix_state(kv) == prefix_state(ref)
+        assert prefix_state(kv, self.key_of) == prefix_state(ref)
 
 
 TestKVCacheStateful = KVCacheMachine.TestCase

@@ -9,7 +9,7 @@ from repro.cluster.router import PrefixAffinityRouter
 from repro.prefixcache.tokens import request_block_keys
 from repro.registry import TRACES, SpecError
 from repro.workloads.sessions import SessionGenerator
-from tests.conftest import make_request, tiny_generator
+from tests.conftest import block_identities, make_request, tiny_generator
 
 
 @pytest.fixture
@@ -56,8 +56,8 @@ class TestSessionGenerator:
 
     def test_turn_prompt_extends_previous_context(self, session_requests):
         """The prefix-reuse invariant: turn k+1's token stream starts with
-        turn k's full prompt + generated answer, so its block keys over
-        that context equal turn k's."""
+        turn k's full prompt + generated answer, so its block chain over
+        that context equals turn k's."""
         by_session: dict[int, list] = {}
         for r in session_requests:
             by_session.setdefault(r.session_id, []).append(r)
@@ -77,10 +77,10 @@ class TestSessionGenerator:
         firsts = [r for r in session_requests if r.turn_index == 0]
         assert len({r.session_id for r in firsts}) > 1
         a, b = firsts[0], firsts[1]
-        keys_a = request_block_keys(a, 80, 16)
-        keys_b = request_block_keys(b, 80, 16)
-        assert keys_a[:4] == keys_b[:4]  # the system prompt's 64 tokens
-        assert keys_a[4] != keys_b[4]  # then they diverge
+        ids_a = block_identities(request_block_keys(a, 80, 16))
+        ids_b = block_identities(request_block_keys(b, 80, 16))
+        assert ids_a[:4] == ids_b[:4]  # the system prompt's 64 tokens
+        assert ids_a[4] != ids_b[4]  # then they diverge
 
     def test_categories_constant_within_session(self, session_requests):
         by_session: dict[int, set] = {}
