@@ -143,9 +143,10 @@ def run_once(
 
     A point is a cluster when it has more than one replica, autoscaling
     or faults (the ``ExperimentSpec.is_cluster`` rule).  A solo point's
-    engine takes ``setup.seed`` and its replica report is returned; a
-    cluster's replica ``i`` takes ``derive_seed(setup.seed, "fleet", i)``
-    and the fleet summary is returned.  ``autoscale`` (a mapping of
+    engine takes ``setup.seed``; a cluster's replica ``i`` takes
+    ``derive_seed(setup.seed, "fleet", i)``.  Either way the fleet's one
+    report is returned; the fleet picks its shape by the same rule (see
+    :mod:`repro.cluster.fleet`).  ``autoscale`` (a mapping of
     :class:`AutoscalerConfig` overrides) enables autoscaling; its
     ``max_replicas`` defaults to twice the initial fleet when unset.
     ``faults`` is a sequence of fault spec strings
@@ -189,7 +190,7 @@ def run_once(
             num_replicas=replicas,
         )
 
-    report = FleetSimulator(
+    return FleetSimulator(
         replica_factory,
         requests,
         make_router(router, seed=derive_seed(setup.seed, "router")),
@@ -201,4 +202,3 @@ def run_once(
         invariants=invariants,
         metrics_mode=metrics_mode,
     ).run()
-    return report.summary if cluster else report.replica_reports[0]

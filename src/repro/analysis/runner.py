@@ -70,8 +70,9 @@ def run_spec(
     The single build-and-run recipe behind :func:`execute_point` and
     the golden-equivalence tests — so every consumer simulates exactly
     the configuration real experiments would.  Every point runs through
-    :func:`~repro.analysis.harness.run_once`; cluster points (see
-    :attr:`ExperimentSpec.is_cluster`) return the fleet-level summary.
+    :func:`~repro.analysis.harness.run_once` and returns the fleet's one
+    report, labelled and ordered as a cluster's when
+    :attr:`ExperimentSpec.is_cluster` holds.
     ``observer`` (see :func:`run_traced`) attaches passive
     observability; ``invariants`` (an
     :class:`~repro.check.invariants.InvariantChecker`, see

@@ -452,7 +452,9 @@ class ExperimentSpec:
     @property
     def is_cluster(self) -> bool:
         """Whether this point runs as a cluster (per-replica engine seeds,
-        fleet summary) rather than solo; ``run_once`` applies the same rule.
+        rid-sorted report labelled with peak size and router) rather than
+        solo; ``run_once`` applies the same rule to engine seeds and
+        :meth:`~repro.cluster.fleet.FleetSimulator.run` to the report.
 
         Chaos points always run as a cluster — even with one replica —
         since the fault schedule is built per fleet.

@@ -12,6 +12,6 @@ the bit.
 The incident side lives in :mod:`repro.chaos.report`: each run with an
 active schedule attaches a strict-JSON-safe incident report (fault
 timeline, per-crash recovery milestones, requests disrupted/lost, SLO
-attainment inside incident windows) to its
+attainment inside incident windows) to the fleet's one
 :class:`~repro.serving.server.SimulationReport`.
 """

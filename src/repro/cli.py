@@ -329,12 +329,6 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.autoscale and args.max_replicas is not None and args.max_replicas < args.replicas:
-        print(
-            f"error: --max-replicas ({args.max_replicas}) must be >= --replicas ({args.replicas})",
-            file=sys.stderr,
-        )
-        return 2
     if args.replicas == 1 and not args.autoscale and args.router != "round-robin":
         print(
             "error: --router has no effect with --replicas 1 unless --autoscale is set",

@@ -19,9 +19,10 @@ Because ties are broken by replica index and every random draw is seeded,
 a fleet run is a pure function of (replica factory, workload, router,
 autoscaler config) — two runs with the same inputs are byte-identical.
 
-Fleet-level metrics are the per-replica aggregation applied to the union
-of all per-replica requests, so cluster numbers and solo numbers are
-directly comparable.
+:meth:`FleetSimulator.run` returns the run's one
+:class:`~repro.serving.server.SimulationReport`: metrics are aggregated
+once over every request served, so cluster and solo numbers are directly
+comparable.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.chaos.faults import FaultEvent, FaultSchedule
 from repro.chaos.report import ChaosLog, build_chaos_report
@@ -45,36 +45,6 @@ from repro.serving.server import SimulationReport
 
 #: Builds a fresh engine + scheduler pair for replica ``index``.
 ReplicaFactory = Callable[[int], tuple[SimulatedEngine, Scheduler]]
-
-
-@dataclass(frozen=True)
-class FleetReport:
-    """Outcome of one fleet run."""
-
-    #: Fleet-level report: merged metrics over every replica's requests.
-    summary: SimulationReport
-    #: Per-replica reports, in replica-index order (includes retired).
-    replica_reports: list[SimulationReport]
-    router_name: str
-    #: Peak concurrently live (non-retired) replicas; never exceeds the
-    #: autoscaler's ``max_replicas``.
-    num_replicas_peak: int
-    scale_events: list[ScaleEvent]
-
-    @property
-    def chaos(self) -> dict | None:
-        """Incident report of a chaos run (None without a fault schedule)."""
-        return self.summary.chaos
-
-    @property
-    def attainment(self) -> float:
-        """Fleet SLO attainment (convenience passthrough)."""
-        return self.summary.metrics.attainment
-
-    @property
-    def goodput(self) -> float:
-        """Fleet goodput in tokens/s (convenience passthrough)."""
-        return self.summary.metrics.goodput
 
 
 class FleetSimulator:
@@ -156,7 +126,7 @@ class FleetSimulator:
             self._spawn(i, available_at=0.0) for i in range(num_replicas)
         ]
         self.scale_events: list[ScaleEvent] = []
-        self._peak_live = num_replicas
+        self.peak_live = num_replicas  # most live replicas at once (<= max_replicas)
         # Incremental fleet state (replaces per-event full rescans):
         # - the event heap holds (time, kind, index) entries: kind 0 is
         #   a fault event (index into _chaos_events — never stale), kind
@@ -236,7 +206,7 @@ class FleetSimulator:
                     now, "scale-up", replica=index, data={"warmup_s": warmup}
                 )
             self._live += 1
-            self._peak_live = max(self._peak_live, self._live)
+            self.peak_live = max(self.peak_live, self._live)
         elif decision < 0:
             victim = self.autoscaler.pick_drain_victim(self.replicas)
             if victim is not None:
@@ -430,7 +400,7 @@ class FleetSimulator:
             self._obs.event(now, "restart", replica=replica.index)
 
     # ------------------------------------------------------------------
-    def run(self) -> FleetReport:
+    def run(self) -> SimulationReport:
         """Execute the fleet simulation to completion (or safety cutoff).
 
         The loop is event-driven over an explicit heap: replicas with
@@ -445,6 +415,10 @@ class FleetSimulator:
         share the heap and fire in the same global time order, sorting
         ahead of replica steps at equal times; pending arrivals still win
         ties exactly as they do against steps.
+
+        Returns the run's one report.  A plain fleet (one replica, no
+        autoscaler, no faults) keeps its scheduler's order and label; any
+        other reports the rid-sorted union as ``"<name> x<peak> [<router>]"``.
         """
         clock = SimClock()
         arrivals = ArrivalStream(self.requests)
@@ -587,38 +561,34 @@ class FleetSimulator:
             # Cover the drain tail up to the run's true end time.
             sampler.catch_up(sim_time_s)
 
-        replica_reports = [r.report(self.metrics_mode) for r in self.replicas]
-        all_requests = sorted(
-            (req for rep in replica_reports for req in rep.requests),
-            key=lambda r: r.rid,
-        )
-        for req in all_requests:
+        name = self.replicas[0].scheduler.name
+        if len(self.replicas) == 1 and self.autoscaler is None and self._chaos_log is None:
+            requests = self.replicas[0].requests()
+        else:
+            requests = sorted(
+                (req for replica in self.replicas for req in replica.requests()),
+                key=lambda r: r.rid,
+            )
+            name = f"{name} x{self.peak_live} [{self.router.name}]"
+        for req in requests:
             req.on_finish = None  # still set on requests left unfinished
         if inv is not None:
             if sampler is not None:
                 inv.check_sampler(sampler, sim_time_s)
-            inv.check_conservation(admitted, all_requests, "fleet merge")
+            inv.check_conservation(admitted, requests, "fleet merge")
         chaos = (
-            build_chaos_report(self._chaos_log, all_requests, sim_time_s)
+            build_chaos_report(self._chaos_log, requests, sim_time_s)
             if self._chaos_log is not None
             else None
         )
-        base_name = self.replicas[0].scheduler.name
-        summary = SimulationReport(
-            scheduler_name=f"{base_name} x{self._peak_live} [{self.router.name}]",
-            metrics=aggregate_metrics(all_requests, self.metrics_mode),
+        return SimulationReport(
+            scheduler_name=name,
+            metrics=aggregate_metrics(requests, self.metrics_mode),
             sim_time_s=sim_time_s,
             iterations=iterations,
             phase_breakdown=self._merged_phase_breakdown(),
-            requests=all_requests,
+            requests=requests,
             chaos=chaos,
-        )
-        return FleetReport(
-            summary=summary,
-            replica_reports=replica_reports,
-            router_name=self.router.name,
-            num_replicas_peak=self._peak_live,
-            scale_events=list(self.scale_events),
         )
 
     # ------------------------------------------------------------------

@@ -13,16 +13,18 @@ replicas over one shared clock (a solo run,
   already owns but receives no new requests.
 
 Load introspection (``queued_requests``/``queued_tokens``) is what the
-routing policies in :mod:`repro.cluster.router` compare.
+routing policies in :mod:`repro.cluster.router` compare, and
+:meth:`Replica.requests` is what the fleet's one report aggregates.
 """
 
 from __future__ import annotations
 
 from repro.serving.engine import PhaseTimes, SimulatedEngine
+# aggregate_metrics is unused here; it stays a module global because
+# simbench/tracer.py wraps it.
+from repro.serving.metrics import aggregate_metrics  # noqa: F401
 from repro.serving.request import Request
-from repro.serving.metrics import DEFAULT_METRICS_MODE, aggregate_metrics
 from repro.serving.scheduler_base import Scheduler
-from repro.serving.server import SimulationReport
 
 
 class Replica:
@@ -127,7 +129,7 @@ class Replica:
         unfinished requests are surrendered to the caller for re-routing,
         and the replacement engine + scheduler start cold.  Requests that
         finished before the crash — and the dead engine's accumulated
-        phase times — are stashed so :meth:`report` stays complete.
+        phase times — are stashed so :meth:`requests` stays complete.
         """
         if scheduler.engine is not engine:
             raise ValueError("scheduler must wrap the provided engine")
@@ -183,17 +185,9 @@ class Replica:
         return self._current_load()[1]
 
     # ------------------------------------------------------------------
-    def report(self, metrics_mode: str = DEFAULT_METRICS_MODE) -> SimulationReport:
-        """Per-replica simulation report (what a solo run returns)."""
-        requests = self._crash_finished + self.scheduler.all_requests()
-        return SimulationReport(
-            scheduler_name=self.scheduler.name,
-            metrics=aggregate_metrics(requests, metrics_mode),
-            sim_time_s=self.local_now,
-            iterations=self.iterations,
-            phase_breakdown=self.accumulated_phase_times().breakdown(),
-            requests=requests,
-        )
+    def requests(self) -> list[Request]:
+        """Every request served here, in scheduler order (pre-crash finishes first)."""
+        return self._crash_finished + self.scheduler.all_requests()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(

@@ -30,7 +30,7 @@ from repro.serving.scheduler_base import Scheduler
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Outcome of one simulated run."""
+    """The one report of a run, built by :meth:`repro.cluster.fleet.FleetSimulator.run`."""
 
     scheduler_name: str
     metrics: RunMetrics
@@ -109,10 +109,9 @@ class ServingSimulator:
         """Execute the simulation to completion (or safety cutoff).
 
         Runs a one-replica :class:`~repro.cluster.fleet.FleetSimulator`
-        over this simulator's engine and scheduler and returns the
-        replica's report: the scheduler's own label, metrics aggregated
-        in scheduler order, and ``sim_time_s`` at the replica's last
-        iteration boundary.
+        over this simulator's engine and scheduler and returns its
+        report: a plain fleet's, with the scheduler's own label and the
+        requests in scheduler order.
         """
         # Imported here: repro.cluster imports SimulationReport from this module.
         from repro.cluster.fleet import FleetSimulator
@@ -129,4 +128,4 @@ class ServingSimulator:
             invariants=self.invariants,
             metrics_mode=self.metrics_mode,
         )
-        return fleet.run().replica_reports[0]
+        return fleet.run()

@@ -216,8 +216,8 @@ class TestFleetRecovery:
         assert chaos["requests_lost"] == 0
         # Every in-flight request on the dead replica was re-queued and
         # finished elsewhere (or back on the restarted replica).
-        assert all(r.is_finished for r in report.summary.requests)
-        disrupted = [r for r in report.summary.requests if r.failover_count > 0]
+        assert all(r.is_finished for r in report.requests)
+        disrupted = [r for r in report.requests if r.failover_count > 0]
         assert len(disrupted) == crash["requeued"] > 0
         assert {e["kind"] for e in chaos["events"]} == {"crash", "restart"}
 
@@ -231,7 +231,7 @@ class TestFleetRecovery:
                 num_replicas=3,
             )
             report = chaos_fleet(requests, schedule).run()
-            return json.dumps(report_to_dict(report.summary), sort_keys=True)
+            return json.dumps(report_to_dict(report), sort_keys=True)
 
         assert run_once() == run_once()
 
@@ -239,7 +239,7 @@ class TestFleetRecovery:
         def run_with(schedule):
             requests = fleet_workload(n=30, duration_s=8.0, rps=6.0)
             report = chaos_fleet(requests, schedule).run()
-            return json.dumps(report_to_dict(report.summary), sort_keys=True)
+            return json.dumps(report_to_dict(report), sort_keys=True)
 
         assert run_with(None) == run_with(FaultSchedule())
 
@@ -259,7 +259,7 @@ class TestFleetRecovery:
         assert chaos["num_stragglers"] == 1
         # The degradation window closed: the engine is healthy again.
         assert fleet.replicas[0].engine.slow_factor == 1.0
-        assert all(r.is_finished for r in report.summary.requests)
+        assert all(r.is_finished for r in report.requests)
 
     def test_unbounded_straggler_slows_run(self):
         requests = fleet_workload(n=30, duration_s=8.0, rps=6.0)
@@ -271,7 +271,7 @@ class TestFleetRecovery:
                 else None
             )
             reqs = [r.fresh_copy() for r in requests]
-            return chaos_fleet(reqs, schedule).run().summary.sim_time_s
+            return chaos_fleet(reqs, schedule).run().sim_time_s
 
         assert sim_time(["straggler:at=0,replica=0,slow=4.0"]) > sim_time(None)
 
@@ -283,7 +283,7 @@ class TestFleetRecovery:
             ["crash:at=1,replica=0,restart=2"], seed=0, window_s=6.0, num_replicas=1
         )
         report = chaos_fleet(requests, schedule, replicas=1).run()
-        assert all(r.is_finished for r in report.summary.requests)
+        assert all(r.is_finished for r in report.requests)
         assert report.chaos["requests_lost"] == 0
 
     def test_prefix_affinity_rehomes_after_crash(self):
@@ -295,7 +295,7 @@ class TestFleetRecovery:
             ["crash:at=2,replica=0,restart=4"], seed=0, window_s=8.0, num_replicas=3
         )
         report = chaos_fleet(requests, schedule, router=router).run()
-        assert all(r.is_finished for r in report.summary.requests)
+        assert all(r.is_finished for r in report.requests)
         # No session can still be homed on the crashed replica at the
         # crash instant; homes seen afterwards are legitimate re-homes.
         assert report.chaos["num_crashes"] == 1
@@ -368,7 +368,7 @@ class TestCrashEdgeCases:
         assert [c["replica"] for c in chaos["crashes"]] == [1, 1]
         kinds = [e["kind"] for e in chaos["events"]]
         assert kinds.count("restart") == 2
-        assert all(r.is_finished for r in report.summary.requests)
+        assert all(r.is_finished for r in report.requests)
 
     def test_crash_while_down_is_skipped(self):
         requests = fleet_workload(n=20, duration_s=8.0, rps=4.0)

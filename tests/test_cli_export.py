@@ -169,7 +169,7 @@ class TestCLICluster:
     def test_max_replicas_must_cover_initial_fleet(self, capsys):
         argv = [*self._CLUSTER, "--autoscale", "--max-replicas", "1"]
         assert main(argv) == 2
-        assert "must be >=" in capsys.readouterr().err
+        assert "below the initial fleet size" in capsys.readouterr().err
 
     def test_negative_warmup_rejected(self, capsys):
         argv = [*self._CLUSTER, "--autoscale", "--warmup", "-1"]

@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.export import report_to_dict
 from repro.analysis.spec import ExperimentSpec
+from repro.chaos.faults import FaultSchedule
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.fleet import FleetSimulator
 from repro.cluster.replica import Replica
@@ -209,31 +210,33 @@ class TestAutoscaler:
 class TestFleetSimulator:
     def test_metrics_merge_equals_union_of_replica_requests(self):
         """Fleet RunMetrics == the metrics oracle over the union (property)."""
-        report = make_fleet(fleet_workload(), RoundRobinRouter(), replicas=3).run()
-        union = [req for rep in report.replica_reports for req in rep.requests]
-        assert len(union) == report.summary.metrics.num_requests
-        assert reference_metrics(union) == report.summary.metrics
-        # Per-replica metrics are internally consistent with the merge.
-        assert sum(r.metrics.num_requests for r in report.replica_reports) == len(union)
-        assert sum(r.metrics.num_finished for r in report.replica_reports) == (
-            report.summary.metrics.num_finished
-        )
+        fleet = make_fleet(fleet_workload(), RoundRobinRouter(), replicas=3)
+        report = fleet.run()
+        per_replica = [replica.requests() for replica in fleet.replicas]
+        union = [req for requests in per_replica for req in requests]
+        assert len(union) == report.metrics.num_requests
+        assert reference_metrics(union) == report.metrics
+        # Per-replica request sets are internally consistent with the merge.
+        assert sum(len(requests) for requests in per_replica) == len(report.requests)
+        assert sum(req.is_finished for req in union) == report.metrics.num_finished
 
     def test_summary_spans_the_last_iteration(self):
-        report = make_fleet(fleet_workload(), RoundRobinRouter(), replicas=2).run()
+        fleet = make_fleet(fleet_workload(), RoundRobinRouter(), replicas=2)
+        report = fleet.run()
         finishes = [
             req.finish_time
-            for rep in report.replica_reports
-            for req in rep.requests
+            for replica in fleet.replicas
+            for req in replica.requests()
             if req.finish_time is not None
         ]
-        assert report.summary.sim_time_s >= max(finishes)
+        assert report.sim_time_s >= max(finishes)
 
     def test_every_request_routed_exactly_once(self):
         requests = fleet_workload()
-        report = make_fleet(requests, LeastLoadedRouter(), replicas=3).run()
+        fleet = make_fleet(requests, LeastLoadedRouter(), replicas=3)
+        fleet.run()
         routed = sorted(
-            req.rid for rep in report.replica_reports for req in rep.requests
+            req.rid for replica in fleet.replicas for req in replica.requests()
         )
         assert routed == sorted(r.rid for r in requests)
 
@@ -243,15 +246,14 @@ class TestFleetSimulator:
             report = make_fleet(
                 fleet_workload(), make_router(router_name, seed=11), replicas=3
             ).run()
-            return json.dumps(report_to_dict(report.summary), sort_keys=True)
+            return json.dumps(report_to_dict(report), sort_keys=True)
 
         assert run_once() == run_once()
 
     def test_single_replica_fleet_matches_serving_simulator(self):
-        """A 1-replica fleet's merged summary equals its replica report.
+        """A 1-replica fleet's report equals ``ServingSimulator.run``'s.
 
-        ``ServingSimulator.run`` returns that replica report, so this
-        pins the fleet merge against the per-replica aggregation.
+        Both run the same plain fleet, so every field matches exactly.
         """
         from repro.baselines.vllm import VLLMScheduler
         from repro.serving.server import ServingSimulator
@@ -263,13 +265,13 @@ class TestFleetSimulator:
         solo = ServingSimulator(
             engine, VLLMScheduler(engine), fleet_workload()
         ).run()
-        assert fleet_report.summary.metrics == solo.metrics
-        assert fleet_report.summary.iterations == solo.iterations
-        assert fleet_report.summary.sim_time_s == pytest.approx(solo.sim_time_s)
-        assert fleet_report.summary.phase_breakdown == solo.phase_breakdown
+        assert fleet_report.metrics == solo.metrics
+        assert fleet_report.iterations == solo.iterations
+        assert fleet_report.sim_time_s == solo.sim_time_s
+        assert fleet_report.phase_breakdown == solo.phase_breakdown
 
     def test_horizon_cutoff_matches_serving_simulator(self):
-        """Under a horizon, a 1-replica fleet's summary equals its replica report."""
+        """Under a horizon, a 1-replica fleet's report equals ``ServingSimulator.run``'s."""
         from repro.baselines.vllm import VLLMScheduler
         from repro.serving.server import ServingSimulator
 
@@ -288,8 +290,8 @@ class TestFleetSimulator:
             max_sim_time_s=horizon,
         ).run()
         assert solo.metrics.num_finished < 60  # the cap actually bites
-        assert fleet_report.summary.iterations == solo.iterations
-        assert fleet_report.summary.metrics == solo.metrics
+        assert fleet_report.iterations == solo.iterations
+        assert fleet_report.metrics == solo.metrics
 
     def test_pending_arrivals_reach_idle_replicas_at_horizon(self):
         """A capped replica must not end the run while an idle one can serve.
@@ -313,7 +315,7 @@ class TestFleetSimulator:
             2,
             max_sim_time_s=0.5,
         ).run()
-        m = report.summary.metrics
+        m = report.metrics
         assert m.num_requests == 2
         assert m.num_finished == 1  # relaxed served by R1; urgent capped
 
@@ -351,22 +353,23 @@ class TestFleetSimulator:
             scale_up_queue=1.5,
             warmup_s=2.0,
         )
-        report = make_fleet(
+        fleet = make_fleet(
             fleet_workload(n=60, rps=20.0),
             LeastLoadedRouter(),
             replicas=1,
             autoscaler_config=config,
-        ).run()
-        ups = [e for e in report.scale_events if e.action == "up"]
+        )
+        report = fleet.run()
+        ups = [e for e in fleet.scale_events if e.action == "up"]
         assert ups, "deep queues at rps=20 on one replica must trigger scale-up"
-        assert report.num_replicas_peak > 1
+        assert fleet.peak_live > 1
         # Peak counts concurrently live replicas and respects the ceiling
         # even if scale-down/scale-up cycles created more over the run.
-        assert report.num_replicas_peak <= 3
-        assert f"x{report.num_replicas_peak} " in report.summary.scheduler_name
+        assert fleet.peak_live <= 3
+        assert f"x{fleet.peak_live} " in report.scheduler_name
         # Scaled-up replicas only start serving after their warm-up.
-        for event, rep in zip(ups, report.replica_reports[1:]):
-            finished = [r for r in rep.requests if r.first_token_time is not None]
+        for event, replica in zip(ups, fleet.replicas[1:]):
+            finished = [r for r in replica.requests() if r.first_token_time is not None]
             for req in finished:
                 assert req.first_token_time >= event.time_s + config.warmup_s
 
@@ -475,11 +478,83 @@ class TestFleetSimulator:
         )
         # Burst then silence: the fleet scales up, then drains back down.
         requests = fleet_workload(n=50, duration_s=4.0, rps=14.0)
-        report = make_fleet(
+        fleet = make_fleet(
             requests, LeastLoadedRouter(), replicas=1, autoscaler_config=config
-        ).run()
+        )
+        report = fleet.run()
         routed = sorted(
-            req.rid for rep in report.replica_reports for req in rep.requests
+            req.rid for replica in fleet.replicas for req in replica.requests()
         )
         assert routed == sorted(r.rid for r in requests)
-        assert report.summary.metrics.num_finished == len(requests)
+        assert report.metrics.num_finished == len(requests)
+
+
+def _straggled_fleet(requests):
+    schedule = FaultSchedule.from_specs(
+        ["straggler:at=1,replica=0,slow=2.0"], seed=0, window_s=10.0, num_replicas=1
+    )
+    return make_fleet(requests, RoundRobinRouter(), replicas=1, fault_schedule=schedule)
+
+
+_SCALING = AutoscalerConfig(max_replicas=2, check_interval_s=0.5, warmup_s=1.0)
+
+#: name -> (fleet builder, whether the fleet is plain)
+REPORT_SHAPES = {
+    "plain": (lambda reqs: make_fleet(reqs, RoundRobinRouter(), replicas=1), True),
+    "empty-faults": (
+        lambda reqs: make_fleet(
+            reqs, RoundRobinRouter(), replicas=1, fault_schedule=FaultSchedule()
+        ),
+        True,
+    ),
+    "autoscaled": (
+        lambda reqs: make_fleet(
+            reqs, LeastLoadedRouter(), replicas=1, autoscaler_config=_SCALING
+        ),
+        False,
+    ),
+    "straggler": (_straggled_fleet, False),
+    "three-replicas": (lambda reqs: make_fleet(reqs, RoundRobinRouter()), False),
+}
+
+
+class TestReportShape:
+    """A plain fleet reports like its scheduler; any other like a cluster."""
+
+    @pytest.mark.parametrize("shape", REPORT_SHAPES)
+    def test_label_and_request_order(self, shape):
+        build, plain = REPORT_SHAPES[shape]
+        fleet = build(fleet_workload())
+        report = fleet.run()
+        rids = [req.rid for req in report.requests]
+        if plain:
+            assert report.scheduler_name == "vLLM"
+            (replica,) = fleet.replicas
+            assert rids == [req.rid for req in replica.requests()]
+            # Scheduler order is finish order first, not rid order.
+            assert rids != sorted(rids)
+        else:
+            assert report.scheduler_name == (
+                f"vLLM x{fleet.peak_live} [{fleet.router.name}]"
+            )
+            assert rids == sorted(
+                req.rid for replica in fleet.replicas for req in replica.requests()
+            )
+        assert (report.chaos is not None) == (shape == "straggler")
+        assert report.metrics == reference_metrics(report.requests)
+
+    def test_metrics_are_aggregated_once_per_run(self, monkeypatch):
+        import repro.cluster.fleet as fleet_module
+        import repro.cluster.replica as replica_module
+
+        calls = []
+        for module in (fleet_module, replica_module):
+            original = module.aggregate_metrics
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "aggregate_metrics", counting)
+        make_fleet(fleet_workload(), RoundRobinRouter(), replicas=3).run()
+        assert len(calls) == 1
