@@ -29,7 +29,7 @@ from repro.analysis.cache import ResultCache
 from repro.analysis.export import report_from_dict, report_to_dict
 from repro.analysis.harness import Setup, build_setup, run_once
 from repro.analysis.spec import ClusterSpec, ExperimentSpec, SystemSpec, WorkloadSpec
-from repro.registry import TRACES
+from repro.registry import TRACES, SpecError
 from repro.serving.request import Request
 from repro.serving.server import SimulationReport
 from repro.workloads.generator import WorkloadGenerator
@@ -156,7 +156,7 @@ class SweepRunner:
 
     def __init__(self, cache: ResultCache | None = None, jobs: int = 1) -> None:
         if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+            raise SpecError(f"jobs must be >= 1, got {jobs}")
         self.cache = cache
         self.jobs = jobs
         self.executed = 0  # simulations actually run (cache misses)

@@ -28,6 +28,14 @@ Components are referenced by registry spec strings — ``adaserve``,
 ``vllm-spec:k=8``, ``affinity:reserve=0.4``, ``diurnal:peak_to_trough=6``
 — and ``repro list`` shows everything that is registered.
 
+The CLI parses; it does not validate.  Flags are plain strings and
+numbers, and each value is checked once, by the code that consumes it:
+:class:`~repro.analysis.spec.ExperimentSpec` for everything that names a
+point, and the owner for the rest (``urgent_mix``, ``ObsSpec``,
+``SweepRunner``, ``HardwareProfiler``).  They raise a ``SpecError``
+naming the field, which :func:`main` prints as ``error: …`` with exit 2
+before anything runs.
+
 ``run`` and ``sweep`` execute through the content-addressed
 result cache (:mod:`repro.analysis.cache`), so repeating an
 already-computed point or grid performs zero simulations; ``sweep
@@ -70,7 +78,7 @@ from repro.check.rules import CHECKS
 from repro.obs.spec import DEFAULT_ABS_THRESHOLD_S, DEFAULT_REL_THRESHOLD, ObsSpec
 from repro.hardware.profiler import HardwareProfiler
 from repro.registry import FAULTS, MODELS, ROUTERS, SYSTEMS, TRACES, SpecError
-from repro.serving.metrics import DEFAULT_METRICS_MODE, METRICS_MODES
+from repro.serving.metrics import DEFAULT_METRICS_MODE
 from repro.workloads.categories import urgent_mix
 
 #: Introspectable registries, by the plural the ``list`` subcommand uses.
@@ -84,57 +92,22 @@ _REGISTRIES = {
 }
 
 
-def _spec_type(registry):
-    """Argparse type validating (and canonicalizing) a component spec."""
-
-    def parse(text: str) -> str:
-        try:
-            return registry.canonical(text)
-        except SpecError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    parse.__name__ = registry.kind  # shown in argparse error messages
-    return parse
-
-
-_system_spec = _spec_type(SYSTEMS)
-_router_spec = _spec_type(ROUTERS)
-_trace_spec = _spec_type(TRACES)
-_model_spec = _spec_type(MODELS)
-_fault_spec = _spec_type(FAULTS)
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value:g}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value:g}")
-    return value
-
-
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", type=_model_spec, default="llama70b")
-    p.add_argument("--duration", type=_positive_float, default=45.0, help="trace length (s)")
+    p.add_argument("--model", default="llama70b")
+    p.add_argument("--duration", type=float, default=45.0, help="trace length (s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--trace",
-        type=_trace_spec,
         default="bursty",
         help="trace spec (see `repro list traces`), e.g. diurnal:peak_to_trough=6",
     )
     p.add_argument(
         "--urgent-fraction",
-        type=_fraction,
+        type=float,
         default=None,
         help="category-1 share in [0, 1] (default: the paper's 60/20/20 mix)",
     )
-    p.add_argument("--slo-scale", type=_positive_float, default=1.0)
+    p.add_argument("--slo-scale", type=float, default=1.0)
     p.add_argument(
         "--prefix-cache",
         action="store_true",
@@ -144,7 +117,6 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--faults",
         action="append",
-        type=_fault_spec,
         default=None,
         metavar="SPEC",
         help="inject a deterministic fault (repeatable), e.g. "
@@ -153,51 +125,40 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--metrics",
-        choices=tuple(METRICS_MODES),
         default=DEFAULT_METRICS_MODE,
         help="metrics aggregation: exact (every latency sample) or streaming "
         "(O(1) memory, reservoir percentiles; population-scale runs)",
     )
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {value:g}")
-    return value
-
-
-def _slack(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 and finite, got {value:g}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_point_args(p: argparse.ArgumentParser, rps: float, replicas: int) -> None:
     """Flags naming one experiment point (run, explain)."""
     p.add_argument(
         "--system",
-        type=_system_spec,
         default="adaserve",
         help="system spec (see `repro list systems`), e.g. vllm-spec:k=8",
     )
-    p.add_argument("--rps", type=_positive_float, default=rps)
-    p.add_argument("--replicas", type=_positive_int, default=replicas)
+    p.add_argument("--rps", type=float, default=rps)
+    p.add_argument("--replicas", type=int, default=replicas)
+    _add_router_arg(p)
+    p.add_argument("--max-sim-time", type=float, default=1800.0)
+
+
+def _add_router_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--router",
-        type=_router_spec,
-        default="round-robin",
-        help="routing policy spec (see `repro list routers`), e.g. affinity:reserve=0.4",
+        default=None,
+        help="routing policy spec (see `repro list routers`), e.g. affinity:reserve=0.4 "
+        "(needs a fleet; default: round-robin)",
     )
-    p.add_argument("--max-sim-time", type=_positive_float, default=1800.0)
+
+
+def _check_router(args) -> None:
+    """Refuse a ``--router`` that a solo point ignores (run, explain, sweep)."""
+    autoscale = getattr(args, "autoscale", None)  # only ``run`` autoscales
+    if args.router is not None and args.replicas == 1 and not autoscale:
+        hint = " unless --autoscale is set" if autoscale is not None else ""
+        raise SpecError(f"--router has no effect with --replicas 1{hint}")
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -253,8 +214,6 @@ def _config_for(
     args,
     system: str,
     rps: float,
-    replicas: int = 1,
-    router: str = "round-robin",
     autoscale: dict | None = None,
     obs: ObsSpec | None = None,
 ) -> ExperimentSpec:
@@ -271,8 +230,8 @@ def _config_for(
         max_sim_time_s=args.max_sim_time,
         prefix_cache=args.prefix_cache,
         metrics=args.metrics,
-        replicas=replicas,
-        router=router,
+        replicas=args.replicas,
+        router=args.router or "round-robin",
         autoscale=autoscale,
         faults=tuple(args.faults) if args.faults else None,
         obs=obs,
@@ -329,12 +288,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.replicas == 1 and not args.autoscale and args.router != "round-robin":
-        print(
-            "error: --router has no effect with --replicas 1 unless --autoscale is set",
-            file=sys.stderr,
-        )
-        return 2
+    _check_router(args)
     # Pass only user-provided knobs; AutoscalerConfig and run_once own
     # the defaults (warm-up length, 2x-initial-fleet ceiling).
     autoscale = None
@@ -344,10 +298,7 @@ def _cmd_run(args) -> int:
             autoscale["max_replicas"] = args.max_replicas
         if args.warmup is not None:
             autoscale["warmup_s"] = args.warmup
-    config = _config_for(
-        args, args.system, args.rps,
-        replicas=args.replicas, router=args.router, autoscale=autoscale,
-    )
+    config = _config_for(args, args.system, args.rps, autoscale=autoscale)
     invariants = _maybe_invariants(args)
     if invariants is not None:
         # Cached records were never checked, so the point simulates fresh;
@@ -360,10 +311,10 @@ def _cmd_run(args) -> int:
     else:
         runner = SweepRunner(cache=_make_cache(args), jobs=1)
         report, stats = runner.run([config])[0].report, runner.stats_line()
-    _print_report(report, args.model)
+    _print_report(report, config.model)
     if config.is_cluster:
         print(
-            f"replicas: {args.replicas}   router: {args.router}   "
+            f"replicas: {config.replicas}   router: {config.router}   "
             f"autoscale: {'on' if autoscale is not None else 'off'}"
         )
     if report.chaos is not None:
@@ -380,20 +331,9 @@ def _dedupe(configs: list[ExperimentSpec]) -> list[ExperimentSpec]:
 
 
 def _cmd_sweep(args) -> int:
-    if args.router is not None and args.replicas == 1:
-        print("error: --router requires --replicas > 1", file=sys.stderr)
-        return 2
-    cache = _make_cache(args)
-    runner = SweepRunner(cache=cache, jobs=args.jobs)
-    base = [
-        _config_for(
-            args, system, rps,
-            replicas=args.replicas,
-            router=args.router or "round-robin",
-        )
-        for rps in args.rps
-        for system in args.systems
-    ]
+    _check_router(args)
+    runner = SweepRunner(cache=_make_cache(args), jobs=args.jobs)
+    base = [_config_for(args, system, rps) for rps in args.rps for system in args.systems]
     # Expand grid axes cell by cell, keeping a per-cell label: sweep
     # output is keyed by (rps, series label), and parameters that do not
     # show up in the scheduler's display name (seed, n_max, ...) would
@@ -519,13 +459,20 @@ def _cmd_explain(args) -> int:
     from repro.obs.diff import diff_attributions, format_diff_table
     from repro.obs.export import format_slowest_table, perfetto_json, series_to_json
 
+    _check_router(args)
     obs = ObsSpec(
         trace=True, sample_every_s=args.sample_every, iteration_log=args.iteration_log
     )
-    config = _config_for(
-        args, args.system, args.rps,
-        replicas=args.replicas, router=args.router, obs=obs,
-    )
+    config = _config_for(args, args.system, args.rps, obs=obs)
+    # Read the baseline first: an unreadable one should not cost a run.
+    if args.baseline is not None:
+        try:
+            baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
+            if not isinstance(baseline, dict) or not isinstance(baseline.get("totals"), dict):
+                raise ValueError("not an attribution export (no 'totals' mapping)")
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
+            return 2
     invariants = _maybe_invariants(args)
     report, observer = run_traced(config, invariants=invariants)
     _note_invariants(invariants)
@@ -558,11 +505,6 @@ def _cmd_explain(args) -> int:
     )
     if args.baseline is None:
         return 0
-    try:
-        baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
-        return 2
     diff = diff_attributions(
         baseline,
         payload,
@@ -600,6 +542,22 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+# ``explain``'s --top and diff thresholds are the only flags no library
+# code checks, so these two types are their one validation.
+def _nonneg_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {value:g}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="AdaServe reproduction command line"
@@ -621,13 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--max-replicas",
-        type=_positive_int,
+        type=int,
         default=None,
         help="autoscaler ceiling (default: 2x --replicas)",
     )
     p_run.add_argument(
         "--warmup",
-        type=_nonneg_float,
+        type=float,
         default=None,
         help="seconds before an autoscaled replica becomes routable",
     )
@@ -640,31 +598,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_sweep)
     p_sweep.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=int,
         default=1,
         help="worker processes for cache-missing points (default: 1, serial)",
     )
     p_sweep.add_argument(
         "--systems",
         nargs="+",
-        type=_system_spec,
         default=["adaserve", "vllm"],
         help="system specs (see `repro list systems`)",
     )
-    p_sweep.add_argument("--rps", nargs="+", type=_positive_float, default=[2.6, 3.4, 4.2])
-    p_sweep.add_argument("--max-sim-time", type=_positive_float, default=1800.0)
+    p_sweep.add_argument("--rps", nargs="+", type=float, default=[2.6, 3.4, 4.2])
+    p_sweep.add_argument("--max-sim-time", type=float, default=1800.0)
     p_sweep.add_argument(
         "--replicas",
-        type=_positive_int,
+        type=int,
         default=1,
         help="replicas per point (> 1 sweeps at cluster scale)",
     )
-    p_sweep.add_argument(
-        "--router",
-        type=_router_spec,
-        default=None,
-        help="routing policy spec (requires --replicas > 1; default: round-robin)",
-    )
+    _add_router_arg(p_sweep)
     p_sweep.add_argument(
         "--grid",
         action="append",
@@ -707,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_args(p_explain, rps=8.0, replicas=1)
     p_explain.add_argument(
         "--sample-every",
-        type=_positive_float,
+        type=float,
         default=0.5,
         metavar="SECONDS",
         help="gauge sampling period in simulated seconds for the fleet "
@@ -800,11 +752,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=_cmd_check)
 
     p_prof = sub.add_parser("profile", help="hardware profiling for a deployment")
-    p_prof.add_argument("--model", type=_model_spec, default="llama70b")
+    p_prof.add_argument("--model", default="llama70b")
     p_prof.add_argument("--seed", type=int, default=0)
     p_prof.add_argument(
         "--slack",
-        type=_slack,
+        type=float,
         default=1.5,
         help="latency slack over the memory-bound floor when picking B (>= 1)",
     )

@@ -147,7 +147,6 @@ class FleetSimulator:
         # crash→restart and bounded-straggler→end follow-ups, in
         # processing order — deterministic), the incident log, and the
         # scale-delay penalty currently in force.
-        self.fault_schedule = fault_schedule
         self._chaos_events: list[FaultEvent] = (
             list(fault_schedule.events) if fault_schedule is not None else []
         )

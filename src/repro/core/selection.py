@@ -74,11 +74,6 @@ class SelectionResult:
         """Unspent verification budget."""
         return self.budget - self.budget_used
 
-    @property
-    def all_slo_satisfied(self) -> bool:
-        """Whether every request reached its capped requirement."""
-        return all(s.slo_satisfied for s in self.selections)
-
 
 def select_tokens(
     trees: list[TokenTree],

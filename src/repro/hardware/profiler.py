@@ -18,9 +18,11 @@ by the adaptive controller (Equations 8-9).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.hardware.roofline import RooflineModel
+from repro.registry import SpecError
 
 #: Default latency slack over the memory-bound floor when picking B.
 DEFAULT_BUDGET_SLACK = 1.5
@@ -50,8 +52,9 @@ class HardwareProfiler:
     """Selects token budgets by sweeping the roofline model."""
 
     def __init__(self, roofline: RooflineModel, slack: float = DEFAULT_BUDGET_SLACK) -> None:
-        if not slack >= 1.0:  # NaN fails the comparison
-            raise ValueError(f"slack must be >= 1.0, got {slack!r}")
+        # NaN fails both comparisons; inf would pin B at the sweep cap.
+        if not 1.0 <= slack < math.inf:
+            raise SpecError(f"slack must be >= 1 and finite, got {slack!r}")
         self.roofline = roofline
         self.slack = slack
 

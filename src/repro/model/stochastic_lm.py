@@ -35,7 +35,6 @@ from repro._rng import (
     hash_seed,
     mix,
     salted,
-    uniforms,
 )
 from repro.model.vocab import Vocabulary
 
@@ -335,8 +334,3 @@ class StochasticLM:
     def clear_cache(self) -> None:
         """Drop memoized distributions (for memory-bounded long runs)."""
         self._cache.clear()
-
-
-def uniforms_for_noise(ctx: int, salt: int, n: int) -> list[float]:
-    """Expose the raw uniform stream for draft-noise construction."""
-    return uniforms(ctx, salt, n)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.registry import SpecError
+
 #: ``repro explain --baseline`` defaults: a component regresses only past
 #: BOTH thresholds (see :mod:`repro.obs.diff`).
 DEFAULT_REL_THRESHOLD = 0.05
@@ -37,7 +39,7 @@ class ObsSpec:
         object.__setattr__(self, "sample_every_s", float(self.sample_every_s))
         object.__setattr__(self, "iteration_log", bool(self.iteration_log))
         if not math.isfinite(self.sample_every_s) or self.sample_every_s <= 0:
-            raise ValueError(
+            raise SpecError(
                 f"sample_every_s must be a positive finite number, "
                 f"got {self.sample_every_s!r}"
             )

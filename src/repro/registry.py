@@ -271,10 +271,6 @@ class Component:
             f"declared parameters: {[p.name for p in self.params] or 'none'}"
         )
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
 
 @dataclass(frozen=True)
 class Resolved:
@@ -401,8 +397,13 @@ class Registry:
             raise UnknownComponentError(
                 f"unknown {self.kind} {spec!r}; registered: {sorted(self._components)}"
             )
-        # component.param raises UnknownParamError for an undeclared key.
-        values = {key: component.param(key).parse(token) for key, token in raw.items()}
+        values = {}
+        for key, token in raw.items():
+            param = component.param(key)  # UnknownParamError names the component
+            try:
+                values[key] = param.parse(token)
+            except SpecError as exc:
+                raise SpecError(f"{self.kind} {component.name!r}: {exc}") from None
         for p in component.params:
             if p.name not in values:
                 if p.required:

@@ -208,10 +208,6 @@ class SimulatedEngine:
         self.iterations += 1
         return latency
 
-    def prefill_chunk_cost(self, tokens: int, context_tokens: int = 0) -> float:
-        """Marginal compute seconds of co-batching a prefill chunk."""
-        return tokens * self.target_roofline.compute_seconds_per_token
-
     # ------------------------------------------------------------------
     # Plain autoregressive decode
     # ------------------------------------------------------------------

@@ -254,13 +254,6 @@ class Request:
         return self.prefilled + self.n_generated
 
     @property
-    def elapsed_decode(self) -> float | None:
-        """Decode-phase duration so far (None before decode starts)."""
-        if self.decode_start is None or self.last_token_time is None:
-            return None
-        return self.last_token_time - self.decode_start
-
-    @property
     def ttft(self) -> float:
         """Time to first token (arrival to first committed token).
 

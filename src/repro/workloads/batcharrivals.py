@@ -88,11 +88,6 @@ def _vmix(h, v):
     return _splitmix(h ^ (v * _CMB))
 
 
-def _uniform_cols(h, salt_mask):
-    """Vector ``uniform(h, salt)`` where ``salt_mask = salted(salt)``."""
-    return (_splitmix(h ^ salt_mask) >> _S11) * _INV_2_53
-
-
 def _uniform2_cols(h, salt_mask):
     """Vector ``uniforms(h, salt, 2)``: the two chained finalizations."""
     base = _splitmix(h ^ salt_mask)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.roofline import RooflineModel
+from repro.registry import SpecError
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,8 @@ DEFAULT_MIX: dict[str, float] = {"coding": 0.6, "chatbot": 0.2, "summarization":
 
 def urgent_mix(urgent_fraction: float) -> dict[str, float]:
     """Figure 10 mix: ``urgent_fraction`` coding, remainder split evenly."""
-    if not 0.0 <= urgent_fraction <= 1.0:
-        raise ValueError("urgent_fraction must be in [0, 1]")
+    if not 0.0 <= urgent_fraction <= 1.0:  # NaN fails both comparisons
+        raise SpecError(f"urgent_fraction must be in [0, 1], got {urgent_fraction!r}")
     rest = (1.0 - urgent_fraction) / 2.0
     return {"coding": urgent_fraction, "chatbot": rest, "summarization": rest}
 

@@ -691,11 +691,30 @@ class TestExplainCLI:
         assert main([*self.ARGS, "--baseline", str(baseline)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_unreadable_baseline_exits_2(self, tmp_path, capsys):
+    @pytest.fixture
+    def no_traced_run(self, monkeypatch):
+        from repro.analysis import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the traced run started before the baseline was read")
+
+        monkeypatch.setattr(runner, "run_traced", refuse)
+
+    def test_unreadable_baseline_exits_2(self, tmp_path, capsys, no_traced_run):
         from repro.cli import main
 
         missing = tmp_path / "nope.json"
         assert main([*self.ARGS, "--baseline", str(missing)]) == 2
+        assert "cannot read baseline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["null", "[]", '{"x": 1}', '{"totals": 3}'])
+    def test_baseline_that_is_not_an_export_exits_2(self, text, tmp_path, capsys, no_traced_run):
+        from repro.cli import main
+
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(text)
+        assert main([*self.ARGS, "--baseline", str(baseline)]) == 2
+        assert "not an attribution export" in capsys.readouterr().err
 
     def test_markdown_tables_on_stdout(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import runner
+from repro.analysis.spec import ExperimentSpec
 from repro.cli import build_parser, main
 
 
@@ -11,51 +13,108 @@ def _parse(argv):
     return build_parser().parse_args(argv)
 
 
-class TestWorkloadValidation:
-    @pytest.mark.parametrize("value", ["-0.1", "1.5", "2"])
-    def test_urgent_fraction_outside_unit_interval_rejected(self, value):
-        with pytest.raises(SystemExit):
-            _parse(["run", "--urgent-fraction", value])
+@pytest.fixture
+def no_sim(monkeypatch):
+    """Fail the test if the command reaches any simulation entry point."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected input reached a simulation")
+
+    monkeypatch.setattr(runner, "run_spec", refuse)
+    monkeypatch.setattr(runner, "run_traced", refuse)
+    monkeypatch.setattr(runner.SweepRunner, "run", refuse)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _specs(monkeypatch, argv) -> list[ExperimentSpec]:
+    """The specs ``main(argv)`` hands to the runner, without running them."""
+    seen: list[ExperimentSpec] = []
+
+    def capture(self, configs, on_result=None):
+        seen.extend(configs)
+        raise _Captured
+
+    monkeypatch.setattr(runner.SweepRunner, "run", capture)
+    with pytest.raises(_Captured):
+        main(argv)
+    return seen
+
+
+_CLUSTER = ["run", "--replicas", "2"]
+_AUTOSCALED = [*_CLUSTER, "--autoscale"]
+
+#: (argv, text the one ``error:`` line must contain).  Every flag whose
+#: value a library owner checks, with each bad value: zero, negative,
+#: NaN, infinity, a fraction outside [0, 1], an unknown registry name
+#: and an out-of-range registry parameter.
+REJECTED = [
+    *(
+        (["run", flag, value], field)
+        for flag, field in [
+            ("--rps", "workload.rps"),
+            ("--duration", "workload.duration_s"),
+            ("--slo-scale", "workload.slo_scale"),
+            ("--max-sim-time", "max_sim_time_s"),
+        ]
+        for value in ["0", "-1.5", "nan", "inf"]
+    ),
+    (["run", "--rps", "-3"], "workload.rps"),
+    (["sweep", "--rps", "2.0", "0"], "workload.rps"),
+    (["explain", "--duration", "0"], "workload.duration_s"),
+    *((["run", "--urgent-fraction", v], "urgent_fraction") for v in ["-0.1", "1.5", "2", "nan"]),
+    (["run", "--replicas", "0"], "replicas must be >= 1"),
+    (["run", "--replicas", "-2"], "replicas must be >= 1"),
+    (["sweep", "--replicas", "0"], "replicas must be >= 1"),
+    (["explain", "--replicas", "0"], "replicas must be >= 1"),
+    (["run", "--metrics", "bogus"], "metrics must be one of"),
+    (["sweep", "--metrics", "Exact"], "metrics must be one of"),
+    (["run", "--faults", "crash:at=-1"], "fault 'crash': parameter 'at'"),
+    (["run", "--faults", "bogus"], "unknown fault 'bogus'"),
+    *(([*_AUTOSCALED, "--warmup", v], "warmup_s") for v in ["-1", "nan", "inf"]),
+    ([*_AUTOSCALED, "--max-replicas", "0"], "max_replicas"),
+    ([*_AUTOSCALED, "--max-replicas", "1"], "max_replicas (1) is below"),
+    (["sweep", "--jobs", "0"], "jobs must be >= 1"),
+    (["sweep", "--jobs", "-1"], "jobs must be >= 1"),
+    *((["explain", "--sample-every", v], "sample_every_s") for v in ["0", "-1", "nan", "inf"]),
+    *((["profile", "--slack", v], "slack must be >= 1") for v in ["0.5", "-1", "nan", "inf"]),
+    (["run", "--system", "bogus"], "unknown system 'bogus'"),
+    (["run", "--system", "vllm-spec:q=3"], "unknown parameter 'q' for system 'vllm-spec'"),
+    (["run", "--system", "vllm-spec:k=0"], "system 'vllm-spec': parameter 'k'"),
+    (["sweep", "--systems", "adaserve", "bogus"], "unknown system 'bogus'"),
+    (["explain", "--system", "bogus"], "unknown system 'bogus'"),
+    ([*_CLUSTER, "--router", "dns"], "unknown router 'dns'"),
+    ([*_CLUSTER, "--router", "affinity:reserve=1.5"], "router 'affinity': parameter 'reserve'"),
+    (["run", "--trace", "sinusoidal"], "unknown trace 'sinusoidal'"),
+    (["run", "--trace", "bursty:burstiness=1.0"], "trace 'bursty': parameter 'burstiness'"),
+    (["run", "--trace", "diurnal:peak_to_trough=nan"], "'peak_to_trough' must be finite"),
+    (["run", "--model", "bogus"], "unknown model setup 'bogus'"),
+    (["profile", "--model", "bogus"], "unknown model setup 'bogus'"),
+    # A router that a one-replica point would ignore (the same rule on
+    # every command that takes --router).
+    (["run", "--router", "p2c"], "--router has no effect with --replicas 1 unless --autoscale"),
+    (["run", "--router", "round-robin"], "--router has no effect with --replicas 1"),
+    (["explain", "--router", "least-loaded", "--duration", "2", "--rps", "2"],
+     "--router has no effect with --replicas 1"),
+    (["sweep", "--router", "p2c"], "--router has no effect with --replicas 1"),
+]
+
+
+class TestValidationBoundary:
+    @pytest.mark.parametrize(
+        "argv,field", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED]
+    )
+    def test_rejected_before_any_simulation(self, argv, field, no_sim, capsys):
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()  # one line, no traceback
+        assert line.startswith("error: ") and field in line, line
 
     @pytest.mark.parametrize("value", ["0", "1", "0.6"])
-    def test_urgent_fraction_boundaries_accepted(self, value):
-        args = _parse(["run", "--urgent-fraction", value])
-        assert args.urgent_fraction == float(value)
-
-    @pytest.mark.parametrize("flag", ["--slo-scale", "--duration", "--rps"])
-    @pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
-    def test_nonpositive_knobs_rejected(self, flag, value):
-        with pytest.raises(SystemExit):
-            _parse(["run", flag, value])
-
-    def test_nan_urgent_fraction_rejected(self):
-        with pytest.raises(SystemExit):
-            _parse(["run", "--urgent-fraction", "nan"])
-
-    def test_nonpositive_sweep_rps_rejected_per_value(self):
-        with pytest.raises(SystemExit):
-            _parse(["sweep", "--rps", "2.0", "0"])
-
-    def test_cluster_knobs_validated_too(self):
-        with pytest.raises(SystemExit):
-            _parse(["run", "--rps", "-3"])
-        with pytest.raises(SystemExit):
-            _parse(["run", "--duration", "0"])
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_warmup_exits_2(self, value, capsys):
-        argv = ["run", "--replicas", "2", "--autoscale", "--warmup", value]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "--warmup" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0.5", "-1", "nan", "inf"])
-    def test_bad_profile_slack_exits_2(self, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["profile", "--slack", value])
-        assert exc.value.code == 2
-        assert "--slack: must be >= 1 and finite" in capsys.readouterr().err
+    def test_urgent_fraction_boundaries_accepted(self, value, monkeypatch):
+        [spec] = _specs(monkeypatch, ["run", "--no-cache", "--urgent-fraction", value])
+        assert dict(spec.mix)["coding"] == float(value)
 
     def test_profile_slack_boundary_accepted(self, capsys):
         assert main(["profile", "--slack", "1"]) == 0
@@ -63,53 +122,38 @@ class TestWorkloadValidation:
 
 
 class TestSpecStringArgs:
-    def test_system_specs_canonicalized_at_parse_time(self):
-        assert _parse(["run", "--system", "vllm-spec:k=8"]).system == "vllm-spec:k=8"
-        assert _parse(["run", "--system", "vllm-spec:k=4"]).system == "vllm-spec"
-        assert _parse(["sweep", "--systems", "adaserve", "vllm-spec:k=6"]).systems == [
-            "adaserve",
-            "vllm-spec:k=6",
-        ]
+    def test_system_specs_canonicalized_by_the_spec(self, monkeypatch):
+        [spec] = _specs(monkeypatch, ["run", "--no-cache", "--system", "vllm-spec:k=8"])
+        assert spec.system_name == "vllm-spec:k=8"
+        [spec] = _specs(monkeypatch, ["run", "--no-cache", "--system", "vllm-spec:k=4"])
+        assert spec.system_name == "vllm-spec"
+        argv = ["sweep", "--no-cache", "--rps", "2", "--systems", "adaserve", "vllm-spec:k=6"]
+        specs = _specs(monkeypatch, argv)
+        assert [s.system_name for s in specs] == ["adaserve", "vllm-spec:k=6"]
 
-    def test_unknown_system_and_param_rejected(self):
-        with pytest.raises(SystemExit):
-            _parse(["run", "--system", "bogus"])
-        with pytest.raises(SystemExit):
-            _parse(["run", "--system", "vllm-spec:q=3"])
-
-    def test_suffixed_system_name_exits_2(self, capsys):
+    def test_suffixed_system_name_exits_2(self, no_sim, capsys):
         # The speculation length is a spec key: vllm-spec:k=6, not vllm-spec-6.
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--system", "vllm-spec-6"])
-        assert exc.value.code == 2
+        assert main(["run", "--no-cache", "--system", "vllm-spec-6"]) == 2
         err = capsys.readouterr().err
         assert "unknown system 'vllm-spec-6'" in err and "'vllm-spec'" in err
 
-    def test_out_of_range_param_values_fail_at_the_parser(self):
-        # Previously these passed argparse and crashed the component
-        # constructor mid-run with a raw traceback.
-        with pytest.raises(SystemExit):
-            _parse(["run", "--system", "vllm-spec:k=0"])
-        with pytest.raises(SystemExit):
-            _parse(["run", "--router", "affinity:reserve=1.5"])
-        with pytest.raises(SystemExit):
-            _parse(["run", "--trace", "bursty:burstiness=1.0"])
+    def test_router_and_trace_specs(self, monkeypatch):
+        argv = [
+            "run", "--no-cache", "--replicas", "2",
+            "--router", "affinity:reserve=0.4", "--trace", "diurnal:peak_to_trough=6",
+        ]
+        [spec] = _specs(monkeypatch, argv)
+        assert spec.router == "affinity:reserve=0.4"
+        assert spec.trace == "diurnal:peak_to_trough=6.0"
 
-    def test_non_finite_float_param_fails_at_the_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            _parse(["run", "--trace", "diurnal:peak_to_trough=nan"])
-        assert "'peak_to_trough' must be finite" in capsys.readouterr().err
-
-    def test_router_and_trace_specs(self):
-        args = _parse(
-            ["run", "--router", "affinity:reserve=0.4", "--trace", "diurnal:peak_to_trough=6"]
-        )
-        assert args.router == "affinity:reserve=0.4"
-        assert args.trace == "diurnal:peak_to_trough=6.0"
-        with pytest.raises(SystemExit):
-            _parse(["run", "--router", "dns"])
-        with pytest.raises(SystemExit):
-            _parse(["run", "--trace", "sinusoidal"])
+    def test_cluster_output_prints_canonical_specs(self, monkeypatch, capsys):
+        argv = [
+            "run", "--system", "vllm", "--replicas", "2", "--router", "P2C",
+            "--model", "LLAMA70B", "--rps", "2", "--duration", "2", "--no-cache",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "model: llama70b" in out and "router: p2c" in out
 
 
 class TestListCommand:

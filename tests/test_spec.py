@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.spec import (
     ClusterSpec,
@@ -16,6 +18,8 @@ from repro.analysis.spec import (
     parse_grid_axis,
 )
 from repro.registry import SpecError, UnknownComponentError, UnknownParamError
+from repro.serving.metrics import METRICS_MODES
+from repro.workloads.categories import CATEGORIES
 
 #: Every system's bare name maps to its spelling with each default written out.
 SPELLED_DEFAULTS = {
@@ -313,6 +317,65 @@ class TestRecordValidation:
     def test_record_must_be_a_mapping(self):
         with pytest.raises(SpecError, match="mapping"):
             ExperimentSpec.from_dict([("workload", {})])
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e4) | st.integers(1, 10_000)
+_NOT_POSITIVE = st.sampled_from([0.0, 0, -1.5, -3, float("nan"), float("inf"), float("-inf")])
+_NOT_NUMBERS = st.sampled_from(["fast", "2", True, False, None, [1.0]])
+_WEIGHTS = st.dictionaries(
+    st.sampled_from(sorted(CATEGORIES)), st.floats(0.0, 10.0), min_size=1
+).filter(lambda mix: any(weight > 0 for weight in mix.values()))
+
+#: Per ``ExperimentSpec.create`` keyword: (valid values, invalid values).
+#: Each invalid value must be refused with a ``SpecError`` naming the key.
+_KEYWORDS = {
+    "rps": (_POSITIVE, _NOT_POSITIVE | _NOT_NUMBERS),
+    "duration_s": (_POSITIVE, _NOT_POSITIVE | _NOT_NUMBERS),
+    "slo_scale": (_POSITIVE, _NOT_POSITIVE | _NOT_NUMBERS),
+    "max_sim_time_s": (_POSITIVE, _NOT_POSITIVE | _NOT_NUMBERS),
+    "seed": (
+        st.integers(0, 2**32) | st.integers(0, 2**20).map(float),
+        st.sampled_from([1.5, float("nan"), float("inf"), "7", True, None]),
+    ),
+    "replicas": (
+        st.integers(1, 64) | st.integers(1, 64).map(float),
+        st.sampled_from([0, -2, 1.5, 0.0, float("nan"), "2", True, None]),
+    ),
+    "metrics": (st.sampled_from(sorted(METRICS_MODES)), st.sampled_from(["bogus", "Exact", "", None, 1])),
+    "prefix_cache": (st.booleans(), st.sampled_from(["no", "true", 0, 1, None])),
+    "mix": (
+        st.none() | _WEIGHTS,
+        st.sampled_from(
+            [{"coding": -1.0}, {"coding": float("nan")}, {"bogus": 1.0}, {"coding": 0.0}, "coding", 5]
+        ),
+    ),
+}
+
+
+@st.composite
+def _create_keywords(draw):
+    """Valid ``create`` keywords, with one of them made invalid half the time."""
+    keywords = {key: draw(valid) for key, (valid, _) in _KEYWORDS.items()}
+    bad = draw(st.none() | st.sampled_from(sorted(_KEYWORDS)))
+    if bad is not None:
+        keywords[bad] = draw(_KEYWORDS[bad][1])
+    return keywords, bad
+
+
+class TestGeneratedCreate:
+    """The spec is the CLI's one validation boundary: probe it with draws."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_create_keywords())
+    def test_invalid_keyword_is_named_and_valid_spec_round_trips(self, drawn):
+        keywords, bad = drawn
+        if bad is not None:
+            with pytest.raises(SpecError, match=bad):
+                ExperimentSpec.create(model="llama70b", system="vllm", **keywords)
+            return
+        spec = ExperimentSpec.create(model="llama70b", system="vllm", **keywords)
+        again = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again == spec and again.digest() == spec.digest()
 
 
 class TestGrid:
