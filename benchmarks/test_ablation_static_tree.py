@@ -19,7 +19,7 @@ from __future__ import annotations
 from benchmarks.common import SEED
 from repro.analysis.report import format_table
 from repro.core.selection import select_tokens
-from repro.core.speculation import build_candidate_tree
+from repro.core.speculation import speculate_batch
 from repro.core.static_tree import (
     estimate_rank_probs,
     instantiate_topology,
@@ -50,7 +50,7 @@ def _compare():
             static_total += len(accepted)
             # Context-aware: beam candidates + greedy selection to the
             # same node budget.
-            cand = build_candidate_tree(pair, 0, ctx, depth=max(2, budget), width=4)
+            cand = speculate_batch(pair, [(0, ctx)], depth=max(2, budget), width=4).trees[0]
             select_tokens([cand], [0.0], budget=1 + budget)
             accepted, _, _ = verify_tree(pair, cand, mask=cand.selected)
             aware_total += len(accepted)

@@ -8,8 +8,9 @@ Two measurements are reported:
 
 - the *simulated* phase breakdown of a full serving run (scheduling priced
   by the deterministic cost model the scheduler uses);
-- the *measured* wall-clock of the pure-CPU selection implementation per
-  iteration, which calibrates that cost model.
+- the *measured* wall-clock of ``select_tokens``, the pure-CPU selection
+  implementation, per iteration, which calibrates that cost model.  The
+  simulator itself reads no clock; this test times the call from outside.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import gc
 import time
 
 from benchmarks.common import SEED, run_system
-from repro.core.pipeline import BatchItem, run_iteration
 from repro.analysis.report import format_table
+from repro.core.selection import select_tokens
+from repro.core.speculation import speculate_batch
 
 
 def _serving_breakdown():
@@ -45,35 +47,32 @@ def test_fig15_breakdown(benchmark):
     assert gpu_decode_phases > 0.9
 
 
-def test_fig15_selection_cpu_measured(pair_fixture=None):
+def test_fig15_selection_cpu_measured():
     """Measured CPU time of Algorithm 2's selection phases per iteration."""
     from repro.model.pair import ModelPair
 
     pair = ModelPair.from_preset("llama70b-1b", seed=SEED)
-    items = [
-        BatchItem(root_token=0, root_ctx=pair.context_of([i, 3]), requirement=1.5)
-        for i in range(32)
-    ]
-    # Warm the model caches so we time selection, not distribution draws.
-    run_iteration(pair, items, depth=4, width=4, budget=120)
+    roots = [(0, pair.context_of([i, 3])) for i in range(32)]
+    trees = speculate_batch(pair, roots, depth=4, width=4).trees
+    requirements = [1.5] * len(trees)
+    # Warm up once; selection resets each tree's mask, so the trees are reused.
+    select_tokens(trees, requirements, budget=120, depth=4)
     # Time with the collector off, as timeit does: a collection landing in
     # the loop walks the whole test session's heap, which is not selection cost.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        t0 = time.perf_counter()
         n = 20
-        cpu = 0.0
+        t0 = time.perf_counter()
         for _ in range(n):
-            result = run_iteration(pair, items, depth=4, width=4, budget=120)
-            cpu += result.selection_cpu_s
-        wall = time.perf_counter() - t0
+            select_tokens(trees, requirements, budget=120, depth=4)
+        cpu = time.perf_counter() - t0
     finally:
         if gc_was_enabled:
             gc.enable()
     per_iter_cpu = cpu / n
     print(f"\nmeasured selection CPU: {per_iter_cpu * 1e6:.0f} us/iteration "
-          f"(batch 32, budget 120); pipeline wall {wall / n * 1e3:.1f} ms/iter")
+          f"(batch 32, budget 120)")
     # The deterministic cost model (20us + 0.2us/candidate, <=120
     # candidates -> <=44us) must be the same order of magnitude.
     assert per_iter_cpu < 1e-3

@@ -45,10 +45,10 @@ def single_iteration_demo() -> None:
         )
         print(
             f"  verification accepted {len(out.accepted_tokens)} draft tokens "
-            f"+ 1 correction -> {out.tokens_generated} tokens committed"
+            f"+ 1 correction -> {out.tokens_generated} tokens generated"
         )
     print(f"\nbatch: {result.verify_tokens} tokens verified in one target pass, "
-          f"selection took {result.selection_cpu_s * 1e6:.0f} us of CPU")
+          f"selection scanned {result.selection.candidates_scanned} candidates")
 
 
 def serving_demo() -> None:

@@ -182,17 +182,17 @@ class ClusterSpec:
                 ) from None
             resolved = AutoscalerConfig.resolve(knobs, initial_replicas=replicas)
             autoscale = tuple(sorted(asdict(resolved).items()))
-        # Always validate the router spec; then, on a solo non-autoscaled
-        # point, collapse it to the default — the router is never
+        _set(self, replicas=replicas, autoscale=autoscale)
+        # Always validate the router spec; then, on a point that is not a
+        # fleet, collapse it to the default — the router is never
         # consulted there, so spelling one out cannot fork the cache.
         router = ROUTERS.canonical(self.router)
-        if replicas == 1 and autoscale is None:
-            router = "round-robin"
-        _set(self, replicas=replicas, router=router, autoscale=autoscale)
+        _set(self, router=router if self.is_cluster else "round-robin")
 
     @property
     def is_cluster(self) -> bool:
-        """Whether this section asks for a fleet (replicas > 1 or autoscaling)."""
+        """Whether this section asks for a fleet (replicas > 1 or autoscaling):
+        the one rule for whether a router means anything (only a fleet consults it)."""
         return self.replicas > 1 or self.autoscale is not None
 
     @property

@@ -26,7 +26,7 @@ vLLM-Spec(n), whose policy is a fixed ``k``.
 
 from __future__ import annotations
 
-from repro.core.speculation import commit_chain, draft_chains
+from repro.core.speculation import commit_verified, draft_chains
 from repro.model.acceptance import verify_sequence
 from repro.registry import SYSTEMS, Param
 from repro.serving.scheduler_base import Scheduler
@@ -90,7 +90,7 @@ class ChainSpecScheduler(Scheduler):
             accepted, _correction, new_ctx = verify_sequence(
                 self.engine.pair, req.ctx, chain, req.predictability, chain.emitted
             )
-            commit_chain(self.engine.pair, req, chain, accepted, new_ctx, end)
+            commit_verified(req, accepted, chain.ctxs, new_ctx, end)
             total_accepted += accepted
         self._observe(total_accepted, k * n)
         self.engine.iterations += 1

@@ -65,6 +65,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.analysis.cache import ResultCache
@@ -153,11 +154,10 @@ def _add_router_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_router(args) -> None:
-    """Refuse a ``--router`` that a solo point ignores (run, explain, sweep)."""
-    autoscale = getattr(args, "autoscale", None)  # only ``run`` autoscales
-    if args.router is not None and args.replicas == 1 and not autoscale:
-        hint = " unless --autoscale is set" if autoscale is not None else ""
+def _refuse_unrouted(args, specs: list[ExperimentSpec]) -> None:
+    """Refuse a ``--router`` that no point consults (the ``ClusterSpec.is_cluster`` rule)."""
+    if args.router is not None and not any(spec.cluster.is_cluster for spec in specs):
+        hint = " unless --autoscale is set" if hasattr(args, "autoscale") else ""
         raise SpecError(f"--router has no effect with --replicas 1{hint}")
 
 
@@ -288,7 +288,6 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    _check_router(args)
     # Pass only user-provided knobs; AutoscalerConfig and run_once own
     # the defaults (warm-up length, 2x-initial-fleet ceiling).
     autoscale = None
@@ -299,6 +298,7 @@ def _cmd_run(args) -> int:
         if args.warmup is not None:
             autoscale["warmup_s"] = args.warmup
     config = _config_for(args, args.system, args.rps, autoscale=autoscale)
+    _refuse_unrouted(args, [config])
     invariants = _maybe_invariants(args)
     if invariants is not None:
         # Cached records were never checked, so the point simulates fresh;
@@ -330,8 +330,15 @@ def _dedupe(configs: list[ExperimentSpec]) -> list[ExperimentSpec]:
     return list(dict.fromkeys(configs))
 
 
+def _grid_cell(args, config: ExperimentSpec, path: str, value: str) -> ExperimentSpec:
+    """``config`` with one grid value; a fleet cell of a solo base gets back ``--router``."""
+    cell = apply_axis(config, path, value)
+    if args.router is not None and cell.cluster.is_cluster and not config.cluster.is_cluster:
+        cell = replace(cell, cluster=replace(cell.cluster, router=args.router))
+    return cell
+
+
 def _cmd_sweep(args) -> int:
-    _check_router(args)
     runner = SweepRunner(cache=_make_cache(args), jobs=args.jobs)
     base = [_config_for(args, system, rps) for rps in args.rps for system in args.systems]
     # Expand grid axes cell by cell, keeping a per-cell label: sweep
@@ -353,7 +360,7 @@ def _cmd_sweep(args) -> int:
             in_system_spec = section == "system" and key not in SYSTEM_FIELD_AXES
             cells = [
                 (
-                    apply_axis(config, axis.path, value),
+                    _grid_cell(args, config, axis.path, value),
                     label
                     if in_system_spec
                     else (f"{label},{key}={value}" if label else f"{key}={value}"),
@@ -364,6 +371,11 @@ def _cmd_sweep(args) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _refuse_unrouted(args, [config for config, _ in cells])
+    solo = sum(not config.cluster.is_cluster for config, _ in cells)
+    if args.router is not None and solo:
+        note = f"note: --router has no effect on {solo} one-replica cell(s); they run round-robin"
+        print(note, file=sys.stderr)
     # A system component that appears with several distinct canonical
     # specs contributes its non-default parameters to the label.
     variants: dict[str, set[str]] = {}
@@ -459,11 +471,11 @@ def _cmd_explain(args) -> int:
     from repro.obs.diff import diff_attributions, format_diff_table
     from repro.obs.export import format_slowest_table, perfetto_json, series_to_json
 
-    _check_router(args)
     obs = ObsSpec(
         trace=True, sample_every_s=args.sample_every, iteration_log=args.iteration_log
     )
     config = _config_for(args, args.system, args.rps, obs=obs)
+    _refuse_unrouted(args, [config])
     # Read the baseline first: an unreadable one should not cost a run.
     if args.baseline is not None:
         try:

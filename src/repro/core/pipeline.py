@@ -8,17 +8,17 @@ speculative decoding iteration for a batch of requests:
 3. verification: the target model walks each selected tree, accepting a
    path and emitting a correction token.
 
-It deliberately performs *no latency modeling* — it returns the token
-counts the scheduler needs to price the iteration with the roofline model
-(draft step shapes, verification tokens), plus the *measured* CPU time of
-the selection phases.  Selection here is a real CPU implementation of
-Algorithm 2, so the Figure 15 breakdown uses genuinely measured scheduling
-overhead rather than a modeled constant.
+It deliberately performs *no latency modeling* and reads no clock — it
+returns the token counts the scheduler needs to price the iteration with
+the roofline model (draft step shapes, verification tokens, candidates
+scanned by selection).  Nor does it commit: each outcome is the target's
+full verdict, and the scheduler commits it with
+:func:`~repro.core.speculation.commit_verified`, which applies the
+end-of-generation cut.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.core.selection import DEFAULT_N_MAX, SelectionResult, select_tokens
@@ -35,7 +35,6 @@ class BatchItem:
     root_ctx: int
     requirement: float  # A(r) for this iteration
     center: float | None = None  # per-request predictability
-    max_tokens: int | None = None  # cap on accepted tokens (end of generation)
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,13 @@ class RequestOutcome:
     """One request's outputs from an iteration."""
 
     accepted_tokens: list[int]  # accepted draft tokens, in order
+    path_ctx: list[int]  # context through each accepted draft token
     correction_token: int
     new_ctx: int  # context including accepted tokens and the correction
-    selected_tokens: int  # non-root nodes submitted for verification
-    expected_accepted: float  # n_acc estimate used by selection
 
     @property
     def tokens_generated(self) -> int:
-        """Committed tokens this iteration (accepted + correction)."""
+        """Tokens the verdict yields (accepted + correction), before any cut."""
         return len(self.accepted_tokens) + 1
 
 
@@ -61,17 +59,15 @@ class IterationResult:
     outcomes: list[RequestOutcome]
     speculation: SpeculationResult
     selection: SelectionResult
-    verify_tokens: int  # total non-root tokens verified by the target
-    selection_cpu_s: float  # measured wall-clock of the selection phases
 
     @property
-    def total_generated(self) -> int:
-        """Tokens committed across the batch."""
-        return sum(o.tokens_generated for o in self.outcomes)
+    def verify_tokens(self) -> int:
+        """Non-root tokens the target verified across the batch."""
+        return sum(sel.num_selected for sel in self.selection.selections)
 
     @property
     def total_accepted(self) -> int:
-        """Accepted draft tokens across the batch (excludes corrections)."""
+        """Accepted draft tokens across the batch (no corrections, no cut)."""
         return sum(len(o.accepted_tokens) for o in self.outcomes)
 
 
@@ -106,8 +102,7 @@ def run_iteration(
     centers = [it.center for it in items]
     spec = speculate_batch(pair, roots, depth, width, centers=centers)
 
-    # Steps 2-3: selection (timed; this is the CPU-side scheduling work).
-    t0 = time.perf_counter()  # repro: allow[RPD002] reason: measures real CPU cost of selection; never enters simulated time (schedulers price scheduling deterministically from candidates_scanned)
+    # Steps 2-3: selection (the CPU-side scheduling work).
     selection = select_tokens(
         spec.trees,
         [it.requirement for it in items],
@@ -115,42 +110,13 @@ def run_iteration(
         n_max=n_max,
         depth=depth,
     )
-    selection_cpu_s = time.perf_counter() - t0  # repro: allow[RPD002] reason: diagnostic microbenchmark field; reports derive scheduling time from the deterministic cost model
 
     # Step 4: verification, over each tree's selection mask.
-    outcomes: list[RequestOutcome] = []
-    verify_tokens = 0
+    outcomes = []
     for item, sel in zip(items, selection.selections):
         tree = sel.tree
-        selected = sel.num_selected
-        verify_tokens += selected
-        accepted_nodes, correction, new_ctx = verify_tree(
-            pair, tree, center=item.center, mask=tree.selected
-        )
-        accepted = [tree.token[node] for node in accepted_nodes]
-        # Respect end-of-generation: do not overshoot max_tokens.  The cut
-        # falls inside the accepted path, so the target's emission there
-        # is the next accepted token and no row needs sampling.
-        if item.max_tokens is not None and len(accepted) + 1 > item.max_tokens:
-            keep = item.max_tokens - 1
-            accepted = accepted[:keep]
-            node = accepted_nodes[keep]
-            correction = tree.token[node]
-            new_ctx = tree.ctx[node]
-        outcomes.append(
-            RequestOutcome(
-                accepted_tokens=accepted,
-                correction_token=correction,
-                new_ctx=new_ctx,
-                selected_tokens=selected,
-                expected_accepted=sel.expected_accepted,
-            )
-        )
-
-    return IterationResult(
-        outcomes=outcomes,
-        speculation=spec,
-        selection=selection,
-        verify_tokens=verify_tokens,
-        selection_cpu_s=selection_cpu_s,
-    )
+        nodes, correction, new_ctx = verify_tree(pair, tree, center=item.center, mask=tree.selected)
+        tokens = [tree.token[node] for node in nodes]
+        path_ctx = [tree.ctx[node] for node in nodes]
+        outcomes.append(RequestOutcome(tokens, path_ctx, correction, new_ctx))
+    return IterationResult(outcomes=outcomes, speculation=spec, selection=selection)

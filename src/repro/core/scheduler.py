@@ -13,9 +13,11 @@ Each decoding iteration:
 4. run the speculate - select - verify pipeline (Algorithm 2);
 5. price the iteration: measured draft-step shapes through the CUDA-graph
    model, actual verified token count through the target roofline, plus
-   the *measured* CPU time of selection (accounted as scheduling time for
-   the Figure 15 breakdown);
-6. commit accepted tokens + corrections at the iteration's end time.
+   selection's scheduling time from a deterministic cost model over the
+   candidates it scanned (the Figure 15 breakdown);
+6. commit accepted tokens + corrections at the iteration's end time,
+   through the commit the chain baselines share
+   (:func:`~repro.core.speculation.commit_verified`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro._rng import fold_sum
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.pipeline import BatchItem, run_iteration
 from repro.core.selection import DEFAULT_N_MAX
+from repro.core.speculation import commit_verified
 from repro.hardware.profiler import HardwareProfiler
 from repro.registry import SYSTEMS, Param
 from repro.serving.engine import SimulatedEngine
@@ -242,7 +245,6 @@ class AdaServeScheduler(Scheduler):
                 root_ctx=req.ctx,
                 requirement=self._margin_requirement(req, now, t_spec),
                 center=req.predictability,
-                max_tokens=req.remaining_tokens,
             )
             for req in batch
         ]
@@ -257,10 +259,9 @@ class AdaServeScheduler(Scheduler):
 
         # Price the iteration from what actually ran.  Scheduling (the
         # CPU-side selection) uses a deterministic cost model calibrated
-        # against measured selection timings (see
-        # benchmarks/test_fig15_breakdown.py) so simulated time is
-        # reproducible run-to-run; the measured value remains available in
-        # ``result.selection_cpu_s`` for the breakdown microbenchmark.
+        # against timings of ``select_tokens`` (see
+        # benchmarks/test_fig15_breakdown.py), so simulated time is
+        # reproducible run-to-run.
         sched_s = 20e-6 + 0.2e-6 * result.selection.candidates_scanned
         latency = self.engine.draft_cost(result.speculation.step_tokens, context)
         latency += self.engine.verify_cost(
@@ -271,6 +272,12 @@ class AdaServeScheduler(Scheduler):
         self.engine.account_scheduling(sched_s)
         self.engine.iterations += 1
 
+        end = now + latency
+        committed = 0
+        for req, outcome in zip(batch, result.outcomes):
+            committed += commit_verified(
+                req, len(outcome.accepted_tokens), outcome.path_ctx, outcome.new_ctx, end
+            )
         if self.engine.telemetry is not None:
             from repro.serving.telemetry import IterationRecord
 
@@ -280,19 +287,14 @@ class AdaServeScheduler(Scheduler):
                     kind="speculative",
                     batch_size=n,
                     latency_s=latency,
-                    tokens_committed=result.total_generated,
+                    tokens_committed=committed,
                     depth=d,
                     width=w,
                     budget_used=result.selection.budget_used,
-                    tokens_accepted=result.total_accepted,
+                    tokens_accepted=committed - n,
                 )
             )
 
-        end = now + latency
-        for req, outcome in zip(batch, result.outcomes):
-            req.verify_steps += 1
-            req.accepted_draft_tokens += len(outcome.accepted_tokens)
-            req.commit_tokens(outcome.tokens_generated, outcome.new_ctx, end)
         for req, tokens in chunks:
             req.advance_prefill(tokens)
             if req.remaining_prompt == 0:

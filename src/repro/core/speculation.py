@@ -50,6 +50,7 @@ with the draft roofline + CUDA graphs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,16 @@ class Chain(list):
 
     ``emitted[i]`` is the token the target emits at the context just
     before ``self[i]`` (the start context, then each drafted prefix):
-    what sequence verification compares ``self[i]`` with.
+    what sequence verification compares ``self[i]`` with.  ``ctxs[i]``
+    is the context through ``self[i]``.
     """
 
-    __slots__ = ("emitted",)
+    __slots__ = ("emitted", "ctxs")
 
-    def __init__(self, tokens: list[int], emitted: list[int]) -> None:
+    def __init__(self, tokens: list[int], emitted: list[int], ctxs: list[int]) -> None:
         super().__init__(tokens)
         self.emitted = emitted
+        self.ctxs = ctxs
 
 
 def draft_chains(
@@ -83,47 +86,51 @@ def draft_chains(
     """Greedy ``k``-token draft chains from each ``(ctx, center)`` start.
 
     Used by the chain-speculation baselines (vLLM-Spec, SmartSpec), which
-    verify each chain and hand it to :func:`commit_chain`.
+    verify each chain and hand it to :func:`commit_verified`.
     Each chain is a pure function of its start context, so the chains
     advance step-lockstep: ``k`` vectorized steps, each the draft's
     top-1 of every chain's current context.  Each chain carries the
-    ``k`` target emissions at the contexts it drafted.
+    ``k`` target emissions at the contexts it drafted, and the context
+    through each of its tokens.
     """
     if not starts or k <= 0:
-        return [Chain([], []) for _ in starts]
+        return [Chain([], [], []) for _ in starts]
     draft = pair.draft
     call = batchgen.DraftCall(draft.target, draft.alignment)
     centers = batchgen.Centers(call, [center for _, center in starts])
     n = len(starts)
     C = np.array([ctx for ctx, _ in starts], dtype=np.uint64)
     chains = np.empty((n, k), dtype=np.uint64)
+    ctxs = np.empty((n, k), dtype=np.uint64)
     for step in range(k):
         ids, _probs, children = batchgen.draft_top(call, C, centers, 1)
         chains[:, step : step + 1] = ids
+        ctxs[:, step : step + 1] = children
         C = children.ravel()
     emitted = call.emit().reshape(k, n).T  # step-major rows -> one row per chain
-    return list(map(Chain, chains.tolist(), emitted.tolist()))
+    return list(map(Chain, chains.tolist(), emitted.tolist(), ctxs.tolist()))
 
 
-def commit_chain(
-    pair: ModelPair, req: Request, chain: Chain, accepted: int, new_ctx: int, now: float
-) -> None:
-    """Commit a verified chain's ``accepted`` prefix plus its correction.
+def commit_verified(
+    req: Request, accepted: int, path_ctx: Sequence[int], new_ctx: int, now: float
+) -> int:
+    """Commit a verified draft's ``accepted`` prefix plus its correction.
 
-    ``accepted`` and ``new_ctx`` are what ``verify_sequence`` returned
-    for ``chain``.  The commit is capped at the request's remaining
-    tokens.  A cap that cuts inside the accepted prefix keeps only the
-    target's own emissions, so the committed context extends through
-    ``chain[:commit]``.
+    Tree and chain speculation both end here.  ``path_ctx[i]`` is the
+    context through the ``i + 1``-th accepted draft token (a tree's
+    accepted path, a chain's prefix), and ``new_ctx`` the context through
+    the correction.  The commit is capped at the request's remaining
+    tokens.  A cap that cuts inside the accepted prefix keeps only tokens
+    the target emitted itself, so the committed context is ``path_ctx``
+    at the cut.  Returns the number of tokens committed.
     """
     commit = min(accepted + 1, req.remaining_tokens)
     if commit <= accepted:
-        new_ctx = req.ctx
-        for tok in chain[:commit]:
-            new_ctx = pair.extend(new_ctx, tok)
+        new_ctx = path_ctx[commit - 1]
     req.verify_steps += 1
     req.accepted_draft_tokens += commit - 1
     req.commit_tokens(commit, new_ctx, now)
+    return commit
 
 
 @dataclass(frozen=True)
@@ -139,30 +146,6 @@ class SpeculationResult:
     def total_draft_tokens(self) -> int:
         """Total tokens the draft model processed."""
         return sum(self.step_tokens)
-
-
-def build_candidate_tree(
-    pair: ModelPair,
-    root_token: int,
-    root_ctx: int,
-    depth: int,
-    width: int,
-    center: float | None = None,
-) -> TokenTree:
-    """Beam-search a candidate tree for a single request.
-
-    Parameters
-    ----------
-    pair:
-        The draft/target model pair (only the draft is consulted).
-    root_token, root_ctx:
-        The request's last committed token and its context hash.
-    depth, width:
-        Beam depth d and width w.
-    center:
-        Optional per-request predictability center forwarded to the model.
-    """
-    return speculate_batch(pair, [(root_token, root_ctx)], depth, width, [center]).trees[0]
 
 
 def speculate_batch(

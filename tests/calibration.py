@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._rng import fold_sum
-from repro.core.speculation import build_candidate_tree
+from repro.core.speculation import speculate_batch
 from repro.model.acceptance import verify_tree
 from repro.model.pair import ModelPair
 
@@ -56,7 +56,7 @@ def measure_acceptance(
     a, b = seed_tokens
     for i in range(n_contexts):
         ctx = pair.context_of([i * a + b, i])
-        tree = build_candidate_tree(pair, 0, ctx, depth, width, center=center)
+        tree = speculate_batch(pair, [(0, ctx)], depth, width, [center]).trees[0]
         accepted, _, _ = verify_tree(pair, tree, center=center)
         total += len(accepted)
     return total / n_contexts

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.optimal import construct_optimal_trees
-from repro.core.speculation import build_candidate_tree
+from repro.core.speculation import speculate_batch
 from repro.core.static_tree import Topology, instantiate_topology
 from repro.core.tree import TokenTree
 from repro.model.acceptance import (
@@ -109,7 +109,7 @@ class TestVerifyTree:
     def test_accepted_path_is_root_path(self, pair):
         # Accepted nodes must form a parent chain from the root.
         ctx = pair.context_of([9, 9])
-        tree = build_candidate_tree(pair, 0, ctx, depth=4, width=3)
+        tree = speculate_batch(pair, [(0, ctx)], depth=4, width=3).trees[0]
         accepted, _, _ = verify_tree(pair, tree)
         prev = 0
         for node in accepted:
@@ -190,7 +190,7 @@ class TestTheorem31:
         n = 400
         for i in range(n):
             ctx = pair.context_of([i, 13])
-            tree = build_candidate_tree(pair, 0, ctx, depth=3, width=2)
+            tree = speculate_batch(pair, [(0, ctx)], depth=3, width=2).trees[0]
             total_expected += expected_accepted_tokens(pair, tree)
             accepted, _, _ = verify_tree(pair, tree)
             total_actual += len(accepted)

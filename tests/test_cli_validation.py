@@ -99,6 +99,8 @@ REJECTED = [
     (["explain", "--router", "least-loaded", "--duration", "2", "--rps", "2"],
      "--router has no effect with --replicas 1"),
     (["sweep", "--router", "p2c"], "--router has no effect with --replicas 1"),
+    (["sweep", "--replicas", "4", "--router", "p2c", "--grid", "cluster.replicas=1"],
+     "--router has no effect with --replicas 1"),
 ]
 
 
@@ -242,3 +244,22 @@ class TestGridOption:
         ]
         assert main(argv) == 0
         assert "simulations executed: 1" in capsys.readouterr().out
+
+    # ``--router`` on a grid over ``cluster.replicas``: the spec's
+    # ``is_cluster`` rule decides per cell whether the router is consulted.
+    _ROUTED = ["sweep", "--systems", "vllm", "--rps", "4", "--router", "p2c", "--no-cache"]
+
+    def test_router_reaches_fleet_cells_of_a_one_replica_base(self, monkeypatch, capsys):
+        argv = [*self._ROUTED, "--replicas", "1", "--grid", "cluster.replicas=2,4"]
+        specs = _specs(monkeypatch, argv)
+        assert [(spec.replicas, spec.router) for spec in specs] == [(2, "p2c"), (4, "p2c")]
+        assert "note:" not in capsys.readouterr().err
+
+    def test_solo_cell_of_a_mixed_grid_runs_round_robin_and_says_so(self, monkeypatch, capsys):
+        argv = [*self._ROUTED, "--replicas", "4", "--grid", "cluster.replicas=1,2,4"]
+        specs = _specs(monkeypatch, argv)
+        assert [(spec.replicas, spec.router) for spec in specs] == [
+            (1, "round-robin"), (2, "p2c"), (4, "p2c"),
+        ]
+        [note] = [line for line in capsys.readouterr().err.splitlines() if "note:" in line]
+        assert "no effect on 1 one-replica cell(s)" in note

@@ -24,7 +24,7 @@ from hypothesis.stateful import (
 from repro._rng import hash_seed, mix, uniform, uniforms
 from repro.check.invariants import InvariantChecker
 from repro.core.selection import select_tokens
-from repro.core.speculation import build_candidate_tree, speculate_batch
+from repro.core.speculation import speculate_batch
 from repro.core.tree import TokenTree
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
@@ -73,7 +73,7 @@ class TestTreeProperties:
     @settings(max_examples=40, deadline=None)
     def test_beam_tree_shape_invariants(self, tok, depth, width):
         ctx = _PAIR.context_of([tok, tok + 1])
-        tree = build_candidate_tree(_PAIR, 0, ctx, depth, width)
+        tree = speculate_batch(_PAIR, [(0, ctx)], depth, width).trees[0]
         assert tree.size <= 1 + depth * width
         assert tree.depth <= depth
         for node in tree.nodes(include_root=False):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.optimal import construct_optimal_trees
-from repro.core.speculation import build_candidate_tree, draft_chains, speculate_batch
+from repro.core.speculation import draft_chains, speculate_batch
 from repro.model import batchgen
 from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import StochasticLM
@@ -47,18 +47,18 @@ def _assert_same_trees(result, expected) -> None:
 
 class TestBeamShape:
     def test_depth_zero_is_root_only(self, pair):
-        tree = build_candidate_tree(pair, 0, pair.context_of([1]), depth=0, width=3)
+        tree = speculate_batch(pair, [(0, pair.context_of([1]))], depth=0, width=3).trees[0]
         assert tree.size == 1
 
     def test_invalid_shape(self, pair):
         with pytest.raises(ValueError):
-            build_candidate_tree(pair, 0, 1, depth=-1, width=2)
+            speculate_batch(pair, [(0, 1)], depth=-1, width=2)
         with pytest.raises(ValueError):
-            build_candidate_tree(pair, 0, 1, depth=2, width=0)
+            speculate_batch(pair, [(0, 1)], depth=2, width=0)
 
     def test_layer_sizes(self, pair):
         # Depth d, width w: every layer except the root has exactly w nodes.
-        tree = build_candidate_tree(pair, 0, pair.context_of([2]), depth=4, width=3)
+        tree = speculate_batch(pair, [(0, pair.context_of([2]))], depth=4, width=3).trees[0]
         by_depth: dict[int, int] = {}
         for level in tree.level:
             by_depth[level] = by_depth.get(level, 0) + 1
@@ -69,7 +69,7 @@ class TestBeamShape:
 
     def test_width_one_is_greedy_chain(self, pair):
         ctx = pair.context_of([3])
-        tree = build_candidate_tree(pair, 0, ctx, depth=4, width=1)
+        tree = speculate_batch(pair, [(0, ctx)], depth=4, width=1).trees[0]
         assert tree.size == 5
         # Chain follows the draft's greedy continuations.
         node = 0
@@ -87,7 +87,7 @@ class TestBeamShape:
         # candidates at each level for a small hand-checked case.
         ctx = pair.context_of([4])
         w = 2
-        tree = build_candidate_tree(pair, 0, ctx, depth=2, width=w)
+        tree = speculate_batch(pair, [(0, ctx)], depth=2, width=w).trees[0]
         level1 = [n for n in tree.nodes() if tree.level[n] == 1]
         # The top-w children of the root by draft prob must be the level-1 set.
         top = pair.draft_children(ctx, w)
@@ -95,12 +95,12 @@ class TestBeamShape:
 
     def test_ctx_hashes_consistent(self, pair):
         ctx = pair.context_of([5])
-        tree = build_candidate_tree(pair, 0, ctx, depth=3, width=2)
+        tree = speculate_batch(pair, [(0, ctx)], depth=3, width=2).trees[0]
         for node in tree.nodes(include_root=False):
             assert tree.ctx[node] == pair.extend(tree.ctx[tree.parent[node]], tree.token[node])
 
     def test_path_probs_decreasing(self, pair):
-        tree = build_candidate_tree(pair, 0, pair.context_of([6]), depth=4, width=3)
+        tree = speculate_batch(pair, [(0, pair.context_of([6]))], depth=4, width=3).trees[0]
         for node in tree.nodes(include_root=False):
             assert tree.path_prob[node] <= tree.path_prob[tree.parent[node]]
 
@@ -156,7 +156,7 @@ class TestTheorem41:
         assert not isinstance(result, str)
         opt_tree = result.trees[0]
         d_opt = opt_tree.depth
-        cand = build_candidate_tree(pair, 0, ctx, depth=max(d_opt, 1), width=budget)
+        cand = speculate_batch(pair, [(0, ctx)], depth=max(d_opt, 1), width=budget).trees[0]
         cand_paths = {tuple(cand.path_tokens(n)) for n in cand.nodes(include_root=False)}
         for node in opt_tree.nodes(include_root=False):
             assert tuple(opt_tree.path_tokens(node)) in cand_paths
@@ -214,9 +214,11 @@ class TestLevelKernelMatchesOracle:
         handed = []
         for (ctx, center), chain in zip(starts, chains):
             assert len(chain.emitted) == len(chain)
-            for tok, emitted in zip(chain, chain.emitted):
+            assert len(chain.ctxs) == len(chain)
+            for tok, emitted, through in zip(chain, chain.emitted, chain.ctxs):
                 handed.append((ctx, center, emitted))
                 ctx = pair.extend(ctx, tok)
+                assert through == ctx
         _assert_handed_emissions_exact(pair, handed)
         pair.clear_caches()
         assert chains == reference_draft_chains(pair, starts, k)

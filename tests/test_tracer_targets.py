@@ -32,10 +32,11 @@ def test_install_resolves_every_target_and_uninstall_restores(monkeypatch):
         assert owner.__dict__[attr] is original, f"{owner!r}.{attr} not restored"
 
 
-@pytest.mark.parametrize("system", ["vllm-spec:k=4", "smartspec"])
+@pytest.mark.parametrize("system", ["vllm-spec:k=4", "smartspec", "adaserve"])
 def test_chain_step_calls_the_wrapped_speculation_names(monkeypatch, system):
-    # The chain step must look draft_chains/verify_sequence up where the
-    # tracer wraps them, or chain points report no core work.
+    # Each speculative step must look its speculation and verification
+    # names up where the tracer wraps them, or its points report no core
+    # work; AdaServe's iteration and selection are wrapped too.
     monkeypatch.syspath_prepend(str(SIMBENCH))
     setup = build_setup("llama70b", seed=2)
     workload = tiny_generator(setup.target_roofline, seed=2).steady(4.0, 3.0)
@@ -45,5 +46,12 @@ def test_chain_step_calls_the_wrapped_speculation_names(monkeypatch, system):
         run_once(setup, system, workload)
     finally:
         tracer.uninstall()
-    for name in ("core.speculate", "core.verify"):
+    names = ["core.speculate", "core.verify"]
+    if system == "adaserve":
+        names += ["core.iteration", "core.select"]
+    for name in names:
         assert tracer.stats[name].calls > 0, f"{system}: no {name} calls recorded"
+    assert tracer.counts["verified_tokens"] > 0 and tracer.counts["accepted_tokens"] > 0
+    if system == "adaserve":
+        # The iteration hook read each call's ``budget=`` keyword.
+        assert sum(tracer.budgets.values()) == tracer.stats["core.iteration"].calls
