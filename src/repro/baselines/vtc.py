@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.registry import SYSTEMS
+from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
 
 #: Weight of a prompt token relative to an output token in the counter
@@ -38,7 +39,7 @@ class VTCScheduler(Scheduler):
         self._retire_finished()
 
         if self.waiting:
-            latency = self._prefill_with_accounting(now)
+            latency = self._prefill_iteration(now)
             if latency is not None:
                 return latency
 
@@ -52,7 +53,7 @@ class VTCScheduler(Scheduler):
         )
         batch = self._admit_plain_decode(order[: self.max_batch_size])
         if not batch:
-            latency = self._prefill_with_accounting(now)
+            latency = self._prefill_iteration(now)
             if latency is not None:
                 return latency
             raise RuntimeError("VTC scheduler stuck: KV exhausted")
@@ -61,16 +62,9 @@ class VTCScheduler(Scheduler):
             self.counters[req.category] += 1.0
         return latency
 
-    def _prefill_with_accounting(self, now: float) -> float | None:
-        """Prefill FCFS, charging prompt tokens to category counters."""
-        batch = self._take_prefill_batch()
-        if not batch:
-            return None
-        latency = self.engine.prefill(batch, now)
+    def _take_prefill_batch(self) -> list[tuple[Request, int]]:
+        """FCFS prefill batch, charging its prompt tokens to category counters."""
+        batch = super()._take_prefill_batch()
         for req, tokens in batch:
             self.counters[req.category] += INPUT_TOKEN_WEIGHT * tokens
-            if req.state.value == "running":
-                self.running.append(req)
-            else:
-                self.waiting.appendleft(req)
-        return latency
+        return batch

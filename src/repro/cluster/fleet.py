@@ -187,6 +187,14 @@ class FleetSimulator:
             return still_warming
         return [r for r in self.replicas if not r.retired]
 
+    def _dispatch(self, req: Request, now: float) -> None:
+        """Route ``req`` and admit it, waking its target if it was idle."""
+        target = self.router.route(req, self._routable(now))
+        was_busy = target.has_work()
+        target.admit(req, now)
+        if not was_busy and not target.failed:
+            heapq.heappush(self._event_heap, (target.local_now, 1, target.index))
+
     def _autoscale(self, now: float) -> None:
         if self.autoscaler is None:
             return
@@ -218,10 +226,7 @@ class FleetSimulator:
         """Flag a replica as draining and pull it from the routable pool."""
         victim.draining = True
         self._num_draining += 1
-        for i, replica in enumerate(self._pool):
-            if replica is victim:
-                del self._pool[i]
-                break
+        self._remove_from_pool(victim)
 
     def _retire_drained(self) -> None:
         if self._num_draining == 0:
@@ -357,11 +362,7 @@ class FleetSimulator:
         requeued = []
         for req in victims:
             req.fail_over()
-            target = self.router.route(req, self._routable(now))
-            was_busy = target.has_work()
-            target.admit(req, now)
-            if not was_busy and not target.failed:
-                heapq.heappush(self._event_heap, (target.local_now, 1, target.index))
+            self._dispatch(req, now)
             requeued.append(req.rid)
             if obs is not None:
                 obs.event(now, "failover", replica=replica.index, rid=req.rid)
@@ -534,11 +535,7 @@ class FleetSimulator:
                     if sampler is not None:
                         inv.check_sampler(sampler, clock.now)
                 for req in arrivals.release_until(clock.now):
-                    target = self.router.route(req, self._routable(clock.now))
-                    was_busy = target.has_work()
-                    target.admit(req, clock.now)
-                    if not was_busy and not target.failed:
-                        heapq.heappush(heap, (target.local_now, 1, target.index))
+                    self._dispatch(req, clock.now)
                     if admitted is not None:
                         admitted.append(req)
 

@@ -2,9 +2,9 @@
 
 Each decoding iteration:
 
-1. retire finished requests, run prefill for new arrivals (FCFS, same
-   admission policy as the vLLM baseline so the comparison isolates the
-   decode-phase policy);
+1. retire finished requests; with nothing decoding, run a dedicated
+   FCFS prefill pass, else take the head-of-queue prompt's next chunk
+   (Sarathi's take) to co-batch into this iteration's verification;
 2. read the active request count n and ask the adaptive controller for
    the beam shape (d, w) (Equations 8-9);
 3. predict the iteration latency t_spec from the rooflines (draft beam at
@@ -17,7 +17,8 @@ Each decoding iteration:
    candidates it scanned (the Figure 15 breakdown);
 6. commit accepted tokens + corrections at the iteration's end time,
    through the commit the chain baselines share
-   (:func:`~repro.core.speculation.commit_verified`).
+   (:func:`~repro.core.speculation.commit_verified`), then complete the
+   chunk as every prompt pass does.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from repro.core.speculation import commit_verified
 from repro.hardware.profiler import HardwareProfiler
 from repro.registry import SYSTEMS, Param
 from repro.serving.engine import SimulatedEngine
-from repro.serving.kv_cache import OutOfKVCache
-from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
 
 #: Prompt tokens co-batched into each verification pass (chunked prefill).
@@ -125,7 +124,9 @@ class AdaServeScheduler(Scheduler):
         self.prefill_chunk = prefill_chunk
 
     # ------------------------------------------------------------------
-    def _estimate_iteration_latency(self, n: int, d: int, w: int, context: int) -> float:
+    def _estimate_iteration_latency(
+        self, n: int, d: int, w: int, context: int, chunk_tokens: int = 0
+    ) -> float:
         """Predicted t_spec for the A(r) computation (no side effects)."""
         draft = self.engine.draft_roofline
         t = 0.0
@@ -138,30 +139,15 @@ class AdaServeScheduler(Scheduler):
             )
             for _ in range(d - 1):
                 t += replay
-        t += self.engine.target_roofline.forward_latency(self.verify_budget, context)
-        return t + self.engine.step_overhead_s
+        target = self.engine.target_roofline
+        t += target.forward_latency(self.verify_budget, context)
+        return t + self.engine.step_overhead_s + chunk_tokens * target.compute_seconds_per_token
 
     def _margin_requirement(self, req, now: float, t_spec: float) -> float:
         """A(r) against a margin-tightened SLO (planning headroom)."""
         start = req.decode_start if req.decode_start is not None else now
         elapsed = max(0.0, now - start)
         return (elapsed + t_spec) / (req.tpot_slo * self.slo_margin) - req.n_generated
-
-    def _take_prefill_chunk(self) -> list[tuple[Request, int]]:
-        """Next chunk of the head-of-queue prompt, if KV admits it."""
-        if not self.waiting or self._admit_capacity() <= 0:
-            return []
-        head = self.waiting[0]
-        fresh_hit = self._lock_prefix(head)
-        chunk = min(self.prefill_chunk, head.remaining_prompt)
-        try:
-            self.engine.kv.ensure(
-                head.rid, head.prefilled + chunk + self.engine.kv.block_size
-            )
-        except OutOfKVCache:
-            self._unlock_prefix(head, fresh_hit)
-            return []
-        return [(head, chunk)]
 
     # ------------------------------------------------------------------
     def step(self, now: float) -> float:
@@ -188,13 +174,13 @@ class AdaServeScheduler(Scheduler):
                 return latency
             raise RuntimeError("AdaServe scheduler stuck: KV exhausted")
 
-        # Chunked prefill co-batched into this iteration's verification.
-        chunks = self._take_prefill_chunk()
+        # Chunked prefill co-batched into this iteration's verification,
+        # only while a decode slot is free for the prompt it completes.
+        chunks = self._take_head_chunk(self.prefill_chunk) if self._admit_capacity() > 0 else []
         chunk_tokens = sum(t for _, t in chunks)
 
         context = self._last_decode_context
-        t_spec = self._estimate_iteration_latency(n, d, w, context)
-        t_spec += chunk_tokens * self.engine.target_roofline.compute_seconds_per_token
+        t_spec = self._estimate_iteration_latency(n, d, w, context, chunk_tokens)
 
         # SLO-pressure adaptation.  A_cap(r) = min(A(r), d+1) means a
         # request needing more than d+1 tokens cannot attain its SLO at
@@ -229,10 +215,7 @@ class AdaServeScheduler(Scheduler):
                 d_floor = math.ceil(math.log(1.0 - deficit) / math.log(p))
             if d_floor > d:
                 d = min(d_max, d_floor)
-                t_spec = self._estimate_iteration_latency(n, d, w, context)
-                t_spec += (
-                    chunk_tokens * self.engine.target_roofline.compute_seconds_per_token
-                )
+                t_spec = self._estimate_iteration_latency(n, d, w, context, chunk_tokens)
         if typical > 1.0:
             # Budget pressure: ~2x the structural demand per request
             # (same reasoning), bounded at 3x the profiled budget.
@@ -295,18 +278,6 @@ class AdaServeScheduler(Scheduler):
                 )
             )
 
-        for req, tokens in chunks:
-            req.advance_prefill(tokens)
-            if req.remaining_prompt == 0:
-                # The chunk is always the head of the waiting queue.
-                if self.waiting and self.waiting[0] is req:
-                    self.waiting.popleft()
-                else:  # pragma: no cover - defensive
-                    self.waiting.remove(req)
-                req.begin_decode(self.engine.root_ctx(req), end)
-                self.running.append(req)
-        obs = self.engine.obs
-        if obs is not None:
-            for req, tokens in chunks:
-                obs.prefill(now, latency, req, tokens)
+        self.engine.complete_prefill(chunks, now, latency)
+        self._place_prefilled(chunks)
         return latency

@@ -5,10 +5,10 @@ model pair, the target/draft roofline models, the draft-side CUDA-graph
 state and the KV-cache manager, and it prices + executes the primitive
 GPU operations every scheduler is composed of:
 
-- ``prefill(chunks, now)``: process prompt chunks (possibly batched with
-  nothing else — co-batching is priced via ``verify_cost`` extras);
-- ``decode(requests, now, cohort)`` / ``mixed_step``: one autoregressive
-  token per request, advancing timing and token counts only — no
+- ``prefill(chunks, now)``, ``decode(requests, now, cohort)`` and
+  ``mixed_step(requests, chunks, now, cohort)``: one target forward pass
+  over decode tokens, prompt chunks or both, each a thin entry into the
+  same priced body.  Decode advances timing and token counts only — no
   plain-decode scheduler reads token identity, so none is sampled.  The
   counts advance lazily through the scheduler's
   :class:`~repro.serving.cohort.DecodeCohort`: only requests that join
@@ -17,6 +17,8 @@ GPU operations every scheduler is composed of:
   preempted, leaves the batch or is evacuated by a crash, when a policy
   reads ``n_generated`` through a ``Request`` method, and before the
   pool is reported (see :mod:`repro.serving.scheduler_base`);
+- ``complete_prefill(chunks, now, latency)``: the end of every pass that
+  carries prompt chunks, AdaServe's verification pass included;
 - ``draft_cost(step_tokens)``: price a batched draft beam (CUDA-graph
   replays for shape-stable steps 2..d);
 - ``verify_cost(tokens, context)``: price target verification of a batch
@@ -29,6 +31,7 @@ accumulates per-phase busy time for the Figure 15 breakdown.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -174,43 +177,18 @@ class SimulatedEngine:
             kv.commit_keys(req.rid, request_block_keys(req, tokens, kv.block_size))
 
     # ------------------------------------------------------------------
-    # Prefill
+    # Target forward passes: prefill, decode and co-batched steps
     # ------------------------------------------------------------------
     def prefill(self, chunks: list[tuple[Request, int]], now: float) -> float:
-        """Process prompt chunks for one iteration; returns latency.
+        """A dedicated prompt pass over ``(request, tokens)`` chunks; returns latency.
 
-        Each ``(request, tokens)`` advances that request's prefill.  A
-        request whose prompt completes transitions to RUNNING with its
-        context installed (``begin_decode`` stamped at iteration end).
+        Each chunk advances that request's prefill (see
+        :meth:`complete_prefill`); the pass's busy time is all prefill.
         """
         if not chunks:
             raise ValueError("empty prefill batch")
-        total_tokens = 0
-        total_context = 0
-        for req, tokens in chunks:
-            total_tokens += tokens
-            total_context += req.prefilled + tokens // 2
-        latency = self.target_roofline.forward_latency(total_tokens, total_context)
-        latency += self.step_overhead_s
-        if self.slow_factor != 1.0:
-            latency *= self.slow_factor
-        end = now + latency
-        for req, tokens in chunks:
-            req.advance_prefill(tokens)
-            if req.remaining_prompt == 0:
-                req.begin_decode(self.root_ctx(req), end)
-                self._commit_prefix(req, req.prompt_len)
-        obs = self.obs
-        if obs is not None:
-            for req, tokens in chunks:
-                obs.prefill(now, latency, req, tokens)
-        self.phase_times.prefill_s += latency
-        self.iterations += 1
-        return latency
+        return self._forward(0, chunks, now, None)
 
-    # ------------------------------------------------------------------
-    # Plain autoregressive decode
-    # ------------------------------------------------------------------
     def decode(self, requests: list[Request], now: float, cohort: DecodeCohort) -> float:
         """One autoregressive decoding iteration; returns latency.
 
@@ -223,14 +201,7 @@ class SimulatedEngine:
         """
         if not requests:
             raise ValueError("empty decode batch")
-        latency = self.target_roofline.forward_latency(len(requests), cohort.context)
-        latency += self.step_overhead_s
-        if self.slow_factor != 1.0:
-            latency *= self.slow_factor
-        cohort.advance(now + latency)
-        self.phase_times.decode_s += latency
-        self.iterations += 1
-        return latency
+        return self._forward(len(requests), (), now, cohort)
 
     def mixed_step(
         self,
@@ -242,39 +213,67 @@ class SimulatedEngine:
         """One co-batched iteration: decode tokens + prefill chunks.
 
         This is Sarathi-Serve's chunked-prefill step: decodes piggyback on
-        prompt-chunk compute.  Latency is a single forward pass over all
-        batched tokens; busy time is split between the prefill and decode
-        phases in proportion to their token counts.  Like :meth:`decode`,
-        it advances timing and token counts only, the decode half through
-        ``cohort`` (whose batch is ``decode_requests``).
+        prompt-chunk compute in one forward pass.  The decode half runs as
+        in :meth:`decode` (``cohort.batch`` is ``decode_requests``), the
+        chunks as in :meth:`prefill`, and busy time is split between the
+        two phases in proportion to their token counts.
         """
         if not decode_requests and not prefill_chunks:
             raise ValueError("empty mixed step")
-        decode_tokens = len(decode_requests)
-        chunk_tokens = sum(t for _, t in prefill_chunks)
-        context = cohort.context + sum(req.prefilled + t // 2 for req, t in prefill_chunks)
-        latency = self.target_roofline.forward_latency(
-            decode_tokens + chunk_tokens, context
-        )
+        return self._forward(len(decode_requests), prefill_chunks, now, cohort)
+
+    def _forward(
+        self, decode_tokens: int, chunks: Sequence, now: float, cohort: DecodeCohort | None
+    ) -> float:
+        """The one target pass behind :meth:`prefill`, :meth:`decode` and :meth:`mixed_step`.
+
+        Calls none of them, so a tracer wrapping them counts each pass once.
+        A pure pass books its busy time to one phase; a mixed one splits it by
+        token count.
+        """
+        context = 0 if cohort is None else cohort.context
+        chunk_tokens = 0
+        for req, tokens in chunks:
+            chunk_tokens += tokens
+            context += req.prefilled + tokens // 2
+        latency = self.target_roofline.forward_latency(decode_tokens + chunk_tokens, context)
         latency += self.step_overhead_s
         if self.slow_factor != 1.0:
             latency *= self.slow_factor
+        if cohort is not None:
+            cohort.advance(now + latency)
+        phases = self.phase_times
+        if not chunks:
+            phases.decode_s += latency
+        else:
+            self.complete_prefill(chunks, now, latency)
+            if not decode_tokens:
+                phases.prefill_s += latency
+            else:
+                total = decode_tokens + chunk_tokens
+                phases.decode_s += latency * (decode_tokens / total)
+                phases.prefill_s += latency * (chunk_tokens / total)
+        self.iterations += 1
+        return latency
+
+    def complete_prefill(self, chunks: list[tuple[Request, int]], now: float, latency: float) -> None:
+        """Advance each ``(request, tokens)`` chunk of a pass over ``[now, now + latency]``.
+
+        A request whose prompt completes transitions to RUNNING with its
+        context installed (``begin_decode`` stamped at the pass's end) and
+        publishes its prompt blocks to the prefix cache.  Every pass that
+        carries prompt chunks ends here, AdaServe's verification included.
+        """
         end = now + latency
-        cohort.advance(end)
-        for req, tokens in prefill_chunks:
+        for req, tokens in chunks:
             req.advance_prefill(tokens)
             if req.remaining_prompt == 0:
                 req.begin_decode(self.root_ctx(req), end)
                 self._commit_prefix(req, req.prompt_len)
         obs = self.obs
         if obs is not None:
-            for req, tokens in prefill_chunks:
+            for req, tokens in chunks:
                 obs.prefill(now, latency, req, tokens)
-        total = decode_tokens + chunk_tokens
-        self.phase_times.decode_s += latency * (decode_tokens / total)
-        self.phase_times.prefill_s += latency * (chunk_tokens / total)
-        self.iterations += 1
-        return latency
 
     # ------------------------------------------------------------------
     # Speculative decoding cost primitives

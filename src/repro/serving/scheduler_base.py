@@ -9,8 +9,9 @@ speculation — is the policy under evaluation.
 The base class provides the machinery every policy shares:
 
 - pool bookkeeping (waiting / running / finished);
-- FCFS prefill iterations under a token budget, with KV admission
-  control;
+- one prompt path: FCFS whole prompts under a token budget, or one
+  head-of-queue chunk, admitted by one KV reservation and returned to
+  the pool by one placement rule after the engine's pass;
 - retirement of finished requests (KV release);
 - KV-pressure preemption (evict the newest-arrival victim, drop its KV,
   re-queue for recomputation — vLLM's recompute-on-preempt strategy);
@@ -269,7 +270,7 @@ class Scheduler(abc.ABC):
     def _take_prefill_batch(self) -> list[tuple[Request, int]]:
         """FCFS full-prompt prefill batch under the token budget.
 
-        Takes whole prompts only (chunking policies override).  Always
+        Takes whole prompts only, popped from the waiting queue.  Always
         takes at least one request if any fits KV, so long prompts are not
         starved by the token budget.
         """
@@ -282,7 +283,7 @@ class Scheduler(abc.ABC):
             if batch and req.remaining_prompt > budget:
                 self._unlock_prefix(req, fresh_hit)
                 break
-            if not self._allocate_or_requeue(req):
+            if not self._reserve_prefill(req, req.remaining_prompt):
                 self._unlock_prefix(req, fresh_hit)
                 break
             self.waiting.popleft()
@@ -293,30 +294,50 @@ class Scheduler(abc.ABC):
                 break
         return batch
 
-    def _allocate_or_requeue(self, req: Request) -> bool:
-        """Reserve KV for a request's prompt + one block of generation."""
+    def _take_head_chunk(self, limit: int) -> list[tuple[Request, int]]:
+        """Pop the next chunk (at most ``limit`` tokens) of the head-of-queue prompt.
+
+        ``[]`` when nothing waits or KV cannot hold the chunk (the head then
+        stays queued, pinning nothing).
+        """
+        if not self.waiting or limit <= 0:
+            return []
+        head = self.waiting[0]
+        fresh_hit = self._lock_prefix(head)
+        chunk = min(limit, head.remaining_prompt)
+        if not self._reserve_prefill(head, chunk):
+            self._unlock_prefix(head, fresh_hit)
+            return []
+        self.waiting.popleft()
+        return [(head, chunk)]
+
+    def _reserve_prefill(self, req: Request, tokens: int) -> bool:
+        """Reserve KV for ``tokens`` more prompt tokens + one block of generation."""
         try:
-            self.engine.kv.ensure(req.rid, req.prompt_len + self.engine.kv.block_size)
+            self.engine.kv.ensure(req.rid, req.prefilled + tokens + self.engine.kv.block_size)
         except OutOfKVCache:
             return False
         return True
+
+    def _place_prefilled(self, chunks: list[tuple[Request, int]]) -> None:
+        """Completed prompts join ``running``; partial ones return to the head of ``waiting``."""
+        for req, _ in chunks:
+            if req.state is RequestState.RUNNING:
+                self.running.append(req)
+            else:
+                self.waiting.appendleft(req)
 
     def _prefill_iteration(self, now: float) -> float | None:
         """Run one dedicated prefill iteration if any prompt is admissible.
 
         Returns the iteration latency, or ``None`` when nothing could be
-        prefetched (empty queue or KV exhausted).
+        prefilled (empty queue or KV exhausted).
         """
         batch = self._take_prefill_batch()
         if not batch:
             return None
         latency = self.engine.prefill(batch, now)
-        for req, _ in batch:
-            if req.state == RequestState.RUNNING:
-                self.running.append(req)
-            else:
-                # Partially prefilled (chunked policies) — stays queued.
-                self.waiting.appendleft(req)
+        self._place_prefilled(batch)
         return latency
 
     def _admit_plain_decode(self, batch: list[Request]) -> list[Request]:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.analysis.runner import run_spec
 from repro.analysis.spec import ExperimentSpec
 from repro.serving.cohort import DecodeCohort
+from repro.serving.engine import SimulatedEngine
+from repro.serving.kv_cache import KVCacheManager
 from repro.serving.request import RequestState
 from tests.conftest import make_request
 
@@ -111,6 +115,21 @@ class TestMixedStep:
     def test_empty_mixed_rejected(self, engine):
         with pytest.raises(ValueError):
             engine.mixed_step([], [], 0.0, DecodeCohort())
+
+    def test_without_chunks_equals_decode(self, pair, target_roofline, draft_roofline):
+        # One forward body: a chunkless mixed step is a decode step, bit
+        # for bit, in latency and in every phase's busy time.
+        runs = []
+        for step in ("decode", "mixed"):
+            eng = SimulatedEngine(pair, target_roofline, draft_roofline, KVCacheManager(200_000))
+            batch = [running(eng, rid=i, prompt=64 + 16 * i) for i in range(5)]
+            cohort = cohort_of(batch)
+            if step == "decode":
+                latency = eng.decode(batch, 1.0, cohort)
+            else:
+                latency = eng.mixed_step(batch, [], 1.0, cohort)
+            runs.append((latency, astuple(eng.phase_times), eng.iterations))
+        assert runs[0] == runs[1]
 
     def test_phase_split(self, engine):
         dec = running(engine, rid=1)

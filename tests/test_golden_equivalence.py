@@ -113,6 +113,16 @@ GOLDEN = [
         dict(system="vllm", rps=6.0, duration_s=12.0, trace="sessions", prefix_cache=True),
         "2fb5b5cb4cb4c12ef29ed4ab739624feb829fd94093f5663c0692b6126d55c57",
     ),
+    # AdaServe co-batches prompt chunks into verification; a chunk that
+    # completes its prompt publishes the prompt's blocks at once, so a
+    # later turn can hit them while the earlier one still decodes.
+    (
+        "sessions-prefix-cache-adaserve",
+        dict(
+            system="adaserve", rps=12.0, duration_s=12.0, trace="sessions", prefix_cache=True, seed=5
+        ),
+        "b10695b301c4fd034e9236bda28aacce3a2a1777546e3fce34713d1a95a7d28c",
+    ),
     (
         "sessions-prefix-affinity-fleet",
         dict(

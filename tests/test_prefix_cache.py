@@ -664,6 +664,29 @@ class TestEngineIntegration:
         assert clone.cached_prompt_tokens == 127
         assert clone.prefilled == clone.prompt_len
 
+    @pytest.mark.parametrize("system", ["sarathi", "adaserve"])
+    def test_co_batched_prompt_publishes_at_completion(
+        self, system, pair, target_roofline, draft_roofline
+    ):
+        """A prompt chunked into a decode pass publishes its blocks when
+        its prefill completes, not when the request finishes."""
+        from repro.baselines.sarathi import SarathiScheduler
+        from repro.core.scheduler import AdaServeScheduler
+
+        engine = self._engine(pair, target_roofline, draft_roofline)
+        scheduler = {"sarathi": SarathiScheduler, "adaserve": AdaServeScheduler}[system](engine)
+        cold = cold_request(1, prompt_len=64, out=64)
+        scheduler.admit(cold)
+        scheduler.step(0.0)
+        assert scheduler.running == [cold]
+        before = engine.kv.prefix_stats().cached_blocks
+        warm = session_request(2, prompt_len=96)
+        scheduler.admit(warm)
+        scheduler.step(1.0)  # one pass: cold decodes, warm's whole prompt rides along
+        assert scheduler.running == [cold, warm]
+        assert not cold.is_finished and not warm.is_finished
+        assert engine.kv.prefix_stats().cached_blocks >= before + 96 // DEFAULT_BLOCK_SIZE
+
 
 class _NeverCovered(dict):
     """A coverage record that never keeps an entry."""

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.baselines.sarathi import SarathiScheduler
 from repro.core.scheduler import AdaServeScheduler
 from tests.conftest import make_request
 
@@ -56,31 +57,53 @@ class TestMarginRequirement:
         )
 
 
+def _decoding(engine, rid: int):
+    req = make_request(rid=rid, prompt_len=10, max_new_tokens=40)
+    req.advance_prefill(10)
+    req.begin_decode(engine.root_ctx(req), 0.0)
+    return req
+
+
 class TestPrefillChunk:
+    """The shared head-of-queue chunk take and each chunked policy's call site."""
+
     def test_no_waiting_no_chunk(self, engine):
         s = AdaServeScheduler(engine)
-        assert s._take_prefill_chunk() == []
+        assert s._take_head_chunk(s.prefill_chunk) == []
 
     def test_chunk_capped(self, engine):
         s = AdaServeScheduler(engine, prefill_chunk=64)
         s.admit(make_request(rid=1, prompt_len=500))
-        ((req, chunk),) = s._take_prefill_chunk()
+        ((req, chunk),) = s._take_head_chunk(s.prefill_chunk)
         assert chunk == 64
         assert req.rid == 1
+        assert not s.waiting  # popped; placement puts it back after the pass
 
     def test_chunk_takes_tail(self, engine):
         s = AdaServeScheduler(engine, prefill_chunk=64)
         r = make_request(rid=1, prompt_len=80)
         r.advance_prefill(40)
         s.waiting.append(r)
-        ((_, chunk),) = s._take_prefill_chunk()
+        ((_, chunk),) = s._take_head_chunk(s.prefill_chunk)
         assert chunk == 40
 
     def test_no_chunk_when_batch_full(self, engine):
         s = AdaServeScheduler(engine, max_batch_size=1)
-        s.running = [make_request(rid=9)]
-        s.admit(make_request(rid=1))
-        assert s._take_prefill_chunk() == []
+        s.running = [_decoding(engine, 9)]
+        queued = make_request(rid=1, prompt_len=500)
+        s.admit(queued)
+        s.step(0.0)
+        assert queued.prefilled == 0
+        assert list(s.waiting) == [queued]
+
+    def test_sarathi_chunks_past_full_batch(self, engine):
+        s = SarathiScheduler(engine, max_batch_size=1)
+        s.running = [_decoding(engine, 9)]
+        queued = make_request(rid=1, prompt_len=500)
+        s.admit(queued)
+        s.step(0.0)
+        assert queued.prefilled == s.chunk_budget - 1
+        assert list(s.waiting) == [queued]
 
 
 class TestGeometricDepthSolve:
