@@ -1,12 +1,15 @@
 """Shared machinery for the figure/table benchmarks.
 
-Each benchmark reproduces one piece of the paper's evaluation.  The
-end-to-end figures (8, 9, 12) share one RPS sweep per model; all shared
-runs go through :mod:`repro.analysis.runner` and the content-addressed
-result cache (:mod:`repro.analysis.cache`), so results are reused across
-benchmark files, pytest sessions, CLI invocations, and CI jobs alike.
-Set ``REPRO_CACHE_DIR`` to relocate the cache and ``REPRO_JOBS`` to fan
-the shared sweeps out over worker processes.
+Each benchmark reproduces one piece of the paper's evaluation.  A
+benchmark builds its grid of :class:`ExperimentSpec` points and runs it
+with one :func:`run_grid` call: one :class:`SweepRunner` batch through
+the content-addressed result cache (:mod:`repro.analysis.cache`), fanned
+out over every core.  Results are reused across benchmark files, pytest
+sessions, CLI invocations, and CI jobs alike, and the end-to-end figures
+(8, 9, 12) share one RPS sweep per model.  Set ``REPRO_CACHE_DIR`` to
+relocate the cache and ``REPRO_JOBS`` to set the worker count
+(``REPRO_JOBS=1`` runs serially; printed results are identical either
+way).
 
 Scale note: traces are shorter than the paper's (tens of seconds rather
 than tens of minutes) to keep the full benchmark run in minutes on a
@@ -18,12 +21,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.harness import Setup, build_setup
 from repro.analysis.report import SeriesPoint, point_from_metrics
-from repro.analysis.runner import ExperimentSpec, SweepRunner
-from repro.serving.server import SimulationReport
+from repro.analysis.runner import ExperimentSpec, SweepResult, SweepRunner
 
 #: Systems compared in the end-to-end figures (Figures 8-12, 14).
 E2E_SYSTEMS = ("adaserve", "vllm", "sarathi", "vllm-spec:k=4", "vllm-spec:k=6", "vllm-spec:k=8")
@@ -40,20 +43,21 @@ SWEEP_DURATION_S = 45.0
 #: Workload seed for all benchmarks (results are deterministic given it).
 SEED = 1234
 
-_CACHE: ResultCache | None = None
 
-
+@cache
 def benchmark_cache() -> ResultCache:
     """The session-wide result cache (one instance, so stats aggregate)."""
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = ResultCache()
-    return _CACHE
+    return ResultCache()
 
 
 def benchmark_jobs() -> int:
-    """Worker processes for shared sweeps (``REPRO_JOBS``, default serial)."""
-    return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+    """Worker processes per grid: ``REPRO_JOBS``, default one per core.
+
+    The value is passed on unclamped, so ``REPRO_JOBS=0`` fails with the
+    runner's ``SpecError`` instead of quietly running serially.
+    """
+    jobs = os.environ.get("REPRO_JOBS")
+    return int(jobs) if jobs is not None else os.cpu_count() or 1
 
 
 def setup_for(model: str) -> Setup:
@@ -88,19 +92,9 @@ def standard_config(
     )
 
 
-def run_system(
-    model: str,
-    system: str,
-    rps: float,
-    duration_s: float = SWEEP_DURATION_S,
-    mix: dict[str, float] | None = None,
-    slo_scale: float = 1.0,
-    trace: str = "bursty",
-) -> SimulationReport:
-    """Cached single-system run on a standard workload."""
-    config = standard_config(model, system, rps, duration_s, mix, slo_scale, trace)
-    runner = SweepRunner(cache=benchmark_cache(), jobs=1)
-    return runner.run([config])[0].report
+def run_grid(configs: list[ExperimentSpec]) -> list[SweepResult]:
+    """Run a benchmark's grid as one cached batch; results in input order."""
+    return SweepRunner(cache=benchmark_cache(), jobs=benchmark_jobs()).run(configs)
 
 
 def rps_sweep(model: str, systems: tuple[str, ...] = E2E_SYSTEMS) -> list[SeriesPoint]:
@@ -110,10 +104,9 @@ def rps_sweep(model: str, systems: tuple[str, ...] = E2E_SYSTEMS) -> list[Series
         for rps in RPS_SWEEP[model]
         for system in systems
     ]
-    runner = SweepRunner(cache=benchmark_cache(), jobs=benchmark_jobs())
     return [
-        point_from_metrics(r.config.rps, r.report.scheduler_name, r.report.metrics)
-        for r in runner.run(configs)
+        point_from_metrics(r.config.workload.rps, r.report.scheduler_name, r.report.metrics)
+        for r in run_grid(configs)
     ]
 
 

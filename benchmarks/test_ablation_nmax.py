@@ -8,7 +8,7 @@ the micro-level mechanism directly on one selection round.
 
 from __future__ import annotations
 
-from benchmarks.common import SEED, run_system
+from benchmarks.common import SEED, run_grid, standard_config
 from repro.analysis.report import format_table
 from repro.core.selection import select_tokens
 from repro.core.speculation import speculate_batch
@@ -20,12 +20,11 @@ _N_MAX_SWEEP = (2, 4, 8, 16, 64)
 
 
 def _run_sweep():
-    return {
-        n_max: run_system(
-            "llama70b", f"adaserve:n_max={n_max}", _RPS, duration_s=_DURATION_S
-        )
+    configs = [
+        standard_config("llama70b", f"adaserve:n_max={n_max}", _RPS, duration_s=_DURATION_S)
         for n_max in _N_MAX_SWEEP
-    }
+    ]
+    return {n_max: r.report for n_max, r in zip(_N_MAX_SWEEP, run_grid(configs))}
 
 
 def test_ablation_nmax_sweep(benchmark):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import benchmark_cache, standard_config
+from benchmarks.common import benchmark_cache, run_grid, standard_config
 from repro.analysis.report import format_table
 from repro.analysis.runner import SweepRunner
 from repro.analysis.spec import expand_grid, parse_grid_axis
@@ -53,9 +53,7 @@ def test_spec_length_ablation():
     ]
     assert len({c.digest() for c in grid}) == len(grid)
 
-    runner = SweepRunner(cache=benchmark_cache(), jobs=1)
-    results = runner.run(grid)
-    by_k = dict(zip(_K_SWEEP, results))
+    by_k = dict(zip(_K_SWEEP, run_grid(grid)))
 
     print("\n=== Ablation: vLLM-Spec speculation length (registry axis) ===")
     rows = [
@@ -76,7 +74,7 @@ def test_spec_length_ablation():
 
 
 def test_spec_length_ablation_warm_cache_is_free():
-    SweepRunner(cache=benchmark_cache(), jobs=1).run(_grid())  # prime (cache hit or fill)
+    run_grid(_grid())  # prime (cache hit or fill)
     warm = SweepRunner(cache=benchmark_cache(), jobs=1)
     warm.run(_grid())
     assert warm.executed == 0, "warm repeat of the ablation must run zero simulations"

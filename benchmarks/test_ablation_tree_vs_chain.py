@@ -15,7 +15,7 @@ over SmartSpec, especially on the strict category.
 
 from __future__ import annotations
 
-from benchmarks.common import run_system
+from benchmarks.common import run_grid, standard_config
 from repro.analysis.report import format_table
 
 _RPS = 4.6
@@ -23,10 +23,8 @@ _SYSTEMS = ("vllm-spec:k=6", "smartspec", "adaserve")
 
 
 def _run_all():
-    return {
-        (report := run_system("llama70b", system, _RPS)).scheduler_name: report
-        for system in _SYSTEMS
-    }
+    configs = [standard_config("llama70b", system, _RPS) for system in _SYSTEMS]
+    return {r.report.scheduler_name: r.report for r in run_grid(configs)}
 
 
 def test_ablation_tree_vs_chain(benchmark):

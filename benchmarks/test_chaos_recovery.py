@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import SEED, benchmark_cache
+from benchmarks.common import SEED, run_grid
 from repro.analysis.runner import ExperimentSpec, SweepRunner
 from repro.chaos.report import format_incident_table
 
@@ -64,9 +64,8 @@ def _churn_config(router: str) -> ExperimentSpec:
 
 def test_recovery_under_churn(benchmark):
     """Crashes evacuate cleanly: nothing lost, recovery time bounded."""
-    runner = SweepRunner(cache=benchmark_cache(), jobs=1)
     results = benchmark.pedantic(
-        runner.run, args=([_churn_config("prefix-affinity")],), rounds=1, iterations=1
+        run_grid, args=([_churn_config("prefix-affinity")],), rounds=1, iterations=1
     )
     report = results[0].report
     chaos = report.chaos
@@ -93,8 +92,7 @@ def test_affinity_rehoming_beats_round_robin_under_churn(benchmark):
     """Stickiness + re-homing wins goodput and p99 urgent TTFT under churn."""
     routers = ("prefix-affinity", "round-robin")
     configs = [_churn_config(router) for router in routers]
-    runner = SweepRunner(cache=benchmark_cache(), jobs=1)
-    results = benchmark.pedantic(runner.run, args=(configs,), rounds=1, iterations=1)
+    results = benchmark.pedantic(run_grid, args=(configs,), rounds=1, iterations=1)
     by_router = dict(zip(routers, (r.report for r in results)))
 
     print(f"\n=== Churn ({_MODEL}, {_REPLICAS} replicas, faults: {', '.join(_FAULTS)}) ===")

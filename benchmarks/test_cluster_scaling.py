@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import SEED, benchmark_cache
+from benchmarks.common import SEED, run_grid
 from repro.analysis.report import point_from_metrics, series_table
 from repro.analysis.runner import ExperimentSpec, SweepRunner
 from repro.registry import ROUTERS
@@ -60,8 +60,7 @@ def _urgent_attainment(report) -> float:
 
 def test_cluster_router_comparison(benchmark):
     configs = [_cluster_config(router) for router in ROUTERS.names()]
-    runner = SweepRunner(cache=benchmark_cache(), jobs=1)
-    results = benchmark.pedantic(runner.run, args=(configs,), rounds=1, iterations=1)
+    results = benchmark.pedantic(run_grid, args=(configs,), rounds=1, iterations=1)
     by_router = dict(zip(ROUTERS.names(), results))
 
     points = [
@@ -127,10 +126,7 @@ def test_cluster_autoscaling_converges(benchmark):
         router="least-loaded",
         autoscale={"max_replicas": _REPLICAS, "warmup_s": 2.0},
     )
-    runner = SweepRunner(cache=benchmark_cache(), jobs=1)
-    results = benchmark.pedantic(
-        runner.run, args=([static, scaled],), rounds=1, iterations=1
-    )
+    results = benchmark.pedantic(run_grid, args=([static, scaled],), rounds=1, iterations=1)
     static_att = results[0].report.metrics.attainment
     scaled_att = results[1].report.metrics.attainment
     print(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import E2E_SYSTEMS, adaserve_dominates, run_system
+from benchmarks.common import E2E_SYSTEMS, adaserve_dominates, run_grid, standard_config
 from repro.analysis.report import point_from_metrics, series_table
 from repro.workloads.categories import urgent_mix
 
@@ -24,14 +24,14 @@ _MODELS = ("llama70b", "qwen32b")
 
 
 def _sweep(model: str):
-    points = []
-    for frac in _FRACTIONS:
-        for system in E2E_SYSTEMS:
-            report = run_system(model, system, _RPS, mix=urgent_mix(frac))
-            points.append(
-                point_from_metrics(frac * 100, report.scheduler_name, report.metrics)
-            )
-    return points
+    grid = [(frac, system) for frac in _FRACTIONS for system in E2E_SYSTEMS]
+    results = run_grid(
+        [standard_config(model, system, _RPS, mix=urgent_mix(frac)) for frac, system in grid]
+    )
+    return [
+        point_from_metrics(frac * 100, r.report.scheduler_name, r.report.metrics)
+        for (frac, _), r in zip(grid, results)
+    ]
 
 
 @pytest.mark.parametrize("model", _MODELS)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import E2E_SYSTEMS, run_system
+from benchmarks.common import E2E_SYSTEMS, run_grid, standard_config
 from repro.analysis.report import format_table
 
 _DURATION_S = 150.0
@@ -20,17 +20,17 @@ _MODELS = ("llama70b", "qwen32b")
 
 
 def _run_all(model: str):
-    results = {}
-    for system in E2E_SYSTEMS:
-        report = run_system(
+    configs = [
+        standard_config(
             model,
             system,
             _PEAK_RPS,
             duration_s=_DURATION_S,
             trace=f"phased:base_rps={_BASE_RPS}",
         )
-        results[report.scheduler_name] = report
-    return results
+        for system in E2E_SYSTEMS
+    ]
+    return {r.report.scheduler_name: r.report for r in run_grid(configs)}
 
 
 @pytest.mark.parametrize("model", _MODELS)

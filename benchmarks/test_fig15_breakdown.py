@@ -18,15 +18,15 @@ from __future__ import annotations
 import gc
 import time
 
-from benchmarks.common import SEED, run_system
+from benchmarks.common import SEED, run_grid, standard_config
 from repro.analysis.report import format_table
 from repro.core.selection import select_tokens
 from repro.core.speculation import speculate_batch
 
 
 def _serving_breakdown():
-    report = run_system("llama70b", "adaserve", 3.8)
-    return report.phase_breakdown
+    (result,) = run_grid([standard_config("llama70b", "adaserve", 3.8)])
+    return result.report.phase_breakdown
 
 
 def test_fig15_breakdown(benchmark):

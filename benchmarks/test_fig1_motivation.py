@@ -8,7 +8,7 @@ vLLM+Priority meets SLO1 but congests category 2 badly.
 
 from __future__ import annotations
 
-from benchmarks.common import run_system, setup_for
+from benchmarks.common import run_grid, setup_for, standard_config
 from repro.analysis.report import format_table
 
 _SYSTEMS = ("vllm", "sarathi", "priority", "fastserve", "vtc")
@@ -17,11 +17,10 @@ _RPS = 3.6
 
 
 def _run_all():
-    results = {}
-    for system in _SYSTEMS:
-        report = run_system("llama70b", system, _RPS, mix=_MIX, trace="steady")
-        results[report.scheduler_name] = report
-    return results
+    configs = [
+        standard_config("llama70b", system, _RPS, mix=_MIX, trace="steady") for system in _SYSTEMS
+    ]
+    return {r.report.scheduler_name: r.report for r in run_grid(configs)}
 
 
 def test_fig1_per_token_latency(benchmark):

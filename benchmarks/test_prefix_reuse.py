@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import SEED, benchmark_cache
+from benchmarks.common import SEED, run_grid
 from repro.analysis.report import point_from_metrics, series_table
 from repro.analysis.runner import ExperimentSpec, SweepRunner
 
@@ -57,8 +57,7 @@ def test_prefix_cache_serves_session_prefixes(benchmark):
     """Solo engine, sessions trace: hits > 0, prefill work saved, TTFT down."""
     cached = _session_config("round-robin", prefix_cache=True, replicas=1)
     cold = _session_config("round-robin", prefix_cache=False, replicas=1)
-    runner = SweepRunner(cache=benchmark_cache(), jobs=1)
-    results = benchmark.pedantic(runner.run, args=([cached, cold],), rounds=1, iterations=1)
+    results = benchmark.pedantic(run_grid, args=([cached, cold],), rounds=1, iterations=1)
     hit, miss = (r.report.metrics for r in results)
 
     print(
@@ -80,8 +79,7 @@ def test_prefix_affinity_beats_least_loaded_on_sessions(benchmark):
     """Fleet: session stickiness beats pure load balancing on TTFT/goodput."""
     routers = ("prefix-affinity", "least-loaded", "round-robin")
     configs = [_session_config(router) for router in routers]
-    runner = SweepRunner(cache=benchmark_cache(), jobs=1)
-    results = benchmark.pedantic(runner.run, args=(configs,), rounds=1, iterations=1)
+    results = benchmark.pedantic(run_grid, args=(configs,), rounds=1, iterations=1)
     by_router = dict(zip(routers, (r.report.metrics for r in results)))
 
     points = [
@@ -146,4 +144,4 @@ def test_prefix_points_deterministic_and_canonicalized(tmp_path):
         model=_MODEL, system="vllm", rps=_RPS, duration_s=_DURATION_S, seed=SEED,
         trace="sessions:turns=6,system_prompt=256,think_time=4.0",
     )
-    assert sessions_default.trace == "sessions"
+    assert sessions_default.workload.trace == "sessions"

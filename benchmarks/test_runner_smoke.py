@@ -9,12 +9,15 @@ parallel path without paying for the full figure sweeps.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from benchmarks.common import SEED
+from benchmarks.common import SEED, benchmark_jobs, run_grid
 from repro.analysis.cache import ResultCache
 from repro.analysis.export import points_from_cache
 from repro.analysis.runner import ExperimentSpec, SweepRunner
+from repro.registry import SpecError
 
 pytestmark = pytest.mark.smoke
 
@@ -27,7 +30,7 @@ def _grid() -> list[ExperimentSpec]:
         model="llama70b", system="adaserve", rps=1.0, duration_s=6.0, seed=SEED
     )
     # Replica seeding keeps the smoke grid disjoint from the figure caches.
-    seed = base.with_replica(0).seed
+    seed = base.with_replica(0).workload.seed
     return [
         ExperimentSpec.create(
             model="llama70b", system=system, rps=rps, duration_s=6.0, seed=seed
@@ -54,3 +57,16 @@ def test_parallel_smoke_sweep(tmp_path):
     assert warm.executed == 0
     assert all(r.from_cache for r in replay)
     assert [r.report.metrics for r in replay] == [r.report.metrics for r in results]
+
+
+def test_benchmark_grids_default_to_every_core(monkeypatch):
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    assert benchmark_jobs() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_grid_rejects_a_non_positive_worker_count(monkeypatch, jobs):
+    # Passed on unclamped: the runner refuses it rather than running serially.
+    monkeypatch.setenv("REPRO_JOBS", jobs)
+    with pytest.raises(SpecError, match="jobs"):
+        run_grid([])

@@ -12,7 +12,8 @@ a 64-bit *context hash* computed with splitmix64-style mixing.  This gives:
 - speed: a handful of integer multiplications per uniform.
 
 All functions operate on Python ints masked to 64 bits, except
-:func:`fold_sum`, the one float sum the simulator uses.
+:func:`fold_sum`, the one float sum the simulator uses.  The array forms
+live in :mod:`repro._vrng`.
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ therefore *equal dataclasses* with byte-identical canonical JSON
 cache hashes, so ``vllm-spec:k=4`` and ``vllm-spec`` share one cache
 record.
 
-The flat constructor :meth:`ExperimentSpec.create` and flat read-only
-properties (``.rps``, ``.seed``, ``.replicas``, ...) build and read a
-spec without spelling out its sections.
+The flat constructor :meth:`ExperimentSpec.create` builds a spec
+without spelling out its sections; reads go through the sections
+(``spec.workload.rps``, ``spec.cluster.replicas``, ...).
 
 Grid sweeps over *any* registered parameter use dotted axes::
 
@@ -385,69 +385,6 @@ class ExperimentSpec:
     def digest(self) -> str:
         """Content address of this spec (see :func:`~repro.analysis.cache.config_key`)."""
         return config_key(self)
-
-    # -- flat compatibility accessors -----------------------------------
-    @property
-    def model(self) -> str:
-        return self.system.model
-
-    @property
-    def system_name(self) -> str:
-        """Canonical scheduler spec string (e.g. ``vllm-spec:k=8``)."""
-        return self.system.name
-
-    @property
-    def rps(self) -> float:
-        return self.workload.rps
-
-    @property
-    def duration_s(self) -> float:
-        return self.workload.duration_s
-
-    @property
-    def seed(self) -> int:
-        return self.workload.seed
-
-    @property
-    def trace(self) -> str:
-        return self.workload.trace
-
-    @property
-    def slo_scale(self) -> float:
-        return self.workload.slo_scale
-
-    @property
-    def mix(self) -> tuple[tuple[str, float], ...] | None:
-        return self.workload.mix
-
-    @property
-    def max_sim_time_s(self) -> float:
-        return self.system.max_sim_time_s
-
-    @property
-    def prefix_cache(self) -> bool:
-        return self.system.prefix_cache
-
-    @property
-    def metrics(self) -> str:
-        """Metrics aggregation mode (a ``METRICS_MODES`` key)."""
-        return self.system.metrics
-
-    @property
-    def replicas(self) -> int:
-        return self.cluster.replicas
-
-    @property
-    def router(self) -> str:
-        return self.cluster.router
-
-    @property
-    def autoscale(self) -> tuple[tuple[str, float], ...] | None:
-        return self.cluster.autoscale
-
-    @property
-    def faults(self) -> tuple[str, ...]:
-        return self.chaos.faults
 
     @property
     def is_cluster(self) -> bool:

@@ -62,7 +62,7 @@ class FastServeScheduler(Scheduler):
                 return latency
 
         if not self.running:
-            raise RuntimeError("FastServe scheduler stuck: no progress possible")
+            return self._prefill_or_stuck(now, "no progress possible")
 
         # Decode only the highest non-empty level: lower levels are
         # (logically) preempted this iteration.
@@ -71,8 +71,5 @@ class FastServeScheduler(Scheduler):
         batch.sort(key=lambda r: r.arrival_time)
         batch = self._admit_plain_decode(batch[: self.max_batch_size])
         if not batch:
-            latency = self._prefill_iteration(now)
-            if latency is not None:
-                return latency
-            raise RuntimeError("FastServe scheduler stuck: KV exhausted")
+            return self._prefill_or_stuck(now, "KV exhausted")
         return self.engine.decode(batch, now, self._cohort)

@@ -64,7 +64,4 @@ class PriorityScheduler(Scheduler):
         if batch:
             return self.engine.decode(batch, now, self._cohort)
 
-        latency = self._prefill_iteration(now)
-        if latency is not None:
-            return latency
-        raise RuntimeError("Priority scheduler stuck: no progress possible")
+        return self._prefill_or_stuck(now, "no progress possible")

@@ -53,10 +53,7 @@ class SarathiScheduler(Scheduler):
         if not decode_batch and not prefill_chunks:
             # KV exhausted with nothing running: recover via base prefill
             # (which preempts/queues as needed).
-            latency = self._prefill_iteration(now)
-            if latency is not None:
-                return latency
-            raise RuntimeError("Sarathi scheduler stuck: no progress possible")
+            return self._prefill_or_stuck(now, "no progress possible")
 
         latency = self.engine.mixed_step(decode_batch, prefill_chunks, now, self._cohort)
         self._place_prefilled(prefill_chunks)

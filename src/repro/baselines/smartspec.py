@@ -71,10 +71,7 @@ class ChainSpecScheduler(Scheduler):
         # Reserve room for the longest accepted chain + correction.
         batch = self._ensure_kv_for_decode(batch, extra_tokens=self.k_max + 1)
         if not batch:
-            latency = self._prefill_iteration(now)
-            if latency is not None:
-                return latency
-            raise RuntimeError(f"{self.name} scheduler stuck: no progress possible")
+            return self._prefill_or_stuck(now, "no progress possible")
 
         n = len(batch)
         context = self._last_decode_context

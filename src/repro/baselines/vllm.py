@@ -39,8 +39,5 @@ class VLLMScheduler(Scheduler):
         if not batch:
             # Nothing decodable; force forward progress by preempting the
             # newest running request to make room (degenerate KV pressure).
-            latency = self._prefill_iteration(now)
-            if latency is not None:
-                return latency
-            raise RuntimeError("vLLM scheduler stuck: no prefill and no decode possible")
+            return self._prefill_or_stuck(now, "no prefill and no decode possible")
         return self.engine.decode(batch, now, self._cohort)

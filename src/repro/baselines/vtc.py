@@ -44,7 +44,7 @@ class VTCScheduler(Scheduler):
                 return latency
 
         if not self.running:
-            raise RuntimeError("VTC scheduler stuck: no progress possible")
+            return self._prefill_or_stuck(now, "no progress possible")
 
         # Fill the decode batch in ascending counter order; requests from
         # the least-served category go first.
@@ -53,10 +53,7 @@ class VTCScheduler(Scheduler):
         )
         batch = self._admit_plain_decode(order[: self.max_batch_size])
         if not batch:
-            latency = self._prefill_iteration(now)
-            if latency is not None:
-                return latency
-            raise RuntimeError("VTC scheduler stuck: KV exhausted")
+            return self._prefill_or_stuck(now, "KV exhausted")
         latency = self.engine.decode(batch, now, self._cohort)
         for req in batch:
             self.counters[req.category] += 1.0

@@ -311,10 +311,10 @@ def _cmd_run(args) -> int:
     else:
         runner = SweepRunner(cache=_make_cache(args), jobs=1)
         report, stats = runner.run([config])[0].report, runner.stats_line()
-    _print_report(report, config.model)
+    _print_report(report, config.system.model)
     if config.is_cluster:
         print(
-            f"replicas: {config.replicas}   router: {config.router}   "
+            f"replicas: {config.cluster.replicas}   router: {config.cluster.router}   "
             f"autoscale: {'on' if autoscale is not None else 'off'}"
         )
     if report.chaos is not None:
@@ -398,7 +398,7 @@ def _cmd_sweep(args) -> int:
     def progress(result) -> None:
         source = "cached" if result.from_cache else "simulated"
         print(
-            f"  done: rps={result.config.rps:g} {series_label(result)} ({source})",
+            f"  done: rps={result.config.workload.rps:g} {series_label(result)} ({source})",
             file=sys.stderr,
         )
 
@@ -407,7 +407,7 @@ def _cmd_sweep(args) -> int:
     # Reports are already round-tripped through their cache-record form,
     # so cached and fresh points are identical here.
     points = [
-        point_from_metrics(r.config.rps, series_label(r), r.report.metrics)
+        point_from_metrics(r.config.workload.rps, series_label(r), r.report.metrics)
         for r in results
     ]
     print("\nSLO attainment:")

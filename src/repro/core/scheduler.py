@@ -162,17 +162,14 @@ class AdaServeScheduler(Scheduler):
         batch = self.running[: self.max_batch_size]
         n = len(batch)
         if n == 0:
-            raise RuntimeError("AdaServe scheduler stuck: no progress possible")
+            return self._prefill_or_stuck(now, "no progress possible")
 
         d, w = self.controller.params(n)
         # KV must hold the deepest possible acceptance (+correction).
         batch = self._ensure_kv_for_decode(batch, extra_tokens=d + 2)
         n = len(batch)
         if n == 0:
-            latency = self._prefill_iteration(now)
-            if latency is not None:
-                return latency
-            raise RuntimeError("AdaServe scheduler stuck: KV exhausted")
+            return self._prefill_or_stuck(now, "KV exhausted")
 
         # Chunked prefill co-batched into this iteration's verification,
         # only while a decode slot is free for the prompt it completes.

@@ -59,7 +59,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._rng import MASK64, _COMBINE, _GOLDEN, _INV_2_53, _MIX1, _MIX2, mix
+from repro._rng import MASK64, _GOLDEN, _INV_2_53, mix
+from repro._vrng import _C, _G, _S11, _U64, _fin3
 from repro.model.draft import _NOISE_MASK
 from repro.model.stochastic_lm import (
     MEMO_CAP,
@@ -76,15 +77,6 @@ from repro.model.stochastic_lm import (
 #: queries) leaves the rows to on-demand scalar generation.
 PREFETCH_MIN_BATCH = 16
 
-_U64 = np.uint64
-_G = _U64(_GOLDEN)
-_M1 = _U64(_MIX1)
-_M2 = _U64(_MIX2)
-_C = _U64(_COMBINE)
-_S30 = _U64(30)
-_S27 = _U64(27)
-_S31 = _U64(31)
-_S11 = _U64(11)
 #: Twice ``_INV_2_53``: ``(x >> 11) * 2**-52`` is ``2.0 * u`` exactly
 #: (power-of-two scalings of an integer below 2**53 never round).
 _INV_2_52 = 2.0 * _INV_2_53
@@ -127,16 +119,6 @@ def _weights_array(weights: list[float]) -> np.ndarray:
     if arr is None:
         arr = _WEIGHTS_ARRAYS[key] = np.array([0.0, *weights], dtype=np.float64)
     return arr
-
-
-def _fin3(x):
-    """The splitmix64 finalizer minus the golden-ratio add, in place on ``x``."""
-    x ^= x >> _S30
-    x *= _M1
-    x ^= x >> _S27
-    x *= _M2
-    x ^= x >> _S31
-    return x
 
 
 class DraftCall:
@@ -261,12 +243,12 @@ def draft_top(call: DraftCall, C: np.ndarray, centers: Centers, w: int):
     P = (1.0 - top1) * call.weights
     P[:, :1] = top1
     ids = X[:, 2 : k + 2] % call.n_regular
-    ordered = ids.copy()
-    ordered.sort(axis=1)
-    equal = ordered[:, 1:] == ordered[:, :-1]
-    if np.count_nonzero(equal):  # some row's draws collided
+    # A row's draws collided when it has more equal pairs than its k
+    # diagonal ones.
+    equal = ids[:, :, None] == ids[:, None, :]
+    if np.count_nonzero(equal) > n * k:
         target = call.target
-        for row in np.flatnonzero(equal.any(axis=1)).tolist():
+        for row in np.flatnonzero(equal.sum(axis=(1, 2)) > k).tolist():
             ids[row] = target._draw_token_ids(int(C[row]))
     call.rows.append((P, ids, X[:, 1]))
     noisy = call.noisy

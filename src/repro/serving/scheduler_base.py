@@ -340,6 +340,13 @@ class Scheduler(abc.ABC):
         self._place_prefilled(batch)
         return latency
 
+    def _prefill_or_stuck(self, now: float, reason: str) -> float:
+        """The last resort of a step with no decode batch: prefill, else fail."""
+        latency = self._prefill_iteration(now)
+        if latency is None:
+            raise RuntimeError(f"{self.name} scheduler stuck: {reason}")
+        return latency
+
     def _admit_plain_decode(self, batch: list[Request]) -> list[Request]:
         """KV admission of a plain-decode batch over the lazy cohort.
 

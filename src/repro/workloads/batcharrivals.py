@@ -45,23 +45,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._rng import MASK64, _COMBINE, _GOLDEN, _INV_2_53, _MIX1, _MIX2, hash_seed, mix, salted
+from repro._rng import MASK64, _GOLDEN, _INV_2_53, hash_seed, mix, salted
+from repro._vrng import _C, _G, _S11, _U64, _fin3
 from repro.serving.request import Request, RequestState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.sessions import SessionGenerator
 
-_U64 = np.uint64
-_G = _U64(_GOLDEN)
 _G2 = _U64((2 * _GOLDEN) & MASK64)
-_M1 = _U64(_MIX1)
-_M2 = _U64(_MIX2)
-_CMB = _U64(_COMBINE)
-_S30 = _U64(30)
-_S27 = _U64(27)
-_S31 = _U64(31)
-_S11 = _U64(11)
 _S1 = _U64(1)
 
 
@@ -70,22 +62,12 @@ _S1 = _U64(1)
 # ----------------------------------------------------------------------
 def _splitmix(x):
     """Vector splitmix64 finalizer (matches ``repro._rng.splitmix64``)."""
-    x = x + _G
-    x = (x ^ (x >> _S30)) * _M1
-    x = (x ^ (x >> _S27)) * _M2
-    return x ^ (x >> _S31)
-
-
-def _fin3(x):
-    """The finalizer minus the golden-ratio add (``uniforms()`` inner loop)."""
-    x = (x ^ (x >> _S30)) * _M1
-    x = (x ^ (x >> _S27)) * _M2
-    return x ^ (x >> _S31)
+    return _fin3(x + _G)
 
 
 def _vmix(h, v):
     """Vector ``repro._rng.mix`` over broadcastable uint64 operands."""
-    return _splitmix(h ^ (v * _CMB))
+    return _splitmix(h ^ (v * _C))
 
 
 def _uniform2_cols(h, salt_mask):
@@ -185,7 +167,7 @@ def thin_poisson(rate_vec, duration_s: float, rate_max: float, seed: int) -> lis
     with np.errstate(over="ignore"):
         while True:
             idx = np.arange(n, dtype=np.uint64)
-            base = _splitmix(_U64(h) ^ (idx * _CMB))
+            base = _splitmix(_U64(h) ^ (idx * _C))
             u1 = (_fin3(base + _G) >> _S11) * _INV_2_53
             u2 = (_fin3(base + _G2) >> _S11) * _INV_2_53
             u1 = np.maximum(u1, 1e-12)
@@ -533,7 +515,7 @@ def columnar_sessions(
 
         # Think-time gaps: uniform(hash_seed(seed, 0x47415021, s), k).
         gap_h = _vmix(_U64(hash_seed(seed, 0x47415021)), s_arr)  # "GAP!"
-        gap = (_splitmix(gap_h[:, None] ^ (k_arr * _CMB)[None, :]) >> _S11) * _INV_2_53
+        gap = (_splitmix(gap_h[:, None] ^ (k_arr * _C)[None, :]) >> _S11) * _INV_2_53
 
         # Arrival chain per session: arrival_{k+1} = arrival_k +
         # output_k * baseline - log(max(gap_k, 1e-12)) * think_time.

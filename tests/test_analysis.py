@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.analysis.harness import MODEL_SETUPS, build_setup, make_scheduler, run_once
@@ -13,6 +15,7 @@ from repro.analysis.report import (
     point_from_metrics,
     series_table,
 )
+from repro.registry import SYSTEMS
 from repro.serving.metrics import aggregate_metrics
 from tests.conftest import make_request, tiny_generator
 
@@ -50,6 +53,12 @@ class TestHarness:
         setup = build_setup("llama70b")
         sched = make_scheduler(system, setup.build_engine())
         assert sched.name == expected
+
+    @pytest.mark.parametrize("system", SYSTEMS.names())
+    def test_idle_step_names_the_stuck_scheduler(self, system):
+        sched = make_scheduler(system, build_setup("llama70b").build_engine())
+        with pytest.raises(RuntimeError, match=f"^{re.escape(sched.name)} scheduler stuck: "):
+            sched.step(0.0)
 
     def test_run_once_owns_its_requests(self):
         setup = build_setup("llama70b")

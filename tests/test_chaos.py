@@ -153,7 +153,7 @@ class TestChaosSpec:
             faults=("crash:at=20,replica=1", "straggler"),
             max_sim_time_s=20.0,
         )
-        assert len(spec.faults) == 2
+        assert len(spec.chaos.faults) == 2
 
     def test_autoscale_ceiling_bounds_replica(self):
         # The autoscaler's ceiling (2x the initial fleet by default), not

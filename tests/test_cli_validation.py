@@ -116,7 +116,7 @@ class TestValidationBoundary:
     @pytest.mark.parametrize("value", ["0", "1", "0.6"])
     def test_urgent_fraction_boundaries_accepted(self, value, monkeypatch):
         [spec] = _specs(monkeypatch, ["run", "--no-cache", "--urgent-fraction", value])
-        assert dict(spec.mix)["coding"] == float(value)
+        assert dict(spec.workload.mix)["coding"] == float(value)
 
     def test_profile_slack_boundary_accepted(self, capsys):
         assert main(["profile", "--slack", "1"]) == 0
@@ -126,12 +126,12 @@ class TestValidationBoundary:
 class TestSpecStringArgs:
     def test_system_specs_canonicalized_by_the_spec(self, monkeypatch):
         [spec] = _specs(monkeypatch, ["run", "--no-cache", "--system", "vllm-spec:k=8"])
-        assert spec.system_name == "vllm-spec:k=8"
+        assert spec.system.name == "vllm-spec:k=8"
         [spec] = _specs(monkeypatch, ["run", "--no-cache", "--system", "vllm-spec:k=4"])
-        assert spec.system_name == "vllm-spec"
+        assert spec.system.name == "vllm-spec"
         argv = ["sweep", "--no-cache", "--rps", "2", "--systems", "adaserve", "vllm-spec:k=6"]
         specs = _specs(monkeypatch, argv)
-        assert [s.system_name for s in specs] == ["adaserve", "vllm-spec:k=6"]
+        assert [s.system.name for s in specs] == ["adaserve", "vllm-spec:k=6"]
 
     def test_suffixed_system_name_exits_2(self, no_sim, capsys):
         # The speculation length is a spec key: vllm-spec:k=6, not vllm-spec-6.
@@ -145,8 +145,8 @@ class TestSpecStringArgs:
             "--router", "affinity:reserve=0.4", "--trace", "diurnal:peak_to_trough=6",
         ]
         [spec] = _specs(monkeypatch, argv)
-        assert spec.router == "affinity:reserve=0.4"
-        assert spec.trace == "diurnal:peak_to_trough=6.0"
+        assert spec.cluster.router == "affinity:reserve=0.4"
+        assert spec.workload.trace == "diurnal:peak_to_trough=6.0"
 
     def test_cluster_output_prints_canonical_specs(self, monkeypatch, capsys):
         argv = [
@@ -252,13 +252,13 @@ class TestGridOption:
     def test_router_reaches_fleet_cells_of_a_one_replica_base(self, monkeypatch, capsys):
         argv = [*self._ROUTED, "--replicas", "1", "--grid", "cluster.replicas=2,4"]
         specs = _specs(monkeypatch, argv)
-        assert [(spec.replicas, spec.router) for spec in specs] == [(2, "p2c"), (4, "p2c")]
+        assert [(s.cluster.replicas, s.cluster.router) for s in specs] == [(2, "p2c"), (4, "p2c")]
         assert "note:" not in capsys.readouterr().err
 
     def test_solo_cell_of_a_mixed_grid_runs_round_robin_and_says_so(self, monkeypatch, capsys):
         argv = [*self._ROUTED, "--replicas", "4", "--grid", "cluster.replicas=1,2,4"]
         specs = _specs(monkeypatch, argv)
-        assert [(spec.replicas, spec.router) for spec in specs] == [
+        assert [(s.cluster.replicas, s.cluster.router) for s in specs] == [
             (1, "round-robin"), (2, "p2c"), (4, "p2c"),
         ]
         [note] = [line for line in capsys.readouterr().err.splitlines() if "note:" in line]

@@ -402,7 +402,7 @@ class TestFleetSimulator:
         default = ExperimentSpec.create(
             model="llama70b", system="vllm", rps=2.0, duration_s=4.0, seed=0
         )
-        assert solo.router == "round-robin"
+        assert solo.cluster.router == "round-robin"
         assert solo.digest() == default.digest()
 
     def test_autoscale_defaults_canonicalized_in_cache_key(self):

@@ -56,7 +56,7 @@ class TestDeriveSeed:
 
     def test_with_replica_spreads_seeds(self):
         config = GRID[0]
-        seeds = {config.with_replica(k).seed for k in range(8)}
+        seeds = {config.with_replica(k).workload.seed for k in range(8)}
         assert len(seeds) == 8
         assert config.with_replica(2) == config.with_replica(2)
 

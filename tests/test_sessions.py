@@ -160,7 +160,7 @@ class TestPrefixCacheSpec:
             prefix_cache=True,
         )
         assert base.digest() != cached.digest()
-        assert cached.prefix_cache and not base.prefix_cache
+        assert cached.system.prefix_cache and not base.system.prefix_cache
 
     def test_round_trips_through_dict(self):
         spec = ExperimentSpec.create(
@@ -174,7 +174,7 @@ class TestPrefixCacheSpec:
             model="llama70b", system="vllm", rps=4.0, duration_s=10.0, seed=0
         )
         on = apply_axis(base, "system.prefix_cache", "true")
-        assert on.prefix_cache
+        assert on.system.prefix_cache
         assert apply_axis(on, "system.prefix_cache", "false") == base
         with pytest.raises(SpecError):
             apply_axis(base, "system.prefix_cache", "maybe")

@@ -98,14 +98,15 @@ class TestShape:
         ):
             assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
-    def test_flat_accessors_read_through_sections(self):
+    def test_create_fills_every_section(self):
         spec = _spec(replicas=2, router="p2c", slo_scale=1.5)
-        assert spec.model == "llama70b"
-        assert spec.system_name == "vllm"
-        assert (spec.rps, spec.duration_s, spec.seed) == (2.0, 4.0, 7)
-        assert (spec.trace, spec.slo_scale) == ("steady", 1.5)
-        assert (spec.replicas, spec.router) == (2, "p2c")
-        assert spec.max_sim_time_s == 1800.0
+        w = spec.workload
+        assert spec.system.model == "llama70b"
+        assert spec.system.name == "vllm"
+        assert (w.rps, w.duration_s, w.seed) == (2.0, 4.0, 7)
+        assert (w.trace, w.slo_scale) == ("steady", 1.5)
+        assert (spec.cluster.replicas, spec.cluster.router) == (2, "p2c")
+        assert spec.system.max_sim_time_s == 1800.0
         assert spec.is_cluster
 
     def test_sections_constructible_directly(self):
@@ -208,12 +209,13 @@ class TestValidation:
 
     def test_integral_floats_are_integer_fields(self):
         spec = _spec(replicas=2.0, seed=7.0)
-        assert (spec.replicas, spec.seed) == (2, 7)
-        assert type(spec.replicas) is int and type(spec.seed) is int
+        replicas, seed = spec.cluster.replicas, spec.workload.seed
+        assert (replicas, seed) == (2, 7)
+        assert type(replicas) is int and type(seed) is int
 
     def test_zero_weight_beside_a_positive_one_is_a_valid_mix(self):
         spec = _spec(mix={"coding": 1.0, "chatbot": 0.0})
-        assert spec.mix == (("chatbot", 0.0), ("coding", 1.0))
+        assert spec.workload.mix == (("chatbot", 0.0), ("coding", 1.0))
 
     def test_rejects_unknown_components(self):
         with pytest.raises(ValueError):
@@ -401,7 +403,7 @@ class TestGrid:
             [parse_grid_axis("system.k=2,4"), parse_grid_axis("workload.rps=1.0,2.0,3.0")],
         )
         assert len(cells) == 6
-        assert {(c.system.name, c.rps) for c in cells} == {
+        assert {(c.system.name, c.workload.rps) for c in cells} == {
             (name, rps)
             for name in ("vllm-spec:k=2", "vllm-spec")
             for rps in (1.0, 2.0, 3.0)

@@ -187,7 +187,7 @@ class TestSpecKnob:
         streaming = _spec(metrics="streaming")
         assert streaming.to_dict()["system"]["metrics"] == "streaming"
         assert streaming.digest() != exact.digest()
-        assert streaming.metrics == "streaming"
+        assert streaming.system.metrics == "streaming"
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(SpecError, match="exact, streaming"):
