@@ -16,12 +16,15 @@ import pytest
 from repro.analysis.cache import config_key
 from repro.analysis.export import report_to_dict
 from repro.analysis.harness import make_scheduler
+from repro.analysis.runner import run_traced
 from repro.analysis.spec import ChaosSpec, ExperimentSpec
 from repro.chaos.faults import FaultEvent, FaultSchedule
 from repro.chaos.report import ChaosLog, build_chaos_report, format_incident_table
 from repro.cluster.fleet import FleetSimulator
 from repro.cluster.replica import Replica
 from repro.cluster.router import PrefixAffinityRouter, RoundRobinRouter
+from repro.obs.spec import ObsSpec
+from repro.obs.trace import FLEET_TRACK
 from repro.registry import FAULTS, SpecError
 from repro.serving.request import RequestState
 from tests.conftest import make_request
@@ -274,6 +277,25 @@ class TestFleetRecovery:
             return chaos_fleet(reqs, schedule).run().sim_time_s
 
         assert sim_time(["straggler:at=0,replica=0,slow=4.0"]) > sim_time(None)
+
+    def test_scale_delay_is_logged_and_traced_fleet_wide(self):
+        spec = ExperimentSpec.create(
+            model="llama70b",
+            system="smartspec",
+            rps=12.0,
+            duration_s=12.0,
+            trace="bursty",
+            seed=5,
+            replicas=2,
+            autoscale={"max_replicas": 4},
+            faults=("straggler:at=4,replica=0,slow=1.5,duration=6", "scale-delay:at=2,extra=3"),
+            obs=ObsSpec(trace=True),
+        )
+        report, observer = run_traced(spec)
+        (marker,) = observer.collector.of_kind("scale-delay")
+        assert (marker.t, marker.replica, marker.data) == (2.0, FLEET_TRACK, {"extra_s": 3.0})
+        delays = [e for e in report.chaos["events"] if e["kind"] == "scale-delay"]
+        assert delays == [{"time_s": 2.0, "kind": "scale-delay", "extra_s": 3.0}]
 
     def test_crash_on_single_replica_fleet_queues_until_restart(self):
         # Degenerate but must not drop requests: the only replica dies,

@@ -191,6 +191,23 @@ GOLDEN = [
         ),
         "0fea763fe9433ceef870437d560c223e4b52031c88ee6f232dd09bfade9b77c8",
     ),
+    # Chain speculation under a straggler on an autoscaled fleet whose
+    # scale-ups pay a scale-delay's extra warm-up: without the delay,
+    # attainment reads 0.529 rather than 0.432.
+    (
+        "fleet-autoscale-smartspec-straggler-delay",
+        dict(
+            system="smartspec",
+            rps=12.0,
+            duration_s=12.0,
+            trace="bursty",
+            seed=5,
+            replicas=2,
+            autoscale={"max_replicas": 4},
+            faults=("straggler:at=4,replica=0,slow=1.5,duration=6", "scale-delay:at=2,extra=3"),
+        ),
+        "347f7ca0bb929c1e8c242b637fdea757efa5b9e972ae677792f722de7ca2b877",
+    ),
     # Saturated plain-decode points: at 20 rps the running set reaches the
     # 64-slot ``max_batch_size`` (66 for sarathi, whose chunked prefill
     # appends past the cut), so the batch cut and each policy's batch
