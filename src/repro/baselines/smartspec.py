@@ -77,9 +77,7 @@ class ChainSpecScheduler(Scheduler):
         context = self._last_decode_context
         k = self.choose_k(n, context)
         chains = draft_chains(self.engine.pair, [(r.ctx, r.predictability) for r in batch], k)
-        draft_latency = self.engine.sequence_draft_cost(k, n, context)
-        verify_latency = self.engine.verify_cost(k * n, context)
-        latency = draft_latency + verify_latency + self.engine.step_overhead_s
+        latency = self.engine.speculative_step((n,) * k, k * n, context, now)
 
         end = now + latency
         total_accepted = 0
@@ -90,7 +88,6 @@ class ChainSpecScheduler(Scheduler):
             commit_verified(req, accepted, chain.ctxs, new_ctx, end)
             total_accepted += accepted
         self._observe(total_accepted, k * n)
-        self.engine.iterations += 1
         return latency
 
 

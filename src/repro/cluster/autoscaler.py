@@ -62,13 +62,16 @@ class AutoscalerConfig:
             raise SpecError("scale_down_queue must be < scale_up_queue")
 
     @classmethod
-    def from_mapping(cls, knobs) -> "AutoscalerConfig":
-        """Build from a (possibly partial) mapping of field overrides."""
-        return cls(**cls._checked(knobs))
+    def resolve(cls, knobs, initial_replicas: int) -> "AutoscalerConfig":
+        """Knobs plus fleet-aware defaults, validated against the fleet.
 
-    @classmethod
-    def _checked(cls, knobs) -> dict:
-        """``knobs`` as a dict with int counts; an unknown or non-numeric knob is a ``SpecError``."""
+        The single place where knobs are checked (an unknown or
+        non-numeric one is a ``SpecError``; counts become ints), where
+        ``max_replicas`` defaults (to twice the initial fleet) and where a
+        ceiling below the initial fleet is rejected — both the
+        experiment-config cache key and the harness resolve through here,
+        so they can never disagree.
+        """
         fields = set(cls.__dataclass_fields__)
         unknown = set(knobs) - fields
         if unknown:
@@ -83,18 +86,6 @@ class AutoscalerConfig:
             else:
                 # Checked, not converted: the spelling stays in the cache key.
                 real_field(f"autoscale.{name}", value)
-        return values
-
-    @classmethod
-    def resolve(cls, knobs, initial_replicas: int) -> "AutoscalerConfig":
-        """Knobs plus fleet-aware defaults, validated against the fleet.
-
-        The single place where ``max_replicas`` defaults (to twice the
-        initial fleet) and where a ceiling below the initial fleet is
-        rejected — both the experiment-config cache key and the harness
-        resolve through here, so they can never disagree.
-        """
-        values = cls._checked(knobs)
         values.setdefault("max_replicas", max(2 * initial_replicas, values.get("min_replicas", 1)))
         config = cls(**values)
         if config.max_replicas < initial_replicas:

@@ -270,9 +270,18 @@ class FleetSimulator:
             return None
         return replica
 
+    def _note_fault(self, now: float, kind: str, replica: int | None = None, **detail) -> None:
+        """Log a fault and, when traced, mark it with the same fields.
+
+        A fleet-scoped fault (``replica`` None) has no ``replica`` key in
+        the log and sits on the trace's fleet track.
+        """
+        where = {} if replica is None else {"replica": replica}
+        self._chaos_log.note(now, kind, **where, **detail)
+        if self._obs is not None:
+            self._obs.event(now, kind, **where, data=detail or None)
+
     def _apply_fault(self, event: FaultEvent, now: float) -> None:
-        log = self._chaos_log
-        assert log is not None
         kind = event.kind
         if kind == "crash":
             self._apply_crash(event, now)
@@ -283,15 +292,9 @@ class FleetSimulator:
             if replica is None:
                 return
             replica.engine.slow_factor = event.slow
-            log.note(now, "straggler", replica=replica.index, slow=event.slow,
-                     duration_s=event.duration_s)
-            if self._obs is not None:
-                self._obs.event(
-                    now,
-                    "straggler",
-                    replica=replica.index,
-                    data={"slow": event.slow, "duration_s": event.duration_s},
-                )
+            self._note_fault(
+                now, kind, replica.index, slow=event.slow, duration_s=event.duration_s
+            )
             if event.duration_s is not None:
                 self._push_fault(
                     FaultEvent(
@@ -307,14 +310,10 @@ class FleetSimulator:
             # only clear an engine still degraded by *this* fault.
             if not replica.retired and replica.engine.slow_factor == event.slow:
                 replica.engine.slow_factor = 1.0
-                log.note(now, "straggler-end", replica=replica.index)
-                if self._obs is not None:
-                    self._obs.event(now, "straggler-end", replica=replica.index)
+                self._note_fault(now, kind, replica.index)
         elif kind == "scale-delay":
             self._scaleup_extra = event.extra_s
-            log.note(now, "scale-delay", extra_s=event.extra_s)
-            if self._obs is not None:
-                self._obs.event(now, "scale-delay", data={"extra_s": event.extra_s})
+            self._note_fault(now, kind, extra_s=event.extra_s)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown fault kind {kind!r}")
 
@@ -393,28 +392,23 @@ class FleetSimulator:
         # live replica) have been queuing; start serving them now.
         if replica.has_work():
             heapq.heappush(self._event_heap, (replica.local_now, 1, replica.index))
-        log = self._chaos_log
-        assert log is not None
-        log.note(now, "restart", replica=replica.index)
-        if self._obs is not None:
-            self._obs.event(now, "restart", replica=replica.index)
+        self._note_fault(now, "restart", replica.index)
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationReport:
         """Execute the fleet simulation to completion (or safety cutoff).
 
         The loop is event-driven over an explicit heap: replicas with
-        work sit in ``_event_heap`` keyed on ``(local_now, 1, index)`` —
-        identical selection (and tie-breaking) to the former
-        ``min(...)``-over-rebuilt-lists scan, without rebuilding the
-        ``busy``/``runnable`` lists at every event.  Entries are pushed
-        on the idle→busy transition (an arrival routed to an idle
-        replica) and after each step that leaves work behind; entries
-        invalidated by draining are dropped lazily at the heap top.
-        Fault events (``(at_s, 0, event_index)``; see :mod:`repro.chaos`)
-        share the heap and fire in the same global time order, sorting
-        ahead of replica steps at equal times; pending arrivals still win
-        ties exactly as they do against steps.
+        work sit in ``_event_heap`` keyed on ``(local_now, 1, index)``.
+        Entries are pushed on the idle→busy transition (an arrival routed
+        to an idle replica) and after each step that leaves work behind;
+        entries invalidated by draining are dropped lazily at the heap
+        top.  Fault events (``(at_s, 0, event_index)``; see
+        :mod:`repro.chaos`) share the heap, sorting ahead of replica steps
+        at equal times.  Each pass picks the next event (the heap top, or
+        the next arrival, which wins ties), then runs one prelude (the
+        clock, gauge catch-up and the invariant checks) before handling
+        it: a fault, one replica step, or the arrivals due at that time.
 
         Returns the run's one report.  A plain fleet (one replica, no
         autoscaler, no faults) keeps its scheduler's order and label; any
@@ -459,9 +453,7 @@ class FleetSimulator:
             # The run continues while any working replica is below the
             # horizon, or an idle sub-horizon replica could still serve a
             # pending sub-horizon arrival — only then is nothing left.
-            step_candidate = None
-            fault_index = None
-            event_time = 0.0
+            step_candidate = fault_index = None
             if heap:
                 t, kind, i = heap[0]
                 event_time = t
@@ -489,29 +481,26 @@ class FleetSimulator:
                     ):
                         break
 
-            if fault_index is not None and (
-                next_arrival is None or event_time < next_arrival
+            # The next event: the heap's fault or replica step, unless a
+            # pending arrival comes first (arrivals win ties).
+            if (fault_index is None and step_candidate is None) or (
+                next_arrival is not None and next_arrival <= event_time
             ):
+                fault_index = step_candidate = None
+                event_time = next_arrival
+            else:
                 heapq.heappop(heap)
-                clock.advance_to(event_time)
+            now = clock.advance_to(event_time)
+            if sampler is not None:
+                sampler.catch_up(event_time)
+            if inv is not None:
+                inv.check_event_time(event_time)
                 if sampler is not None:
-                    sampler.catch_up(event_time)
-                if inv is not None:
-                    inv.check_event_time(event_time)
-                    if sampler is not None:
-                        inv.check_sampler(sampler, event_time)
-                self._apply_fault(self._chaos_events[fault_index], clock.now)
-            elif step_candidate is not None and (
-                next_arrival is None or step_candidate.local_now < next_arrival
-            ):
-                heapq.heappop(heap)
-                clock.advance_to(step_candidate.local_now)
-                if sampler is not None:
-                    sampler.catch_up(step_candidate.local_now)
-                if inv is not None:
-                    inv.check_event_time(step_candidate.local_now)
-                    if sampler is not None:
-                        inv.check_sampler(sampler, step_candidate.local_now)
+                    inv.check_sampler(sampler, event_time)
+
+            if fault_index is not None:
+                self._apply_fault(self._chaos_events[fault_index], now)
+            elif step_candidate is not None:
                 step_candidate.step()
                 if inv is not None:
                     inv.check_replica_step(
@@ -527,19 +516,12 @@ class FleetSimulator:
                         heap, (step_candidate.local_now, 1, step_candidate.index)
                     )
             else:
-                clock.advance_to(next_arrival)
-                if sampler is not None:
-                    sampler.catch_up(clock.now)
-                if inv is not None:
-                    inv.check_event_time(clock.now)
-                    if sampler is not None:
-                        inv.check_sampler(sampler, clock.now)
-                for req in arrivals.release_until(clock.now):
-                    self._dispatch(req, clock.now)
+                for req in arrivals.release_until(now):
+                    self._dispatch(req, now)
                     if admitted is not None:
                         admitted.append(req)
 
-            self._autoscale(clock.now)
+            self._autoscale(now)
             self._retire_drained()
 
         for replica in self.replicas:

@@ -52,7 +52,6 @@ class Replica:
         #: Crashed and waiting for its restart (chaos runs): not
         #: routable, not stepped, still occupying its hardware slot.
         self.failed = False
-        self.crash_count = 0
         self.iterations = 0
         # Crash stash: requests that finished on pre-crash engines and
         # their accumulated phase times.  Lazy (None until the first
@@ -73,15 +72,6 @@ class Replica:
     def has_work(self) -> bool:
         """Whether the replica can run an iteration."""
         return self.scheduler.has_work()
-
-    def routable(self, now: float) -> bool:
-        """Whether the router may send new requests here at ``now``."""
-        return (
-            not self.draining
-            and not self.retired
-            and not self.failed
-            and self.available_at <= now
-        )
 
     def admit(self, req: Request, now: float) -> None:
         """Accept a routed request at fleet time ``now``.
@@ -141,7 +131,6 @@ class Replica:
         self.engine.kv.invalidate_all()
         self.engine = engine
         self.scheduler = scheduler
-        self.crash_count += 1
         self._load_version += 1
         return victims
 

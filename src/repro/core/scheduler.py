@@ -11,14 +11,16 @@ Each decoding iteration:
    the chosen shape + verification at the full budget) and compute each
    request's requirement A(r);
 4. run the speculate - select - verify pipeline (Algorithm 2);
-5. price the iteration: measured draft-step shapes through the CUDA-graph
-   model, actual verified token count through the target roofline, plus
+5. run the iteration through the engine's one speculative pass
+   (:meth:`~repro.serving.engine.SimulatedEngine.speculative_step`):
+   measured draft-step shapes through the CUDA-graph model, the actual
+   verified token count and the chunk through the target roofline, plus
    selection's scheduling time from a deterministic cost model over the
-   candidates it scanned (the Figure 15 breakdown);
+   candidates it scanned (the Figure 15 breakdown); the engine completes
+   the chunk as every prompt pass does;
 6. commit accepted tokens + corrections at the iteration's end time,
    through the commit the chain baselines share
-   (:func:`~repro.core.speculation.commit_verified`), then complete the
-   chunk as every prompt pass does.
+   (:func:`~repro.core.speculation.commit_verified`).
 """
 
 from __future__ import annotations
@@ -143,12 +145,6 @@ class AdaServeScheduler(Scheduler):
         t += target.forward_latency(self.verify_budget, context)
         return t + self.engine.step_overhead_s + chunk_tokens * target.compute_seconds_per_token
 
-    def _margin_requirement(self, req, now: float, t_spec: float) -> float:
-        """A(r) against a margin-tightened SLO (planning headroom)."""
-        start = req.decode_start if req.decode_start is not None else now
-        elapsed = max(0.0, now - start)
-        return (elapsed + t_spec) / (req.tpot_slo * self.slo_margin) - req.n_generated
-
     # ------------------------------------------------------------------
     def step(self, now: float) -> float:
         self._retire_finished()
@@ -223,7 +219,7 @@ class AdaServeScheduler(Scheduler):
             BatchItem(
                 root_token=0,
                 root_ctx=req.ctx,
-                requirement=self._margin_requirement(req, now, t_spec),
+                requirement=req.requirement(now, t_spec, self.slo_margin),
                 center=req.predictability,
             )
             for req in batch
@@ -242,15 +238,14 @@ class AdaServeScheduler(Scheduler):
         # against timings of ``select_tokens`` (see
         # benchmarks/test_fig15_breakdown.py), so simulated time is
         # reproducible run-to-run.
-        sched_s = 20e-6 + 0.2e-6 * result.selection.candidates_scanned
-        latency = self.engine.draft_cost(result.speculation.step_tokens, context)
-        latency += self.engine.verify_cost(
-            result.verify_tokens, context, extra_prefill_tokens=chunk_tokens
+        latency = self.engine.speculative_step(
+            result.speculation.step_tokens,
+            result.verify_tokens,
+            context,
+            now,
+            chunks,
+            scheduling_s=20e-6 + 0.2e-6 * result.selection.candidates_scanned,
         )
-        latency += self.engine.step_overhead_s
-        latency += sched_s
-        self.engine.account_scheduling(sched_s)
-        self.engine.iterations += 1
 
         end = now + latency
         committed = 0
@@ -275,6 +270,5 @@ class AdaServeScheduler(Scheduler):
                 )
             )
 
-        self.engine.complete_prefill(chunks, now, latency)
         self._place_prefilled(chunks)
         return latency

@@ -17,12 +17,14 @@ GPU operations every scheduler is composed of:
   preempted, leaves the batch or is evacuated by a crash, when a policy
   reads ``n_generated`` through a ``Request`` method, and before the
   pool is reported (see :mod:`repro.serving.scheduler_base`);
+- ``speculative_step(draft_steps, verify_tokens, context, now, chunks,
+  scheduling_s)``: one speculate - select - verify iteration, priced as
+  its draft levels, one verification pass (co-batched prompt chunks
+  included), the step overhead and the CPU-side selection;
 - ``complete_prefill(chunks, now, latency)``: the end of every pass that
-  carries prompt chunks, AdaServe's verification pass included;
+  carries prompt chunks, speculative verification included;
 - ``draft_cost(step_tokens)``: price a batched draft beam (CUDA-graph
   replays for shape-stable steps 2..d);
-- ``verify_cost(tokens, context)``: price target verification of a batch
-  of speculated tokens;
 - ``commit token`` side effects live on :class:`Request`.
 
 The engine never decides *what* to run — that is scheduler policy.  It
@@ -135,7 +137,6 @@ class SimulatedEngine:
             eager_launch_s=draft_roofline.forward_cost(1).launch_time
         )
         self.phase_times = PhaseTimes()
-        self.iterations = 0
         #: Optional per-iteration log (see repro.serving.telemetry).
         self.telemetry = None
         #: Optional lifecycle tracer (a repro.obs ReplicaTracer).  Every
@@ -253,7 +254,6 @@ class SimulatedEngine:
                 total = decode_tokens + chunk_tokens
                 phases.decode_s += latency * (decode_tokens / total)
                 phases.prefill_s += latency * (chunk_tokens / total)
-        self.iterations += 1
         return latency
 
     def complete_prefill(self, chunks: list[tuple[Request, int]], now: float, latency: float) -> None:
@@ -262,7 +262,7 @@ class SimulatedEngine:
         A request whose prompt completes transitions to RUNNING with its
         context installed (``begin_decode`` stamped at the pass's end) and
         publishes its prompt blocks to the prefix cache.  Every pass that
-        carries prompt chunks ends here, AdaServe's verification included.
+        carries prompt chunks ends here, speculative verification included.
         """
         end = now + latency
         for req, tokens in chunks:
@@ -303,38 +303,46 @@ class SimulatedEngine:
         self.phase_times.speculation_s += total
         return total
 
-    def sequence_draft_cost(self, steps: int, batch: int, context_tokens: int = 0) -> float:
-        """Latency of ``steps`` sequential draft decodes over ``batch`` requests.
-
-        Used by vLLM-Spec-style baselines (chain speculation).
-        """
-        return self.draft_cost((batch,) * steps, context_tokens)
-
-    def verify_cost(
+    def speculative_step(
         self,
-        speculated_tokens: int,
-        context_tokens: int = 0,
-        extra_prefill_tokens: int = 0,
+        draft_steps: Sequence[int],
+        verify_tokens: int,
+        context: int,
+        now: float,
+        chunks: Sequence[tuple[Request, int]] = (),
+        scheduling_s: float = 0.0,
     ) -> float:
-        """Latency of target verification over a batch of token trees.
+        """One speculative iteration starting at ``now``; returns its latency.
 
-        ``extra_prefill_tokens`` prices co-batched prompt chunks (AdaServe
-        folds prefill work into verification iterations).
+        Prices the draft levels (:meth:`draft_cost`), one target pass over
+        the ``verify_tokens`` speculated tokens plus the co-batched prompt
+        ``chunks`` at decode ``context``, the step overhead and the
+        CPU-side ``scheduling_s`` (token selection), in that order.  The
+        target pass's busy time is split between verification and prefill
+        by token count.  The chunks then complete over the iteration
+        (:meth:`complete_prefill`); committing the accepted tokens is the
+        caller's.  The straggler ``slow_factor`` scales the draft and
+        target passes, not the overhead.
         """
-        total = speculated_tokens + extra_prefill_tokens
-        latency = self.target_roofline.forward_latency(total, context_tokens)
+        latency = self.draft_cost(draft_steps, context)
+        chunk_tokens = sum(tokens for _, tokens in chunks)
+        total = verify_tokens + chunk_tokens
+        verify = self.target_roofline.forward_latency(total, context)
         if self.slow_factor != 1.0:
-            latency *= self.slow_factor
+            verify *= self.slow_factor
+        phases = self.phase_times
         if total > 0:
-            self.phase_times.verification_s += latency * (speculated_tokens / total)
-            self.phase_times.prefill_s += latency * (extra_prefill_tokens / total)
+            phases.verification_s += verify * (verify_tokens / total)
+            phases.prefill_s += verify * (chunk_tokens / total)
         else:
-            self.phase_times.verification_s += latency
+            phases.verification_s += verify
+        phases.scheduling_s += scheduling_s
+        latency += verify
+        latency += self.step_overhead_s
+        latency += scheduling_s
+        if chunks:
+            self.complete_prefill(chunks, now, latency)
         return latency
-
-    def account_scheduling(self, seconds: float) -> None:
-        """Accumulate CPU-side scheduling time (Figure 15)."""
-        self.phase_times.scheduling_s += seconds
 
     # ------------------------------------------------------------------
     # Lifecycle helpers

@@ -276,11 +276,15 @@ class Request:
         """Whether the request met its TPOT SLO (finished requests only)."""
         return self.is_finished and self.avg_tpot <= self.tpot_slo
 
-    def requirement(self, now: float, iteration_latency: float) -> float:
-        """A(r): accepted tokens needed this iteration (Equation 2 rewrite)."""
+    def requirement(self, now: float, iteration_latency: float, margin: float = 1.0) -> float:
+        """A(r): accepted tokens needed this iteration (Equation 2 rewrite).
+
+        ``margin`` in (0, 1] plans against the tighter SLO
+        ``tpot_slo * margin`` (AdaServe's planning headroom).
+        """
         start = self.decode_start if self.decode_start is not None else now
         elapsed = max(0.0, now - start)
-        return (elapsed + iteration_latency) / self.tpot_slo - self.n_generated
+        return (elapsed + iteration_latency) / (self.tpot_slo * margin) - self.n_generated
 
     # ------------------------------------------------------------------
     # Ownership

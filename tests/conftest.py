@@ -974,7 +974,6 @@ def eager_decode(engine, requests, now, context_tokens=None) -> float:
     for req in requests:
         req.commit_tokens(1, req.ctx, end)
     engine.phase_times.decode_s += latency
-    engine.iterations += 1
     return latency
 
 
@@ -1009,7 +1008,6 @@ def eager_mixed_step(engine, decode_requests, prefill_chunks, now, decode_contex
     total = decode_tokens + chunk_tokens
     engine.phase_times.decode_s += latency * (decode_tokens / total)
     engine.phase_times.prefill_s += latency * (chunk_tokens / total)
-    engine.iterations += 1
     return latency
 
 

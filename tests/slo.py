@@ -13,9 +13,9 @@ iteration.  Because at most d+1 tokens can be produced per iteration
 (d accepted draft tokens on the deepest path plus the correction token),
 the attainable target is capped at A_cap = min(A, d+1) (§4.3, step 2).
 
-:class:`~repro.core.scheduler.AdaServeScheduler` computes both inline
-(``_margin_requirement`` and the demand clamp in ``step``);
-``tests/test_slo.py`` pins them against these formulas.
+:class:`~repro.core.scheduler.AdaServeScheduler` computes A(r) through
+``Request.requirement`` at its SLO margin and A_cap as the demand clamp
+in ``step``; ``tests/test_slo.py`` pins both against these formulas.
 """
 
 from __future__ import annotations

@@ -440,10 +440,16 @@ class TestCrashEdgeCases:
         assert len(fleet._chaos_log.records) == before
 
     def test_failed_replica_not_routable(self):
-        replica = make_replica()
-        assert replica.routable(now=0.0)
-        replica.failed = True
-        assert not replica.routable(now=0.0)
+        fleet = chaos_fleet(fleet_workload(n=4), FaultSchedule(), replicas=2)
+        fleet._chaos_log = ChaosLog()  # unit test: drive faults by hand
+        crashed = fleet.replicas[0]
+        assert crashed in fleet._routable(0.0)
+        fleet._apply_fault(FaultEvent(at_s=1.0, kind="crash", replica=0, restart_s=2.0), 1.0)
+        assert crashed.failed
+        assert fleet._routable(1.0) == [fleet.replicas[1]]
+        fleet._apply_fault(FaultEvent(at_s=3.0, kind="restart", replica=0), 3.0)
+        assert not crashed.failed
+        assert fleet._routable(3.0) == fleet.replicas
 
 
 # ----------------------------------------------------------------------

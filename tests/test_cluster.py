@@ -154,12 +154,12 @@ class TestAutoscaler:
                 replicas=2, autoscale={"warmup_s": value, "max_replicas": 4},
             )
 
-    def test_from_mapping_rejects_unknown_and_coerces_counts(self):
-        config = AutoscalerConfig.from_mapping({"max_replicas": 6.0, "warmup_s": 1.5})
-        assert config.max_replicas == 6
+    def test_resolve_rejects_unknown_and_coerces_counts(self):
+        config = AutoscalerConfig.resolve({"max_replicas": 6.0, "warmup_s": 1.5}, 2)
+        assert config.max_replicas == 6 and type(config.max_replicas) is int
         assert config.warmup_s == 1.5
         with pytest.raises(KeyError):
-            AutoscalerConfig.from_mapping({"bogus": 1})
+            AutoscalerConfig.resolve({"bogus": 1}, 2)
 
     def _replica(self, index, queued, available_at=0.0):
         engine, scheduler = vllm_factory(index)

@@ -128,7 +128,7 @@ class TestMixedStep:
                 latency = eng.decode(batch, 1.0, cohort)
             else:
                 latency = eng.mixed_step(batch, [], 1.0, cohort)
-            runs.append((latency, astuple(eng.phase_times), eng.iterations))
+            runs.append((latency, astuple(eng.phase_times)))
         assert runs[0] == runs[1]
 
     def test_phase_split(self, engine):
@@ -152,31 +152,54 @@ class TestSpecCosts:
         second = engine.draft_cost((4, 8, 8))
         assert second < first
 
-    def test_sequence_draft_cost_steps(self, engine):
-        one = engine.sequence_draft_cost(1, 8)
-        four = engine.sequence_draft_cost(4, 8)
+    def test_chain_draft_levels_steps(self, engine):
+        one = engine.draft_cost((8,))
+        four = engine.draft_cost((8,) * 4)
         assert four > 3 * one * 0.9
 
-    def test_verify_cost_grows_with_tokens(self, engine):
-        small = engine.verify_cost(10)
-        large = engine.verify_cost(500)
+    def test_speculative_step_grows_with_verified_tokens(self, engine):
+        small = engine.speculative_step((), 10, 0, 0.0)
+        large = engine.speculative_step((), 500, 0, 0.0)
         assert large > small
 
-    def test_verify_prefill_split(self, engine):
-        engine.verify_cost(50, extra_prefill_tokens=50)
+    def test_speculative_step_verify_prefill_split(self, engine):
+        pre = queued(rid=2, prompt=100)
+        engine.speculative_step((), 50, 0, 0.0, [(pre, 50)])
         assert engine.phase_times.prefill_s > 0
         assert engine.phase_times.verification_s > 0
+        assert pre.prefilled == 50 and pre.state == RequestState.PREFILLING
 
-    def test_scheduling_accounting(self, engine):
-        engine.account_scheduling(0.001)
-        assert engine.phase_times.scheduling_s == pytest.approx(0.001)
+    def test_speculative_step_scheduling_accounting(self, engine):
+        latency = engine.speculative_step((), 10, 0, 0.0, scheduling_s=0.001)
+        assert engine.phase_times.scheduling_s == 0.001
+        assert latency == pytest.approx(engine.phase_times.total + engine.step_overhead_s)
 
     def test_breakdown_sums_to_one(self, engine):
-        engine.verify_cost(50)
-        engine.draft_cost((4,))
-        engine.account_scheduling(1e-4)
+        engine.speculative_step((4,), 50, 0, 0.0, scheduling_s=1e-4)
         bd = engine.phase_times.breakdown()
         assert sum(bd.values()) == pytest.approx(1.0)
+
+    def test_speculative_step_is_the_fold_of_its_parts(self, pair, target_roofline, draft_roofline):
+        # Draft levels, one target pass over verified + chunk tokens, the
+        # step overhead and the scheduling time, added in that order; the
+        # slow factor scales the two passes only.
+        shipped, parts = (
+            SimulatedEngine(pair, target_roofline, draft_roofline, KVCacheManager(200_000))
+            for _ in range(2)
+        )
+        for eng in (shipped, parts):
+            eng.slow_factor = 1.5
+        chunk = [(queued(rid=3, prompt=40), 40)]
+        latency = shipped.speculative_step((4, 8, 8), 20, 900, 2.0, chunk, scheduling_s=3e-5)
+        expected = parts.draft_cost((4, 8, 8), 900)
+        expected += target_roofline.forward_latency(60, 900) * 1.5
+        expected += parts.step_overhead_s
+        expected += 3e-5
+        assert latency == expected
+        # The chunk completed its prompt over the iteration.
+        req = chunk[0][0]
+        assert req.state == RequestState.RUNNING
+        assert req.decode_start == 2.0 + latency
 
 
 class TestLifecycle:

@@ -111,12 +111,13 @@ class TestLoopReuse:
             assert _graph_counters(shipped) == _graph_counters(folded)
         assert shipped.phase_times.speculation_s == folded.phase_times.speculation_s
 
-    def test_sequence_draft_cost_counts_every_level(self):
+    def test_chain_step_counts_every_draft_level(self):
         shipped, folded = _engine(), _engine()
         for steps in (1, 4, 4, 8):
-            assert shipped.sequence_draft_cost(steps, 8, 500) == _folded_draft_cost(
-                folded, (8,) * steps, 500
-            )
+            expected = _folded_draft_cost(folded, (8,) * steps, 500)
+            expected += folded.target_roofline.forward_latency(8 * steps, 500)
+            expected += folded.step_overhead_s
+            assert shipped.speculative_step((8,) * steps, 8 * steps, 500, 0.0) == expected
             assert _graph_counters(shipped) == _graph_counters(folded)
         # One capture (the first graph-eligible level of width 8), then
         # every later level replays it: 2 + 3 + 7.

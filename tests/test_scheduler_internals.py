@@ -44,7 +44,7 @@ class TestMarginRequirement:
         req.advance_prefill(req.prompt_len)
         req.begin_decode(1, 0.0)
         plain = req.requirement(1.0, 0.04)
-        margined = s._margin_requirement(req, 1.0, 0.04)
+        margined = req.requirement(1.0, 0.04, s.slo_margin)
         assert margined > plain
 
     def test_margin_one_matches_plain(self, engine):
@@ -52,9 +52,7 @@ class TestMarginRequirement:
         req = make_request(tpot_slo=0.05, max_new_tokens=10)
         req.advance_prefill(req.prompt_len)
         req.begin_decode(1, 0.0)
-        assert s._margin_requirement(req, 1.0, 0.04) == pytest.approx(
-            req.requirement(1.0, 0.04)
-        )
+        assert req.requirement(1.0, 0.04, s.slo_margin) == req.requirement(1.0, 0.04)
 
 
 def _decoding(engine, rid: int):

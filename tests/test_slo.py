@@ -96,8 +96,8 @@ class _Stop(Exception):
 
 
 class TestSchedulerPins:
-    """``AdaServeScheduler`` computes A(r) and A_cap inline; both must
-    equal the oracle formulas bit for bit."""
+    """``AdaServeScheduler``'s A(r) (``Request.requirement`` at its SLO
+    margin) and inline A_cap must equal the oracle formulas bit for bit."""
 
     @pytest.mark.parametrize(
         "elapsed, generated, t_spec, slo",
@@ -108,11 +108,11 @@ class TestSchedulerPins:
     ):
         s = AdaServeScheduler(engine, slo_margin=0.9)
         req = make_request(tpot_slo=slo, max_new_tokens=200)
-        assert s._margin_requirement(req, 5.0, t_spec) == min_accept_requirement(
+        assert req.requirement(5.0, t_spec, s.slo_margin) == min_accept_requirement(
             0.0, 0, t_spec, slo * 0.9
         )  # not decoding yet: no elapsed time
         req.decode_start, req.n_generated = 0.0, generated
-        assert s._margin_requirement(req, elapsed, t_spec) == min_accept_requirement(
+        assert req.requirement(elapsed, t_spec, s.slo_margin) == min_accept_requirement(
             elapsed, generated, t_spec, slo * 0.9
         )
 
