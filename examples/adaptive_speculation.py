@@ -27,7 +27,8 @@ def main() -> None:
     engine.telemetry = IterationLog()
     scheduler = make_scheduler("adaserve", engine)
     report = ServingSimulator(engine, scheduler, requests).run()
-    log = engine.telemetry
+    # The engine logs every pass; the beam shape lives on the speculative ones.
+    log = IterationLog(engine.telemetry.of_kind("speculative"))
 
     print(
         f"\nAdaServe: attainment {report.metrics.attainment * 100:.1f}%, "

@@ -26,7 +26,7 @@ vLLM-Spec(n), whose policy is a fixed ``k``.
 
 from __future__ import annotations
 
-from repro.core.speculation import commit_verified, draft_chains
+from repro.core.speculation import draft_chains
 from repro.model.acceptance import verify_sequence
 from repro.registry import SYSTEMS, Param
 from repro.serving.scheduler_base import Scheduler
@@ -77,16 +77,15 @@ class ChainSpecScheduler(Scheduler):
         context = self._last_decode_context
         k = self.choose_k(n, context)
         chains = draft_chains(self.engine.pair, [(r.ctx, r.predictability) for r in batch], k)
-        latency = self.engine.speculative_step((n,) * k, k * n, context, now)
-
-        end = now + latency
+        verdicts = []
         total_accepted = 0
         for req, chain in zip(batch, chains):
             accepted, _correction, new_ctx = verify_sequence(
                 self.engine.pair, req.ctx, chain, req.predictability, chain.emitted
             )
-            commit_verified(req, accepted, chain.ctxs, new_ctx, end)
+            verdicts.append((req, accepted, chain.ctxs, new_ctx))
             total_accepted += accepted
+        latency = self.engine.speculative_step((n,) * k, k * n, context, now, verdicts, (k, 1, k * n))
         self._observe(total_accepted, k * n)
         return latency
 

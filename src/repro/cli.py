@@ -680,8 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument(
         "--iteration-log",
         action="store_true",
-        help="also record per-iteration engine telemetry "
-        "(exported under --series-out)",
+        help="also record engine telemetry, one record per engine pass "
+        "for every system (exported under --series-out)",
     )
     p_explain.add_argument(
         "--out",

@@ -12,9 +12,9 @@ It deliberately performs *no latency modeling* and reads no clock — it
 returns the token counts the scheduler needs to price the iteration with
 the roofline model (draft step shapes, verification tokens, candidates
 scanned by selection).  Nor does it commit: each outcome is the target's
-full verdict, and the scheduler commits it with
-:func:`~repro.core.speculation.commit_verified`, which applies the
-end-of-generation cut.
+full verdict, which the scheduler hands to the engine's speculative pass
+(:meth:`~repro.serving.engine.SimulatedEngine.speculative_step`); the
+engine commits it at the pass's end, with the end-of-generation cut.
 """
 
 from __future__ import annotations

@@ -16,11 +16,10 @@ Each decoding iteration:
    measured draft-step shapes through the CUDA-graph model, the actual
    verified token count and the chunk through the target roofline, plus
    selection's scheduling time from a deterministic cost model over the
-   candidates it scanned (the Figure 15 breakdown); the engine completes
-   the chunk as every prompt pass does;
-6. commit accepted tokens + corrections at the iteration's end time,
-   through the commit the chain baselines share
-   (:func:`~repro.core.speculation.commit_verified`).
+   candidates it scanned (the Figure 15 breakdown);
+6. hand that pass each request's verdict: at the iteration's end time
+   the engine completes the chunk as every prompt pass does and commits
+   the accepted tokens + correction, as it does for the chain baselines.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro._rng import fold_sum
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.pipeline import BatchItem, run_iteration
 from repro.core.selection import DEFAULT_N_MAX
-from repro.core.speculation import commit_verified
 from repro.hardware.profiler import HardwareProfiler
 from repro.registry import SYSTEMS, Param
 from repro.serving.engine import SimulatedEngine
@@ -243,32 +241,13 @@ class AdaServeScheduler(Scheduler):
             result.verify_tokens,
             context,
             now,
+            [
+                (req, len(o.accepted_tokens), o.path_ctx, o.new_ctx)
+                for req, o in zip(batch, result.outcomes)
+            ],
+            (d, w, result.selection.budget_used),
             chunks,
             scheduling_s=20e-6 + 0.2e-6 * result.selection.candidates_scanned,
         )
-
-        end = now + latency
-        committed = 0
-        for req, outcome in zip(batch, result.outcomes):
-            committed += commit_verified(
-                req, len(outcome.accepted_tokens), outcome.path_ctx, outcome.new_ctx, end
-            )
-        if self.engine.telemetry is not None:
-            from repro.serving.telemetry import IterationRecord
-
-            self.engine.telemetry.record(
-                IterationRecord(
-                    time_s=now,
-                    kind="speculative",
-                    batch_size=n,
-                    latency_s=latency,
-                    tokens_committed=committed,
-                    depth=d,
-                    width=w,
-                    budget_used=result.selection.budget_used,
-                    tokens_accepted=committed - n,
-                )
-            )
-
         self._place_prefilled(chunks)
         return latency

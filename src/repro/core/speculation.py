@@ -50,7 +50,6 @@ with the draft roofline + CUDA graphs.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,6 @@ import numpy as np
 from repro.core.tree import TokenTree
 from repro.model import batchgen
 from repro.model.pair import ModelPair
-from repro.serving.request import Request
 
 
 class Chain(list):
@@ -86,7 +84,8 @@ def draft_chains(
     """Greedy ``k``-token draft chains from each ``(ctx, center)`` start.
 
     Used by the chain-speculation baselines (vLLM-Spec, SmartSpec), which
-    verify each chain and hand it to :func:`commit_verified`.
+    verify each chain and hand the verdicts to the engine's speculative
+    pass (:meth:`~repro.serving.engine.SimulatedEngine.speculative_step`).
     Each chain is a pure function of its start context, so the chains
     advance step-lockstep: ``k`` vectorized steps, each the draft's
     top-1 of every chain's current context.  Each chain carries the
@@ -109,28 +108,6 @@ def draft_chains(
         C = children.ravel()
     emitted = call.emit().reshape(k, n).T  # step-major rows -> one row per chain
     return list(map(Chain, chains.tolist(), emitted.tolist(), ctxs.tolist()))
-
-
-def commit_verified(
-    req: Request, accepted: int, path_ctx: Sequence[int], new_ctx: int, now: float
-) -> int:
-    """Commit a verified draft's ``accepted`` prefix plus its correction.
-
-    Tree and chain speculation both end here.  ``path_ctx[i]`` is the
-    context through the ``i + 1``-th accepted draft token (a tree's
-    accepted path, a chain's prefix), and ``new_ctx`` the context through
-    the correction.  The commit is capped at the request's remaining
-    tokens.  A cap that cuts inside the accepted prefix keeps only tokens
-    the target emitted itself, so the committed context is ``path_ctx``
-    at the cut.  Returns the number of tokens committed.
-    """
-    commit = min(accepted + 1, req.remaining_tokens)
-    if commit <= accepted:
-        new_ctx = path_ctx[commit - 1]
-    req.verify_steps += 1
-    req.accepted_draft_tokens += commit - 1
-    req.commit_tokens(commit, new_ctx, now)
-    return commit
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,21 @@ GPU operations every scheduler is composed of:
   preempted, leaves the batch or is evacuated by a crash, when a policy
   reads ``n_generated`` through a ``Request`` method, and before the
   pool is reported (see :mod:`repro.serving.scheduler_base`);
-- ``speculative_step(draft_steps, verify_tokens, context, now, chunks,
-  scheduling_s)``: one speculate - select - verify iteration, priced as
-  its draft levels, one verification pass (co-batched prompt chunks
-  included), the step overhead and the CPU-side selection;
-- ``complete_prefill(chunks, now, latency)``: the end of every pass that
-  carries prompt chunks, speculative verification included;
-- ``draft_cost(step_tokens)``: price a batched draft beam (CUDA-graph
-  replays for shape-stable steps 2..d);
-- ``commit token`` side effects live on :class:`Request`.
+- ``speculative_step(draft_steps, verify_tokens, context, now, verdicts,
+  shape, chunks, scheduling_s)``: one speculate - select - verify
+  iteration, priced as its draft levels, one verification pass
+  (co-batched prompt chunks included), the step overhead and the
+  CPU-side selection; the scheduler hands in the target's verdicts;
+- ``draft_cost(step_tokens)``: the healthy latency of a batched draft
+  beam (CUDA-graph replays for shape-stable steps 2..d).
+
+Every pass ends in one place (``_end_pass``): it books the phases, applies
+the straggler rule, and at the pass's end time advances the decode cohort
+and the prompt chunks, commits the speculative verdicts
+(:meth:`Request.commit_verified`) and appends one iteration record when
+``telemetry`` is set.  The straggler rule: ``slow_factor`` scales every GPU
+pass (draft levels, target pass) and the step overhead, not the CPU-side
+selection time (``scheduling_s``).
 
 The engine never decides *what* to run — that is scheduler policy.  It
 accumulates per-phase busy time for the Figure 15 breakdown.
@@ -137,16 +143,19 @@ class SimulatedEngine:
             eager_launch_s=draft_roofline.forward_cost(1).launch_time
         )
         self.phase_times = PhaseTimes()
-        #: Optional per-iteration log (see repro.serving.telemetry).
+        #: Optional per-iteration log (see repro.serving.telemetry): one
+        #: record per priced pass, whatever the scheduler.
         self.telemetry = None
         #: Optional lifecycle tracer (a repro.obs ReplicaTracer).  Every
         #: emission site is guarded by ``is not None``, so disabled runs
         #: pay one attribute check and tracing never mutates state.
         self.obs = None
-        #: Latency multiplier for every executed step (> 1 models a
-        #: degraded "straggler" replica; see repro.chaos).  Guarded at
-        #: each use so the healthy value of 1.0 performs zero extra
-        #: float operations and stays bit-identical to pre-chaos runs.
+        #: Straggler latency multiplier (> 1 models a degraded replica;
+        #: see repro.chaos).  It scales every GPU pass and the step
+        #: overhead, but not the CPU-side selection time
+        #: (``scheduling_s``).  Read only by ``_end_pass``, which skips
+        #: the multiply at the healthy 1.0, so healthy runs stay
+        #: bit-identical to pre-chaos ones.
         self.slow_factor = 1.0
         #: Optional runtime invariant sanitizer (a repro.check bound
         #: checker; see ``--check-invariants``).  Same gating contract
@@ -183,8 +192,8 @@ class SimulatedEngine:
     def prefill(self, chunks: list[tuple[Request, int]], now: float) -> float:
         """A dedicated prompt pass over ``(request, tokens)`` chunks; returns latency.
 
-        Each chunk advances that request's prefill (see
-        :meth:`complete_prefill`); the pass's busy time is all prefill.
+        Each chunk advances that request's prefill at the pass's end; the
+        pass's busy time is all prefill.
         """
         if not chunks:
             raise ValueError("empty prefill batch")
@@ -229,57 +238,93 @@ class SimulatedEngine:
         """The one target pass behind :meth:`prefill`, :meth:`decode` and :meth:`mixed_step`.
 
         Calls none of them, so a tracer wrapping them counts each pass once.
-        A pure pass books its busy time to one phase; a mixed one splits it by
-        token count.
         """
         context = 0 if cohort is None else cohort.context
         chunk_tokens = 0
         for req, tokens in chunks:
             chunk_tokens += tokens
             context += req.prefilled + tokens // 2
-        latency = self.target_roofline.forward_latency(decode_tokens + chunk_tokens, context)
-        latency += self.step_overhead_s
-        if self.slow_factor != 1.0:
-            latency *= self.slow_factor
-        if cohort is not None:
-            cohort.advance(now + latency)
+        busy = self.target_roofline.forward_latency(decode_tokens + chunk_tokens, context)
+        busy += self.step_overhead_s
+        return self._end_pass(now, busy, decode_tokens, chunks, chunk_tokens, cohort)
+
+    def _end_pass(
+        self,
+        now: float,
+        busy: float,
+        tokens: int,
+        chunks: Sequence[tuple[Request, int]],
+        chunk_tokens: int,
+        cohort: DecodeCohort | None = None,
+        spec: tuple | None = None,
+    ) -> float:
+        """Book, slow and complete a pass starting at ``now``; returns its latency.
+
+        ``busy`` is the healthy target pass over ``tokens`` decode (or
+        verified) and ``chunk_tokens`` prompt tokens, booked to the two
+        phases by token count; a plain pass's ``busy`` includes the step
+        overhead.  A speculative pass adds ``spec = (draft_s, scheduling_s,
+        verdicts, shape)``.  The one reader of ``slow_factor``.  At the end
+        time the ``cohort``, the chunks and the verdicts advance, and one
+        record is logged when ``telemetry`` is set.
+        """
+        slow = self.slow_factor
+        if slow != 1.0:
+            busy *= slow
         phases = self.phase_times
-        if not chunks:
-            phases.decode_s += latency
+        share = busy
+        if chunk_tokens:
+            total = tokens + chunk_tokens
+            share = busy * (tokens / total)
+            phases.prefill_s += busy * (chunk_tokens / total)
+        if spec is None:
+            phases.decode_s += share
+            latency = busy
+            committed = tokens
         else:
-            self.complete_prefill(chunks, now, latency)
-            if not decode_tokens:
-                phases.prefill_s += latency
+            draft, scheduling_s, verdicts, shape = spec
+            overhead = self.step_overhead_s
+            if slow != 1.0:
+                draft *= slow
+                overhead *= slow
+            phases.speculation_s += draft
+            phases.verification_s += share
+            phases.scheduling_s += scheduling_s
+            latency = draft + busy + overhead + scheduling_s
+        end = now + latency
+        if cohort is not None:
+            cohort.advance(end)
+        if chunks:
+            for req, size in chunks:
+                req.advance_prefill(size)
+                if req.remaining_prompt == 0:
+                    req.begin_decode(self.root_ctx(req), end)
+                    self._commit_prefix(req, req.prompt_len)
+            obs = self.obs
+            if obs is not None:
+                for req, size in chunks:
+                    obs.prefill(now, latency, req, size)
+        if spec is not None:
+            committed = 0
+            for req, accepted, path_ctx, new_ctx in verdicts:
+                committed += req.commit_verified(accepted, path_ctx, new_ctx, end)
+        if self.telemetry is not None:
+            from repro.serving.telemetry import IterationRecord
+
+            if spec is None:
+                kind = "mixed" if tokens and chunks else "decode" if tokens else "prefill"
+                record = IterationRecord(now, kind, tokens or len(chunks), latency, committed)
             else:
-                total = decode_tokens + chunk_tokens
-                phases.decode_s += latency * (decode_tokens / total)
-                phases.prefill_s += latency * (chunk_tokens / total)
+                n = len(verdicts)
+                record = IterationRecord(now, "speculative", n, latency, committed, *shape, committed - n)
+            self.telemetry.record(record)
         return latency
 
-    def complete_prefill(self, chunks: list[tuple[Request, int]], now: float, latency: float) -> None:
-        """Advance each ``(request, tokens)`` chunk of a pass over ``[now, now + latency]``.
-
-        A request whose prompt completes transitions to RUNNING with its
-        context installed (``begin_decode`` stamped at the pass's end) and
-        publishes its prompt blocks to the prefix cache.  Every pass that
-        carries prompt chunks ends here, speculative verification included.
-        """
-        end = now + latency
-        for req, tokens in chunks:
-            req.advance_prefill(tokens)
-            if req.remaining_prompt == 0:
-                req.begin_decode(self.root_ctx(req), end)
-                self._commit_prefix(req, req.prompt_len)
-        obs = self.obs
-        if obs is not None:
-            for req, tokens in chunks:
-                obs.prefill(now, latency, req, tokens)
-
     # ------------------------------------------------------------------
-    # Speculative decoding cost primitives
+    # Speculative decoding
     # ------------------------------------------------------------------
     def draft_cost(self, step_tokens: tuple[int, ...], context_tokens: int = 0) -> float:
-        """Latency of a batched draft beam (speculation phase).
+        """Healthy latency of a batched draft beam (speculation phase).
 
         Step 1 launches eagerly (its shape includes fresh contexts); steps
         2..d replay CUDA graphs when their shapes are warm (§5.2).  A level
@@ -298,9 +343,6 @@ class SimulatedEngine:
                     tokens, context_tokens, launch_overhead=overhead
                 )
             total += latency
-        if self.slow_factor != 1.0:
-            total *= self.slow_factor
-        self.phase_times.speculation_s += total
         return total
 
     def speculative_step(
@@ -309,6 +351,8 @@ class SimulatedEngine:
         verify_tokens: int,
         context: int,
         now: float,
+        verdicts: Sequence[tuple[Request, int, Sequence[int], int]],
+        shape: tuple[int, int, int],
         chunks: Sequence[tuple[Request, int]] = (),
         scheduling_s: float = 0.0,
     ) -> float:
@@ -319,30 +363,15 @@ class SimulatedEngine:
         ``chunks`` at decode ``context``, the step overhead and the
         CPU-side ``scheduling_s`` (token selection), in that order.  The
         target pass's busy time is split between verification and prefill
-        by token count.  The chunks then complete over the iteration
-        (:meth:`complete_prefill`); committing the accepted tokens is the
-        caller's.  The straggler ``slow_factor`` scales the draft and
-        target passes, not the overhead.
+        by token count.  At the iteration's end the chunks advance and each
+        ``(request, accepted, path_ctx, new_ctx)`` verdict commits
+        (:meth:`Request.commit_verified`); ``shape`` is the
+        ``(depth, width, budget_used)`` the iteration log records.
         """
-        latency = self.draft_cost(draft_steps, context)
         chunk_tokens = sum(tokens for _, tokens in chunks)
-        total = verify_tokens + chunk_tokens
-        verify = self.target_roofline.forward_latency(total, context)
-        if self.slow_factor != 1.0:
-            verify *= self.slow_factor
-        phases = self.phase_times
-        if total > 0:
-            phases.verification_s += verify * (verify_tokens / total)
-            phases.prefill_s += verify * (chunk_tokens / total)
-        else:
-            phases.verification_s += verify
-        phases.scheduling_s += scheduling_s
-        latency += verify
-        latency += self.step_overhead_s
-        latency += scheduling_s
-        if chunks:
-            self.complete_prefill(chunks, now, latency)
-        return latency
+        busy = self.target_roofline.forward_latency(verify_tokens + chunk_tokens, context)
+        spec = (self.draft_cost(draft_steps, context), scheduling_s, verdicts, shape)
+        return self._end_pass(now, busy, verify_tokens, chunks, chunk_tokens, None, spec)
 
     # ------------------------------------------------------------------
     # Lifecycle helpers

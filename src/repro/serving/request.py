@@ -210,6 +210,25 @@ class Request:
                 self.on_finish = None
                 hook(self)
 
+    def commit_verified(self, accepted: int, path_ctx: list[int], new_ctx: int, now: float) -> int:
+        """Commit a verified draft's ``accepted`` prefix plus its correction.
+
+        Tree and chain speculation both end here.  ``path_ctx[i]`` is the
+        context through the ``i + 1``-th accepted draft token (a tree's
+        accepted path, a chain's prefix), and ``new_ctx`` the context through
+        the correction.  The commit is capped at the remaining tokens.  A
+        cap that cuts inside the accepted prefix keeps only tokens the
+        target emitted itself, so the committed context is ``path_ctx`` at
+        the cut.  Returns the number of tokens committed.
+        """
+        commit = min(accepted + 1, self.remaining_tokens)
+        if commit <= accepted:
+            new_ctx = path_ctx[commit - 1]
+        self.verify_steps += 1
+        self.accepted_draft_tokens += commit - 1
+        self.commit_tokens(commit, new_ctx, now)
+        return commit
+
     def preempt(self, drop_kv: bool) -> None:
         """Pause the request; optionally drop its KV (forces re-prefill)."""
         if self.state not in (RequestState.RUNNING, RequestState.PREFILLING):

@@ -2,10 +2,12 @@
 
 Production serving systems expose per-iteration counters (batch size,
 speculation shape, tokens proposed/accepted, latency) for dashboards and
-autoscaling.  ``IterationLog`` is the simulator's equivalent: schedulers
-append one record per iteration, and analysis code (the
-``adaptive_speculation`` example, ablations) reads time series from it
-without monkey-patching scheduler internals.
+autoscaling.  ``IterationLog`` is the simulator's equivalent: the engine
+appends one record per priced pass (prefill, decode, mixed or
+speculative), whatever the scheduler, so a log has one record per
+iteration; analysis code (the ``adaptive_speculation`` example,
+ablations) reads time series from it without monkey-patching scheduler
+internals.
 
 Recording is opt-in (``engine.telemetry = IterationLog()``): the hot loop
 pays nothing when disabled.  The observability layer wires this up for
@@ -24,22 +26,17 @@ from repro._rng import fold_sum
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One scheduler iteration's observables."""
+    """One engine pass's observables."""
 
     time_s: float
     kind: str  # "prefill" | "decode" | "speculative" | "mixed"
-    batch_size: int
+    batch_size: int  # decoding requests; a prefill pass's prompts
     latency_s: float
     tokens_committed: int = 0
     depth: int = 0
     width: int = 0
     budget_used: int = 0
     tokens_accepted: int = 0
-
-    @property
-    def tokens_per_second(self) -> float:
-        """Commit rate of this iteration."""
-        return self.tokens_committed / self.latency_s if self.latency_s > 0 else 0.0
 
 
 @dataclass
@@ -59,10 +56,6 @@ class IterationLog:
         """All records of one iteration kind."""
         return [r for r in self.records if r.kind == kind]
 
-    def series(self, attr: str) -> list[tuple[float, float]]:
-        """(time, value) pairs for any record attribute."""
-        return [(r.time_s, float(getattr(r, attr))) for r in self.records]
-
     def bucketed_mean(self, attr: str, bucket_s: float) -> list[tuple[float, float]]:
         """Mean of an attribute per time bucket (for load/shape plots)."""
         if bucket_s <= 0:
@@ -80,12 +73,3 @@ class IterationLog:
             t += bucket_s
         return out
 
-    def mean_accepted_when(self, min_batch: int) -> float:
-        """Mean accepted tokens per request for iterations at >= min_batch."""
-        rows = [
-            r for r in self.records
-            if r.kind == "speculative" and r.batch_size >= min_batch
-        ]
-        if not rows:
-            return 0.0
-        return fold_sum(r.tokens_accepted / r.batch_size for r in rows) / len(rows)

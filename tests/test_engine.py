@@ -140,11 +140,21 @@ class TestMixedStep:
         assert engine.phase_times.decode_s > 0
 
 
+#: ``speculative_step``'s verdicts and (depth, width, budget_used) shape
+#: for a pass that commits nothing.
+NO_VERDICTS = ([], (0, 0, 0))
+
+
+def fresh_engine(pair, target_roofline, draft_roofline) -> SimulatedEngine:
+    return SimulatedEngine(pair, target_roofline, draft_roofline, KVCacheManager(200_000))
+
+
 class TestSpecCosts:
     def test_draft_cost_positive(self, engine):
+        # The beam's price only: the pass that runs it books the phase.
         cost = engine.draft_cost((4, 8, 8))
         assert cost > 0
-        assert engine.phase_times.speculation_s == pytest.approx(cost)
+        assert engine.phase_times.speculation_s == 0.0
 
     def test_draft_graph_reuse_cheaper(self, engine):
         # Two identical beams: the second replays captured graphs.
@@ -158,48 +168,80 @@ class TestSpecCosts:
         assert four > 3 * one * 0.9
 
     def test_speculative_step_grows_with_verified_tokens(self, engine):
-        small = engine.speculative_step((), 10, 0, 0.0)
-        large = engine.speculative_step((), 500, 0, 0.0)
+        small = engine.speculative_step((), 10, 0, 0.0, *NO_VERDICTS)
+        large = engine.speculative_step((), 500, 0, 0.0, *NO_VERDICTS)
         assert large > small
 
     def test_speculative_step_verify_prefill_split(self, engine):
         pre = queued(rid=2, prompt=100)
-        engine.speculative_step((), 50, 0, 0.0, [(pre, 50)])
+        engine.speculative_step((), 50, 0, 0.0, *NO_VERDICTS, [(pre, 50)])
         assert engine.phase_times.prefill_s > 0
         assert engine.phase_times.verification_s > 0
         assert pre.prefilled == 50 and pre.state == RequestState.PREFILLING
 
     def test_speculative_step_scheduling_accounting(self, engine):
-        latency = engine.speculative_step((), 10, 0, 0.0, scheduling_s=0.001)
+        latency = engine.speculative_step((), 10, 0, 0.0, *NO_VERDICTS, scheduling_s=0.001)
         assert engine.phase_times.scheduling_s == 0.001
         assert latency == pytest.approx(engine.phase_times.total + engine.step_overhead_s)
 
     def test_breakdown_sums_to_one(self, engine):
-        engine.speculative_step((4,), 50, 0, 0.0, scheduling_s=1e-4)
+        engine.speculative_step((4,), 50, 0, 0.0, *NO_VERDICTS, scheduling_s=1e-4)
         bd = engine.phase_times.breakdown()
         assert sum(bd.values()) == pytest.approx(1.0)
 
     def test_speculative_step_is_the_fold_of_its_parts(self, pair, target_roofline, draft_roofline):
         # Draft levels, one target pass over verified + chunk tokens, the
         # step overhead and the scheduling time, added in that order; the
-        # slow factor scales the two passes only.
-        shipped, parts = (
-            SimulatedEngine(pair, target_roofline, draft_roofline, KVCacheManager(200_000))
-            for _ in range(2)
-        )
-        for eng in (shipped, parts):
-            eng.slow_factor = 1.5
+        # slow factor scales the two passes and the overhead.
+        shipped = fresh_engine(pair, target_roofline, draft_roofline)
+        parts = fresh_engine(pair, target_roofline, draft_roofline)
+        shipped.slow_factor = 1.5
         chunk = [(queued(rid=3, prompt=40), 40)]
-        latency = shipped.speculative_step((4, 8, 8), 20, 900, 2.0, chunk, scheduling_s=3e-5)
-        expected = parts.draft_cost((4, 8, 8), 900)
+        dec = running(shipped, rid=4)
+        latency = shipped.speculative_step(
+            (4, 8, 8), 20, 900, 2.0, [(dec, 0, [], 77)], (3, 8, 20), chunk, scheduling_s=3e-5
+        )
+        draft = parts.draft_cost((4, 8, 8), 900) * 1.5
+        expected = draft
         expected += target_roofline.forward_latency(60, 900) * 1.5
-        expected += parts.step_overhead_s
+        expected += parts.step_overhead_s * 1.5
         expected += 3e-5
         assert latency == expected
-        # The chunk completed its prompt over the iteration.
+        assert shipped.phase_times.speculation_s == draft
+        # The chunk completed its prompt, and the verdict committed its
+        # correction, at the iteration's end.
         req = chunk[0][0]
         assert req.state == RequestState.RUNNING
         assert req.decode_start == 2.0 + latency
+        assert (dec.n_generated, dec.ctx, dec.last_token_time) == (1, 77, 2.0 + latency)
+        assert (dec.verify_steps, dec.accepted_draft_tokens) == (1, 0)
+
+
+class TestStragglerRule:
+    """``slow_factor`` scales every GPU pass and the step overhead, not selection time."""
+
+    SCHEDULING_S = 3e-5
+
+    def passes(self, engine) -> list[float]:
+        """One pass of each kind, each latency less its scheduling time."""
+        decoding = [running(engine, rid=i) for i in range(3)]
+        mixing = [running(engine, rid=10 + i) for i in range(2)]
+        return [
+            engine.prefill([(queued(rid=20, prompt=64), 64)], 0.0),
+            engine.decode(decoding, 0.0, cohort_of(decoding)),
+            engine.mixed_step(mixing, [(queued(rid=21, prompt=64), 32)], 0.0, cohort_of(mixing)),
+            engine.speculative_step(
+                (4, 8, 8), 20, 900, 0.0, *NO_VERDICTS, [(queued(rid=22, prompt=40), 40)],
+                scheduling_s=self.SCHEDULING_S,
+            ) - self.SCHEDULING_S,
+        ]
+
+    def test_every_pass_scales_by_the_slow_factor(self, pair, target_roofline, draft_roofline):
+        healthy = fresh_engine(pair, target_roofline, draft_roofline)
+        slow = fresh_engine(pair, target_roofline, draft_roofline)
+        slow.slow_factor = 2.5
+        for got, base in zip(self.passes(slow), self.passes(healthy), strict=True):
+            assert got == pytest.approx(2.5 * base, rel=1e-12)
 
 
 class TestLifecycle:

@@ -189,7 +189,7 @@ GOLDEN = [
             trace="bursty",
             faults=("straggler:at=2,replica=0,slow=1.5,duration=3",),
         ),
-        "0fea763fe9433ceef870437d560c223e4b52031c88ee6f232dd09bfade9b77c8",
+        "0ab0bd7bf83c8a6143098be5c363ae438fdbe353251e65cacfa46030cf9d87cc",
     ),
     # Chain speculation under a straggler on an autoscaled fleet whose
     # scale-ups pay a scale-delay's extra warm-up: without the delay,
@@ -206,7 +206,7 @@ GOLDEN = [
             autoscale={"max_replicas": 4},
             faults=("straggler:at=4,replica=0,slow=1.5,duration=6", "scale-delay:at=2,extra=3"),
         ),
-        "347f7ca0bb929c1e8c242b637fdea757efa5b9e972ae677792f722de7ca2b877",
+        "bbc5e7bfffafb50fcbe73ada371a5924bb08c18dbdae6fdfee0942f861f83e7c",
     ),
     # Saturated plain-decode points: at 20 rps the running set reaches the
     # 64-slot ``max_batch_size`` (66 for sarathi, whose chunked prefill

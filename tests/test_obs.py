@@ -33,6 +33,7 @@ from repro.obs.export import (
 from repro.obs.sampler import GaugeSampler
 from repro.obs.spec import ObsSpec
 from repro.obs.trace import FLEET_TRACK, TraceCollector
+from repro.registry import SYSTEMS
 from tests.conftest import make_request
 
 
@@ -294,28 +295,41 @@ class TestSamplerUnderChaos:
         assert post and all(s.fleet[0] == 2 and s.fleet[3] == 0 for s in post)
 
 
+#: Iteration kinds each system's log must show (speculative shapes checked apart).
+_LOG_KINDS = {
+    "adaserve": {"speculative"},
+    "sarathi": {"mixed"},
+    "smartspec": {"speculative"},
+    "vllm-spec": {"speculative"},
+}
+
+
 class TestIterationLogWiring:
-    def test_solo_observer_attaches_log(self):
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @pytest.mark.parametrize("system", SYSTEMS.names())
+    def test_every_pass_is_logged(self, system, replicas):
+        kw = dict(system=system, rps=4.0, duration_s=6.0, replicas=replicas)
+        plain = report_to_json(run_spec(_spec(**kw)))
         report, observer = run_traced(
-            _spec(
-                system="adaserve",
-                rps=4.0,
-                duration_s=6.0,
-                obs=ObsSpec(trace=False, iteration_log=True),
-            )
+            _spec(**kw, obs=ObsSpec(trace=False, iteration_log=True))
         )
         assert observer.collector is None and observer.sampler is None
-        log = observer.iteration_logs[0]
-        # Not every loop iteration records (drain steps don't), but the
-        # bulk of the run must be logged without any manual wiring.
-        assert 0 < len(log) <= report.iterations
-        assert log.of_kind("speculative")
+        # The log is passive, and the engine logs every priced pass.
+        assert report_to_json(report) == plain
+        logs = observer.iteration_logs
+        assert sorted(logs) == list(range(replicas))
+        assert sum(len(log) for log in logs.values()) == report.iterations
+        records = [rec for log in logs.values() for rec in log.records]
+        kinds = {rec.kind for rec in records}
+        assert _LOG_KINDS.get(system, {"decode"}) <= kinds
+        if system in ("smartspec", "vllm-spec"):
+            assert all(rec.width == 1 for rec in records if rec.kind == "speculative")
+        if system not in _LOG_KINDS:
+            assert kinds <= {"prefill", "decode"}
 
     def test_crash_replacement_appends_to_same_log(self):
-        # AdaServe is the one scheduler that records iteration telemetry.
-        kw = dict(_CHAOS_KW, system="adaserve")
         _report, observer = run_traced(
-            _spec(**kw, obs=ObsSpec(trace=True, iteration_log=True))
+            _spec(**_CHAOS_KW, obs=ObsSpec(trace=True, iteration_log=True))
         )
         # Replica 1's log spans its pre-crash and replacement engines:
         # records exist both before the crash (t < 4) and after the

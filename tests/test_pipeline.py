@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pipeline import BatchItem, run_iteration
-from repro.core.speculation import commit_verified, draft_chains
+from repro.core.speculation import draft_chains
 from repro.model.acceptance import verify_sequence
 from tests.conftest import make_request
 
@@ -109,7 +109,7 @@ def committed_state(req) -> tuple:
 
 
 class TestSharedCommit:
-    """Tree and chain speculation commit through ``commit_verified``."""
+    """Tree and chain speculation commit through ``Request.commit_verified``."""
 
     DEPTH = 4
 
@@ -130,14 +130,14 @@ class TestSharedCommit:
 
     def commit_tree(self, pair, req) -> int:
         [out] = self.tree_path(pair, req.ctx).outcomes
-        return commit_verified(req, len(out.accepted_tokens), out.path_ctx, out.new_ctx, 1.0)
+        return req.commit_verified(len(out.accepted_tokens), out.path_ctx, out.new_ctx, 1.0)
 
     def commit_chain(self, pair, req) -> int:
         [chain] = draft_chains(pair, [(req.ctx, req.predictability)], self.DEPTH)
         accepted, _correction, new_ctx = verify_sequence(
             pair, req.ctx, chain, req.predictability, chain.emitted
         )
-        return commit_verified(req, accepted, chain.ctxs, new_ctx, 1.0)
+        return req.commit_verified(accepted, chain.ctxs, new_ctx, 1.0)
 
     @pytest.mark.parametrize("cap", ["inside the prefix", "one token", "uncapped"])
     def test_tree_and_chain_agree(self, pair, long_accept, cap):

@@ -56,9 +56,6 @@ def _folded_draft_cost(engine: SimulatedEngine, step_tokens, context: int) -> fl
             continue
         overhead = None if i == 0 else engine.draft_graphs.launch_overhead(tokens)
         total += engine.draft_roofline.forward_latency(tokens, context, launch_overhead=overhead)
-    if engine.slow_factor != 1.0:
-        total *= engine.slow_factor
-    engine.phase_times.speculation_s += total
     return total
 
 
@@ -105,11 +102,11 @@ class TestLoopReuse:
         graphs=st.booleans(),
     )
     def test_draft_cost_is_the_per_level_fold(self, beams, context, slow_factor, graphs):
-        shipped, folded = _engine(slow_factor, graphs), _engine(slow_factor, graphs)
+        # The healthy price at any slow factor: the pass running the beam slows it.
+        shipped, folded = _engine(slow_factor, graphs), _engine(1.0, graphs)
         for beam in beams:
             assert shipped.draft_cost(beam, context) == _folded_draft_cost(folded, beam, context)
             assert _graph_counters(shipped) == _graph_counters(folded)
-        assert shipped.phase_times.speculation_s == folded.phase_times.speculation_s
 
     def test_chain_step_counts_every_draft_level(self):
         shipped, folded = _engine(), _engine()
@@ -117,7 +114,8 @@ class TestLoopReuse:
             expected = _folded_draft_cost(folded, (8,) * steps, 500)
             expected += folded.target_roofline.forward_latency(8 * steps, 500)
             expected += folded.step_overhead_s
-            assert shipped.speculative_step((8,) * steps, 8 * steps, 500, 0.0) == expected
+            latency = shipped.speculative_step((8,) * steps, 8 * steps, 500, 0.0, [], (steps, 1, 0))
+            assert latency == expected
             assert _graph_counters(shipped) == _graph_counters(folded)
         # One capture (the first graph-eligible level of width 8), then
         # every later level replays it: 2 + 3 + 7.

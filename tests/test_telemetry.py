@@ -29,12 +29,6 @@ class TestLog:
         log.record(_rec(kind="speculative"))
         assert len(log.of_kind("speculative")) == 1
 
-    def test_series(self):
-        log = IterationLog()
-        log.record(_rec(t=0.0, depth=2))
-        log.record(_rec(t=1.0, depth=4))
-        assert log.series("depth") == [(0.0, 2.0), (1.0, 4.0)]
-
     def test_bucketed_mean(self):
         log = IterationLog()
         log.record(_rec(t=0.1, depth=2))
@@ -49,18 +43,6 @@ class TestLog:
 
     def test_empty_bucketed(self):
         assert IterationLog().bucketed_mean("depth", 1.0) == []
-
-    def test_tokens_per_second(self):
-        rec = _rec(latency=0.05, tokens_committed=10)
-        assert rec.tokens_per_second == pytest.approx(200.0)
-
-    def test_mean_accepted_when(self):
-        log = IterationLog()
-        log.record(_rec(batch=2, tokens_accepted=4))
-        log.record(_rec(batch=10, tokens_accepted=10))
-        assert log.mean_accepted_when(min_batch=5) == pytest.approx(1.0)
-        assert log.mean_accepted_when(min_batch=1) == pytest.approx(1.5)
-        assert log.mean_accepted_when(min_batch=100) == 0.0
 
 
 class TestEngineIntegration:
