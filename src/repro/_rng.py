@@ -71,20 +71,6 @@ def uniform(h: int, salt: int) -> float:
     return (splitmix64((h ^ (salt * _COMBINE)) & MASK64) >> 11) * _INV_2_53
 
 
-def uniforms(h: int, salt: int, n: int) -> list[float]:
-    """``n`` independent uniforms in [0, 1) derived from (hash, salt)."""
-    base = splitmix64((h ^ (salt * _COMBINE)) & MASK64)
-    out = []
-    x = base
-    for _ in range(n):
-        x = (x + _GOLDEN) & MASK64
-        y = ((x ^ (x >> 30)) * _MIX1) & MASK64
-        y = ((y ^ (y >> 27)) * _MIX2) & MASK64
-        y ^= y >> 31
-        out.append((y >> 11) * _INV_2_53)
-    return out
-
-
 def randint(h: int, salt: int, lo: int, hi: int) -> int:
     """One integer in [lo, hi) derived from (hash, salt)."""
     span = hi - lo

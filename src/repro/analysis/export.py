@@ -1,14 +1,12 @@
-"""Result export: JSON/CSV serialization of runs and sweeps.
+"""Result export: JSON serialization of runs and sweeps.
 
 Benchmarks print tables for humans; this module serializes the same data
 for plotting scripts and regression tracking.  Everything is plain-stdlib
-(json/csv) so exports work in the offline environment.
+(json) so exports work in the offline environment.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Iterable
@@ -180,20 +178,6 @@ def report_to_json(report: SimulationReport, indent: int = 2) -> str:
     return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
 
 
-def points_to_csv(points: Iterable[SeriesPoint]) -> str:
-    """CSV text of sweep points (one row per (x, system))."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["x", "system", "attainment", "goodput", "violation_rate", "mean_accepted"]
-    )
-    for p in sorted(points, key=lambda p: (p.x, p.system)):
-        writer.writerow(
-            [p.x, p.system, p.attainment, p.goodput, p.violation_rate, p.mean_accepted]
-        )
-    return buf.getvalue()
-
-
 def points_to_json(points: Iterable[SeriesPoint], indent: int = 2) -> str:
     """JSON text of sweep points (self-describing envelope)."""
     payload = {
@@ -249,24 +233,3 @@ def points_from_cache(cache: ResultCache, configs: Iterable) -> list[SeriesPoint
             raise KeyError(f"no cached result for config {cache.key_for(config)}")
         points.append(point_from_record(record))
     return points
-
-
-def points_from_json(text: str) -> list[SeriesPoint]:
-    """Inverse of :func:`points_to_json`.
-
-    Accepts both the current self-describing envelope and the historical
-    bare-list layout.
-    """
-    payload = json.loads(text)
-    rows = payload["points"] if isinstance(payload, dict) else payload
-    return [
-        SeriesPoint(
-            x=row["x"],
-            system=row["system"],
-            attainment=row["attainment"],
-            goodput=row["goodput"],
-            violation_rate=row["violation_rate"],
-            mean_accepted=row["mean_accepted"],
-        )
-        for row in rows
-    ]

@@ -11,13 +11,12 @@ recomputes at the start of every iteration:
 
 where n is the number of active requests, B1 the verifier's per-step token
 budget, B2 the speculator's per-step token budget, and c1/c2 tunable
-constants (grid-searched; see :func:`grid_search_constants`).
+constants (the paper selects them by grid search).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 
 def clip(upper: float, lower: float, value: float) -> float:
@@ -89,25 +88,3 @@ class AdaptiveController:
     def params(self, n_active: int) -> tuple[int, int]:
         """(d, w) for the current load."""
         return self.depth(n_active), self.width(n_active)
-
-
-def grid_search_constants(
-    evaluate: Callable[[float, int], float],
-    c1_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 4.0),
-    c2_grid: tuple[int, ...] = (-1, 0, 1, 2),
-) -> tuple[float, int, float]:
-    """Grid-search (c1, c2) maximizing an evaluation score.
-
-    ``evaluate(c1, c2)`` should run a (short) simulation and return a
-    score such as SLO attainment or goodput.  Returns the best
-    ``(c1, c2, score)``.  This mirrors the paper's statement that c1 and
-    c2 are "selected via grid search".
-    """
-    best: tuple[float, int, float] | None = None
-    for c1 in c1_grid:
-        for c2 in c2_grid:
-            score = evaluate(c1, c2)
-            if best is None or score > best[2]:
-                best = (c1, c2, score)
-    assert best is not None
-    return best

@@ -11,8 +11,8 @@ token tree T_inf(r) is known, and greedily grows each request's tree:
   across all requests' T_inf.
 
 In the simulation we *can* play the oracle: the true f(v) is the product
-of the target model's conditional probabilities (see
-:func:`repro.model.acceptance.true_path_probability`).  The infinite tree
+of the target model's conditional probabilities (the test oracle
+``true_path_probability`` in ``tests/calibration.py``).  The infinite tree
 is explored lazily through a frontier heap — sound for greedy selection
 because conditional probabilities < 1 make f strictly decreasing along
 every path, so the best unselected node is always on the frontier.

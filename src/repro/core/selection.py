@@ -69,11 +69,6 @@ class SelectionResult:
     budget_used: int  # roots + selected nodes
     candidates_scanned: int = 0  # heap operations, for CPU-overhead modeling
 
-    @property
-    def budget_remaining(self) -> int:
-        """Unspent verification budget."""
-        return self.budget - self.budget_used
-
 
 def select_tokens(
     trees: list[TokenTree],

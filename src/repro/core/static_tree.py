@@ -45,13 +45,6 @@ class Topology:
         """Number of nodes in the subtree (excluding the virtual root)."""
         return sum(1 + c.size for c in self.children)
 
-    @property
-    def depth(self) -> int:
-        """Depth of the subtree below this node."""
-        if not self.children:
-            return 0
-        return 1 + max(c.depth for c in self.children)
-
 
 def estimate_rank_probs(
     pair: ModelPair,

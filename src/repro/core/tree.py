@@ -30,8 +30,6 @@ mask in place.
 
 from __future__ import annotations
 
-from repro._rng import fold_sum
-
 
 class TokenTree:
     """A draft token tree rooted at the last committed token.
@@ -121,19 +119,6 @@ class TokenTree:
         """The children of ``node``, in insertion order."""
         return self.child_lists()[node]
 
-    def path_tokens(self, node: int) -> list[int]:
-        """Tokens from (excluding) the root down to ``node``."""
-        toks: list[int] = []
-        while node > 0:
-            toks.append(self.token[node])
-            node = self.parent[node]
-        toks.reverse()
-        return toks
-
-    def nodes(self, include_root: bool = True) -> range:
-        """All node indices in insertion order."""
-        return range(0 if include_root else 1, len(self.token))
-
     @property
     def size(self) -> int:
         """Number of nodes including the root."""
@@ -149,35 +134,6 @@ class TokenTree:
         """Maximum node depth (root = 0)."""
         return max(self.level)
 
-    def num_selected(self, include_root: bool = False) -> int:
-        """Number of nodes currently marked selected."""
-        count = self.selected.count(True) - self.selected[0]
-        return count + 1 if include_root else count
-
-    def selected_path_prob_sum(self) -> float:
-        """Sum of approximated path probabilities over selected nodes.
-
-        This is the left-hand side of the relaxed TPOT constraint
-        (Equation 5), excluding the root's guaranteed 1.
-        """
-        mask = self.selected
-        return fold_sum(p for node, p in enumerate(self.path_prob) if node and mask[node])
-
     def clear_selection(self) -> None:
         """Unselect every node."""
         self.selected = [False] * len(self.token)
-
-    def is_selection_connected(self) -> bool:
-        """Whether every selected node's parent is selected (or the root).
-
-        A valid draft tree for verification must be connected (Appendix B).
-        """
-        mask = self.selected
-        parent = self.parent
-        return all(
-            not mask[node] or parent[node] == 0 or mask[parent[node]]
-            for node in range(1, len(mask))
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TokenTree(size={self.size}, depth={self.depth}, selected={self.num_selected()})"

@@ -73,15 +73,3 @@ class CudaGraphModel:
             self._captured.popitem(last=False)
         self.captures += 1
         return self.eager_launch_s + self.capture_cost_s
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of graph-eligible steps served by replay."""
-        total = self.captures + self.replays
-        return self.replays / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        """Zero the counters (keeps captured shapes)."""
-        self.captures = 0
-        self.replays = 0
-        self.eager_launches = 0

@@ -92,12 +92,3 @@ class HardwareProfiler:
     def token_budget(self, typical_context_tokens: int = 0) -> int:
         """Shorthand: just the selected budget B."""
         return self.profile(typical_context_tokens).token_budget
-
-
-def verify_budget(
-    roofline: RooflineModel,
-    slack: float = DEFAULT_BUDGET_SLACK,
-    typical_context_tokens: int = 0,
-) -> int:
-    """Module-level convenience wrapper used by schedulers."""
-    return HardwareProfiler(roofline, slack).token_budget(typical_context_tokens)

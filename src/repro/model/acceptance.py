@@ -22,9 +22,9 @@ through ``StochasticLM.sample`` only at contexts the call did not draft.
 The handed emissions are the target's at the center the call drafted
 with, so verification must pass that same center.
 
-Also provides the Theorem 3.1 quantities: the true path probability
-``f(v)`` of a node and the expected number of accepted tokens of a tree,
-used by tests and by the optimal-construction ablation.
+The Theorem 3.1 ground truth (a path's true probability ``f(v)`` and a
+tree's expected accepted tokens) lives with the tests, in
+``tests/calibration.py``.
 """
 
 from __future__ import annotations
@@ -122,50 +122,3 @@ def verify_tree(
             return accepted, emitted, pair.extend(ctx[node], emitted)
         accepted.append(child)
         node = child
-
-
-# ----------------------------------------------------------------------
-# Theorem 3.1 quantities (ground truth, used in tests and ablations)
-# ----------------------------------------------------------------------
-def true_path_probability(
-    pair: ModelPair,
-    root_ctx: int,
-    path_tokens: Sequence[int],
-    center: float | None = None,
-) -> float:
-    """True f(v): probability the target accepts the whole path.
-
-    The product of the target's conditional probabilities along the path —
-    the quantity the draft's logits approximate (Equation 7).
-    """
-    ctx = root_ctx
-    prob = 1.0
-    for tok in path_tokens:
-        prob *= pair.accept_prob(ctx, tok, center)
-        if prob == 0.0:
-            return 0.0
-        ctx = pair.extend(ctx, tok)
-    return prob
-
-
-def expected_accepted_tokens(
-    pair: ModelPair, tree: "TokenTree", center: float | None = None
-) -> float:
-    """E[acc(T)] for a tree, via the Theorem 3.1 decomposition.
-
-    Sums the true path probability f(v) over all non-root nodes.  The
-    guaranteed correction token is *not* included (add 1 for tokens
-    generated per iteration).
-    """
-    kids = tree.child_lists()
-    token = tree.token
-    total = 0.0
-    stack: list[tuple[int, float, int]] = [(0, 1.0, tree.ctx[0])]
-    while stack:
-        node, prob, ctx = stack.pop()
-        for child in kids[node]:
-            p = prob * pair.accept_prob(ctx, token[child], center)
-            total += p
-            if p > 0.0:
-                stack.append((child, p, pair.extend(ctx, token[child])))
-    return total

@@ -82,19 +82,6 @@ class DraftLM:
             )
         )
 
-    @property
-    def vocab(self):
-        """The shared vocabulary."""
-        return self.target.vocab
-
-    def context_of(self, tokens) -> int:
-        """Context hash for a token sequence (shared with the target)."""
-        return self.target.context_of(tokens)
-
-    def extend(self, ctx: int, token_id: int) -> int:
-        """Context hash after appending one token (shared with the target)."""
-        return self.target.extend(ctx, token_id)
-
     def distribution(self, ctx: int, center: float | None = None) -> TokenDistribution:
         """Draft next-token distribution at a context (cached).
 
@@ -107,10 +94,10 @@ class DraftLM:
         # (repro.model.batchgen.draft_top, whose top-w rows are this
         # row's first w entries): the cache key is computed once and
         # shared with the target's memo (same derivation, distinct
-        # dicts), the noise stream is the uniforms() loop inlined, and
-        # (ids, probs) come from one zip(*...) — every float is produced
-        # by the same operations in the same order as the kernel's, so
-        # the two agree bit for bit.
+        # dicts), the noise stream is the uniforms() loop of
+        # tests/conftest.py inlined, and (ids, probs) come from one
+        # zip(*...) — every float is produced by the same operations in
+        # the same order as the kernel's, so the two agree bit for bit.
         if center is None:
             key = ctx
         else:
@@ -137,7 +124,7 @@ class DraftLM:
         if a >= 1.0:
             dist = tgt
         else:
-            # uniforms(ctx, _SALT_NOISE, k), inlined.
+            # uniforms(ctx, _SALT_NOISE, k) (tests/conftest.py), inlined.
             k = len(tgt.token_ids)
             x = ((ctx ^ _NOISE_MASK) + _GOLDEN) & MASK64
             x = ((x ^ (x >> 30)) * _MIX1) & MASK64

@@ -1,13 +1,13 @@
 """Coupled draft/target model pair.
 
 ``ModelPair`` bundles the target :class:`StochasticLM` and its
-:class:`DraftLM` speculator and exposes the two primitives every scheduler
-in this repository is written against:
+:class:`DraftLM` speculator and exposes, as the models' own bound methods,
+the two primitives every scheduler in this repository is written against:
 
-- ``draft_children(ctx, w)``: the draft's top-w continuations with their
-  conditional probabilities (what speculation drafts, per context);
-- ``target_sample(ctx)``: the token the target emits at a context (what
-  verification consumes).
+- ``draft_children(ctx, w, center)``: the draft's top-w continuations with
+  their conditional probabilities (what speculation drafts, per context);
+- ``target_sample(ctx, center)``: the token the target emits at a context
+  (what verification consumes).
 
 It also provides convenience constructors for the model families used in
 the paper's evaluation (Llama-3.1-70B + Llama-3.2-1B, Qwen2.5-32B +
@@ -51,10 +51,9 @@ class ModelPair:
             raise ValueError("draft must wrap the same target model")
         self.target = target
         self.draft = draft
-        # Bind the hottest delegations straight to the underlying bound
-        # methods (instance attributes shadow the class methods below):
-        # verification calls these once per sampled token, and the
-        # extra delegating frame is pure overhead.
+        # The hottest delegations are the underlying bound methods
+        # themselves: verification calls these once per sampled token,
+        # and a delegating frame would be pure overhead.
         self.extend = target.extend
         self.draft_children = draft.top_w
         self.target_sample = target.sample
@@ -91,33 +90,9 @@ class ModelPair:
         )
         return cls(target, DraftLM(target, alignment=alignment))
 
-    # -- shared context handling ----------------------------------------
-    @property
-    def vocab(self) -> Vocabulary:
-        """The shared vocabulary."""
-        return self.target.vocab
-
     def context_of(self, tokens) -> int:
         """Context hash for a token sequence."""
         return self.target.context_of(tokens)
-
-    def extend(self, ctx: int, token_id: int) -> int:
-        """Context hash after appending one token."""
-        return self.target.extend(ctx, token_id)
-
-    # -- speculation side -------------------------------------------------
-    def draft_children(self, ctx: int, w: int, center: float | None = None) -> list[tuple[int, float]]:
-        """The draft's top-``w`` continuations at ``ctx`` as (token, prob)."""
-        return self.draft.top_w(ctx, w, center)
-
-    def draft_distribution(self, ctx: int, center: float | None = None) -> TokenDistribution:
-        """Full (truncated) draft distribution at ``ctx``."""
-        return self.draft.distribution(ctx, center)
-
-    # -- verification side ------------------------------------------------
-    def target_sample(self, ctx: int, center: float | None = None) -> int:
-        """The token the target emits at ``ctx`` (deterministic per context)."""
-        return self.target.sample(ctx, center)
 
     def target_distribution(self, ctx: int, center: float | None = None) -> TokenDistribution:
         """Full (truncated) target distribution at ``ctx``."""

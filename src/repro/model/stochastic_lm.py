@@ -133,10 +133,6 @@ class TokenDistribution:
                 return p
         return 0.0
 
-    def top_token(self) -> int:
-        """The most likely continuation."""
-        return self.token_ids[0]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TokenDistribution):
             return NotImplemented
@@ -326,10 +322,6 @@ class StochasticLM:
         from repro.model import batchgen
 
         batchgen.warm_target(self, items)
-
-    def greedy(self, ctx: int, center: float | None = None) -> int:
-        """The argmax continuation at this context."""
-        return self.distribution(ctx, center).top_token()
 
     def clear_cache(self) -> None:
         """Drop memoized distributions (for memory-bounded long runs)."""

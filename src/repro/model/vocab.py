@@ -4,14 +4,12 @@ Real serving systems carry a tokenizer; the simulation only needs token
 *identities* (for tree-node equality during verification) and a vocabulary
 size (for drawing distinct candidate ids).  Token ids are plain ints in
 ``[0, size)``.  A few ids at the top of the range are reserved for special
-tokens so workloads can mark prompt boundaries if they want to.
+tokens; the models never draw them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro._rng import hash_seed, randint
 
 #: Number of ids reserved at the top of the vocabulary for special tokens.
 NUM_SPECIAL_TOKENS = 4
@@ -34,37 +32,6 @@ class Vocabulary:
             raise ValueError(f"vocabulary too small: {self.size}")
 
     @property
-    def bos_token(self) -> int:
-        """Beginning-of-sequence marker."""
-        return self.size - 1
-
-    @property
-    def eos_token(self) -> int:
-        """End-of-sequence marker."""
-        return self.size - 2
-
-    @property
-    def pad_token(self) -> int:
-        """Padding marker (unused by the simulator, present for realism)."""
-        return self.size - 3
-
-    @property
     def num_regular(self) -> int:
         """Number of ordinary (non-special) token ids."""
         return self.size - NUM_SPECIAL_TOKENS
-
-    def is_special(self, token_id: int) -> bool:
-        """Whether ``token_id`` is one of the reserved special ids."""
-        return token_id >= self.num_regular
-
-    def validate(self, token_id: int) -> None:
-        """Raise ``ValueError`` if ``token_id`` is outside the vocabulary."""
-        if not 0 <= token_id < self.size:
-            raise ValueError(f"token id {token_id} outside vocabulary of size {self.size}")
-
-    def random_prompt(self, seed: int, length: int) -> list[int]:
-        """Deterministically synthesize a prompt of ``length`` regular tokens."""
-        if length < 0:
-            raise ValueError(f"negative prompt length: {length}")
-        h = hash_seed(seed, 0x50524F4D)  # ASCII "PROM"
-        return [randint(h, i, 0, self.num_regular) for i in range(length)]

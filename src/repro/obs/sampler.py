@@ -46,13 +46,6 @@ class Sample:
     #: One ``REPLICA_FIELDS``-ordered tuple per replica, index order.
     replicas: tuple
 
-    def row(self, replica: int) -> tuple | None:
-        """This snapshot's gauge row for one replica index."""
-        for row in self.replicas:
-            if row[0] == replica:
-                return row
-        return None
-
 
 class GaugeSampler:
     """Catch-up periodic sampler with stride-doubling ring storage."""

@@ -68,8 +68,8 @@ class TraceEvent:
 class TraceCollector:
     """Append-only event sink shared by every emitter in one run.
 
-    Query helpers (:meth:`of_kind`, :meth:`for_request`) are backed by
-    lazily built kind/rid indexes: emitters append straight to
+    The query helper :meth:`for_request` is backed by lazily built
+    kind/rid indexes: emitters append straight to
     ``events`` (the hot path stays a plain ``list.append``), and a query
     first folds any events appended since the last query into the index
     — so interleaved append/query sequences stay correct and attribution
@@ -118,20 +118,10 @@ class TraceCollector:
         self._indexed = len(events)
 
     # -- query helpers (tests, summaries, attribution) -------------------
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        """All events of one kind, in emission order."""
-        self._sync()
-        return list(self._by_kind.get(kind, ()))
-
     def for_request(self, rid: int) -> list[TraceEvent]:
         """All events of one request, in emission order."""
         self._sync()
         return list(self._by_rid.get(rid, ()))
-
-    def kinds(self) -> set[str]:
-        """The set of kinds that actually occurred."""
-        self._sync()
-        return set(self._by_kind)
 
 
 class ReplicaTracer:

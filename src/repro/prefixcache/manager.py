@@ -49,7 +49,6 @@ from operator import attrgetter
 from repro.serving.kv_cache import (
     DEFAULT_BLOCK_SIZE,
     KVCacheManager,
-    KVStats,
     OutOfKVCache,
 )
 
@@ -90,11 +89,6 @@ class PrefixStats:
     evicted_blocks: int = 0  # shared blocks dropped under pressure
     cached_blocks: int = 0  # shared blocks currently resident
     unreferenced_blocks: int = 0  # resident shared blocks with refcount 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that matched a cached prefix."""
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 def _stream_at(chain: Sequence[tuple[int, int]], depth: int) -> int | None:
@@ -159,14 +153,6 @@ class PrefixCacheManager(KVCacheManager):
     def holds(self, rid: int) -> bool:
         """Whether the request has any allocation or shared reference."""
         return rid in self._allocated or rid in self._refs
-
-    def stats(self) -> KVStats:
-        """Occupancy snapshot (shared blocks count as used)."""
-        return KVStats(
-            total_blocks=self.total_blocks,
-            used_blocks=self.used_blocks,
-            num_requests=len(self._allocated.keys() | self._refs.keys()),
-        )
 
     def prefix_stats(self) -> PrefixStats:
         """Hit/evict counter snapshot."""

@@ -281,10 +281,6 @@ class Resolved:
     params: dict
 
     @property
-    def name(self) -> str:
-        return self.component.name
-
-    @property
     def canonical(self) -> str:
         """Canonical spec string: sorted keys, defaults omitted."""
         parts = []
@@ -378,14 +374,6 @@ class Registry:
         """Canonical component names, in registration order."""
         load_components()
         return tuple(self._components)
-
-    def components(self) -> tuple[Component, ...]:
-        load_components()
-        return tuple(self._components.values())
-
-    def __contains__(self, name: str) -> bool:
-        load_components()
-        return name.lower() in self._components
 
     # -- resolution -----------------------------------------------------
     def resolve(self, spec: str) -> Resolved:

@@ -13,27 +13,11 @@ from the deployment spec: device memory minus weights and reserve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DEFAULT_BLOCK_SIZE = 16
 
 
 class OutOfKVCache(Exception):
     """Raised when an allocation cannot be satisfied."""
-
-
-@dataclass(frozen=True)
-class KVStats:
-    """Occupancy snapshot."""
-
-    total_blocks: int
-    used_blocks: int
-    num_requests: int
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of blocks allocated."""
-        return self.used_blocks / self.total_blocks if self.total_blocks else 0.0
 
 
 class KVCacheManager:
@@ -90,10 +74,6 @@ class KVCacheManager:
         """Whether the request has any allocation."""
         return rid in self._allocated
 
-    def allocation(self, rid: int) -> int:
-        """Blocks currently held by ``rid`` (0 if none)."""
-        return self._allocated.get(rid, 0)
-
     # ------------------------------------------------------------------
     def ensure(self, rid: int, tokens: int) -> None:
         """Grow ``rid``'s allocation to cover ``tokens`` resident tokens.
@@ -133,11 +113,3 @@ class KVCacheManager:
         self._allocated.clear()
         self._used = 0
         self.covered.clear()
-
-    def stats(self) -> KVStats:
-        """Occupancy snapshot."""
-        return KVStats(
-            total_blocks=self.total_blocks,
-            used_blocks=self._used,
-            num_requests=len(self._allocated),
-        )

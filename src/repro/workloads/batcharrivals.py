@@ -71,7 +71,7 @@ def _vmix(h, v):
 
 
 def _uniform2_cols(h, salt_mask):
-    """Vector ``uniforms(h, salt, 2)``: the two chained finalizations."""
+    """Vector ``uniforms(h, salt, 2)`` (tests/conftest.py): the two chained finalizations."""
     base = _splitmix(h ^ salt_mask)
     u1 = (_fin3(base + _G) >> _S11) * _INV_2_53
     u2 = (_fin3(base + _G2) >> _S11) * _INV_2_53

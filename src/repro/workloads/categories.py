@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.roofline import RooflineModel
 from repro.registry import SpecError
 
 
@@ -99,14 +98,3 @@ def urgent_mix(urgent_fraction: float) -> dict[str, float]:
         raise SpecError(f"urgent_fraction must be in [0, 1], got {urgent_fraction!r}")
     rest = (1.0 - urgent_fraction) / 2.0
     return {"coding": urgent_fraction, "chatbot": rest, "summarization": rest}
-
-
-def resolve_slos(
-    roofline: RooflineModel,
-    scale: float = 1.0,
-    categories: dict[str, Category] | None = None,
-) -> dict[str, float]:
-    """Concrete TPOT SLOs (seconds) per category for a deployment."""
-    cats = categories or CATEGORIES
-    baseline = roofline.baseline_decode_latency
-    return {name: cat.resolve_slo(baseline, scale) for name, cat in cats.items()}

@@ -13,15 +13,20 @@ reproducible and testable:
   estimates and true acceptance probabilities (the Equation 7 surrogate's
   fidelity);
 - :func:`calibrate_alignment` — find the alignment level that achieves a
-  target acceptance rate, by bisection.
+  target acceptance rate, by bisection;
+- :func:`true_path_probability` and :func:`expected_accepted_tokens` — the
+  Theorem 3.1 ground truth: a path's true probability f(v) and a tree's
+  expected accepted tokens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro._rng import fold_sum
 from repro.core.speculation import speculate_batch
+from repro.core.tree import TokenTree
 from repro.model.acceptance import verify_tree
 from repro.model.pair import ModelPair
 
@@ -78,7 +83,7 @@ def measure_draft_quality(
         (tok, p), = pair.draft_children(ctx, 1, center)
         ests.append(p)
         trues.append(pair.accept_prob(ctx, tok, center))
-        if tok == pair.target_distribution(ctx, center).top_token():
+        if tok == pair.target_distribution(ctx, center).token_ids[0]:
             agree += 1
     n = n_contexts
     mean_e = fold_sum(ests) / n
@@ -142,3 +147,50 @@ def calibrate_alignment(
         else:
             hi = mid
     return best
+
+
+# ----------------------------------------------------------------------
+# Theorem 3.1 quantities (ground truth the tests compare against)
+# ----------------------------------------------------------------------
+def true_path_probability(
+    pair: ModelPair,
+    root_ctx: int,
+    path_tokens: Sequence[int],
+    center: float | None = None,
+) -> float:
+    """True f(v): probability the target accepts the whole path.
+
+    The product of the target's conditional probabilities along the path —
+    the quantity the draft's logits approximate (Equation 7).
+    """
+    ctx = root_ctx
+    prob = 1.0
+    for tok in path_tokens:
+        prob *= pair.accept_prob(ctx, tok, center)
+        if prob == 0.0:
+            return 0.0
+        ctx = pair.extend(ctx, tok)
+    return prob
+
+
+def expected_accepted_tokens(
+    pair: ModelPair, tree: TokenTree, center: float | None = None
+) -> float:
+    """E[acc(T)] for a tree, via the Theorem 3.1 decomposition.
+
+    Sums the true path probability f(v) over all non-root nodes.  The
+    guaranteed correction token is *not* included (add 1 for tokens
+    generated per iteration).
+    """
+    kids = tree.child_lists()
+    token = tree.token
+    total = 0.0
+    stack: list[tuple[int, float, int]] = [(0, 1.0, tree.ctx[0])]
+    while stack:
+        node, prob, ctx = stack.pop()
+        for child in kids[node]:
+            p = prob * pair.accept_prob(ctx, token[child], center)
+            total += p
+            if p > 0.0:
+                stack.append((child, p, pair.extend(ctx, token[child])))
+    return total

@@ -19,7 +19,20 @@ from unittest.mock import patch
 import hypothesis.strategies as st
 import pytest
 
-from repro._rng import derive_seed, fold_sum, hash_seed, mix, uniform, uniforms
+from repro._rng import (
+    _COMBINE,
+    _GOLDEN,
+    _INV_2_53,
+    _MIX1,
+    _MIX2,
+    MASK64,
+    derive_seed,
+    fold_sum,
+    hash_seed,
+    mix,
+    splitmix64,
+    uniform,
+)
 from repro.core.selection import RequestSelection, SelectionResult
 from repro.core.speculation import SpeculationResult
 from repro.core.tree import TokenTree
@@ -286,7 +299,7 @@ def object_tree(tree: TokenTree) -> ObjectTree:
     """The reference-object copy of an index tree (selection flags included)."""
     out = ObjectTree(tree.token[0], tree.ctx[0])
     nodes = [out.root]
-    for i in tree.nodes(include_root=False):
+    for i in range(1, tree.size):
         node = out.add_child(nodes[tree.parent[i]], tree.token[i], tree.ctx[i], tree.draft_prob[i])
         node.selected = tree.selected[i]
         nodes.append(node)
@@ -818,6 +831,24 @@ def reference_phased_trace(duration_s, categories, peak_rps, base_rps, seed):
     return out
 
 
+def uniforms(h: int, salt: int, n: int) -> list[float]:
+    """``n`` independent uniforms in [0, 1) derived from (hash, salt).
+
+    The scalar reference for the vector draws (``repro._vrng``) and the
+    noise loop inlined in ``DraftLM.distribution``.
+    """
+    base = splitmix64((h ^ (salt * _COMBINE)) & MASK64)
+    out = []
+    x = base
+    for _ in range(n):
+        x = (x + _GOLDEN) & MASK64
+        y = ((x ^ (x >> 30)) * _MIX1) & MASK64
+        y = ((y ^ (y >> 27)) * _MIX2) & MASK64
+        y ^= y >> 31
+        out.append((y >> 11) * _INV_2_53)
+    return out
+
+
 def reference_length(dist: LengthDistribution, h: int, salt: int) -> int:
     """One clipped-lognormal length of ``dist`` (Box-Muller)."""
     u1, u2 = uniforms(h, salt, 2)
@@ -933,7 +964,7 @@ def reference_trace(spec: str, gen: WorkloadGenerator, duration_s, rps, mix=None
     """Scalar build of the registered trace ``spec`` (``TRACES.create``'s oracle)."""
     resolved = TRACES.resolve(spec)
     params = resolved.kwargs()
-    kind = resolved.name
+    kind = resolved.component.name
     if kind in ("sessions", "agentic"):
         sgen = SessionGenerator(
             gen, turns=params["turns"], system_prompt=params["system_prompt"],

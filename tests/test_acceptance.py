@@ -10,12 +10,8 @@ from repro.core.optimal import construct_optimal_trees
 from repro.core.speculation import speculate_batch
 from repro.core.static_tree import Topology, instantiate_topology
 from repro.core.tree import TokenTree
-from repro.model.acceptance import (
-    expected_accepted_tokens,
-    true_path_probability,
-    verify_sequence,
-    verify_tree,
-)
+from repro.model.acceptance import verify_sequence, verify_tree
+from tests.calibration import expected_accepted_tokens, true_path_probability
 from tests.conftest import object_tree, reference_verify_tree
 
 

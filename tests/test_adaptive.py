@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.adaptive import AdaptiveConfig, AdaptiveController, clip, grid_search_constants
+from repro.core.adaptive import AdaptiveConfig, AdaptiveController, clip
 
 
 class TestClip:
@@ -80,25 +80,3 @@ class TestController:
             ctl.depth(0)
         with pytest.raises(ValueError):
             ctl.width(0)
-
-
-class TestGridSearch:
-    def test_finds_maximum(self):
-        # Score peaks at c1=1.0, c2=1.
-        def score(c1, c2):
-            return -((c1 - 1.0) ** 2) - (c2 - 1) ** 2
-
-        c1, c2, s = grid_search_constants(score)
-        assert (c1, c2) == (1.0, 1)
-        assert s == 0.0
-
-    def test_custom_grids(self):
-        calls = []
-
-        def score(c1, c2):
-            calls.append((c1, c2))
-            return c1 + c2
-
-        c1, c2, _ = grid_search_constants(score, c1_grid=(0.0, 5.0), c2_grid=(0, 3))
-        assert (c1, c2) == (5.0, 3)
-        assert len(calls) == 4

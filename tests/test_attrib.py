@@ -604,19 +604,12 @@ class TestCollectorIndexes:
         collector.event(1.0, "prefill", replica=0, rid=1, dur=0.5)
         collector.event(2.0, "crash", replica=0)
         assert [e.kind for e in collector.for_request(1)] == ["enqueue", "prefill"]
-        assert len(collector.of_kind("crash")) == 1
-        assert collector.kinds() == {"enqueue", "prefill", "crash"}
         assert collector.for_request(99) == []
-        assert collector.of_kind("nope") == []
 
     def test_index_matches_linear_scan(self):
         collector = TraceCollector()
         for i in range(50):
             collector.event(float(i), "k" + str(i % 3), replica=0, rid=i % 5)
-        for kind in ("k0", "k1", "k2"):
-            assert collector.of_kind(kind) == [
-                e for e in collector.events if e.kind == kind
-            ]
         for rid in range(5):
             assert collector.for_request(rid) == [
                 e for e in collector.events if e.rid == rid

@@ -292,7 +292,7 @@ class TestFleetRecovery:
             obs=ObsSpec(trace=True),
         )
         report, observer = run_traced(spec)
-        (marker,) = observer.collector.of_kind("scale-delay")
+        (marker,) = [e for e in observer.collector.events if e.kind == "scale-delay"]
         assert (marker.t, marker.replica, marker.data) == (2.0, FLEET_TRACK, {"extra_s": 3.0})
         delays = [e for e in report.chaos["events"] if e["kind"] == "scale-delay"]
         assert delays == [{"time_s": 2.0, "kind": "scale-delay", "extra_s": 3.0}]

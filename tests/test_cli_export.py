@@ -13,8 +13,6 @@ from repro.analysis.export import (
     metrics_from_dict,
     metrics_to_dict,
     point_from_record,
-    points_from_json,
-    points_to_csv,
     points_to_json,
     report_from_dict,
     report_to_dict,
@@ -43,21 +41,13 @@ class TestExport:
         assert "coding" in d["per_category"]
         json.dumps(d)  # serializable
 
-    def test_points_csv(self):
+    def test_points_json_rows_sorted(self):
         pts = [
-            SeriesPoint(2.0, "B", 0.8, 90, 0.2, 0.0),
-            SeriesPoint(1.0, "A", 0.9, 100, 0.1, 2.0),
+            SeriesPoint(2.0, "B", 0.8, 90.0, 0.2, 0.0),
+            SeriesPoint(1.0, "A", 0.9, 100.0, 0.1, 2.0),
         ]
-        csv_text = points_to_csv(pts)
-        lines = csv_text.strip().splitlines()
-        assert lines[0].startswith("x,system")
-        assert lines[1].startswith("1.0,A")  # sorted by x
-        assert len(lines) == 3
-
-    def test_points_json_roundtrip(self):
-        pts = [SeriesPoint(1.0, "A", 0.9, 100.0, 0.1, 2.0)]
-        back = points_from_json(points_to_json(pts))
-        assert back == pts
+        rows = json.loads(points_to_json(pts))["points"]
+        assert [SeriesPoint(**row) for row in rows] == pts[::-1]  # sorted by x
 
     def test_report_serialization(self, engine):
         from repro.baselines.vllm import VLLMScheduler

@@ -23,6 +23,7 @@ NOT_ON_RUN_PATH = (
     "repro.check.invariants",
     "multiprocessing",
     "concurrent.futures",
+    "csv",
 )
 
 _LOADED = """

@@ -32,9 +32,6 @@ class TestTokenDistribution:
         assert d.prob_of(5) == 0.8
         assert d.prob_of(7) == 0.0
 
-    def test_top_token(self):
-        assert TokenDistribution((5, 9), (0.8, 0.2)).top_token() == 5
-
 
 class TestStochasticLM:
     def test_invalid_params(self):
@@ -113,13 +110,9 @@ class TestStochasticLM:
         n = 2000
         for i in range(n):
             ctx = lm.context_of([i, i + 1])
-            if lm.sample(ctx) == lm.distribution(ctx).top_token():
+            if lm.sample(ctx) == lm.distribution(ctx).token_ids[0]:
                 hits += 1
         assert abs(hits / n - 0.8) < 0.04
-
-    def test_greedy_is_top(self, lm):
-        ctx = lm.context_of([9])
-        assert lm.greedy(ctx) == lm.distribution(ctx).top_token()
 
     def test_extend_matches_context_of(self, lm):
         assert lm.extend(lm.context_of([1, 2]), 3) == lm.context_of([1, 2, 3])
@@ -171,13 +164,13 @@ class TestDraftLM:
         weak_draft = DraftLM(weak, alignment=0.1)
         n = 400
         agree_strong = sum(
-            strong.distribution(lm.context_of([i])).top_token()
-            == lm.distribution(lm.context_of([i])).top_token()
+            strong.distribution(lm.context_of([i])).token_ids[0]
+            == lm.distribution(lm.context_of([i])).token_ids[0]
             for i in range(n)
         )
         agree_weak = sum(
-            weak_draft.distribution(weak.context_of([i])).top_token()
-            == weak.distribution(weak.context_of([i])).top_token()
+            weak_draft.distribution(weak.context_of([i])).token_ids[0]
+            == weak.distribution(weak.context_of([i])).token_ids[0]
             for i in range(n)
         )
         assert agree_strong > agree_weak

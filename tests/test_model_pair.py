@@ -13,7 +13,7 @@ from repro.model.vocab import Vocabulary
 class TestConstruction:
     def test_build(self):
         pair = ModelPair.build(vocab_size=500, seed=1)
-        assert pair.vocab.size == 500
+        assert pair.target.vocab.size == 500
 
     def test_mismatched_draft_rejected(self):
         a = StochasticLM(Vocabulary(500), seed=1)
@@ -24,7 +24,7 @@ class TestConstruction:
     @pytest.mark.parametrize("name", sorted(PAIR_PRESETS))
     def test_presets_build(self, name):
         pair = ModelPair.from_preset(name, seed=0)
-        assert pair.vocab.size == PAIR_PRESETS[name].vocab_size
+        assert pair.target.vocab.size == PAIR_PRESETS[name].vocab_size
         assert pair.draft.alignment == PAIR_PRESETS[name].alignment
 
     def test_unknown_preset(self):
@@ -64,7 +64,7 @@ class TestInterface:
         assert pair.extend(ctx, 2) == pair.context_of([1, 2])
 
     def test_clear_caches(self, pair):
-        pair.draft_distribution(pair.context_of([1]))
+        pair.draft.distribution(pair.context_of([1]))
         pair.clear_caches()
         assert len(pair.target._cache) == 0
         assert len(pair.draft._cache) == 0

@@ -15,46 +15,6 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(size=NUM_SPECIAL_TOKENS)
 
-    def test_special_tokens_distinct(self):
-        v = Vocabulary(100)
-        specials = {v.bos_token, v.eos_token, v.pad_token}
-        assert len(specials) == 3
-        assert all(v.is_special(t) for t in specials)
-
-    def test_regular_not_special(self):
-        v = Vocabulary(100)
-        assert not v.is_special(0)
-        assert not v.is_special(v.num_regular - 1)
-
     def test_num_regular(self):
         v = Vocabulary(100)
         assert v.num_regular == 100 - NUM_SPECIAL_TOKENS
-
-    def test_validate_accepts_in_range(self):
-        Vocabulary(100).validate(50)
-
-    @pytest.mark.parametrize("bad", [-1, 100, 1000])
-    def test_validate_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            Vocabulary(100).validate(bad)
-
-    def test_random_prompt_deterministic(self):
-        v = Vocabulary(500)
-        assert v.random_prompt(3, 20) == v.random_prompt(3, 20)
-
-    def test_random_prompt_seed_sensitivity(self):
-        v = Vocabulary(500)
-        assert v.random_prompt(3, 20) != v.random_prompt(4, 20)
-
-    def test_random_prompt_length_and_range(self):
-        v = Vocabulary(500)
-        prompt = v.random_prompt(1, 64)
-        assert len(prompt) == 64
-        assert all(0 <= t < v.num_regular for t in prompt)
-
-    def test_random_prompt_negative_length(self):
-        with pytest.raises(ValueError):
-            Vocabulary(500).random_prompt(1, -1)
-
-    def test_random_prompt_empty(self):
-        assert Vocabulary(500).random_prompt(1, 0) == []

@@ -125,7 +125,7 @@ class TestTracer:
         req.last_token_time = 2.0
         req.finish_time = 2.0
         tracer.finish(req)
-        kinds = collector.kinds()
+        kinds = {e.kind for e in collector.events}
         assert {"enqueue", "prefill", "decode", "finish"} <= kinds
         assert all(e.replica == 3 for e in collector.events)
         assert [e.kind for e in collector.for_request(7)] == [
@@ -134,7 +134,7 @@ class TestTracer:
             "decode",
             "finish",
         ]
-        (decode,) = collector.of_kind("decode")
+        (decode,) = [e for e in collector.events if e.kind == "decode"]
         assert decode.t == 1.25 and decode.dur == pytest.approx(0.75)
 
     def test_preempt_stamps_iteration_start(self):
@@ -142,7 +142,7 @@ class TestTracer:
         tracer = collector.tracer(0)
         tracer.now = 4.5
         tracer.preempt(make_request(rid=1), drop_kv=True)
-        (ev,) = collector.of_kind("preempt")
+        (ev,) = [e for e in collector.events if e.kind == "preempt"]
         assert ev.t == 4.5
         assert ev.data == {"drop_kv": True}
 
@@ -170,7 +170,7 @@ class TestObservationInvariance:
             _spec(**_CHAOS_KW, obs=ObsSpec(trace=True))
         )
         assert report_to_json(report) == plain
-        assert {"crash", "restart", "failover"} <= observer.collector.kinds()
+        assert {"crash", "restart", "failover"} <= {e.kind for e in observer.collector.events}
 
     def test_golden_digest_survives_observation(self):
         # The committed golden digest for this scenario must hold even
@@ -195,7 +195,7 @@ class TestSoloTimestamps:
             _spec(system="adaserve", rps=4.0, duration_s=8.0, obs=ObsSpec(trace=True))
         )
         arrival = {req.rid: req.arrival_time for req in report.requests}
-        enqueues = observer.collector.of_kind("enqueue")
+        enqueues = [e for e in observer.collector.events if e.kind == "enqueue"]
         assert len(enqueues) == len(arrival) > 0
         for ev in enqueues:
             assert ev.t == arrival[ev.rid]
@@ -257,7 +257,7 @@ class TestPerfettoExport:
 
     def test_fleet_track_mapping(self, traced):
         _report, observer = traced
-        crash = observer.collector.of_kind("crash")[0]
+        crash = next(e for e in observer.collector.events if e.kind == "crash")
         assert crash.replica != FLEET_TRACK  # crashes belong to a replica
         payload = perfetto_trace(observer.collector)
         (ev,) = [e for e in payload["traceEvents"] if e.get("name") == "crash"]
@@ -278,7 +278,8 @@ class TestSamplerUnderChaos:
         window = [s for s in samples if 4.0 < s.t < 6.0]
         assert window, "no samples landed in the crash window"
         for s in window:
-            row = s.row(1)
+            row = s.replicas[1]  # one row per replica, index order
+            assert row[0] == 1
             assert row[1] == "failed"
             assert row[2] == 0 and row[3] == 0  # waiting, running
             assert s.fleet[0] == 1 and s.fleet[3] == 1  # live, failed
@@ -286,8 +287,8 @@ class TestSamplerUnderChaos:
     def test_survivor_backlog_rises(self, samples):
         pre = max((s for s in samples if s.t <= 4.0), key=lambda s: s.t)
         window = [s for s in samples if 4.0 < s.t < 6.0]
-        pre_backlog = pre.row(0)[2] + pre.row(0)[3]
-        peak = max(s.row(0)[2] + s.row(0)[3] for s in window)
+        pre_backlog = pre.replicas[0][2] + pre.replicas[0][3]
+        peak = max(s.replicas[0][2] + s.replicas[0][3] for s in window)
         assert peak > pre_backlog
 
     def test_recovery_restores_fleet_counts(self, samples):

@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 from repro.core.optimal import INVALID, construct_optimal_trees
-from repro.model.acceptance import true_path_probability
+from tests.calibration import expected_accepted_tokens
+from tests.conftest import object_tree
 
 
 class TestBasics:
@@ -45,17 +46,15 @@ class TestBasics:
         roots = [(0, perfect_pair.context_of([4]))]
         res = construct_optimal_trees(perfect_pair, roots, [1.5], budget=10)
         tree = res.trees[0]
-        assert all(tree.selected[n] for n in tree.nodes(include_root=False))
-        assert tree.is_selection_connected()
+        assert all(tree.selected[1:])
+        assert object_tree(tree).is_selection_connected()
 
     def test_expected_accepted_matches_true_f(self, perfect_pair):
         pair = perfect_pair
         roots = [(0, pair.context_of([5]))]
         res = construct_optimal_trees(pair, roots, [0.0], budget=6)
         tree = res.trees[0]
-        total = 1.0
-        for node in tree.nodes(include_root=False):
-            total += true_path_probability(pair, tree.ctx[0], tree.path_tokens(node))
+        total = 1.0 + expected_accepted_tokens(pair, tree)  # sum of true f(v)
         assert res.expected_accepted[0] == pytest.approx(total)
 
 

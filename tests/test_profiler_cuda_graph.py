@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hardware.cuda_graph import CudaGraphModel
-from repro.hardware.profiler import HardwareProfiler, verify_budget
+from repro.hardware.profiler import HardwareProfiler
 from repro.hardware.roofline import RooflineModel
 from repro.hardware.spec import DEPLOYMENT_PRESETS
 
@@ -53,9 +53,6 @@ class TestProfiler:
     def test_latency_ratio(self, rl):
         prof = HardwareProfiler(rl, slack=1.4).profile()
         assert 1.0 <= prof.latency_ratio <= 1.4 + 1e-9
-
-    def test_convenience_wrapper(self, rl):
-        assert verify_budget(rl, slack=1.5) == HardwareProfiler(rl, slack=1.5).token_budget()
 
     def test_draft_budget_larger_than_target(self):
         target = RooflineModel(DEPLOYMENT_PRESETS["llama70b-4xa100"])
@@ -108,18 +105,3 @@ class TestCudaGraph:
         assert g.launch_overhead(32) == pytest.approx(1e-3)
         assert g.captures == 0
         assert g.eager_launches == 2
-
-    def test_hit_rate(self):
-        g = CudaGraphModel(eager_launch_s=1e-3)
-        assert g.hit_rate == 0.0
-        g.launch_overhead(8)
-        g.launch_overhead(8)
-        g.launch_overhead(8)
-        assert g.hit_rate == pytest.approx(2 / 3)
-
-    def test_reset_stats_keeps_shapes(self):
-        g = CudaGraphModel(eager_launch_s=1e-3, replay_cost_s=1e-5)
-        g.launch_overhead(8)
-        g.reset_stats()
-        assert g.captures == 0
-        assert g.launch_overhead(8) == pytest.approx(1e-5)  # still warm

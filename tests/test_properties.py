@@ -21,7 +21,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro._rng import hash_seed, mix, uniform, uniforms
+from repro._rng import hash_seed, mix, uniform
 from repro.check.invariants import InvariantChecker
 from repro.core.selection import select_tokens
 from repro.core.speculation import speculate_batch
@@ -37,6 +37,7 @@ from tests.conftest import (
     block_identities,
     object_tree,
     reference_block_keys,
+    uniforms,
 )
 
 _PAIR = ModelPair.build(vocab_size=1000, seed=99, alignment=0.85, predictability=0.7)
@@ -76,7 +77,7 @@ class TestTreeProperties:
         tree = speculate_batch(_PAIR, [(0, ctx)], depth, width).trees[0]
         assert tree.size <= 1 + depth * width
         assert tree.depth <= depth
-        for node in tree.nodes(include_root=False):
+        for node in range(1, tree.size):
             parent = tree.parent[node]
             assert 0.0 <= tree.path_prob[node] <= tree.path_prob[parent]
             assert tree.ctx[node] == _PAIR.extend(tree.ctx[parent], tree.token[node])
@@ -108,18 +109,18 @@ class TestSelectionProperties:
         budget = n + extra
         res = select_tokens(trees, reqs[:n], budget=budget, n_max=n_max, depth=depth)
         # Budget: roots + selected nodes never exceed B.
-        total_selected = sum(t.num_selected() for t in trees)
+        total_selected = sum(sum(t.selected[1:]) for t in trees)
         assert res.budget_used == n + total_selected <= budget
         # Connectivity and extractability.
         for t in trees:
-            assert t.is_selection_connected()
-            object_tree(t).extract_selected()
+            object_tree(t).extract_selected()  # raises unless connected
         # n_max only bounds the SLO phase.
         for s in res.selections:
             assert s.slo_tokens <= n_max
         # Expected accepted consistent with marked trees.
         for s, t in zip(res.selections, trees):
-            assert abs(s.expected_accepted - 1.0 - t.selected_path_prob_sum()) < 1e-9
+            selected = sum(p for p, sel in zip(t.path_prob[1:], t.selected[1:]) if sel)
+            assert abs(s.expected_accepted - 1.0 - selected) < 1e-9
 
     @given(st.integers(1, 4), st.integers(1, 20))
     @settings(max_examples=30, deadline=None)
@@ -129,12 +130,12 @@ class TestSelectionProperties:
         trees = speculate_batch(_PAIR, roots, 3, 2).trees
         select_tokens(trees, [0.0] * n, budget=n + extra)
         selected = [
-            t.path_prob[x] for t in trees for x in t.nodes(include_root=False) if t.selected[x]
+            t.path_prob[x] for t in trees for x in range(1, t.size) if t.selected[x]
         ]
         frontier = [
             t.path_prob[x]
             for t in trees
-            for x in t.nodes(include_root=False)
+            for x in range(1, t.size)
             if not t.selected[x] and (t.parent[x] == 0 or t.selected[t.parent[x]])
         ]
         if selected and frontier:
@@ -219,7 +220,7 @@ class KVCacheMachine(RuleBasedStateMachine):
     def held(self, rid: int) -> int:
         """Blocks covering ``rid``: private ones plus shared references."""
         refs = self.kv._refs.get(rid, (None, 0))[1] if self.kv.prefix_caching else 0
-        return self.kv.allocation(rid) + refs
+        return self.kv._allocated.get(rid, 0) + refs
 
     def snapshot(self):
         """Every counter, allocation and shared run (not ``covered``)."""

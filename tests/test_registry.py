@@ -133,10 +133,10 @@ def _float_params():
     """Every registered float parameter of the trace, system, fault and router registries."""
     load_components()
     return [
-        pytest.param(registry, component.name, param.name, id=f"{component.name}.{param.name}")
+        pytest.param(registry, name, param.name, id=f"{name}.{param.name}")
         for registry in (TRACES, SYSTEMS, FAULTS, ROUTERS)
-        for component in registry.components()
-        for param in component.params
+        for name in registry.names()
+        for param in registry.resolve(name).component.params
         if param.kind == "float"
     ]
 
@@ -212,7 +212,7 @@ class TestScratchRegistry:
 
     def test_resolve_fills_defaults(self):
         resolved = self._registry().resolve("gadget:size=9")
-        assert resolved.name == "gadget"
+        assert resolved.component.name == "gadget"
         assert resolved.params == {"size": 9, "rate": 0.5, "mode": "fast"}
         assert resolved.canonical == "gadget:size=9"
 
@@ -270,7 +270,7 @@ class TestBuiltinRegistries:
     def test_suffixed_vllm_spec_names_are_unknown(self):
         # A parameter is a spec key, never a name suffix: vllm-spec:k=6.
         for name in ("vllm-spec-4", "vllm-spec-6", "vllm-spec-8"):
-            assert name not in SYSTEMS
+            assert name not in SYSTEMS.names()
         with pytest.raises(UnknownComponentError) as exc:
             SYSTEMS.resolve("vllm-spec-6")
         assert "'vllm-spec-6'" in str(exc.value) and "'vllm-spec'" in str(exc.value)
@@ -290,8 +290,8 @@ class TestBuiltinRegistries:
 
     def test_committed_system_names_all_registered(self):
         for name in COMMITTED_NAMES["SYSTEMS"]:
-            assert name in SYSTEMS, name
-        assert "VLLM-Spec" in SYSTEMS  # names are case-insensitive
+            assert name in SYSTEMS.names(), name
+        assert SYSTEMS.resolve("VLLM-Spec").component.name == "vllm-spec"  # case-insensitive
 
     def test_router_and_trace_names_match_registries(self):
         assert ROUTERS.names() == (

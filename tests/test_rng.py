@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro._rng import MASK64, hash_seed, mix, randint, splitmix64, uniform, uniforms
+from repro._rng import MASK64, hash_seed, mix, randint, splitmix64, uniform
+from tests.conftest import uniforms
 
 
 class TestSplitmix:

@@ -46,7 +46,7 @@ class TestBudget:
     def test_budget_never_exceeded(self, trees):
         res = select_tokens(trees, [2.0, 2.0, 2.0, 2.0], budget=10)
         assert res.budget_used <= 10
-        total_selected = sum(t.num_selected() for t in trees)
+        total_selected = sum(sum(t.selected[1:]) for t in trees)
         assert res.budget_used == len(trees) + total_selected
 
     def test_roots_must_fit(self, trees):
@@ -55,14 +55,13 @@ class TestBudget:
 
     def test_budget_fully_spent_when_candidates_remain(self, trees):
         res = select_tokens(trees, [0.0] * 4, budget=12)
-        assert res.budget_remaining == 0
+        assert res.budget_used == res.budget
 
     def test_budget_underspent_when_candidates_exhausted(self, trees):
         # Candidate trees have 4*12=48 non-root nodes total; budget 100
         # cannot be filled.
         res = select_tokens(trees, [0.0] * 4, budget=100)
         assert res.budget_used == 4 + 48
-        assert res.budget_remaining == 100 - 52
 
     def test_requirements_length_checked(self, trees):
         with pytest.raises(ValueError):
@@ -111,12 +110,12 @@ class TestThroughputPhase:
         ).trees
         select_tokens(trees, [0.0, 0.0], budget=2 + 6)
         selected = [
-            t.path_prob[n] for t in trees for n in t.nodes(include_root=False) if t.selected[n]
+            t.path_prob[n] for t in trees for n in range(1, t.size) if t.selected[n]
         ]
         frontier_unselected = [
             t.path_prob[n]
             for t in trees
-            for n in t.nodes(include_root=False)
+            for n in range(1, t.size)
             if not t.selected[n] and (t.parent[n] == 0 or t.selected[t.parent[n]])
         ]
         assert len(selected) == 6
@@ -128,8 +127,8 @@ class TestThroughputPhase:
         t1 = build_manual_tree({1: (0.9, {2: (0.8, {})}), 3: (0.2, {})})
         t2 = build_manual_tree({1: (0.6, {2: (0.5, {})}), 3: (0.3, {})})
         res = select_tokens([t1, t2], [0.0, 0.0], budget=2 + 3)
-        sel1 = {t1.token[n] for n in t1.nodes(include_root=False) if t1.selected[n]}
-        sel2 = {t2.token[n] for n in t2.nodes(include_root=False) if t2.selected[n]}
+        sel1 = {t1.token[n] for n in range(1, t1.size) if t1.selected[n]}
+        sel2 = {t2.token[n] for n in range(1, t2.size) if t2.selected[n]}
         # Top-3 path probs: 0.9, 0.72 (=0.9*0.8), 0.6.
         assert sel1 == {1, 2}
         assert sel2 == {1}
@@ -138,7 +137,7 @@ class TestThroughputPhase:
 class TestValidity:
     def test_selection_connected(self, trees):
         select_tokens(trees, [2.0] * 4, budget=20)
-        assert all(t.is_selection_connected() for t in trees)
+        assert all(object_tree(t).is_selection_connected() for t in trees)
 
     def test_extractable(self, trees):
         # Walking selected children from the root reaches every selected
@@ -152,25 +151,25 @@ class TestValidity:
                     if t.selected[c]:
                         reached += 1
                         stack.append(c)
-            assert reached == t.num_selected()
+            assert reached == sum(t.selected[1:])
 
     def test_reselection_resets(self, trees):
         select_tokens(trees, [3.0] * 4, budget=30)
-        first = [t.num_selected() for t in trees]
+        first = [sum(t.selected[1:]) for t in trees]
         res = select_tokens(trees, [0.0] * 4, budget=4)
-        assert all(t.num_selected() == 0 for t in trees)
+        assert all(sum(t.selected[1:]) == 0 for t in trees)
         assert res.budget_used == 4
 
     def test_expected_accepted_consistent(self, trees):
         res = select_tokens(trees, [2.0] * 4, budget=24)
         for sel, tree in zip(res.selections, trees):
             assert sel.expected_accepted == pytest.approx(
-                1.0 + tree.selected_path_prob_sum()
+                1.0 + sum(p for p, s in zip(tree.path_prob[1:], tree.selected[1:]) if s)
             )
 
     def test_candidates_scanned_counted(self, trees):
         res = select_tokens(trees, [2.0] * 4, budget=24)
-        assert res.candidates_scanned == sum(t.num_selected() for t in trees)
+        assert res.candidates_scanned == sum(sum(t.selected[1:]) for t in trees)
 
 
 def _manual_tree(data, pair, root_ctx: int, center) -> TokenTree:

@@ -88,7 +88,7 @@ class TestBeamShape:
         ctx = pair.context_of([4])
         w = 2
         tree = speculate_batch(pair, [(0, ctx)], depth=2, width=w).trees[0]
-        level1 = [n for n in tree.nodes() if tree.level[n] == 1]
+        level1 = [n for n in range(tree.size) if tree.level[n] == 1]
         # The top-w children of the root by draft prob must be the level-1 set.
         top = pair.draft_children(ctx, w)
         assert {tree.token[n] for n in level1} == {t for t, _ in top}
@@ -96,12 +96,12 @@ class TestBeamShape:
     def test_ctx_hashes_consistent(self, pair):
         ctx = pair.context_of([5])
         tree = speculate_batch(pair, [(0, ctx)], depth=3, width=2).trees[0]
-        for node in tree.nodes(include_root=False):
+        for node in range(1, tree.size):
             assert tree.ctx[node] == pair.extend(tree.ctx[tree.parent[node]], tree.token[node])
 
     def test_path_probs_decreasing(self, pair):
         tree = speculate_batch(pair, [(0, pair.context_of([6]))], depth=4, width=3).trees[0]
-        for node in tree.nodes(include_root=False):
+        for node in range(1, tree.size):
             assert tree.path_prob[node] <= tree.path_prob[tree.parent[node]]
 
 
@@ -157,9 +157,9 @@ class TestTheorem41:
         opt_tree = result.trees[0]
         d_opt = opt_tree.depth
         cand = speculate_batch(pair, [(0, ctx)], depth=max(d_opt, 1), width=budget).trees[0]
-        cand_paths = {tuple(cand.path_tokens(n)) for n in cand.nodes(include_root=False)}
-        for node in opt_tree.nodes(include_root=False):
-            assert tuple(opt_tree.path_tokens(node)) in cand_paths
+        cand_paths = set(cand.ctx)  # a node's ctx hashes its whole root path
+        for node in range(1, opt_tree.size):
+            assert opt_tree.ctx[node] in cand_paths
 
     def test_depth_bound(self, perfect_pair):
         # D_opt <= B - n (loose bound from the paper).
@@ -195,7 +195,7 @@ class TestLevelKernelMatchesOracle:
             [
                 (tree.ctx[node], center, tree.emitted[node])
                 for tree, center in zip(result.trees, centers)
-                for node in tree.nodes()
+                for node in range(tree.size)
                 if tree.level[node] < depth
             ],
         )

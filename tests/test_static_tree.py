@@ -14,18 +14,23 @@ from repro.core.static_tree import (
 )
 
 
+def _depth(topo: Topology) -> int:
+    """Depth of the subtree below ``topo``'s root."""
+    return max((1 + _depth(c) for c in topo.children), default=0)
+
+
 class TestTopology:
     def test_size_and_depth(self):
         chain = Topology((Topology((Topology(),)),))
         assert chain.size == 2
-        assert chain.depth == 2
+        assert _depth(chain) == 2
         star = Topology((Topology(), Topology(), Topology()))
         assert star.size == 3
-        assert star.depth == 1
+        assert _depth(star) == 1
 
     def test_empty(self):
         assert Topology().size == 0
-        assert Topology().depth == 0
+        assert _depth(Topology()) == 0
 
 
 class TestRankProbs:
@@ -72,14 +77,14 @@ class TestDP:
     def test_chain_when_top_rank_dominates(self):
         # q = (0.9, 0.01): deep chains beat wide trees.
         topo, value = optimal_static_topology((0.9, 0.01), 4)
-        assert topo.depth == 4
+        assert _depth(topo) == 4
         assert value == pytest.approx(0.9 + 0.81 + 0.729 + 0.6561)
 
     def test_wide_when_ranks_flat(self):
         # q = (0.4, 0.39, 0.38): siblings beat grandchildren
         # (0.4*0.4=0.16 < 0.38).
         topo, value = optimal_static_topology((0.4, 0.39, 0.38), 3)
-        assert topo.depth == 1
+        assert _depth(topo) == 1
         assert value == pytest.approx(0.4 + 0.39 + 0.38)
 
     def test_uses_at_most_budget(self):
@@ -146,7 +151,7 @@ class TestInstantiation:
         ctx = pair.context_of([5])
         topo, _ = optimal_static_topology((0.6, 0.3, 0.1), 7)
         tree = instantiate_topology(pair, 0, ctx, topo)
-        for node in tree.nodes(include_root=False):
+        for node in range(1, tree.size):
             assert tree.ctx[node] == pair.extend(tree.ctx[tree.parent[node]], tree.token[node])
 
     def test_verifiable(self, pair):
@@ -156,4 +161,4 @@ class TestInstantiation:
         topo, _ = optimal_static_topology((0.7, 0.2), 6)
         tree = instantiate_topology(pair, 0, ctx, topo)
         accepted, corr, _ = verify_tree(pair, tree)
-        assert len(accepted) <= topo.depth
+        assert len(accepted) <= tree.depth

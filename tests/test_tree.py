@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.tree import TokenTree
-from tests.conftest import ObjectTree
+from tests.conftest import ObjectTree, object_tree
 
 
 def chain_tree(probs: list[float]) -> TokenTree:
@@ -57,16 +57,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             tree.add_child(0, 1, 2, 1.5)
 
-    def test_path_tokens(self):
-        tree = chain_tree([0.9, 0.8, 0.7])
-        assert tree.path_tokens(tree.size - 1) == [1, 2, 3]
-        assert tree.path_tokens(0) == []
-
-    def test_nodes_iteration(self):
-        tree = chain_tree([0.9, 0.8])
-        assert list(tree.nodes()) == [0, 1, 2]
-        assert list(tree.nodes(include_root=False)) == [1, 2]
-
     def test_children_follow_later_additions(self):
         tree = TokenTree(0, 1)
         a = tree.add_child(0, 1, 2, 0.9)
@@ -85,38 +75,26 @@ class TestConstruction:
 
 
 class TestSelection:
-    def test_selected_counts(self):
-        tree = chain_tree([0.9, 0.8])
-        tree.selected[1] = True
-        assert tree.num_selected() == 1
-        assert tree.num_selected(include_root=True) == 2
-
-    def test_selected_path_prob_sum(self):
-        tree = chain_tree([0.5, 0.5])
-        for n in tree.nodes(include_root=False):
-            tree.selected[n] = True
-        assert tree.selected_path_prob_sum() == pytest.approx(0.5 + 0.25)
-
     def test_clear_selection(self):
         tree = chain_tree([0.5])
         tree.selected[1] = True
         tree.clear_selection()
-        assert tree.num_selected() == 0
+        assert not any(tree.selected)
 
     def test_connectivity_check(self):
         tree = TokenTree(0, 1)
         a = tree.add_child(0, 1, 2, 0.9)
         b = tree.add_child(a, 2, 3, 0.8)
         tree.selected[b] = True  # orphan: parent a not selected
-        assert not tree.is_selection_connected()
+        assert not object_tree(tree).is_selection_connected()
         tree.selected[a] = True
-        assert tree.is_selection_connected()
+        assert object_tree(tree).is_selection_connected()
 
     def test_child_of_root_always_connected(self):
         tree = TokenTree(0, 1)
         a = tree.add_child(0, 1, 2, 0.9)
         tree.selected[a] = True
-        assert tree.is_selection_connected()
+        assert object_tree(tree).is_selection_connected()
 
 
 class TestExtraction:

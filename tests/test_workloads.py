@@ -7,13 +7,11 @@ import pytest
 
 from repro.workloads.batcharrivals import _sample_lengths
 from repro.workloads.categories import (
-    CATEGORIES,
     CHATBOT,
     CODING,
     DEFAULT_MIX,
     SUMMARIZATION,
     Category,
-    resolve_slos,
     urgent_mix,
 )
 from repro.workloads.datasets import DATASETS, LengthDistribution
@@ -57,13 +55,6 @@ class TestCategories:
         assert sum(mix.values()) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             urgent_mix(1.5)
-
-    def test_resolve_slos_all_categories(self, target_roofline):
-        slos = resolve_slos(target_roofline)
-        assert set(slos) == set(CATEGORIES)
-        assert slos["coding"] == pytest.approx(
-            1.2 * target_roofline.baseline_decode_latency
-        )
 
     def test_default_mix_sums_to_one(self):
         assert sum(DEFAULT_MIX.values()) == pytest.approx(1.0)
