@@ -100,6 +100,17 @@ class TestKVCache:
         kv.ensure(1, 160)  # growing own allocation into the freed space
         assert kv._allocated.get(1, 0) == 10
 
+    def test_invalidate_all(self):
+        kv = KVCacheManager(1600, block_size=16)
+        kv.ensure(1, 40)
+        kv.ensure(2, 16)
+        kv.invalidate_all()
+        assert kv.used_blocks == 0 and kv.free_blocks == 100
+        assert not kv.holds(1) and not kv.holds(2)
+        assert kv.free(1) == 0  # nothing left to release
+        kv.ensure(3, 1600)  # full capacity usable again
+        assert kv.free_blocks == 0
+
     def test_holds(self):
         kv = KVCacheManager(1600)
         assert not kv.holds(5)

@@ -198,6 +198,24 @@ class TestAutoscaler:
         replicas.append(self._replica(1, 0, available_at=99.0))
         assert Autoscaler(config).decide(0.0, replicas) == 0
 
+    def test_drain_victim_least_loaded_newest_first(self):
+        scaler = Autoscaler(AutoscalerConfig(min_replicas=1))
+        replicas = [FakeReplica(0, 10), FakeReplica(1, 30), FakeReplica(2, 10)]
+        for r in replicas:
+            r.retired = r.draining = r.failed = False
+        # Replicas 0 and 2 tie on load; the autoscaled addition retires first.
+        assert scaler.pick_drain_victim(replicas).index == 2
+        replicas[2].draining = True
+        assert scaler.pick_drain_victim(replicas).index == 0
+
+    def test_drain_victim_keeps_min_replicas(self):
+        scaler = Autoscaler(AutoscalerConfig(min_replicas=2))
+        replicas = [FakeReplica(0, 10), FakeReplica(1, 30), FakeReplica(2, 10)]
+        for r in replicas:
+            r.retired = r.draining = r.failed = False
+        replicas[0].failed = True  # two healthy replicas left: none may go
+        assert scaler.pick_drain_victim(replicas) is None
+
     def test_resolve_defaults_ceiling_and_validates(self):
         config = AutoscalerConfig.resolve({}, initial_replicas=3)
         assert config.max_replicas == 6

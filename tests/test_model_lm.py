@@ -85,6 +85,16 @@ class TestStochasticLM:
         assert abs(mean_lo - 0.3) < 0.06
         assert abs(mean_hi - 0.9) < 0.06
 
+    @pytest.mark.parametrize("center, bound", [(0.1, 0.05), (0.95, 0.98)])
+    def test_top1_clipped_to_bounds(self, lm, center, bound):
+        # center +- spread crosses the clip bound for some contexts; those
+        # pin to it and the distribution stays normalized.
+        dists = [lm.distribution(lm.context_of([i]), center=center) for i in range(300)]
+        top1 = [d.probs[0] for d in dists]
+        assert bound in top1
+        assert all(0.05 <= p <= 0.98 for p in top1)
+        assert all(math.isclose(sum(d.probs), 1.0, rel_tol=1e-9) for d in dists)
+
     def test_center_override(self, lm):
         ctx = lm.context_of([1, 2])
         low = lm.distribution(ctx, center=0.2)

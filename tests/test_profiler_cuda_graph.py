@@ -54,6 +54,14 @@ class TestProfiler:
         prof = HardwareProfiler(rl, slack=1.4).profile()
         assert 1.0 <= prof.latency_ratio <= 1.4 + 1e-9
 
+    @pytest.mark.parametrize("slack", [1.2, 1.5])
+    def test_scheduler_budgets_come_from_profiler(self, engine, slack):
+        from repro.core.scheduler import AdaServeScheduler
+
+        s = AdaServeScheduler(engine, budget_slack=slack)
+        assert s.verify_budget == HardwareProfiler(engine.target_roofline, slack=slack).token_budget()
+        assert s.draft_budget == HardwareProfiler(engine.draft_roofline, slack=slack).token_budget()
+
     def test_draft_budget_larger_than_target(self):
         target = RooflineModel(DEPLOYMENT_PRESETS["llama70b-4xa100"])
         draft = RooflineModel(DEPLOYMENT_PRESETS["llama1b-1xa100"])
@@ -105,3 +113,12 @@ class TestCudaGraph:
         assert g.launch_overhead(32) == pytest.approx(1e-3)
         assert g.captures == 0
         assert g.eager_launches == 2
+
+    def test_every_launch_counted_once(self):
+        g = CudaGraphModel(eager_launch_s=1e-3, capture_cost_s=2e-3, replay_cost_s=1e-5, cache_shapes=2)
+        shapes = [8, 8, 16, 8, 32, 16, 16, 8]
+        total = sum(g.launch_overhead(n) for n in shapes)
+        assert g.captures + g.replays == len(shapes)
+        assert g.eager_launches == 0
+        assert (g.captures, g.replays) == (5, 3)
+        assert total == pytest.approx(g.captures * 3e-3 + g.replays * 1e-5)

@@ -40,6 +40,33 @@ class TestPrefill:
         with pytest.raises(ValueError):
             req.advance_prefill(0)
 
+    def test_prefix_hit_counts_as_prefilled(self):
+        req = make_request(prompt_len=100)
+        req.note_prefix_hit(64)
+        assert (req.prefilled, req.cached_prompt_tokens) == (64, 64)
+        assert req.remaining_prompt == 36
+        assert req.state == RequestState.PREFILLING
+
+    def test_prefix_hit_bounds(self):
+        req = make_request(prompt_len=100)
+        for tokens in (0, 100):  # a hit must leave a token to compute
+            with pytest.raises(ValueError):
+                req.note_prefix_hit(tokens)
+        req.advance_prefill(10)
+        with pytest.raises(ValueError):
+            req.note_prefix_hit(16)  # after prefill started
+
+    def test_rollback_prefix_hit(self):
+        req = make_request(prompt_len=100)
+        req.note_prefix_hit(64)
+        req.rollback_prefix_hit(64)
+        assert (req.prefilled, req.cached_prompt_tokens) == (0, 0)
+        assert req.state == RequestState.QUEUED
+        req.note_prefix_hit(32)  # re-matches later
+        req.advance_prefill(8)
+        with pytest.raises(ValueError):
+            req.rollback_prefix_hit(32)  # the hit is no longer all progress
+
     def test_begin_decode_requires_complete_prefill(self):
         req = make_request(prompt_len=10)
         req.advance_prefill(5)

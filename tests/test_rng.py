@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro._rng import MASK64, hash_seed, mix, randint, splitmix64, uniform
+from repro._rng import _COMBINE, MASK64, hash_seed, mix, randint, salted, splitmix64, uniform
 from tests.conftest import uniforms
 
 
@@ -70,6 +70,12 @@ class TestUniform:
         a = uniforms(77, 1, 100)
         b = uniforms(77, 2, 100)
         assert a != b
+
+
+    def test_salted_mask_hoists_the_multiply(self):
+        for salt in (0, 1, 7, 0x5EED, 2**40 + 3):
+            for h in (0, 1, 123456789, MASK64, hash_seed(salt, 3)):
+                assert (h ^ (salt * _COMBINE)) & MASK64 == h ^ salted(salt)
 
 
 class TestRandint:

@@ -53,6 +53,20 @@ class TestRooflineShape:
         # 70B on 4xA100 decodes at ~20-30ms/token in practice.
         assert 0.015 < rl.baseline_decode_latency < 0.040
 
+    def test_memory_bound_floor_is_weight_roof(self, rl):
+        for tokens in (0, 1, 64, 4096):
+            assert rl.forward_cost(tokens).weight_time == rl.memory_bound_floor
+            assert rl.forward_latency(tokens) >= rl.memory_bound_floor
+
+    def test_compute_seconds_per_token_is_compute_slope(self, rl):
+        for tokens in (1, 64, 4096):
+            assert rl.forward_cost(tokens).compute_time == pytest.approx(
+                tokens * rl.compute_seconds_per_token
+            )
+        assert rl.saturation_tokens() == int(
+            rl.memory_bound_floor / rl.compute_seconds_per_token
+        )
+
     def test_prefill_compute_bound(self, rl):
         # A 2000-token prefill is far above the memory roof.
         cost = rl.forward_cost(2000, 1000)

@@ -216,3 +216,15 @@ class TestPrefixAffinityRouter:
         follow.session_id = 3
         assert router.route(follow, survivors).index == 0
         assert router._home[3] == 0  # re-homed for the rest of the session
+
+    def test_forget_replica_unhomes_its_sessions(self):
+        router = PrefixAffinityRouter()
+        replicas = [_FakeReplica(0, 10), _FakeReplica(1, 50)]
+        for sid, rid in ((1, 1), (2, 2)):
+            req = make_request(rid=rid)
+            req.session_id = sid
+            router.route(req, replicas)
+            replicas[0].queued_tokens = 100  # the second session homes on 1
+        assert router._home == {1: 0, 2: 1}
+        router.forget_replica(0)  # replica 0 crashed
+        assert router._home == {2: 1}

@@ -57,6 +57,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             tree.add_child(0, 1, 2, 1.5)
 
+    def test_path_tokens(self):
+        tree = chain_tree([0.9, 0.8, 0.7])
+        path, node = [], tree.size - 1
+        while node > 0:
+            path.append(tree.token[node])
+            node = tree.parent[node]
+        assert path[::-1] == [1, 2, 3]
+        assert tree.parent[0] == -1  # the root's path is empty
+
+    def test_nodes_iteration(self):
+        tree = chain_tree([0.9, 0.8])
+        ref = object_tree(tree)
+        assert [n.token_id for n in ref.nodes()] == tree.token
+        assert [n.path_prob for n in ref.nodes(include_root=False)] == tree.path_prob[1:]
+
     def test_children_follow_later_additions(self):
         tree = TokenTree(0, 1)
         a = tree.add_child(0, 1, 2, 0.9)
@@ -75,6 +90,19 @@ class TestConstruction:
 
 
 class TestSelection:
+    def test_selected_counts(self):
+        tree = chain_tree([0.9, 0.8])
+        tree.selected[1] = True
+        assert sum(tree.selected) == 1
+        assert object_tree(tree).extract_selected().num_speculated == 1
+
+    def test_selected_path_prob_sum(self):
+        # The selection objective: sum of f(v) over selected nodes.
+        tree = chain_tree([0.5, 0.5])
+        tree.selected[1:] = [True, True]
+        chosen = [p for p, s in zip(tree.path_prob, tree.selected) if s]
+        assert sum(chosen) == pytest.approx(0.5 + 0.25)
+
     def test_clear_selection(self):
         tree = chain_tree([0.5])
         tree.selected[1] = True

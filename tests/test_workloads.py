@@ -7,6 +7,7 @@ import pytest
 
 from repro.workloads.batcharrivals import _sample_lengths
 from repro.workloads.categories import (
+    CATEGORIES,
     CHATBOT,
     CODING,
     DEFAULT_MIX,
@@ -55,6 +56,17 @@ class TestCategories:
         assert sum(mix.values()) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             urgent_mix(1.5)
+
+    @pytest.mark.parametrize("name", sorted(CATEGORIES))
+    def test_resolve_slos_all_categories(self, target_roofline, name):
+        # Every request of a category carries that category's Table 2 SLO
+        # against the deployment's baseline, and only urgent ones rank first.
+        cat = CATEGORIES[name]
+        reqs = WorkloadGenerator(target_roofline, seed=6).steady(30, 2.0, mix={name: 1.0})
+        assert reqs
+        want = cat.resolve_slo(target_roofline.baseline_decode_latency)
+        assert {r.tpot_slo for r in reqs} == {want}
+        assert {r.priority for r in reqs} == {0 if cat.is_urgent else 1}
 
     def test_default_mix_sums_to_one(self):
         assert sum(DEFAULT_MIX.values()) == pytest.approx(1.0)
